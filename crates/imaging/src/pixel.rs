@@ -4,7 +4,11 @@
 ///
 /// The workspace uses `Rgb<u8>` for stored images and `Rgb<f64>` for the
 /// normalised `[0, 1]` representation consumed by the segmentation algorithms.
+///
+/// The layout is exactly `[T; 3]`, which is what lets a slice of `Rgb<u8>`
+/// be viewed as its interleaved `r, g, b` bytes ([`Rgb::slice_as_bytes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[repr(transparent)]
 pub struct Rgb<T>(pub [T; 3]);
 
 /// A single-channel (grayscale) pixel with channel type `T`.
@@ -62,7 +66,36 @@ impl Rgb<u8> {
     pub const GREEN: Rgb<u8> = Rgb([0, 255, 0]);
     /// Blue.
     pub const BLUE: Rgb<u8> = Rgb([0, 0, 255]);
+
+    /// Views a pixel slice as its interleaved bytes `r0, g0, b0, r1, …`
+    /// (`3 * pixels.len()` of them), without copying.
+    pub fn slice_as_bytes(pixels: &[Rgb<u8>]) -> &[u8] {
+        // SAFETY: `Rgb<u8>` is `#[repr(transparent)]` over `[u8; 3]`, so it
+        // has size 3, align 1 and no padding (checked at compile time
+        // below): `pixels` is exactly `3 * len` initialised bytes (its own
+        // size in memory, so the product neither overflows nor exceeds
+        // `isize::MAX`), any pointer is aligned for `u8`, and the byte view
+        // borrows `pixels` for the same lifetime.
+        unsafe { std::slice::from_raw_parts(pixels.as_ptr().cast::<u8>(), pixels.len() * 3) }
+    }
+
+    /// Mutable twin of [`Rgb::slice_as_bytes`]: writing byte `3i + c` sets
+    /// channel `c` of pixel `i`.
+    pub fn slice_as_bytes_mut(pixels: &mut [Rgb<u8>]) -> &mut [u8] {
+        // SAFETY: as in `slice_as_bytes`; in addition every byte value is a
+        // valid channel, so any write through the view leaves valid pixels,
+        // and the view holds the only (mutable) borrow of `pixels`.
+        unsafe {
+            std::slice::from_raw_parts_mut(pixels.as_mut_ptr().cast::<u8>(), pixels.len() * 3)
+        }
+    }
 }
+
+// The byte views above rely on this layout.
+const _: () = assert!(
+    std::mem::size_of::<Rgb<u8>>() == 3 && std::mem::align_of::<Rgb<u8>>() == 1,
+    "Rgb<u8> must be three unpadded bytes"
+);
 
 impl Rgb<f64> {
     /// Converts to an 8-bit pixel, clamping to `[0, 1]` first.
@@ -192,6 +225,34 @@ mod tests {
         assert_eq!(Rgb::WHITE, Rgb::new(255, 255, 255));
         assert_eq!(Rgb::GREEN.g(), 255);
         assert_eq!(Rgb::BLUE.b(), 255);
+    }
+
+    #[test]
+    fn byte_view_of_an_empty_slice_is_empty() {
+        assert!(Rgb::slice_as_bytes(&[]).is_empty());
+        assert!(Rgb::slice_as_bytes_mut(&mut []).is_empty());
+    }
+
+    #[test]
+    fn byte_view_interleaves_channels_for_odd_lengths() {
+        let pixels = [Rgb::new(1u8, 2, 3), Rgb::new(4, 5, 6), Rgb::new(7, 8, 9)];
+        assert_eq!(
+            Rgb::slice_as_bytes(&pixels),
+            &[1, 2, 3, 4, 5, 6, 7, 8, 9][..]
+        );
+        assert_eq!(Rgb::slice_as_bytes(&pixels[1..2]), &[4, 5, 6][..]);
+    }
+
+    #[test]
+    fn byte_view_round_trips_through_its_mutable_twin() {
+        let source: Vec<Rgb<u8>> = (0..7u8)
+            .map(|i| Rgb::new(i, i.wrapping_mul(37), 255 - i))
+            .collect();
+        let mut copy = vec![Rgb::BLACK; source.len()];
+        Rgb::slice_as_bytes_mut(&mut copy).copy_from_slice(Rgb::slice_as_bytes(&source));
+        assert_eq!(copy, source);
+        Rgb::slice_as_bytes_mut(&mut copy)[4] = 99;
+        assert_eq!(copy[1], Rgb::new(source[1].r(), 99, source[1].b()));
     }
 
     #[test]

@@ -430,7 +430,7 @@ impl Reactor {
                 continue;
             };
             conn.inflight = false;
-            conn.encoder.enqueue_frame(&completion.frame);
+            conn.encoder.enqueue_frame(completion.frame);
             conn.idle_since = now;
             // The completed job unblocks this connection's frame queue.
             self.pump(&mut conn, completion.conn, completion.gen);

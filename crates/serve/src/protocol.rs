@@ -85,10 +85,14 @@ pub const HEADER_LEN: usize = 20;
 /// Hard upper bound on a frame payload (64 MiB).  A frame declaring more is
 /// rejected before any payload allocation happens.
 pub const MAX_PAYLOAD_BYTES: usize = 64 << 20;
+/// The longest fixed prefix of a segment payload: a `SegmentDeltaReply`'s
+/// flags word, two tile counters and dimensions.
+const MAX_SEGMENT_PREFIX_BYTES: usize = 20;
 /// Hard upper bound on the pixel count of one segmentation request, chosen so
-/// both the RGB request (`3·n` bytes) and the label reply (`4·n` bytes) fit
-/// under [`MAX_PAYLOAD_BYTES`] even with the cached ops' extra flags word.
-pub const MAX_PIXELS: usize = (MAX_PAYLOAD_BYTES - 12) / 4;
+/// every segment payload fits under [`MAX_PAYLOAD_BYTES`]: the RGB requests
+/// (`3·n` bytes) and the label replies (`4·n` bytes), even behind the
+/// largest fixed prefix, the delta reply's 20 bytes.
+pub const MAX_PIXELS: usize = (MAX_PAYLOAD_BYTES - MAX_SEGMENT_PREFIX_BYTES) / 4;
 /// Maximum request frames a connection may have in flight before reading a
 /// reply (protocol v2 pipelining).  Clients clamp to this.  Note this
 /// bounds *frames*, not bytes: a deep burst of large frames can exceed any
@@ -461,10 +465,8 @@ fn read_flags(op: Op, payload: &[u8], allowed: u32) -> Result<(u32, &[u8]), Prot
 fn decode_image(op: Op, payload: &[u8]) -> Result<RgbImage, ProtocolError> {
     let (width, height, pixels) = read_dims(op, payload)?;
     expect_len(op, payload, 8 + pixels * 3)?;
-    let data: Vec<Rgb<u8>> = payload[8..]
-        .chunks_exact(3)
-        .map(|c| Rgb::new(c[0], c[1], c[2]))
-        .collect();
+    let mut data = vec![Rgb::BLACK; pixels];
+    Rgb::slice_as_bytes_mut(&mut data).copy_from_slice(&payload[8..]);
     RgbImage::from_vec(width, height, data)
         .map_err(|_| ProtocolError::BadDimensions { width, height })
 }
@@ -474,10 +476,10 @@ fn decode_image(op: Op, payload: &[u8]) -> Result<RgbImage, ProtocolError> {
 fn decode_labels(op: Op, payload: &[u8]) -> Result<LabelMap, ProtocolError> {
     let (width, height, pixels) = read_dims(op, payload)?;
     expect_len(op, payload, 8 + pixels * 4)?;
-    let data: Vec<u32> = payload[8..]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let mut data = vec![0u32; pixels];
+    for (label, bytes) in data.iter_mut().zip(payload[8..].chunks_exact(4)) {
+        *label = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+    }
     LabelMap::from_vec(width, height, data)
         .map_err(|_| ProtocolError::BadDimensions { width, height })
 }
@@ -555,8 +557,8 @@ pub fn decode_body(op: Op, payload: &[u8]) -> Result<Message, ProtocolError> {
 
 /// Starts a frame: one allocation sized for header + payload, with the
 /// payload-length field zeroed until [`finish_frame`] patches it in.  The
-/// payload is serialized directly into this buffer — frames are built in a
-/// single pass with no intermediate payload copy.
+/// payload is then appended in place, its pixels or labels in one bulk pass,
+/// so the finished buffer is the frame with no intermediate copy.
 fn begin_frame(request_id: u64, op: Op, payload_capacity: usize) -> Vec<u8> {
     let mut frame = Vec::with_capacity(HEADER_LEN + payload_capacity);
     frame.extend_from_slice(&MAGIC);
@@ -580,20 +582,62 @@ fn finish_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
     Ok(frame)
 }
 
-fn append_segment_payload(frame: &mut Vec<u8>, image: &RgbImage) {
-    frame.extend_from_slice(&(image.width() as u32).to_le_bytes());
-    frame.extend_from_slice(&(image.height() as u32).to_le_bytes());
-    for px in image.as_slice() {
-        frame.extend_from_slice(&[px.r(), px.g(), px.b()]);
+/// Starts a segment frame: the header, then the op's prefix words (flags,
+/// tile counters) and the `width, height` pair, with capacity for
+/// `bytes_per_pixel` more bytes per pixel.
+fn begin_segment_frame(
+    request_id: u64,
+    op: Op,
+    prefix: &[u32],
+    (width, height): (usize, usize),
+    bytes_per_pixel: usize,
+) -> Result<Vec<u8>, ProtocolError> {
+    let pixels = checked_pixels(width, height)?;
+    // A zero-area image passes the pixel check at any width or height.
+    let dims = match (u32::try_from(width), u32::try_from(height)) {
+        (Ok(width), Ok(height)) => [width, height],
+        _ => return Err(ProtocolError::BadDimensions { width, height }),
+    };
+    let mut frame = begin_frame(
+        request_id,
+        op,
+        4 * prefix.len() + 8 + bytes_per_pixel * pixels,
+    );
+    for word in prefix.iter().chain(&dims) {
+        frame.extend_from_slice(&word.to_le_bytes());
     }
+    Ok(frame)
 }
 
-fn append_labels_payload(frame: &mut Vec<u8>, labels: &LabelMap) {
-    frame.extend_from_slice(&(labels.width() as u32).to_le_bytes());
-    frame.extend_from_slice(&(labels.height() as u32).to_le_bytes());
-    for label in labels.as_slice() {
-        frame.extend_from_slice(&label.to_le_bytes());
+/// Encodes a segment request: the pixels go out as one copy of their
+/// interleaved RGB bytes.
+fn encode_image_frame(
+    request_id: u64,
+    op: Op,
+    prefix: &[u32],
+    image: &RgbImage,
+) -> Result<Vec<u8>, ProtocolError> {
+    let mut frame = begin_segment_frame(request_id, op, prefix, image.dimensions(), 3)?;
+    frame.extend_from_slice(Rgb::slice_as_bytes(image.as_slice()));
+    finish_frame(frame)
+}
+
+/// Encodes a segment reply: the labels are written little-endian into a
+/// pre-sized tail, a loop the compiler turns into a straight copy on
+/// little-endian targets.
+fn encode_labels_frame(
+    request_id: u64,
+    op: Op,
+    prefix: &[u32],
+    labels: &LabelMap,
+) -> Result<Vec<u8>, ProtocolError> {
+    let mut frame = begin_segment_frame(request_id, op, prefix, labels.dimensions(), 4)?;
+    let start = frame.len();
+    frame.resize(start + 4 * labels.len(), 0);
+    for (bytes, label) in frame[start..].chunks_exact_mut(4).zip(labels.as_slice()) {
+        bytes.copy_from_slice(&label.to_le_bytes());
     }
+    finish_frame(frame)
 }
 
 /// Encodes a full frame (header + payload) into a byte vector.
@@ -603,74 +647,37 @@ fn append_labels_payload(frame: &mut Vec<u8>, labels: &LabelMap) {
 /// enforces the same limits the decoder does, so a conforming peer can never
 /// be handed an undecodable frame.
 pub fn encode_message(request_id: u64, message: &Message) -> Result<Vec<u8>, ProtocolError> {
-    let capacity = match message {
-        Message::Segment { image } => {
-            checked_pixels(image.width(), image.height())?;
-            8 + image.len() * 3
-        }
-        Message::SegmentCached { image, .. } | Message::SegmentDelta { image } => {
-            checked_pixels(image.width(), image.height())?;
-            12 + image.len() * 3
-        }
-        Message::SegmentReply { labels } => {
-            checked_pixels(labels.width(), labels.height())?;
-            8 + labels.len() * 4
-        }
-        Message::SegmentCachedReply { labels, .. } => {
-            checked_pixels(labels.width(), labels.height())?;
-            12 + labels.len() * 4
-        }
-        Message::SegmentDeltaReply { labels, .. } => {
-            checked_pixels(labels.width(), labels.height())?;
-            20 + labels.len() * 4
-        }
-        Message::StatsReply { text } => text.len(),
-        Message::Error { message } => message.len(),
-        _ => 0,
-    };
-    let mut frame = begin_frame(request_id, message.op(), capacity);
+    let op = message.op();
     match message {
-        Message::Segment { image } => append_segment_payload(&mut frame, image),
+        Message::Segment { image } => encode_segment(request_id, image),
         Message::SegmentCached { image, bypass } => {
-            let flags = if *bypass { FLAG_BYPASS_CACHE } else { 0 };
-            frame.extend_from_slice(&flags.to_le_bytes());
-            append_segment_payload(&mut frame, image);
+            encode_segment_cached(request_id, image, *bypass)
         }
-        Message::SegmentReply { labels } => append_labels_payload(&mut frame, labels),
+        Message::SegmentDelta { image } => encode_segment_delta(request_id, image),
+        Message::SegmentReply { labels } => encode_labels_frame(request_id, op, &[], labels),
         Message::SegmentCachedReply { labels, cached } => {
             let flags = if *cached { FLAG_CACHE_HIT } else { 0 };
-            frame.extend_from_slice(&flags.to_le_bytes());
-            append_labels_payload(&mut frame, labels);
-        }
-        Message::SegmentDelta { image } => {
-            frame.extend_from_slice(&0u32.to_le_bytes());
-            append_segment_payload(&mut frame, image);
+            encode_labels_frame(request_id, op, &[flags], labels)
         }
         Message::SegmentDeltaReply {
             labels,
             tiles_hit,
             tiles_recomputed,
-        } => {
-            frame.extend_from_slice(&0u32.to_le_bytes());
-            frame.extend_from_slice(&tiles_hit.to_le_bytes());
-            frame.extend_from_slice(&tiles_recomputed.to_le_bytes());
-            append_labels_payload(&mut frame, labels);
+        } => encode_labels_frame(request_id, op, &[0, *tiles_hit, *tiles_recomputed], labels),
+        Message::StatsReply { text: body } | Message::Error { message: body } => {
+            let mut frame = begin_frame(request_id, op, body.len());
+            frame.extend_from_slice(body.as_bytes());
+            finish_frame(frame)
         }
-        Message::StatsReply { text } => frame.extend_from_slice(text.as_bytes()),
-        Message::Error { message } => frame.extend_from_slice(message.as_bytes()),
-        _ => {}
+        _ => finish_frame(begin_frame(request_id, op, 0)),
     }
-    finish_frame(frame)
 }
 
 /// Encodes a `Segment` request frame directly from a borrowed image —
 /// byte-identical to `encode_message` with [`Message::Segment`], without
 /// cloning the image into a message first.  This is the client's hot path.
 pub fn encode_segment(request_id: u64, image: &RgbImage) -> Result<Vec<u8>, ProtocolError> {
-    checked_pixels(image.width(), image.height())?;
-    let mut frame = begin_frame(request_id, Op::Segment, 8 + image.len() * 3);
-    append_segment_payload(&mut frame, image);
-    finish_frame(frame)
+    encode_image_frame(request_id, Op::Segment, &[], image)
 }
 
 /// Borrowed-image encoder for [`Message::SegmentCached`] — byte-identical to
@@ -680,22 +687,14 @@ pub fn encode_segment_cached(
     image: &RgbImage,
     bypass: bool,
 ) -> Result<Vec<u8>, ProtocolError> {
-    checked_pixels(image.width(), image.height())?;
-    let mut frame = begin_frame(request_id, Op::SegmentCached, 12 + image.len() * 3);
     let flags = if bypass { FLAG_BYPASS_CACHE } else { 0 };
-    frame.extend_from_slice(&flags.to_le_bytes());
-    append_segment_payload(&mut frame, image);
-    finish_frame(frame)
+    encode_image_frame(request_id, Op::SegmentCached, &[flags], image)
 }
 
 /// Borrowed-image encoder for [`Message::SegmentDelta`] — byte-identical to
 /// `encode_message`, without cloning the pixels into a message first.
 pub fn encode_segment_delta(request_id: u64, image: &RgbImage) -> Result<Vec<u8>, ProtocolError> {
-    checked_pixels(image.width(), image.height())?;
-    let mut frame = begin_frame(request_id, Op::SegmentDelta, 12 + image.len() * 3);
-    frame.extend_from_slice(&0u32.to_le_bytes());
-    append_segment_payload(&mut frame, image);
-    finish_frame(frame)
+    encode_image_frame(request_id, Op::SegmentDelta, &[0], image)
 }
 
 /// Encodes and writes one frame to `w` (single `write_all` + flush).
@@ -979,21 +978,26 @@ impl FrameEncoder {
 
     /// Encodes `message` and queues the frame for writing.
     pub fn enqueue(&mut self, request_id: u64, message: &Message) -> Result<(), ProtocolError> {
-        let frame = encode_message(request_id, message)?;
-        self.enqueue_frame(&frame);
+        self.enqueue_frame(encode_message(request_id, message)?);
         Ok(())
     }
 
-    /// Queues an already-encoded frame (the hot path: workers encode replies
-    /// off-thread and the reactor only copies bytes).
-    pub fn enqueue_frame(&mut self, frame: &[u8]) {
+    /// Queues an already-encoded frame.  This is the hot path: workers encode
+    /// replies off-thread, and when nothing is pending the encoder adopts the
+    /// frame's buffer as its own, so the reply is never copied again.
+    pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
+        if self.is_empty() {
+            self.buf = frame;
+            self.cursor = 0;
+            return;
+        }
         // Reclaim the already-written prefix before growing, so the buffer's
         // footprint tracks *unsent* bytes, not all bytes ever queued.
         if self.cursor > 0 {
             self.buf.drain(..self.cursor);
             self.cursor = 0;
         }
-        self.buf.extend_from_slice(frame);
+        self.buf.extend_from_slice(&frame);
     }
 
     /// The bytes waiting to be written, in order.
@@ -1016,7 +1020,9 @@ impl FrameEncoder {
         self.cursor += n;
         debug_assert!(self.cursor <= self.buf.len());
         if self.cursor == self.buf.len() {
-            self.buf.clear();
+            // Release the written frame now: the next `enqueue_frame` would
+            // replace this buffer anyway, so an idle connection holds none.
+            self.buf = Vec::new();
             self.cursor = 0;
         }
     }
@@ -1232,6 +1238,62 @@ mod tests {
             },
         )
         .is_ok());
+    }
+
+    #[test]
+    fn every_segment_payload_at_max_pixels_fits_and_one_more_pixel_is_refused() {
+        // (op, fixed prefix bytes, bytes per pixel), per the module docs.
+        for (op, prefix, per_pixel) in [
+            (Op::Segment, 8, 3),
+            (Op::SegmentCached, 12, 3),
+            (Op::SegmentDelta, 12, 3),
+            (Op::SegmentReply, 8, 4),
+            (Op::SegmentCachedReply, 12, 4),
+            (Op::SegmentDeltaReply, 20, 4),
+        ] {
+            assert!(prefix <= MAX_SEGMENT_PREFIX_BYTES, "{op:?}");
+            assert!(
+                prefix + per_pixel * MAX_PIXELS <= MAX_PAYLOAD_BYTES,
+                "{op:?} at MAX_PIXELS overflows the payload limit"
+            );
+            // Zeroed flags and counters, then dims of MAX_PIXELS + 1 by 1.
+            let mut payload = vec![0u8; prefix - 8];
+            payload.extend_from_slice(&(MAX_PIXELS as u32 + 1).to_le_bytes());
+            payload.extend_from_slice(&1u32.to_le_bytes());
+            assert!(
+                matches!(
+                    decode_body(op, &payload).unwrap_err(),
+                    ProtocolError::BadDimensions { width, height: 1 } if width == MAX_PIXELS + 1
+                ),
+                "{op:?}"
+            );
+        }
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn zero_area_images_wider_than_the_wire_field_are_refused() {
+        let image = RgbImage::from_vec(u32::MAX as usize + 1, 0, Vec::new()).unwrap();
+        assert!(matches!(
+            encode_segment(1, &image).unwrap_err(),
+            ProtocolError::BadDimensions { height: 0, .. }
+        ));
+    }
+
+    #[test]
+    fn an_idle_encoder_adopts_the_frame_without_copying() {
+        let mut encoder = FrameEncoder::new();
+        let frame = encode_segment(3, &sample_image()).unwrap();
+        let (ptr, len) = (frame.as_ptr(), frame.len());
+        encoder.enqueue_frame(frame);
+        assert_eq!(
+            (encoder.pending().as_ptr(), encoder.pending_len()),
+            (ptr, len)
+        );
+        // With bytes still pending, the next frame is appended behind them.
+        encoder.advance(1);
+        encoder.enqueue(4, &Message::Pong).unwrap();
+        assert_eq!(encoder.pending_len(), len - 1 + HEADER_LEN);
     }
 
     #[test]

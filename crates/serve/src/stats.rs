@@ -196,16 +196,20 @@ pub struct StatsSnapshot {
     /// throughput); empty when the server booted with an explicit plan.
     pub calibration: String,
     /// Service-latency samples recorded (one per completed segment request).
+    /// A sample times only the pipeline call (cache lookup and
+    /// classification); frame decode, queue wait, reply encode and the
+    /// socket write all fall outside it.
     pub lat_count: u64,
-    /// Median service latency in microseconds.
+    /// Median pipeline-call time in microseconds (see `lat_count`).
     pub lat_p50_us: u64,
-    /// 90th-percentile service latency in microseconds.
+    /// 90th-percentile pipeline-call time in microseconds.
     pub lat_p90_us: u64,
-    /// 99th-percentile service latency in microseconds.
+    /// 99th-percentile pipeline-call time in microseconds.
     pub lat_p99_us: u64,
-    /// 99.9th-percentile service latency in microseconds.
+    /// 99.9th-percentile pipeline-call time in microseconds.
     pub lat_p999_us: u64,
-    /// Maximum service latency in microseconds (exact, not bucket-quantised).
+    /// Maximum pipeline-call time in microseconds (exact, not
+    /// bucket-quantised).
     pub lat_max_us: u64,
     /// Frames handled on the connection that asked for this snapshot.
     pub conn_requests: usize,

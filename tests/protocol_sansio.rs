@@ -250,12 +250,14 @@ fn random_image(rng: &mut ChaCha8Rng, max_side: usize) -> RgbImage {
     RgbImage::from_vec(width, height, pixels).expect("valid dimensions")
 }
 
+/// Labels drawn over the whole `u32` range, so every byte of the wire's
+/// 4-byte label carries data.
 fn random_labels(rng: &mut ChaCha8Rng, max_side: usize) -> LabelMap {
     let width = rng.gen_range(1..=max_side);
     let height = rng.gen_range(1..=max_side);
     let mut labels = Vec::with_capacity(width * height);
     for _ in 0..width * height {
-        labels.push(rng.gen::<u8>() as u32);
+        labels.push(rng.gen::<u32>());
     }
     LabelMap::from_vec(width, height, labels).expect("valid dimensions")
 }
@@ -283,9 +285,9 @@ fn all_plan_specs() -> Vec<String> {
     specs
 }
 
-/// Every message shape the protocol defines: all eleven ops, both values of
-/// both flag words, and a Stats reply for every classifier-spec / serve-mode
-/// combination.
+/// Every message shape the protocol defines: all fourteen ops, both values
+/// of both cache flag words, delta replies with non-zero tile counters, and
+/// a Stats reply for every classifier-spec / serve-mode combination.
 fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
     let mut corpus = vec![
         Message::Ping,
@@ -293,11 +295,20 @@ fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
         Message::Stats,
         Message::Shutdown,
         Message::ShutdownReply,
+        Message::Busy,
         Message::Segment {
             image: random_image(rng, 9),
         },
         Message::SegmentReply {
             labels: random_labels(rng, 9),
+        },
+        Message::SegmentDelta {
+            image: random_image(rng, 9),
+        },
+        Message::SegmentDeltaReply {
+            labels: random_labels(rng, 9),
+            tiles_hit: rng.gen_range(1..=u32::MAX),
+            tiles_recomputed: rng.gen_range(1..=u32::MAX),
         },
         Message::StatsReply {
             text: String::new(),
@@ -420,6 +431,156 @@ fn round_trip_identity_for_every_op_flag_and_spec_combination() {
             assert!(encoder.is_empty(), "case {case}: drained encoder");
         }
     });
+}
+
+// ---------------------------------------------------------------------------
+// Byte-exact segment frames
+// ---------------------------------------------------------------------------
+
+/// `value` as four little-endian bytes, spelled out with shifts so the
+/// expected frames below share no code with the encoder.
+fn le32(value: u32) -> [u8; 4] {
+    [
+        value as u8,
+        (value >> 8) as u8,
+        (value >> 16) as u8,
+        (value >> 24) as u8,
+    ]
+}
+
+/// The request and reply frames of all three segment ops, pinned byte for
+/// byte.  A round trip cannot catch an error both sides make the same way
+/// (pixels written and read back as BGR, labels in big-endian order); a
+/// frame assembled field by field from the documented layout can.
+#[test]
+fn segment_frames_match_the_documented_layout_byte_for_byte() {
+    // Pixel i (row-major) is (3i, 3i + 1, 3i + 2), so a correct encoder
+    // writes the bytes 0, 1, 2, …, 44 in order.
+    let (width, height) = (5usize, 3usize);
+    let image = RgbImage::from_fn(width, height, |x, y| {
+        let i = (y * width + x) as u8;
+        Rgb::new(3 * i, 3 * i + 1, 3 * i + 2)
+    });
+    let pixel_bytes: Vec<u8> = (0..45).collect();
+    let label_values: [u32; 15] = [
+        0,
+        1,
+        7,
+        0x0102_0304,
+        u32::MAX,
+        0xFF,
+        0x100,
+        0xFFFF,
+        0x1_0000,
+        0x8000_0000,
+        0xDEAD_BEEF,
+        2,
+        0x00FF_FF00,
+        0x7FFF_FFFF,
+        3,
+    ];
+    let labels = LabelMap::from_vec(width, height, label_values.to_vec()).expect("5x3 labels");
+    let label_bytes: Vec<u8> = label_values.iter().flat_map(|&v| le32(v)).collect();
+    assert_eq!(label_bytes[12..16], [0x04, 0x03, 0x02, 0x01]);
+    assert_eq!(label_bytes[16..20], [0xFF; 4]);
+
+    let dims = [le32(5), le32(3)].concat();
+    let payload = |prefix: &[[u8; 4]], body: &[u8]| -> Vec<u8> {
+        let mut out: Vec<u8> = prefix.concat();
+        out.extend_from_slice(&dims);
+        out.extend_from_slice(body);
+        out
+    };
+    let (tiles_hit, tiles_recomputed) = (0x0A0B_0C0Du32, 2u32);
+
+    // (message, op byte, expected payload)
+    let cases: Vec<(Message, u8, Vec<u8>)> = vec![
+        (
+            Message::Segment {
+                image: image.clone(),
+            },
+            0x01,
+            payload(&[], &pixel_bytes),
+        ),
+        (
+            Message::SegmentCached {
+                image: image.clone(),
+                bypass: true,
+            },
+            0x05,
+            payload(&[le32(1)], &pixel_bytes),
+        ),
+        (
+            Message::SegmentCached {
+                image: image.clone(),
+                bypass: false,
+            },
+            0x05,
+            payload(&[le32(0)], &pixel_bytes),
+        ),
+        (
+            Message::SegmentDelta {
+                image: image.clone(),
+            },
+            0x06,
+            payload(&[le32(0)], &pixel_bytes),
+        ),
+        (
+            Message::SegmentReply {
+                labels: labels.clone(),
+            },
+            0x81,
+            payload(&[], &label_bytes),
+        ),
+        (
+            Message::SegmentCachedReply {
+                labels: labels.clone(),
+                cached: true,
+            },
+            0x85,
+            payload(&[le32(1)], &label_bytes),
+        ),
+        (
+            Message::SegmentDeltaReply {
+                labels,
+                tiles_hit,
+                tiles_recomputed,
+            },
+            0x86,
+            payload(
+                &[le32(0), le32(tiles_hit), le32(tiles_recomputed)],
+                &label_bytes,
+            ),
+        ),
+    ];
+
+    for (index, (message, op, expected_payload)) in cases.into_iter().enumerate() {
+        let id = 0x0102_0304_0506_0700 + index as u64;
+        let expected = raw_frame(op, id, &expected_payload);
+        let name = message.name();
+        assert_eq!(
+            protocol::encode_message(id, &message).expect("encodable"),
+            expected,
+            "{name}: encode_message"
+        );
+        let borrowed = match &message {
+            Message::Segment { image } => Some(protocol::encode_segment(id, image)),
+            Message::SegmentCached { image, bypass } => {
+                Some(protocol::encode_segment_cached(id, image, *bypass))
+            }
+            Message::SegmentDelta { image } => Some(protocol::encode_segment_delta(id, image)),
+            _ => None,
+        };
+        if let Some(borrowed) = borrowed {
+            assert_eq!(
+                borrowed.expect("encodable"),
+                expected,
+                "{name}: borrowed encoder"
+            );
+        }
+        let (decoded_id, decoded) = protocol::decode_message(&expected).expect("decodable");
+        assert_eq!((decoded_id, decoded), (id, message), "{name}: decode");
+    }
 }
 
 // ---------------------------------------------------------------------------
