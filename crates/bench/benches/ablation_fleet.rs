@@ -29,7 +29,7 @@ use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imaging::RgbImage;
 use iqft_pipeline::CacheConfig;
-use iqft_serve::{ClientConfig, FleetClient, ServeMode, Server, ServerConfig};
+use iqft_serve::{ClientConfig, FleetClient, Server, ServerConfig};
 use seg_engine::{ClassifierKind, SegmentPlan};
 use std::time::Duration;
 
@@ -72,8 +72,7 @@ fn bench(c: &mut Criterion) {
                     .with_cache(CacheConfig {
                         capacity_bytes: entry_bytes * BUDGET_ENTRIES,
                         shards: 1,
-                    })
-                    .with_mode(ServeMode::Evented),
+                    }),
                 )
                 .expect("bind fleet daemon")
             })

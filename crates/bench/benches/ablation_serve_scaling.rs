@@ -23,7 +23,7 @@
 use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iqft_pipeline::CacheConfig;
-use iqft_serve::{Client, ClientConfig, ServeMode, Server, ServerConfig};
+use iqft_serve::{Client, ClientConfig, Server, ServerConfig};
 use seg_engine::SegmentPlan;
 use std::time::Duration;
 
@@ -66,7 +66,6 @@ fn bench(c: &mut Criterion) {
                 plan: SegmentPlan::default(),
                 max_inflight: 2,
                 cache: CacheConfig::with_capacity_mb(16),
-                mode: ServeMode::Evented,
                 ..ServerConfig::default()
             },
         )

@@ -301,25 +301,6 @@ impl SegmentPlan {
         }
     }
 
-    /// Parses the harness flags `--classifier exact|lut|table`,
-    /// `--tile off|WxH`, and `--backend serial|threads|rayon --threads N`
-    /// into a plan.
-    #[deprecated(
-        note = "parse a PlanSpec string instead (`\"classifier=…;tile=…;backend=…\".parse()`)"
-    )]
-    pub fn from_flags(
-        classifier: &str,
-        tile: &str,
-        backend: &str,
-        threads: usize,
-    ) -> Result<Self, String> {
-        Ok(Self::new(
-            ClassifierKind::from_flag(classifier)?,
-            Tiling::from_flag(tile)?,
-            SegmentEngine::from_flags(backend, threads)?.backend(),
-        ))
-    }
-
     /// Replaces the classifier kind.
     pub fn with_classifier(mut self, classifier: ClassifierKind) -> Self {
         self.classifier = classifier;
@@ -500,30 +481,9 @@ mod tests {
             "whole-image plans delta at the default square tile"
         );
         assert_eq!(Tiling::Whole.flag(), "off");
-        for bad in ["64", "0x4", "4x0", "axb", "4x4x4"] {
+        for bad in ["64", "0x4", "4x0", "axb", "4x4x4", "?"] {
             assert!(Tiling::from_flag(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn plan_flags_compose_the_three_axes() {
-        let plan = SegmentPlan::from_flags("lut", "16x8", "threads", 3).unwrap();
-        assert_eq!(plan.classifier(), ClassifierKind::Lut);
-        assert_eq!(
-            plan.tiling(),
-            Tiling::Tiles {
-                width: 16,
-                height: 8
-            }
-        );
-        assert_eq!(plan.backend(), Backend::Threads(3));
-        assert_eq!(plan.engine(), SegmentEngine::with_threads(3));
-        assert!(plan.describe().contains("classifier=lut"));
-        assert!(plan.describe().contains("tile=16x8"));
-        assert!(SegmentPlan::from_flags("gpu", "off", "serial", 0).is_err());
-        assert!(SegmentPlan::from_flags("table", "?", "serial", 0).is_err());
-        assert!(SegmentPlan::from_flags("table", "off", "gpu", 0).is_err());
     }
 
     #[test]
@@ -620,6 +580,16 @@ mod tests {
             .with_backend(Backend::Serial);
         assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(plan.backend(), Backend::Serial);
+        let threaded = plan
+            .with_classifier(ClassifierKind::Lut)
+            .with_tiling(Tiling::Tiles {
+                width: 16,
+                height: 8,
+            })
+            .with_backend(Backend::Threads(3));
+        assert_eq!(threaded.engine(), SegmentEngine::with_threads(3));
+        assert!(threaded.describe().contains("classifier=lut"));
+        assert!(threaded.describe().contains("tile=16x8"));
         assert_eq!(
             SegmentPlan::default().tiling(),
             Tiling::Whole,

@@ -32,8 +32,7 @@
 //!                              per-tile delta path, mutating a fraction
 //!                              --change-rate of each frame's blocks)
 //!   serve   [--addr A] [--classifier C] [--tile T] [--plan SPEC|auto]
-//!           [--workers W] [--max-queue Q]
-//!           [--serve-mode threads|evented] [--cache-mb M] [--addr-file PATH]
+//!           [--workers W] [--max-queue Q] [--cache-mb M] [--addr-file PATH]
 //!           [--cache-persist PATH]
 //!                              boot the iqft-serve TCP daemon and block
 //!                              until a client sends Shutdown; --addr-file
@@ -43,9 +42,6 @@
 //!                              --max-queue bounds waiting segment requests
 //!                              (0 = unbounded) — saturated admission gets a
 //!                              typed Busy reply instead of queueing;
-//!                              --serve-mode picks the serving core (default
-//!                              evented: a nonblocking reactor loop that
-//!                              holds 1000+ pipelined connections);
 //!                              --cache-persist warm-loads the result cache
 //!                              from a snapshot on boot and writes it back
 //!                              on a drain-then-stop shutdown
@@ -110,7 +106,6 @@ struct Args {
     addr: String,
     clients: usize,
     workers: usize,
-    serve_mode: String,
     shutdown: bool,
     cache_mb: usize,
     repeat_ratio: f64,
@@ -146,7 +141,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:7870".to_string(),
         clients: 4,
         workers: 0,
-        serve_mode: "evented".to_string(),
         shutdown: false,
         cache_mb: 0,
         repeat_ratio: 0.0,
@@ -185,7 +179,6 @@ fn parse_args() -> Args {
             "--addr" => args.addr = value(),
             "--clients" => args.clients = value().parse().unwrap_or(args.clients),
             "--workers" => args.workers = value().parse().unwrap_or(args.workers),
-            "--serve-mode" => args.serve_mode = value(),
             "--shutdown" => args.shutdown = true,
             "--cache-mb" => args.cache_mb = value().parse().unwrap_or(args.cache_mb),
             "--repeat-ratio" => args.repeat_ratio = value().parse().unwrap_or(args.repeat_ratio),
@@ -256,7 +249,6 @@ fn main() {
                 threads: args.threads,
                 workers: args.workers,
                 max_queue: args.max_queue,
-                serve_mode: args.serve_mode.clone(),
                 cache_mb: args.cache_mb,
                 addr_file: args.addr_file.clone(),
                 cache_persist: args.cache_persist.clone(),
@@ -345,7 +337,6 @@ fn main() {
                 addr: args.addr.clone(),
                 clients: args.clients,
                 workers: args.workers,
-                serve_mode: args.serve_mode.clone(),
                 shutdown: args.shutdown,
                 cache_mb: args.cache_mb,
                 repeat_ratio: args.repeat_ratio,
@@ -483,7 +474,7 @@ fn main() {
             // one place the workspace enumerates it — so this usage line can
             // never drift from what `--classifier` actually accepts.
             eprintln!(
-                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads|rayon] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--serve-mode threads|evented] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--fleet A,A,...] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads|rayon] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--fleet A,A,...] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
                 seg_engine::ClassifierKind::FLAG_HELP
             );
             return;

@@ -16,7 +16,7 @@ use imaging::{LabelMap, Segmenter};
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftRgbSegmenter;
 use iqft_serve::{
-    protocol, Client, ClientConfig, FleetClient, SegmentOutcome, ServeMode, Server, ServerConfig,
+    protocol, Client, ClientConfig, FleetClient, SegmentOutcome, Server, ServerConfig,
 };
 use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
 use std::fmt::Write as _;
@@ -48,10 +48,6 @@ pub struct ServeCliConfig {
     /// every worker is busy and this many segment requests are already
     /// waiting, further ones get an immediate typed Busy reply.
     pub max_queue: usize,
-    /// Serving core (`--serve-mode threads|evented`).  `evented` (the
-    /// default) multiplexes every connection over a small reactor set;
-    /// `threads` is the classic thread-per-connection core.
-    pub serve_mode: String,
     /// Byte budget of the content-addressed result cache in MiB
     /// (`--cache-mb`, 0 = caching disabled).
     pub cache_mb: usize,
@@ -76,7 +72,6 @@ impl Default for ServeCliConfig {
             threads: 0,
             workers: 0,
             max_queue: 0,
-            serve_mode: ServeMode::default().as_str().to_string(),
             cache_mb: 0,
             addr_file: None,
             cache_persist: None,
@@ -102,7 +97,6 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
     if let Some(report) = &resolved.calibration {
         println!("iqft-serve calibrated [{plan}]: {}", report.summary());
     }
-    let mode: ServeMode = config.serve_mode.parse()?;
     // A thousand-connection sweep needs more descriptors than the common
     // 1024 soft default; raise it best-effort before binding.
     #[cfg(unix)]
@@ -111,7 +105,6 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
         .with_max_inflight(config.workers)
         .with_max_queue(config.max_queue)
         .with_cache(CacheConfig::with_capacity_mb(config.cache_mb))
-        .with_mode(mode)
         .with_calibration(resolved.calibration_summary());
     if let Some(path) = &config.cache_persist {
         server_config = server_config.with_cache_persist(path);
@@ -125,10 +118,9 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
             .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
     }
     println!(
-        "iqft-serve listening on {} ({}; mode={}; max_inflight={}; max_queue={}; cache={})",
+        "iqft-serve listening on {} ({}; max_inflight={}; max_queue={}; cache={})",
         server.local_addr(),
         plan.describe(),
-        server.mode().as_str(),
         server.max_inflight(),
         if config.max_queue > 0 {
             config.max_queue.to_string()
@@ -565,14 +557,9 @@ fn finish_report(
         .map_err(|e| format!("stats request failed: {e}"))?;
     let _ = writeln!(
         out,
-        "  server: plan [{}], {} mode, {} conns ({} open), {} requests ({} segment), \
+        "  server: plan [{}], {} conns ({} open), {} requests ({} segment), \
          {:.3} Mpx, {:.2} Mpx/s since boot",
         stats.plan,
-        if stats.serve_mode.is_empty() {
-            "unknown"
-        } else {
-            stats.serve_mode.as_str()
-        },
         stats.connections_total,
         stats.connections_open,
         stats.requests_total,

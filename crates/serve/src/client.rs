@@ -364,34 +364,6 @@ impl Client {
         })
     }
 
-    /// Connects to a running server.
-    #[deprecated(
-        since = "0.6.0",
-        note = "build a `ClientConfig` and call `Client::open` instead"
-    )]
-    pub fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<Client> {
-        let stream = TcpStream::connect(addr)?;
-        Client::from_stream(stream, ClientConfig::default())
-    }
-
-    /// Connects with a per-address connect timeout.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `ClientConfig::with_connect_deadline` and `Client::open` instead"
-    )]
-    pub fn connect_timeout<A: ToSocketAddrs>(addr: A, timeout: Duration) -> io::Result<Client> {
-        let mut last_err = None;
-        for addr in addr.to_socket_addrs()? {
-            match TcpStream::connect_timeout(&addr, timeout) {
-                Ok(stream) => return Client::from_stream(stream, ClientConfig::default()),
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.unwrap_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "address resolved to nothing")
-        }))
-    }
-
     /// The config this client was opened with.
     pub fn config(&self) -> &ClientConfig {
         &self.config
@@ -761,16 +733,10 @@ mod tests {
     fn connect_to_unbound_port_fails_cleanly() {
         // Port 1 on loopback is essentially never listening.
         assert!(Client::open(&ClientConfig::new("127.0.0.1:1")).is_err());
-    }
-
-    #[test]
-    fn deprecated_connect_shim_still_dials() {
-        #[allow(deprecated)]
-        let err = Client::connect("127.0.0.1:1");
-        assert!(err.is_err(), "shim still performs a real dial");
-        #[allow(deprecated)]
-        let err = Client::connect_timeout("127.0.0.1:1", Duration::from_millis(50));
-        assert!(err.is_err());
+        // The deadline-bounded dial fails the same way.
+        let config =
+            ClientConfig::new("127.0.0.1:1").with_connect_deadline(Duration::from_millis(50));
+        assert!(Client::open(&config).is_err());
     }
 
     #[test]

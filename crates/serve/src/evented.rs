@@ -26,11 +26,11 @@
 //! Work split: each connection's complete frames are processed strictly in
 //! arrival order.  `Ping`/`Stats`/`Shutdown` and all protocol errors are
 //! answered inline on the reactor (they are O(µs)); `Segment`/
-//! `SegmentCached`/`SegmentDelta` are dispatched to a worker pool of `max_inflight`
-//! threads that shares the same warm pipeline the threaded mode uses — at
-//! most one job per connection at a time, so per-connection execution is
-//! serial exactly like a thread-per-connection server (same cache-hit
-//! behaviour, same per-connection reply order), while connections execute
+//! `SegmentCached`/`SegmentDelta` are dispatched to a worker pool of
+//! `max_inflight` threads sharing the server's one warm pipeline — at most
+//! one job per connection at a time, so per-connection execution is serial
+//! (a pipelined repeat sees the cache entry its predecessor stored, and
+//! replies leave in request order), while connections execute
 //! concurrently.  Workers hand encoded reply frames back through a
 //! per-reactor completion queue and wake the reactor via a socketpair;
 //! across connections replies ship in *completion order*, which protocol v2
@@ -50,12 +50,18 @@
 //! (slow-loris) connection can never delay replies on a healthy one, because
 //! nothing about the stalled fd blocks: it merely sits unready in the poll
 //! set until its deadline fires.
+//!
+//! Accept errors: a failed `accept(2)` (e.g. `EMFILE` when the process is
+//! out of descriptors) leaves the waiting connection in the backlog, so the
+//! listener stays readable.  Reactor 0 therefore drops the listener from its
+//! poll set for [`POLL_INTERVAL`] after such an error instead of spinning on
+//! it, and retries once that back-off ends.
 
 #![cfg(unix)]
 
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
-use crate::server::{ConnStats, Shared, POLL_INTERVAL, SHUTDOWN_GRACE};
+use crate::server::{ConnStats, Shared};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -65,8 +71,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
+/// A reactor's longest `poll(2)` wait: an idle reactor re-checks the
+/// shutdown flag at least this often.  It is also how long reactor 0 stops
+/// accepting after `accept(2)` fails.
+const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// After shutdown is signalled, how long an idle connection stays open for
+/// frames still in flight before the reactor closes it.
+const SHUTDOWN_GRACE: Duration = Duration::from_millis(200);
 /// Fixed number of reactor threads.  Readiness dispatch is cheap; two
 /// threads keep accept latency low while one reactor is mid-sweep without
 /// approaching a thread-per-connection footprint.
@@ -145,17 +158,16 @@ struct Conn {
     counted: u64,
     /// Complete frames decoded but not yet processed.  Frames on one
     /// connection are handled strictly in arrival order with at most one
-    /// dispatched to the worker pool at a time — the same per-connection
-    /// serial semantics (and therefore the same cache-hit behaviour and
-    /// reply order) as a thread-per-connection server.
+    /// dispatched to the worker pool at a time, so per-connection execution
+    /// (and therefore cache-hit behaviour and reply order) is serial.
     queue: VecDeque<Frame>,
     /// Whether a dispatched job's completion is still outstanding.
     inflight: bool,
     read_eof: bool,
     /// No more reads; flush + finish pending work, then close.
     closing: bool,
-    /// When the in-progress frame must be complete (reactor bookkeeping —
-    /// the satellite bugfix replacing per-thread socket timeouts).
+    /// When the in-progress frame must be complete (reactor bookkeeping, not
+    /// a socket timeout).
     frame_deadline: Option<Instant>,
     idle_since: Instant,
 }
@@ -236,6 +248,9 @@ struct Reactor {
     /// Reactor 0 owns the (nonblocking) listener; its readiness entry *is*
     /// the acceptor.
     listener: Option<TcpListener>,
+    /// Set after an `accept(2)` error: the listener stays out of the poll
+    /// set until then, so a full descriptor table cannot spin the reactor.
+    accept_paused_until: Option<Instant>,
     accepting_done: Arc<AtomicBool>,
     job_tx: Sender<Job>,
     slots: Vec<Slot>,
@@ -264,8 +279,8 @@ impl Reactor {
             if shutting_down {
                 if let Some(listener) = self.listener.take() {
                     // Serve whatever was already queued in the accept backlog
-                    // at shutdown (same guarantee as the threaded acceptor),
-                    // then stop accepting for good.
+                    // at shutdown, so a client that connected just before the
+                    // flag flipped is answered, then stop accepting for good.
                     self.accept_ready(&listener, now);
                     drop(listener);
                     self.accepting_done.store(true, Ordering::SeqCst);
@@ -288,15 +303,22 @@ impl Reactor {
             targets.clear();
             pollfds.push(PollFd::new(self.waker_rx.as_raw_fd(), POLLIN));
             targets.push(Target::Waker);
-            if let Some(listener) = &self.listener {
-                pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
-                targets.push(Target::Listener);
-            }
             let mut timeout = if shutting_down {
                 SHUTDOWN_GRACE
             } else {
                 POLL_INTERVAL
             };
+            if let Some(listener) = &self.listener {
+                match self.accept_paused_until {
+                    Some(until) if now < until => {
+                        timeout = timeout.min(until.saturating_duration_since(now));
+                    }
+                    _ => {
+                        pollfds.push(PollFd::new(listener.as_raw_fd(), POLLIN));
+                        targets.push(Target::Listener);
+                    }
+                }
+            }
             for (idx, slot) in self.slots.iter().enumerate() {
                 let Some(conn) = &slot.conn else { continue };
                 let mut events = 0i16;
@@ -377,9 +399,13 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient (ECONNABORTED etc.); the next readiness pass
-                // retries, so no hot loop is possible here.
-                Err(_) => break,
+                // EMFILE, ENFILE, ENOBUFS…: the connection stays in the
+                // backlog, so the listener would poll readable again at
+                // once.  Back off instead of spinning a core on it.
+                Err(_) => {
+                    self.accept_paused_until = Some(now + POLL_INTERVAL);
+                    break;
+                }
             }
         }
     }
@@ -514,9 +540,8 @@ impl Reactor {
         while offset < chunk.len() && !conn.closing {
             let (consumed, event) = conn.decoder.feed(&chunk[offset..]);
             offset += consumed;
-            // Fold newly-started frames into the request counters at the
-            // same point the threaded server does: the moment a full header
-            // has arrived, valid or not.
+            // Fold newly-started frames into the request counters the
+            // moment a full header has arrived, valid or not.
             while conn.counted < conn.decoder.frames_started() {
                 self.shared.stats.request();
                 conn.requests += 1;
@@ -557,10 +582,8 @@ impl Reactor {
 
     /// Processes this connection's queued frames strictly in arrival order.
     /// Light ops answer inline; a segment op dispatches to the worker pool
-    /// and blocks the queue until its completion returns — per-connection
-    /// execution is serial, exactly like the thread-per-connection core, so
-    /// the two modes share cache-hit behaviour and per-connection reply
-    /// order.
+    /// and blocks the queue until its completion returns, so per-connection
+    /// execution is serial and replies leave in request order.
     fn pump(&self, conn: &mut Conn, idx: usize, gen: u64) {
         while !conn.closing && !conn.inflight {
             let Some(frame) = conn.queue.pop_front() else {
@@ -661,8 +684,9 @@ impl Reactor {
 }
 
 /// Executes one dispatched segment request against the shared pipeline and
-/// returns the encoded reply frame (counters updated before the frame can
-/// reach the wire, mirroring the threaded path).
+/// returns the encoded reply frame.  Counters are updated before the frame
+/// can reach the wire, so a client holding its reply never reads a stale
+/// Stats snapshot.
 fn execute_job(shared: &Shared, request_id: u64, message: Message, pixels: &AtomicU64) -> Vec<u8> {
     let started = Instant::now();
     let reply = match message {
@@ -777,6 +801,7 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Jo
             peers: Arc::clone(&handles),
             waker_rx,
             listener: if index == 0 { listener.take() } else { None },
+            accept_paused_until: None,
             accepting_done: Arc::clone(&accepting_done),
             job_tx: job_tx.clone(),
             slots: Vec::new(),

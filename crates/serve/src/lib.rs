@@ -15,19 +15,18 @@
 //!   malformed frame can never allocate unbounded memory and never panics
 //!   the peer; a v1 frame gets a typed version error.  The incremental
 //!   sans-io core ([`FrameDecoder`] / [`FrameEncoder`]) does the same
-//!   parsing with no I/O inside, which is what both serve modes (and the
-//!   socket-free protocol test suite) are built on.
-//! * [`Server`] — one warm pipeline behind a choice of serving cores
-//!   ([`ServeMode`]): the classic thread-per-connection mode, or the
-//!   default *evented* mode — a nonblocking readiness loop over `poll(2)`
-//!   ([`poll`]) where a small fixed set of reactor threads owns every
-//!   connection and dispatches segment work to a bounded worker pool, so a
-//!   thousand-plus pipelined connections cost buffers, not threads.  Both
-//!   modes share an opt-in content-addressed result cache
-//!   ([`ServerConfig::cache`]) answering repeated `SegmentCached` requests
-//!   with a memcpy, per-connection and aggregate [`ServerStats`], per-frame
-//!   read deadlines ([`ServerConfig::frame_deadline`]) and graceful
-//!   drain-then-stop shutdown (in-flight requests are answered).
+//!   parsing with no I/O inside, which is what the server (and the
+//!   socket-free protocol test suite) is built on.
+//! * [`Server`] — one warm pipeline behind one serving core: a nonblocking
+//!   readiness loop over `poll(2)` ([`poll`]) where a small fixed set of
+//!   reactor threads owns every connection and dispatches segment work to a
+//!   bounded worker pool, so a thousand-plus pipelined connections cost
+//!   buffers, not threads.  On top sit an opt-in content-addressed result
+//!   cache ([`ServerConfig::cache`]) answering repeated `SegmentCached`
+//!   requests with a memcpy, per-connection and aggregate [`ServerStats`],
+//!   per-frame read deadlines ([`ServerConfig::frame_deadline`]) and
+//!   graceful drain-then-stop shutdown (in-flight requests are answered).
+//!   Serving is unix-only; the client side and [`protocol`] are portable.
 //! * [`Client`] — the synchronous request/response side, built from a
 //!   [`ClientConfig`] (endpoints, pipeline depth, deadlines, retry-on-`Busy`
 //!   backoff): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up

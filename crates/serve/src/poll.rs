@@ -7,8 +7,8 @@
 //! readiness on a set of file descriptors with a millisecond timeout, plus a
 //! best-effort `RLIMIT_NOFILE` raise so thousand-connection sweeps do not
 //! trip the default soft descriptor limit.  Everything is `cfg(unix)`; on
-//! other platforms the evented serve mode falls back to thread-per-connection
-//! (see `ServerConfig::mode`).
+//! other platforms there is no serving core, and `Server::bind` fails with
+//! `io::ErrorKind::Unsupported`.
 
 #![cfg(unix)]
 

@@ -67,8 +67,8 @@
 //! nonblocking read, or a test vector) and yields complete [`Frame`]s or one
 //! typed error; [`FrameEncoder`] mirrors it on the write side, queueing
 //! encoded replies and tracking partial writes.  The blocking helpers below
-//! ([`read_message`], [`write_message`]) and the evented server's readiness
-//! loop are both thin transports over the same `parse_header` /
+//! ([`read_message`], [`write_message`]) and the server's readiness loop
+//! are both thin transports over the same `parse_header` /
 //! [`decode_body`] validation, so every path emits identical typed errors —
 //! which is what lets the protocol be property- and fuzz-tested with no
 //! sockets at all (`tests/protocol_sansio.rs`).

@@ -1,105 +1,58 @@
 //! The TCP segmentation daemon.
 //!
-//! Two serving cores share one protocol, one warm [`SegmentPipeline`], and
-//! one statistics block, selected by [`ServerConfig::mode`]:
+//! One serving core — the evented reactor set of the `evented` module —
+//! runs one protocol against one warm [`SegmentPipeline`] and one
+//! statistics block.  A small fixed set of reactor threads owns *all*
+//! connections on nonblocking sockets behind a `poll(2)` readiness loop,
+//! feeding complete frames through the sans-io
+//! [`crate::protocol::FrameDecoder`] to a worker pool of
+//! [`ServerConfig::max_inflight`] threads, and queueing completion-order
+//! replies back through per-connection write buffers.  Per-connection cost
+//! is one buffered frame, not one OS thread, which is what lets one daemon
+//! hold a thousand pipelined connections with flat memory.  The core is
+//! built on `poll(2)`, so serving is unix-only: elsewhere [`Server::bind`]
+//! fails with [`io::ErrorKind::Unsupported`] (the [`crate::Client`] and the
+//! protocol stay portable).
 //!
-//! * [`ServeMode::Threads`] — one *acceptor* thread owns the listening
-//!   socket and spawns one *connection* thread per client.  Each connection
-//!   thread reads frames, executes them against the shared pipeline, and
-//!   writes the reply before reading the next frame — requests on one
-//!   connection are processed in order, while connections run concurrently.
-//!   Concurrency across requests is bounded by
-//!   [`ServerConfig::max_inflight`] via a small semaphore whose permit is
-//!   taken only once a `Segment` frame has been fully read and decoded —
-//!   never across a read, so a stalled peer cannot pin an execution slot.
-//! * [`ServeMode::Evented`] (the default) — a small fixed set of reactor
-//!   threads owns *all* connections on nonblocking sockets behind a
-//!   `poll(2)` readiness loop (see the `evented` module), feeding complete
-//!   frames through the sans-io [`crate::protocol::FrameDecoder`] to a
-//!   worker pool of `max_inflight` threads, and queueing completion-order
-//!   replies back through per-connection write buffers.  Per-connection
-//!   cost is one buffered frame, not one OS thread — this is the mode that
-//!   holds a thousand pipelined connections with flat memory.
-//!
-//! Shutdown is identical in both modes: a `Shutdown` frame (or
-//! [`Server::shutdown_now`]) flips a flag, the server stops accepting, and
-//! every connection finishes the frames already on the wire — a request
-//! whose bytes reached the server is always answered — then closes once its
-//! socket goes idle.  [`Server::join`] returns when the last connection has
-//! drained.  Both modes also enforce the same per-frame read deadline
-//! ([`ServerConfig::frame_deadline`]): once a frame has started, the rest of
-//! it must arrive within the budget, so a client dripping bytes cannot pin
-//! a connection (or the drain) forever.
+//! Shutdown: a `Shutdown` frame (or [`Server::shutdown_now`]) flips a flag,
+//! the server stops accepting, and every connection finishes the frames
+//! already on the wire — a request whose bytes reached the server is always
+//! answered — then closes once its socket goes idle.  [`Server::join`]
+//! returns when the last connection has drained.  Each connection also runs
+//! a per-frame read deadline ([`ServerConfig::frame_deadline`]): once a
+//! frame has started, the rest of it must arrive within the budget, so a
+//! client dripping bytes cannot pin a connection (or the drain) forever.
 
-use crate::protocol::{self, Header, Message, ProtocolError, HEADER_LEN};
+#[cfg(unix)]
+use crate::evented::spawn as spawn_core;
 use crate::stats::{ServerStats, StatsSnapshot};
 use iqft_pipeline::{CacheConfig, PipelineConfig, SegmentPipeline, SnapshotError, SnapshotStats};
 use iqft_seg::IqftClassifier;
 use seg_engine::SegmentPlan;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long an idle connection waits between checks of the shutdown flag.
-pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(100);
-/// After shutdown is signalled, how long a connection keeps listening for
-/// frames already in flight before closing an idle socket.
-pub(crate) const SHUTDOWN_GRACE: Duration = Duration::from_millis(200);
 /// Once a frame's first byte has arrived, the *whole* rest of the frame must
-/// arrive within this wall-clock budget — enforced as an overall deadline,
-/// not a per-read timeout, so a client dripping one byte at a time cannot
-/// keep a connection thread (and thus the drain) alive forever.  This is the
-/// default for [`ServerConfig::frame_deadline`].
+/// arrive within this wall-clock budget.  The reactor arms it when a frame
+/// starts and never resets it on progress, so a client dripping one byte at
+/// a time cannot keep its connection (and thus the drain) open forever.
+/// This is the default for [`ServerConfig::frame_deadline`].
 pub const FRAME_READ_DEADLINE: Duration = Duration::from_secs(10);
-/// Per-read poll granularity while a frame deadline is in force.
-const FRAME_POLL: Duration = Duration::from_millis(200);
 
-/// Which serving core a [`Server`] runs (see the module docs for the
-/// trade-off).  Both modes speak the same protocol, share the same pipeline
-/// and statistics, and reply byte-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The serving core a [`Server`] runs.  The evented reactor is the only
+/// core, so this type selects nothing.  It and [`ServerConfig::with_mode`]
+/// remain only because the loopback benchmark (`loopbench/`) names them;
+/// both go with the next change to that benchmark.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// One OS thread per connection; `max_inflight` enforced by a semaphore.
-    Threads,
     /// Nonblocking readiness loop on a fixed reactor-thread count, with a
-    /// `max_inflight`-sized worker pool.  On non-unix targets (no `poll(2)`)
-    /// this silently falls back to [`ServeMode::Threads`].
-    #[default]
+    /// `max_inflight`-sized worker pool.
     Evented,
-}
-
-impl ServeMode {
-    /// The mode's CLI / stats spelling (`threads` | `evented`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ServeMode::Threads => "threads",
-            ServeMode::Evented => "evented",
-        }
-    }
-}
-
-impl std::fmt::Display for ServeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for ServeMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(ServeMode::Threads),
-            "evented" => Ok(ServeMode::Evented),
-            other => Err(format!(
-                "unknown serve mode '{other}' (expected threads|evented)"
-            )),
-        }
-    }
 }
 
 /// Tuning for a [`Server`].
@@ -109,12 +62,11 @@ impl std::str::FromStr for ServeMode {
 /// breaking changes:
 ///
 /// ```no_run
-/// use iqft_serve::{Server, ServerConfig, ServeMode};
+/// use iqft_serve::{Server, ServerConfig};
 /// use iqft_pipeline::CacheConfig;
 ///
 /// let config = ServerConfig::new("classifier=table;tile=off;backend=serial".parse().unwrap())
 ///     .with_cache(CacheConfig::with_capacity_mb(64))
-///     .with_mode(ServeMode::Evented)
 ///     .with_max_queue(32);
 /// let server = Server::bind("127.0.0.1:0", config).unwrap();
 /// # drop(server);
@@ -131,8 +83,6 @@ pub struct ServerConfig {
     /// (default: disabled).  The cache key is salted with the plan spec, so
     /// a server never serves entries recorded under a different strategy.
     pub cache: CacheConfig,
-    /// Which serving core to run (default: [`ServeMode::Evented`]).
-    pub mode: ServeMode,
     /// Wall-clock budget for the rest of a frame once its first byte has
     /// arrived (default: [`FRAME_READ_DEADLINE`]).  Tests shrink this to
     /// exercise slow-loris handling without ten-second waits.
@@ -168,9 +118,9 @@ impl ServerConfig {
         self
     }
 
-    /// Selects the serving core.
-    pub fn with_mode(mut self, mode: ServeMode) -> Self {
-        self.mode = mode;
+    /// Accepts the only serving core and changes nothing; kept for the
+    /// loopback benchmark (see [`ServeMode`]).
+    pub fn with_mode(self, _mode: ServeMode) -> Self {
         self
     }
 
@@ -213,7 +163,6 @@ impl Default for ServerConfig {
             plan: SegmentPlan::default(),
             max_inflight: 0,
             cache: CacheConfig::default(),
-            mode: ServeMode::default(),
             frame_deadline: FRAME_READ_DEADLINE,
             max_queue: 0,
             calibration: String::new(),
@@ -222,81 +171,17 @@ impl Default for ServerConfig {
     }
 }
 
-/// A counting semaphore bounding concurrent segment requests (std-only),
-/// with a waiter count so admission control can refuse instead of queueing.
-#[derive(Debug)]
-struct Gate {
-    state: Mutex<GateState>,
-    freed: Condvar,
-}
-
-#[derive(Debug)]
-struct GateState {
-    permits: usize,
-    waiters: usize,
-}
-
-impl Gate {
-    fn new(permits: usize) -> Self {
-        Self {
-            state: Mutex::new(GateState {
-                permits: permits.max(1),
-                waiters: 0,
-            }),
-            freed: Condvar::new(),
-        }
-    }
-
-    /// Takes a permit; the returned guard gives it back on drop, so a panic
-    /// while segmenting can never leak a permit and starve later requests.
-    ///
-    /// When every permit is taken and `max_queue` other requests are already
-    /// waiting, returns `None` immediately — the admission-control rejection
-    /// the caller turns into a typed `Busy` reply.  `max_queue == 0` means
-    /// unbounded queueing (the pre-admission behaviour).
-    fn acquire(&self, max_queue: usize) -> Option<GatePermit<'_>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.permits == 0 {
-            if max_queue != 0 && state.waiters >= max_queue {
-                return None;
-            }
-            state.waiters += 1;
-            while state.permits == 0 {
-                state = self.freed.wait(state).unwrap_or_else(|e| e.into_inner());
-            }
-            state.waiters -= 1;
-        }
-        state.permits -= 1;
-        Some(GatePermit(self))
-    }
-
-    fn release(&self) {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).permits += 1;
-        self.freed.notify_one();
-    }
-}
-
-struct GatePermit<'a>(&'a Gate);
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        self.0.release();
-    }
-}
-
-/// State shared by every serving thread (acceptor + connection threads in
-/// threads mode; reactors + workers in evented mode).
+/// State shared by the reactor and worker threads.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) pipeline: SegmentPipeline<IqftClassifier>,
     plan: SegmentPlan,
     pub(crate) stats: ServerStats,
-    gate: Gate,
     pub(crate) max_inflight: usize,
-    /// Admission limit shared by both cores (0 = unbounded queueing).
+    /// Admission limit (0 = unbounded queueing).
     pub(crate) max_queue: usize,
-    /// Segment jobs dispatched to the evented worker pool but not yet picked
-    /// up — the evented core's admission gauge.
+    /// Segment jobs dispatched to the worker pool but not yet picked up —
+    /// the admission gauge.
     pub(crate) queued_jobs: std::sync::atomic::AtomicUsize,
     /// Startup-calibration summary (empty when the plan was explicit).
     calibration: String,
@@ -311,8 +196,6 @@ pub(crate) struct Shared {
     shutting_down: AtomicBool,
     started: Instant,
     addr: SocketAddr,
-    /// The mode actually running (after any platform fallback).
-    mode: ServeMode,
     pub(crate) frame_deadline: Duration,
 }
 
@@ -331,7 +214,6 @@ impl Shared {
             .unwrap_or_default();
         let mut snapshot = StatsSnapshot {
             plan: self.plan.to_spec(),
-            serve_mode: self.mode.as_str().to_string(),
             uptime_secs,
             connections_total: self.stats.connections_total(),
             connections_open: self.stats.connections_open(),
@@ -387,18 +269,19 @@ impl Shared {
     }
 
     /// Writes the result cache back to the persistence path, if one is
-    /// configured.  Runs exactly once, after the drain has finished (the
-    /// acceptor has exited and every connection is joined), so the snapshot
-    /// reflects the final resident set.  A failed save is best-effort: the
-    /// next boot simply starts cold.
+    /// configured.  Runs exactly once, after the drain has finished (every
+    /// reactor and worker thread has exited), so the snapshot reflects the
+    /// final resident set.  A failed save is best-effort: the next boot
+    /// simply starts cold.
     fn persist_cache(&self) {
         if let (Some(path), Some(cache)) = (&self.cache_persist, self.pipeline.cache()) {
             let _ = cache.save_to(path);
         }
     }
 
-    /// Flips the shutdown flag and pokes the (possibly blocked) acceptor
-    /// with a throwaway loopback connection so it observes the flag.
+    /// Flips the shutdown flag and pokes the listener with a throwaway
+    /// loopback connection, so reactor 0 wakes from `poll(2)` and sees the
+    /// flag at once rather than at its next timeout.
     pub(crate) fn signal_shutdown(&self) {
         self.shutting_down.store(true, Ordering::SeqCst);
         // A wildcard bind (0.0.0.0 / ::) is not itself connectable; poke
@@ -426,12 +309,24 @@ pub(crate) struct ConnStats {
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    /// The thread that joins every reactor and worker once they drain.
+    core: Option<JoinHandle<()>>,
+}
+
+/// Serving needs `poll(2)`, which non-unix targets lack.
+#[cfg(not(unix))]
+fn spawn_core(_listener: TcpListener, _shared: Arc<Shared>) -> io::Result<JoinHandle<()>> {
+    Err(io::Error::new(
+        io::ErrorKind::Unsupported,
+        "iqft-serve's reactor needs poll(2); serving is unix-only",
+    ))
 }
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), builds the
-    /// warm pipeline for `config.plan`, and starts the acceptor thread.
+    /// warm pipeline for `config.plan`, and starts the reactor and worker
+    /// threads.  On non-unix targets this fails with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
@@ -446,14 +341,6 @@ impl Server {
             plan.engine().threads()
         } else {
             config.max_inflight
-        };
-        // `poll(2)` only exists on unix; elsewhere the evented request
-        // silently degrades to the thread-per-connection core, which speaks
-        // the identical protocol.
-        let mode = if cfg!(unix) {
-            config.mode
-        } else {
-            ServeMode::Threads
         };
         // Warm-load a persisted cache snapshot before the first connection
         // is accepted, so the very first request can already hit.  Any
@@ -474,7 +361,6 @@ impl Server {
             pipeline,
             plan,
             stats: ServerStats::new(),
-            gate: Gate::new(max_inflight),
             max_inflight,
             max_queue: config.max_queue,
             queued_jobs: std::sync::atomic::AtomicUsize::new(0),
@@ -485,29 +371,13 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             started: Instant::now(),
             addr,
-            mode,
             frame_deadline: config.frame_deadline,
         });
-        let acceptor = match mode {
-            ServeMode::Threads => {
-                let shared = Arc::clone(&shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("iqft-serve-acceptor".to_string())
-                        .spawn(move || accept_loop(listener, shared))?,
-                )
-            }
-            #[cfg(unix)]
-            ServeMode::Evented => Some(crate::evented::spawn(listener, Arc::clone(&shared))?),
-            #[cfg(not(unix))]
-            ServeMode::Evented => unreachable!("evented mode is gated to unix above"),
-        };
-        Ok(Server { shared, acceptor })
-    }
-
-    /// The serving core actually running (after any platform fallback).
-    pub fn mode(&self) -> ServeMode {
-        self.shared.mode
+        let core = spawn_core(listener, Arc::clone(&shared))?;
+        Ok(Server {
+            shared,
+            core: Some(core),
+        })
     }
 
     /// The address the server actually bound (resolves ephemeral ports).
@@ -545,8 +415,8 @@ impl Server {
         self.shared.signal_shutdown();
     }
 
-    /// Blocks until the server has fully drained and stopped: the acceptor
-    /// has exited and every connection thread has been joined.
+    /// Blocks until the server has fully drained and stopped: the last
+    /// connection has closed and every reactor and worker thread has exited.
     pub fn join(self) {
         let _ = self.join_with_counters();
     }
@@ -565,7 +435,7 @@ impl Server {
     /// `(requests_total, pixels_total)` counters observed after the drain —
     /// what a supervising CLI prints as its exit summary.
     pub fn join_with_counters(mut self) -> (usize, u64) {
-        if let Some(handle) = self.acceptor.take() {
+        if let Some(handle) = self.core.take() {
             let _ = handle.join();
             self.shared.persist_cache();
         }
@@ -578,372 +448,11 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // A dropped server must not leak a live acceptor blocked in accept().
-        if let Some(handle) = self.acceptor.take() {
+        // A dropped server must not leak its reactor and worker threads.
+        if let Some(handle) = self.core.take() {
             self.shared.signal_shutdown();
             let _ = handle.join();
             self.shared.persist_cache();
-        }
-    }
-}
-
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    loop {
-        if shared.shutting_down() {
-            break;
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let draining = shared.shutting_down();
-                // A connection accepted during shutdown may be a real client
-                // that raced the poke and already has a frame on the wire —
-                // serve it (drain semantics answer anything that arrived and
-                // close once idle); the poke itself just EOFs immediately.
-                spawn_connection(stream, &shared, &mut connections);
-                if draining {
-                    break;
-                }
-                // Reap handles of connections that already finished, so a
-                // long-lived daemon's handle list tracks *live* connections
-                // instead of growing with every client ever served.
-                connections.retain(|handle| !handle.is_finished());
-            }
-            Err(_) => {
-                if shared.shutting_down() {
-                    break;
-                }
-                // Transient accept errors (e.g. ECONNABORTED) are not
-                // fatal, but persistent ones (e.g. EMFILE) would otherwise
-                // hot-loop the acceptor at 100% CPU — back off briefly.
-                std::thread::sleep(POLL_INTERVAL);
-                continue;
-            }
-        }
-    }
-    // Serve whatever was already queued in the accept backlog at shutdown,
-    // so a client that connected just before the flag flipped is answered
-    // rather than silently dropped.
-    if listener.set_nonblocking(true).is_ok() {
-        while let Ok((stream, _peer)) = listener.accept() {
-            spawn_connection(stream, &shared, &mut connections);
-        }
-    }
-    drop(listener);
-    // Drain: every connection finishes its in-flight frames before we stop.
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// Drop-guard so the open-connection gauge stays correct even if the
-/// connection thread unwinds.
-struct OpenConn<'a>(&'a ServerStats);
-
-impl Drop for OpenConn<'_> {
-    fn drop(&mut self) {
-        self.0.connection_closed();
-    }
-}
-
-fn spawn_connection(
-    stream: TcpStream,
-    shared: &Arc<Shared>,
-    connections: &mut Vec<JoinHandle<()>>,
-) {
-    let shared = Arc::clone(shared);
-    let handle = std::thread::Builder::new()
-        .name("iqft-serve-conn".to_string())
-        .spawn(move || {
-            shared.stats.connection_opened();
-            let _open = OpenConn(&shared.stats);
-            let _ = serve_connection(stream, &shared);
-        });
-    if let Ok(handle) = handle {
-        connections.push(handle);
-    }
-}
-
-/// Outcome of waiting for the first byte of the next frame.
-enum FirstByte {
-    Byte(u8),
-    TimedOut,
-    Eof,
-}
-
-fn wait_first_byte(stream: &mut TcpStream, wait: Duration) -> io::Result<FirstByte> {
-    stream.set_read_timeout(Some(wait))?;
-    let mut byte = [0u8; 1];
-    match stream.read(&mut byte) {
-        Ok(0) => Ok(FirstByte::Eof),
-        Ok(_) => Ok(FirstByte::Byte(byte[0])),
-        Err(e)
-            if matches!(
-                e.kind(),
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-            ) =>
-        {
-            Ok(FirstByte::TimedOut)
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// `read_exact` bounded by an overall wall-clock `deadline` (enforced across
-/// reads, so progress cannot reset the budget the way a per-read timeout
-/// would).
-fn read_exact_deadline(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    deadline: Instant,
-) -> io::Result<()> {
-    stream.set_read_timeout(Some(FRAME_POLL))?;
-    let mut filled = 0;
-    while filled < buf.len() {
-        if Instant::now() >= deadline {
-            return Err(io::Error::new(
-                io::ErrorKind::TimedOut,
-                "frame read deadline exceeded",
-            ));
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-fn serve_connection(mut stream: TcpStream, shared: &Shared) -> io::Result<()> {
-    // Backlog-drained sockets may inherit the listener's non-blocking mode
-    // on some platforms; the read-timeout machinery below needs blocking.
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_nodelay(true);
-    let mut conn = ConnStats::default();
-    loop {
-        let draining = shared.shutting_down();
-        let wait = if draining {
-            SHUTDOWN_GRACE
-        } else {
-            POLL_INTERVAL
-        };
-        let first = match wait_first_byte(&mut stream, wait)? {
-            FirstByte::Byte(byte) => byte,
-            FirstByte::Eof => break,
-            FirstByte::TimedOut => {
-                if draining {
-                    break;
-                }
-                continue;
-            }
-        };
-        match handle_frame(first, &mut stream, shared, &mut conn) {
-            Ok(keep_open) => {
-                if !keep_open {
-                    break;
-                }
-            }
-            // Reply was unsendable or the frame unreadable at the transport
-            // level: nothing more to do for this client.
-            Err(ProtocolError::Io(e)) => return Err(e),
-            Err(_) => break,
-        }
-    }
-    Ok(())
-}
-
-/// Reads the remainder of one frame (whose first byte is `first`), executes
-/// it, and writes the reply.  Returns whether the connection stays open.
-///
-/// Malformed frames get a best-effort [`Message::Error`] reply (with request
-/// id 0 if the header never parsed) and close the connection, since framing
-/// may be lost.
-fn handle_frame(
-    first: u8,
-    stream: &mut TcpStream,
-    shared: &Shared,
-    conn: &mut ConnStats,
-) -> Result<bool, ProtocolError> {
-    // A frame has started: each phase of it (header, then payload) must
-    // arrive within its own wall-clock deadline, so a half-sent or dripped
-    // frame cannot hang the drain forever.
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = first;
-    read_exact_deadline(
-        stream,
-        &mut header[1..],
-        Instant::now() + shared.frame_deadline,
-    )?;
-    shared.stats.request();
-    conn.requests += 1;
-    let header = match protocol::parse_header(&header) {
-        Ok(parsed) => parsed,
-        Err(err) => {
-            shared.stats.protocol_error();
-            // If the magic matched, the id field's offset is shared by every
-            // protocol version — echo it so e.g. a v1 client can correlate
-            // the typed version error with its request.  Otherwise the
-            // stream is not speaking this protocol at all; echo 0.
-            let id = if header[0..4] == protocol::MAGIC {
-                u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"))
-            } else {
-                0
-            };
-            reply_error(stream, id, &err);
-            return Ok(false);
-        }
-    };
-    // (Allocation bounded by MAX_PAYLOAD_BYTES; parse_header checked.)
-    let mut payload = vec![0u8; header.payload_len];
-    read_exact_deadline(stream, &mut payload, Instant::now() + shared.frame_deadline)?;
-    let message = match protocol::decode_body(header.op, &payload) {
-        Ok(message) => message,
-        Err(err) => {
-            shared.stats.protocol_error();
-            reply_error(stream, header.request_id, &err);
-            return Ok(false);
-        }
-    };
-    // The execution permit is taken only once the whole frame has been
-    // buffered and decoded — never across a read.  A peer stalling
-    // mid-payload therefore burns its own frame deadline, not a
-    // `max_inflight` slot, and can never delay replies on healthy
-    // connections.  The permit is held through execution and released when
-    // this function returns.
-    let _permit = if matches!(
-        header.op,
-        protocol::Op::Segment | protocol::Op::SegmentCached | protocol::Op::SegmentDelta
-    ) {
-        match shared.gate.acquire(shared.max_queue) {
-            Some(permit) => Some(permit),
-            None => {
-                // Admission refused: the pool and the queue are both full.
-                // Count before the reply ships, answer with the typed Busy
-                // frame, and keep the connection open — the request was
-                // well-formed and may be retried.
-                shared.stats.busy_rejection();
-                protocol::write_message(stream, header.request_id, &Message::Busy)?;
-                return Ok(true);
-            }
-        }
-    } else {
-        None
-    };
-    execute(stream, shared, conn, header, message)
-}
-
-fn reply_error(stream: &mut TcpStream, request_id: u64, err: &ProtocolError) {
-    let _ = protocol::write_message(
-        stream,
-        request_id,
-        &Message::Error {
-            message: err.to_string(),
-        },
-    );
-}
-
-fn execute(
-    stream: &mut TcpStream,
-    shared: &Shared,
-    conn: &mut ConnStats,
-    header: Header,
-    message: Message,
-) -> Result<bool, ProtocolError> {
-    match message {
-        Message::Segment { image } => {
-            // The caller (handle_frame) already holds the gate permit.
-            let started = Instant::now();
-            let labels = shared.pipeline.segment_request(&image);
-            // Count the work before the reply ships, so a client that has
-            // its reply in hand can never read a stale snapshot.
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            conn.pixels += labels.len() as u64;
-            let reply = Message::SegmentReply { labels };
-            let result = protocol::write_message(stream, header.request_id, &reply);
-            // Reply bytes are on the wire (or the connection is dead); either
-            // way the buffer can go back to the arena for the next request.
-            if let Message::SegmentReply { labels } = reply {
-                shared.pipeline.recycle(labels);
-            }
-            result?;
-            Ok(true)
-        }
-        Message::SegmentCached { image, bypass } => {
-            // Same shape as Segment, but routed through the result cache:
-            // a hit is a hash + memcpy, a miss segments and stores a copy.
-            let started = Instant::now();
-            let (labels, cached) = shared.pipeline.segment_request_cached(&image, bypass);
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            conn.pixels += labels.len() as u64;
-            let reply = Message::SegmentCachedReply { labels, cached };
-            let result = protocol::write_message(stream, header.request_id, &reply);
-            if let Message::SegmentCachedReply { labels, .. } = reply {
-                shared.pipeline.recycle(labels);
-            }
-            result?;
-            Ok(true)
-        }
-        Message::SegmentDelta { image } => {
-            // Per-tile variant of SegmentCached: unchanged tiles are stitched
-            // from cached label tiles, changed tiles are re-classified.
-            let started = Instant::now();
-            let (labels, tiles_hit, tiles_recomputed) =
-                shared.pipeline.segment_request_delta(&image);
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            conn.pixels += labels.len() as u64;
-            let reply = Message::SegmentDeltaReply {
-                labels,
-                tiles_hit,
-                tiles_recomputed,
-            };
-            let result = protocol::write_message(stream, header.request_id, &reply);
-            if let Message::SegmentDeltaReply { labels, .. } = reply {
-                shared.pipeline.recycle(labels);
-            }
-            result?;
-            Ok(true)
-        }
-        Message::Ping => {
-            protocol::write_message(stream, header.request_id, &Message::Pong)?;
-            Ok(true)
-        }
-        Message::Stats => {
-            let text = shared.snapshot(conn).to_text();
-            protocol::write_message(stream, header.request_id, &Message::StatsReply { text })?;
-            Ok(true)
-        }
-        Message::Shutdown => {
-            protocol::write_message(stream, header.request_id, &Message::ShutdownReply)?;
-            shared.signal_shutdown();
-            Ok(false)
-        }
-        // A reply op arriving as a request is a protocol violation; say so
-        // precisely (the op *is* known, it is just not a request).
-        other => {
-            shared.stats.protocol_error();
-            let _ = protocol::write_message(
-                stream,
-                header.request_id,
-                &Message::Error {
-                    message: format!(
-                        "{} is a reply op and cannot be sent as a request",
-                        other.name()
-                    ),
-                },
-            );
-            Ok(false)
         }
     }
 }
@@ -952,6 +461,7 @@ fn execute(
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::protocol::{self, Message};
     use imaging::{Rgb, RgbImage};
     use seg_engine::{ClassifierKind, SegmentEngine, Tiling};
     use std::io::Write;
@@ -1122,33 +632,10 @@ mod tests {
     }
 
     #[test]
-    fn gate_admission_refuses_only_past_the_queue_limit() {
-        let gate = Arc::new(Gate::new(1));
-        let held = gate.acquire(1).expect("free permit admits immediately");
-        // One request may wait in the queue (max_queue = 1)…
-        let waiter = {
-            let gate = Arc::clone(&gate);
-            std::thread::spawn(move || gate.acquire(1).is_some())
-        };
-        while gate.state.lock().unwrap().waiters == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        // …but a second is refused instead of queueing unboundedly.
-        assert!(gate.acquire(1).is_none(), "pool + queue saturated → Busy");
-        // Unbounded mode (max_queue = 0) would still queue; verify it does
-        // not refuse by checking the waiter count path is the only gate.
-        drop(held);
-        assert!(waiter.join().unwrap(), "queued request ran after release");
-        // Pool free again: admission succeeds with the same limit.
-        drop(gate.acquire(1).expect("released permit re-admits"));
-    }
-
-    #[test]
     fn config_builder_chains_every_knob() {
         let plan = SegmentPlan::default().with_classifier(ClassifierKind::Simd);
         let config = ServerConfig::new(plan)
             .with_cache(CacheConfig::with_capacity_mb(4))
-            .with_mode(ServeMode::Threads)
             .with_frame_deadline(Duration::from_secs(3))
             .with_max_queue(9)
             .with_max_inflight(5)
@@ -1156,7 +643,6 @@ mod tests {
             .with_cache_persist("/tmp/iqft-cache.snap");
         assert_eq!(config.plan, plan);
         assert_eq!(config.cache, CacheConfig::with_capacity_mb(4));
-        assert_eq!(config.mode, ServeMode::Threads);
         assert_eq!(config.frame_deadline, Duration::from_secs(3));
         assert_eq!(config.max_queue, 9);
         assert_eq!(config.max_inflight, 5);
@@ -1166,6 +652,11 @@ mod tests {
             Some(Path::new("/tmp/iqft-cache.snap"))
         );
         assert_eq!(ServerConfig::new(plan).max_queue, 0, "default: unbounded");
+        assert_eq!(
+            config.clone().with_mode(ServeMode::Evented),
+            config,
+            "one core: with_mode changes nothing"
+        );
     }
 
     #[test]
@@ -1186,7 +677,7 @@ mod tests {
     fn dropped_server_does_not_leak_its_acceptor() {
         let server = Server::bind("127.0.0.1:0", ServerConfig::default()).unwrap();
         let addr = server.local_addr();
-        drop(server); // Drop joins the acceptor; a hang here fails the test.
+        drop(server); // Drop joins every serving thread; a hang here fails the test.
         assert!(
             open_client(addr).is_err() || {
                 // The OS may briefly accept on the dead listener's backlog; a

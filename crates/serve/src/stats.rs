@@ -138,9 +138,6 @@ impl ServerStats {
 pub struct StatsSnapshot {
     /// The server's segmentation strategy (`SegmentPlan::to_spec` format).
     pub plan: String,
-    /// The serving core that produced this snapshot (`threads` | `evented`;
-    /// empty when talking to a server that predates serve modes).
-    pub serve_mode: String,
     /// Seconds since the server started.
     pub uptime_secs: f64,
     /// Connections accepted since boot.
@@ -255,7 +252,6 @@ impl StatsSnapshot {
             out.push('\n');
         };
         push("plan", self.plan.clone());
-        push("serve_mode", self.serve_mode.clone());
         push("uptime_secs", format!("{:.3}", self.uptime_secs));
         push("connections_total", self.connections_total.to_string());
         push("connections_open", self.connections_open.to_string());
@@ -324,7 +320,6 @@ impl StatsSnapshot {
                     snapshot.plan = value.to_string();
                     saw_plan = true;
                 }
-                "serve_mode" => snapshot.serve_mode = value.to_string(),
                 "uptime_secs" => snapshot.uptime_secs = value.parse().map_err(|_| bad("float"))?,
                 "connections_total" => {
                     snapshot.connections_total = value.parse().map_err(|_| bad("count"))?
@@ -416,7 +411,6 @@ mod tests {
     fn sample() -> StatsSnapshot {
         StatsSnapshot {
             plan: "classifier=table;tile=48x48;backend=threads:4".to_string(),
-            serve_mode: "evented".to_string(),
             uptime_secs: 12.5,
             connections_total: 9,
             connections_open: 4,

@@ -40,10 +40,9 @@ fn main() {
     )
     .expect("bind loopback");
     println!(
-        "serving on {} with [{}] ({} mode)",
+        "serving on {} with [{}]",
         server.local_addr(),
-        plan.describe(),
-        server.mode().as_str()
+        plan.describe()
     );
 
     // 2. Get an image (one synthetic PASCAL-VOC-like scene).

@@ -211,12 +211,6 @@ fn stats_snapshot_round_trips_through_its_wire_text() {
                 rng.gen_range(8usize..128),
                 rng.gen_range(1usize..16),
             ),
-            serve_mode: if rng.gen::<bool>() {
-                "threads"
-            } else {
-                "evented"
-            }
-            .to_string(),
             // `to_text` renders floats with three decimals, so only
             // millis-grained values round-trip bit-exactly.
             uptime_secs: rng.gen_range(0u64..10_000_000) as f64 / 1000.0,

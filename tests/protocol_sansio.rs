@@ -93,10 +93,10 @@ struct StreamOutcome {
 
 const EOF_KEY: &str = "Io(UnexpectedEof)";
 
-/// The blocking stream path, exactly as the threaded server runs it: read
-/// the 20 header bytes (counting the request the moment they arrive), parse,
-/// read the declared payload, decode the body.  Stops at the first error,
-/// as the server does.
+/// The blocking stream path, as the client's reads run it: read the 20
+/// header bytes (counting the request the moment they arrive, as the
+/// server's decoder does), parse, read the declared payload, decode the
+/// body.  Stops at the first error.
 fn run_stream_path(bytes: &[u8]) -> StreamOutcome {
     use std::io::Read;
     let stats = ServerStats::new();
@@ -287,7 +287,7 @@ fn all_plan_specs() -> Vec<String> {
 
 /// Every message shape the protocol defines: all fourteen ops, both values
 /// of both cache flag words, delta replies with non-zero tile counters, and
-/// a Stats reply for every classifier-spec / serve-mode combination.
+/// a Stats reply for every classifier spec.
 fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
     let mut corpus = vec![
         Message::Ping,
@@ -333,18 +333,15 @@ fn full_message_corpus(rng: &mut ChaCha8Rng) -> Vec<Message> {
         });
     }
     for spec in all_plan_specs() {
-        for serve_mode in ["threads", "evented"] {
-            let snapshot = StatsSnapshot {
-                plan: spec.clone(),
-                serve_mode: serve_mode.to_string(),
-                requests_total: rng.gen::<u8>() as usize,
-                pixels_total: rng.gen::<u8>() as u64,
-                ..StatsSnapshot::default()
-            };
-            corpus.push(Message::StatsReply {
-                text: snapshot.to_text(),
-            });
-        }
+        let snapshot = StatsSnapshot {
+            plan: spec,
+            requests_total: rng.gen::<u8>() as usize,
+            pixels_total: rng.gen::<u8>() as u64,
+            ..StatsSnapshot::default()
+        };
+        corpus.push(Message::StatsReply {
+            text: snapshot.to_text(),
+        });
     }
     corpus
 }

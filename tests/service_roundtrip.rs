@@ -5,25 +5,15 @@
 //! every classifier kind, under concurrent clients, and graceful shutdown
 //! drains in-flight requests — a request whose bytes reached the server is
 //! always answered.
-//!
-//! Every scenario runs against **both serving cores** ([`BOTH_MODES`]): the
-//! thread-per-connection mode and the evented readiness loop must produce
-//! byte-identical replies and the same statistics invariants for identical
-//! traffic.
 
 use imaging::{LabelMap, Rgb, RgbImage};
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftClassifier;
-use iqft_serve::{
-    protocol, Client, ClientConfig, Message, SegmentOutcome, ServeMode, Server, ServerConfig,
-};
+use iqft_serve::{protocol, Client, ClientConfig, Message, SegmentOutcome, Server, ServerConfig};
 use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
-
-/// Every test runs its server under both serving cores.
-const BOTH_MODES: [ServeMode; 2] = [ServeMode::Threads, ServeMode::Evented];
 
 /// Unwraps a pipelined [`SegmentOutcome`] in tests that run below the
 /// admission limit, where a Busy shed would be a bug.
@@ -73,65 +63,54 @@ fn reference_labels(images: &[RgbImage]) -> Vec<LabelMap> {
 fn concurrent_clients_get_byte_identical_labels_for_every_classifier() {
     let images = test_images(12);
     let reference = reference_labels(&images);
-    for mode in BOTH_MODES {
-        for kind in ClassifierKind::ALL {
-            for tiling in [
-                Tiling::Whole,
-                Tiling::Tiles {
-                    width: 16,
-                    height: 16,
-                },
-            ] {
-                let plan = SegmentPlan::default()
-                    .with_classifier(kind)
-                    .with_tiling(tiling);
-                let server = Server::bind(
-                    "127.0.0.1:0",
-                    ServerConfig::new(plan).with_max_inflight(2).with_mode(mode),
-                )
+    for kind in ClassifierKind::ALL {
+        for tiling in [
+            Tiling::Whole,
+            Tiling::Tiles {
+                width: 16,
+                height: 16,
+            },
+        ] {
+            let plan = SegmentPlan::default()
+                .with_classifier(kind)
+                .with_tiling(tiling);
+            let server = Server::bind("127.0.0.1:0", ServerConfig::new(plan).with_max_inflight(2))
                 .expect("ephemeral bind");
-                let addr = server.local_addr();
+            let addr = server.local_addr();
 
-                let clients = 3usize;
-                std::thread::scope(|scope| {
-                    for client_idx in 0..clients {
-                        let images = &images;
-                        let reference = &reference;
-                        scope.spawn(move || {
-                            let mut client = open_client(addr).expect("connect");
-                            client.ping().expect("ping");
-                            for (idx, img) in images.iter().enumerate() {
-                                if idx % clients != client_idx {
-                                    continue;
-                                }
-                                let (labels, _) =
-                                    client.segment(img).expect("segment").unwrap_done();
-                                assert_eq!(
-                                    labels, reference[idx],
-                                    "image {idx} via {kind} tile={tiling} ({mode})"
-                                );
+            let clients = 3usize;
+            std::thread::scope(|scope| {
+                for client_idx in 0..clients {
+                    let images = &images;
+                    let reference = &reference;
+                    scope.spawn(move || {
+                        let mut client = open_client(addr).expect("connect");
+                        client.ping().expect("ping");
+                        for (idx, img) in images.iter().enumerate() {
+                            if idx % clients != client_idx {
+                                continue;
                             }
-                        });
-                    }
-                });
+                            let (labels, _) = client.segment(img).expect("segment").unwrap_done();
+                            assert_eq!(
+                                labels, reference[idx],
+                                "image {idx} via {kind} tile={tiling}"
+                            );
+                        }
+                    });
+                }
+            });
 
-                let mut probe = open_client(addr).expect("probe connect");
-                let stats = probe.stats().expect("stats");
-                assert_eq!(
-                    stats.segment_requests,
-                    images.len(),
-                    "{kind} {tiling} {mode}"
-                );
-                assert_eq!(
-                    stats.pixels_total,
-                    images.iter().map(|i| i.len() as u64).sum::<u64>()
-                );
-                assert_eq!(stats.plan, plan.to_spec());
-                assert_eq!(SegmentPlan::from_spec(&stats.plan).unwrap(), plan);
-                assert_eq!(stats.serve_mode, server.mode().as_str(), "{stats:?}");
-                probe.shutdown().expect("shutdown ack");
-                server.join();
-            }
+            let mut probe = open_client(addr).expect("probe connect");
+            let stats = probe.stats().expect("stats");
+            assert_eq!(stats.segment_requests, images.len(), "{kind} {tiling}");
+            assert_eq!(
+                stats.pixels_total,
+                images.iter().map(|i| i.len() as u64).sum::<u64>()
+            );
+            assert_eq!(stats.plan, plan.to_spec());
+            assert_eq!(SegmentPlan::from_spec(&stats.plan).unwrap(), plan);
+            probe.shutdown().expect("shutdown ack");
+            server.join();
         }
     }
 }
@@ -144,96 +123,86 @@ fn concurrent_clients_get_byte_identical_labels_for_every_classifier() {
 fn shutdown_drains_in_flight_requests_without_losing_replies() {
     let images = test_images(4);
     let reference = reference_labels(&images);
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            // One worker serialises execution to keep requests queued longer.
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(1)
-                .with_mode(mode),
-        )
-        .expect("ephemeral bind");
-        let addr = server.local_addr();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        // One worker serialises execution to keep requests queued longer.
+        ServerConfig::new(SegmentPlan::default()).with_max_inflight(1),
+    )
+    .expect("ephemeral bind");
+    let addr = server.local_addr();
 
-        // Write one frame per connection, do not read yet.
-        let mut streams: Vec<TcpStream> = Vec::new();
-        for (idx, img) in images.iter().enumerate() {
-            let mut stream = TcpStream::connect(addr).expect("connect");
-            let frame =
-                protocol::encode_message(idx as u64, &Message::Segment { image: img.clone() })
-                    .expect("encode");
-            stream.write_all(&frame).expect("write frame");
-            stream.flush().expect("flush");
-            streams.push(stream);
-        }
-
-        // Shut the server down while those requests are in flight.
-        let mut ctl = open_client(addr).expect("ctl connect");
-        ctl.shutdown().expect("shutdown ack");
-
-        // Every already-sent request still gets its reply before the drain
-        // ends.
-        for (idx, mut stream) in streams.into_iter().enumerate() {
-            let (id, reply) = protocol::read_message(&mut stream).expect("reply arrives");
-            assert_eq!(id, idx as u64);
-            match reply {
-                Message::SegmentReply { labels } => {
-                    assert_eq!(labels, reference[idx], "in-flight image {idx} ({mode})")
-                }
-                other => panic!("expected SegmentReply for image {idx}, got {other:?}"),
-            }
-        }
-        server.join();
-
-        // The drained server is really gone: fresh traffic fails.
-        let refused = match open_client(addr) {
-            Err(_) => true,
-            Ok(mut client) => client.ping().is_err(),
-        };
-        assert!(refused, "server accepted traffic after draining ({mode})");
+    // Write one frame per connection, do not read yet.
+    let mut streams: Vec<TcpStream> = Vec::new();
+    for (idx, img) in images.iter().enumerate() {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let frame = protocol::encode_message(idx as u64, &Message::Segment { image: img.clone() })
+            .expect("encode");
+        stream.write_all(&frame).expect("write frame");
+        stream.flush().expect("flush");
+        streams.push(stream);
     }
+
+    // Shut the server down while those requests are in flight.
+    let mut ctl = open_client(addr).expect("ctl connect");
+    ctl.shutdown().expect("shutdown ack");
+
+    // Every already-sent request still gets its reply before the drain
+    // ends.
+    for (idx, mut stream) in streams.into_iter().enumerate() {
+        let (id, reply) = protocol::read_message(&mut stream).expect("reply arrives");
+        assert_eq!(id, idx as u64);
+        match reply {
+            Message::SegmentReply { labels } => {
+                assert_eq!(labels, reference[idx], "in-flight image {idx}")
+            }
+            other => panic!("expected SegmentReply for image {idx}, got {other:?}"),
+        }
+    }
+    server.join();
+
+    // The drained server is really gone: fresh traffic fails.
+    let refused = match open_client(addr) {
+        Err(_) => true,
+        Ok(mut client) => client.ping().is_err(),
+    };
+    assert!(refused, "server accepted traffic after draining");
 }
 
 /// Protocol v2: a v1 client hitting a v2 server gets a *typed* version
 /// error frame — no panic, no hang, and the diagnostic names both versions.
 #[test]
 fn v1_client_gets_a_typed_version_error_not_a_hang() {
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default()).with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig::new(SegmentPlan::default())).expect("bind");
+    let addr = server.local_addr();
 
-        // Hand-roll a v1 frame: a valid v2 Ping frame with the version field
-        // patched back to 1 — exactly the bytes a v1 client would send.
-        let mut frame = protocol::encode_message(77, &Message::Ping).expect("encode");
-        frame[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        stream.write_all(&frame).expect("write v1 frame");
+    // Hand-roll a v1 frame: a valid v2 Ping frame with the version field
+    // patched back to 1 — exactly the bytes a v1 client would send.
+    let mut frame = protocol::encode_message(77, &Message::Ping).expect("encode");
+    frame[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&frame).expect("write v1 frame");
 
-        let (id, reply) = protocol::read_message(&mut stream).expect("typed error reply");
-        assert_eq!(id, 77, "the version error echoes the v1 request id");
-        match reply {
-            Message::Error { message } => {
-                assert!(message.contains("version 1"), "{message}");
-                assert!(message.contains("expected 2"), "{message}");
-            }
-            other => panic!("expected a typed Error reply, got {other:?}"),
+    let (id, reply) = protocol::read_message(&mut stream).expect("typed error reply");
+    assert_eq!(id, 77, "the version error echoes the v1 request id");
+    match reply {
+        Message::Error { message } => {
+            assert!(message.contains("version 1"), "{message}");
+            assert!(message.contains("expected 2"), "{message}");
         }
-        // The connection is closed after the error (framing may be lost)...
-        let mut rest = Vec::new();
-        stream.read_to_end(&mut rest).expect("clean close");
-        assert!(rest.is_empty());
-        // ...and the server keeps serving v2 clients.
-        let mut client = open_client(addr).expect("connect v2");
-        client.ping().expect("still alive");
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.protocol_errors, 1, "{mode}");
-        client.shutdown().expect("shutdown");
-        server.join();
+        other => panic!("expected a typed Error reply, got {other:?}"),
     }
+    // The connection is closed after the error (framing may be lost)...
+    let mut rest = Vec::new();
+    stream.read_to_end(&mut rest).expect("clean close");
+    assert!(rest.is_empty());
+    // ...and the server keeps serving v2 clients.
+    let mut client = open_client(addr).expect("connect v2");
+    client.ping().expect("still alive");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.protocol_errors, 1);
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// Protocol v2 pipelining against a real server: a client streams all its
@@ -243,52 +212,49 @@ fn v1_client_gets_a_typed_version_error_not_a_hang() {
 fn pipelined_requests_round_trip_byte_identically() {
     let images = test_images(10);
     let reference = reference_labels(&images);
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(2)
-                .with_cache(CacheConfig::with_capacity_mb(16))
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let mut client = open_client_depth(server.local_addr(), 4).expect("connect");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(2)
+            .with_cache(CacheConfig::with_capacity_mb(16)),
+    )
+    .expect("bind");
+    let mut client = open_client_depth(server.local_addr(), 4).expect("connect");
 
-        // Repeated traffic: every image requested twice in one pipelined
-        // burst.
-        let refs: Vec<&RgbImage> = images.iter().chain(images.iter()).collect();
-        let replies = client
-            .segment_pipelined(&refs, true)
-            .expect("pipelined segment");
-        assert_eq!(replies.len(), 20);
-        for (k, reply) in replies.iter().enumerate() {
-            let (labels, _cached) = done(reply);
-            assert_eq!(labels, &reference[k % images.len()], "request {k} ({mode})");
-        }
-        // The second half repeats the first: the cache must have answered
-        // them.
-        let hits = replies.iter().filter(|reply| done(reply).1).count();
-        assert_eq!(hits, 10, "every repeated image is a cache hit ({mode})");
-
-        // Plain (uncached) pipelining works over the same connection too.
-        let replies = client
-            .segment_pipelined(&refs[..6], false)
-            .expect("uncached pipelined segment");
-        for (k, reply) in replies.iter().enumerate() {
-            let (labels, cached) = done(reply);
-            assert_eq!(labels, &reference[k % images.len()]);
-            assert!(!cached, "plain Segment never reports a cache hit");
-        }
-        client.shutdown().expect("shutdown");
-        server.join();
+    // Repeated traffic: every image requested twice in one pipelined
+    // burst.
+    let refs: Vec<&RgbImage> = images.iter().chain(images.iter()).collect();
+    let replies = client
+        .segment_pipelined(&refs, true)
+        .expect("pipelined segment");
+    assert_eq!(replies.len(), 20);
+    for (k, reply) in replies.iter().enumerate() {
+        let (labels, _cached) = done(reply);
+        assert_eq!(labels, &reference[k % images.len()], "request {k}");
     }
+    // The second half repeats the first: the cache must have answered
+    // them.
+    let hits = replies.iter().filter(|reply| done(reply).1).count();
+    assert_eq!(hits, 10, "every repeated image is a cache hit");
+
+    // Plain (uncached) pipelining works over the same connection too.
+    let replies = client
+        .segment_pipelined(&refs[..6], false)
+        .expect("uncached pipelined segment");
+    for (k, reply) in replies.iter().enumerate() {
+        let (labels, cached) = done(reply);
+        assert_eq!(labels, &reference[k % images.len()]);
+        assert!(!cached, "plain Segment never reports a cache hit");
+    }
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// Deadlock safety: a deep pipelined burst of frames far larger than any
 /// socket buffer (here ~2.1 MB requests / ~2.8 MB replies, 16 in flight)
 /// must complete — the client has to drain replies while it is still
-/// writing requests, because the server writes each reply before reading
-/// the next frame.
+/// writing requests, because the server stops reading a connection whose
+/// unsent replies pile up.
 #[test]
 fn deep_pipelined_burst_of_large_frames_does_not_deadlock() {
     let image = RgbImage::from_fn(1000, 700, |x, y| {
@@ -298,30 +264,27 @@ fn deep_pipelined_burst_of_large_frames_does_not_deadlock() {
         &IqftClassifier::paper_default(ClassifierKind::Table),
         &image,
     );
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(2)
-                .with_cache(CacheConfig::with_capacity_mb(64))
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let mut client =
-            open_client_depth(server.local_addr(), protocol::MAX_PIPELINE_DEPTH).expect("connect");
-        let refs: Vec<&RgbImage> = (0..16).map(|_| &image).collect();
-        let replies = client
-            .segment_pipelined(&refs, true)
-            .expect("deep burst completes");
-        assert_eq!(replies.len(), 16);
-        for (k, reply) in replies.iter().enumerate() {
-            assert_eq!(done(reply).0, &expected, "request {k} ({mode})");
-        }
-        let hits = replies.iter().filter(|reply| done(reply).1).count();
-        assert_eq!(hits, 15, "all repeats served from the cache ({mode})");
-        client.shutdown().expect("shutdown");
-        server.join();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(2)
+            .with_cache(CacheConfig::with_capacity_mb(64)),
+    )
+    .expect("bind");
+    let mut client =
+        open_client_depth(server.local_addr(), protocol::MAX_PIPELINE_DEPTH).expect("connect");
+    let refs: Vec<&RgbImage> = (0..16).map(|_| &image).collect();
+    let replies = client
+        .segment_pipelined(&refs, true)
+        .expect("deep burst completes");
+    assert_eq!(replies.len(), 16);
+    for (k, reply) in replies.iter().enumerate() {
+        assert_eq!(done(reply).0, &expected, "request {k}");
     }
+    let hits = replies.iter().filter(|reply| done(reply).1).count();
+    assert_eq!(hits, 15, "all repeats served from the cache");
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// The client's pipelined reader must not rely on reply order: a mock
@@ -398,104 +361,92 @@ fn concurrent_cached_clients_get_hit_and_miss_replies_byte_identical_to_fresh() 
     let reference = reference_labels(&images);
     // A budget that holds only a few entries forces constant eviction.
     let entry_bytes = images[0].len() * 4 + 96;
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(3)
-                .with_cache(CacheConfig {
-                    capacity_bytes: entry_bytes * 6,
-                    shards: 2,
-                })
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(3)
+            .with_cache(CacheConfig {
+                capacity_bytes: entry_bytes * 6,
+                shards: 2,
+            }),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
 
-        std::thread::scope(|scope| {
-            for client_idx in 0..3usize {
-                let images = &images;
-                let reference = &reference;
-                scope.spawn(move || {
-                    let mut client = open_client(addr).expect("connect");
-                    for round in 0..4 {
-                        for step in 0..images.len() {
-                            // Stagger the orders so clients race on the same
-                            // keys.
-                            let idx = (step + client_idx * 3 + round) % images.len();
-                            let (labels, _cached) = client
-                                .segment_cached(&images[idx], false)
-                                .expect("cached segment")
-                                .unwrap_done();
-                            assert_eq!(
-                                labels, reference[idx],
-                                "client {client_idx} image {idx} ({mode})"
-                            );
-                        }
+    std::thread::scope(|scope| {
+        for client_idx in 0..3usize {
+            let images = &images;
+            let reference = &reference;
+            scope.spawn(move || {
+                let mut client = open_client(addr).expect("connect");
+                for round in 0..4 {
+                    for step in 0..images.len() {
+                        // Stagger the orders so clients race on the same
+                        // keys.
+                        let idx = (step + client_idx * 3 + round) % images.len();
+                        let (labels, _cached) = client
+                            .segment_cached(&images[idx], false)
+                            .expect("cached segment")
+                            .unwrap_done();
+                        assert_eq!(labels, reference[idx], "client {client_idx} image {idx}");
                     }
-                });
-            }
-        });
+                }
+            });
+        }
+    });
 
-        let mut probe = open_client(addr).expect("probe");
-        let stats = probe.stats().expect("stats");
-        assert!(stats.cache_hits > 0, "repeated traffic must hit: {stats:?}");
-        assert!(stats.cache_misses > 0, "cold keys must miss: {stats:?}");
-        assert!(
-            stats.cache_bytes <= entry_bytes * 6,
-            "budget respected: {stats:?}"
-        );
-        probe.shutdown().expect("shutdown");
-        server.join();
-    }
+    let mut probe = open_client(addr).expect("probe");
+    let stats = probe.stats().expect("stats");
+    assert!(stats.cache_hits > 0, "repeated traffic must hit: {stats:?}");
+    assert!(stats.cache_misses > 0, "cold keys must miss: {stats:?}");
+    assert!(
+        stats.cache_bytes <= entry_bytes * 6,
+        "budget respected: {stats:?}"
+    );
+    probe.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// `segment` on an empty (0×0) image round-trips; malformed dimensions are
 /// answered with a protocol error frame, not a dead connection.
 #[test]
 fn degenerate_and_malformed_requests_are_handled_cleanly() {
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default()).with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig::new(SegmentPlan::default())).expect("bind");
+    let addr = server.local_addr();
 
-        let empty = RgbImage::from_fn(0, 0, |_, _| Rgb::new(0, 0, 0));
-        let mut client = open_client(addr).expect("connect");
-        let (labels, _) = client.segment(&empty).expect("empty segment").unwrap_done();
-        assert_eq!(labels.len(), 0);
+    let empty = RgbImage::from_fn(0, 0, |_, _| Rgb::new(0, 0, 0));
+    let mut client = open_client(addr).expect("connect");
+    let (labels, _) = client.segment(&empty).expect("empty segment").unwrap_done();
+    assert_eq!(labels.len(), 0);
 
-        // A Segment frame whose payload length disagrees with its
-        // dimensions.
-        let mut stream = TcpStream::connect(addr).expect("connect raw");
-        let mut frame = protocol::encode_message(
-            9,
-            &Message::Segment {
-                image: RgbImage::from_fn(4, 4, |_, _| Rgb::new(1, 2, 3)),
-            },
-        )
-        .expect("encode");
-        // Corrupt the declared width (payload starts after the 20-byte
-        // header).
-        frame[protocol::HEADER_LEN..protocol::HEADER_LEN + 4]
-            .copy_from_slice(&100u32.to_le_bytes());
-        stream.write_all(&frame).expect("write");
-        let (id, reply) = protocol::read_message(&mut stream).expect("error reply");
-        assert_eq!(id, 9);
-        assert!(
-            matches!(reply, Message::Error { ref message } if message.contains("payload")),
-            "{reply:?}"
-        );
+    // A Segment frame whose payload length disagrees with its
+    // dimensions.
+    let mut stream = TcpStream::connect(addr).expect("connect raw");
+    let mut frame = protocol::encode_message(
+        9,
+        &Message::Segment {
+            image: RgbImage::from_fn(4, 4, |_, _| Rgb::new(1, 2, 3)),
+        },
+    )
+    .expect("encode");
+    // Corrupt the declared width (payload starts after the 20-byte
+    // header).
+    frame[protocol::HEADER_LEN..protocol::HEADER_LEN + 4].copy_from_slice(&100u32.to_le_bytes());
+    stream.write_all(&frame).expect("write");
+    let (id, reply) = protocol::read_message(&mut stream).expect("error reply");
+    assert_eq!(id, 9);
+    assert!(
+        matches!(reply, Message::Error { ref message } if message.contains("payload")),
+        "{reply:?}"
+    );
 
-        // The server survived the malformed frame.
-        client.ping().expect("still alive");
-        let stats = client.stats().expect("stats");
-        assert_eq!(stats.protocol_errors, 1, "{mode}");
-        client.shutdown().expect("shutdown");
-        server.join();
-    }
+    // The server survived the malformed frame.
+    client.ping().expect("still alive");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.protocol_errors, 1);
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// The streaming-video delta path through the wire: stitched
@@ -507,84 +458,78 @@ fn degenerate_and_malformed_requests_are_handled_cleanly() {
 fn video_delta_replies_are_byte_identical_across_tilings_classifiers_and_change_rates() {
     let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
     let (width, height) = (80usize, 60usize);
-    for mode in BOTH_MODES {
-        for kind in [
-            ClassifierKind::Table,
-            ClassifierKind::Quant,
-            ClassifierKind::Simd,
+    for kind in [
+        ClassifierKind::Table,
+        ClassifierKind::Quant,
+        ClassifierKind::Simd,
+    ] {
+        for tiling in [
+            Tiling::Whole,
+            Tiling::Tiles {
+                width: 16,
+                height: 16,
+            },
+            // Deliberately not dividing 80x60: ragged edge tiles.
+            Tiling::Tiles {
+                width: 53,
+                height: 37,
+            },
         ] {
-            for tiling in [
-                Tiling::Whole,
-                Tiling::Tiles {
-                    width: 16,
-                    height: 16,
-                },
-                // Deliberately not dividing 80x60: ragged edge tiles.
-                Tiling::Tiles {
-                    width: 53,
-                    height: 37,
-                },
-            ] {
-                let plan = SegmentPlan::default()
-                    .with_classifier(kind)
-                    .with_tiling(tiling);
-                let (tile_w, tile_h) = tiling.delta_shape();
-                let tiles_per_frame = (width.div_ceil(tile_w) * height.div_ceil(tile_h)) as u64;
-                let server = Server::bind(
-                    "127.0.0.1:0",
-                    ServerConfig::new(plan)
-                        .with_max_inflight(2)
-                        .with_cache(CacheConfig::with_capacity_mb(16))
-                        .with_mode(mode),
-                )
-                .expect("bind");
-                let mut client = open_client(server.local_addr()).expect("connect");
+            let plan = SegmentPlan::default()
+                .with_classifier(kind)
+                .with_tiling(tiling);
+            let (tile_w, tile_h) = tiling.delta_shape();
+            let tiles_per_frame = (width.div_ceil(tile_w) * height.div_ceil(tile_h)) as u64;
+            let server = Server::bind(
+                "127.0.0.1:0",
+                ServerConfig::new(plan)
+                    .with_max_inflight(2)
+                    .with_cache(CacheConfig::with_capacity_mb(16)),
+            )
+            .expect("bind");
+            let mut client = open_client(server.local_addr()).expect("connect");
 
-                for change_rate in [0.0, 0.5, 1.0] {
-                    let frames = datasets::synthetic_video(&datasets::VideoConfig {
-                        frames: 4,
-                        width,
-                        height,
-                        change_rate,
-                        block: 32,
-                        seed: 42,
-                    });
-                    for (idx, frame) in frames.iter().enumerate() {
-                        let (reply, hit, recomputed) =
-                            client.segment_delta(frame).expect("segment delta");
-                        let (labels, _) = reply.unwrap_done();
-                        let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
+            for change_rate in [0.0, 0.5, 1.0] {
+                let frames = datasets::synthetic_video(&datasets::VideoConfig {
+                    frames: 4,
+                    width,
+                    height,
+                    change_rate,
+                    block: 32,
+                    seed: 42,
+                });
+                for (idx, frame) in frames.iter().enumerate() {
+                    let (reply, hit, recomputed) =
+                        client.segment_delta(frame).expect("segment delta");
+                    let (labels, _) = reply.unwrap_done();
+                    let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
+                    assert_eq!(
+                        labels, fresh,
+                        "frame {idx} cr={change_rate} {kind} {tiling}"
+                    );
+                    assert_eq!(
+                        u64::from(hit) + u64::from(recomputed),
+                        tiles_per_frame,
+                        "tile accounting, frame {idx} cr={change_rate} {tiling}"
+                    );
+                    // A static scene after the first frame is pure hits.
+                    if change_rate == 0.0 && idx > 0 {
                         assert_eq!(
-                            labels, fresh,
-                            "frame {idx} cr={change_rate} {kind} {tiling} ({mode})"
+                            recomputed, 0,
+                            "static frame {idx} recomputed tiles ({tiling})"
                         );
-                        assert_eq!(
-                            u64::from(hit) + u64::from(recomputed),
-                            tiles_per_frame,
-                            "tile accounting, frame {idx} cr={change_rate} {tiling} ({mode})"
-                        );
-                        // A static scene after the first frame is pure hits.
-                        if change_rate == 0.0 && idx > 0 {
-                            assert_eq!(
-                                recomputed, 0,
-                                "static frame {idx} recomputed tiles ({tiling}, {mode})"
-                            );
-                        }
                     }
                 }
-
-                let stats = client.stats().expect("stats");
-                assert!(
-                    stats.delta_tiles_hit > 0,
-                    "{kind} {tiling} {mode}: {stats:?}"
-                );
-                assert!(
-                    stats.delta_tiles_recomputed > 0,
-                    "{kind} {tiling} {mode}: {stats:?}"
-                );
-                client.shutdown().expect("shutdown");
-                server.join();
             }
+
+            let stats = client.stats().expect("stats");
+            assert!(stats.delta_tiles_hit > 0, "{kind} {tiling}: {stats:?}");
+            assert!(
+                stats.delta_tiles_recomputed > 0,
+                "{kind} {tiling}: {stats:?}"
+            );
+            client.shutdown().expect("shutdown");
+            server.join();
         }
     }
 }
@@ -599,118 +544,112 @@ fn concurrent_video_clients_stay_byte_identical_under_forced_tile_eviction() {
     // 16x16 tiles -> 12 tiles/frame at 1 KiB of labels each; a budget of
     // eight entries cannot hold even one frame, forcing constant eviction.
     let tile_entry_bytes = 16 * 16 * 4 + 96;
-    for mode in BOTH_MODES {
-        let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-            width: 16,
-            height: 16,
-        });
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(plan)
-                .with_max_inflight(3)
-                .with_cache(CacheConfig {
-                    capacity_bytes: tile_entry_bytes * 8,
-                    shards: 2,
-                })
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
+        width: 16,
+        height: 16,
+    });
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(plan)
+            .with_max_inflight(3)
+            .with_cache(CacheConfig {
+                capacity_bytes: tile_entry_bytes * 8,
+                shards: 2,
+            }),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
 
-        std::thread::scope(|scope| {
-            for client_idx in 0..3u64 {
-                scope.spawn(move || {
-                    let frames = datasets::synthetic_video(&datasets::VideoConfig {
-                        frames: 6,
-                        width,
-                        height,
-                        change_rate: 0.5,
-                        block: 16,
-                        seed: 1000 + client_idx,
-                    });
-                    let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
-                    let mut client = open_client(addr).expect("connect");
-                    for (idx, frame) in frames.iter().enumerate() {
-                        let (reply, hit, recomputed) =
-                            client.segment_delta(frame).expect("segment delta");
-                        let (labels, _) = reply.unwrap_done();
-                        let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
-                        assert_eq!(labels, fresh, "client {client_idx} frame {idx} ({mode})");
-                        assert_eq!(hit + recomputed, 12, "client {client_idx} frame {idx}");
-                    }
+    std::thread::scope(|scope| {
+        for client_idx in 0..3u64 {
+            scope.spawn(move || {
+                let frames = datasets::synthetic_video(&datasets::VideoConfig {
+                    frames: 6,
+                    width,
+                    height,
+                    change_rate: 0.5,
+                    block: 16,
+                    seed: 1000 + client_idx,
                 });
-            }
-        });
+                let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
+                let mut client = open_client(addr).expect("connect");
+                for (idx, frame) in frames.iter().enumerate() {
+                    let (reply, hit, recomputed) =
+                        client.segment_delta(frame).expect("segment delta");
+                    let (labels, _) = reply.unwrap_done();
+                    let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
+                    assert_eq!(labels, fresh, "client {client_idx} frame {idx}");
+                    assert_eq!(hit + recomputed, 12, "client {client_idx} frame {idx}");
+                }
+            });
+        }
+    });
 
-        let mut probe = open_client(addr).expect("probe");
-        let stats = probe.stats().expect("stats");
-        assert!(
-            stats.delta_tiles_recomputed > 0,
-            "churn must recompute: {stats:?}"
-        );
-        assert!(
-            stats.delta_tiles_hit + stats.delta_tiles_recomputed == 3 * 6 * 12,
-            "tile accounting across clients: {stats:?}"
-        );
-        assert!(
-            stats.cache_bytes <= tile_entry_bytes * 8,
-            "budget respected: {stats:?}"
-        );
-        probe.shutdown().expect("shutdown");
-        server.join();
-    }
+    let mut probe = open_client(addr).expect("probe");
+    let stats = probe.stats().expect("stats");
+    assert!(
+        stats.delta_tiles_recomputed > 0,
+        "churn must recompute: {stats:?}"
+    );
+    assert!(
+        stats.delta_tiles_hit + stats.delta_tiles_recomputed == 3 * 6 * 12,
+        "tile accounting across clients: {stats:?}"
+    );
+    assert!(
+        stats.cache_bytes <= tile_entry_bytes * 8,
+        "budget respected: {stats:?}"
+    );
+    probe.shutdown().expect("shutdown");
+    server.join();
 }
 
-/// Slow-loris resilience, in both modes: a client that drips half a frame
+/// Slow-loris resilience: a client that drips half a frame
 /// and then stalls is closed once the per-frame deadline expires, while a
 /// healthy client's traffic keeps flowing the whole time.
 #[test]
 fn slow_loris_connection_is_deadlined_while_healthy_clients_keep_flowing() {
     let images = test_images(3);
     let reference = reference_labels(&images);
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(2)
-                .with_frame_deadline(Duration::from_millis(300))
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(2)
+            .with_frame_deadline(Duration::from_millis(300)),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
 
-        // The loris: half a Ping frame, then silence.
-        let frame = protocol::encode_message(1, &Message::Ping).expect("encode");
-        let mut loris = TcpStream::connect(addr).expect("connect loris");
-        loris.write_all(&frame[..frame.len() / 2]).expect("drip");
-        loris.flush().expect("flush");
+    // The loris: half a Ping frame, then silence.
+    let frame = protocol::encode_message(1, &Message::Ping).expect("encode");
+    let mut loris = TcpStream::connect(addr).expect("connect loris");
+    loris.write_all(&frame[..frame.len() / 2]).expect("drip");
+    loris.flush().expect("flush");
 
-        // Healthy traffic is served while the loris stalls mid-frame.
-        let mut client = open_client(addr).expect("connect healthy");
-        for (idx, img) in images.iter().enumerate() {
-            let (labels, _) = client.segment(img).expect("segment").unwrap_done();
-            assert_eq!(labels, reference[idx], "image {idx} ({mode})");
-        }
-
-        // The loris is closed once its frame deadline expires; it never got
-        // (and never earns) a reply for its unfinished frame.
-        loris
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        let mut rest = Vec::new();
-        match loris.read_to_end(&mut rest) {
-            Ok(_) => assert!(rest.is_empty(), "unfinished frame must not be answered"),
-            Err(e) => assert!(
-                matches!(e.kind(), std::io::ErrorKind::ConnectionReset),
-                "expected EOF or reset, got {e:?} ({mode})"
-            ),
-        }
-
-        // The server is unaffected and keeps serving.
-        client.ping().expect("alive after the deadline");
-        client.shutdown().expect("shutdown");
-        server.join();
+    // Healthy traffic is served while the loris stalls mid-frame.
+    let mut client = open_client(addr).expect("connect healthy");
+    for (idx, img) in images.iter().enumerate() {
+        let (labels, _) = client.segment(img).expect("segment").unwrap_done();
+        assert_eq!(labels, reference[idx], "image {idx}");
     }
+
+    // The loris is closed once its frame deadline expires; it never got
+    // (and never earns) a reply for its unfinished frame.
+    loris
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let mut rest = Vec::new();
+    match loris.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "unfinished frame must not be answered"),
+        Err(e) => assert!(
+            matches!(e.kind(), std::io::ErrorKind::ConnectionReset),
+            "expected EOF or reset, got {e:?}"
+        ),
+    }
+
+    // The server is unaffected and keeps serving.
+    client.ping().expect("alive after the deadline");
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
 /// Regression for the reactor's deadline bookkeeping: one connection stalled
@@ -721,57 +660,54 @@ fn slow_loris_connection_is_deadlined_while_healthy_clients_keep_flowing() {
 fn a_stalled_connection_does_not_delay_replies_on_healthy_connections() {
     let images = test_images(6);
     let reference = reference_labels(&images);
-    for mode in BOTH_MODES {
-        let deadline = Duration::from_secs(10);
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(2)
-                .with_frame_deadline(deadline)
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let deadline = Duration::from_secs(10);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(2)
+            .with_frame_deadline(deadline),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
 
-        // Stall several connections mid-frame (header-only, and mid-payload)
-        // to keep the poll set busy with unready fds.
-        let seg = protocol::encode_message(
-            3,
-            &Message::Segment {
-                image: images[0].clone(),
-            },
-        )
-        .expect("encode");
-        let mut stalled: Vec<TcpStream> = Vec::new();
-        for cut in [7, protocol::HEADER_LEN + 5, seg.len() - 3] {
-            let mut stream = TcpStream::connect(addr).expect("connect stalled");
-            stream.write_all(&seg[..cut]).expect("partial write");
-            stream.flush().expect("flush");
-            stalled.push(stream);
-        }
-
-        let started = Instant::now();
-        let mut client = open_client_depth(addr, 4).expect("connect healthy");
-        let refs: Vec<&RgbImage> = images.iter().collect();
-        let replies = client
-            .segment_pipelined(&refs, false)
-            .expect("pipelined burst");
-        let elapsed = started.elapsed();
-        for (idx, reply) in replies.iter().enumerate() {
-            assert_eq!(done(reply).0, &reference[idx], "image {idx} ({mode})");
-        }
-        assert!(
-            elapsed < deadline,
-            "healthy burst waited on a stalled peer: {elapsed:?} ({mode})"
-        );
-
-        drop(stalled);
-        client.shutdown().expect("shutdown");
-        server.join();
+    // Stall several connections mid-frame (header-only, and mid-payload)
+    // to keep the poll set busy with unready fds.
+    let seg = protocol::encode_message(
+        3,
+        &Message::Segment {
+            image: images[0].clone(),
+        },
+    )
+    .expect("encode");
+    let mut stalled: Vec<TcpStream> = Vec::new();
+    for cut in [7, protocol::HEADER_LEN + 5, seg.len() - 3] {
+        let mut stream = TcpStream::connect(addr).expect("connect stalled");
+        stream.write_all(&seg[..cut]).expect("partial write");
+        stream.flush().expect("flush");
+        stalled.push(stream);
     }
+
+    let started = Instant::now();
+    let mut client = open_client_depth(addr, 4).expect("connect healthy");
+    let refs: Vec<&RgbImage> = images.iter().collect();
+    let replies = client
+        .segment_pipelined(&refs, false)
+        .expect("pipelined burst");
+    let elapsed = started.elapsed();
+    for (idx, reply) in replies.iter().enumerate() {
+        assert_eq!(done(reply).0, &reference[idx], "image {idx}");
+    }
+    assert!(
+        elapsed < deadline,
+        "healthy burst waited on a stalled peer: {elapsed:?}"
+    );
+
+    drop(stalled);
+    client.shutdown().expect("shutdown");
+    server.join();
 }
 
-/// Admission control through the wire, in both modes: with one worker and a
+/// Admission control through the wire: with one worker and a
 /// one-deep queue, a simultaneous fan-in of heavy frames must shed at least
 /// one with a typed Busy reply.  Every completed reply is still
 /// byte-identical, the shed count shows up in stats, and so do the service
@@ -785,65 +721,108 @@ fn saturated_admission_sheds_with_typed_busy_replies() {
         &IqftClassifier::paper_default(ClassifierKind::Table),
         &image,
     );
-    for mode in BOTH_MODES {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(1)
-                .with_max_queue(1)
-                .with_mode(mode),
-        )
-        .expect("bind");
-        let addr = server.local_addr();
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(1)
+            .with_max_queue(1),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
 
-        // Saturation is a race by nature; retry a few fan-in rounds so the
-        // test never depends on one round's scheduling.
-        let mut busy_total = 0usize;
-        for _round in 0..5 {
-            let mut streams: Vec<TcpStream> = Vec::new();
-            for id in 0..6u64 {
-                let mut stream = TcpStream::connect(addr).expect("connect");
-                let frame = protocol::encode_message(
-                    id,
-                    &Message::Segment {
-                        image: image.clone(),
-                    },
-                )
-                .expect("encode");
-                stream.write_all(&frame).expect("write frame");
-                stream.flush().expect("flush");
-                streams.push(stream);
-            }
-            for (id, mut stream) in streams.into_iter().enumerate() {
-                let (got, reply) = protocol::read_message(&mut stream).expect("reply");
-                assert_eq!(got, id as u64);
-                match reply {
-                    Message::SegmentReply { labels } => {
-                        assert_eq!(labels, expected, "admitted request {id} ({mode})")
-                    }
-                    Message::Busy => busy_total += 1,
-                    other => panic!("expected SegmentReply or Busy, got {other:?} ({mode})"),
+    // Saturation is a race by nature; retry a few fan-in rounds so the
+    // test never depends on one round's scheduling.
+    let mut busy_total = 0usize;
+    for _round in 0..5 {
+        let mut streams: Vec<TcpStream> = Vec::new();
+        for id in 0..6u64 {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            let frame = protocol::encode_message(
+                id,
+                &Message::Segment {
+                    image: image.clone(),
+                },
+            )
+            .expect("encode");
+            stream.write_all(&frame).expect("write frame");
+            stream.flush().expect("flush");
+            streams.push(stream);
+        }
+        for (id, mut stream) in streams.into_iter().enumerate() {
+            let (got, reply) = protocol::read_message(&mut stream).expect("reply");
+            assert_eq!(got, id as u64);
+            match reply {
+                Message::SegmentReply { labels } => {
+                    assert_eq!(labels, expected, "admitted request {id}")
                 }
-            }
-            if busy_total > 0 {
-                break;
+                Message::Busy => busy_total += 1,
+                other => panic!("expected SegmentReply or Busy, got {other:?}"),
             }
         }
-        assert!(
-            busy_total > 0,
-            "a 6-way fan-in against 1 worker + 1 queue slot never shed ({mode})"
-        );
-
-        let mut probe = open_client(addr).expect("probe");
-        let stats = probe.stats().expect("stats");
-        assert_eq!(stats.busy_rejections, busy_total, "{mode}: {stats:?}");
-        assert_eq!(stats.max_queue, 1, "{mode}: {stats:?}");
-        assert!(stats.lat_count > 0, "{mode}: {stats:?}");
-        assert!(
-            stats.lat_p50_us > 0 && stats.lat_p50_us <= stats.lat_max_us,
-            "heavy frames must show nonzero latency percentiles ({mode}): {stats:?}"
-        );
-        probe.shutdown().expect("shutdown");
-        server.join();
+        if busy_total > 0 {
+            break;
+        }
     }
+    assert!(
+        busy_total > 0,
+        "a 6-way fan-in against 1 worker + 1 queue slot never shed"
+    );
+
+    let mut probe = open_client(addr).expect("probe");
+    let stats = probe.stats().expect("stats");
+    assert_eq!(stats.busy_rejections, busy_total, "{stats:?}");
+    assert_eq!(stats.max_queue, 1, "{stats:?}");
+    assert!(stats.lat_count > 0, "{stats:?}");
+    assert!(
+        stats.lat_p50_us > 0 && stats.lat_p50_us <= stats.lat_max_us,
+        "heavy frames must show nonzero latency percentiles: {stats:?}"
+    );
+    probe.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// The connection gauges through the wire: K pinged clients plus a control
+/// client are all counted as opened and open.  Once the K hang up,
+/// `connections_open` falls back to the control client alone, while
+/// `connections_total` keeps every connection ever accepted.
+#[test]
+fn connection_gauges_track_opened_and_closed_connections_over_the_wire() {
+    const K: usize = 5;
+    let server =
+        Server::bind("127.0.0.1:0", ServerConfig::new(SegmentPlan::default())).expect("bind");
+    let addr = server.local_addr();
+    let mut clients: Vec<Client> = (0..K)
+        .map(|_| open_client(addr).expect("connect"))
+        .collect();
+    for client in &mut clients {
+        client.ping().expect("ping");
+    }
+
+    let mut control = open_client(addr).expect("control connect");
+    let stats = control.stats().expect("stats");
+    assert_eq!(stats.connections_total, K + 1, "{stats:?}");
+    assert_eq!(stats.connections_open, K + 1, "{stats:?}");
+
+    // The reactors notice each hang-up on their next readiness pass; poll
+    // until they have, within a bound.
+    drop(clients);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let stats = control.stats().expect("stats");
+        if stats.connections_open == 1 || Instant::now() >= deadline {
+            break stats;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(
+        stats.connections_open, 1,
+        "only the control client is left: {stats:?}"
+    );
+    assert_eq!(
+        stats.connections_total,
+        K + 1,
+        "closing never changes the total: {stats:?}"
+    );
+    control.shutdown().expect("shutdown");
+    server.join();
 }
