@@ -12,7 +12,7 @@
 //!   with when nobody passes `--plan`;
 //! * `calibrated[<spec>]` — the plan `--plan auto` would pick here, with
 //!   the winning spec embedded in the bench id so `check_baselines` can
-//!   parse it back through the `PlanSpec` vocabulary and a reader can see
+//!   parse it back into a `SegmentPlan` and a reader can see
 //!   *which* plan won on the recording host.
 //!
 //! The setup asserts both plans produce byte-identical labels before any

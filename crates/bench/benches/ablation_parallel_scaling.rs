@@ -1,17 +1,15 @@
 //! Ablation A1: parallel scaling of the RGB segmenter (DESIGN.md §4).
 //!
 //! Exercises the `SegmentEngine` across image sizes and execution policies —
-//! serial, the scoped-thread backend at 1/2/4/8 threads and with one worker
-//! per core, and the Rayon policy (which falls back to scoped threads when
-//! the `rayon-backend` feature of `xpar` is off).  `BENCH_parallel_scaling
-//! .json` at the repo root snapshots a baseline of this target (see the
-//! criterion shim's `CRITERION_JSON` export).
+//! serial, and the scoped-thread backend at 1/2/4/8 threads and with one
+//! worker per core.  `BENCH_parallel_scaling.json` at the repo root
+//! snapshots a baseline of this target (see the criterion shim's
+//! `CRITERION_JSON` export).
 
 use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iqft_seg::{IqftRgbSegmenter, SegmentEngine};
 use std::time::Duration;
-use xpar::Backend;
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_parallel_scaling");
@@ -31,7 +29,6 @@ fn bench(c: &mut Criterion) {
             ));
         }
         engines.push(("threads_all".to_string(), SegmentEngine::with_threads(0)));
-        engines.push(("rayon".to_string(), SegmentEngine::new(Backend::Rayon)));
         for (name, engine) in engines {
             group.bench_with_input(
                 BenchmarkId::new(format!("{size}x{size}"), name),

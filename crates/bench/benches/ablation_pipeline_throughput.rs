@@ -1,11 +1,11 @@
 //! Ablation A4: steady-state throughput of the batched `iqft-pipeline`
-//! service, exact statevector math vs. the lazy colour LUT vs. the eager
-//! `PhaseTable` fast path.
+//! service, exact statevector math vs. the eager `PhaseTable` fast path vs.
+//! the quantized SIMD table.
 //!
 //! Each iteration streams a fixed 16-image synthetic batch through a warmed
 //! pipeline with buffer recycling, so the measurement captures the
 //! steady-state regime the pipeline is designed for (no arena warm-up, no
-//! first-touch page faults, LUT cache already populated).  The `workers_*`
+//! first-touch page faults).  The `workers_*`
 //! axis sweeps the worker-thread count for the winning classifier.
 //!
 //! Snapshot a baseline with
@@ -69,7 +69,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::new("voc16_96px", label),
             &images,
             |b, images| {
-                run_stream(&pipeline, images); // warm the arena (and any colour cache)
+                run_stream(&pipeline, images); // warm the arena
                 b.iter(|| run_stream(&pipeline, images))
             },
         );

@@ -58,7 +58,7 @@ fn bench(c: &mut Criterion) {
     group.throughput(Throughput::Elements(pixels.len() as u64));
 
     let table = IqftClassifier::paper_default(ClassifierKind::Table);
-    let quant = IqftClassifier::paper_default(ClassifierKind::Quant);
+    let quant = QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar);
     let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
     let levels: Vec<QuantizedPhaseTable> = SimdLevel::ALL
         .iter()

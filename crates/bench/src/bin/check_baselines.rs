@@ -320,9 +320,8 @@ fn check_file_semantics(path: &Path, records: &[BTreeMap<String, Value>]) -> Res
         }
         // The winning spec is embedded in the bench id
         // (`.../calibrated[classifier=...;tile=...;backend=...]`) and must
-        // parse back through the unified `PlanSpec` vocabulary, so the
-        // recorded choice is auditable and never drifts from the real
-        // plan grammar.
+        // parse back into a `SegmentPlan`, so the recorded choice is
+        // auditable and never drifts from the real plan grammar.
         let bench_id = records
             .iter()
             .find_map(|record| match record.get("bench") {

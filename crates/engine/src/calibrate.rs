@@ -154,8 +154,8 @@ fn candidates(cores: usize) -> Vec<SegmentPlan> {
             height: 32,
         },
     ];
-    // The steady-state classifier families only: `exact`/`lut` exist as
-    // oracles and are never the right serving choice, so probing them would
+    // The steady-state classifier families only: `exact` exists as the
+    // oracle and is never the right serving choice, so probing it would
     // spend budget to learn nothing.
     let kinds = [ClassifierKind::Table, ClassifierKind::Simd];
     let mut plans = vec![SegmentPlan::default()];

@@ -4,8 +4,8 @@
 //! Every segmentation algorithm in this workspace classifies pixels
 //! independently once its (optional) global fitting step has run — the shape
 //! [`imaging::PixelClassifier`] captures.  This crate owns the *execution* of
-//! that shape: a [`SegmentEngine`] holds an [`xpar::Backend`] (serial, scoped
-//! threads with a thread count, or Rayon) and provides
+//! that shape: a [`SegmentEngine`] holds an [`xpar::Backend`] (serial, or
+//! scoped threads with a thread count) and provides
 //!
 //! * [`SegmentEngine::segment_rgb`] / [`SegmentEngine::segment_gray`] —
 //!   chunk-parallel per-pixel classification over the label buffer
@@ -29,7 +29,7 @@
 //!
 //! The algorithm crates (`iqft-seg`, `baselines`) route their `Segmenter`
 //! implementations through an engine, and the `iqft-experiments` binary
-//! exposes the engine's knob as `--backend serial|threads|rayon --threads N`,
+//! exposes the engine's knob as `--backend serial|threads --threads N`,
 //! so one flag controls parallelism across every layer of the workspace.
 //! The `_into` variants ([`SegmentEngine::segment_rgb_into`]) fill a
 //! caller-provided buffer, which is what the `iqft-pipeline` crate's arena
@@ -54,7 +54,7 @@ pub mod calibrate;
 pub mod plan;
 
 pub use calibrate::{CalibrationConfig, CalibrationReport, ProbeResult};
-pub use plan::{ClassifierKind, PlanSpec, SegmentPlan, Tiling};
+pub use plan::{ClassifierKind, SegmentPlan, Tiling};
 
 use imaging::view::{LabelViewMut, TileRect};
 use imaging::{GrayImage, LabelMap, PixelClassifier, RgbImage};
@@ -87,20 +87,17 @@ impl SegmentEngine {
         Self::new(Backend::Threads(threads))
     }
 
-    /// Parses the harness flags `--backend serial|threads|rayon` and
-    /// `--threads N` into an engine.
+    /// Parses the harness flags `--backend serial|threads` and `--threads N`
+    /// into an engine.
     ///
     /// `threads` is only meaningful for the `threads` backend (0 = one per
-    /// core); `serial` ignores it and `rayon` uses the global Rayon pool (or
-    /// the scoped-thread fallback when the `rayon-backend` feature of `xpar`
-    /// is disabled).
+    /// core); `serial` ignores it.
     pub fn from_flags(backend: &str, threads: usize) -> Result<Self, String> {
         match backend {
             "serial" => Ok(Self::serial()),
             "threads" => Ok(Self::with_threads(threads)),
-            "rayon" => Ok(Self::new(Backend::Rayon)),
             other => Err(format!(
-                "unknown backend '{other}' (expected serial, threads or rayon)"
+                "unknown backend '{other}' (expected serial or threads)"
             )),
         }
     }
@@ -338,7 +335,6 @@ mod tests {
             SegmentEngine::with_threads(2),
             SegmentEngine::with_threads(8),
             SegmentEngine::with_threads(0),
-            SegmentEngine::new(Backend::Rayon),
         ]
     }
 
@@ -396,13 +392,26 @@ mod tests {
             SegmentEngine::from_flags("threads", 4).unwrap().backend(),
             Backend::Threads(4)
         );
-        assert_eq!(
-            SegmentEngine::from_flags("rayon", 4).unwrap().backend(),
-            Backend::Rayon
-        );
         assert!(SegmentEngine::from_flags("gpu", 1).is_err());
         assert_eq!(SegmentEngine::with_threads(3).threads(), 3);
         assert!(SegmentEngine::serial().threads() == 1);
+    }
+
+    /// The retired backend is rejected by both backend parsers, and each
+    /// error names exactly the spellings that remain.
+    #[test]
+    fn retired_backend_is_rejected_naming_the_remaining_values() {
+        const RETIRED: &str = "rayon";
+        assert_eq!(
+            SegmentEngine::from_flags(RETIRED, 4).unwrap_err(),
+            format!("unknown backend '{RETIRED}' (expected serial or threads)")
+        );
+        assert_eq!(
+            format!("backend={RETIRED}")
+                .parse::<SegmentPlan>()
+                .unwrap_err(),
+            format!("unknown backend spec '{RETIRED}' (expected serial or threads[:N])")
+        );
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! [`SegmentPlan`] — the single dispatch point for segmentation strategy.
 //!
-//! Before this module existed the workspace chose its execution strategy in
-//! three stringly-typed places: the experiments CLI parsed
-//! `--classifier exact|lut|table` ad hoc, the bench targets hard-coded the
-//! same three names, and tiling did not exist.  A [`SegmentPlan`] makes the
-//! whole choice — *which classifier* ([`ClassifierKind`]) × *which work
-//! decomposition* ([`Tiling`]) × *which backend* ([`xpar::Backend`]) — a
-//! first-class value that every caller builds once and passes down, so
-//! strategy parsing and dispatch live in exactly one place.
+//! A [`SegmentPlan`] makes the whole choice — *which classifier*
+//! ([`ClassifierKind`]) × *which work decomposition* ([`Tiling`]) × *which
+//! backend* ([`xpar::Backend`]) — a first-class value that every caller
+//! builds once and passes down, so strategy parsing and dispatch live in
+//! exactly one place.  Its `FromStr`/`Display` impls are the canonical
+//! `classifier=…;tile=…;backend=…` spec string that the CLI's `--plan` flag,
+//! the Stats reply and the baseline records all speak.
 //!
 //! The plan is deliberately algorithm-agnostic: it names classifier
 //! *families*, and algorithm crates (e.g. `iqft-seg`'s `IqftClassifier`)
@@ -23,53 +22,45 @@ use xpar::Backend;
 /// The classifier families the workspace implements for the paper's RGB
 /// algorithm, as selected by the `--classifier` flag.
 ///
-/// This enum is the single source of truth for the
-/// `exact|lut|table|quant|simd` flag vocabulary previously duplicated across
-/// the experiments CLI and the bench targets; help text and error messages
-/// render it via [`ClassifierKind::FLAG_HELP`].
+/// This enum is the single source of truth for the `exact|table|simd` flag
+/// vocabulary shared by the experiments CLI and the bench targets; help text
+/// and error messages render it via [`ClassifierKind::FLAG_HELP`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClassifierKind {
-    /// Direct statevector-equivalent math per pixel (`IqftRgbSegmenter`).
+    /// Direct statevector-equivalent math per pixel (`IqftRgbSegmenter`),
+    /// the exact oracle every other kind is checked against.
     Exact,
-    /// Lazy per-colour memoisation (`LutRgbSegmenter`).
-    Lut,
     /// Eager precomputed phase table, three lookups per pixel (`PhaseTable`,
     /// the steady-state fast path and the default).
     #[default]
     Table,
-    /// Fixed-point log-space quantization of the phase table, scalar integer
-    /// inner loop (`QuantizedPhaseTable` pinned to its scalar kernel) —
-    /// labels bit-identical to `exact` via the built-in f64 oracle fallback.
-    Quant,
-    /// The quantized table with runtime-dispatched `std::arch` SIMD kernels
-    /// (AVX2 → SSE4.1 → SSE2, scalar elsewhere; `IQFT_SIMD` env overrides) —
-    /// same bit-identical labels, the raw-speed hot path.
+    /// Fixed-point log-space quantization of the phase table with
+    /// runtime-dispatched `std::arch` SIMD kernels (AVX2 → SSE4.1 → SSE2,
+    /// the scalar kernel elsewhere or under `IQFT_SIMD=off`) — labels
+    /// bit-identical to `exact` via the built-in f64 oracle fallback, the
+    /// raw-speed hot path.
     Simd,
 }
 
 impl ClassifierKind {
     /// Every classifier kind, in flag order — handy for sweeps.
-    pub const ALL: [ClassifierKind; 5] = [
+    pub const ALL: [ClassifierKind; 3] = [
         ClassifierKind::Exact,
-        ClassifierKind::Lut,
         ClassifierKind::Table,
-        ClassifierKind::Quant,
         ClassifierKind::Simd,
     ];
 
     /// The full `--classifier` flag vocabulary, rendered once for help text
     /// and error messages so every subcommand and bench enumerates the same
     /// set.
-    pub const FLAG_HELP: &'static str = "exact|lut|table|quant|simd";
+    pub const FLAG_HELP: &'static str = "exact|table|simd";
 
     /// Parses the `--classifier` flag (one of
     /// [`ClassifierKind::FLAG_HELP`]).
     pub fn from_flag(flag: &str) -> Result<Self, String> {
         match flag {
             "exact" => Ok(ClassifierKind::Exact),
-            "lut" => Ok(ClassifierKind::Lut),
             "table" => Ok(ClassifierKind::Table),
-            "quant" => Ok(ClassifierKind::Quant),
             "simd" => Ok(ClassifierKind::Simd),
             other => Err(format!(
                 "unknown classifier '{other}' (expected one of {})",
@@ -83,9 +74,7 @@ impl ClassifierKind {
     pub fn flag(self) -> &'static str {
         match self {
             ClassifierKind::Exact => "exact",
-            ClassifierKind::Lut => "lut",
             ClassifierKind::Table => "table",
-            ClassifierKind::Quant => "quant",
             ClassifierKind::Simd => "simd",
         }
     }
@@ -93,7 +82,7 @@ impl ClassifierKind {
     /// Whether this kind classifies through the quantized fixed-point table
     /// (and therefore reports oracle-fallback pixel counts).
     pub fn is_quantized(self) -> bool {
-        matches!(self, ClassifierKind::Quant | ClassifierKind::Simd)
+        self == ClassifierKind::Simd
     }
 }
 
@@ -177,91 +166,12 @@ impl std::fmt::Display for Tiling {
     }
 }
 
-/// The parse/display form of a [`SegmentPlan`]: the same three strategy
-/// axes as public fields, round-tripping through the canonical
-/// `classifier=…;tile=…;backend=…` spec string.
-///
-/// This is the single owner of plan serialization.  [`SegmentPlan`]'s
-/// `FromStr`/`Display` impls (and the older `to_spec`/`from_spec` methods)
-/// all delegate here, so every CLI flag, Stats reply, and baseline record
-/// speaks exactly one vocabulary.
-///
-/// # Example
-///
-/// ```
-/// use seg_engine::{PlanSpec, SegmentPlan};
-///
-/// let spec: PlanSpec = "classifier=simd;tile=48x48;backend=threads:4".parse().unwrap();
-/// let plan = SegmentPlan::from(spec);
-/// assert_eq!(plan.to_string().parse::<SegmentPlan>().unwrap(), plan);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PlanSpec {
-    /// Classifier family (`classifier=` key).
-    pub classifier: ClassifierKind,
-    /// Work decomposition (`tile=` key).
-    pub tiling: Tiling,
-    /// Execution backend (`backend=` key).
-    pub backend: Backend,
-}
-
-impl std::str::FromStr for PlanSpec {
-    type Err = String;
-
-    /// Parses a spec such as `classifier=table;tile=48x48;backend=threads:4`.
-    /// Keys may appear in any order; missing keys keep their defaults;
-    /// unknown keys error.
-    fn from_str(spec: &str) -> Result<Self, String> {
-        let mut parsed = PlanSpec::default();
-        for part in spec.split(';').filter(|p| !p.is_empty()) {
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("plan spec part '{part}' has no '='"))?;
-            match key {
-                "classifier" => parsed.classifier = ClassifierKind::from_flag(value)?,
-                "tile" => parsed.tiling = Tiling::from_flag(value)?,
-                "backend" => parsed.backend = SegmentPlan::backend_from_spec(value)?,
-                other => return Err(format!("unknown plan spec key '{other}'")),
-            }
-        }
-        Ok(parsed)
-    }
-}
-
-impl std::fmt::Display for PlanSpec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "classifier={};tile={};backend={}",
-            self.classifier.flag(),
-            self.tiling.flag(),
-            SegmentPlan::backend_spec(self.backend)
-        )
-    }
-}
-
-impl From<SegmentPlan> for PlanSpec {
-    fn from(plan: SegmentPlan) -> Self {
-        PlanSpec {
-            classifier: plan.classifier,
-            tiling: plan.tiling,
-            backend: plan.backend,
-        }
-    }
-}
-
-impl From<PlanSpec> for SegmentPlan {
-    fn from(spec: PlanSpec) -> Self {
-        SegmentPlan::new(spec.classifier, spec.tiling, spec.backend)
-    }
-}
-
 /// A complete segmentation strategy: classifier family × work decomposition
 /// × execution backend.
 ///
 /// Every consumer — the experiments CLI, the throughput pipeline, the bench
-/// targets — builds one of these (usually by parsing a [`PlanSpec`] string)
-/// and executes through it, so strategy choice has a single owner.  Whatever
+/// targets — builds one of these (usually by parsing a spec string) and
+/// executes through it, so strategy choice has a single owner.  Whatever
 /// the plan, the resulting labels are byte-identical: classifier kinds agree
 /// exactly by construction, and tiling/backends only reschedule independent
 /// per-pixel work.
@@ -339,23 +249,12 @@ impl SegmentPlan {
         SegmentEngine::new(self.backend)
     }
 
-    /// A one-line human-readable summary (`classifier=… tile=… backend=…`),
-    /// used by reports.
-    pub fn describe(&self) -> String {
-        format!(
-            "classifier={} tile={} backend={:?}",
-            self.classifier, self.tiling, self.backend
-        )
-    }
-
-    /// The flag spelling of a backend: `serial`, `threads:N` (N = 0 means
-    /// one per core) or `rayon`.  The inverse of
-    /// [`SegmentPlan::backend_from_spec`].
+    /// The flag spelling of a backend: `serial` or `threads:N` (N = 0 means
+    /// one per core).  The inverse of [`SegmentPlan::backend_from_spec`].
     pub fn backend_spec(backend: Backend) -> String {
         match backend {
             Backend::Serial => "serial".to_string(),
             Backend::Threads(n) => format!("threads:{n}"),
-            Backend::Rayon => "rayon".to_string(),
         }
     }
 
@@ -364,7 +263,6 @@ impl SegmentPlan {
     pub fn backend_from_spec(spec: &str) -> Result<Backend, String> {
         match spec {
             "serial" => Ok(Backend::Serial),
-            "rayon" => Ok(Backend::Rayon),
             "threads" => Ok(Backend::Threads(0)),
             other => match other.strip_prefix("threads:") {
                 Some(count) => count
@@ -372,7 +270,7 @@ impl SegmentPlan {
                     .map(Backend::Threads)
                     .map_err(|_| format!("invalid thread count in backend spec '{other}'")),
                 None => Err(format!(
-                    "unknown backend spec '{other}' (expected serial, threads[:N] or rayon)"
+                    "unknown backend spec '{other}' (expected serial or threads[:N])"
                 )),
             },
         }
@@ -382,19 +280,11 @@ impl SegmentPlan {
     /// e.g. `classifier=table;tile=48x48;backend=threads:4`.
     ///
     /// This is the form the `iqft-serve` Stats reply carries, so a remote
-    /// client can reconstruct the exact strategy a server runs with
-    /// [`SegmentPlan::from_spec`].  Round-trips losslessly.  Equivalent to
-    /// the plan's `Display` impl (which delegates to [`PlanSpec`]).
+    /// client can reconstruct the exact strategy a server runs by parsing it
+    /// back (the plan's `FromStr` impl).  Round-trips losslessly.
+    /// Equivalent to the plan's `Display` impl.
     pub fn to_spec(&self) -> String {
         self.to_string()
-    }
-
-    /// Parses a spec produced by [`SegmentPlan::to_spec`].  Keys may appear
-    /// in any order; missing keys keep their defaults; unknown keys error.
-    /// Equivalent to the plan's `FromStr` impl (which delegates to
-    /// [`PlanSpec`]).
-    pub fn from_spec(spec: &str) -> Result<Self, String> {
-        spec.parse()
     }
 
     /// Segments `img` with `classifier` according to the plan's tiling on
@@ -429,14 +319,35 @@ impl SegmentPlan {
 impl std::str::FromStr for SegmentPlan {
     type Err = String;
 
+    /// Parses a spec such as `classifier=table;tile=48x48;backend=threads:4`.
+    /// Keys may appear in any order; missing keys keep their defaults;
+    /// unknown keys error.
     fn from_str(spec: &str) -> Result<Self, String> {
-        spec.parse::<PlanSpec>().map(Self::from)
+        let mut plan = SegmentPlan::default();
+        for part in spec.split(';').filter(|p| !p.is_empty()) {
+            let (key, value) = part
+                .split_once('=')
+                .ok_or_else(|| format!("plan spec part '{part}' has no '='"))?;
+            match key {
+                "classifier" => plan.classifier = ClassifierKind::from_flag(value)?,
+                "tile" => plan.tiling = Tiling::from_flag(value)?,
+                "backend" => plan.backend = SegmentPlan::backend_from_spec(value)?,
+                other => return Err(format!("unknown plan spec key '{other}'")),
+            }
+        }
+        Ok(plan)
     }
 }
 
 impl std::fmt::Display for SegmentPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        PlanSpec::from(*self).fmt(f)
+        write!(
+            f,
+            "classifier={};tile={};backend={}",
+            self.classifier.flag(),
+            self.tiling.flag(),
+            SegmentPlan::backend_spec(self.backend)
+        )
     }
 }
 
@@ -453,6 +364,21 @@ mod tests {
         }
         assert!(ClassifierKind::from_flag("gpu").is_err());
         assert_eq!(ClassifierKind::default(), ClassifierKind::Table);
+    }
+
+    /// The hand-written help literal must list exactly `ALL`, in order, and
+    /// every rejection (including the retired `lut` and `quant` kinds) must
+    /// name exactly the kinds that remain.
+    #[test]
+    fn classifier_flag_help_is_the_vocabulary_of_all() {
+        let flags: Vec<&str> = ClassifierKind::ALL.iter().map(|k| k.flag()).collect();
+        assert_eq!(ClassifierKind::FLAG_HELP, flags.join("|"));
+        for retired in ["lut", "quant"] {
+            assert_eq!(
+                ClassifierKind::from_flag(retired).unwrap_err(),
+                format!("unknown classifier '{retired}' (expected one of exact|table|simd)")
+            );
+        }
     }
 
     #[test]
@@ -488,12 +414,7 @@ mod tests {
 
     #[test]
     fn plan_specs_round_trip_losslessly() {
-        let backends = [
-            Backend::Serial,
-            Backend::Threads(0),
-            Backend::Threads(7),
-            Backend::Rayon,
-        ];
+        let backends = [Backend::Serial, Backend::Threads(0), Backend::Threads(7)];
         for kind in ClassifierKind::ALL {
             for tiling in [
                 Tiling::Whole,
@@ -505,7 +426,7 @@ mod tests {
                 for backend in backends {
                     let plan = SegmentPlan::new(kind, tiling, backend);
                     let spec = plan.to_spec();
-                    assert_eq!(SegmentPlan::from_spec(&spec).unwrap(), plan, "{spec}");
+                    assert_eq!(spec.parse::<SegmentPlan>().unwrap(), plan, "{spec}");
                 }
             }
         }
@@ -523,25 +444,21 @@ mod tests {
 
     #[test]
     fn plan_spec_type_round_trips_and_converts_both_ways() {
-        let spec = PlanSpec {
-            classifier: ClassifierKind::Simd,
-            tiling: Tiling::Tiles {
+        let plan = SegmentPlan::new(
+            ClassifierKind::Simd,
+            Tiling::Tiles {
                 width: 48,
                 height: 32,
             },
-            backend: Backend::Threads(4),
-        };
-        let rendered = spec.to_string();
+            Backend::Threads(4),
+        );
+        let rendered = plan.to_string();
         assert_eq!(rendered, "classifier=simd;tile=48x32;backend=threads:4");
-        assert_eq!(rendered.parse::<PlanSpec>().unwrap(), spec);
-        // SegmentPlan's FromStr/Display delegate through PlanSpec.
-        let plan = SegmentPlan::from(spec);
-        assert_eq!(plan.to_string(), rendered);
+        assert_eq!(plan.to_spec(), rendered);
         assert_eq!(rendered.parse::<SegmentPlan>().unwrap(), plan);
-        assert_eq!(PlanSpec::from(plan), spec);
         assert_eq!(
-            "".parse::<PlanSpec>().unwrap(),
-            PlanSpec::default(),
+            "".parse::<SegmentPlan>().unwrap(),
+            SegmentPlan::default(),
             "missing keys keep their defaults"
         );
         assert!("flavour=mint".parse::<SegmentPlan>().is_err());
@@ -549,14 +466,9 @@ mod tests {
 
     #[test]
     fn plan_spec_parsing_is_order_insensitive_and_rejects_junk() {
-        let plan = SegmentPlan::from_spec("backend=threads;classifier=lut;tile=8x8").unwrap();
-        assert_eq!(plan.classifier(), ClassifierKind::Lut);
+        let plan: SegmentPlan = "backend=threads;classifier=exact;tile=8x8".parse().unwrap();
+        assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(plan.backend(), Backend::Threads(0));
-        assert_eq!(
-            SegmentPlan::from_spec("").unwrap(),
-            SegmentPlan::default(),
-            "missing keys keep their defaults"
-        );
         for bad in [
             "classifier=gpu",
             "tile=64",
@@ -565,7 +477,7 @@ mod tests {
             "flavour=mint",
             "classifier",
         ] {
-            assert!(SegmentPlan::from_spec(bad).is_err(), "{bad}");
+            assert!(bad.parse::<SegmentPlan>().is_err(), "{bad}");
         }
     }
 
@@ -581,15 +493,17 @@ mod tests {
         assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(plan.backend(), Backend::Serial);
         let threaded = plan
-            .with_classifier(ClassifierKind::Lut)
+            .with_classifier(ClassifierKind::Simd)
             .with_tiling(Tiling::Tiles {
                 width: 16,
                 height: 8,
             })
             .with_backend(Backend::Threads(3));
         assert_eq!(threaded.engine(), SegmentEngine::with_threads(3));
-        assert!(threaded.describe().contains("classifier=lut"));
-        assert!(threaded.describe().contains("tile=16x8"));
+        assert_eq!(
+            threaded.to_spec(),
+            "classifier=simd;tile=16x8;backend=threads:3"
+        );
         assert_eq!(
             SegmentPlan::default().tiling(),
             Tiling::Whole,

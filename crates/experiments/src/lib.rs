@@ -18,15 +18,15 @@
 //!   concurrent clients against it, with the same default-on byte-identity
 //!   verification.
 //! * [`plans`] — the shared `--plan` flag: an explicit
-//!   [`seg_engine::PlanSpec`] string, `auto` (probe the host and take the
-//!   fastest measured plan), or empty to fall back to the per-axis flags.
+//!   [`seg_engine::SegmentPlan`] spec string, `auto` (probe the host and take
+//!   the fastest measured plan), or empty to fall back to the per-axis flags.
 //!
 //! The `iqft-experiments` binary exposes one subcommand per experiment; every
 //! experiment is also callable as a library function so the benchmark crate
 //! and the integration tests reuse the exact same code paths.
 //!
 //! Every experiment executes on a [`SegmentEngine`], selected once at the CLI
-//! with `--backend serial|threads|rayon --threads N`; datasets are generated
+//! with `--backend serial|threads --threads N`; datasets are generated
 //! and evaluated in parallel image batches, and the per-pixel segmenters use
 //! the same engine machinery, so the single knob controls parallelism across
 //! the whole harness.  Outputs are byte-identical across backends.

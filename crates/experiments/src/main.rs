@@ -18,7 +18,7 @@
 //!   fig9    [--out DIR]        qualitative wins (xVIEW2-like)
 //!   fig10                      per-image θ adjustment
 //!   throughput [--images N] [--batch B] [--size S] [--seed S]
-//!              [--classifier exact|lut|table|quant|simd] [--tile WxH]
+//!              [--classifier exact|table|simd] [--tile WxH]
 //!              [--plan SPEC|auto] [--cache-mb M] [--video]
 //!              [--change-rate R] [--no-verify]
 //!                              batched pipeline service workload
@@ -70,10 +70,10 @@
 //!   all     [--out DIR]        everything above with reduced sizes
 //!
 //! Global options:
-//!   --backend serial|threads|rayon   execution backend for every experiment
-//!                                    (default: threads)
-//!   --threads N                      worker threads for the threads backend
-//!                                    (default: 0 = one per core)
+//!   --backend serial|threads   execution backend for every experiment
+//!                              (default: threads)
+//!   --threads N                worker threads for the threads backend
+//!                              (default: 0 = one per core)
 //! ```
 //!
 //! Label maps and scores are byte-identical across backends; the knob only
@@ -474,7 +474,7 @@ fn main() {
             // one place the workspace enumerates it — so this usage line can
             // never drift from what `--classifier` actually accepts.
             eprintln!(
-                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads|rayon] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--fleet A,A,...] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--fleet A,A,...] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
                 seg_engine::ClassifierKind::FLAG_HELP
             );
             return;

@@ -9,7 +9,7 @@
 //! * `auto` — probe the host with [`seg_engine::calibrate`] (core count plus
 //!   a short tile × backend × classifier sweep over a synthetic frame) and
 //!   take the fastest measured [`SegmentPlan`];
-//! * anything else — a [`seg_engine::PlanSpec`] string such as
+//! * anything else — a [`SegmentPlan`] spec string such as
 //!   `classifier=simd;tile=64x64;backend=threads:8`, parsed through
 //!   `SegmentPlan::from_str`.
 //!

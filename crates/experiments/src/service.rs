@@ -37,7 +37,7 @@ pub struct ServeCliConfig {
     pub classifier: String,
     /// Tiling flag (`--tile off|WxH`).
     pub tile: String,
-    /// Backend flag (`--backend serial|threads|rayon`).
+    /// Backend flag (`--backend serial|threads`).
     pub backend: String,
     /// Thread count for the threads backend (`--threads`).
     pub threads: usize,
@@ -118,9 +118,8 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
             .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
     }
     println!(
-        "iqft-serve listening on {} ({}; max_inflight={}; max_queue={}; cache={})",
+        "iqft-serve listening on {} (plan [{plan}]; max_inflight={}; max_queue={}; cache={})",
         server.local_addr(),
-        plan.describe(),
         server.max_inflight(),
         if config.max_queue > 0 {
             config.max_queue.to_string()

@@ -5,19 +5,17 @@
 //! `--images N` synthetic frames are pushed through a [`SegmentPipeline`] in
 //! batches of `--batch B`, label buffers are recycled between batches, and
 //! per-batch throughput/latency plus arena allocation counters are reported.
-//! Five classifier modes are exposed (the full
+//! Three classifier modes are exposed (the full
 //! [`ClassifierKind::FLAG_HELP`] set):
 //!
 //! * `exact` — the direct [`IqftRgbSegmenter`] (statevector-equivalent math
 //!   per pixel);
-//! * `lut` — the lazy per-colour memoising `LutRgbSegmenter`;
 //! * `table` — the eager `PhaseTable` fast path (three table lookups per
 //!   pixel);
-//! * `quant` — the fixed-point quantized table pinned to its portable
-//!   scalar kernel;
-//! * `simd` — the quantized table with runtime-dispatched `std::arch`
-//!   kernels (the steady-state winner; both quantized modes stay
-//!   bit-identical to `exact` via their built-in f64 oracle).
+//! * `simd` — the fixed-point quantized table with runtime-dispatched
+//!   `std::arch` kernels (the steady-state winner; `IQFT_SIMD=off` pins its
+//!   portable scalar kernel, and either way it stays bit-identical to
+//!   `exact` via its built-in f64 oracle).
 //!
 //! Strategy selection goes through one dispatch point: the flags are parsed
 //! into a [`SegmentPlan`] (`seg_engine::ClassifierKind` ×
@@ -511,10 +509,10 @@ mod tests {
     #[test]
     fn config_plan_resolves_the_three_axes() {
         let engine = SegmentEngine::with_threads(3);
-        let mut config = small_config("lut");
+        let mut config = small_config("exact");
         config.tile = "32x16".to_string();
         let plan = config.plan(&engine).unwrap();
-        assert_eq!(plan.classifier(), ClassifierKind::Lut);
+        assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(
             plan.tiling(),
             Tiling::Tiles {
@@ -569,12 +567,10 @@ mod tests {
     #[test]
     fn quantized_report_surfaces_the_oracle_fallback_line() {
         let engine = SegmentEngine::with_threads(2);
-        for mode in ["quant", "simd"] {
-            let report = throughput_report(&engine, &small_config(mode));
-            assert!(report.contains("quant:"), "{report}");
-            assert!(report.contains("exactness oracle"), "{report}");
-            assert!(report.contains("byte-identical"), "{report}");
-        }
+        let report = throughput_report(&engine, &small_config("simd"));
+        assert!(report.contains("quant:"), "{report}");
+        assert!(report.contains("exactness oracle"), "{report}");
+        assert!(report.contains("byte-identical"), "{report}");
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //! `seg-engine`'s [`SegmentPlan`] names classifier
 //! *families* without knowing any algorithm; this module materialises the
 //! paper's RGB algorithm for each family.  All variants label every
-//! pixel identically (the LUT, phase-table and quantized paths are
-//! byte-identical to the exact path by construction), so a plan can switch
-//! kinds freely without changing a single output label — only throughput
-//! changes.
+//! pixel identically (the phase-table and quantized paths are byte-identical
+//! to the exact path by construction), so a plan can switch kinds freely
+//! without changing a single output label — only throughput changes.
 
-use crate::lut::LutRgbSegmenter;
 use crate::phase_table::PhaseTable;
 use crate::quant::{QuantizedPhaseTable, SimdLevel};
 use crate::rgb::IqftRgbSegmenter;
@@ -41,12 +39,8 @@ use seg_engine::{ClassifierKind, SegmentPlan};
 pub enum IqftClassifier {
     /// Direct statevector-equivalent math per pixel.
     Exact(IqftRgbSegmenter),
-    /// Lazy per-colour memoisation around the exact segmenter.
-    Lut(LutRgbSegmenter),
     /// Eager precomputed phase table (three lookups per pixel).
     Table(PhaseTable),
-    /// Fixed-point quantized table pinned to the portable scalar kernel.
-    Quant(QuantizedPhaseTable),
     /// Fixed-point quantized table with runtime-dispatched `std::arch`
     /// SIMD kernels (scalar fallback off x86-64; `IQFT_SIMD` pins a level).
     Simd(QuantizedPhaseTable),
@@ -58,11 +52,7 @@ impl IqftClassifier {
         let exact = IqftRgbSegmenter::new(thetas);
         match kind {
             ClassifierKind::Exact => IqftClassifier::Exact(exact),
-            ClassifierKind::Lut => IqftClassifier::Lut(LutRgbSegmenter::new(exact)),
             ClassifierKind::Table => IqftClassifier::Table(PhaseTable::from_segmenter(&exact)),
-            ClassifierKind::Quant => IqftClassifier::Quant(
-                QuantizedPhaseTable::from_segmenter(&exact).with_simd(SimdLevel::Scalar),
-            ),
             ClassifierKind::Simd => {
                 IqftClassifier::Simd(QuantizedPhaseTable::from_segmenter(&exact))
             }
@@ -85,9 +75,7 @@ impl IqftClassifier {
     pub fn kind(&self) -> ClassifierKind {
         match self {
             IqftClassifier::Exact(_) => ClassifierKind::Exact,
-            IqftClassifier::Lut(_) => ClassifierKind::Lut,
             IqftClassifier::Table(_) => ClassifierKind::Table,
-            IqftClassifier::Quant(_) => ClassifierKind::Quant,
             IqftClassifier::Simd(_) => ClassifierKind::Simd,
         }
     }
@@ -96,28 +84,27 @@ impl IqftClassifier {
     pub fn thetas(&self) -> ThetaParams {
         match self {
             IqftClassifier::Exact(seg) => seg.thetas(),
-            IqftClassifier::Lut(seg) => seg.inner().thetas(),
             IqftClassifier::Table(table) => table.thetas(),
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => table.thetas(),
+            IqftClassifier::Simd(table) => table.thetas(),
         }
     }
 
-    /// Total pixels the quantized variants routed through their f64
-    /// exactness oracle because the quantized arg-max was ambiguous
+    /// Total pixels the quantized variant routed through its f64 exactness
+    /// oracle because the quantized arg-max was ambiguous
     /// (see [`QuantizedPhaseTable::fallback_pixels`]).  Zero for the
     /// non-quantized variants, which have no fallback path.
     pub fn quant_fallback_pixels(&self) -> u64 {
         match self {
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => table.fallback_pixels(),
+            IqftClassifier::Simd(table) => table.fallback_pixels(),
             _ => 0,
         }
     }
 
-    /// The SIMD kernel the quantized variants dispatch to (`None` for the
+    /// The SIMD kernel the quantized variant dispatches to (`None` for the
     /// non-quantized variants).
     pub fn simd_level(&self) -> Option<SimdLevel> {
         match self {
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => Some(table.simd_level()),
+            IqftClassifier::Simd(table) => Some(table.simd_level()),
             _ => None,
         }
     }
@@ -126,9 +113,8 @@ impl IqftClassifier {
     pub fn classify(&self, pixel: Rgb<u8>) -> u32 {
         match self {
             IqftClassifier::Exact(seg) => seg.classify(pixel),
-            IqftClassifier::Lut(seg) => seg.classify(pixel),
             IqftClassifier::Table(table) => table.classify(pixel),
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => table.classify(pixel),
+            IqftClassifier::Simd(table) => table.classify(pixel),
         }
     }
 
@@ -136,9 +122,8 @@ impl IqftClassifier {
     pub fn segment_rgb(&self, img: &RgbImage) -> LabelMap {
         match self {
             IqftClassifier::Exact(seg) => seg.segment_rgb(img),
-            IqftClassifier::Lut(seg) => seg.segment_rgb(img),
             IqftClassifier::Table(table) => table.segment_rgb(img),
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => table.segment_rgb(img),
+            IqftClassifier::Simd(table) => table.segment_rgb(img),
         }
     }
 }
@@ -155,9 +140,9 @@ impl PixelClassifier for IqftClassifier {
 
     fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
         match self {
-            // The quantized variants have a batched row kernel; forward so
+            // The quantized variant has a batched row kernel; forward so
             // every bulk path (engine chunks, tile rows) picks it up.
-            IqftClassifier::Quant(table) | IqftClassifier::Simd(table) => {
+            IqftClassifier::Simd(table) => {
                 table.classify_slice(pixels, out);
             }
             _ => {
@@ -201,12 +186,7 @@ mod tests {
     fn all_kinds_classify_identically() {
         let thetas = ThetaParams::new(1.3, 2.9, 0.4);
         let exact = IqftClassifier::build(ClassifierKind::Exact, thetas);
-        for kind in [
-            ClassifierKind::Lut,
-            ClassifierKind::Table,
-            ClassifierKind::Quant,
-            ClassifierKind::Simd,
-        ] {
+        for kind in [ClassifierKind::Table, ClassifierKind::Simd] {
             let other = IqftClassifier::build(kind, thetas);
             for pixel in [
                 Rgb::new(0, 0, 0),
@@ -256,8 +236,11 @@ mod tests {
 
     #[test]
     fn for_plan_builds_the_planned_kind() {
-        let plan = SegmentPlan::default().with_classifier(ClassifierKind::Lut);
-        assert_eq!(IqftClassifier::for_plan(&plan).kind(), ClassifierKind::Lut);
+        let plan = SegmentPlan::default().with_classifier(ClassifierKind::Exact);
+        assert_eq!(
+            IqftClassifier::for_plan(&plan).kind(),
+            ClassifierKind::Exact
+        );
         // And the classifier runs through an engine like any PixelClassifier.
         let img = test_image();
         let labels = SegmentEngine::serial().segment_rgb(&IqftClassifier::for_plan(&plan), &img);
@@ -266,7 +249,11 @@ mod tests {
 
     #[test]
     fn quant_pins_scalar_and_simd_dispatches() {
-        let quant = IqftClassifier::paper_default(ClassifierKind::Quant);
+        // A quantized table pinned to the scalar kernel reports that pin
+        // through the enum; the `simd` kind dispatches to a supported level.
+        let quant =
+            IqftClassifier::Simd(QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar));
+        assert_eq!(quant.kind(), ClassifierKind::Simd);
         assert_eq!(quant.simd_level(), Some(SimdLevel::Scalar));
         let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
         assert!(simd.simd_level().unwrap().is_supported());
@@ -280,7 +267,7 @@ mod tests {
         // White under θ = π ties states 3 and 5 exactly, so each white
         // pixel consults the oracle — the counter must be visible through
         // the enum accessor.
-        let quant = IqftClassifier::paper_default(ClassifierKind::Quant);
+        let quant = IqftClassifier::paper_default(ClassifierKind::Simd);
         let white = Rgb::new(255, 255, 255);
         let mut out = [0u32; 3];
         quant.classify_rgb_slice_into(&[white; 3], &mut out);

@@ -18,8 +18,6 @@
 //! * [`rgb`] — Algorithm 1: the 3-qubit, 8-label RGB segmenter.
 //! * [`gray`] — the 1-qubit, 2-class grayscale segmenter (eqs. 12–14),
 //!   including the multi-threshold behaviour of eq. 16.
-//! * [`lut`] — a lookup-table accelerated RGB segmenter (identical output,
-//!   amortises repeated colours).
 //! * [`phase_table`] — an *eager* 3 × 256-entry phase table precomputed per
 //!   [`ThetaParams`]: steady-state classification is three table lookups,
 //!   byte-identical to the exact path (the throughput pipeline's fast path).
@@ -39,7 +37,7 @@
 //!   pixel classification and batched multi-image sweeps.  Every segmenter
 //!   here routes its whole-image calls through an engine; pick the backend
 //!   with `with_backend` / `with_engine` or the harness's
-//!   `--backend serial|threads|rayon --threads N` flags.
+//!   `--backend serial|threads --threads N` flags.
 //!
 //! # Quickstart
 //!
@@ -62,7 +60,6 @@ pub mod auto_theta;
 pub mod classifier;
 pub mod foreground;
 pub mod gray;
-pub mod lut;
 pub mod phase_table;
 pub mod quant;
 pub mod rgb;
@@ -76,7 +73,6 @@ pub use auto_theta::AutoThetaSearch;
 pub use classifier::IqftClassifier;
 pub use foreground::{reduce_to_foreground, ForegroundPolicy};
 pub use gray::IqftGraySegmenter;
-pub use lut::LutRgbSegmenter;
 pub use phase_table::PhaseTable;
 pub use quant::{QuantizedPhaseTable, SimdLevel};
 pub use rgb::IqftRgbSegmenter;

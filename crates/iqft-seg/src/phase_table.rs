@@ -1,10 +1,9 @@
 //! An eager, fully-precomputed phase→probability table for Algorithm 1.
 //!
-//! [`LutRgbSegmenter`](crate::lut::LutRgbSegmenter) memoises colours *lazily*:
-//! the first frame of a stream still pays full statevector math for every
-//! distinct colour it contains.  [`PhaseTable`] removes that warm-up entirely
-//! by materialising, once per [`ThetaParams`], every per-channel factor the
-//! IQFT measurement distribution can ever need.
+//! The exact segmenter pays full statevector math for every pixel.
+//! [`PhaseTable`] removes that cost by materialising, once per
+//! [`ThetaParams`], every per-channel factor the IQFT measurement
+//! distribution can ever need.
 //!
 //! # Why 3 × 256 entries suffice
 //!

@@ -58,7 +58,7 @@
 //! SSE2 (x86-64 baseline), SSE4.1 (`phminposuw` gives the arg-max *and* its
 //! index in one instruction) and AVX2 (two pixels per 256-bit add) — plus a
 //! scalar kernel that performs the identical integer arithmetic, used on
-//! other architectures, for loop tails, and as the `quant` classifier kind.
+//! other architectures and whenever `IQFT_SIMD=off` pins it.
 //! All kernels are byte-identical to each other by construction.  The
 //! `IQFT_SIMD` environment variable (`off`/`scalar`, `sse2`, `sse41`,
 //! `avx2`, `auto`) pins or disables dispatch, which is how CI keeps the
@@ -107,8 +107,8 @@ const AMBIGUITY_GAP: i16 = 3;
 /// choice is purely about speed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
-    /// Portable integer scalar loop (every architecture; the `quant`
-    /// classifier kind pins this level).
+    /// Portable integer scalar loop (every architecture; non-x86 hosts run
+    /// it, and `IQFT_SIMD=off` selects it on x86).
     Scalar,
     /// SSE2 128-bit kernel (the x86-64 baseline — always available there).
     Sse2,
@@ -331,7 +331,7 @@ impl QuantizedPhaseTable {
 
     /// Selects the kernel (clamped to what the host supports, so the result
     /// is always executable).  `SimdLevel::Scalar` pins the portable integer
-    /// loop — the `quant` classifier kind.
+    /// loop, which is what `IQFT_SIMD=off` selects.
     pub fn with_simd(mut self, level: SimdLevel) -> Self {
         self.level = level.clamp_to_supported();
         self

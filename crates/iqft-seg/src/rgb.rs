@@ -425,7 +425,7 @@ mod tests {
         let serial = IqftRgbSegmenter::paper_default()
             .with_backend(Backend::Serial)
             .segment_rgb(&img);
-        for backend in [Backend::Threads(2), Backend::Threads(0), Backend::Rayon] {
+        for backend in [Backend::Threads(2), Backend::Threads(0)] {
             let par = IqftRgbSegmenter::paper_default()
                 .with_backend(backend)
                 .segment_rgb(&img);

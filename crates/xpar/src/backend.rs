@@ -2,9 +2,9 @@
 //!
 //! Higher-level crates expose a single `Backend` knob so that every algorithm
 //! (pixel classification, K-means assignment, dataset sweeps) can be run
-//! serially, with the scoped-thread substrate, or with Rayon, without changing
-//! call sites.  This is also what the parallel-scaling ablation benchmark
-//! sweeps over.
+//! serially or with the scoped-thread substrate, without changing call
+//! sites.  This is also what the parallel-scaling ablation benchmark sweeps
+//! over.
 
 /// Execution policy for data-parallel loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -14,21 +14,11 @@ pub enum Backend {
     /// Use the scoped-thread helpers in [`crate::par`] with the given number of
     /// worker threads (0 means "use [`crate::default_threads`]").
     Threads(usize),
-    /// Use Rayon's global pool (only available with the `rayon-backend`
-    /// feature; falls back to `Threads(0)` otherwise).
-    Rayon,
 }
 
 impl Default for Backend {
     fn default() -> Self {
-        #[cfg(feature = "rayon-backend")]
-        {
-            Backend::Rayon
-        }
-        #[cfg(not(feature = "rayon-backend"))]
-        {
-            Backend::Threads(0)
-        }
+        Backend::Threads(0)
     }
 }
 
@@ -39,16 +29,6 @@ impl Backend {
             Backend::Serial => 1,
             Backend::Threads(0) => crate::default_threads(),
             Backend::Threads(n) => n,
-            Backend::Rayon => {
-                #[cfg(feature = "rayon-backend")]
-                {
-                    rayon::current_num_threads()
-                }
-                #[cfg(not(feature = "rayon-backend"))]
-                {
-                    crate::default_threads()
-                }
-            }
         }
     }
 
@@ -62,17 +42,6 @@ impl Backend {
         match self {
             Backend::Serial => (0..len).map(f).collect(),
             Backend::Threads(_) => crate::par::par_map_indexed(len, self.effective_threads(), f),
-            Backend::Rayon => {
-                #[cfg(feature = "rayon-backend")]
-                {
-                    use rayon::prelude::*;
-                    (0..len).into_par_iter().map(f).collect()
-                }
-                #[cfg(not(feature = "rayon-backend"))]
-                {
-                    crate::par::par_map_indexed(len, self.effective_threads(), f)
-                }
-            }
         }
     }
 
@@ -90,24 +59,6 @@ impl Backend {
             Backend::Threads(_) => {
                 crate::par::par_for_each_chunk_mut(items, self.effective_threads(), f)
             }
-            Backend::Rayon => {
-                #[cfg(feature = "rayon-backend")]
-                {
-                    use rayon::prelude::*;
-                    if items.is_empty() {
-                        return;
-                    }
-                    let chunk = (items.len() / (rayon::current_num_threads() * 4).max(1)).max(1);
-                    items
-                        .par_chunks_mut(chunk)
-                        .enumerate()
-                        .for_each(|(idx, slice)| f(idx * chunk, slice));
-                }
-                #[cfg(not(feature = "rayon-backend"))]
-                {
-                    crate::par::par_for_each_chunk_mut(items, self.effective_threads(), f)
-                }
-            }
         }
     }
 }
@@ -122,7 +73,6 @@ mod tests {
             Backend::Threads(1),
             Backend::Threads(3),
             Backend::Threads(0),
-            Backend::Rayon,
         ]
     }
 

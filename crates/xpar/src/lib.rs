@@ -6,21 +6,15 @@
 //! exploit that parallelism without pulling heavyweight dependencies into the
 //! core algorithm crates:
 //!
-//! * [`ThreadPool`] — a fixed-size pool of worker threads fed through a
-//!   crossbeam channel, with panic propagation and graceful shutdown.
-//! * [`par_map_chunks`] / [`par_for_each_chunk_mut`] — scoped, chunk-based
+//! * [`par_map_indexed`] / [`par_for_each_chunk_mut`] — scoped, chunk-based
 //!   data-parallel helpers built directly on `std::thread::scope`, so borrowed
 //!   data can be used without `'static` bounds.
-//! * [`Backend`] — a runtime-selectable execution policy (serial, scoped
-//!   threads, or Rayon when the `rayon-backend` feature is enabled) used by the
-//!   higher-level crates to expose a single `backend` knob.
+//! * [`Backend`] — a runtime-selectable execution policy (serial or scoped
+//!   threads) used by the higher-level crates to expose a single `backend`
+//!   knob.
 //! * [`progress::Progress`] — an atomic progress counter for long sweeps.
-//! * [`spin::SpinLock`] — a minimal test-and-set spin lock used in hot,
-//!   short-critical-section paths (and as a teaching artefact from the
-//!   Atomics-and-Locks material the workspace follows).
 //!
-//! All of the public API is safe; there is no `unsafe` in this crate except the
-//! `Sync` plumbing inside [`spin`], which is documented at the definition site.
+//! There is no `unsafe` in this crate.
 //!
 //! # Example
 //!
@@ -34,15 +28,11 @@
 
 pub mod backend;
 pub mod par;
-pub mod pool;
 pub mod progress;
-pub mod spin;
 
 pub use backend::Backend;
-pub use par::{par_chunk_count, par_for_each_chunk_mut, par_map_chunks, par_map_indexed};
-pub use pool::ThreadPool;
+pub use par::{par_chunk_count, par_for_each_chunk_mut, par_map_indexed};
 pub use progress::Progress;
-pub use spin::SpinLock;
 
 /// Returns the number of worker threads a default parallel run should use.
 ///

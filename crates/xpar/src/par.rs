@@ -108,29 +108,6 @@ where
     out
 }
 
-/// Maps `f` over contiguous chunks of `items`, in parallel, preserving order.
-///
-/// Each invocation of `f` receives the chunk's starting index and the chunk
-/// slice, and returns one result per chunk.  At most `threads` workers run.
-pub fn par_map_chunks<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    if threads <= 1 {
-        return vec![f(0, items)];
-    }
-    let ranges = split_ranges(items.len(), par_chunk_count(items.len(), threads));
-    run_chunked(ranges.len(), threads, |idx| {
-        let range = ranges[idx].clone();
-        f(range.start, &items[range])
-    })
-}
-
 /// Runs `f` over disjoint mutable chunks of `items` in parallel.
 ///
 /// `f` receives the starting index of the chunk and the mutable chunk slice.
@@ -212,26 +189,6 @@ mod tests {
     fn par_map_indexed_empty_and_single() {
         assert!(par_map_indexed(0, 4, |i| i).is_empty());
         assert_eq!(par_map_indexed(1, 4, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn par_map_chunks_sums_match() {
-        let data: Vec<u64> = (0..10_000).collect();
-        let expected: u64 = data.iter().sum();
-        for threads in [1usize, 3, 8] {
-            let partials = par_map_chunks(&data, threads, |_, chunk| chunk.iter().sum::<u64>());
-            let total: u64 = partials.iter().sum();
-            assert_eq!(total, expected);
-        }
-    }
-
-    #[test]
-    fn par_map_chunks_start_indices_are_correct() {
-        let data: Vec<usize> = (0..257).collect();
-        let starts = par_map_chunks(&data, 4, |start, chunk| (start, chunk[0]));
-        for (start, first) in starts {
-            assert_eq!(start, first);
-        }
     }
 
     #[test]

@@ -39,11 +39,7 @@ fn main() {
             .with_cache(CacheConfig::with_capacity_mb(64)),
     )
     .expect("bind loopback");
-    println!(
-        "serving on {} with [{}]",
-        server.local_addr(),
-        plan.describe()
-    );
+    println!("serving on {} with plan [{plan}]", server.local_addr());
 
     // 2. Get an image (one synthetic PASCAL-VOC-like scene).
     let sample = PascalVocLikeDataset::new(PascalVocLikeConfig {

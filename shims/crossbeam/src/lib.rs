@@ -1,11 +1,13 @@
-//! Offline shim for the subset of `crossbeam` this workspace uses:
+//! Offline shim for a subset of `crossbeam`:
 //! `crossbeam::channel::{unbounded, Sender, Receiver}` with clonable
 //! multi-producer multi-consumer endpoints.
 //!
 //! Implemented as a `Mutex<VecDeque>` + `Condvar` queue.  `recv` blocks until
 //! an item arrives or every `Sender` is dropped; `send` fails once every
-//! `Receiver` is gone.  Throughput is far below real crossbeam, but the
-//! workspace only pushes boxed jobs through it (see `xpar::ThreadPool`).
+//! `Receiver` is gone.  Throughput is far below real crossbeam.
+//!
+//! No workspace crate uses it.  It stays, with `xpar`'s dependency on it,
+//! only because the benchmark's committed `loopbench/Cargo.lock` records it.
 
 pub mod channel {
     //! MPMC channel with the `crossbeam-channel` API shape.

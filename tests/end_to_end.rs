@@ -7,8 +7,7 @@ use datasets::{
 };
 use imaging::{color, hist::Histogram, Segmenter};
 use iqft_seg::{
-    reduce_to_foreground, ForegroundPolicy, IqftGraySegmenter, IqftRgbSegmenter, LutRgbSegmenter,
-    ThetaParams,
+    reduce_to_foreground, ForegroundPolicy, IqftGraySegmenter, IqftRgbSegmenter, ThetaParams,
 };
 use metrics::{mean_iou, miou_fg_bg};
 use std::f64::consts::PI;
@@ -120,22 +119,6 @@ fn multi_threshold_iqft_solves_the_balls_scene_exactly() {
         None,
     );
     assert!(mean_iou(&otsu_binary, &scene.ground_truth) < miou);
-}
-
-#[test]
-fn lut_segmenter_is_equivalent_to_direct_on_dataset_images() {
-    let samples = voc_samples(2, 21);
-    let direct = IqftRgbSegmenter::paper_default();
-    let lut = LutRgbSegmenter::paper_default();
-    for sample in &samples {
-        assert_eq!(
-            lut.segment_rgb(&sample.image),
-            direct.segment_rgb(&sample.image),
-            "{}",
-            sample.id
-        );
-    }
-    assert!(lut.cache_len() > 0);
 }
 
 #[test]

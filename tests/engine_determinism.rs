@@ -1,31 +1,29 @@
 //! Determinism of the backend-aware `SegmentEngine` across every execution
 //! backend and thread count — the contract behind the harness's
-//! `--backend serial|threads|rayon --threads N` knob: switching backends must
+//! `--backend serial|threads --threads N` knob: switching backends must
 //! never change a single label.
 //!
-//! Covers the ISSUE acceptance criterion (`--backend threads --threads N`
+//! Covers the acceptance criterion that `--backend threads --threads N`
 //! produces byte-identical label maps to `--backend serial`, at both the
-//! per-pixel and the per-image batching layer) and the property test that
-//! `LutRgbSegmenter` and `IqftRgbSegmenter` agree exactly on random images
-//! under the engine, for every backend variant and thread count ∈ {1, 2, 8}.
+//! per-pixel and the per-image batching layer, and the property test that
+//! `IqftRgbSegmenter` agrees exactly with its serial self on random images
+//! and angles, for every backend variant and thread count ∈ {1, 2, 8}.
 
 use datasets::{PascalVocLikeConfig, PascalVocLikeDataset};
 use imaging::{LabelMap, Rgb, RgbImage, Segmenter};
 use iqft_pipeline::{PipelineConfig, SegmentPipeline};
 use iqft_seg::{
-    IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, LutRgbSegmenter, PhaseTable,
-    SegmentEngine, ThetaParams,
+    IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, PhaseTable, QuantizedPhaseTable,
+    SegmentEngine, SimdLevel, ThetaParams,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use seg_engine::{ClassifierKind, SegmentPlan, Tiling};
-use xpar::Backend;
 
 /// Every backend variant crossed with the thread counts under test.
 fn all_engines() -> Vec<(String, SegmentEngine)> {
     let mut engines = vec![
         ("serial".to_string(), SegmentEngine::serial()),
-        ("rayon".to_string(), SegmentEngine::new(Backend::Rayon)),
         (
             "threads(default)".to_string(),
             SegmentEngine::with_threads(0),
@@ -47,11 +45,11 @@ fn random_image(rng: &mut ChaCha8Rng, width: usize, height: usize) -> RgbImage {
     RgbImage::from_vec(width, height, pixels).unwrap()
 }
 
-/// Satellite property: the LUT-accelerated and the direct RGB segmenter
-/// produce identical `LabelMap`s on random images, under the engine, for
-/// every backend variant and thread count ∈ {1, 2, 8}.
+/// Property: the direct RGB segmenter produces identical `LabelMap`s on
+/// random images and angles, under the engine, for every backend variant
+/// and thread count ∈ {1, 2, 8}.
 #[test]
-fn lut_and_direct_rgb_agree_on_random_images_under_every_engine() {
+fn direct_rgb_agrees_on_random_images_under_every_engine() {
     let mut rng = ChaCha8Rng::seed_from_u64(2023);
     for case in 0..8 {
         let width = rng.gen_range(1usize..64);
@@ -65,11 +63,7 @@ fn lut_and_direct_rgb_agree_on_random_images_under_every_engine() {
             let direct = IqftRgbSegmenter::new(theta)
                 .with_engine(engine)
                 .segment_rgb(&img);
-            let lut = LutRgbSegmenter::new(IqftRgbSegmenter::new(theta))
-                .with_engine(engine)
-                .segment_rgb(&img);
             assert_eq!(direct, reference, "case {case}, engine {name}");
-            assert_eq!(lut, reference, "case {case}, engine {name} (LUT)");
         }
     }
 }
@@ -129,8 +123,8 @@ fn engine_backends_are_byte_identical_per_pixel() {
 
 /// Acceptance criterion, pipeline layer: the batched `iqft-pipeline` service
 /// produces byte-identical label maps to per-image serial segmentation for
-/// every engine backend, worker count and classifier fast path (exact, lazy
-/// LUT, eager phase table), including with buffer recycling between batches.
+/// every engine backend, worker count and classifier fast path (exact, eager
+/// phase table), including with buffer recycling between batches.
 #[test]
 fn pipeline_batches_are_byte_identical_to_serial_per_image() {
     let mut rng = ChaCha8Rng::seed_from_u64(4242);
@@ -159,19 +153,12 @@ fn pipeline_batches_are_byte_identical_to_serial_per_image() {
             };
             let exact =
                 SegmentPipeline::new(engine, IqftRgbSegmenter::paper_default()).with_config(config);
-            let lut =
-                SegmentPipeline::new(engine, LutRgbSegmenter::paper_default()).with_config(config);
             let table =
                 SegmentPipeline::new(engine, PhaseTable::paper_default()).with_config(config);
             assert_eq!(
                 exact.run_batch(&images).0,
                 reference,
                 "exact via {name}, workers={workers}"
-            );
-            assert_eq!(
-                lut.run_batch(&images).0,
-                reference,
-                "lut via {name}, workers={workers}"
             );
             // Streamed in small batches with buffer recycling — the
             // steady-state production shape.
@@ -284,8 +271,6 @@ fn tiled_pipeline_batches_are_byte_identical_to_whole_image() {
 /// and the `SegmentPlan` dispatch point.
 #[test]
 fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
-    use iqft_seg::{QuantizedPhaseTable, SimdLevel};
-
     let mut rng = ChaCha8Rng::seed_from_u64(6001);
     let img = random_image(&mut rng, 53, 37);
     let (w, h) = img.dimensions();
@@ -293,17 +278,25 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
     let whole = SegmentEngine::serial().segment_rgb(&exact, &img);
     let tile_sizes = [(7usize, 3usize), (64, 64), (w, h)];
 
-    for kind in [ClassifierKind::Quant, ClassifierKind::Simd] {
-        let classifier = IqftClassifier::paper_default(kind);
+    // The quantized table pinned to its portable scalar kernel (what
+    // `IQFT_SIMD=off` and non-x86 hosts run), and the runtime dispatch.
+    let quantized = [
+        (
+            "scalar",
+            IqftClassifier::Simd(QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar)),
+        ),
+        ("simd", IqftClassifier::paper_default(ClassifierKind::Simd)),
+    ];
+    for (label, classifier) in &quantized {
         for (name, engine) in all_engines() {
             assert_eq!(
-                engine.segment_rgb(&classifier, &img),
+                engine.segment_rgb(classifier, &img),
                 whole,
-                "{kind} via {name}, whole image"
+                "{label} via {name}, whole image"
             );
             for (tw, th) in tile_sizes {
                 let plan = SegmentPlan::new(
-                    kind,
+                    ClassifierKind::Simd,
                     Tiling::Tiles {
                         width: tw,
                         height: th,
@@ -311,9 +304,9 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
                     engine.backend(),
                 );
                 assert_eq!(
-                    plan.segment_rgb(&classifier, &img),
+                    plan.segment_rgb(classifier, &img),
                     whole,
-                    "{kind} plan via {name}, tile {tw}x{th}"
+                    "{label} plan via {name}, tile {tw}x{th}"
                 );
             }
         }
