@@ -45,12 +45,12 @@
 //!                              --cache-persist warm-loads the result cache
 //!                              from a snapshot on boot and writes it back
 //!                              on a drain-then-stop shutdown
-//!   loadgen [--addr A] [--clients C] [--images N] [--size S] [--seed S]
-//!           [--plan SPEC|auto] [--repeat-ratio R] [--pipeline K]
+//!   loadgen [--addr A[,A,...]] [--clients C] [--images N] [--size S]
+//!           [--seed S] [--plan SPEC|auto] [--repeat-ratio R] [--pipeline K]
 //!           [--expect-cache-hits] [--video] [--change-rate R]
-//!           [--fleet A,A,...] [--kill-one] [--no-verify] [--shutdown]
-//!                              drive concurrent clients against a running
-//!                              daemon (byte-identity verified by default;
+//!           [--kill-one] [--no-verify] [--shutdown]
+//!                              drive concurrent clients against running
+//!                              daemons (byte-identity verified by default;
 //!                              --plan picks the local reference pass's
 //!                              plan — labels are identical either way;
 //!                              --repeat-ratio generates Zipf-ish repeated
@@ -59,12 +59,12 @@
 //!                              client's own synthetic video through the
 //!                              per-tile delta op; typed Busy rejections
 //!                              from an admission-bounded server are
-//!                              counted, not fatal; --fleet routes by
-//!                              content hash over a consistent-hash ring of
-//!                              daemons, failing over when one dies;
-//!                              --kill-one boots a three-daemon in-process
-//!                              fleet and kills one mid-run to prove
-//!                              graceful degradation)
+//!                              counted, not fatal; several --addr
+//!                              endpoints are one fleet, routed by content
+//!                              hash over a consistent-hash ring and failing
+//!                              over when one dies; --kill-one boots a
+//!                              three-daemon in-process fleet and kills one
+//!                              mid-run to prove graceful degradation)
 //!   ping    [--addr A] [--retries N]
 //!                              readiness probe with bounded retries
 //!   all     [--out DIR]        everything above with reduced sizes
@@ -80,12 +80,13 @@
 //! changes how the work is scheduled.
 
 use experiments::figures;
-use experiments::service::{self, LoadgenConfig, ServeCliConfig};
+use experiments::service::{self, LoadgenConfig, ServeCliConfig, DEFAULT_ADDR};
 use experiments::tables::{self, Table3Config};
 use experiments::throughput::{self, ThroughputConfig};
 use experiments::SegmentEngine;
 use std::path::PathBuf;
 
+#[derive(Debug, Clone)]
 struct Args {
     command: String,
     out_dir: Option<PathBuf>,
@@ -103,7 +104,7 @@ struct Args {
     plan: String,
     max_queue: usize,
     verify: bool,
-    addr: String,
+    addr: Option<String>,
     clients: usize,
     workers: usize,
     shutdown: bool,
@@ -115,12 +116,14 @@ struct Args {
     change_rate: f64,
     addr_file: Option<PathBuf>,
     cache_persist: Option<PathBuf>,
-    fleet: Vec<String>,
     kill_one: bool,
     retries: usize,
 }
 
-fn parse_args() -> Args {
+/// Parses the command line after the program name.  An unknown flag, a
+/// missing value or a value that does not parse is an error naming the
+/// flag — never a warning or a silent default.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         command: String::new(),
         out_dir: None,
@@ -138,7 +141,7 @@ fn parse_args() -> Args {
         plan: String::new(),
         max_queue: 0,
         verify: true,
-        addr: "127.0.0.1:7870".to_string(),
+        addr: None,
         clients: 4,
         workers: 0,
         shutdown: false,
@@ -150,58 +153,56 @@ fn parse_args() -> Args {
         change_rate: 0.1,
         addr_file: None,
         cache_persist: None,
-        fleet: Vec::new(),
         kill_one: false,
         retries: 40,
     };
-    let mut iter = std::env::args().skip(1);
+    let mut iter = argv.into_iter();
     if let Some(cmd) = iter.next() {
         args.command = cmd;
     }
     while let Some(flag) = iter.next() {
-        let mut value = || iter.next().unwrap_or_default();
+        let mut value = || iter.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
-            "--out" => args.out_dir = Some(PathBuf::from(value())),
-            "--samples" => args.samples = value().parse().unwrap_or(args.samples),
-            "--voc" => args.voc = value().parse().unwrap_or(args.voc),
-            "--xview" => args.xview = value().parse().unwrap_or(args.xview),
-            "--size" => args.size = value().parse().unwrap_or(args.size),
-            "--seed" => args.seed = value().parse().unwrap_or(args.seed),
-            "--backend" => args.backend = value(),
-            "--threads" => args.threads = value().parse().unwrap_or(args.threads),
-            "--images" => args.images = value().parse().unwrap_or(args.images),
-            "--batch" => args.batch = value().parse().unwrap_or(args.batch),
-            "--classifier" => args.classifier = value(),
-            "--tile" => args.tile = value(),
-            "--plan" => args.plan = value(),
-            "--max-queue" => args.max_queue = value().parse().unwrap_or(args.max_queue),
+            "--out" => args.out_dir = Some(PathBuf::from(value()?)),
+            "--samples" => args.samples = number(&flag, value()?)?,
+            "--voc" => args.voc = number(&flag, value()?)?,
+            "--xview" => args.xview = number(&flag, value()?)?,
+            "--size" => args.size = number(&flag, value()?)?,
+            "--seed" => args.seed = number(&flag, value()?)?,
+            "--backend" => args.backend = value()?,
+            "--threads" => args.threads = number(&flag, value()?)?,
+            "--images" => args.images = number(&flag, value()?)?,
+            "--batch" => args.batch = number(&flag, value()?)?,
+            "--classifier" => args.classifier = value()?,
+            "--tile" => args.tile = value()?,
+            "--plan" => args.plan = value()?,
+            "--max-queue" => args.max_queue = number(&flag, value()?)?,
             "--no-verify" => args.verify = false,
-            "--addr" => args.addr = value(),
-            "--clients" => args.clients = value().parse().unwrap_or(args.clients),
-            "--workers" => args.workers = value().parse().unwrap_or(args.workers),
+            "--addr" => args.addr = Some(value()?),
+            "--clients" => args.clients = number(&flag, value()?)?,
+            "--workers" => args.workers = number(&flag, value()?)?,
             "--shutdown" => args.shutdown = true,
-            "--cache-mb" => args.cache_mb = value().parse().unwrap_or(args.cache_mb),
-            "--repeat-ratio" => args.repeat_ratio = value().parse().unwrap_or(args.repeat_ratio),
-            "--pipeline" => args.pipeline = value().parse().unwrap_or(args.pipeline),
+            "--cache-mb" => args.cache_mb = number(&flag, value()?)?,
+            "--repeat-ratio" => args.repeat_ratio = number(&flag, value()?)?,
+            "--pipeline" => args.pipeline = number(&flag, value()?)?,
             "--expect-cache-hits" => args.expect_cache_hits = true,
             "--video" => args.video = true,
-            "--change-rate" => args.change_rate = value().parse().unwrap_or(args.change_rate),
-            "--addr-file" => args.addr_file = Some(PathBuf::from(value())),
-            "--cache-persist" => args.cache_persist = Some(PathBuf::from(value())),
-            "--fleet" => {
-                args.fleet = value()
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|a| !a.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
+            "--change-rate" => args.change_rate = number(&flag, value()?)?,
+            "--addr-file" => args.addr_file = Some(PathBuf::from(value()?)),
+            "--cache-persist" => args.cache_persist = Some(PathBuf::from(value()?)),
             "--kill-one" => args.kill_one = true,
-            "--retries" => args.retries = value().parse().unwrap_or(args.retries),
-            other => eprintln!("ignoring unknown flag {other}"),
+            "--retries" => args.retries = number(&flag, value()?)?,
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    args
+    Ok(args)
+}
+
+/// Parses the number `flag` takes, or an error naming the flag.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag} takes a number, got '{value}'"))
 }
 
 fn run_table3(args: &Args, engine: &SegmentEngine) -> String {
@@ -218,7 +219,13 @@ fn run_table3(args: &Args, engine: &SegmentEngine) -> String {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(message) => {
+            eprintln!("{message}; run with --help for usage");
+            std::process::exit(2);
+        }
+    };
     let engine = match SegmentEngine::from_flags(&args.backend, args.threads) {
         Ok(engine) => engine,
         Err(message) => {
@@ -241,7 +248,7 @@ fn main() {
         "fig10" => figures::fig10_report(&engine, 30),
         "serve" => {
             let config = ServeCliConfig {
-                addr: args.addr.clone(),
+                addr: args.addr.as_deref().unwrap_or(DEFAULT_ADDR).to_string(),
                 plan: args.plan.clone(),
                 classifier: args.classifier.clone(),
                 tile: args.tile.clone(),
@@ -263,7 +270,7 @@ fn main() {
         }
         "loadgen" => {
             let config = LoadgenConfig {
-                addr: args.addr.clone(),
+                addr: args.addr.clone().unwrap_or_default(),
                 plan: args.plan.clone(),
                 clients: args.clients,
                 images: args.images,
@@ -276,7 +283,6 @@ fn main() {
                 expect_cache_hits: args.expect_cache_hits,
                 video: args.video,
                 change_rate: args.change_rate,
-                fleet: args.fleet.clone(),
                 kill_one: args.kill_one,
                 ..LoadgenConfig::default()
             };
@@ -288,7 +294,11 @@ fn main() {
                 }
             }
         }
-        "ping" => match service::ping_command(&args.addr, args.retries, 250) {
+        "ping" => match service::ping_command(
+            args.addr.as_deref().unwrap_or(DEFAULT_ADDR),
+            args.retries,
+            250,
+        ) {
             Ok(report) => report,
             Err(message) => {
                 eprintln!("{message}");
@@ -318,37 +328,10 @@ fn main() {
             all.push_str(&tables::table2_text(args.samples.min(20_000), args.seed));
             all.push('\n');
             let quick = Args {
-                command: args.command.clone(),
-                out_dir: args.out_dir.clone(),
-                backend: args.backend.clone(),
-                samples: args.samples,
                 voc: args.voc.min(20),
                 xview: args.xview.min(20),
                 size: args.size.min(96),
-                seed: args.seed,
-                threads: args.threads,
-                images: args.images,
-                batch: args.batch,
-                classifier: args.classifier.clone(),
-                tile: args.tile.clone(),
-                plan: args.plan.clone(),
-                max_queue: args.max_queue,
-                verify: args.verify,
-                addr: args.addr.clone(),
-                clients: args.clients,
-                workers: args.workers,
-                shutdown: args.shutdown,
-                cache_mb: args.cache_mb,
-                repeat_ratio: args.repeat_ratio,
-                pipeline: args.pipeline,
-                expect_cache_hits: args.expect_cache_hits,
-                video: args.video,
-                change_rate: args.change_rate,
-                addr_file: args.addr_file.clone(),
-                cache_persist: args.cache_persist.clone(),
-                fleet: args.fleet.clone(),
-                kill_one: args.kill_one,
-                retries: args.retries,
+                ..args.clone()
             };
             all.push_str(&run_table3(&quick, &engine));
             all.push('\n');
@@ -368,20 +351,20 @@ fn main() {
             all.push('\n');
             all.push_str(&figures::fig10_report(&engine, 12));
             all.push('\n');
-            all.push_str(&throughput::throughput_report(
-                &engine,
-                &ThroughputConfig {
-                    images: args.images.min(16),
-                    batch: args.batch.min(8),
-                    image_size: args.size.min(96),
-                    seed: args.seed,
-                    classifier: args.classifier.clone(),
-                    tile: args.tile.clone(),
-                    cache_mb: 0,
-                    verify: args.verify,
-                    ..ThroughputConfig::default()
-                },
-            ));
+            // The throughput passes run at reduced size on the user's
+            // classifier and tiling unless a pass names its own.
+            let quick_run = ThroughputConfig {
+                images: args.images.min(16),
+                batch: args.batch.min(8),
+                image_size: args.size.min(96),
+                seed: args.seed,
+                classifier: args.classifier.clone(),
+                tile: args.tile.clone(),
+                verify: args.verify,
+                ..ThroughputConfig::default()
+            };
+            let cache_mb = if args.cache_mb > 0 { args.cache_mb } else { 32 };
+            all.push_str(&throughput::throughput_report(&engine, &quick_run));
             let untiled = matches!(
                 seg_engine::Tiling::from_flag(&args.tile),
                 Ok(seg_engine::Tiling::Whole)
@@ -394,15 +377,8 @@ fn main() {
                 all.push_str(&throughput::throughput_report(
                     &engine,
                     &ThroughputConfig {
-                        images: args.images.min(16),
-                        batch: args.batch.min(8),
-                        image_size: args.size.min(96),
-                        seed: args.seed,
-                        classifier: args.classifier.clone(),
                         tile: "48x48".to_string(),
-                        cache_mb: 0,
-                        verify: args.verify,
-                        ..ThroughputConfig::default()
+                        ..quick_run.clone()
                     },
                 ));
             }
@@ -418,15 +394,8 @@ fn main() {
                 all.push_str(&throughput::throughput_report(
                     &engine,
                     &ThroughputConfig {
-                        images: args.images.min(16),
-                        batch: args.batch.min(8),
-                        image_size: args.size.min(96),
-                        seed: args.seed,
                         classifier: "simd".to_string(),
-                        tile: args.tile.clone(),
-                        cache_mb: 0,
-                        verify: args.verify,
-                        ..ThroughputConfig::default()
+                        ..quick_run.clone()
                     },
                 ));
             }
@@ -437,15 +406,8 @@ fn main() {
             all.push_str(&throughput::throughput_report(
                 &engine,
                 &ThroughputConfig {
-                    images: args.images.min(16),
-                    batch: args.batch.min(8),
-                    image_size: args.size.min(96),
-                    seed: args.seed,
-                    classifier: args.classifier.clone(),
-                    tile: args.tile.clone(),
-                    cache_mb: if args.cache_mb > 0 { args.cache_mb } else { 32 },
-                    verify: args.verify,
-                    ..ThroughputConfig::default()
+                    cache_mb,
+                    ..quick_run.clone()
                 },
             ));
             // ... and the streaming-video per-tile delta path (stitched
@@ -457,14 +419,11 @@ fn main() {
                     images: args.images.min(8),
                     batch: args.batch.min(4),
                     image_size: args.size.min(128),
-                    seed: args.seed,
-                    classifier: args.classifier.clone(),
                     tile: "32x32".to_string(),
-                    plan: String::new(),
-                    cache_mb: if args.cache_mb > 0 { args.cache_mb } else { 32 },
-                    verify: args.verify,
+                    cache_mb,
                     video: true,
                     change_rate: 0.25,
+                    ..quick_run
                 },
             ));
             all
@@ -474,7 +433,7 @@ fn main() {
             // one place the workspace enumerates it — so this usage line can
             // never drift from what `--classifier` actually accepts.
             eprintln!(
-                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--fleet A,A,...] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
                 seg_engine::ClassifierKind::FLAG_HELP
             );
             return;
@@ -485,4 +444,32 @@ fn main() {
         }
     };
     println!("{report}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        parse_args(line.split_whitespace().map(str::to_string))
+    }
+
+    #[test]
+    fn parse_args_reads_flags_and_refuses_what_it_cannot_parse() {
+        let args = parse("loadgen --addr a:1,b:2 --clients 3 --repeat-ratio 0.5").unwrap();
+        assert_eq!(args.command, "loadgen");
+        assert_eq!(args.addr.as_deref(), Some("a:1,b:2"));
+        assert_eq!(args.clients, 3);
+        assert_eq!(args.repeat_ratio, 0.5);
+        assert_eq!(parse("loadgen").unwrap().addr, None);
+
+        // The retired --fleet flag must not silently fall back to the
+        // default address.
+        let err = parse("loadgen --fleet a:1,b:2").unwrap_err();
+        assert!(err.contains("unknown flag --fleet"), "{err}");
+        let err = parse("loadgen --clients x").unwrap_err();
+        assert!(err.contains("--clients") && err.contains("'x'"), "{err}");
+        let err = parse("loadgen --images").unwrap_err();
+        assert!(err.contains("--images needs a value"), "{err}");
+    }
 }

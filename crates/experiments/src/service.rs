@@ -1,27 +1,37 @@
 //! The `serve` and `loadgen` subcommands: the network face of the harness.
 //!
 //! `serve` boots a long-lived [`iqft_serve::Server`] around one warm
-//! [`seg_engine::SegmentPlan`] and blocks until a Shutdown frame drains it;
-//! `loadgen` plays the millions-of-users side: `--clients C` concurrent
-//! connections stream `--images N` synthetic frames through the daemon,
-//! cross-check every reply byte-for-byte against a local serial
-//! [`SegmentEngine`] pass (default on, like the `throughput` subcommand),
-//! and report client-side throughput plus the server's own statistics
-//! snapshot.  With `--shutdown`, loadgen finishes by asking the server to
-//! drain and stop — which is exactly what the CI `service-smoke` job does.
+//! [`seg_engine::SegmentPlan`] and blocks until a Shutdown frame drains it.
+//! `loadgen` is the client side, with one driver for every traffic shape:
+//! `--clients C` threads each open a [`FleetClient`] over the
+//! `--addr A[,B,…]` endpoints (one address is a fleet of one) and send their
+//! share of the run — a pipelined `SegmentCached` burst of synthetic images,
+//! or with `--video` their own synthetic video as lockstep `SegmentDelta`
+//! frames.  Every reply is cross-checked byte-for-byte against a local
+//! serial [`SegmentEngine`] pass (default on, like the `throughput`
+//! subcommand), and one report prints per-client, per-endpoint and total
+//! figures plus each endpoint's own statistics snapshot.  `--kill-one` boots
+//! three daemons in-process and hard-stops one between the run's two halves.
+//! With `--shutdown`, loadgen finishes by asking every endpoint to drain and
+//! stop — which is exactly what the CI `service-smoke` job does.
 
-use crate::plans::{resolve_plan, ResolvedPlan};
+use crate::plans::resolve_plan;
 use crate::throughput::{throughput_images, ThroughputConfig};
-use imaging::{LabelMap, Segmenter};
+use imaging::{LabelMap, RgbImage, Segmenter};
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftRgbSegmenter;
 use iqft_serve::{
-    protocol, Client, ClientConfig, FleetClient, SegmentOutcome, Server, ServerConfig,
+    protocol, Client, ClientConfig, EndpointStats, FleetClient, SegmentOutcome, Server,
+    ServerConfig, StatsSnapshot,
 };
 use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+
+/// The address `serve` binds and `ping`/`loadgen` dial when `--addr` is not
+/// given.
+pub const DEFAULT_ADDR: &str = "127.0.0.1:7870";
 
 /// Configuration of the `serve` subcommand (mirrors its CLI flags).
 #[derive(Debug, Clone)]
@@ -64,7 +74,7 @@ pub struct ServeCliConfig {
 impl Default for ServeCliConfig {
     fn default() -> Self {
         Self {
-            addr: "127.0.0.1:7870".to_string(),
+            addr: DEFAULT_ADDR.to_string(),
             plan: String::new(),
             classifier: "table".to_string(),
             tile: "off".to_string(),
@@ -174,7 +184,11 @@ pub fn ping_command(addr: &str, retries: usize, interval_ms: u64) -> Result<Stri
 /// Configuration of the `loadgen` subcommand (mirrors its CLI flags).
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
-    /// Server address (`--addr`).
+    /// Daemon endpoints (`--addr A[,B,…]`, comma-separated; empty dials
+    /// [`DEFAULT_ADDR`]).  One address is a fleet of one; with several,
+    /// requests are routed by content hash over the consistent-hash ring and
+    /// fail over when an endpoint is down.  Must be empty with
+    /// [`LoadgenConfig::kill_one`], which boots its own endpoints.
     pub addr: String,
     /// Plan for the *local* verification reference (`--plan`): empty keeps
     /// the exact serial pass, `auto` calibrates the reference backend, and
@@ -182,7 +196,7 @@ pub struct LoadgenConfig {
     /// the same labels; the knob only changes how fast the reference side
     /// keeps up with a big run.
     pub plan: String,
-    /// Concurrent client connections (`--clients`).
+    /// Concurrent clients (`--clients`), each with its own [`FleetClient`].
     pub clients: usize,
     /// Total images to stream across all clients (`--images`).
     pub images: usize,
@@ -193,48 +207,46 @@ pub struct LoadgenConfig {
     /// Cross-check every reply against a local serial pass (`--no-verify`
     /// turns this off; the default runs it).
     pub verify: bool,
-    /// Send a Shutdown frame once traffic (and stats) are done
-    /// (`--shutdown`).
+    /// Ask every endpoint to drain and stop once traffic (and stats) are
+    /// done (`--shutdown`).
     pub shutdown: bool,
     /// Fraction of requests that repeat an earlier image
     /// (`--repeat-ratio`, 0.0–1.0) — Zipf-ish, head-biased repeated
     /// traffic, the shape a warm result cache is built for.
     pub repeat_ratio: f64,
-    /// Requests each client keeps in flight on its connection
-    /// (`--pipeline`, clamped to `1..=MAX_PIPELINE_DEPTH`).
+    /// Requests each client keeps in flight per connection (`--pipeline`,
+    /// clamped to `1..=MAX_PIPELINE_DEPTH`).
     pub pipeline_depth: usize,
-    /// Fail loudly unless the server's final stats snapshot reports at
-    /// least one cache hit (`--expect-cache-hits`) — the CI cache leg's
-    /// assertion.  In `--video` mode the assertion counts delta *tile* hits
-    /// instead of whole-image hits.
+    /// Fail loudly unless at least one reply says it was served from a cache
+    /// (`--expect-cache-hits`) — the CI cache leg's assertion.  In `--video`
+    /// mode the assertion counts delta *tile* hits instead of whole-image
+    /// hits.
     pub expect_cache_hits: bool,
     /// Stream synthetic video instead of independent images (`--video`):
     /// each client plays its own deterministic frame stream through the
     /// per-tile delta op (`SegmentDelta`), so consecutive frames share most
-    /// of their tiles and the server's delta cache can prove itself.
+    /// of their tiles and the server's delta cache can prove itself.  Needs
+    /// a single endpoint: ring routing by whole-frame hash would scatter one
+    /// camera's frames over the fleet.
     pub video: bool,
     /// Fraction of each frame's blocks mutated per frame in `--video` mode
     /// (`--change-rate`, 0.0–1.0).
     pub change_rate: f64,
-    /// Fleet endpoints (`--fleet addr,addr,...`): when nonempty, traffic is
-    /// routed by content hash over the consistent-hash ring through a
-    /// [`FleetClient`] instead of dialing `--addr` directly.
-    pub fleet: Vec<String>,
     /// Chaos mode (`--kill-one`): boot an in-process fleet of three cached
-    /// daemons, kill one mid-run, and require byte-identity plus at least
-    /// one recorded failover — proving a dead daemon degrades to misses,
-    /// never to errors.
+    /// daemons, hard-stop the owner of the next key between the run's two
+    /// halves, and require byte-identity plus at least one recorded failover
+    /// — proving a dead daemon degrades to misses, never to errors.
     pub kill_one: bool,
-    /// How long the initial connection keeps retrying (milliseconds), so
-    /// loadgen can be launched concurrently with a booting server.  No CLI
-    /// flag; tests shrink it.
+    /// How long the preflight ping keeps retrying each endpoint
+    /// (milliseconds), so loadgen can be launched concurrently with a booting
+    /// server.  No CLI flag; tests shrink it.
     pub connect_deadline_ms: u64,
 }
 
 impl Default for LoadgenConfig {
     fn default() -> Self {
         Self {
-            addr: "127.0.0.1:7870".to_string(),
+            addr: String::new(),
             plan: String::new(),
             clients: 4,
             images: 32,
@@ -247,7 +259,6 @@ impl Default for LoadgenConfig {
             expect_cache_hits: false,
             video: false,
             change_rate: 0.1,
-            fleet: Vec::new(),
             kill_one: false,
             connect_deadline_ms: 15_000,
         }
@@ -256,54 +267,31 @@ impl Default for LoadgenConfig {
 
 const CONNECT_RETRY: Duration = Duration::from_millis(250);
 
-/// Per-dial connect timeout for loadgen workers: a thousand-way fan-out can
-/// momentarily overflow the listener's accept backlog, and a dropped SYN
-/// would otherwise sit in the OS default connect timeout for minutes.
+/// Per-dial connect timeout for loadgen's client connections: a
+/// thousand-way fan-out can momentarily overflow the listener's accept
+/// backlog, and a dropped SYN would otherwise sit in the OS default connect
+/// timeout for minutes.
 const CLIENT_CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// The client configuration every loadgen worker dials with: a bounded
-/// connect deadline (a thousand-way fan-out can momentarily overflow the
-/// accept backlog) and the run's pipeline depth.
-fn worker_config(addr: &str, pipeline_depth: usize) -> ClientConfig {
-    ClientConfig::new(addr)
-        .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
-        .with_pipeline_depth(pipeline_depth)
-}
-
-/// Dials one loadgen worker connection under a bounded timeout, retrying a
-/// few times so transient backlog overflow does not fail the whole run.
-fn connect_worker(addr: &str, client_idx: usize, pipeline_depth: usize) -> Result<Client, String> {
-    let mut last = String::new();
-    for attempt in 0..3 {
-        if attempt > 0 {
-            std::thread::sleep(CONNECT_RETRY);
-        }
-        match Client::open(&worker_config(addr, pipeline_depth)) {
-            Ok(client) => return Ok(client),
-            Err(e) => last = e.to_string(),
-        }
-    }
-    Err(format!("client {client_idx}: connect failed: {last}"))
-}
-
-/// Connects with retries until `deadline_ms` elapses, so loadgen can be
-/// launched concurrently with a still-booting server (as the CI smoke job
-/// does).
-fn connect_with_retry(addr: &str, deadline_ms: u64) -> Result<Client, String> {
+/// Connects with retries until `deadline_ms` elapses, then pings, so loadgen
+/// can be launched concurrently with a still-booting server (as the CI smoke
+/// job does).  The connection is kept for the run's closing stats request.
+fn preflight(addr: &str, deadline_ms: u64) -> Result<Client, String> {
     let deadline = Instant::now() + Duration::from_millis(deadline_ms);
-    loop {
+    let mut probe = loop {
         match Client::open(&ClientConfig::new(addr)) {
-            Ok(client) => return Ok(client),
-            Err(e) if Instant::now() < deadline => {
-                let _ = e;
-                std::thread::sleep(CONNECT_RETRY);
-            }
+            Ok(client) => break client,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(CONNECT_RETRY),
             Err(e) => return Err(format!("could not connect to {addr}: {e}")),
         }
-    }
+    };
+    probe
+        .ping()
+        .map_err(|e| format!("ping {addr} failed: {e}"))?;
+    Ok(probe)
 }
 
-/// Per-client outcome of a loadgen run.
+/// What one client saw over the run (or, summed, what all of them saw).
 #[derive(Debug, Default, Clone)]
 struct ClientOutcome {
     requests: usize,
@@ -311,19 +299,24 @@ struct ClientOutcome {
     mismatches: usize,
     busy: usize,
     cache_hits: usize,
+    failovers: usize,
     tiles_hit: u64,
     tiles_recomputed: u64,
     elapsed_secs: f64,
 }
 
-/// Resolves loadgen's `--plan` flag for the local reference pass: `None`
-/// when the flag is empty (keep the exact serial reference), otherwise the
-/// parsed or calibrated plan.
-fn resolve_local_plan(config: &LoadgenConfig) -> Result<Option<ResolvedPlan>, String> {
-    if config.plan.trim().is_empty() {
-        return Ok(None);
+impl ClientOutcome {
+    fn add(&mut self, other: &ClientOutcome) {
+        self.requests += other.requests;
+        self.pixels += other.pixels;
+        self.mismatches += other.mismatches;
+        self.busy += other.busy;
+        self.cache_hits += other.cache_hits;
+        self.failovers += other.failovers;
+        self.tiles_hit += other.tiles_hit;
+        self.tiles_recomputed += other.tiles_recomputed;
+        self.elapsed_secs += other.elapsed_secs;
     }
-    resolve_plan(&config.plan, || Ok(SegmentPlan::default())).map(Some)
 }
 
 /// Deterministic xorshift64* generator for the traffic shape (no external
@@ -365,126 +358,293 @@ fn request_sequence(n: usize, repeat_ratio: f64, seed: u64) -> Vec<usize> {
 
 /// Drives the configured traffic and renders the report.
 ///
-/// Errors (rather than reporting) on connection failure, any protocol/server
-/// error, or — when verification is on — any reply that is not
-/// byte-identical to the local serial reference, so a supervising script
-/// fails loudly.
+/// Every traffic shape runs through the same steps: `--clients` threads
+/// each hold a [`FleetClient`] over the endpoints and send their share of
+/// the run (request `k` belongs to client `k % clients`), in one half, or
+/// in two with `--kill-one`.
+///
+/// Errors (rather than reporting) on bad flags, when no endpoint answers
+/// the preflight ping, on any protocol/server error, or — when verification
+/// is on — on any reply that is not byte-identical to the local serial
+/// reference, so a supervising script fails loudly.
 pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
-    if config.kill_one || !config.fleet.is_empty() {
-        return loadgen_fleet_report(config);
+    let mut addrs: Vec<String> = config
+        .addr
+        .split(',')
+        .map(str::trim)
+        .filter(|a| !a.is_empty())
+        .map(str::to_string)
+        .collect();
+    if config.video && (config.kill_one || addrs.len() > 1) {
+        return Err(
+            "--video and a multi-daemon fleet (--addr A,B,… or --kill-one) are mutually \
+             exclusive: routing by whole-frame hash would scatter one camera's frames"
+                .to_string(),
+        );
     }
-    if config.video {
-        return loadgen_video_report(config);
+    if config.kill_one && !addrs.is_empty() {
+        return Err(
+            "--kill-one boots its own in-process fleet; it cannot be combined with --addr"
+                .to_string(),
+        );
     }
+    if !config.kill_one && addrs.is_empty() {
+        addrs.push(DEFAULT_ADDR.to_string());
+    }
+    // An empty --plan keeps the exact serial reference.
+    let resolved = match config.plan.trim() {
+        "" => None,
+        plan => Some(resolve_plan(plan, || Ok(SegmentPlan::default()))?),
+    };
     let clients = config.clients.max(1);
-    // Each client holds one socket (and the kernel a few more); a
+    // Video frames go out one at a time, in order, like a camera's.
+    let depth = if config.video {
+        1
+    } else {
+        config.pipeline_depth.clamp(1, protocol::MAX_PIPELINE_DEPTH)
+    };
+
+    // Chaos mode boots its own three-daemon fleet, caches on, so the run is
+    // self-contained and the kill is a real (hard) stop.
+    let mut booted = Vec::new();
+    for _ in 0..if config.kill_one { 3 } else { 0 } {
+        let server = Server::bind(
+            "127.0.0.1:0",
+            ServerConfig::new(SegmentPlan::default()).with_cache(CacheConfig::with_capacity_mb(64)),
+        )
+        .map_err(|e| format!("failed to boot chaos fleet daemon: {e}"))?;
+        booted.push(server);
+    }
+    addrs.extend(booted.iter().map(|server| server.local_addr().to_string()));
+
+    // A dead endpoint is not fatal — its keys fail over to the next ring
+    // owner and get counted — but no live endpoint at all is.
+    let mut probes: Vec<Result<Client, String>> = addrs
+        .iter()
+        .map(|addr| preflight(addr, config.connect_deadline_ms))
+        .collect();
+    let unreachable: Vec<&str> = probes
+        .iter()
+        .filter_map(|p| p.as_ref().err().map(String::as_str))
+        .collect();
+    if unreachable.len() == addrs.len() {
+        return Err(unreachable.join("; "));
+    }
+    for e in unreachable {
+        eprintln!("loadgen: {e}; its keys will fail over");
+    }
+    let live: Vec<usize> = (0..addrs.len()).filter(|&i| probes[i].is_ok()).collect();
+    // Each client holds a socket per endpoint (and the kernel a few more); a
     // thousand-client run overruns the common 1024 soft descriptor limit.
     #[cfg(unix)]
-    iqft_serve::poll::raise_nofile_limit((clients as u64).saturating_mul(2) + 512);
-    let depth = config.pipeline_depth.clamp(1, protocol::MAX_PIPELINE_DEPTH);
-    let images = throughput_images(&ThroughputConfig {
-        images: config.images,
-        image_size: config.image_size,
-        seed: config.seed,
-        ..ThroughputConfig::default()
-    });
-    // Which image each request carries: with --repeat-ratio this is
-    // Zipf-ish repeated traffic, the shape the server's result cache is
-    // built for; at 0.0 every request is a distinct image.
-    let sequence = request_sequence(config.images, config.repeat_ratio, config.seed);
-    // The reference pass runs locally: whatever classifier/tiling/backend
-    // the *server* was booted with, its replies — cache hits and misses
-    // alike — must be byte-identical to this by construction.  `--plan`
-    // only picks the backend the reference pass runs on (labels are
-    // byte-identical across backends); the default stays the serial engine.
-    let resolved = resolve_local_plan(config)?;
+    iqft_serve::poll::raise_nofile_limit(
+        (clients as u64).saturating_mul(addrs.len() as u64 + 1) + 512,
+    );
+
+    // Inputs and references are built before the clock starts.  Request `k`
+    // carries `inputs[sequence[k]]`.
+    let width = config.image_size;
+    let height = config.image_size * 3 / 4;
+    let (inputs, sequence) = if config.video {
+        // Each client is its own camera: a distinct seed gives it a distinct
+        // (still deterministic) scene and motion.  Interleaving the clients'
+        // frames makes client `c`'s share its own video, in order.
+        let frames = config.images.div_ceil(clients).max(2);
+        let inputs: Vec<RgbImage> = (0..clients)
+            .flat_map(|client_idx| {
+                datasets::synthetic_video(&datasets::VideoConfig {
+                    frames,
+                    width,
+                    height,
+                    change_rate: config.change_rate,
+                    block: 0,
+                    seed: config.seed
+                        ^ ((client_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+                })
+            })
+            .collect();
+        let sequence = (0..clients * frames)
+            .map(|k| (k % clients) * frames + k / clients)
+            .collect();
+        (inputs, sequence)
+    } else {
+        let inputs = throughput_images(&ThroughputConfig {
+            images: config.images,
+            image_size: config.image_size,
+            seed: config.seed,
+            ..ThroughputConfig::default()
+        });
+        // With --repeat-ratio this is Zipf-ish repeated traffic, the shape
+        // the server's result cache is built for; at 0.0 every request is a
+        // distinct image.
+        (
+            inputs,
+            request_sequence(config.images, config.repeat_ratio, config.seed),
+        )
+    };
+    // Whatever plan each *server* runs, its replies — cache hits and misses
+    // alike — must be byte-identical to this local pass by construction.
+    // `--plan` only picks the backend the reference runs on.
     let reference: Vec<LabelMap> = if config.verify {
         let engine = resolved
             .as_ref()
             .map(|r| r.plan.engine())
             .unwrap_or_else(SegmentEngine::serial);
         let local = IqftRgbSegmenter::paper_default().with_engine(engine);
-        images.iter().map(|img| local.segment_rgb(img)).collect()
+        inputs.iter().map(|img| local.segment_rgb(img)).collect()
     } else {
         Vec::new()
     };
 
-    // Probe once with retries so a freshly-booted server has time to bind.
-    let mut probe = connect_with_retry(&config.addr, config.connect_deadline_ms)?;
-    probe.ping().map_err(|e| format!("ping failed: {e}"))?;
-
-    let started = Instant::now();
-    let outcomes: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client_idx| {
-                let images = &images;
-                let reference = &reference;
-                let sequence = &sequence;
-                let addr = config.addr.as_str();
-                let verify = config.verify;
-                scope.spawn(move || -> Result<ClientOutcome, String> {
-                    let mut client = connect_worker(addr, client_idx, depth)?;
-                    // This client's share of the request sequence, pipelined
-                    // over one connection with up to `depth` in flight.
-                    let mine: Vec<usize> = (0..sequence.len())
-                        .filter(|idx| idx % clients == client_idx)
-                        .collect();
-                    let refs: Vec<&imaging::RgbImage> =
-                        mine.iter().map(|&idx| &images[sequence[idx]]).collect();
-                    let started = Instant::now();
-                    let replies = client.segment_pipelined(&refs, true).map_err(|e| {
-                        format!("client {client_idx}: pipelined segment failed: {e}")
-                    })?;
-                    let mut outcome = ClientOutcome {
-                        elapsed_secs: started.elapsed().as_secs_f64(),
-                        ..ClientOutcome::default()
-                    };
-                    for (&idx, reply) in mine.iter().zip(&replies) {
-                        match reply {
-                            SegmentOutcome::Done { labels, cached }
-                            | SegmentOutcome::Failover { labels, cached, .. } => {
-                                outcome.requests += 1;
-                                outcome.pixels += labels.len() as u64;
-                                outcome.cache_hits += usize::from(*cached);
-                                if verify && labels != &reference[sequence[idx]] {
-                                    outcome.mismatches += 1;
-                                }
-                            }
-                            // The server shed this request under overload;
-                            // it was never executed, so there is nothing to
-                            // verify.
-                            SegmentOutcome::Busy => outcome.busy += 1,
-                        }
+    let client_config = ClientConfig::fleet(addrs.iter().cloned())
+        .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
+        .with_pipeline_depth(depth);
+    let mut fleets = (0..clients)
+        .map(|_| FleetClient::open(&client_config))
+        .collect::<std::io::Result<Vec<_>>>()
+        .map_err(|e| e.to_string())?;
+    // One client's share of one half: dial the `dial` endpoints, send, then
+    // — off the clock — check each reply against its reference.
+    let run_client = |client_idx: usize,
+                      fleet: &mut FleetClient,
+                      mine: &[usize],
+                      dial: &[usize]|
+     -> Result<ClientOutcome, String> {
+        // Up to three attempts per connection, so transient accept-backlog
+        // overflow does not fail the run; failover redials inside the
+        // FleetClient stay single attempts, so a dead endpoint is skipped
+        // promptly.
+        for &endpoint in dial {
+            let mut attempt = 1;
+            while let Err(e) = fleet.connect(endpoint) {
+                if attempt == 3 {
+                    let addr = &fleet.addrs()[endpoint];
+                    return Err(format!(
+                        "client {client_idx}: connect to {addr} failed: {e}"
+                    ));
+                }
+                attempt += 1;
+                std::thread::sleep(CONNECT_RETRY);
+            }
+        }
+        let started = Instant::now();
+        let replies: Vec<(SegmentOutcome, u32, u32)> = if config.video {
+            mine.iter()
+                .map(|&input| fleet.segment_delta(&inputs[input]))
+                .collect::<Result<_, _>>()
+                .map_err(|e| format!("client {client_idx}: delta segment failed: {e}"))?
+        } else {
+            let refs: Vec<&RgbImage> = mine.iter().map(|&input| &inputs[input]).collect();
+            fleet
+                .segment_pipelined(&refs, true)
+                .map_err(|e| format!("client {client_idx}: pipelined segment failed: {e}"))?
+                .into_iter()
+                .map(|reply| (reply, 0, 0))
+                .collect()
+        };
+        let mut outcome = ClientOutcome {
+            elapsed_secs: started.elapsed().as_secs_f64(),
+            ..ClientOutcome::default()
+        };
+        for (&input, (reply, hit, recomputed)) in mine.iter().zip(&replies) {
+            outcome.failovers += usize::from(reply.tried() > 0);
+            outcome.tiles_hit += u64::from(*hit);
+            outcome.tiles_recomputed += u64::from(*recomputed);
+            match reply.labels() {
+                Some(labels) => {
+                    outcome.requests += 1;
+                    outcome.pixels += labels.len() as u64;
+                    outcome.cache_hits += usize::from(reply.cached());
+                    if config.verify && labels != &reference[input] {
+                        outcome.mismatches += 1;
                     }
-                    Ok(outcome)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())))
-            .collect()
-    });
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let unique_images = {
-        let mut seen = sequence.clone();
-        seen.sort_unstable();
-        seen.dedup();
-        seen.len()
+                }
+                // The server shed this request under overload; it was never
+                // executed, so there is nothing to verify.
+                None => outcome.busy += 1,
+            }
+        }
+        Ok(outcome)
     };
+
+    // Two halves give --kill-one a "mid-run" to kill at; without it the
+    // second half is empty.
+    let split = if config.kill_one {
+        (sequence.len() / 2).max(1)
+    } else {
+        sequence.len()
+    };
+    let mut outcomes = vec![ClientOutcome::default(); clients];
+    let mut wall_secs = 0.0;
+    let mut victim: Option<usize> = None;
+    for (half, range) in [0..split, split..sequence.len()].into_iter().enumerate() {
+        if range.is_empty() {
+            continue;
+        }
+        if half == 1 {
+            // Hard-stop the daemon that owns the next key, so the second
+            // half is guaranteed to exercise failover.
+            let owner = fleets[0]
+                .ring()
+                .owner(iqft_pipeline::route_hash(&inputs[sequence[range.start]]));
+            let server = booted.remove(owner);
+            server.shutdown_now();
+            server.join();
+            victim = Some(owner);
+        }
+        // Connections open once, in the first half, to the endpoints that
+        // answered the preflight.
+        let dial: &[usize] = if half == 0 { &live } else { &[] };
+        let started = Instant::now();
+        let results: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = fleets
+                .iter_mut()
+                .enumerate()
+                .map(|(client_idx, fleet)| {
+                    let mine: Vec<usize> = range
+                        .clone()
+                        .filter(|k| k % clients == client_idx)
+                        .map(|k| sequence[k])
+                        .collect();
+                    let run_client = &run_client;
+                    scope.spawn(move || run_client(client_idx, fleet, &mine, dial))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())))
+                .collect()
+        });
+        wall_secs += started.elapsed().as_secs_f64();
+        for (outcome, result) in outcomes.iter_mut().zip(results) {
+            outcome.add(&result?);
+        }
+    }
+
     let mut out = String::new();
+    let unique = sequence
+        .iter()
+        .collect::<std::collections::HashSet<_>>()
+        .len();
     let _ = writeln!(
         out,
-        "Loadgen: {} requests over {} unique images ({}x{}) across {} clients \
-         (pipeline depth {}) against {}",
-        config.images,
-        unique_images,
-        config.image_size,
-        config.image_size * 3 / 4,
-        clients,
-        depth,
-        config.addr,
+        "Loadgen: {} requests over {unique} unique {width}x{height} {} across {clients} \
+         clients (pipeline depth {depth}) against {}{}",
+        sequence.len(),
+        if config.video {
+            format!(
+                "video frames (change rate {:.0}%)",
+                config.change_rate * 100.0
+            )
+        } else {
+            "images".to_string()
+        },
+        addrs.join(", "),
+        if config.kill_one {
+            "; chaos: kill one mid-run"
+        } else {
+            ""
+        },
     );
     if let Some(resolved) = &resolved {
         let _ = writeln!(out, "  local reference plan: [{}]", resolved.plan);
@@ -494,31 +654,67 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     }
     let mut total = ClientOutcome::default();
     for (idx, outcome) in outcomes.iter().enumerate() {
-        let outcome = outcome.as_ref().map_err(|e| e.clone())?;
         let _ = writeln!(
             out,
-            "  client {idx}: {:>4} requests  {:>3} busy  {:>4} cache hits  {:>8.3} Mpx  \
-             {:>8.2} ms  {:>7.2} Mpx/s",
+            "  client {idx}: {:>4} requests  {:>3} busy  {:>4} cache hits  {:>3} failovers  \
+             {:>8.3} Mpx  {:>8.2} ms  {:>7.2} Mpx/s",
             outcome.requests,
             outcome.busy,
             outcome.cache_hits,
+            outcome.failovers,
             outcome.pixels as f64 / 1e6,
             outcome.elapsed_secs * 1e3,
             outcome.pixels as f64 / 1e6 / outcome.elapsed_secs.max(1e-9),
         );
-        total.requests += outcome.requests;
-        total.pixels += outcome.pixels;
-        total.mismatches += outcome.mismatches;
-        total.busy += outcome.busy;
-        total.cache_hits += outcome.cache_hits;
+        total.add(outcome);
     }
+    let mut endpoints = vec![EndpointStats::default(); addrs.len()];
+    for fleet in &fleets {
+        for (sum, stats) in endpoints.iter_mut().zip(fleet.stats()) {
+            sum.requests += stats.requests;
+            sum.hits += stats.hits;
+            sum.busy += stats.busy;
+            sum.errors += stats.errors;
+            sum.failovers += stats.failovers;
+        }
+    }
+    for (idx, (addr, stats)) in addrs.iter().zip(&endpoints).enumerate() {
+        let _ = writeln!(
+            out,
+            "  endpoint {idx} ({addr}): {:>4} requests  {:>4} hits  {:>3} busy  \
+             {:>3} errors  {:>3} failovers{}",
+            stats.requests,
+            stats.hits,
+            stats.busy,
+            stats.errors,
+            stats.failovers,
+            if victim == Some(idx) {
+                "  [killed mid-run]"
+            } else if probes[idx].is_err() {
+                "  [unreachable]"
+            } else {
+                ""
+            },
+        );
+    }
+    let tiles = total.tiles_hit + total.tiles_recomputed;
     let _ = writeln!(
         out,
-        "  total: {} requests ({} cache hits, {} busy-rejected), {:.3} Mpx in {:.2} ms -> \
-         {:.2} Mpx/s over the wire",
+        "  total: {} requests ({} cache hits, {} busy-rejected, {} failed over){}, {:.3} Mpx \
+         in {:.2} ms -> {:.2} Mpx/s over the wire",
         total.requests,
         total.cache_hits,
         total.busy,
+        total.failovers,
+        if tiles > 0 {
+            format!(
+                ", {} of {tiles} tiles from cache ({:.1}% tile hit ratio)",
+                total.tiles_hit,
+                total.tiles_hit as f64 * 100.0 / tiles as f64
+            )
+        } else {
+            String::new()
+        },
         total.pixels as f64 / 1e6,
         wall_secs * 1e3,
         total.pixels as f64 / 1e6 / wall_secs.max(1e-9),
@@ -532,43 +728,104 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         }
         let _ = writeln!(
             out,
-            "  verify: all {} replies (hits and misses alike) byte-identical to the local \
-             serial reference",
-            total.requests
+            "  verify: all {} {} byte-identical to the local serial reference",
+            total.requests,
+            if config.video {
+                "stitched replies"
+            } else {
+                "replies (hits and misses alike)"
+            },
         );
     }
+    if config.kill_one {
+        match victim {
+            Some(victim) if total.failovers > 0 => {
+                let _ = writeln!(
+                    out,
+                    "  chaos: killed endpoint {victim} mid-run; {} requests degraded to \
+                     graceful failover misses, zero errors",
+                    total.failovers,
+                );
+            }
+            _ => {
+                return Err(
+                    "chaos: killed a daemon mid-run but recorded no failovers — the kill was \
+                     not exercised"
+                        .to_string(),
+                )
+            }
+        }
+    }
 
-    finish_report(&mut out, &mut probe, config)?;
+    let mut answered: Vec<StatsSnapshot> = Vec::new();
+    let mut stats_error = String::new();
+    for (idx, probe) in probes.iter_mut().enumerate() {
+        let Ok(probe) = probe else { continue };
+        match probe.stats() {
+            Ok(stats) => {
+                let _ = writeln!(out, "  endpoint {idx} ({}) server stats:", addrs[idx]);
+                write_server_stats(&mut out, &stats);
+                answered.push(stats);
+            }
+            Err(e) => stats_error = format!("stats request to {} failed: {e}", addrs[idx]),
+        }
+    }
+    if answered.is_empty() {
+        return Err(stats_error);
+    }
+    // Judged from the replies' own flags: whole-image hits, or reused delta
+    // tiles for video.
+    let (hits, what) = if config.video {
+        (total.tiles_hit, "delta tile hits")
+    } else {
+        (total.cache_hits as u64, "cache hits")
+    };
+    if config.expect_cache_hits && hits == 0 {
+        let enabled = answered.iter().any(|stats| stats.cache_capacity_bytes > 0);
+        return Err(format!(
+            "expected {what}, but no reply reports any (cache {} on the endpoints; {} replies)",
+            if enabled { "enabled" } else { "DISABLED" },
+            total.requests,
+        ));
+    }
+
+    if config.shutdown {
+        let acknowledged = fleets[0].shutdown_all();
+        let _ = writeln!(
+            out,
+            "  shutdown: acknowledged by {acknowledged} of {}",
+            addrs.len()
+        );
+    }
+    // Self-booted chaos daemons come down with the run: without --shutdown
+    // no drain was sent, and joining a still-listening server would block
+    // forever.  Closing this side's connections first lets the drain finish
+    // without waiting out its idle grace.
+    drop((fleets, probes));
+    for server in booted {
+        server.shutdown_now();
+        server.join();
+    }
     Ok(out)
 }
 
-/// The shared report tail: fetches the server's statistics snapshot, renders
-/// it, enforces `--expect-cache-hits` (whole-image hits in the default mode,
-/// delta *tile* hits in `--video` mode), and sends the shutdown frame when
-/// asked.
-fn finish_report(
-    out: &mut String,
-    probe: &mut Client,
-    config: &LoadgenConfig,
-) -> Result<(), String> {
-    let stats = probe
-        .stats()
-        .map_err(|e| format!("stats request failed: {e}"))?;
+/// Renders one endpoint's own statistics snapshot, indented under its
+/// `endpoint N (addr) server stats:` line.
+fn write_server_stats(out: &mut String, stats: &StatsSnapshot) {
     let _ = writeln!(
         out,
-        "  server: plan [{}], {} conns ({} open), {} requests ({} segment), \
-         {:.3} Mpx, {:.2} Mpx/s since boot",
+        "    server: plan [{}], {} conns ({} open), {} requests ({} segment), {:.3} Mpx",
         stats.plan,
         stats.connections_total,
         stats.connections_open,
         stats.requests_total,
         stats.segment_requests,
         stats.pixels_total as f64 / 1e6,
-        stats.mpix_per_sec,
     );
     let _ = writeln!(
         out,
-        "  server arena: {} allocations, {} reuses ({} pooled); max_inflight {}; {} protocol errors",
+        "    server arena: {} allocations, {} reuses ({} pooled); max_inflight {}; {} protocol \
+         errors",
         stats.arena_allocations,
         stats.arena_reuses,
         stats.arena_pooled,
@@ -577,7 +834,7 @@ fn finish_report(
     );
     let _ = writeln!(
         out,
-        "  server admission: max_queue {}, {} busy rejections",
+        "    server admission: max_queue {}, {} busy rejections",
         if stats.max_queue > 0 {
             stats.max_queue.to_string()
         } else {
@@ -588,7 +845,7 @@ fn finish_report(
     if stats.lat_count > 0 {
         let _ = writeln!(
             out,
-            "  server latency: p50 {} us, p90 {} us, p99 {} us, p999 {} us, max {} us \
+            "    server latency: p50 {} us, p90 {} us, p99 {} us, p999 {} us, max {} us \
              over {} ops",
             stats.lat_p50_us,
             stats.lat_p90_us,
@@ -599,12 +856,12 @@ fn finish_report(
         );
     }
     if !stats.calibration.is_empty() {
-        let _ = writeln!(out, "  server calibration: {}", stats.calibration);
+        let _ = writeln!(out, "    server calibration: {}", stats.calibration);
     }
     if stats.cache_capacity_bytes > 0 {
         let _ = writeln!(
             out,
-            "  server cache: {} hits, {} misses, {} evictions; {} entries, \
+            "    server cache: {} hits, {} misses, {} evictions; {} entries, \
              {:.1}/{:.0} MiB used",
             stats.cache_hits,
             stats.cache_misses,
@@ -614,14 +871,14 @@ fn finish_report(
             stats.cache_capacity_bytes as f64 / (1 << 20) as f64,
         );
     } else {
-        let _ = writeln!(out, "  server cache: off");
+        let _ = writeln!(out, "    server cache: off");
     }
     // Forward-compatible keys travel in `extra`; read them through the
     // typed accessor instead of re-parsing the snapshot text.
     if let Some(entries) = stats.extra_u64("cache_warm_loaded_entries") {
         let _ = writeln!(
             out,
-            "  server cache persistence: warm-loaded {} entries ({:.1} MiB){}",
+            "    server cache persistence: warm-loaded {} entries ({:.1} MiB){}",
             entries,
             stats.extra_u64("cache_warm_loaded_bytes").unwrap_or(0) as f64 / (1 << 20) as f64,
             match stats.extra.get("cache_warm_error") {
@@ -634,433 +891,12 @@ fn finish_report(
     if delta_total > 0 {
         let _ = writeln!(
             out,
-            "  server delta: {} tiles hit, {} recomputed ({:.1}% tile hit ratio)",
+            "    server delta: {} tiles hit, {} recomputed ({:.1}% tile hit ratio)",
             stats.delta_tiles_hit,
             stats.delta_tiles_recomputed,
             stats.delta_tiles_hit as f64 * 100.0 / delta_total as f64,
         );
     }
-    if config.expect_cache_hits {
-        if config.video {
-            if stats.delta_tiles_hit == 0 {
-                return Err(format!(
-                    "expected delta tile hits, but the server reports none (cache {}; {} tiles \
-                     recomputed)",
-                    if stats.cache_capacity_bytes > 0 {
-                        "enabled"
-                    } else {
-                        "DISABLED"
-                    },
-                    stats.delta_tiles_recomputed,
-                ));
-            }
-        } else if stats.cache_hits == 0 {
-            return Err(format!(
-                "expected cache hits, but the server reports none (cache {}; {} misses)",
-                if stats.cache_capacity_bytes > 0 {
-                    "enabled"
-                } else {
-                    "DISABLED"
-                },
-                stats.cache_misses,
-            ));
-        }
-    }
-
-    if config.shutdown {
-        probe
-            .shutdown()
-            .map_err(|e| format!("shutdown request failed: {e}"))?;
-        let _ = writeln!(out, "  shutdown: acknowledged, server is draining");
-    }
-    Ok(())
-}
-
-/// The `--fleet` / `--kill-one` traffic shape: route the whole request
-/// sequence by content hash over a [`FleetClient`] (per-endpoint pipelined
-/// bursts), optionally killing one daemon halfway through.
-///
-/// With `--kill-one` the fleet is self-contained: three cached in-process
-/// daemons boot on ephemeral loopback ports, the run streams its first half
-/// against all three, then the daemon owning the next image is stopped
-/// hard, and the second half must still verify byte-identically — the dead
-/// daemon's keys come back as counted failover *misses*, never errors.
-/// Without it, `--fleet addr,addr,...` drives externally-booted daemons.
-fn loadgen_fleet_report(config: &LoadgenConfig) -> Result<String, String> {
-    if config.video {
-        return Err("--fleet/--kill-one and --video are mutually exclusive".to_string());
-    }
-    if config.kill_one && !config.fleet.is_empty() {
-        return Err(
-            "--kill-one boots its own in-process fleet; it cannot be combined with --fleet"
-                .to_string(),
-        );
-    }
-    // Chaos mode boots its own three-daemon fleet, caches on, so the run is
-    // self-contained and the kill is a real (hard) stop.
-    let mut booted: Vec<Option<Server>> = Vec::new();
-    let addrs: Vec<String> = if config.kill_one {
-        for _ in 0..3 {
-            let server = Server::bind(
-                "127.0.0.1:0",
-                ServerConfig::new(SegmentPlan::default())
-                    .with_cache(CacheConfig::with_capacity_mb(64)),
-            )
-            .map_err(|e| format!("failed to boot chaos fleet daemon: {e}"))?;
-            booted.push(Some(server));
-        }
-        booted
-            .iter()
-            .map(|s| s.as_ref().unwrap().local_addr().to_string())
-            .collect()
-    } else {
-        config.fleet.clone()
-    };
-    if addrs.is_empty() {
-        return Err("--fleet needs at least one addr".to_string());
-    }
-
-    // Preflight the external daemons.  A dead endpoint is not fatal — its
-    // keys fail over to the next ring owner and get counted — but a fleet
-    // with *no* live endpoint is a configuration error worth failing fast.
-    if !config.kill_one {
-        let mut live = 0usize;
-        for addr in &addrs {
-            match connect_with_retry(addr, config.connect_deadline_ms) {
-                Ok(mut probe) => {
-                    probe
-                        .ping()
-                        .map_err(|e| format!("ping {addr} failed: {e}"))?;
-                    live += 1;
-                }
-                Err(_) => eprintln!(
-                    "loadgen: fleet endpoint {addr} is unreachable; its keys will fail over"
-                ),
-            }
-        }
-        if live == 0 {
-            return Err(format!(
-                "no fleet endpoint answered a ping (tried {})",
-                addrs.join(", ")
-            ));
-        }
-    }
-
-    let depth = config.pipeline_depth.clamp(1, protocol::MAX_PIPELINE_DEPTH);
-    let images = throughput_images(&ThroughputConfig {
-        images: config.images,
-        image_size: config.image_size,
-        seed: config.seed,
-        ..ThroughputConfig::default()
-    });
-    let sequence = request_sequence(config.images, config.repeat_ratio, config.seed);
-    let resolved = resolve_local_plan(config)?;
-    let reference: Vec<LabelMap> = if config.verify {
-        let engine = resolved
-            .as_ref()
-            .map(|r| r.plan.engine())
-            .unwrap_or_else(SegmentEngine::serial);
-        let local = IqftRgbSegmenter::paper_default().with_engine(engine);
-        images.iter().map(|img| local.segment_rgb(img)).collect()
-    } else {
-        Vec::new()
-    };
-
-    let fleet_config = ClientConfig::fleet(addrs.iter().cloned())
-        .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
-        .with_pipeline_depth(depth);
-    let mut fleet = FleetClient::open(&fleet_config).map_err(|e| e.to_string())?;
-
-    // Two halves so --kill-one has a "mid-run" to kill at; without the
-    // chaos flag the split is invisible (same connections, same ring).
-    let split = if config.kill_one {
-        (sequence.len() / 2).max(1)
-    } else {
-        sequence.len()
-    };
-    let started = Instant::now();
-    let mut outcome = ClientOutcome::default();
-    let mut failovers = 0usize;
-    let mut victim: Option<usize> = None;
-    for (half, range) in [(0usize, 0..split), (1, split..sequence.len())] {
-        if range.is_empty() {
-            continue;
-        }
-        if half == 1 && config.kill_one {
-            // Kill the daemon that owns the next image, so the second half
-            // is guaranteed to exercise failover.
-            let owner = fleet
-                .ring()
-                .owner(iqft_pipeline::route_hash(&images[sequence[range.start]]));
-            if let Some(server) = booted[owner].take() {
-                server.shutdown_now();
-                server.join();
-            }
-            victim = Some(owner);
-        }
-        let slice: Vec<usize> = sequence[range].to_vec();
-        let refs: Vec<&imaging::RgbImage> = slice.iter().map(|&img| &images[img]).collect();
-        let replies = fleet
-            .segment_pipelined(&refs, true)
-            .map_err(|e| format!("fleet pipelined segment failed: {e}"))?;
-        for (&img, reply) in slice.iter().zip(&replies) {
-            failovers += usize::from(reply.tried() > 0);
-            match reply.labels() {
-                Some(labels) => {
-                    outcome.requests += 1;
-                    outcome.pixels += labels.len() as u64;
-                    outcome.cache_hits += usize::from(reply.cached());
-                    if config.verify && labels != &reference[img] {
-                        outcome.mismatches += 1;
-                    }
-                }
-                None => outcome.busy += 1,
-            }
-        }
-    }
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Loadgen (fleet): {} requests ({}x{}) by content hash over {} daemons \
-         (pipeline depth {}{})",
-        config.images,
-        config.image_size,
-        config.image_size * 3 / 4,
-        addrs.len(),
-        depth,
-        if config.kill_one {
-            "; chaos: kill one mid-run"
-        } else {
-            ""
-        },
-    );
-    if let Some(resolved) = &resolved {
-        let _ = writeln!(out, "  local reference plan: [{}]", resolved.plan);
-    }
-    for (idx, (addr, stats)) in addrs.iter().zip(fleet.stats()).enumerate() {
-        let _ = writeln!(
-            out,
-            "  endpoint {idx} ({addr}): {:>4} requests  {:>4} hits  {:>3} busy  \
-             {:>3} errors  {:>3} failovers{}",
-            stats.requests,
-            stats.hits,
-            stats.busy,
-            stats.errors,
-            stats.failovers,
-            if victim == Some(idx) {
-                "  [killed mid-run]"
-            } else {
-                ""
-            },
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  total: {} requests ({} cache hits, {} busy, {} failed over), {:.3} Mpx in \
-         {:.2} ms -> {:.2} Mpx/s over the wire",
-        outcome.requests,
-        outcome.cache_hits,
-        outcome.busy,
-        failovers,
-        outcome.pixels as f64 / 1e6,
-        wall_secs * 1e3,
-        outcome.pixels as f64 / 1e6 / wall_secs.max(1e-9),
-    );
-    if config.verify {
-        if outcome.mismatches > 0 {
-            return Err(format!(
-                "verify: FAILED — {} of {} replies differ from the local serial reference",
-                outcome.mismatches, outcome.requests
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "  verify: all {} replies (hits, misses, and failovers alike) byte-identical \
-             to the local serial reference",
-            outcome.requests
-        );
-    }
-    if config.kill_one {
-        if failovers == 0 {
-            return Err(
-                "chaos: killed a daemon mid-run but recorded no failovers — the kill was \
-                 not exercised"
-                    .to_string(),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  chaos: killed endpoint {} mid-run; {} requests degraded to graceful \
-             failover misses, zero errors",
-            victim.expect("kill-one picked a victim"),
-            failovers,
-        );
-    }
-    if config.expect_cache_hits && outcome.cache_hits == 0 {
-        return Err(format!(
-            "expected cache hits, but no fleet endpoint served one ({} requests)",
-            outcome.requests
-        ));
-    }
-    if config.shutdown {
-        let acknowledged = fleet.shutdown_all();
-        let _ = writeln!(
-            out,
-            "  shutdown: acknowledged by {acknowledged} of {} daemons",
-            addrs.len()
-        );
-    }
-    for server in booted.into_iter().flatten() {
-        // Self-booted chaos daemons must come down with the run: without
-        // `--shutdown` no drain was sent, and joining a still-listening
-        // server would block forever.
-        if !config.shutdown {
-            server.shutdown_now();
-        }
-        server.join();
-    }
-    Ok(out)
-}
-
-/// The `--video` traffic shape: each client plays its own deterministic
-/// synthetic video stream ([`datasets::synthetic_video`]) through the
-/// per-tile delta op in lockstep, so consecutive frames share most of their
-/// tiles and the server's delta cache answers the unchanged ones.  Every
-/// stitched reply is cross-checked byte-for-byte against a local serial pass
-/// (unless `--no-verify`).
-fn loadgen_video_report(config: &LoadgenConfig) -> Result<String, String> {
-    let clients = config.clients.max(1);
-    #[cfg(unix)]
-    iqft_serve::poll::raise_nofile_limit((clients as u64).saturating_mul(2) + 512);
-    let frames_per_client = config.images.div_ceil(clients).max(2);
-    let width = config.image_size;
-    let height = config.image_size * 3 / 4;
-
-    let mut probe = connect_with_retry(&config.addr, config.connect_deadline_ms)?;
-    probe.ping().map_err(|e| format!("ping failed: {e}"))?;
-
-    let started = Instant::now();
-    let outcomes: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|client_idx| {
-                let addr = config.addr.as_str();
-                let verify = config.verify;
-                let change_rate = config.change_rate;
-                let seed = config.seed;
-                scope.spawn(move || -> Result<ClientOutcome, String> {
-                    // Each client is its own camera: a distinct seed gives it
-                    // a distinct (still deterministic) scene and motion.
-                    let frames = datasets::synthetic_video(&datasets::VideoConfig {
-                        frames: frames_per_client,
-                        width,
-                        height,
-                        change_rate,
-                        block: 0,
-                        seed: seed ^ ((client_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    });
-                    let serial =
-                        IqftRgbSegmenter::paper_default().with_engine(SegmentEngine::serial());
-                    let mut client = connect_worker(addr, client_idx, 1)?;
-                    let started = Instant::now();
-                    let mut outcome = ClientOutcome::default();
-                    for frame in &frames {
-                        let (reply, hit, recomputed) =
-                            client.segment_delta(frame).map_err(|e| {
-                                format!("client {client_idx}: delta segment failed: {e}")
-                            })?;
-                        let Some(labels) = reply.labels() else {
-                            // Overload shedding: the frame was refused, not
-                            // mis-served; keep streaming the rest.
-                            outcome.busy += 1;
-                            continue;
-                        };
-                        outcome.requests += 1;
-                        outcome.pixels += labels.len() as u64;
-                        outcome.tiles_hit += u64::from(hit);
-                        outcome.tiles_recomputed += u64::from(recomputed);
-                        if verify && *labels != serial.segment_rgb(frame) {
-                            outcome.mismatches += 1;
-                        }
-                    }
-                    outcome.elapsed_secs = started.elapsed().as_secs_f64();
-                    Ok(outcome)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|_| Err("client panicked".into())))
-            .collect()
-    });
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Loadgen (video): {} clients x {} frames ({}x{}, change rate {:.0}%) against {}",
-        clients,
-        frames_per_client,
-        width,
-        height,
-        config.change_rate * 100.0,
-        config.addr,
-    );
-    let mut total = ClientOutcome::default();
-    for (idx, outcome) in outcomes.iter().enumerate() {
-        let outcome = outcome.as_ref().map_err(|e| e.clone())?;
-        let _ = writeln!(
-            out,
-            "  client {idx}: {:>4} frames  {:>5} tiles hit  {:>5} recomputed  {:>8.3} Mpx  \
-             {:>7.2} Mpx/s",
-            outcome.requests,
-            outcome.tiles_hit,
-            outcome.tiles_recomputed,
-            outcome.pixels as f64 / 1e6,
-            outcome.pixels as f64 / 1e6 / outcome.elapsed_secs.max(1e-9),
-        );
-        total.requests += outcome.requests;
-        total.pixels += outcome.pixels;
-        total.mismatches += outcome.mismatches;
-        total.busy += outcome.busy;
-        total.tiles_hit += outcome.tiles_hit;
-        total.tiles_recomputed += outcome.tiles_recomputed;
-    }
-    let tile_total = total.tiles_hit + total.tiles_recomputed;
-    let _ = writeln!(
-        out,
-        "  total: {} frames ({} busy-rejected), {} of {} tiles from cache ({:.1}% tile hit \
-         ratio), {:.3} Mpx in {:.2} ms -> {:.2} Mpx/s over the wire",
-        total.requests,
-        total.busy,
-        total.tiles_hit,
-        tile_total,
-        if tile_total > 0 {
-            total.tiles_hit as f64 * 100.0 / tile_total as f64
-        } else {
-            0.0
-        },
-        total.pixels as f64 / 1e6,
-        wall_secs * 1e3,
-        total.pixels as f64 / 1e6 / wall_secs.max(1e-9),
-    );
-    if config.verify {
-        if total.mismatches > 0 {
-            return Err(format!(
-                "verify: FAILED — {} of {} stitched replies differ from the local serial \
-                 reference",
-                total.mismatches, total.requests
-            ));
-        }
-        let _ = writeln!(
-            out,
-            "  verify: all {} stitched replies byte-identical to the local serial reference",
-            total.requests
-        );
-    }
-    finish_report(&mut out, &mut probe, config)?;
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -1110,7 +946,10 @@ mod tests {
         );
         assert!(report.contains("client 0"), "{report}");
         assert!(report.contains("server cache: off"), "{report}");
-        assert!(report.contains("shutdown: acknowledged"), "{report}");
+        assert!(
+            report.contains("shutdown: acknowledged by 1 of 1"),
+            "{report}"
+        );
         assert!(report.contains(&plan.to_spec()), "{report}");
         // The Shutdown frame drains the server; join must not hang.
         server.join();
@@ -1161,7 +1000,7 @@ mod tests {
         config.image_size = 160; // 160x120 frames: 12 tiles of 48x48
         config.expect_cache_hits = true;
         let report = loadgen_report(&config).unwrap();
-        assert!(report.contains("Loadgen (video)"), "{report}");
+        assert!(report.contains("6 unique 160x120 video frames"), "{report}");
         assert!(
             report.contains("stitched replies byte-identical"),
             "{report}"
@@ -1186,8 +1025,11 @@ mod tests {
 
     #[test]
     fn overloaded_server_sheds_with_busy_and_the_rest_verifies() {
-        // One worker, a one-deep queue: a pipelined burst of 12 requests
-        // from 2 clients must overflow admission at least once.
+        // One worker, a one-deep queue.  The server runs one request per
+        // connection at a time, so overflowing admission takes more busy
+        // connections than the worker plus the queue slot: CI's overload
+        // leg shape (4 clients x 8 pipelined 160x120 frames each) must be
+        // shed at least once.
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig::new(SegmentPlan::default())
@@ -1196,15 +1038,15 @@ mod tests {
         )
         .expect("ephemeral bind");
         let mut config = small_loadgen(server.local_addr().to_string());
-        config.clients = 2;
-        config.images = 16;
-        config.image_size = 120;
+        config.clients = 4;
+        config.images = 32;
+        config.image_size = 160;
         config.pipeline_depth = 8;
         let report = loadgen_report(&config).unwrap();
         assert!(report.contains("server admission: max_queue 1"), "{report}");
         assert!(
             !report.contains(", 0 busy rejections"),
-            "a 2x8-deep burst against 1 worker + 1 queue slot must shed:\n{report}"
+            "4 clients' 8-deep bursts against 1 worker + 1 queue slot must shed:\n{report}"
         );
         // Whatever was admitted verified byte-identically; loadgen reports
         // rather than fails when the shed count is nonzero.
@@ -1230,6 +1072,19 @@ mod tests {
         config.plan = "classifier=warp".to_string();
         config.shutdown = false;
         assert!(loadgen_report(&config).is_err());
+    }
+
+    #[test]
+    fn video_loadgen_refuses_an_unparsable_plan() {
+        let server = boot(SegmentPlan::default());
+        let mut config = small_loadgen(server.local_addr().to_string());
+        config.video = true;
+        config.shutdown = false;
+        config.plan = "classifier=warp".to_string();
+        let err = loadgen_report(&config).unwrap_err();
+        assert!(err.contains("warp"), "{err}");
+        server.shutdown_now();
+        server.join();
     }
 
     #[test]
@@ -1290,15 +1145,14 @@ mod tests {
     fn fleet_loadgen_routes_over_external_daemons_and_reports_per_endpoint() {
         let a = boot_with_cache(SegmentPlan::default(), 64);
         let b = boot_with_cache(SegmentPlan::default(), 64);
-        let mut config = small_loadgen(String::new());
-        config.fleet = vec![a.local_addr().to_string(), b.local_addr().to_string()];
+        let addrs = format!("{}, {}", a.local_addr(), b.local_addr());
+        let mut config = small_loadgen(addrs.clone());
         config.images = 16;
         config.repeat_ratio = 0.6;
         config.pipeline_depth = 4;
         config.expect_cache_hits = true;
         let report = loadgen_report(&config).unwrap();
-        assert!(report.contains("Loadgen (fleet)"), "{report}");
-        assert!(report.contains("over 2 daemons"), "{report}");
+        assert!(report.contains(&format!("against {addrs}")), "{report}");
         assert!(report.contains("endpoint 0"), "{report}");
         assert!(report.contains("endpoint 1"), "{report}");
         assert!(
@@ -1314,6 +1168,40 @@ mod tests {
     }
 
     #[test]
+    fn every_client_runs_against_a_fleet_and_each_endpoint_reports_its_stats() {
+        let a = boot_with_cache(SegmentPlan::default(), 64);
+        let b = boot_with_cache(SegmentPlan::default(), 64);
+        let config = small_loadgen(format!("{},{}", a.local_addr(), b.local_addr()));
+        let report = loadgen_report(&config).unwrap();
+        for client in 0..3 {
+            assert!(report.contains(&format!("client {client}: ")), "{report}");
+        }
+        assert!(!report.contains("client 3: "), "{report}");
+        // Every request is answered by exactly one endpoint.
+        let answered: u64 = report
+            .lines()
+            .filter(|line| line.starts_with("  endpoint ") && line.contains("): "))
+            .map(|line| {
+                let counts = line.split("): ").nth(1).unwrap();
+                counts
+                    .split_whitespace()
+                    .next()
+                    .unwrap()
+                    .parse::<u64>()
+                    .unwrap()
+            })
+            .sum();
+        assert_eq!(answered, 9, "{report}");
+        for server in [&a, &b] {
+            let header = format!("({}) server stats:", server.local_addr());
+            assert!(report.contains(&header), "{report}");
+        }
+        assert_eq!(report.matches("server: plan [").count(), 2, "{report}");
+        a.join();
+        b.join();
+    }
+
+    #[test]
     fn fleet_loadgen_degrades_when_an_endpoint_is_already_dead() {
         let live = boot_with_cache(SegmentPlan::default(), 64);
         // An address nothing listens on: bind an ephemeral port, then drop
@@ -1323,8 +1211,7 @@ mod tests {
             .local_addr()
             .unwrap()
             .to_string();
-        let mut config = small_loadgen(String::new());
-        config.fleet = vec![live.local_addr().to_string(), dead];
+        let mut config = small_loadgen(format!("{},{dead}", live.local_addr()));
         config.connect_deadline_ms = 300;
         config.images = 12;
         let report = loadgen_report(&config).unwrap();
@@ -1378,11 +1265,15 @@ mod tests {
         let err = loadgen_report(&config).unwrap_err();
         assert!(err.contains("mutually exclusive"), "{err}");
 
-        let mut config = small_loadgen(String::new());
+        let mut config = small_loadgen("127.0.0.1:1".to_string());
         config.kill_one = true;
-        config.fleet = vec!["127.0.0.1:1".to_string()];
         let err = loadgen_report(&config).unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
+
+        let mut config = small_loadgen("127.0.0.1:1,127.0.0.1:2".to_string());
+        config.video = true;
+        let err = loadgen_report(&config).unwrap_err();
+        assert!(err.contains("mutually exclusive"), "{err}");
     }
 
     #[test]

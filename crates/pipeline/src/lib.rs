@@ -353,46 +353,16 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     where
         F: FnMut(usize, LabelMap, u32, u32),
     {
-        let batch_size = batch_size.max(1);
-        let allocations_before = self.arena.allocations();
-        let reuses_before = self.arena.reuses();
-        let cache_before = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
-        let mut report = PipelineReport {
-            workers: self.workers(),
-            ..PipelineReport::default()
-        };
-        let latency = LatencyHistogram::new();
-        for (batch_idx, chunk) in frames.chunks(batch_size).enumerate() {
-            let offset = batch_idx * batch_size;
-            let started = std::time::Instant::now();
-            for (i, img) in chunk.iter().enumerate() {
-                let op_started = std::time::Instant::now();
-                let (labels, hit, recomputed) = self.segment_request_delta(img);
-                latency.record(op_started.elapsed());
+        self.run_stream_each(
+            frames,
+            batch_size,
+            |img| self.segment_request_delta(img),
+            |idx, (labels, hit, recomputed), report| {
                 report.delta_tiles_hit += hit as usize;
                 report.delta_tiles_recomputed += recomputed as usize;
-                sink(offset + i, labels, hit, recomputed);
-            }
-            report.batches.push(BatchStats {
-                batch: batch_idx,
-                images: chunk.len(),
-                pixels: chunk.iter().map(|img| img.len()).sum(),
-                elapsed_secs: started.elapsed().as_secs_f64(),
-            });
-        }
-        report.latency = latency.summary();
-        report.arena_allocations = self.arena.allocations() - allocations_before;
-        report.arena_reuses = self.arena.reuses() - reuses_before;
-        report.arena_pooled = self.arena.pooled();
-        if let Some(cache) = &self.cache {
-            let now = cache.stats();
-            report.cache_hits = now.hits - cache_before.hits;
-            report.cache_misses = now.misses - cache_before.misses;
-            report.cache_evictions = now.evictions - cache_before.evictions;
-            report.cache_entries = now.entries;
-            report.cache_bytes = now.bytes;
-        }
-        report
+                sink(idx, labels, hit, recomputed);
+            },
+        )
     }
 
     /// Segments one batch of images through the bounded queue on the
@@ -668,6 +638,28 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     where
         F: FnMut(usize, LabelMap, bool),
     {
+        self.run_stream_each(
+            images,
+            batch_size,
+            |img| self.segment_request_cached(img, false),
+            |idx, (labels, hit), _| sink(idx, labels, hit),
+        )
+    }
+
+    /// The one per-request stream loop behind
+    /// [`SegmentPipeline::run_stream_requests`] and
+    /// [`SegmentPipeline::run_stream_deltas`]: runs `request` on each image
+    /// in turn, timing only that call, hands its result to `sink` with the
+    /// image's index and the report being built, and groups `batch_size`
+    /// consecutive requests per [`BatchStats`] entry.  The report carries
+    /// this run's arena and cache counter deltas.
+    fn run_stream_each<T>(
+        &self,
+        images: &[RgbImage],
+        batch_size: usize,
+        mut request: impl FnMut(&RgbImage) -> T,
+        mut sink: impl FnMut(usize, T, &mut PipelineReport),
+    ) -> PipelineReport {
         let batch_size = batch_size.max(1);
         let allocations_before = self.arena.allocations();
         let reuses_before = self.arena.reuses();
@@ -682,9 +674,9 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
             let started = std::time::Instant::now();
             for (i, img) in chunk.iter().enumerate() {
                 let op_started = std::time::Instant::now();
-                let (labels, hit) = self.segment_request_cached(img, false);
+                let result = request(img);
                 latency.record(op_started.elapsed());
-                sink(offset + i, labels, hit);
+                sink(offset + i, result, &mut report);
             }
             report.batches.push(BatchStats {
                 batch: batch_idx,

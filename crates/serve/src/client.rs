@@ -4,8 +4,9 @@
 //! lockstep: every call writes one frame, reads one frame, checks the echoed
 //! request id, and converts a server [`Message::Error`] into
 //! [`ServeError::Server`].  One client is one connection — for concurrent
-//! load, open one client per thread (that is exactly what the
-//! `iqft-experiments loadgen` subcommand does).
+//! load, open one client per thread (the `iqft-experiments loadgen`
+//! subcommand gives each thread a [`crate::fleet::FleetClient`], which
+//! holds one client per endpoint).
 //!
 //! Construction mirrors the server side: a [`ClientConfig`] builder names
 //! the endpoint(s), the pipeline depth, the connect/reply deadlines, and the

@@ -200,6 +200,21 @@ impl FleetClient {
         &self.ring
     }
 
+    /// Dials endpoint `idx` now instead of on its first request; a no-op
+    /// when that connection is already open.  One attempt under the
+    /// config's connect deadline, like the lazy dial — a caller that wants
+    /// startup retries (a load generator racing an accept backlog) loops.
+    ///
+    /// # Panics
+    ///
+    /// If `idx` is not an index into [`FleetClient::addrs`].
+    pub fn connect(&mut self, idx: usize) -> io::Result<()> {
+        if self.connections[idx].is_none() {
+            self.connections[idx] = Some(Client::dial(&self.config.addrs[idx], &self.config)?);
+        }
+        Ok(())
+    }
+
     /// Takes (or dials) the connection for endpoint `idx`; the caller puts
     /// it back on success so a transport failure drops the socket.
     fn take_connection(&mut self, idx: usize) -> io::Result<Client> {

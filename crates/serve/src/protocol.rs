@@ -717,17 +717,9 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<(u64, Message), ProtocolError>
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let header = parse_header(&header)?;
-    read_body(r, header).map(|message| (header.request_id, message))
-}
-
-/// Reads the payload for an already-parsed header and decodes the body.
-///
-/// Split out from [`read_message`] so a server can read the header with its
-/// own polling/timeout policy and still share the payload path.
-pub fn read_body<R: Read>(r: &mut R, header: Header) -> Result<Message, ProtocolError> {
     let mut payload = vec![0u8; header.payload_len];
     r.read_exact(&mut payload)?;
-    decode_body(header.op, &payload)
+    decode_body(header.op, &payload).map(|message| (header.request_id, message))
 }
 
 /// Decodes one complete frame from a byte slice (header + payload).
