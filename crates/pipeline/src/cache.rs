@@ -10,6 +10,17 @@
 //!
 //! Design points:
 //!
+//! * **Striped content hash** — one hasher serves whole-frame keys, tile
+//!   keys and [`route_hash`].  It reads the pixel bytes in place (a frame
+//!   or a tile row is one byte slice, via `Rgb::slice_as_bytes`) in 32-byte
+//!   stripes: four independent 64-bit lanes each absorb one 8-byte word per
+//!   stripe with a multiply–rotate–multiply round, so the lanes' multiply
+//!   chains overlap instead of waiting on one another.  The lanes are then
+//!   merged into two 64-bit halves and each half gets a full avalanche.
+//!   The layout follows XXH64/XXH3 (Collet,
+//!   <https://github.com/Cyan4973/xxHash>) and the tests hold it to
+//!   SMHasher's avalanche criterion (Appleby); the stream may be fed in
+//!   chunks of any size without changing the key.
 //! * **Sharded locking** — the key space is split across N independent
 //!   mutex-guarded shards, so concurrent connections rarely contend on the
 //!   same lock.
@@ -23,9 +34,10 @@
 //! * **Correctness over capacity** — a hit is produced by copying the cached
 //!   labels into a fresh arena buffer; the cache never hands out a buffer it
 //!   still owns, so eviction can never corrupt a reply already in flight.
-//!   Keys are 128 bits (two independent 64-bit hashes) and carry the image
-//!   dimensions, which makes an accidental collision between distinct
-//!   requests astronomically unlikely and a dimension mix-up impossible.
+//!   Keys are 128 bits (two 64-bit halves of one striped hash) and carry
+//!   the image dimensions, which makes an accidental collision between
+//!   distinct requests astronomically unlikely and a dimension mix-up
+//!   impossible.
 //!
 //! Hit results are byte-identical to a fresh segmentation by construction:
 //! the cache only ever stores bytes produced by the pipeline itself, and
@@ -84,9 +96,10 @@ impl CacheConfig {
     }
 }
 
-/// A 128-bit content address: two independent 64-bit hashes over the same
-/// request bytes.  The pair (plus the dimensions stored in the entry) makes
-/// accidental collisions between distinct images astronomically unlikely.
+/// A 128-bit content address: two 64-bit halves drawn from the striped
+/// hasher's 256-bit lane state over the request bytes.  The pair (plus the
+/// dimensions stored in the entry) makes accidental collisions between
+/// distinct images astronomically unlikely.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     lo: u64,
@@ -118,7 +131,8 @@ fn fnv1a_64(bytes: &[u8]) -> u64 {
     state
 }
 
-/// One multiply-rotate-multiply mixing step (xxHash-style).
+/// One multiply-rotate-multiply mixing step (xxHash-style), used to fold the
+/// dimensions and tile geometry into a key's seeds.
 #[inline]
 fn mix(state: u64, word: u64) -> u64 {
     (state ^ word.wrapping_mul(PRIME_A))
@@ -137,115 +151,152 @@ fn finish(mut state: u64) -> u64 {
     state ^ (state >> 32)
 }
 
-/// Hashes an image's pixel bytes (plus dimensions) into a [`CacheKey`].
-/// Pixels are packed 8 at a time into three 64-bit words, so the hot loop
-/// costs a fraction of a mixing step per pixel — cheap next to even the
-/// phase-table classifier's three lookups per pixel.
-fn hash_image(img: &RgbImage, seed_lo: u64, seed_hi: u64) -> CacheKey {
-    let dims = ((img.width() as u64) << 32) | img.height() as u64;
-    let mut lo = mix(seed_lo, dims);
-    let mut hi = mix(seed_hi, dims);
-    let pixels = img.as_slice();
-    let chunks = pixels.chunks_exact(8);
-    let remainder = chunks.remainder();
-    for chunk in chunks {
-        let mut bytes = [0u8; 24];
-        for (i, px) in chunk.iter().enumerate() {
-            bytes[i * 3] = px.r();
-            bytes[i * 3 + 1] = px.g();
-            bytes[i * 3 + 2] = px.b();
-        }
-        for word_bytes in bytes.chunks_exact(8) {
-            let word = u64::from_le_bytes(word_bytes.try_into().expect("8-byte chunk"));
-            lo = mix(lo, word);
-            hi = mix(hi, word.rotate_left(32));
-        }
-    }
-    for px in remainder {
-        let word = px.r() as u64 | (px.g() as u64) << 8 | (px.b() as u64) << 16;
-        lo = mix(lo, word);
-        hi = mix(hi, word.rotate_left(32));
-    }
-    CacheKey {
-        lo: finish(lo),
-        hi: finish(hi),
-    }
+/// Packs a `width × height` pair into the one word that seeds a key.
+fn dims_word(width: usize, height: usize) -> u64 {
+    ((width as u64) << 32) | height as u64
 }
 
-/// Streaming variant of the packing loop in [`hash_image`]: pixels are
-/// pushed one logical row at a time, packed 8-at-a-time into three 64-bit
-/// words exactly as the whole-image hasher does, with any short tail mixed
-/// pixel-by-pixel at `finish`.  Because it consumes *logical* pixels, the
-/// result depends only on the pixel sequence — never on the view's offset
-/// into (or the stride of) its parent buffer.
-struct PixelHasher {
-    lo: u64,
-    hi: u64,
-    buf: [u8; 24],
-    filled: usize,
+/// Lanes of the [`StripeHasher`].
+const LANES: usize = 4;
+/// Bytes per stripe: one 8-byte word for each lane.
+const STRIPE: usize = 8 * LANES;
+/// Multiplies each input word before it enters a lane.
+const WORD_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
+/// Multiplies a lane after each rotation.
+const LANE_MUL: u64 = 0x9E37_79B1_85EB_CA87;
+
+/// One lane step (XXH64's round): add the multiplied word, rotate,
+/// multiply.  For any fixed word this is a bijection of the lane, so no
+/// input can wipe out what the lane has absorbed so far.
+#[inline(always)]
+fn lane_round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(WORD_MUL))
+        .rotate_left(31)
+        .wrapping_mul(LANE_MUL)
 }
 
-impl PixelHasher {
+/// The content hasher behind every cache key and route: a byte stream in
+/// 32-byte stripes over four independent 64-bit lanes (see the module
+/// docs).  `update` may be called with chunks of any size: a partial
+/// stripe waits in `tail` for the next call, so the key depends only on the
+/// concatenated bytes, never on how they were split.  `finish` zero-pads
+/// the last partial stripe and mixes in the total length, which keeps a
+/// padded tail distinct from real zero bytes.
+struct StripeHasher {
+    lanes: [u64; LANES],
+    tail: [u8; STRIPE],
+    tail_len: usize,
+    len: u64,
+}
+
+impl StripeHasher {
     fn new(seed_lo: u64, seed_hi: u64) -> Self {
+        let mut lanes = [0u64; LANES];
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            let seed = if i % 2 == 0 { seed_lo } else { seed_hi };
+            *lane = seed.wrapping_add((i as u64 + 1).wrapping_mul(PRIME_B));
+        }
         Self {
-            lo: seed_lo,
-            hi: seed_hi,
-            buf: [0u8; 24],
-            filled: 0,
+            lanes,
+            tail: [0u8; STRIPE],
+            tail_len: 0,
+            len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn absorb(&mut self, stripe: &[u8]) {
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let word = u64::from_le_bytes(stripe[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
+            *lane = lane_round(*lane, word);
         }
     }
 
     #[inline]
-    fn mix_word(&mut self, word: u64) {
-        self.lo = mix(self.lo, word);
-        self.hi = mix(self.hi, word.rotate_left(32));
-    }
-
-    #[inline]
-    fn push(&mut self, px: Rgb<u8>) {
-        self.buf[self.filled] = px.r();
-        self.buf[self.filled + 1] = px.g();
-        self.buf[self.filled + 2] = px.b();
-        self.filled += 3;
-        if self.filled == 24 {
-            for i in 0..3 {
-                let word = u64::from_le_bytes(
-                    self.buf[i * 8..(i + 1) * 8]
-                        .try_into()
-                        .expect("8-byte chunk"),
-                );
-                self.mix_word(word);
+    fn update(&mut self, mut bytes: &[u8]) {
+        self.len += bytes.len() as u64;
+        if self.tail_len > 0 {
+            let take = (STRIPE - self.tail_len).min(bytes.len());
+            self.tail[self.tail_len..self.tail_len + take].copy_from_slice(&bytes[..take]);
+            self.tail_len += take;
+            bytes = &bytes[take..];
+            if self.tail_len < STRIPE {
+                return;
             }
-            self.filled = 0;
+            let stripe = self.tail;
+            self.absorb(&stripe);
+            self.tail_len = 0;
         }
+        let stripes = bytes.chunks_exact(STRIPE);
+        let rest = stripes.remainder();
+        for stripe in stripes {
+            self.absorb(stripe);
+        }
+        self.tail[..rest.len()].copy_from_slice(rest);
+        self.tail_len = rest.len();
     }
 
     fn finish(mut self) -> CacheKey {
-        let tail = std::mem::take(&mut self.buf);
-        for chunk in tail[..self.filled].chunks_exact(3) {
-            let word = chunk[0] as u64 | (chunk[1] as u64) << 8 | (chunk[2] as u64) << 16;
-            self.mix_word(word);
+        if self.tail_len > 0 {
+            self.tail[self.tail_len..].fill(0);
+            let stripe = self.tail;
+            self.absorb(&stripe);
+        }
+        // Two merges of the same four lanes, with different rotations,
+        // orders and multipliers, give the key's two halves.
+        let [a, b, c, d] = self.lanes;
+        let mut lo = a
+            .rotate_left(1)
+            .wrapping_add(b.rotate_left(7))
+            .wrapping_add(c.rotate_left(12))
+            .wrapping_add(d.rotate_left(18))
+            ^ self.len;
+        let mut hi = d
+            .rotate_left(3)
+            .wrapping_add(c.rotate_left(17))
+            .wrapping_add(b.rotate_left(23))
+            .wrapping_add(a.rotate_left(41))
+            ^ self.len.wrapping_mul(PRIME_A);
+        for lane in self.lanes {
+            lo = (lo ^ lane_round(0, lane))
+                .wrapping_mul(LANE_MUL)
+                .wrapping_add(PRIME_B);
+        }
+        for lane in self.lanes.iter().rev() {
+            hi = (hi ^ lane_round(0, lane.rotate_left(32)))
+                .wrapping_mul(PRIME_A)
+                .wrapping_add(WORD_MUL);
         }
         CacheKey {
-            lo: finish(self.lo),
-            hi: finish(self.hi),
+            lo: finish(lo),
+            hi: finish(hi ^ lo),
         }
     }
 }
 
+/// The whole-frame key of `img` under the given seeds: the dimensions seed
+/// the lanes, then the pixel bytes stream in as one slice.
+fn frame_key(img: &RgbImage, seed_lo: u64, seed_hi: u64) -> CacheKey {
+    let dims = dims_word(img.width(), img.height());
+    let mut hasher = StripeHasher::new(mix(seed_lo, dims), mix(seed_hi, dims));
+    hasher.update(Rgb::slice_as_bytes(img.as_slice()));
+    hasher.finish()
+}
+
 /// A stable 64-bit content hash of an image for *routing* (consistent-hash
-/// placement across a fleet of daemons), using the same packed
-/// multiply-rotate discipline as the cache keys but with the fixed, unsalted
-/// seeds — every client computes the same route for the same pixels no
-/// matter what plan its servers run.
+/// placement across a fleet of daemons): the low half of the whole-frame
+/// key under the fixed, unsalted seeds — every client computes the same
+/// route for the same pixels no matter what plan its servers run.
 pub fn route_hash(img: &RgbImage) -> u64 {
-    hash_image(img, SEED_LO, SEED_HI).lo
+    frame_key(img, SEED_LO, SEED_HI).lo
 }
 
 /// Snapshot file magic: the first four bytes of a persisted cache.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IQCS";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// Current snapshot format version.  Version 2 is the striped content hash:
+/// a version-1 snapshot holds keys that no lookup produces any more, so it
+/// is refused as [`SnapshotError::BadVersion`] — a clean cold start.
+pub const SNAPSHOT_VERSION: u16 = 2;
 /// Fixed snapshot header size: magic, version, reserved, salt fingerprint,
 /// entry count.
 pub const SNAPSHOT_HEADER_LEN: usize = 24;
@@ -352,7 +403,8 @@ impl Entry {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: usize,
-    /// Lookups that found nothing (the caller then segments and inserts).
+    /// Lookups that found nothing (the caller then segments and inserts,
+    /// unless a daemon at its admission limit sheds the request as `Busy`).
     pub misses: usize,
     /// Entries stored.
     pub insertions: usize,
@@ -486,7 +538,7 @@ impl SegmentCache {
 
     /// The content address of `img` under this cache's salt.
     pub fn key_for(&self, img: &RgbImage) -> CacheKey {
-        hash_image(img, self.seed_lo, self.seed_hi)
+        frame_key(img, self.seed_lo, self.seed_hi)
     }
 
     /// The content address of one tile of an image under this cache's salt,
@@ -496,28 +548,29 @@ impl SegmentCache {
     /// tiles are smaller than this); the geometry is mixed into the seeds
     /// before any pixel, so tile keys from different tilings — and tile keys
     /// vs whole-image keys — can never alias even on identical pixel bytes.
-    /// The view's own (clamped) dimensions are hashed next, then the pixels
-    /// row by row, so the key depends only on the logical pixel sequence:
-    /// the same tile content hashes identically wherever the view sits in
-    /// its parent buffer and whatever that parent's stride is.  The tile's
-    /// *position* is deliberately not part of the key — classification is
-    /// per-pixel, so identical content segments identically anywhere in the
-    /// frame, and content-only keys let a panning scene reuse tiles across
-    /// positions.
+    /// The view's own (clamped) dimensions are mixed in next, then each row
+    /// streams in as one byte slice, so the key depends only on the logical
+    /// pixel sequence: the same tile content hashes identically wherever the
+    /// view sits in its parent buffer and whatever that parent's stride is.
+    /// The tile's *position* is deliberately not part of the key —
+    /// classification is per-pixel, so identical content segments
+    /// identically anywhere in the frame, and content-only keys let a
+    /// panning scene reuse tiles across positions.
     pub fn key_for_tile(
         &self,
         view: &ImageView<'_, Rgb<u8>>,
         tile_w: usize,
         tile_h: usize,
     ) -> CacheKey {
-        let geometry = ((tile_w as u64) << 32) | tile_h as u64;
-        let mut hasher = PixelHasher::new(mix(self.seed_lo, geometry), mix(self.seed_hi, geometry));
+        let geometry = dims_word(tile_w, tile_h);
         let (width, height) = view.dimensions();
-        hasher.mix_word(((width as u64) << 32) | height as u64);
+        let dims = dims_word(width, height);
+        let mut hasher = StripeHasher::new(
+            mix(mix(self.seed_lo, geometry), dims),
+            mix(mix(self.seed_hi, geometry), dims),
+        );
         for row in view.rows() {
-            for px in row {
-                hasher.push(*px);
-            }
+            hasher.update(Rgb::slice_as_bytes(row));
         }
         hasher.finish()
     }
@@ -1368,6 +1421,205 @@ mod tests {
         assert_eq!(stats.entries, 2, "budget holds only two");
         assert!(stats.bytes <= entry_bytes * 2);
         assert!(stats.evictions >= 6);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A seeded splitmix64 stream for the hasher tests.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The 128-bit key of `parts` fed to one hasher, one `update` each.
+    fn stripe_key(parts: &[&[u8]]) -> u128 {
+        let mut hasher = StripeHasher::new(SEED_LO ^ 0x5EED, SEED_HI);
+        for part in parts {
+            hasher.update(part);
+        }
+        let key = hasher.finish();
+        u128::from(key.lo) | u128::from(key.hi) << 64
+    }
+
+    #[test]
+    fn stripe_hasher_is_split_invariant() {
+        let mut rng = 7u64;
+        for len in [0usize, 1, 31, 32, 33, 64, 100, 1000] {
+            let bytes: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+            let whole = stripe_key(&[&bytes]);
+            let singles: Vec<&[u8]> = bytes.chunks(1).collect();
+            assert_eq!(stripe_key(&singles), whole, "byte at a time, len {len}");
+            for chunk in [3usize, 7, 32, 45] {
+                let parts: Vec<&[u8]> = bytes.chunks(chunk).collect();
+                assert_eq!(stripe_key(&parts), whole, "chunks of {chunk}, len {len}");
+            }
+            // Random cut points, empty chunks included.
+            for _ in 0..8 {
+                let mut parts: Vec<&[u8]> = Vec::new();
+                let mut at = 0;
+                while at < len {
+                    let take = (splitmix(&mut rng) as usize % 40).min(len - at);
+                    parts.push(&bytes[at..at + take]);
+                    at += take;
+                }
+                assert_eq!(stripe_key(&parts), whole, "random cuts, len {len}");
+            }
+        }
+        // A zero-padded tail never aliases real trailing zero bytes.
+        assert_ne!(stripe_key(&[b"abc"]), stripe_key(&[b"abc\0"]));
+        assert_ne!(stripe_key(&[]), stripe_key(&[&[0u8]]));
+    }
+
+    /// SMHasher's avalanche criterion: flipping any one input bit flips each
+    /// of the 128 output bits with probability ½.  Over `TRIALS` seeded
+    /// random inputs every (input bit, output bit) frequency must lie within
+    /// `BOUND` of ½.  With 1000 trials one frequency has a standard
+    /// deviation of 0.016, so the bound is 6.3σ: an ideal hash passes, while
+    /// an input bit that misses an output bit (frequency 0) or always flips
+    /// it (frequency 1) fails.
+    #[test]
+    fn stripe_hasher_flips_every_output_bit_with_probability_one_half() {
+        const TRIALS: u32 = 1000;
+        const BOUND: f64 = 0.1;
+        // Shorter than one stripe; a stripe plus a ragged tail; and 7-pixel
+        // rows fed one `update` per row, like a tile.
+        for (case, len, row) in [
+            ("short", 20usize, 20usize),
+            ("ragged", 45, 45),
+            ("rows", 63, 21),
+        ] {
+            let mut rng = 0xA5A5_0000 + len as u64;
+            let bits = len * 8;
+            let mut flips = vec![0u32; bits * 128];
+            for _ in 0..TRIALS {
+                let mut input: Vec<u8> = (0..len).map(|_| splitmix(&mut rng) as u8).collect();
+                let key = |input: &[u8]| stripe_key(&input.chunks(row).collect::<Vec<_>>());
+                let base = key(&input);
+                for bit in 0..bits {
+                    input[bit / 8] ^= 1 << (bit % 8);
+                    let mut diff = base ^ key(&input);
+                    input[bit / 8] ^= 1 << (bit % 8);
+                    while diff != 0 {
+                        flips[bit * 128 + diff.trailing_zeros() as usize] += 1;
+                        diff &= diff - 1;
+                    }
+                }
+            }
+            for (cell, &count) in flips.iter().enumerate() {
+                let freq = f64::from(count) / f64::from(TRIALS);
+                assert!(
+                    (freq - 0.5).abs() <= BOUND,
+                    "{case}: input bit {} flips output bit {} with frequency {freq}",
+                    cell / 128,
+                    cell % 128
+                );
+            }
+        }
+    }
+
+    /// Over the seeded datasets' frames and synthetic video clips, no two
+    /// different (key kind, dimensions, pixel bytes) triples share a key:
+    /// not two frames, not two tiles, not a tile and a frame.  Identical
+    /// tiles (a video's unchanged blocks) legitimately share one.
+    #[test]
+    fn keys_are_distinct_over_seeded_datasets_and_video_clips() {
+        use datasets::{
+            synthetic_video, PascalVocLikeConfig, PascalVocLikeDataset, VideoConfig,
+            XViewLikeConfig, XViewLikeDataset,
+        };
+        use std::collections::hash_map::Entry as Slot;
+
+        let voc = PascalVocLikeDataset::new(PascalVocLikeConfig {
+            seed: 42,
+            ..PascalVocLikeConfig::default()
+        });
+        let xview = XViewLikeDataset::new(XViewLikeConfig {
+            seed: 43,
+            ..XViewLikeConfig::default()
+        });
+        let mut frames: Vec<RgbImage> = (0..8)
+            .flat_map(|i| [voc.sample(i).image, xview.sample(i).image])
+            .collect();
+        frames.extend(synthetic_video(&VideoConfig::default()));
+        frames.extend(synthetic_video(&VideoConfig {
+            frames: 6,
+            width: 200,
+            height: 150,
+            change_rate: 0.25,
+            block: 16,
+            seed: 9,
+        }));
+
+        let cache = small_cache(1 << 20, 4);
+        // key → (tile geometry, or None for a whole frame; dims; bytes)
+        type Keyed = (Option<(usize, usize)>, (usize, usize), Vec<u8>);
+        let mut seen: HashMap<CacheKey, Keyed> = HashMap::new();
+        let mut keyed = 0usize;
+        let mut check = |key: CacheKey, content: Keyed| {
+            keyed += 1;
+            match seen.entry(key) {
+                Slot::Occupied(first) => assert!(
+                    *first.get() == content,
+                    "{key:?} is shared by two different contents: {:?} {:?} and {:?} {:?}",
+                    first.get().0,
+                    first.get().1,
+                    content.0,
+                    content.1
+                ),
+                Slot::Vacant(slot) => {
+                    slot.insert(content);
+                }
+            }
+        };
+        for frame in &frames {
+            let bytes = Rgb::slice_as_bytes(frame.as_slice()).to_vec();
+            check(cache.key_for(frame), (None, frame.dimensions(), bytes));
+            for (tw, th) in [(64, 64), (16, 16), (7, 5)] {
+                for rect in frame.tile_rects(tw, th) {
+                    let view = frame.view(rect).unwrap();
+                    let bytes: Vec<u8> =
+                        view.rows().flat_map(Rgb::slice_as_bytes).copied().collect();
+                    check(
+                        cache.key_for_tile(&view, tw, th),
+                        (Some((tw, th)), view.dimensions(), bytes),
+                    );
+                }
+            }
+        }
+        assert!(
+            seen.len() > 10_000 && seen.len() < keyed,
+            "{} distinct keys of {keyed}: the clips' unchanged tiles must share keys",
+            seen.len()
+        );
+    }
+
+    #[test]
+    fn version_one_snapshots_are_refused_as_bad_version() {
+        let arena = LabelArena::new();
+        let cache = small_cache(1 << 20, 4);
+        let img = image(4, 8, 8);
+        cache.insert(cache.key_for(&img), &labels_for(&img, 2), &arena);
+        let path = scratch("version-one");
+        cache.save_to(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2);
+        // A faithful version-1 file: the old version field under a valid
+        // checksum.
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let mut sum = Fnv64::new();
+        sum.update(&bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&sum.0.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+
+        let warm = small_cache(1 << 20, 4);
+        assert!(matches!(
+            warm.load_from(&path, &arena),
+            Err(SnapshotError::BadVersion(1))
+        ));
+        assert_eq!(warm.stats().entries, 0, "a refused snapshot loads nothing");
         std::fs::remove_file(&path).ok();
     }
 

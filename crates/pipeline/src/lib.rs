@@ -69,7 +69,9 @@ pub mod queue;
 pub mod stats;
 
 pub use arena::LabelArena;
-pub use cache::{route_hash, CacheConfig, CacheStats, SegmentCache, SnapshotError, SnapshotStats};
+pub use cache::{
+    route_hash, CacheConfig, CacheKey, CacheStats, SegmentCache, SnapshotError, SnapshotStats,
+};
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use queue::JobQueue;
 pub use stats::{BatchStats, PipelineReport};
@@ -78,6 +80,17 @@ use imaging::view::{LabelViewMut, TileRect};
 use imaging::{LabelMap, PixelClassifier, RgbImage};
 use seg_engine::{SegmentEngine, Tiling};
 use xpar::Progress;
+
+/// What the lookup half of a cached request found
+/// ([`SegmentPipeline::lookup_request`]).
+#[derive(Debug)]
+pub enum CacheLookup {
+    /// The cached labels, copied into an arena buffer.
+    Hit(LabelMap),
+    /// Nothing is cached under this key; hand it to
+    /// [`SegmentPipeline::segment_miss`] so the image is not hashed twice.
+    Miss(CacheKey),
+}
 
 /// Tuning knobs for a [`SegmentPipeline`].
 ///
@@ -229,9 +242,9 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     ///
     /// Unlike [`SegmentPipeline::run_batch`], which owns a whole batch and a
     /// join barrier, this segments exactly one image synchronously — the
-    /// shape a connection-per-client server (`iqft-serve`) needs: each
-    /// connection thread submits its request here and the call completes
-    /// when the labels are ready.  And unlike [`SegmentPipeline::segment_one`]
+    /// shape a serving daemon (`iqft-serve`) needs: a worker thread submits
+    /// one decoded request here and the call completes when the labels are
+    /// ready.  And unlike [`SegmentPipeline::segment_one`]
     /// it honours the configured [`PipelineConfig::tiling`], so one oversized
     /// frame still fans out across the engine's backend.  The scratch buffer
     /// comes from the shared [`LabelArena`]; recycle the result and the
@@ -254,23 +267,49 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// into an arena buffer — no classification at all.  A miss segments as
     /// usual and stores a copy for the next identical request.
     ///
+    /// This is exactly [`SegmentPipeline::lookup_request`] followed, on a
+    /// miss, by [`SegmentPipeline::segment_miss`]; a daemon that runs the
+    /// two halves on different threads gets the same result.
+    ///
     /// Returns the labels plus whether they came from the cache.  Hit or
     /// miss, the result is byte-identical to [`segment_request`] by
     /// construction: the cache only ever stores this pipeline's own output.
     ///
     /// [`segment_request`]: SegmentPipeline::segment_request
     pub fn segment_request_cached(&self, img: &RgbImage, bypass: bool) -> (LabelMap, bool) {
-        let cache = match (&self.cache, bypass) {
-            (Some(cache), false) => cache,
-            _ => return (self.segment_request(img), false),
+        let lookup = if bypass {
+            None
+        } else {
+            self.lookup_request(img)
         };
-        let key = cache.key_for(img);
-        if let Some(labels) = cache.lookup(key, &self.arena) {
-            return (labels, true);
+        match lookup {
+            Some(CacheLookup::Hit(labels)) => (labels, true),
+            Some(CacheLookup::Miss(key)) => (self.segment_miss(img, key), false),
+            None => (self.segment_request(img), false),
         }
+    }
+
+    /// The lookup half of [`SegmentPipeline::segment_request_cached`]:
+    /// computes `img`'s whole-frame key and looks it up, counting a hit or
+    /// a miss.  Returns `None` when no cache is attached, without hashing.
+    pub fn lookup_request(&self, img: &RgbImage) -> Option<CacheLookup> {
+        let cache = self.cache.as_ref()?;
+        let key = cache.key_for(img);
+        Some(match cache.lookup(key, &self.arena) {
+            Some(labels) => CacheLookup::Hit(labels),
+            None => CacheLookup::Miss(key),
+        })
+    }
+
+    /// The miss half of [`SegmentPipeline::segment_request_cached`]:
+    /// segments `img` and stores a copy under `key`, the key
+    /// [`SegmentPipeline::lookup_request`] returned for this image.
+    pub fn segment_miss(&self, img: &RgbImage, key: CacheKey) -> LabelMap {
         let labels = self.segment_request(img);
-        cache.insert(key, &labels, &self.arena);
-        (labels, false)
+        if let Some(cache) = &self.cache {
+            cache.insert(key, &labels, &self.arena);
+        }
+        labels
     }
 
     /// Per-tile delta variant of [`SegmentPipeline::segment_request_cached`]
@@ -987,6 +1026,38 @@ mod tests {
         let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
             .with_cache(CacheConfig::default(), "");
         assert!(pipeline.cache().is_none());
+    }
+
+    #[test]
+    fn lookup_and_miss_halves_compose_to_the_cached_request() {
+        let img = &test_images(1)[0];
+        let expected = SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img);
+        let uncached = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default());
+        assert!(
+            uncached.lookup_request(img).is_none(),
+            "no cache, no lookup"
+        );
+
+        let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
+            .with_cache(CacheConfig::with_capacity_mb(4), "halves-test");
+        let Some(CacheLookup::Miss(key)) = pipeline.lookup_request(img) else {
+            panic!("a cold cache misses");
+        };
+        assert_eq!(key, pipeline.cache().unwrap().key_for(img));
+        let labels = pipeline.segment_miss(img, key);
+        assert_eq!(labels, expected);
+        pipeline.recycle(labels);
+        // The miss half stored the labels under the lookup half's key, so
+        // the composed call now hits.
+        let (labels, hit) = pipeline.segment_request_cached(img, false);
+        assert!(hit);
+        assert_eq!(labels, expected);
+        let Some(CacheLookup::Hit(labels)) = pipeline.lookup_request(img) else {
+            panic!("a warm cache hits");
+        };
+        assert_eq!(labels, expected);
+        let stats = pipeline.cache().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 1));
     }
 
     #[test]

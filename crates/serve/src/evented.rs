@@ -7,13 +7,14 @@
 //!   listener ────────► reactor ──────────► FrameDecoder ─────────────┐
 //!   (nonblocking,        │  ▲                (no I/O inside)         │
 //!    owned by            │  │ wake                                   ▼
-//!    reactor 0)          │  │                        light ops   segment ops
-//!                        │  │                        (inline)    (worker pool,
-//!                        │  │                            │        max_inflight
-//!                        │  └── completions ◄────────────┼─────── threads)
-//!                        ▼                               ▼
-//!                   poll(2) over ◄──────────────── FrameEncoder
-//!                   all conn fds      writable      (per-conn write buffer)
+//!    reactor 0)          │  │                 light ops,       other segment
+//!                        │  │                 whole-frame      ops, cache
+//!                        │  │                 cache hits       misses (worker
+//!                        │  │                 (inline)         pool, max_inflight
+//!                        │  └── completions ◄─────┼─────────── threads)
+//!                        ▼                        ▼
+//!                   poll(2) over ◄──────────── FrameEncoder
+//!                   all conn fds    writable   (per-conn write buffer)
 //! ```
 //!
 //! A small fixed set of reactor threads ([`REACTOR_THREADS`]) owns *all*
@@ -25,12 +26,19 @@
 //!
 //! Work split: each connection's complete frames are processed strictly in
 //! arrival order.  `Ping`/`Stats`/`Shutdown` and all protocol errors are
-//! answered inline on the reactor (they are O(µs)); `Segment`/
-//! `SegmentCached`/`SegmentDelta` are dispatched to a worker pool of
-//! `max_inflight` threads sharing the server's one warm pipeline — at most
-//! one job per connection at a time, so per-connection execution is serial
-//! (a pipelined repeat sees the cache entry its predecessor stored, and
-//! replies leave in request order), while connections execute
+//! answered inline on the reactor (they are O(µs)).  So is a `SegmentCached`
+//! request that hits: on a daemon with a cache, the reactor computes the
+//! whole-frame key of every non-bypassed `SegmentCached` request and looks
+//! it up, and a hit is encoded and queued on the spot — one key and one
+//! label copy, with no worker, admission slot or thread wake-up.  A miss
+//! goes to the worker pool carrying its key, so nothing is hashed twice;
+//! `Segment`, `SegmentDelta`, bypassed `SegmentCached` and `SegmentCached`
+//! on a daemon without a cache go there as they arrive.  The pool is
+//! `max_inflight` threads sharing the server's one warm pipeline, with at
+//! most one job per connection at a time, so per-connection execution is
+//! serial (a pipelined repeat sees the cache entry its predecessor stored,
+//! and a hit is only looked up once nothing is in flight on its connection,
+//! so it never overtakes an earlier miss), while connections execute
 //! concurrently.  Workers hand encoded reply frames back through a
 //! per-reactor completion queue and wake the reactor via a socketpair;
 //! across connections replies ship in *completion order*, which protocol v2
@@ -41,7 +49,10 @@
 //! [`WRITE_HIGH_WATER`] unsent reply bytes — the kernel socket buffer then
 //! pushes back on the client, bounding per-connection memory no matter how
 //! fast the peer writes.  The worker queue is in turn bounded by what the
-//! reactors admit: at most one dispatched frame per connection.
+//! reactors admit: at most one dispatched frame per connection, and with
+//! `max_queue` set, a typed `Busy` reply for a frame that would wait behind
+//! that many others.  Admission bounds only work bound for the pool: an
+//! inline cache hit never takes a queue slot and is never answered `Busy`.
 //!
 //! Deadlines: the per-frame read deadline is reactor bookkeeping, not a
 //! socket timeout — each mid-frame connection records when its frame must be
@@ -62,6 +73,8 @@
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
 use crate::protocol::{self, Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
 use crate::server::{ConnStats, Shared};
+use imaging::RgbImage;
+use iqft_pipeline::{CacheKey, CacheLookup};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -96,8 +109,29 @@ struct Job {
     conn: usize,
     gen: u64,
     request_id: u64,
-    message: Message,
+    work: Work,
     pixels: Arc<AtomicU64>,
+}
+
+/// The pipeline call a [`Job`] carries.
+enum Work {
+    Segment(RgbImage),
+    /// A `SegmentCached` the reactor did not look up: bypassed, or served
+    /// by a daemon without a cache.
+    Cached {
+        image: RgbImage,
+        bypass: bool,
+    },
+    /// A `SegmentCached` the reactor keyed and looked up without a hit: the
+    /// worker classifies and inserts under `key`.  `lookup` is the
+    /// reactor's key-and-lookup time, so `lat_*` still covers the whole
+    /// pipeline call.
+    Miss {
+        image: RgbImage,
+        key: CacheKey,
+        lookup: Duration,
+    },
+    Delta(RgbImage),
 }
 
 /// An encoded reply frame travelling back from a worker to a reactor.
@@ -150,7 +184,8 @@ struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     encoder: FrameEncoder,
-    /// Pixels segmented for this connection (written by workers).
+    /// Pixels segmented for this connection (written by workers, and by
+    /// the reactor for inline cache hits).
     pixels: Arc<AtomicU64>,
     /// Frames started on this connection (header fully received).
     requests: usize,
@@ -581,9 +616,10 @@ impl Reactor {
     }
 
     /// Processes this connection's queued frames strictly in arrival order.
-    /// Light ops answer inline; a segment op dispatches to the worker pool
-    /// and blocks the queue until its completion returns, so per-connection
-    /// execution is serial and replies leave in request order.
+    /// Light ops and whole-frame cache hits answer inline; any other segment
+    /// op dispatches to the worker pool and blocks the queue until its
+    /// completion returns, so per-connection execution is serial and
+    /// replies leave in request order.
     fn pump(&self, conn: &mut Conn, idx: usize, gen: u64) {
         while !conn.closing && !conn.inflight {
             let Some(frame) = conn.queue.pop_front() else {
@@ -604,47 +640,46 @@ impl Reactor {
                     continue;
                 }
             };
-            match message {
-                message @ (Message::Segment { .. }
-                | Message::SegmentCached { .. }
-                | Message::SegmentDelta { .. }) => {
-                    // Admission control: the worker pool drains the queue
-                    // counter as it picks jobs up, so the counter gauges
-                    // *waiting* work.  Claim a queue slot optimistically;
-                    // if that overshoots the limit, give it back and answer
-                    // with the typed Busy reply instead of queueing
-                    // unboundedly (count before the reply can ship).
-                    let max_queue = self.shared.max_queue;
-                    if max_queue != 0 {
-                        let queued = self.shared.queued_jobs.fetch_add(1, Ordering::Relaxed);
-                        if queued >= max_queue {
-                            self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-                            self.shared.stats.busy_rejection();
-                            let _ = conn.encoder.enqueue(request_id, &Message::Busy);
+            let work = match message {
+                Message::Segment { image } => Work::Segment(image),
+                Message::SegmentDelta { image } => Work::Delta(image),
+                Message::SegmentCached { image, bypass } => {
+                    // The whole-frame lookup runs here, on the reactor: a
+                    // hit is answered without a worker, an admission slot or
+                    // a thread wake-up, and a miss carries its key along.
+                    let started = Instant::now();
+                    let lookup = if bypass {
+                        None
+                    } else {
+                        self.shared.pipeline.lookup_request(&image)
+                    };
+                    match lookup {
+                        Some(CacheLookup::Hit(labels)) => {
+                            let reply = Message::SegmentCachedReply {
+                                labels,
+                                cached: true,
+                            };
+                            let frame = reply_frame(
+                                &self.shared,
+                                request_id,
+                                reply,
+                                started.elapsed(),
+                                &conn.pixels,
+                            );
+                            conn.encoder.enqueue_frame(frame);
                             continue;
                         }
-                    } else {
-                        self.shared.queued_jobs.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let job = Job {
-                        reactor: self.index,
-                        conn: idx,
-                        gen,
-                        request_id,
-                        message,
-                        pixels: Arc::clone(&conn.pixels),
-                    };
-                    conn.inflight = true;
-                    if self.job_tx.send(job).is_err() {
-                        // Workers are gone (teardown race); nothing can
-                        // answer.
-                        self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-                        conn.inflight = false;
-                        conn.closing = true;
+                        Some(CacheLookup::Miss(key)) => Work::Miss {
+                            image,
+                            key,
+                            lookup: started.elapsed(),
+                        },
+                        None => Work::Cached { image, bypass },
                     }
                 }
                 Message::Ping => {
                     let _ = conn.encoder.enqueue(request_id, &Message::Pong);
+                    continue;
                 }
                 Message::Stats => {
                     let text = self
@@ -657,11 +692,13 @@ impl Reactor {
                     let _ = conn
                         .encoder
                         .enqueue(request_id, &Message::StatsReply { text });
+                    continue;
                 }
                 Message::Shutdown => {
                     let _ = conn.encoder.enqueue(request_id, &Message::ShutdownReply);
                     self.shared.signal_shutdown();
                     conn.closing = true;
+                    continue;
                 }
                 // A reply op arriving as a request is a protocol violation; say
                 // so precisely (the op *is* known, it is just not a request).
@@ -677,51 +714,103 @@ impl Reactor {
                         },
                     );
                     conn.closing = true;
+                    continue;
                 }
+            };
+            // Admission control: the worker pool drains the queue counter as
+            // it picks jobs up, so the counter gauges *waiting* work.  Claim
+            // a queue slot optimistically; if that overshoots the limit,
+            // give it back and answer with the typed Busy reply instead of
+            // queueing unboundedly (count before the reply can ship).
+            let max_queue = self.shared.max_queue;
+            let queued = self.shared.queued_jobs.fetch_add(1, Ordering::Relaxed);
+            if max_queue != 0 && queued >= max_queue {
+                self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
+                self.shared.stats.busy_rejection();
+                let _ = conn.encoder.enqueue(request_id, &Message::Busy);
+                continue;
+            }
+            let job = Job {
+                reactor: self.index,
+                conn: idx,
+                gen,
+                request_id,
+                work,
+                pixels: Arc::clone(&conn.pixels),
+            };
+            conn.inflight = true;
+            if self.job_tx.send(job).is_err() {
+                // Workers are gone (teardown race); nothing can answer.
+                self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
+                conn.inflight = false;
+                conn.closing = true;
             }
         }
     }
 }
 
 /// Executes one dispatched segment request against the shared pipeline and
-/// returns the encoded reply frame.  Counters are updated before the frame
-/// can reach the wire, so a client holding its reply never reads a stale
-/// Stats snapshot.
-fn execute_job(shared: &Shared, request_id: u64, message: Message, pixels: &AtomicU64) -> Vec<u8> {
+/// returns the encoded reply frame.
+fn execute_job(shared: &Shared, request_id: u64, work: Work, pixels: &AtomicU64) -> Vec<u8> {
     let started = Instant::now();
-    let reply = match message {
-        Message::Segment { image } => {
-            let labels = shared.pipeline.segment_request(&image);
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            pixels.fetch_add(labels.len() as u64, Ordering::Relaxed);
-            Message::SegmentReply { labels }
-        }
-        Message::SegmentCached { image, bypass } => {
+    // The share of the pipeline call a reactor already ran (a miss's key
+    // and lookup).
+    let mut earlier = Duration::ZERO;
+    let reply = match work {
+        Work::Segment(image) => Message::SegmentReply {
+            labels: shared.pipeline.segment_request(&image),
+        },
+        Work::Cached { image, bypass } => {
             let (labels, cached) = shared.pipeline.segment_request_cached(&image, bypass);
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            pixels.fetch_add(labels.len() as u64, Ordering::Relaxed);
             Message::SegmentCachedReply { labels, cached }
         }
-        Message::SegmentDelta { image } => {
+        Work::Miss { image, key, lookup } => {
+            earlier = lookup;
+            Message::SegmentCachedReply {
+                labels: shared.pipeline.segment_miss(&image, key),
+                cached: false,
+            }
+        }
+        Work::Delta(image) => {
             let (labels, tiles_hit, tiles_recomputed) =
                 shared.pipeline.segment_request_delta(&image);
-            shared.stats.record_latency(started.elapsed());
-            shared.stats.segmented(labels.len());
-            pixels.fetch_add(labels.len() as u64, Ordering::Relaxed);
             Message::SegmentDeltaReply {
                 labels,
                 tiles_hit,
                 tiles_recomputed,
             }
         }
-        // Reactors only dispatch segment ops; anything else is a bug we
-        // answer with a diagnostic rather than a panic.
-        other => Message::Error {
-            message: format!("{} cannot be executed by the worker pool", other.name()),
-        },
     };
+    reply_frame(
+        shared,
+        request_id,
+        reply,
+        earlier + started.elapsed(),
+        pixels,
+    )
+}
+
+/// Records one finished segment reply — its pipeline time in `lat_*`, the
+/// server's and the connection's pixel counters — then encodes it and
+/// returns the label buffer to the arena.  Reactors (inline cache hits) and
+/// workers both finish through here, and the counters move before the frame
+/// can reach the wire, so a client holding its reply never reads a stale
+/// Stats snapshot.
+fn reply_frame(
+    shared: &Shared,
+    request_id: u64,
+    reply: Message,
+    latency: Duration,
+    pixels: &AtomicU64,
+) -> Vec<u8> {
+    if let Message::SegmentReply { labels }
+    | Message::SegmentCachedReply { labels, .. }
+    | Message::SegmentDeltaReply { labels, .. } = &reply
+    {
+        shared.stats.record_latency(latency);
+        shared.stats.segmented(labels.len());
+        pixels.fetch_add(labels.len() as u64, Ordering::Relaxed);
+    }
     let frame = protocol::encode_message(request_id, &reply).unwrap_or_else(|err| {
         protocol::encode_message(
             request_id,
@@ -732,13 +821,11 @@ fn execute_job(shared: &Shared, request_id: u64, message: Message, pixels: &Atom
         .expect("an error reply always fits in a frame")
     });
     // Reply bytes are encoded; the label buffer can go back to the arena.
-    match reply {
-        Message::SegmentReply { labels }
-        | Message::SegmentCachedReply { labels, .. }
-        | Message::SegmentDeltaReply { labels, .. } => {
-            shared.pipeline.recycle(labels);
-        }
-        _ => {}
+    if let Message::SegmentReply { labels }
+    | Message::SegmentCachedReply { labels, .. }
+    | Message::SegmentDeltaReply { labels, .. } = reply
+    {
+        shared.pipeline.recycle(labels);
     }
     frame
 }
@@ -761,7 +848,7 @@ fn worker_loop(
         // The job left the queue and is now executing: release its admission
         // slot so the gauge tracks waiting work, not in-flight work.
         shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-        let frame = execute_job(&shared, job.request_id, job.message, &job.pixels);
+        let frame = execute_job(&shared, job.request_id, job.work, &job.pixels);
         reactors[job.reactor].push_completion(Completion {
             conn: job.conn,
             gen: job.gen,

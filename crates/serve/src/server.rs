@@ -3,11 +3,13 @@
 //! One serving core — the evented reactor set of the `evented` module —
 //! runs one protocol against one warm [`SegmentPipeline`] and one
 //! statistics block.  A small fixed set of reactor threads owns *all*
-//! connections on nonblocking sockets behind a `poll(2)` readiness loop,
-//! feeding complete frames through the sans-io
-//! [`crate::protocol::FrameDecoder`] to a worker pool of
-//! [`ServerConfig::max_inflight`] threads, and queueing completion-order
-//! replies back through per-connection write buffers.  Per-connection cost
+//! connections on nonblocking sockets behind a `poll(2)` readiness loop.
+//! Complete frames come out of the sans-io
+//! [`crate::protocol::FrameDecoder`]; light ops and whole-frame cache hits
+//! are answered on the reactor, and every other segment request goes to a
+//! worker pool of [`ServerConfig::max_inflight`] threads, whose
+//! completion-order replies queue back through per-connection write
+//! buffers.  Per-connection cost
 //! is one buffered frame, not one OS thread, which is what lets one daemon
 //! hold a thousand pipelined connections with flat memory.  The core is
 //! built on `poll(2)`, so serving is unix-only: elsewhere [`Server::bind`]
@@ -90,7 +92,9 @@ pub struct ServerConfig {
     /// Admission limit: segment requests arriving while the worker pool is
     /// saturated *and* this many requests are already queued get an
     /// immediate typed `Busy` reply instead of queueing unboundedly
-    /// (default 0 = unbounded queueing, the pre-admission behaviour).
+    /// (default 0 = unbounded queueing, the pre-admission behaviour).  A
+    /// whole-frame cache hit never waits for a worker, so it is answered
+    /// at once and never counts against the limit.
     pub max_queue: usize,
     /// Startup-calibration summary to surface through Stats (empty when the
     /// plan was chosen explicitly rather than by `--plan auto`).
@@ -626,6 +630,61 @@ mod tests {
         );
         let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
         assert!(!hit, "foreign snapshot never produces a hit");
+        client.shutdown().unwrap();
+        server.join();
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn version_one_snapshot_boots_a_cold_daemon_that_reports_why() {
+        use iqft_pipeline::{LabelArena, SegmentCache};
+        let dir = std::env::temp_dir().join("iqft-serve-persist-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("version-one-{}.snap", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let plan = SegmentPlan::default();
+        let config = || {
+            ServerConfig::new(plan)
+                .with_max_inflight(2)
+                .with_cache(CacheConfig::with_capacity_mb(8))
+                .with_cache_persist(&path)
+        };
+
+        // A daemon writes a real snapshot on its drain.
+        let server = Server::bind("127.0.0.1:0", config()).unwrap();
+        let mut client = open_client(server.local_addr()).unwrap();
+        let img = test_image(4);
+        let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
+        assert!(!hit);
+        client.shutdown().unwrap();
+        server.join();
+
+        // Stamp its version field back to 1, the pre-striped-hash format.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let cache = SegmentCache::new(CacheConfig::with_capacity_mb(8), &plan.to_spec());
+        assert!(matches!(
+            cache.load_from(&path, &LabelArena::new()),
+            Err(SnapshotError::BadVersion(1))
+        ));
+
+        // A daemon booted on it starts cold and says why.
+        let server = Server::bind("127.0.0.1:0", config()).unwrap();
+        assert_eq!(server.cache_warm_loaded(), (0, 0));
+        let mut client = open_client(server.local_addr()).unwrap();
+        let stats = client.stats().unwrap();
+        assert_eq!(stats.extra_u64("cache_warm_loaded_entries"), Some(0));
+        assert!(
+            stats
+                .extra
+                .get("cache_warm_error")
+                .is_some_and(|why| why.contains("version 1")),
+            "{:?}",
+            stats.extra
+        );
+        let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
+        assert!(!hit, "a refused snapshot never produces a hit");
         client.shutdown().unwrap();
         server.join();
         std::fs::remove_file(&path).ok();

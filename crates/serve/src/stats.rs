@@ -19,8 +19,9 @@ use std::time::Duration;
 ///
 /// All counters are monotonic and relaxed — they feed an operator-facing
 /// snapshot, not a synchronization protocol.  The latency histogram is the
-/// same lock-free log-bucketed structure offline pipeline runs use, so both
-/// serving cores record per-op service time with no lock on the hot path.
+/// same lock-free log-bucketed structure offline pipeline runs use, so the
+/// reactors (inline cache hits) and the workers (everything else) record
+/// per-op service time with no lock on the hot path.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Connections accepted since boot.
@@ -39,7 +40,7 @@ pub struct ServerStats {
     /// admission limit (`max_queue`) was reached.
     busy_rejections: AtomicUsize,
     /// Per-op service latency (pipeline execution time) across every
-    /// connection and both serving cores.
+    /// connection, whether a reactor or a worker ran the pipeline.
     latency: LatencyHistogram,
 }
 
@@ -186,6 +187,7 @@ pub struct StatsSnapshot {
     pub quant_fallback_pixels: u64,
     /// Admission limit: segment requests beyond the worker pool plus this
     /// many queued get a typed `Busy` reply (0 = unbounded queueing).
+    /// Whole-frame cache hits are answered on the reactor and never count.
     pub max_queue: usize,
     /// Segment requests refused with a typed `Busy` reply.
     pub busy_rejections: usize,
@@ -193,9 +195,10 @@ pub struct StatsSnapshot {
     /// throughput); empty when the server booted with an explicit plan.
     pub calibration: String,
     /// Service-latency samples recorded (one per completed segment request).
-    /// A sample times only the pipeline call (cache lookup and
-    /// classification); frame decode, queue wait, reply encode and the
-    /// socket write all fall outside it.
+    /// A sample times only the pipeline's own work: key and lookup for a
+    /// cache hit, plus classification and insert for a miss (the key and
+    /// lookup on the reactor, the rest on a worker).  Frame decode, queue
+    /// wait, reply encode and the socket write all fall outside it.
     pub lat_count: u64,
     /// Median pipeline-call time in microseconds (see `lat_count`).
     pub lat_p50_us: u64,

@@ -777,6 +777,160 @@ fn saturated_admission_sheds_with_typed_busy_replies() {
     server.join();
 }
 
+/// A whole-frame cache hit is answered on the reactor, so it never waits for
+/// a worker and never counts against `max_queue`: with the one worker busy
+/// and the one queue slot taken by heavy misses, a miss is shed as `Busy`,
+/// yet a hit of a warm frame on another connection still comes back cached
+/// with the reference labels.
+#[test]
+fn cache_hits_are_served_while_misses_are_shed_busy() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Exact))
+            .with_max_inflight(1)
+            .with_max_queue(1)
+            .with_cache(CacheConfig::with_capacity_mb(64)),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let warm = test_images(1).remove(0);
+    let warm_labels = reference_labels(std::slice::from_ref(&warm)).remove(0);
+    let mut client = open_client(addr).expect("connect");
+    let (labels, cached) = client
+        .segment_cached(&warm, false)
+        .expect("warm-up")
+        .unwrap_done();
+    assert!(!cached, "the warm-up misses");
+    assert_eq!(labels, warm_labels);
+    let mut hit_stream = TcpStream::connect(addr).expect("connect");
+
+    // Heavy exact-classifier misses, distinct per round and connection, so
+    // each holds the one worker for many round trips.
+    let heavy = |round: usize, conn: usize| {
+        RgbImage::from_fn(240, 180, move |x, y| {
+            Rgb::new(
+                (x * 3 + round * 17) as u8,
+                (y * 5 + conn * 41) as u8,
+                ((x ^ y) + round) as u8,
+            )
+        })
+    };
+    let table = IqftClassifier::paper_default(ClassifierKind::Table);
+    let mut busy_total = 0usize;
+    let mut hit_served = false;
+    for round in 0..5 {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let senders: Vec<_> = (0..4)
+            .map(|conn| {
+                let tx = tx.clone();
+                let image = heavy(round, conn);
+                std::thread::spawn(move || {
+                    let mut stream = TcpStream::connect(addr).expect("connect");
+                    let frame = protocol::encode_segment_cached(conn as u64, &image, false)
+                        .expect("encode");
+                    stream.write_all(&frame).expect("write frame");
+                    let (_, reply) = protocol::read_message(&mut stream).expect("reply");
+                    let _ = tx.send(matches!(reply, Message::Busy));
+                    (image, reply)
+                })
+            })
+            .collect();
+        drop(tx);
+        // A Busy reply means the worker holds one miss and another waits in
+        // the queue slot: ask for the warm frame right now.
+        if rx.iter().any(|busy| busy) {
+            let frame = protocol::encode_segment_cached(99, &warm, false).expect("encode");
+            hit_stream.write_all(&frame).expect("write hit");
+            let (id, reply) = protocol::read_message(&mut hit_stream).expect("hit reply");
+            assert_eq!(id, 99);
+            match reply {
+                Message::SegmentCachedReply { labels, cached } => {
+                    assert!(cached, "the warm frame is a cache hit");
+                    assert_eq!(labels, warm_labels, "the hit is byte-identical");
+                }
+                other => panic!("a cache hit must never be refused, got {other:?}"),
+            }
+            hit_served = true;
+        }
+        for sender in senders {
+            let (image, reply) = sender.join().expect("sender thread");
+            match reply {
+                Message::SegmentCachedReply { labels, cached } => {
+                    assert!(!cached, "heavy frames are all distinct");
+                    assert_eq!(labels, SegmentEngine::serial().segment_rgb(&table, &image));
+                }
+                Message::Busy => busy_total += 1,
+                other => panic!("expected SegmentCachedReply or Busy, got {other:?}"),
+            }
+        }
+        if hit_served {
+            break;
+        }
+    }
+    assert!(
+        hit_served,
+        "four heavy misses against 1 worker + 1 slot never shed"
+    );
+
+    let stats = client.stats().expect("stats");
+    assert_eq!(
+        stats.busy_rejections, busy_total,
+        "only misses are shed: {stats:?}"
+    );
+    assert_eq!(stats.cache_hits, 1, "{stats:?}");
+    client.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Inline hits keep per-connection order: one connection writes miss, hit,
+/// miss, hit in one burst.  Each hit is looked up only after the miss
+/// before it completed and stored its labels, so the replies come back in
+/// request order with the cached flags false/true/false/true.
+#[test]
+fn inline_hits_keep_per_connection_reply_order() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(2)
+            .with_cache(CacheConfig::with_capacity_mb(8)),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let images = test_images(2);
+    let reference = reference_labels(&images);
+    let sequence = [
+        (1u64, 0usize, false),
+        (2, 0, true),
+        (3, 1, false),
+        (4, 1, true),
+    ];
+    let mut burst = Vec::new();
+    for (id, image, _) in sequence {
+        burst.extend(protocol::encode_segment_cached(id, &images[image], false).expect("encode"));
+    }
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.write_all(&burst).expect("write burst");
+    for (id, image, hit) in sequence {
+        let (got, reply) = protocol::read_message(&mut stream).expect("reply");
+        assert_eq!(got, id, "replies leave in request order");
+        match reply {
+            Message::SegmentCachedReply { labels, cached } => {
+                assert_eq!(cached, hit, "request {id}");
+                assert_eq!(labels, reference[image], "request {id}");
+            }
+            other => panic!("request {id}: expected SegmentCachedReply, got {other:?}"),
+        }
+    }
+
+    let mut probe = open_client(addr).expect("probe");
+    let stats = probe.stats().expect("stats");
+    assert_eq!((stats.cache_hits, stats.cache_misses), (2, 2), "{stats:?}");
+    assert_eq!(stats.segment_requests, 4, "{stats:?}");
+    assert_eq!(stats.lat_count, 4, "{stats:?}");
+    probe.shutdown().expect("shutdown");
+    server.join();
+}
+
 /// The connection gauges through the wire: K pinged clients plus a control
 /// client are all counted as opened and open.  Once the K hang up,
 /// `connections_open` falls back to the control client alone, while
