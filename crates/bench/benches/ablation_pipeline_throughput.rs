@@ -5,16 +5,19 @@
 //! Each iteration streams a fixed 16-image synthetic batch through a warmed
 //! pipeline with buffer recycling, so the measurement captures the
 //! steady-state regime the pipeline is designed for (no arena warm-up, no
-//! first-touch page faults).  The `workers_*`
-//! axis sweeps the worker-thread count for the winning classifier.
+//! first-touch page faults).  The `workers_*` axis sweeps the engine's
+//! thread count, which bounds how many of the batch's jobs run at once, for
+//! the phase-table classifier.  Before any timing, every pipeline's labels
+//! are asserted equal to the serial exact reference, so the bench doubles
+//! as an acceptance check.
 //!
 //! Snapshot a baseline with
 //! `CRITERION_JSON=BENCH_throughput.json cargo bench --bench ablation_pipeline_throughput`.
 
 use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use imaging::{PixelClassifier, RgbImage};
-use iqft_pipeline::{PipelineConfig, SegmentPipeline};
+use imaging::{LabelMap, PixelClassifier, RgbImage};
+use iqft_pipeline::SegmentPipeline;
 use iqft_seg::{IqftClassifier, PhaseTable};
 use seg_engine::{ClassifierKind, SegmentEngine};
 use std::time::Duration;
@@ -33,6 +36,20 @@ fn run_stream<C: PixelClassifier + Sync>(pipeline: &SegmentPipeline<C>, images: 
     assert_eq!(report.images(), images.len());
 }
 
+/// Asserts `pipeline` labels `images` exactly as the serial exact pass does.
+fn assert_matches_reference<C: PixelClassifier + Sync>(
+    pipeline: &SegmentPipeline<C>,
+    images: &[RgbImage],
+    reference: &[LabelMap],
+    what: &str,
+) {
+    let (labels, _) = pipeline.run_batch(images);
+    assert_eq!(labels, reference, "{what}");
+    for map in labels {
+        pipeline.recycle(map);
+    }
+}
+
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_pipeline_throughput");
     group
@@ -44,14 +61,15 @@ fn bench(c: &mut Criterion) {
         images.iter().map(|img| img.len() as u64).sum(),
     ));
 
-    let engine = SegmentEngine::with_threads(1);
-    let single = PipelineConfig {
-        workers: 1,
-        queue_capacity: 4,
-        ..PipelineConfig::default()
-    };
+    let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
+    let reference: Vec<LabelMap> = images
+        .iter()
+        .map(|img| SegmentEngine::serial().segment_rgb(&exact, img))
+        .collect();
 
-    // Classifier axis at one worker: isolates the per-pixel classification
+    let engine = SegmentEngine::with_threads(1);
+
+    // Classifier axis on one thread: isolates the per-pixel classification
     // cost from scheduling effects.  The classifier set and its construction
     // come from `ClassifierKind::ALL` / `IqftClassifier` — the same single
     // source of truth the CLI parses `--classifier` with — so the bench
@@ -63,8 +81,8 @@ fn bench(c: &mut Criterion) {
             ClassifierKind::Table => "phase_table",
             other => other.flag(),
         };
-        let pipeline =
-            SegmentPipeline::new(engine, IqftClassifier::paper_default(kind)).with_config(single);
+        let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind));
+        assert_matches_reference(&pipeline, &images, &reference, label);
         group.bench_with_input(
             BenchmarkId::new("voc16_96px", label),
             &images,
@@ -75,19 +93,17 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Worker-count axis for the fast path.
+    // Thread-count axis for the fast path; the ids keep the `workers_N`
+    // name the baseline was recorded under.
     for workers in [1usize, 2, 4, 8] {
         let pipeline = SegmentPipeline::new(
             SegmentEngine::with_threads(workers),
             PhaseTable::paper_default(),
-        )
-        .with_config(PipelineConfig {
-            workers,
-            queue_capacity: workers * 2,
-            ..PipelineConfig::default()
-        });
+        );
+        let id = format!("workers_{workers}");
+        assert_matches_reference(&pipeline, &images, &reference, &id);
         group.bench_with_input(
-            BenchmarkId::new("voc16_96px_phase_table", format!("workers_{workers}")),
+            BenchmarkId::new("voc16_96px_phase_table", id),
             &images,
             |b, images| {
                 run_stream(&pipeline, images);

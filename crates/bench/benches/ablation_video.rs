@@ -70,7 +70,6 @@ fn delta_pipeline() -> SegmentPipeline<PhaseTable> {
                 width: TILE,
                 height: TILE,
             },
-            ..PipelineConfig::default()
         })
         .with_cache(small_cache(), &SegmentPlan::default().to_spec())
 }
@@ -148,7 +147,6 @@ fn bench(c: &mut Criterion) {
                     width: TILE,
                     height: TILE,
                 },
-                ..PipelineConfig::default()
             });
     group.bench_with_input(
         BenchmarkId::new("video8_256px", "uncached"),

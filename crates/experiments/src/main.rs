@@ -82,7 +82,7 @@
 use experiments::figures;
 use experiments::service::{self, LoadgenConfig, ServeCliConfig, DEFAULT_ADDR};
 use experiments::tables::{self, Table3Config};
-use experiments::throughput::{self, ThroughputConfig};
+use experiments::throughput::{self, ThroughputConfig, ThroughputError};
 use experiments::SegmentEngine;
 use std::path::PathBuf;
 
@@ -218,6 +218,26 @@ fn run_table3(args: &Args, engine: &SegmentEngine) -> String {
     tables::table3_text(&summaries)
 }
 
+/// Runs one throughput pass.  A flag error exits 2; a verification
+/// mismatch prints `printed_before` and the failing report, then exits 1.
+fn throughput_or_exit(
+    engine: &SegmentEngine,
+    config: &ThroughputConfig,
+    printed_before: &str,
+) -> String {
+    match throughput::throughput_report(engine, config) {
+        Ok(report) => report,
+        Err(ThroughputError::Flag(message)) => {
+            eprintln!("{message}");
+            std::process::exit(2);
+        }
+        Err(ThroughputError::Mismatch(report)) => {
+            println!("{printed_before}{report}");
+            std::process::exit(1);
+        }
+    }
+}
+
 fn main() {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
@@ -305,7 +325,7 @@ fn main() {
                 std::process::exit(1);
             }
         },
-        "throughput" => throughput::throughput_report(
+        "throughput" => throughput_or_exit(
             &engine,
             &ThroughputConfig {
                 images: args.images,
@@ -320,8 +340,26 @@ fn main() {
                 video: args.video,
                 change_rate: args.change_rate,
             },
+            "",
         ),
         "all" => {
+            // The throughput passes run at reduced size on the user's
+            // classifier and tiling unless a pass names its own.
+            let quick_run = ThroughputConfig {
+                images: args.images.min(16),
+                batch: args.batch.min(8),
+                image_size: args.size.min(96),
+                seed: args.seed,
+                classifier: args.classifier.clone(),
+                tile: args.tile.clone(),
+                verify: args.verify,
+                ..ThroughputConfig::default()
+            };
+            // Refuse a bad strategy flag before the long passes, not after.
+            if let Err(message) = quick_run.plan(&engine) {
+                eprintln!("{message}");
+                std::process::exit(2);
+            }
             let mut all = String::new();
             all.push_str(&tables::table1_text());
             all.push('\n');
@@ -351,20 +389,8 @@ fn main() {
             all.push('\n');
             all.push_str(&figures::fig10_report(&engine, 12));
             all.push('\n');
-            // The throughput passes run at reduced size on the user's
-            // classifier and tiling unless a pass names its own.
-            let quick_run = ThroughputConfig {
-                images: args.images.min(16),
-                batch: args.batch.min(8),
-                image_size: args.size.min(96),
-                seed: args.seed,
-                classifier: args.classifier.clone(),
-                tile: args.tile.clone(),
-                verify: args.verify,
-                ..ThroughputConfig::default()
-            };
             let cache_mb = if args.cache_mb > 0 { args.cache_mb } else { 32 };
-            all.push_str(&throughput::throughput_report(&engine, &quick_run));
+            all.push_str(&throughput_or_exit(&engine, &quick_run, &all));
             let untiled = matches!(
                 seg_engine::Tiling::from_flag(&args.tile),
                 Ok(seg_engine::Tiling::Whole)
@@ -374,12 +400,13 @@ fn main() {
                 // its default-on byte-identity verification), even when the
                 // user did not pass --tile.
                 all.push('\n');
-                all.push_str(&throughput::throughput_report(
+                all.push_str(&throughput_or_exit(
                     &engine,
                     &ThroughputConfig {
                         tile: "48x48".to_string(),
                         ..quick_run.clone()
                     },
+                    &all,
                 ));
             }
             // ... and the quantized SIMD classifier (whose default-on
@@ -391,29 +418,31 @@ fn main() {
             );
             if !quantized {
                 all.push('\n');
-                all.push_str(&throughput::throughput_report(
+                all.push_str(&throughput_or_exit(
                     &engine,
                     &ThroughputConfig {
                         classifier: "simd".to_string(),
                         ..quick_run.clone()
                     },
+                    &all,
                 ));
             }
             // ... and the cached per-request serving path (byte-identity
             // verified the same way), even when the user did not pass
             // --cache-mb.
             all.push('\n');
-            all.push_str(&throughput::throughput_report(
+            all.push_str(&throughput_or_exit(
                 &engine,
                 &ThroughputConfig {
                     cache_mb,
                     ..quick_run.clone()
                 },
+                &all,
             ));
             // ... and the streaming-video per-tile delta path (stitched
             // byte-identity verified the same way).
             all.push('\n');
-            all.push_str(&throughput::throughput_report(
+            all.push_str(&throughput_or_exit(
                 &engine,
                 &ThroughputConfig {
                     images: args.images.min(8),
@@ -425,6 +454,7 @@ fn main() {
                     change_rate: 0.25,
                     ..quick_run
                 },
+                &all,
             ));
             all
         }

@@ -22,13 +22,15 @@
 //! `seg_engine::Tiling` × backend — the same single source of truth the
 //! bench targets use) and the plan's classifier kind is materialised with
 //! [`IqftClassifier`].  The `--tile WxH` knob switches the pipeline from
-//! whole-image jobs to tile jobs, so oversized frames fan out across
-//! workers instead of serialising onto one.
+//! whole-image jobs to tile jobs, so oversized frames fan out across the
+//! engine's threads instead of serialising onto one.
 //!
 //! Every run cross-checks the batched output against per-image serial
 //! segmentation with the exact segmenter and reports the verification result
 //! — byte-identity is an acceptance criterion, not an option (and it holds
-//! for every classifier × tiling × backend combination by construction).
+//! for every classifier × tiling × backend combination by construction).  A
+//! mismatch fails the run ([`ThroughputError::Mismatch`]), and so does a
+//! strategy flag that does not parse ([`ThroughputError::Flag`]).
 
 use crate::plans::{resolve_plan, ResolvedPlan};
 use datasets::{synthetic_video, PascalVocLikeConfig, PascalVocLikeDataset, VideoConfig};
@@ -168,10 +170,7 @@ fn run_pipeline(
         delta,
     } = shape;
     let pipeline = SegmentPipeline::new(*engine, classifier)
-        .with_config(PipelineConfig {
-            tiling,
-            ..PipelineConfig::default()
-        })
+        .with_config(PipelineConfig { tiling })
         .with_cache(CacheConfig::with_capacity_mb(cache_mb), cache_salt);
     let mut outputs: Vec<Option<LabelMap>> = Vec::new();
     outputs.resize_with(images.len(), || None);
@@ -241,16 +240,53 @@ pub fn throughput_run_with_plan(
     )
 }
 
+/// Why a throughput run failed.  The CLI exits 2 on a flag error and 1 on
+/// a mismatch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ThroughputError {
+    /// A strategy flag (`--classifier`, `--tile`, `--plan`) did not parse.
+    Flag(String),
+    /// The labels differ from the serial reference.  Carries the rendered
+    /// report, whose last line says how many images differ.
+    Mismatch(String),
+}
+
+/// Checks `labels` against per-image serial segmentation with the exact
+/// segmenter.  Returns the report's verify line, or the failure line
+/// naming how many images differ (a missing label map counts as one).
+fn verify_labels(images: &[RgbImage], labels: &[LabelMap]) -> Result<String, String> {
+    let reference = IqftRgbSegmenter::paper_default().with_engine(SegmentEngine::serial());
+    let mismatches = images
+        .iter()
+        .enumerate()
+        .filter(|&(i, img)| labels.get(i) != Some(&reference.segment_rgb(img)))
+        .count();
+    if mismatches == 0 {
+        Ok(format!(
+            "  verify: batched output byte-identical to per-image serial segmentation \
+             ({} images checked)",
+            images.len()
+        ))
+    } else {
+        Err(format!(
+            "  verify: FAILED — {mismatches} of {} images differ from serial reference",
+            images.len()
+        ))
+    }
+}
+
 /// Runs the whole subcommand and renders the human-readable report.
-pub fn throughput_report(engine: &SegmentEngine, config: &ThroughputConfig) -> String {
+pub fn throughput_report(
+    engine: &SegmentEngine,
+    config: &ThroughputConfig,
+) -> Result<String, ThroughputError> {
     let images = throughput_images(config);
     // Resolve the plan once up front: a `--plan auto` calibration sweep
     // should probe the host a single time, and its evidence belongs in the
     // report.
-    let resolved = match config.resolved_plan(engine) {
-        Ok(resolved) => resolved,
-        Err(message) => return message,
-    };
+    let resolved = config
+        .resolved_plan(engine)
+        .map_err(ThroughputError::Flag)?;
     let (labels, report, quant_fallbacks) =
         throughput_run_with_plan(config, &images, &resolved.plan);
     let quantized = resolved.plan.classifier().is_quantized();
@@ -362,29 +398,17 @@ pub fn throughput_report(engine: &SegmentEngine, config: &ThroughputConfig) -> S
     }
 
     if config.verify {
-        let serial = SegmentEngine::serial();
-        let reference = IqftRgbSegmenter::paper_default().with_engine(serial);
-        let mismatches = images
-            .iter()
-            .zip(labels.iter())
-            .filter(|(img, out)| &reference.segment_rgb(img) != *out)
-            .count();
-        if mismatches == 0 {
-            let _ = writeln!(
-                out,
-                "  verify: batched output byte-identical to per-image serial segmentation \
-                 ({} images checked)",
-                images.len()
-            );
-        } else {
-            let _ = writeln!(
-                out,
-                "  verify: FAILED — {mismatches} of {} images differ from serial reference",
-                images.len()
-            );
+        match verify_labels(&images, &labels) {
+            Ok(line) => {
+                let _ = writeln!(out, "{line}");
+            }
+            Err(line) => {
+                let _ = writeln!(out, "{line}");
+                return Err(ThroughputError::Mismatch(out));
+            }
         }
     }
-    out
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -431,7 +455,7 @@ mod tests {
         assert_eq!(labels, reference, "stitched deltas match serial reference");
         assert!(report.delta_tiles_hit > 0, "{report:?}");
         assert!(report.delta_tiles_recomputed > 0, "{report:?}");
-        let rendered = throughput_report(&engine, &config);
+        let rendered = throughput_report(&engine, &config).unwrap();
         assert!(rendered.contains("video: delta path"), "{rendered}");
         assert!(rendered.contains("tile hit ratio"), "{rendered}");
         assert!(rendered.contains("byte-identical"), "{rendered}");
@@ -487,7 +511,7 @@ mod tests {
         assert_eq!(report.cache_misses, 6, "{report:?}");
         assert_eq!(report.cache_hits, 0, "{report:?}");
         assert_eq!(report.cache_entries, 6, "{report:?}");
-        let rendered = throughput_report(&engine, &config);
+        let rendered = throughput_report(&engine, &config).unwrap();
         assert!(rendered.contains("cache 4MiB"), "{rendered}");
         assert!(rendered.contains("cache:"), "{rendered}");
         assert!(rendered.contains("byte-identical"), "{rendered}");
@@ -499,11 +523,34 @@ mod tests {
         let config = small_config("gpu");
         let images = throughput_images(&config);
         assert!(throughput_run(&engine, &config, &images).is_err());
-        assert!(throughput_report(&engine, &config).contains("unknown classifier"));
+        assert!(matches!(
+            throughput_report(&engine, &config),
+            Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
+        ));
         let mut config = small_config("table");
         config.tile = "64".to_string();
         assert!(throughput_run(&engine, &config, &images).is_err());
-        assert!(throughput_report(&engine, &config).contains("invalid tile shape"));
+        assert!(matches!(
+            throughput_report(&engine, &config),
+            Err(ThroughputError::Flag(message)) if message.contains("invalid tile shape")
+        ));
+    }
+
+    #[test]
+    fn verification_rejects_a_tampered_label_map() {
+        let engine = SegmentEngine::with_threads(2);
+        let config = small_config("simd");
+        let images = throughput_images(&config);
+        let (mut labels, _, _) = throughput_run(&engine, &config, &images).unwrap();
+        let ok = verify_labels(&images, &labels).unwrap();
+        assert!(ok.contains("byte-identical"), "{ok}");
+        let label = labels[2].get(0, 0);
+        labels[2].set(0, 0, label ^ 1);
+        let err = verify_labels(&images, &labels).unwrap_err();
+        assert!(err.contains("FAILED — 1 of 6 images differ"), "{err}");
+        // A missing label map is a mismatch too.
+        let err = verify_labels(&images, &labels[..4]).unwrap_err();
+        assert!(err.contains("FAILED — 3 of 6 images differ"), "{err}");
     }
 
     #[test]
@@ -537,7 +584,7 @@ mod tests {
         let plan = config.plan(&engine).unwrap();
         assert_eq!(plan.classifier(), ClassifierKind::Simd);
         assert_eq!(plan.backend(), SegmentEngine::serial().backend());
-        let report = throughput_report(&engine, &config);
+        let report = throughput_report(&engine, &config).unwrap();
         assert!(
             report.contains("plan: [classifier=simd;tile=16x16;backend=serial]"),
             "{report}"
@@ -545,13 +592,16 @@ mod tests {
         assert!(report.contains("byte-identical"), "{report}");
         // A malformed plan fails loudly instead of falling back.
         config.plan = "classifier=warp".to_string();
-        assert!(throughput_report(&engine, &config).contains("unknown classifier"));
+        assert!(matches!(
+            throughput_report(&engine, &config),
+            Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
+        ));
     }
 
     #[test]
     fn report_contains_verification_and_batch_lines() {
         let engine = SegmentEngine::with_threads(2);
-        let report = throughput_report(&engine, &small_config("table"));
+        let report = throughput_report(&engine, &small_config("table")).unwrap();
         assert!(report.contains("batch   0"), "{report}");
         assert!(report.contains("byte-identical"), "{report}");
         assert!(report.contains("arena"), "{report}");
@@ -560,14 +610,14 @@ mod tests {
         // --no-verify drops the verification pass.
         let mut config = small_config("table");
         config.verify = false;
-        let silent = throughput_report(&engine, &config);
+        let silent = throughput_report(&engine, &config).unwrap();
         assert!(!silent.contains("verify:"), "{silent}");
     }
 
     #[test]
     fn quantized_report_surfaces_the_oracle_fallback_line() {
         let engine = SegmentEngine::with_threads(2);
-        let report = throughput_report(&engine, &small_config("simd"));
+        let report = throughput_report(&engine, &small_config("simd")).unwrap();
         assert!(report.contains("quant:"), "{report}");
         assert!(report.contains("exactness oracle"), "{report}");
         assert!(report.contains("byte-identical"), "{report}");

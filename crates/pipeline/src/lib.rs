@@ -5,25 +5,25 @@
 //! *many* segmentations fast.  A [`SegmentPipeline`] owns an engine plus a
 //! pixel classifier and drives whole image streams through three pieces:
 //!
-//! * [`queue::JobQueue`] — a bounded MPMC work queue with backpressure and
-//!   drain-then-stop shutdown; worker threads pull image jobs from it.
 //! * [`arena::LabelArena`] — a recycling pool of label buffers, so the
 //!   steady-state hot path performs **zero per-image allocations** (the
 //!   report's allocation/reuse counters prove it).
-//! * [`stats`] — per-batch throughput/latency accounting built on
-//!   [`xpar::Progress`], rolled up into a [`PipelineReport`].
+//! * [`stats`] — per-batch throughput and per-job latency accounting,
+//!   rolled up into a [`PipelineReport`].
 //! * [`cache::SegmentCache`] — an opt-in sharded, content-addressed,
 //!   byte-budgeted LRU cache of finished segmentations
 //!   ([`SegmentPipeline::with_cache`]): repeated images are answered with a
 //!   memcpy instead of a classification pass, byte-identically.
 //!
-//! The pipeline parallelises **across images** by default: each worker
-//! segments its image with a serial per-pixel pass, so the output of
-//! [`run_batch`] is byte-identical to per-image serial segmentation no
-//! matter how many workers run (`tests/engine_determinism.rs` at the
-//! workspace root enforces this across backends).  When a stream contains
-//! images too large for that to balance — one satellite frame would
-//! serialise onto a single worker — configure a
+//! A batch is one job list mapped over the engine's backend
+//! ([`SegmentEngine::map_indexed`], the xpar substrate every parallel loop
+//! in the workspace runs on), so the pipeline parallelises **across
+//! images** by default: each job segments its image with a serial per-pixel
+//! pass, and the output of [`run_batch`] is byte-identical to per-image
+//! serial segmentation on any backend and thread count
+//! (`tests/engine_determinism.rs` at the workspace root enforces this).
+//! When a stream contains images too large for that to balance — one
+//! satellite frame would serialise onto a single thread — configure a
 //! [`seg_engine::Tiling::Tiles`] decomposition ([`PipelineConfig::tiling`]):
 //! every image then splits into zero-copy tile jobs whose scratch buffers
 //! recycle through the same [`LabelArena`], and the stitched output remains
@@ -65,7 +65,6 @@
 pub mod arena;
 pub mod cache;
 pub mod hist;
-pub mod queue;
 pub mod stats;
 
 pub use arena::LabelArena;
@@ -73,13 +72,12 @@ pub use cache::{
     route_hash, CacheConfig, CacheKey, CacheStats, SegmentCache, SnapshotError, SnapshotStats,
 };
 pub use hist::{LatencyHistogram, LatencySummary};
-pub use queue::JobQueue;
 pub use stats::{BatchStats, PipelineReport};
 
 use imaging::view::{LabelViewMut, TileRect};
 use imaging::{LabelMap, PixelClassifier, RgbImage};
 use seg_engine::{SegmentEngine, Tiling};
-use xpar::Progress;
+use std::time::Instant;
 
 /// What the lookup half of a cached request found
 /// ([`SegmentPipeline::lookup_request`]).
@@ -92,44 +90,25 @@ pub enum CacheLookup {
     Miss(CacheKey),
 }
 
-/// Tuning knobs for a [`SegmentPipeline`].
-///
-/// The default (all zeros, whole-image work units) derives the worker count
-/// from the engine and the queue capacity from the worker count.
+/// How a [`SegmentPipeline`] decomposes its work.  The default runs one job
+/// per image; the engine's backend bounds how many jobs run at once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
-    /// Worker threads pulling jobs from the queue (0 = the engine's
-    /// effective thread count).
-    pub workers: usize,
-    /// Bounded job-queue capacity (0 = twice the worker count).
-    pub queue_capacity: usize,
-    /// Work decomposition: [`Tiling::Whole`] enqueues one job per image;
+    /// Work decomposition: [`Tiling::Whole`] runs one job per image;
     /// [`Tiling::Tiles`] splits every image into tile jobs, so one oversized
-    /// frame no longer serialises onto a single worker.  Tile label buffers
+    /// frame no longer serialises onto a single thread.  Tile label buffers
     /// recycle through the same [`LabelArena`] as image buffers, keeping the
     /// steady state allocation-free, and the output stays byte-identical to
     /// whole-image segmentation.
     pub tiling: Tiling,
 }
 
-/// Closes the queue if the holding worker unwinds, so the producer cannot
-/// block forever on a full queue whose consumers are all dead.
-struct CloseOnPanic<'q, T>(&'q JobQueue<T>);
-
-impl<T> Drop for CloseOnPanic<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.close();
-        }
-    }
-}
-
 /// A batched segmentation service: owns a [`SegmentEngine`], a pixel
-/// classifier, and a label-buffer arena, and drives image streams through a
-/// bounded work queue on a fixed set of worker threads.
+/// classifier, and a label-buffer arena, and runs each batch of an image
+/// stream as one job list on the engine's backend.
 ///
 /// Outputs are byte-identical to per-image serial segmentation for any
-/// worker count, because each image is classified independently by a serial
+/// backend and thread count, because each job is classified by a serial
 /// per-pixel pass.
 #[derive(Debug)]
 pub struct SegmentPipeline<C> {
@@ -153,7 +132,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         }
     }
 
-    /// Replaces the tuning knobs.
+    /// Replaces the work decomposition.
     pub fn with_config(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -179,25 +158,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         &self.classifier
     }
 
-    /// Effective number of worker threads.
-    pub fn workers(&self) -> usize {
-        if self.config.workers == 0 {
-            self.engine.threads()
-        } else {
-            self.config.workers
-        }
-    }
-
-    /// Effective job-queue capacity.
-    pub fn queue_capacity(&self) -> usize {
-        if self.config.queue_capacity == 0 {
-            self.workers() * 2
-        } else {
-            self.config.queue_capacity
-        }
-    }
-
-    /// The work decomposition jobs are enqueued with.
+    /// The work decomposition batches and requests run with.
     pub fn tiling(&self) -> Tiling {
         self.config.tiling
     }
@@ -230,25 +191,16 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         LabelMap::from_vec(w, h, buf).expect("label buffer matches image size")
     }
 
-    /// Segments a single image on the pipeline's engine (per-pixel parallel,
-    /// arena-backed).  Recycle the result to keep the hot path allocation-free.
-    pub fn segment_one(&self, img: &RgbImage) -> LabelMap {
-        self.segment_with(img, |buf| {
-            self.engine.segment_rgb_into(&self.classifier, img, buf)
-        })
-    }
-
     /// Per-request submit/completion entry point for long-lived services.
     ///
     /// Unlike [`SegmentPipeline::run_batch`], which owns a whole batch and a
     /// join barrier, this segments exactly one image synchronously — the
     /// shape a serving daemon (`iqft-serve`) needs: a worker thread submits
     /// one decoded request here and the call completes when the labels are
-    /// ready.  And unlike [`SegmentPipeline::segment_one`]
-    /// it honours the configured [`PipelineConfig::tiling`], so one oversized
-    /// frame still fans out across the engine's backend.  The scratch buffer
-    /// comes from the shared [`LabelArena`]; recycle the result and the
-    /// steady state stays allocation-free across all callers.
+    /// ready.  It honours the configured [`PipelineConfig::tiling`], so one
+    /// oversized frame still fans out across the engine's backend.  The
+    /// scratch buffer comes from the shared [`LabelArena`]; recycle the
+    /// result and the steady state stays allocation-free across all callers.
     ///
     /// Byte-identical to a serial whole-image pass for any configuration.
     pub fn segment_request(&self, img: &RgbImage) -> LabelMap {
@@ -392,10 +344,10 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     where
         F: FnMut(usize, LabelMap, u32, u32),
     {
-        self.run_stream_each(
+        self.run_chunks(
             frames,
             batch_size,
-            |img| self.segment_request_delta(img),
+            |chunk, latency| one_by_one(chunk, latency, |img| self.segment_request_delta(img)),
             |idx, (labels, hit, recomputed), report| {
                 report.delta_tiles_hit += hit as usize;
                 report.delta_tiles_recomputed += recomputed as usize;
@@ -404,225 +356,102 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         )
     }
 
-    /// Segments one batch of images through the bounded queue on the
-    /// pipeline's worker threads.
+    /// Segments one batch of images on the engine's backend.
     ///
-    /// Returns the label maps in input order plus the batch's throughput
-    /// stats.  The output is byte-identical to calling
-    /// `SegmentEngine::serial().segment_rgb(..)` per image.
+    /// The batch is one job list mapped through
+    /// [`SegmentEngine::map_indexed`]: one job per image, or one per tile
+    /// under [`Tiling::Tiles`], so one oversized frame fans out over every
+    /// thread.  Each job classifies its rect serially into an arena buffer,
+    /// and each image's jobs are stitched in order.  Returns the label maps
+    /// in input order plus the batch's throughput stats.  The output is
+    /// byte-identical to calling `SegmentEngine::serial().segment_rgb(..)`
+    /// per image.
     pub fn run_batch(&self, images: &[RgbImage]) -> (Vec<LabelMap>, BatchStats) {
-        self.run_batch_indexed(0, images, &LatencyHistogram::new())
+        let started = Instant::now();
+        let labels = self.segment_batch(images, &LatencyHistogram::new());
+        (labels, batch_stats(0, images, started))
     }
 
-    fn run_batch_indexed(
-        &self,
-        batch: usize,
-        images: &[RgbImage],
-        latency: &LatencyHistogram,
-    ) -> (Vec<LabelMap>, BatchStats) {
-        if let Tiling::Tiles { width, height } = self.config.tiling {
-            return self.run_batch_tiled(batch, images, width, height, latency);
-        }
-        let progress = Progress::new(images.len());
-        let workers = self.workers();
-        let queue: JobQueue<usize> = JobQueue::bounded(self.queue_capacity());
-        let serial = SegmentEngine::serial();
-        let mut results: Vec<Option<LabelMap>> = Vec::new();
-        results.resize_with(images.len(), || None);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let queue = queue.clone();
-                let progress = &progress;
-                let arena = &self.arena;
-                let classifier = &self.classifier;
-                handles.push(scope.spawn(move || {
-                    let _guard = CloseOnPanic(&queue);
-                    let mut done: Vec<(usize, LabelMap)> = Vec::new();
-                    while let Some(idx) = queue.pop() {
-                        let img = &images[idx];
-                        let started = std::time::Instant::now();
-                        let mut buf = arena.take();
-                        serial.segment_rgb_into(classifier, img, &mut buf);
-                        let (w, h) = img.dimensions();
-                        let map =
-                            LabelMap::from_vec(w, h, buf).expect("label buffer matches image");
-                        latency.record(started.elapsed());
-                        done.push((idx, map));
-                        progress.inc(1);
-                    }
-                    done
-                }));
-            }
-            // Feed jobs with backpressure: push blocks while the queue is at
-            // capacity, so at most queue_capacity images are in flight ahead
-            // of the workers.  A push can only fail if a dying worker closed
-            // the queue; stop producing and let the joins below re-raise the
-            // worker's panic.
-            for idx in 0..images.len() {
-                if queue.push(idx).is_err() {
-                    break;
-                }
-            }
-            queue.close();
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (idx, map) in done {
-                            results[idx] = Some(map);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-
-        let stats = BatchStats {
-            batch,
-            images: images.len(),
-            pixels: images.iter().map(|img| img.len()).sum(),
-            elapsed_secs: progress.elapsed_secs(),
-        };
-        debug_assert!(progress.is_complete());
-        let labels = results
-            .into_iter()
-            .map(|slot| slot.expect("every job produced a label map"))
-            .collect();
-        (labels, stats)
-    }
-
-    /// Tiled variant of [`SegmentPipeline::run_batch_indexed`]: every image
-    /// is split into `tile_w × tile_h` tile jobs (edge tiles clamped), so a
-    /// single oversized frame fans out across all workers instead of
-    /// serialising onto one.
-    ///
-    /// Each tile job takes a scratch buffer from the [`LabelArena`],
-    /// classifies its zero-copy [`imaging::ImageView`], and the buffer goes
-    /// straight back to the arena after the stitch — tile buffers and
-    /// whole-image buffers recycle through the same pool, so the steady
-    /// state stays allocation-free.  Stitching happens in deterministic tile
-    /// order and each label depends only on its own pixel, so the output is
-    /// byte-identical to the whole-image path for any worker count.
-    fn run_batch_tiled(
-        &self,
-        batch: usize,
-        images: &[RgbImage],
-        tile_w: usize,
-        tile_h: usize,
-        latency: &LatencyHistogram,
-    ) -> (Vec<LabelMap>, BatchStats) {
-        // Jobs are materialised in (image, tile) order, so the grouped
-        // assembly below can walk them with a single cursor.
+    /// The batch executor behind [`SegmentPipeline::run_batch`] and
+    /// [`SegmentPipeline::run_stream`], recording each job's latency.
+    fn segment_batch(&self, images: &[RgbImage], latency: &LatencyHistogram) -> Vec<LabelMap> {
+        // Jobs are listed in (image, rect) order, so the stitch below walks
+        // them with one cursor.  A whole image is the job whose rect is the
+        // image.
         let jobs: Vec<(usize, TileRect)> = images
             .iter()
             .enumerate()
-            .flat_map(|(idx, img)| img.tile_rects(tile_w, tile_h).map(move |rect| (idx, rect)))
+            .flat_map(|(idx, img)| {
+                let (tile_w, tile_h) = match self.config.tiling {
+                    Tiling::Whole => img.dimensions(),
+                    Tiling::Tiles { width, height } => (width, height),
+                };
+                img.tile_rects(tile_w, tile_h).map(move |rect| (idx, rect))
+            })
             .collect();
-        let progress = Progress::new(jobs.len());
-        let workers = self.workers();
-        let queue: JobQueue<usize> = JobQueue::bounded(self.queue_capacity());
-        let mut tiles: Vec<Option<Vec<u32>>> = Vec::new();
-        tiles.resize_with(jobs.len(), || None);
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let queue = queue.clone();
-                let progress = &progress;
-                let arena = &self.arena;
-                let classifier = &self.classifier;
-                let jobs = &jobs;
-                handles.push(scope.spawn(move || {
-                    let _guard = CloseOnPanic(&queue);
-                    let mut done: Vec<(usize, Vec<u32>)> = Vec::new();
-                    while let Some(job) = queue.pop() {
-                        let (img_idx, rect) = jobs[job];
-                        let started = std::time::Instant::now();
-                        let tile = images[img_idx]
-                            .view(rect)
-                            .expect("tile rects lie inside their image");
-                        let mut buf = arena.take();
-                        buf.clear();
-                        buf.resize(rect.area(), 0);
-                        let mut out = LabelViewMut::contiguous(&mut buf, rect.width, rect.height)
-                            .expect("tile buffer matches tile area");
-                        classifier.classify_rgb_view_into(&tile, &mut out);
-                        latency.record(started.elapsed());
-                        done.push((job, buf));
-                        progress.inc(1);
-                    }
-                    done
-                }));
+        let serial = SegmentEngine::serial();
+        let buffers = self.engine.map_indexed(jobs.len(), |job| {
+            let (idx, rect) = jobs[job];
+            let img = &images[idx];
+            let started = Instant::now();
+            let mut buf = self.arena.take();
+            if rect == TileRect::full(img.width(), img.height()) {
+                serial.segment_rgb_into(&self.classifier, img, &mut buf);
+            } else {
+                buf.clear();
+                buf.resize(rect.area(), 0);
+                let tile = img.view(rect).expect("job rects lie inside their image");
+                let mut out = LabelViewMut::contiguous(&mut buf, rect.width, rect.height)
+                    .expect("job buffer matches its rect");
+                self.classifier.classify_rgb_view_into(&tile, &mut out);
             }
-            for job in 0..jobs.len() {
-                if queue.push(job).is_err() {
-                    break;
-                }
-            }
-            queue.close();
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (job, buf) in done {
-                            tiles[job] = Some(buf);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
+            latency.record(started.elapsed());
+            buf
         });
 
-        debug_assert!(progress.is_complete());
-
-        // Stitch tiles into per-image label maps, returning every tile
-        // buffer to the arena so the next batch reuses it.
-        let mut labels = Vec::with_capacity(images.len());
-        let mut cursor = 0usize;
-        for (idx, img) in images.iter().enumerate() {
-            let mut buf = self.arena.take();
-            buf.clear();
-            buf.resize(img.len(), 0);
-            while cursor < jobs.len() && jobs[cursor].0 == idx {
-                let rect = jobs[cursor].1;
-                let tile = tiles[cursor]
-                    .take()
-                    .expect("every tile job produced labels");
-                LabelViewMut::new(&mut buf, img.width(), rect)
-                    .expect("tile rects lie inside the label buffer")
-                    .copy_from_tile(&tile);
-                self.arena.put(tile);
-                cursor += 1;
-            }
-            let (w, h) = img.dimensions();
-            labels.push(LabelMap::from_vec(w, h, buf).expect("label buffer matches image size"));
-        }
-        // The clock stops only after the stitch: the tile-copy pass is real
-        // per-batch work the whole-image path does not pay, and it must not
-        // be excluded from tiled throughput/latency figures.
-        let stats = BatchStats {
-            batch,
-            images: images.len(),
-            pixels: images.iter().map(|img| img.len()).sum(),
-            elapsed_secs: progress.elapsed_secs(),
-        };
-        (labels, stats)
+        // An image that is one job adopts that job's buffer.  Otherwise its
+        // tiles are copied into an arena buffer and go back to the arena.
+        let mut done = jobs.into_iter().zip(buffers).peekable();
+        images
+            .iter()
+            .enumerate()
+            .map(|(idx, img)| {
+                let (w, h) = img.dimensions();
+                let whole = (idx, TileRect::full(w, h));
+                let buf = match done.next_if(|(job, _)| *job == whole) {
+                    Some((_, buf)) => buf,
+                    None => {
+                        let mut buf = self.arena.take();
+                        buf.clear();
+                        buf.resize(img.len(), 0);
+                        while let Some(((_, rect), tile)) =
+                            done.next_if(|((job, _), _)| *job == idx)
+                        {
+                            LabelViewMut::new(&mut buf, w, rect)
+                                .expect("tile rects lie inside the label buffer")
+                                .copy_from_tile(&tile);
+                            self.arena.put(tile);
+                        }
+                        buf
+                    }
+                };
+                LabelMap::from_vec(w, h, buf).expect("label buffer matches image size")
+            })
+            .collect()
     }
 
     /// Streams `images` through the pipeline in batches of `batch_size`,
     /// handing each finished label map (with its global image index, in
     /// order) to `sink`, and returns the aggregated [`PipelineReport`].
     ///
-    /// The sink typically consumes the labels and calls
-    /// [`SegmentPipeline::recycle`] so subsequent batches reuse the buffers —
-    /// that is what makes the steady state allocation-free.
-    ///
-    /// Each batch runs on a fresh set of scoped worker threads with a join
+    /// Each batch runs like [`SegmentPipeline::run_batch`], with a join
     /// barrier at the batch boundary; that barrier is what gives the
-    /// per-batch latency figures their meaning (and thread spawns are cheap
-    /// next to a batch of pixel work).  The arena counters in the returned
-    /// report are deltas for *this* run, so repeated `run_stream` calls on
-    /// one pipeline each report their own allocation behaviour.
+    /// per-batch figures their meaning.  The sink typically consumes the
+    /// labels and calls [`SegmentPipeline::recycle`] so subsequent batches
+    /// reuse the buffers — that is what makes the steady state
+    /// allocation-free.  The arena counters in the returned report are
+    /// deltas for *this* run, so repeated `run_stream` calls on one pipeline
+    /// each report their own allocation behaviour.
     pub fn run_stream<F>(
         &self,
         images: &[RgbImage],
@@ -632,27 +461,12 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     where
         F: FnMut(usize, LabelMap),
     {
-        let batch_size = batch_size.max(1);
-        let allocations_before = self.arena.allocations();
-        let reuses_before = self.arena.reuses();
-        let mut report = PipelineReport {
-            workers: self.workers(),
-            ..PipelineReport::default()
-        };
-        let latency = LatencyHistogram::new();
-        for (batch_idx, chunk) in images.chunks(batch_size).enumerate() {
-            let offset = batch_idx * batch_size;
-            let (labels, stats) = self.run_batch_indexed(batch_idx, chunk, &latency);
-            report.batches.push(stats);
-            for (i, map) in labels.into_iter().enumerate() {
-                sink(offset + i, map);
-            }
-        }
-        report.latency = latency.summary();
-        report.arena_allocations = self.arena.allocations() - allocations_before;
-        report.arena_reuses = self.arena.reuses() - reuses_before;
-        report.arena_pooled = self.arena.pooled();
-        report
+        self.run_chunks(
+            images,
+            batch_size,
+            |chunk, latency| self.segment_batch(chunk, latency),
+            |idx, labels, _| sink(idx, labels),
+        )
     }
 
     /// Streams `images` through the *per-request* path — the shape a serving
@@ -677,26 +491,31 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     where
         F: FnMut(usize, LabelMap, bool),
     {
-        self.run_stream_each(
+        self.run_chunks(
             images,
             batch_size,
-            |img| self.segment_request_cached(img, false),
+            |chunk, latency| {
+                one_by_one(chunk, latency, |img| {
+                    self.segment_request_cached(img, false)
+                })
+            },
             |idx, (labels, hit), _| sink(idx, labels, hit),
         )
     }
 
-    /// The one per-request stream loop behind
+    /// The one stream loop behind [`SegmentPipeline::run_stream`],
     /// [`SegmentPipeline::run_stream_requests`] and
-    /// [`SegmentPipeline::run_stream_deltas`]: runs `request` on each image
-    /// in turn, timing only that call, hands its result to `sink` with the
-    /// image's index and the report being built, and groups `batch_size`
-    /// consecutive requests per [`BatchStats`] entry.  The report carries
-    /// this run's arena and cache counter deltas.
-    fn run_stream_each<T>(
+    /// [`SegmentPipeline::run_stream_deltas`]: cuts `images` into chunks of
+    /// `batch_size`, times `segment` on each chunk as that chunk's
+    /// [`BatchStats`] entry, then hands each result to `sink` with its
+    /// image's index and the report being built.  `segment` records its
+    /// per-operation latencies; the report carries this run's arena and
+    /// cache counter deltas.
+    fn run_chunks<T>(
         &self,
         images: &[RgbImage],
         batch_size: usize,
-        mut request: impl FnMut(&RgbImage) -> T,
+        mut segment: impl FnMut(&[RgbImage], &LatencyHistogram) -> Vec<T>,
         mut sink: impl FnMut(usize, T, &mut PipelineReport),
     ) -> PipelineReport {
         let batch_size = batch_size.max(1);
@@ -704,25 +523,17 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         let reuses_before = self.arena.reuses();
         let cache_before = self.cache.as_ref().map(|c| c.stats()).unwrap_or_default();
         let mut report = PipelineReport {
-            workers: self.workers(),
+            workers: self.engine.threads(),
             ..PipelineReport::default()
         };
         let latency = LatencyHistogram::new();
-        for (batch_idx, chunk) in images.chunks(batch_size).enumerate() {
-            let offset = batch_idx * batch_size;
-            let started = std::time::Instant::now();
-            for (i, img) in chunk.iter().enumerate() {
-                let op_started = std::time::Instant::now();
-                let result = request(img);
-                latency.record(op_started.elapsed());
-                sink(offset + i, result, &mut report);
+        for (batch, chunk) in images.chunks(batch_size).enumerate() {
+            let started = Instant::now();
+            let results = segment(chunk, &latency);
+            report.batches.push(batch_stats(batch, chunk, started));
+            for (i, result) in results.into_iter().enumerate() {
+                sink(batch * batch_size + i, result, &mut report);
             }
-            report.batches.push(BatchStats {
-                batch: batch_idx,
-                images: chunk.len(),
-                pixels: chunk.iter().map(|img| img.len()).sum(),
-                elapsed_secs: started.elapsed().as_secs_f64(),
-            });
         }
         report.latency = latency.summary();
         report.arena_allocations = self.arena.allocations() - allocations_before;
@@ -737,6 +548,35 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
             report.cache_bytes = now.bytes;
         }
         report
+    }
+}
+
+/// Runs `request` on each image of `chunk` in turn, recording each call's
+/// latency: the per-request streams' step for the stream loop.
+fn one_by_one<T>(
+    chunk: &[RgbImage],
+    latency: &LatencyHistogram,
+    request: impl Fn(&RgbImage) -> T,
+) -> Vec<T> {
+    chunk
+        .iter()
+        .map(|img| {
+            let started = Instant::now();
+            let result = request(img);
+            latency.record(started.elapsed());
+            result
+        })
+        .collect()
+}
+
+/// The stats of batch number `batch` over `images`, whose clock started at
+/// `started` and stops now.
+fn batch_stats(batch: usize, images: &[RgbImage], started: Instant) -> BatchStats {
+    BatchStats {
+        batch,
+        images: images.len(),
+        pixels: images.iter().map(|img| img.len()).sum(),
+        elapsed_secs: started.elapsed().as_secs_f64(),
     }
 }
 
@@ -764,18 +604,13 @@ mod tests {
             .iter()
             .map(|img| SegmentEngine::serial().segment_rgb(&exact, img))
             .collect();
-        for workers in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4] {
             let pipeline = SegmentPipeline::new(
-                SegmentEngine::with_threads(workers),
+                SegmentEngine::with_threads(threads),
                 IqftRgbSegmenter::paper_default(),
-            )
-            .with_config(PipelineConfig {
-                workers,
-                queue_capacity: 2,
-                ..PipelineConfig::default()
-            });
+            );
             let (labels, stats) = pipeline.run_batch(&images);
-            assert_eq!(labels, expected, "workers={workers}");
+            assert_eq!(labels, expected, "threads={threads}");
             assert_eq!(stats.images, 9);
             assert_eq!(stats.pixels, images.iter().map(|i| i.len()).sum::<usize>());
         }
@@ -805,12 +640,7 @@ mod tests {
             })
             .collect();
         let pipeline =
-            SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
-                .with_config(PipelineConfig {
-                    workers: 2,
-                    queue_capacity: 2,
-                    ..PipelineConfig::default()
-                });
+            SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default());
         let mut seen = Vec::new();
         let report = pipeline.run_stream(&images, 4, |idx, labels| {
             seen.push(idx);
@@ -837,22 +667,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_one_matches_engine_and_recycles() {
-        let img = &test_images(1)[0];
-        let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default());
-        let labels = pipeline.segment_one(img);
-        assert_eq!(
-            labels,
-            SegmentEngine::serial().segment_rgb(pipeline.classifier(), img)
-        );
-        pipeline.recycle(labels);
-        assert_eq!(pipeline.arena().pooled(), 1);
-        let again = pipeline.segment_one(img);
-        assert_eq!(pipeline.arena().reuses(), 1);
-        drop(again);
-    }
-
-    #[test]
     fn segment_request_honours_tiling_and_recycles_through_the_arena() {
         let img = &test_images(1)[0];
         let expected = SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img);
@@ -865,10 +679,7 @@ mod tests {
         ] {
             let pipeline =
                 SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
-                    .with_config(PipelineConfig {
-                        tiling,
-                        ..PipelineConfig::default()
-                    });
+                    .with_config(PipelineConfig { tiling });
             let labels = pipeline.segment_request(img);
             assert_eq!(labels, expected, "{tiling:?}");
             pipeline.recycle(labels);
@@ -881,17 +692,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "classifier exploded")]
     fn worker_panic_propagates_instead_of_deadlocking_the_producer() {
-        // A classifier that dies on the very first pixel, with a single
-        // worker and a queue smaller than the image count: without the
-        // close-on-panic guard the producer would block forever on a full
-        // queue with no consumer left.
+        // A classifier that dies on the very first pixel, on two threads:
+        // the batch must end, and the caller must see the classifier's own
+        // message rather than a generic worker failure.
         let bomb = |_p: Rgb<u8>| -> u32 { panic!("classifier exploded") };
-        let pipeline =
-            SegmentPipeline::new(SegmentEngine::serial(), bomb).with_config(PipelineConfig {
-                workers: 1,
-                queue_capacity: 1,
-                ..PipelineConfig::default()
-            });
+        let pipeline = SegmentPipeline::new(SegmentEngine::with_threads(2), bomb);
         let images = test_images(8);
         let _ = pipeline.run_batch(&images);
     }
@@ -900,12 +705,7 @@ mod tests {
     fn repeated_streams_report_per_run_arena_deltas() {
         let images = test_images(6);
         let pipeline =
-            SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
-                .with_config(PipelineConfig {
-                    workers: 2,
-                    queue_capacity: 2,
-                    ..PipelineConfig::default()
-                });
+            SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default());
         let first = pipeline.run_stream(&images, 3, |_, labels| pipeline.recycle(labels));
         let second = pipeline.run_stream(&images, 3, |_, labels| pipeline.recycle(labels));
         assert_eq!(first.arena_allocations + first.arena_reuses, 6);
@@ -923,15 +723,13 @@ mod tests {
             .iter()
             .map(|img| SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img))
             .collect();
-        for workers in [1usize, 2, 4] {
+        for threads in [1usize, 2, 4] {
             for (tw, th) in [(1usize, 1usize), (7, 3), (64, 64)] {
                 let pipeline = SegmentPipeline::new(
-                    SegmentEngine::with_threads(workers),
+                    SegmentEngine::with_threads(threads),
                     PhaseTable::paper_default(),
                 )
                 .with_config(PipelineConfig {
-                    workers,
-                    queue_capacity: 2,
                     tiling: seg_engine::Tiling::Tiles {
                         width: tw,
                         height: th,
@@ -945,11 +743,76 @@ mod tests {
                     }
                 );
                 let (labels, stats) = pipeline.run_batch(&images);
-                assert_eq!(labels, reference, "workers={workers} tile={tw}x{th}");
+                assert_eq!(labels, reference, "threads={threads} tile={tw}x{th}");
                 assert_eq!(stats.images, 7);
                 assert_eq!(stats.pixels, images.iter().map(|i| i.len()).sum::<usize>());
             }
         }
+    }
+
+    /// A classifier whose tile hook waits until two tiles are in progress
+    /// at once.  The wait's timeout only marks failure: a pipeline that
+    /// runs one frame's tiles one at a time leaves the flag false.
+    struct Rendezvous {
+        table: PhaseTable,
+        /// Tiles in progress, and whether two ever were at once.
+        state: std::sync::Mutex<(usize, bool)>,
+        both: std::sync::Condvar,
+    }
+
+    impl PixelClassifier for Rendezvous {
+        fn classify_rgb_pixel(&self, p: Rgb<u8>) -> u32 {
+            self.table.classify_rgb_pixel(p)
+        }
+
+        fn classify_rgb_view_into(
+            &self,
+            view: &imaging::ImageView<'_, Rgb<u8>>,
+            out: &mut LabelViewMut<'_>,
+        ) {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            if state.0 >= 2 {
+                state.1 = true;
+                self.both.notify_all();
+            }
+            let (mut state, _) = self
+                .both
+                .wait_timeout_while(state, std::time::Duration::from_secs(3), |s| !s.1)
+                .unwrap();
+            state.0 -= 1;
+            drop(state);
+            self.table.classify_rgb_view_into(view, out);
+        }
+    }
+
+    #[test]
+    fn one_frames_tiles_fan_out_over_the_engines_threads() {
+        let frame = RgbImage::from_fn(64, 48, |x, y| {
+            Rgb::new((x * 4) as u8, (y * 5) as u8, ((x + y) * 3) as u8)
+        });
+        let rendezvous = Rendezvous {
+            table: PhaseTable::paper_default(),
+            state: std::sync::Mutex::new((0, false)),
+            both: std::sync::Condvar::new(),
+        };
+        let pipeline = SegmentPipeline::new(SegmentEngine::with_threads(2), rendezvous)
+            .with_config(PipelineConfig {
+                tiling: seg_engine::Tiling::Tiles {
+                    width: 32,
+                    height: 24,
+                },
+            });
+        assert_eq!(frame.tile_rects(32, 24).count(), 4);
+        let (labels, _) = pipeline.run_batch(std::slice::from_ref(&frame));
+        assert!(
+            pipeline.classifier().state.lock().unwrap().1,
+            "two tiles of one frame never ran at the same time"
+        );
+        assert_eq!(
+            labels[0],
+            SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), &frame)
+        );
     }
 
     #[test]
@@ -964,8 +827,6 @@ mod tests {
         let pipeline =
             SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
                 .with_config(PipelineConfig {
-                    workers: 2,
-                    queue_capacity: 2,
                     tiling: seg_engine::Tiling::Tiles {
                         width: 16,
                         height: 16,
@@ -1114,10 +975,7 @@ mod tests {
         ] {
             let pipeline =
                 SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
-                    .with_config(PipelineConfig {
-                        tiling,
-                        ..PipelineConfig::default()
-                    })
+                    .with_config(PipelineConfig { tiling })
                     .with_cache(CacheConfig::with_capacity_mb(4), "delta-test");
             let (tw, th) = tiling.delta_shape();
             let total = base.tile_rects(tw, th).count() as u32;
@@ -1172,7 +1030,6 @@ mod tests {
                     width: 16,
                     height: 16,
                 },
-                ..PipelineConfig::default()
             })
             .with_cache(CacheConfig::with_capacity_mb(4), "delta-stream-test");
         let tiles_per_frame = base.tile_rects(16, 16).count();
@@ -1207,13 +1064,13 @@ mod tests {
     fn empty_batch_and_defaults_are_handled() {
         let pipeline =
             SegmentPipeline::new(SegmentEngine::with_threads(3), PhaseTable::paper_default());
-        assert_eq!(pipeline.workers(), 3);
-        assert_eq!(pipeline.queue_capacity(), 6);
         assert_eq!(pipeline.engine(), SegmentEngine::with_threads(3));
+        assert_eq!(pipeline.tiling(), seg_engine::Tiling::Whole);
         let (labels, stats) = pipeline.run_batch(&[]);
         assert!(labels.is_empty());
         assert_eq!(stats.images, 0);
         let report = pipeline.run_stream(&[], 4, |_, _| panic!("no images"));
         assert_eq!(report.images(), 0);
+        assert_eq!(report.workers, 3, "the engine's thread count");
     }
 }

@@ -1,8 +1,8 @@
 //! Per-batch and per-run throughput/latency accounting.
 //!
-//! Workers tick an [`xpar::Progress`] as images complete; the pipeline turns
-//! the counter plus its wall clock into a [`BatchStats`] per batch and a
-//! [`PipelineReport`] per run.  The report also surfaces the label arena's
+//! The pipeline's stream loop times each batch into a [`BatchStats`] and
+//! rolls a run's batches, per-job latencies and counters into a
+//! [`PipelineReport`].  The report also surfaces the label arena's
 //! allocation-vs-reuse counters, making the "zero per-image allocation in
 //! steady state" property observable from the CLI.
 
@@ -15,7 +15,10 @@ pub struct BatchStats {
     pub images: usize,
     /// Total pixels classified in this batch.
     pub pixels: usize,
-    /// Wall-clock seconds the batch took end to end.
+    /// Wall-clock seconds the pipeline took to produce the batch's label
+    /// maps, stitching included.  The clock stops before the stream's sink
+    /// sees the first result, so time the caller spends consuming labels
+    /// is not counted; this holds for every stream runner.
     pub elapsed_secs: f64,
 }
 
@@ -63,7 +66,8 @@ pub struct PipelineReport {
     /// a [`crate::LatencyHistogram`]: one sample per image on the whole-image
     /// paths, one per tile job on the tiled batch path.
     pub latency: LatencySummary,
-    /// Worker threads the pipeline ran with.
+    /// The engine's effective thread count: the most jobs a batch runs at
+    /// once.
     pub workers: usize,
     /// Fresh label-buffer allocations the arena performed during this run.
     pub arena_allocations: usize,

@@ -9,11 +9,12 @@
 //! holds one client per endpoint).
 //!
 //! Construction mirrors the server side: a [`ClientConfig`] builder names
-//! the endpoint(s), the pipeline depth, the connect/reply deadlines, and the
-//! retry-on-[`Busy`](SegmentOutcome::Busy) policy, and [`Client::open`]
-//! dials it.  Saturation is not an error — every segmentation call returns
-//! a [`SegmentOutcome`], the one vocabulary shared by the lockstep calls,
-//! the pipelined burst, and the fleet layer ([`crate::fleet`]).
+//! the endpoint(s), the pipeline depth and the connect/reply deadlines, and
+//! [`Client::open`] dials it.  Saturation is not an error — every
+//! segmentation call returns a [`SegmentOutcome`], the one vocabulary shared
+//! by the lockstep calls, the pipelined burst, and the fleet layer
+//! ([`crate::fleet`]); a [`Busy`](SegmentOutcome::Busy) request was never
+//! executed, so the caller may send it again.
 
 use crate::protocol::{self, Message, ProtocolError};
 use crate::stats::StatsSnapshot;
@@ -28,9 +29,9 @@ use std::time::Duration;
 /// [`Client::segment_pipelined`]'s deadlock-safety note).
 const PIPELINE_WRITE_POLL: Duration = Duration::from_millis(100);
 
-/// How a [`Client`] is built: endpoint address(es), pipeline depth,
-/// deadlines, and the retry-on-`Busy` policy.  Mirrors the server-side
-/// `ServerConfig` builder; every knob chains:
+/// How a [`Client`] is built: endpoint address(es), pipeline depth and
+/// deadlines.  Mirrors the server-side `ServerConfig` builder; every knob
+/// chains:
 ///
 /// ```no_run
 /// use iqft_serve::{Client, ClientConfig};
@@ -39,7 +40,7 @@ const PIPELINE_WRITE_POLL: Duration = Duration::from_millis(100);
 /// let config = ClientConfig::new("127.0.0.1:7700")
 ///     .with_pipeline_depth(16)
 ///     .with_connect_deadline(Duration::from_millis(250))
-///     .with_busy_retries(3, Duration::from_millis(1));
+///     .with_reply_deadline(Duration::from_secs(5));
 /// let client = Client::open(&config).unwrap();
 /// ```
 ///
@@ -60,15 +61,6 @@ pub struct ClientConfig {
     pub connect_deadline: Option<Duration>,
     /// Read timeout applied to every reply; `None` waits indefinitely.
     pub reply_deadline: Option<Duration>,
-    /// How many times a lockstep call re-sends a request the server refused
-    /// with `Busy` before surfacing [`SegmentOutcome::Busy`].  `0` (the
-    /// default) surfaces the first refusal.
-    pub busy_retries: u32,
-    /// First retry backoff; doubles per attempt, capped at
-    /// [`ClientConfig::busy_backoff_cap`].
-    pub busy_backoff: Duration,
-    /// Upper bound on the exponential backoff between `Busy` retries.
-    pub busy_backoff_cap: Duration,
 }
 
 impl Default for ClientConfig {
@@ -78,9 +70,6 @@ impl Default for ClientConfig {
             pipeline_depth: 8,
             connect_deadline: None,
             reply_deadline: None,
-            busy_retries: 0,
-            busy_backoff: Duration::from_millis(1),
-            busy_backoff_cap: Duration::from_millis(64),
         }
     }
 }
@@ -128,30 +117,6 @@ impl ClientConfig {
     pub fn with_reply_deadline(mut self, deadline: Duration) -> Self {
         self.reply_deadline = Some(deadline);
         self
-    }
-
-    /// Enables retry-on-`Busy`: up to `retries` re-sends, backing off
-    /// exponentially from `backoff` (capped at
-    /// [`ClientConfig::busy_backoff_cap`]).
-    pub fn with_busy_retries(mut self, retries: u32, backoff: Duration) -> Self {
-        self.busy_retries = retries;
-        self.busy_backoff = backoff;
-        self
-    }
-
-    /// Caps the exponential backoff between `Busy` retries.
-    pub fn with_busy_backoff_cap(mut self, cap: Duration) -> Self {
-        self.busy_backoff_cap = cap;
-        self
-    }
-
-    /// The backoff before retry number `attempt` (1-based): exponential
-    /// doubling from [`ClientConfig::busy_backoff`], saturating at the cap.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        let doubled = self
-            .busy_backoff
-            .saturating_mul(1u32 << attempt.saturating_sub(1).min(16));
-        doubled.min(self.busy_backoff_cap)
     }
 }
 
@@ -319,8 +284,8 @@ impl Client {
     /// Each address in [`ClientConfig::addrs`] is tried in order (and every
     /// socket address each resolves to), under
     /// [`ClientConfig::connect_deadline`] when one is set; the first that
-    /// answers wins.  The config's deadlines and retry policy stay attached
-    /// to the client for the lifetime of the connection.
+    /// answers wins.  The config's deadlines stay attached to the client for
+    /// the lifetime of the connection.
     pub fn open(config: &ClientConfig) -> io::Result<Client> {
         let mut last_err = None;
         for addr in &config.addrs {
@@ -391,30 +356,17 @@ impl Client {
         Ok(reply)
     }
 
-    /// Sends `encode(id)` and reads its reply, re-sending under the
-    /// config's bounded exponential backoff while the server answers
-    /// `Busy`.  Returns `Message::Busy` once the retry budget is spent.
-    fn request_with_retry(
+    /// Sends the frame `encode(id)` builds and reads its reply.
+    fn request(
         &mut self,
-        mut encode: impl FnMut(u64) -> Result<Vec<u8>, ProtocolError>,
+        encode: impl FnOnce(u64) -> Result<Vec<u8>, ProtocolError>,
     ) -> Result<Message, ServeError> {
-        let mut attempt = 0u32;
-        loop {
-            let sent = self.next_id();
-            let frame = encode(sent)?;
-            {
-                use std::io::Write as _;
-                self.stream.write_all(&frame)?;
-                self.stream.flush()?;
-            }
-            match self.read_reply(sent)? {
-                Message::Busy if attempt < self.config.busy_retries => {
-                    attempt += 1;
-                    std::thread::sleep(self.config.backoff_for(attempt));
-                }
-                reply => return Ok(reply),
-            }
-        }
+        use std::io::Write as _;
+        let sent = self.next_id();
+        let frame = encode(sent)?;
+        self.stream.write_all(&frame)?;
+        self.stream.flush()?;
+        self.read_reply(sent)
     }
 
     fn round_trip(&mut self, request: &Message) -> Result<Message, ServeError> {
@@ -440,10 +392,9 @@ impl Client {
     /// confused server cannot hand back a mis-shaped map silently.  The
     /// frame is encoded straight from the borrowed image
     /// ([`protocol::encode_segment`]); the hot path never clones the pixels.
-    /// A saturated server yields [`SegmentOutcome::Busy`] once the config's
-    /// retry budget is spent.
+    /// A saturated server yields [`SegmentOutcome::Busy`].
     pub fn segment(&mut self, image: &RgbImage) -> Result<SegmentOutcome, ServeError> {
-        match self.request_with_retry(|id| protocol::encode_segment(id, image))? {
+        match self.request(|id| protocol::encode_segment(id, image))? {
             Message::SegmentReply { labels } => {
                 if labels.dimensions() != image.dimensions() {
                     return Err(ServeError::Unexpected {
@@ -474,7 +425,7 @@ impl Client {
         image: &RgbImage,
         bypass: bool,
     ) -> Result<SegmentOutcome, ServeError> {
-        match self.request_with_retry(|id| protocol::encode_segment_cached(id, image, bypass))? {
+        match self.request(|id| protocol::encode_segment_cached(id, image, bypass))? {
             Message::SegmentCachedReply { labels, cached } => {
                 if labels.dimensions() != image.dimensions() {
                     return Err(ServeError::Unexpected {
@@ -504,7 +455,7 @@ impl Client {
         &mut self,
         image: &RgbImage,
     ) -> Result<(SegmentOutcome, u32, u32), ServeError> {
-        match self.request_with_retry(|id| protocol::encode_segment_delta(id, image))? {
+        match self.request(|id| protocol::encode_segment_delta(id, image))? {
             Message::SegmentDeltaReply {
                 labels,
                 tiles_hit,
@@ -752,32 +703,15 @@ mod tests {
             .with_addr("b:2")
             .with_pipeline_depth(16)
             .with_connect_deadline(Duration::from_millis(250))
-            .with_reply_deadline(Duration::from_secs(2))
-            .with_busy_retries(3, Duration::from_millis(2))
-            .with_busy_backoff_cap(Duration::from_millis(20));
+            .with_reply_deadline(Duration::from_secs(2));
         assert_eq!(config.addrs, vec!["a:1".to_string(), "b:2".to_string()]);
         assert_eq!(config.pipeline_depth, 16);
         assert_eq!(config.connect_deadline, Some(Duration::from_millis(250)));
         assert_eq!(config.reply_deadline, Some(Duration::from_secs(2)));
-        assert_eq!(config.busy_retries, 3);
-        assert_eq!(config.busy_backoff, Duration::from_millis(2));
-        assert_eq!(config.busy_backoff_cap, Duration::from_millis(20));
         assert_eq!(
             ClientConfig::fleet(["a:1", "b:2"]).addrs,
             vec!["a:1".to_string(), "b:2".to_string()]
         );
-    }
-
-    #[test]
-    fn busy_backoff_doubles_and_saturates_at_the_cap() {
-        let config = ClientConfig::new("a:1")
-            .with_busy_retries(10, Duration::from_millis(1))
-            .with_busy_backoff_cap(Duration::from_millis(6));
-        assert_eq!(config.backoff_for(1), Duration::from_millis(1));
-        assert_eq!(config.backoff_for(2), Duration::from_millis(2));
-        assert_eq!(config.backoff_for(3), Duration::from_millis(4));
-        assert_eq!(config.backoff_for(4), Duration::from_millis(6), "capped");
-        assert_eq!(config.backoff_for(40), Duration::from_millis(6));
     }
 
     #[test]

@@ -132,8 +132,7 @@ pub struct EndpointStats {
     pub requests: u64,
     /// Replies this endpoint served from its result cache.
     pub hits: u64,
-    /// Requests this endpoint refused with `Busy` after the client's retry
-    /// budget was spent.
+    /// Requests this endpoint refused with `Busy`.
     pub busy: u64,
     /// Connect or transport failures observed talking to this endpoint.
     pub errors: u64,

@@ -28,8 +28,7 @@
 //!   graceful drain-then-stop shutdown (in-flight requests are answered).
 //!   Serving is unix-only; the client side and [`protocol`] are portable.
 //! * [`Client`] — the synchronous request/response side, built from a
-//!   [`ClientConfig`] (endpoints, pipeline depth, deadlines, retry-on-`Busy`
-//!   backoff): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up
+//!   [`ClientConfig`] (endpoints, pipeline depth, deadlines): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up
 //!   to [`protocol::MAX_PIPELINE_DEPTH`] requests in flight, replies
 //!   reordered by id), `stats`, `shutdown`.  Every segmentation call
 //!   reports one [`SegmentOutcome`] vocabulary: `Done | Busy | Failover`.

@@ -338,7 +338,6 @@ impl Server {
         let pipeline = SegmentPipeline::new(plan.engine(), IqftClassifier::for_plan(&plan))
             .with_config(PipelineConfig {
                 tiling: plan.tiling(),
-                ..PipelineConfig::default()
             })
             .with_cache(config.cache, &plan.to_spec());
         let max_inflight = if config.max_inflight == 0 {

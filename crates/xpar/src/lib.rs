@@ -8,11 +8,11 @@
 //!
 //! * [`par_map_indexed`] / [`par_for_each_chunk_mut`] — scoped, chunk-based
 //!   data-parallel helpers built directly on `std::thread::scope`, so borrowed
-//!   data can be used without `'static` bounds.
+//!   data can be used without `'static` bounds.  A worker's panic reaches
+//!   the caller with its own payload.
 //! * [`Backend`] — a runtime-selectable execution policy (serial or scoped
 //!   threads) used by the higher-level crates to expose a single `backend`
 //!   knob.
-//! * [`progress::Progress`] — an atomic progress counter for long sweeps.
 //!
 //! There is no `unsafe` in this crate.
 //!
@@ -28,11 +28,9 @@
 
 pub mod backend;
 pub mod par;
-pub mod progress;
 
 pub use backend::Backend;
 pub use par::{par_chunk_count, par_for_each_chunk_mut, par_map_indexed};
-pub use progress::Progress;
 
 /// Returns the number of worker threads a default parallel run should use.
 ///

@@ -71,9 +71,7 @@ where
                 results.lock().push((idx, r));
             }));
         }
-        for handle in handles {
-            handle.join().expect("parallel chunk worker panicked");
-        }
+        join_reraising(handles);
     });
     for (idx, r) in results.into_inner() {
         slots[idx] = Some(r);
@@ -143,16 +141,33 @@ where
     let workers = threads.min(chunks.len()).max(1);
     let queue = Mutex::new(chunks);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            let queue = &queue;
-            let f = &f;
-            scope.spawn(move || {
-                while let Some((start, chunk)) = queue.lock().pop() {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                let queue = &queue;
+                let f = &f;
+                scope.spawn(move || loop {
+                    // Pop in a statement of its own: a guard in a `while let`
+                    // scrutinee would stay locked through `f`, serialising
+                    // the workers.
+                    let next = queue.lock().pop();
+                    let Some((start, chunk)) = next else { break };
                     f(start, chunk);
-                }
-            });
-        }
+                })
+            })
+            .collect();
+        join_reraising(handles);
     });
+}
+
+/// Joins every scoped worker and re-raises the first one's panic with its
+/// own payload, so a caller sees the worker's message instead of a generic
+/// "a scoped thread panicked".
+fn join_reraising(handles: Vec<std::thread::ScopedJoinHandle<'_, ()>>) {
+    for handle in handles {
+        if let Err(payload) = handle.join() {
+            std::panic::resume_unwind(payload);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -220,6 +235,52 @@ mod tests {
         assert_eq!(par_chunk_count(0, 8), 1);
         assert!(par_chunk_count(3, 8) <= 3);
         assert!(par_chunk_count(1_000_000, 8) >= 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk 3 exploded")]
+    fn par_map_indexed_reraises_the_workers_own_panic() {
+        par_map_indexed(16, 2, |i| {
+            assert_ne!(i, 3, "chunk 3 exploded");
+            i
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "first chunk exploded")]
+    fn par_for_each_chunk_mut_reraises_the_workers_own_panic() {
+        let mut data = vec![0u8; 64];
+        par_for_each_chunk_mut(&mut data, 2, |start, _| {
+            assert_ne!(start, 0, "first chunk exploded");
+        });
+    }
+
+    /// Two workers hold chunks at the same time: each chunk waits (up to a
+    /// timeout that only marks failure) until two chunks have started.
+    #[test]
+    fn par_for_each_chunk_mut_runs_chunks_concurrently() {
+        use std::sync::{Condvar, Mutex};
+        use std::time::Duration;
+        let started = Mutex::new(0usize);
+        let both = Condvar::new();
+        let timeouts = AtomicUsize::new(0);
+        let mut data = vec![0u8; 64];
+        par_for_each_chunk_mut(&mut data, 2, |_, _| {
+            let mut n = started.lock().unwrap();
+            *n += 1;
+            both.notify_all();
+            let (_n, wait) = both
+                .wait_timeout_while(n, Duration::from_secs(5), |n| *n < 2)
+                .unwrap();
+            if wait.timed_out() {
+                timeouts.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        assert_eq!(
+            timeouts.load(Ordering::SeqCst),
+            0,
+            "chunks ran one at a time"
+        );
     }
 
     /// The `threads` argument bounds concurrency: even with many chunks in

@@ -52,8 +52,8 @@ fn main() {
     .sample(0);
 
     // 3. Segment it over the wire.  The client is built from a
-    //    `ClientConfig` — endpoints, pipeline depth, deadlines, and the
-    //    retry-on-Busy policy all live on the config.
+    //    `ClientConfig` — endpoints, pipeline depth and deadlines all live
+    //    on the config.
     let config = ClientConfig::new(server.local_addr().to_string()).with_pipeline_depth(4);
     let mut client = Client::open(&config).expect("connect");
     client.ping().expect("ping");

@@ -123,8 +123,9 @@ fn engine_backends_are_byte_identical_per_pixel() {
 
 /// Acceptance criterion, pipeline layer: the batched `iqft-pipeline` service
 /// produces byte-identical label maps to per-image serial segmentation for
-/// every engine backend, worker count and classifier fast path (exact, eager
-/// phase table), including with buffer recycling between batches.
+/// every engine backend and thread count and every classifier fast path
+/// (exact, eager phase table), including with buffer recycling between
+/// batches.
 #[test]
 fn pipeline_batches_are_byte_identical_to_serial_per_image() {
     let mut rng = ChaCha8Rng::seed_from_u64(4242);
@@ -145,32 +146,19 @@ fn pipeline_batches_are_byte_identical_to_serial_per_image() {
         .collect();
 
     for (name, engine) in all_engines() {
-        for workers in [1usize, 2, 8] {
-            let config = PipelineConfig {
-                workers,
-                queue_capacity: 3,
-                ..PipelineConfig::default()
-            };
-            let exact =
-                SegmentPipeline::new(engine, IqftRgbSegmenter::paper_default()).with_config(config);
-            let table =
-                SegmentPipeline::new(engine, PhaseTable::paper_default()).with_config(config);
-            assert_eq!(
-                exact.run_batch(&images).0,
-                reference,
-                "exact via {name}, workers={workers}"
-            );
-            // Streamed in small batches with buffer recycling — the
-            // steady-state production shape.
-            let mut streamed: Vec<Option<LabelMap>> = (0..images.len()).map(|_| None).collect();
-            let report = table.run_stream(&images, 3, |idx, labels| {
-                streamed[idx] = Some(labels.clone());
-                table.recycle(labels);
-            });
-            assert_eq!(report.images(), images.len());
-            let streamed: Vec<LabelMap> = streamed.into_iter().map(Option::unwrap).collect();
-            assert_eq!(streamed, reference, "table via {name}, workers={workers}");
-        }
+        let exact = SegmentPipeline::new(engine, IqftRgbSegmenter::paper_default());
+        let table = SegmentPipeline::new(engine, PhaseTable::paper_default());
+        assert_eq!(exact.run_batch(&images).0, reference, "exact via {name}");
+        // Streamed in small batches with buffer recycling — the
+        // steady-state production shape.
+        let mut streamed: Vec<Option<LabelMap>> = (0..images.len()).map(|_| None).collect();
+        let report = table.run_stream(&images, 3, |idx, labels| {
+            streamed[idx] = Some(labels.clone());
+            table.recycle(labels);
+        });
+        assert_eq!(report.images(), images.len());
+        let streamed: Vec<LabelMap> = streamed.into_iter().map(Option::unwrap).collect();
+        assert_eq!(streamed, reference, "table via {name}");
     }
 }
 
@@ -220,7 +208,7 @@ fn tiled_segmentation_is_byte_identical_to_whole_image() {
 
 /// Acceptance criterion, pipeline tiling layer: a pipeline configured with
 /// tile jobs produces byte-identical label maps to whole-image batches for
-/// every backend, worker count and classifier kind.
+/// every backend, thread count and classifier kind.
 #[test]
 fn tiled_pipeline_batches_are_byte_identical_to_whole_image() {
     let mut rng = ChaCha8Rng::seed_from_u64(9090);
@@ -240,25 +228,21 @@ fn tiled_pipeline_batches_are_byte_identical_to_whole_image() {
         })
         .collect();
 
+    let config = PipelineConfig {
+        tiling: Tiling::Tiles {
+            width: 16,
+            height: 13,
+        },
+    };
     for (name, engine) in all_engines() {
-        for workers in [1usize, 2, 8] {
-            for kind in ClassifierKind::ALL {
-                let config = PipelineConfig {
-                    workers,
-                    queue_capacity: 3,
-                    tiling: Tiling::Tiles {
-                        width: 16,
-                        height: 13,
-                    },
-                };
-                let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind))
-                    .with_config(config);
-                assert_eq!(
-                    pipeline.run_batch(&images).0,
-                    reference,
-                    "{kind} via {name}, workers={workers}"
-                );
-            }
+        for kind in ClassifierKind::ALL {
+            let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind))
+                .with_config(config);
+            assert_eq!(
+                pipeline.run_batch(&images).0,
+                reference,
+                "{kind} via {name}"
+            );
         }
     }
 }
