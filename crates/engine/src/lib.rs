@@ -127,9 +127,10 @@ impl SegmentEngine {
         LabelMap::from_vec(w, h, labels).expect("label buffer matches image size")
     }
 
-    /// Allocation-reusing variant of [`SegmentEngine::segment_rgb`]: fills
-    /// `labels` in place (clearing any previous contents and resizing to the
-    /// pixel count).
+    /// Allocation-reusing variant of [`SegmentEngine::segment_rgb`]: resizes
+    /// `labels` to the pixel count in place and overwrites every element, so
+    /// none of a recycled buffer's old contents survive and only a grown
+    /// tail is ever zeroed.
     ///
     /// When `labels` already has sufficient capacity — e.g. a buffer recycled
     /// by the `iqft-pipeline` arena — the hot path performs **zero**
@@ -140,7 +141,6 @@ impl SegmentEngine {
         C: PixelClassifier + Sync + ?Sized,
     {
         let pixels = img.as_slice();
-        labels.clear();
         labels.resize(pixels.len(), 0);
         // Each disjoint chunk goes through the classifier's batched slice
         // hook, so row/SIMD kernels (e.g. iqft-seg's quantized table)
@@ -168,7 +168,6 @@ impl SegmentEngine {
         C: PixelClassifier + Sync + ?Sized,
     {
         let pixels = img.as_slice();
-        labels.clear();
         labels.resize(pixels.len(), 0);
         self.backend.for_each_chunk_mut(labels, |start, chunk| {
             classifier.classify_gray_slice_into(&pixels[start..start + chunk.len()], chunk);
@@ -200,9 +199,9 @@ impl SegmentEngine {
         LabelMap::from_vec(w, h, labels).expect("label buffer matches image size")
     }
 
-    /// Allocation-reusing variant of [`SegmentEngine::segment_tiled`]: fills
-    /// `labels` in place (clearing any previous contents and resizing to the
-    /// pixel count).
+    /// Allocation-reusing variant of [`SegmentEngine::segment_tiled`]: resizes
+    /// `labels` to the pixel count in place and overwrites every element, as
+    /// [`SegmentEngine::segment_rgb_into`] does.
     pub fn segment_tiled_into<C>(
         &self,
         classifier: &C,
@@ -285,7 +284,6 @@ impl SegmentEngine {
     {
         let rects: Vec<TileRect> =
             imaging::view::TileRects::over(width, height, tile_w, tile_h).collect();
-        labels.clear();
         labels.resize(width * height, 0);
         let tiles: Vec<Vec<u32>> = self.backend.map_indexed(rects.len(), |i| {
             let rect = rects[i];

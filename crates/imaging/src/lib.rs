@@ -55,7 +55,7 @@ pub mod view;
 
 pub use crate::image::ImageBuffer;
 pub use error::{ImagingError, Result};
-pub use pixel::{Luma, Rgb};
+pub use pixel::{labels_as_bytes, labels_as_bytes_mut, Luma, Rgb};
 pub use segment::{PixelClassifier, Segmenter};
 pub use view::{ImageView, LabelViewMut, TileRect, TileRects};
 

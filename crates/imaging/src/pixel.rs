@@ -97,6 +97,30 @@ const _: () = assert!(
     "Rgb<u8> must be three unpadded bytes"
 );
 
+/// Views a label slice as its bytes, four per label in native byte order
+/// (`4 * labels.len()` of them), without copying.  On a little-endian
+/// target these are exactly the labels' little-endian wire bytes.
+pub fn labels_as_bytes(labels: &[u32]) -> &[u8] {
+    // SAFETY: a `u32` is four bytes with no padding and every bit pattern
+    // valid (checked at compile time below), so `labels` is exactly
+    // `4 * len` initialised bytes (its own size in memory, so the product
+    // neither overflows nor exceeds `isize::MAX`); a `u32` pointer is
+    // aligned for `u8`, and the view borrows `labels` for the same lifetime.
+    unsafe { std::slice::from_raw_parts(labels.as_ptr().cast::<u8>(), labels.len() * 4) }
+}
+
+/// Mutable twin of [`labels_as_bytes`]: writing bytes `4i..4i + 4` sets
+/// label `i` from those bytes in native byte order.
+pub fn labels_as_bytes_mut(labels: &mut [u32]) -> &mut [u8] {
+    // SAFETY: as in `labels_as_bytes`; in addition any four bytes form a
+    // valid `u32`, so every write through the view leaves valid labels, and
+    // the view holds the only (mutable) borrow of `labels`.
+    unsafe { std::slice::from_raw_parts_mut(labels.as_mut_ptr().cast::<u8>(), labels.len() * 4) }
+}
+
+// The label byte views rely on this layout.
+const _: () = assert!(std::mem::size_of::<u32>() == 4, "u32 must be four bytes");
+
 impl Rgb<f64> {
     /// Converts to an 8-bit pixel, clamping to `[0, 1]` first.
     pub fn to_u8(self) -> Rgb<u8> {
@@ -253,6 +277,22 @@ mod tests {
         assert_eq!(copy, source);
         Rgb::slice_as_bytes_mut(&mut copy)[4] = 99;
         assert_eq!(copy[1], Rgb::new(source[1].r(), 99, source[1].b()));
+    }
+
+    #[test]
+    fn label_byte_views_are_native_order_and_round_trip() {
+        let labels = [0x0102_0304u32, u32::MAX, 0];
+        let bytes = labels_as_bytes(&labels);
+        assert_eq!(bytes.len(), 12);
+        assert_eq!(bytes[..4], 0x0102_0304u32.to_ne_bytes());
+        assert_eq!(bytes[4..8], [0xFF; 4]);
+        let mut copy = [7u32; 3];
+        labels_as_bytes_mut(&mut copy).copy_from_slice(bytes);
+        assert_eq!(copy, labels);
+        labels_as_bytes_mut(&mut copy)[8..].copy_from_slice(&9u32.to_ne_bytes());
+        assert_eq!(copy[2], 9);
+        assert!(labels_as_bytes(&[]).is_empty());
+        assert!(labels_as_bytes_mut(&mut []).is_empty());
     }
 
     #[test]

@@ -69,6 +69,10 @@ pub trait PixelClassifier {
     /// must preserve that equivalence so backends, tilings and batch sizes
     /// stay interchangeable.
     ///
+    /// An implementation writes every element of `out`: callers hand in
+    /// recycled buffers without zeroing them, so a label left unwritten
+    /// would be whatever the buffer held before.
+    ///
     /// # Panics
     ///
     /// Panics if `pixels` and `out` differ in length.
@@ -108,6 +112,9 @@ pub trait PixelClassifier {
     /// a pure function of its own pixel, classifying a tile this way writes
     /// exactly the labels a whole-image pass would, so any tile
     /// decomposition reassembles byte-identically.
+    ///
+    /// An implementation writes every element of `out`, as
+    /// [`PixelClassifier::classify_rgb_slice_into`] does.
     ///
     /// # Panics
     ///

@@ -41,8 +41,9 @@ impl LabelArena {
     }
 
     /// Takes a buffer from the pool, or allocates an empty one if the pool is
-    /// dry.  The buffer's previous contents are unspecified; callers fill it
-    /// via `SegmentEngine::segment_rgb_into` (which clears first).
+    /// dry.  The buffer's length and contents are whatever its last user
+    /// left; callers resize it and overwrite every label, as
+    /// `SegmentEngine::segment_rgb_into` does.
     pub fn take(&self) -> Vec<u32> {
         let recycled = self.free.lock().unwrap_or_else(|e| e.into_inner()).pop();
         match recycled {

@@ -298,7 +298,8 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         let mut recomputed_tiles = 0u32;
         let mut scratch: Option<Vec<u32>> = None;
         let labels = self.segment_with(img, |buf| {
-            buf.clear();
+            // Every tile rect is stitched from the cache or classified, so
+            // the buffer is resized in place, never zeroed first.
             buf.resize(img.len(), 0);
             for rect in img.tile_rects(tile_w, tile_h) {
                 let view = img.view(rect).expect("tile rects lie inside their image");
@@ -311,7 +312,6 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
                 }
                 recomputed_tiles += 1;
                 let tile_buf = scratch.get_or_insert_with(|| self.arena.take());
-                tile_buf.clear();
                 tile_buf.resize(rect.area(), 0);
                 let mut out = LabelViewMut::contiguous(tile_buf, rect.width, rect.height)
                     .expect("tile buffer matches tile area");
@@ -398,7 +398,6 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
             if rect == TileRect::full(img.width(), img.height()) {
                 serial.segment_rgb_into(&self.classifier, img, &mut buf);
             } else {
-                buf.clear();
                 buf.resize(rect.area(), 0);
                 let tile = img.view(rect).expect("job rects lie inside their image");
                 let mut out = LabelViewMut::contiguous(&mut buf, rect.width, rect.height)
@@ -422,7 +421,6 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
                     Some((_, buf)) => buf,
                     None => {
                         let mut buf = self.arena.take();
-                        buf.clear();
                         buf.resize(img.len(), 0);
                         while let Some(((_, rect), tile)) =
                             done.next_if(|((job, _), _)| *job == idx)

@@ -8,6 +8,12 @@
 //! subcommand gives each thread a [`crate::fleet::FleetClient`], which
 //! holds one client per endpoint).
 //!
+//! A segment request is written straight from the caller's image, and a
+//! reply's labels are read straight into the returned map: one copy at each
+//! end, between the socket and the buffer the frame describes (see
+//! [`RequestWriter`] and [`protocol::read_message`]).  The lockstep calls
+//! and the pipelined burst share the one request writer.
+//!
 //! Construction mirrors the server side: a [`ClientConfig`] builder names
 //! the endpoint(s), the pipeline depth and the connect/reply deadlines, and
 //! [`Client::open`] dials it.  Saturation is not an error — every
@@ -16,7 +22,7 @@
 //! ([`crate::fleet`]); a [`Busy`](SegmentOutcome::Busy) request was never
 //! executed, so the caller may send it again.
 
-use crate::protocol::{self, Message, ProtocolError};
+use crate::protocol::{self, Message, ProtocolError, RequestWriter};
 use crate::stats::StatsSnapshot;
 use imaging::{LabelMap, RgbImage};
 use std::io;
@@ -356,17 +362,11 @@ impl Client {
         Ok(reply)
     }
 
-    /// Sends the frame `encode(id)` builds and reads its reply.
-    fn request(
-        &mut self,
-        encode: impl FnOnce(u64) -> Result<Vec<u8>, ProtocolError>,
-    ) -> Result<Message, ServeError> {
-        use std::io::Write as _;
-        let sent = self.next_id();
-        let frame = encode(sent)?;
-        self.stream.write_all(&frame)?;
-        self.stream.flush()?;
-        self.read_reply(sent)
+    /// Writes one segment request straight from its image and reads the
+    /// reply, its labels straight into the returned map.
+    fn request(&mut self, mut frame: RequestWriter<'_>) -> Result<Message, ServeError> {
+        frame.write_to(&mut self.stream)?;
+        self.read_reply(frame.request_id())
     }
 
     fn round_trip(&mut self, request: &Message) -> Result<Message, ServeError> {
@@ -390,11 +390,12 @@ impl Client {
     ///
     /// The reply's dimensions are checked against the request's, so a
     /// confused server cannot hand back a mis-shaped map silently.  The
-    /// frame is encoded straight from the borrowed image
-    /// ([`protocol::encode_segment`]); the hot path never clones the pixels.
-    /// A saturated server yields [`SegmentOutcome::Busy`].
+    /// frame is written straight from the borrowed image
+    /// ([`RequestWriter`]); the hot path never copies the pixels into a
+    /// frame buffer.  A saturated server yields [`SegmentOutcome::Busy`].
     pub fn segment(&mut self, image: &RgbImage) -> Result<SegmentOutcome, ServeError> {
-        match self.request(|id| protocol::encode_segment(id, image))? {
+        let id = self.next_id();
+        match self.request(RequestWriter::segment(id, image)?)? {
             Message::SegmentReply { labels } => {
                 if labels.dimensions() != image.dimensions() {
                     return Err(ServeError::Unexpected {
@@ -425,7 +426,8 @@ impl Client {
         image: &RgbImage,
         bypass: bool,
     ) -> Result<SegmentOutcome, ServeError> {
-        match self.request(|id| protocol::encode_segment_cached(id, image, bypass))? {
+        let id = self.next_id();
+        match self.request(RequestWriter::segment_cached(id, image, bypass)?)? {
             Message::SegmentCachedReply { labels, cached } => {
                 if labels.dimensions() != image.dimensions() {
                     return Err(ServeError::Unexpected {
@@ -455,7 +457,8 @@ impl Client {
         &mut self,
         image: &RgbImage,
     ) -> Result<(SegmentOutcome, u32, u32), ServeError> {
-        match self.request(|id| protocol::encode_segment_delta(id, image))? {
+        let id = self.next_id();
+        match self.request(RequestWriter::segment_delta(id, image)?)? {
             Message::SegmentDeltaReply {
                 labels,
                 tiles_hit,
@@ -529,16 +532,16 @@ impl Client {
                 // flight (or the input is exhausted), then read one reply.
                 while next < images.len() && pending.len() < depth {
                     let id = self.next_id();
-                    let frame = if use_cache {
-                        protocol::encode_segment_cached(id, images[next], false)?
+                    let mut frame = if use_cache {
+                        RequestWriter::segment_cached(id, images[next], false)?
                     } else {
-                        protocol::encode_segment(id, images[next])?
+                        RequestWriter::segment(id, images[next])?
                     };
                     // Insert before writing: if the write has to drain
                     // replies mid-frame, this request is already addressable.
                     pending.insert(id, next);
                     next += 1;
-                    self.write_frame_draining(&frame, &mut pending, &mut results, images)?;
+                    self.write_frame_draining(&mut frame, &mut pending, &mut results, images)?;
                 }
                 self.receive_pipelined_reply(&mut pending, &mut results, images)?;
             }
@@ -556,24 +559,18 @@ impl Client {
     /// Writes one request frame under the pipeline write timeout, draining
     /// a reply whenever the write would block and replies are outstanding —
     /// the socket's send buffer can only be full because the peer (or this
-    /// side's receive path) has unread data in flight.
+    /// side's receive path) has unread data in flight.  The frame resumes
+    /// where the blocked write stopped.
     fn write_frame_draining(
         &mut self,
-        frame: &[u8],
+        frame: &mut RequestWriter<'_>,
         pending: &mut std::collections::HashMap<u64, usize>,
         results: &mut [Option<SegmentOutcome>],
         images: &[&RgbImage],
     ) -> Result<(), ServeError> {
-        use std::io::Write as _;
-        let mut written = 0usize;
-        while written < frame.len() {
-            match self.stream.write(&frame[written..]) {
-                Ok(0) => {
-                    return Err(ServeError::Protocol(ProtocolError::Io(
-                        io::ErrorKind::WriteZero.into(),
-                    )))
-                }
-                Ok(n) => written += n,
+        loop {
+            match frame.write_to(&mut self.stream) {
+                Ok(()) => return Ok(()),
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -592,8 +589,6 @@ impl Client {
                 Err(e) => return Err(ServeError::Protocol(ProtocolError::Io(e))),
             }
         }
-        self.stream.flush()?;
-        Ok(())
     }
 
     /// Reads one pipelined reply and files it into `results` by echoed id.

@@ -12,9 +12,11 @@
 //!                        │  │                 cache hits       misses (worker
 //!                        │  │                 (inline)         pool, max_inflight
 //!                        │  └── completions ◄─────┼─────────── threads)
-//!                        ▼                        ▼
-//!                   poll(2) over ◄──────────── FrameEncoder
-//!                   all conn fds    writable   (per-conn write buffer)
+//!                        ▼      (labels)          ▼
+//!                   poll(2) over ◄──────────── FrameEncoder ──► LabelArena
+//!                   all conn fds    writev     (per-conn queue:  (written
+//!                                              frames + label    buffers)
+//!                                              buffers)
 //! ```
 //!
 //! A small fixed set of reactor threads ([`REACTOR_THREADS`]) owns *all*
@@ -39,10 +41,17 @@
 //! serial (a pipelined repeat sees the cache entry its predecessor stored,
 //! and a hit is only looked up once nothing is in flight on its connection,
 //! so it never overtakes an earlier miss), while connections execute
-//! concurrently.  Workers hand encoded reply frames back through a
-//! per-reactor completion queue and wake the reactor via a socketpair;
-//! across connections replies ship in *completion order*, which protocol v2
+//! concurrently.  Workers hand replies back through a per-reactor
+//! completion queue and wake the reactor via a socketpair; across
+//! connections replies ship in *completion order*, which protocol v2
 //! explicitly permits (clients match replies by echoed id).
+//!
+//! Replies: a worker never encodes a segment reply.  It records the reply's
+//! stats and `lat_*` time and hands over the labels as they are; the
+//! reactor queues them with [`FrameEncoder::enqueue_reply`] — a head of at
+//! most 40 bytes, then the label buffer itself — and writes both with one
+//! `writev`.  An inline cache hit takes the same path.  Once a buffer's
+//! last byte is written it goes back to the pipeline's arena.
 //!
 //! Backpressure: a connection stops being polled for readability while it
 //! has [`MAX_PIPELINE_DEPTH`] frames queued or more than
@@ -71,7 +80,7 @@
 #![cfg(unix)]
 
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
-use crate::protocol::{self, Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
+use crate::protocol::{Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
 use crate::server::{ConnStats, Shared};
 use imaging::RgbImage;
 use iqft_pipeline::{CacheKey, CacheLookup};
@@ -134,11 +143,13 @@ enum Work {
     Delta(RgbImage),
 }
 
-/// An encoded reply frame travelling back from a worker to a reactor.
+/// A segment reply travelling back from a worker to a reactor, its labels
+/// not yet encoded.
 struct Completion {
     conn: usize,
     gen: u64,
-    frame: Vec<u8>,
+    request_id: u64,
+    reply: Message,
 }
 
 #[derive(Default)]
@@ -255,18 +266,43 @@ impl Conn {
     }
 }
 
-/// Writes as much queued output as the socket accepts right now.
-fn flush(conn: &mut Conn) -> io::Result<()> {
+/// Writes as much queued output as the socket accepts right now, and
+/// returns every label buffer written in full to the pipeline's arena.
+fn flush(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
+    let mut result = Ok(());
     while !conn.encoder.is_empty() {
-        match (&conn.stream).write(conn.encoder.pending()) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.encoder.advance(n),
+        match conn.encoder.write_to(&mut &conn.stream) {
+            Ok(0) => {
+                result = Err(io::ErrorKind::WriteZero.into());
+                break;
+            }
+            Ok(_) => {}
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                result = Err(e);
+                break;
+            }
         }
     }
-    Ok(())
+    for labels in conn.encoder.take_written() {
+        shared.pipeline.recycle(labels);
+    }
+    result
+}
+
+/// Queues a segment reply, whichever thread produced it.  Its dimensions
+/// came from a decoded request, so it always fits a frame; should it not,
+/// the peer gets a typed error instead.
+fn queue_reply(conn: &mut Conn, request_id: u64, reply: Message) {
+    if let Err(err) = conn.encoder.enqueue_reply(request_id, reply) {
+        let _ = conn.encoder.enqueue(
+            request_id,
+            &Message::Error {
+                message: err.to_string(),
+            },
+        );
+    }
 }
 
 struct Slot {
@@ -491,11 +527,11 @@ impl Reactor {
                 continue;
             };
             conn.inflight = false;
-            conn.encoder.enqueue_frame(completion.frame);
+            queue_reply(&mut conn, completion.request_id, completion.reply);
             conn.idle_since = now;
             // The completed job unblocks this connection's frame queue.
             self.pump(&mut conn, completion.conn, completion.gen);
-            let dead = flush(&mut conn).is_err();
+            let dead = flush(&mut conn, &self.shared).is_err();
             self.slots[completion.conn].conn = Some(conn);
             if dead {
                 self.close(completion.conn);
@@ -530,7 +566,7 @@ impl Reactor {
             dead = !self.read_conn(&mut conn, idx, gen, scratch, now);
         }
         if !dead && !conn.encoder.is_empty() {
-            dead = flush(&mut conn).is_err();
+            dead = flush(&mut conn, &self.shared).is_err();
         }
         if dead {
             self.slots[idx].conn = Some(conn);
@@ -655,18 +691,17 @@ impl Reactor {
                     };
                     match lookup {
                         Some(CacheLookup::Hit(labels)) => {
+                            record_reply(
+                                &self.shared,
+                                labels.len(),
+                                started.elapsed(),
+                                &conn.pixels,
+                            );
                             let reply = Message::SegmentCachedReply {
                                 labels,
                                 cached: true,
                             };
-                            let frame = reply_frame(
-                                &self.shared,
-                                request_id,
-                                reply,
-                                started.elapsed(),
-                                &conn.pixels,
-                            );
-                            conn.encoder.enqueue_frame(frame);
+                            queue_reply(conn, request_id, reply);
                             continue;
                         }
                         Some(CacheLookup::Miss(key)) => Work::Miss {
@@ -750,9 +785,16 @@ impl Reactor {
 }
 
 /// Executes one dispatched segment request against the shared pipeline and
-/// returns the encoded reply frame.
-fn execute_job(shared: &Shared, request_id: u64, work: Work, pixels: &AtomicU64) -> Vec<u8> {
+/// returns the reply, recorded but not encoded: the reactor writes its
+/// labels straight from their buffer.
+fn execute_job(shared: &Shared, work: Work, pixels: &AtomicU64) -> Message {
     let started = Instant::now();
+    let labelled = match &work {
+        Work::Segment(image)
+        | Work::Cached { image, .. }
+        | Work::Miss { image, .. }
+        | Work::Delta(image) => image.len(),
+    };
     // The share of the pipeline call a reactor already ran (a miss's key
     // and lookup).
     let mut earlier = Duration::ZERO;
@@ -781,53 +823,19 @@ fn execute_job(shared: &Shared, request_id: u64, work: Work, pixels: &AtomicU64)
             }
         }
     };
-    reply_frame(
-        shared,
-        request_id,
-        reply,
-        earlier + started.elapsed(),
-        pixels,
-    )
+    record_reply(shared, labelled, earlier + started.elapsed(), pixels);
+    reply
 }
 
-/// Records one finished segment reply — its pipeline time in `lat_*`, the
-/// server's and the connection's pixel counters — then encodes it and
-/// returns the label buffer to the arena.  Reactors (inline cache hits) and
-/// workers both finish through here, and the counters move before the frame
-/// can reach the wire, so a client holding its reply never reads a stale
-/// Stats snapshot.
-fn reply_frame(
-    shared: &Shared,
-    request_id: u64,
-    reply: Message,
-    latency: Duration,
-    pixels: &AtomicU64,
-) -> Vec<u8> {
-    if let Message::SegmentReply { labels }
-    | Message::SegmentCachedReply { labels, .. }
-    | Message::SegmentDeltaReply { labels, .. } = &reply
-    {
-        shared.stats.record_latency(latency);
-        shared.stats.segmented(labels.len());
-        pixels.fetch_add(labels.len() as u64, Ordering::Relaxed);
-    }
-    let frame = protocol::encode_message(request_id, &reply).unwrap_or_else(|err| {
-        protocol::encode_message(
-            request_id,
-            &Message::Error {
-                message: err.to_string(),
-            },
-        )
-        .expect("an error reply always fits in a frame")
-    });
-    // Reply bytes are encoded; the label buffer can go back to the arena.
-    if let Message::SegmentReply { labels }
-    | Message::SegmentCachedReply { labels, .. }
-    | Message::SegmentDeltaReply { labels, .. } = reply
-    {
-        shared.pipeline.recycle(labels);
-    }
-    frame
+/// Records one finished segment reply of `labelled` pixels: its pipeline
+/// time in `lat_*`, the server's and the connection's pixel counters.
+/// Reactors (inline cache hits) and workers both call this before handing
+/// the reply on, so the counters move before the reply can reach the wire
+/// and a client holding its reply never reads a stale Stats snapshot.
+fn record_reply(shared: &Shared, labelled: usize, latency: Duration, pixels: &AtomicU64) {
+    shared.stats.record_latency(latency);
+    shared.stats.segmented(labelled);
+    pixels.fetch_add(labelled as u64, Ordering::Relaxed);
 }
 
 fn worker_loop(
@@ -848,11 +856,12 @@ fn worker_loop(
         // The job left the queue and is now executing: release its admission
         // slot so the gauge tracks waiting work, not in-flight work.
         shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-        let frame = execute_job(&shared, job.request_id, job.work, &job.pixels);
+        let reply = execute_job(&shared, job.work, &job.pixels);
         reactors[job.reactor].push_completion(Completion {
             conn: job.conn,
             gen: job.gen,
-            frame,
+            request_id: job.request_id,
+            reply,
         });
     }
 }

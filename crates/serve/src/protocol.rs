@@ -66,15 +66,31 @@
 //! [`FrameDecoder`] is fed byte chunks of any size (from a blocking read, a
 //! nonblocking read, or a test vector) and yields complete [`Frame`]s or one
 //! typed error; [`FrameEncoder`] mirrors it on the write side, queueing
-//! encoded replies and tracking partial writes.  The blocking helpers below
+//! replies and tracking partial writes.  The blocking helpers below
 //! ([`read_message`], [`write_message`]) and the server's readiness loop
 //! are both thin transports over the same `parse_header` /
 //! [`decode_body`] validation, so every path emits identical typed errors —
 //! which is what lets the protocol be property- and fuzz-tested with no
 //! sockets at all (`tests/protocol_sansio.rs`).
+//!
+//! # One copy per segment frame
+//!
+//! Each segment frame crosses each end of the wire with one copy, between
+//! the socket and the buffer the frame describes; the bytes are the same as
+//! [`encode_message`]'s.  A request goes out through a [`RequestWriter`]: a
+//! head of at most 32 bytes built on the stack, then the image's own bytes,
+//! in one vectored write.  [`read_message`] reads a reply's labels straight
+//! into the buffer the returned [`LabelMap`] owns, after judging its fixed
+//! prefix.  [`FrameEncoder::enqueue_reply`] queues a reply's label buffer
+//! itself behind a head of at most 40 bytes, and hands the buffer back once
+//! its last byte is written.  Labels are converted in place with
+//! `to_le`/`from_le`, a no-op on little-endian targets.  The allocating
+//! encoders ([`encode_message`], [`encode_segment`] and its `_cached` and
+//! `_delta` twins) and [`decode_body`] remain the byte-exact reference.
 
-use imaging::{LabelMap, Rgb, RgbImage};
-use std::io::{self, Read, Write};
+use imaging::{labels_as_bytes, labels_as_bytes_mut, LabelMap, Rgb, RgbImage};
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"IQFT";
@@ -88,6 +104,8 @@ pub const MAX_PAYLOAD_BYTES: usize = 64 << 20;
 /// The longest fixed prefix of a segment payload: a `SegmentDeltaReply`'s
 /// flags word, two tile counters and dimensions.
 const MAX_SEGMENT_PREFIX_BYTES: usize = 20;
+/// The longest segment frame head: the header plus the longest prefix.
+const MAX_SEGMENT_HEAD_BYTES: usize = HEADER_LEN + MAX_SEGMENT_PREFIX_BYTES;
 /// Hard upper bound on the pixel count of one segmentation request, chosen so
 /// every segment payload fits under [`MAX_PAYLOAD_BYTES`]: the RGB requests
 /// (`3·n` bytes) and the label replies (`4·n` bytes), even behind the
@@ -471,17 +489,115 @@ fn decode_image(op: Op, payload: &[u8]) -> Result<RgbImage, ProtocolError> {
         .map_err(|_| ProtocolError::BadDimensions { width, height })
 }
 
-/// Decodes the `width, height, labels…` layout shared by the segment reply
-/// ops.
-fn decode_labels(op: Op, payload: &[u8]) -> Result<LabelMap, ProtocolError> {
-    let (width, height, pixels) = read_dims(op, payload)?;
-    expect_len(op, payload, 8 + pixels * 4)?;
-    let mut data = vec![0u32; pixels];
-    for (label, bytes) in data.iter_mut().zip(payload[8..].chunks_exact(4)) {
-        *label = u32::from_le_bytes(bytes.try_into().expect("4-byte chunk"));
+/// The validated fixed prefix of a segment reply: everything in front of
+/// its labels.
+struct ReplyHead {
+    op: Op,
+    /// The words in front of the dimensions: the flags word, then the delta
+    /// reply's two tile counters (zero where the op has none).
+    words: [u32; 3],
+    width: usize,
+    height: usize,
+    pixels: usize,
+}
+
+impl ReplyHead {
+    /// Bytes in front of the labels of a reply with this op.
+    fn prefix_len(op: Op) -> usize {
+        match op {
+            Op::SegmentCachedReply => 12,
+            Op::SegmentDeltaReply => 20,
+            _ => 8,
+        }
     }
-    LabelMap::from_vec(width, height, data)
-        .map_err(|_| ProtocolError::BadDimensions { width, height })
+
+    /// Validates the prefix of a segment reply whose payload is
+    /// `payload_len` bytes, given at least its first
+    /// `min(payload_len, ReplyHead::prefix_len(op))` bytes: flags, then tile
+    /// counters, then dimensions against [`MAX_PIXELS`], then the exact
+    /// payload length.  Both [`decode_body`] and [`read_message`] judge a
+    /// reply here, so they fail with the same typed error.
+    fn parse(op: Op, prefix: &[u8], payload_len: usize) -> Result<ReplyHead, ProtocolError> {
+        let word = |at: usize| u32::from_le_bytes(prefix[at..at + 4].try_into().expect("4 bytes"));
+        let short = |got| ProtocolError::BadLength {
+            op,
+            expected: None,
+            got,
+        };
+        let mut words = [0u32; 3];
+        let mut at = 0;
+        if op != Op::SegmentReply {
+            if payload_len < 4 {
+                return Err(short(payload_len));
+            }
+            // The cached reply defines bit 0; the delta reply no flag yet.
+            let allowed = if op == Op::SegmentCachedReply {
+                FLAG_CACHE_HIT
+            } else {
+                0
+            };
+            words[0] = word(0);
+            if words[0] & !allowed != 0 {
+                return Err(ProtocolError::BadFlags {
+                    op,
+                    flags: words[0],
+                });
+            }
+            at = 4;
+        }
+        if op == Op::SegmentDeltaReply {
+            if payload_len < 12 {
+                return Err(short(payload_len));
+            }
+            words[1] = word(4);
+            words[2] = word(8);
+            at = 12;
+        }
+        // From here on lengths count from the dimensions, as for a request.
+        let rest = payload_len - at;
+        if rest < 8 {
+            return Err(short(rest));
+        }
+        let (width, height) = (word(at) as usize, word(at + 4) as usize);
+        let pixels = checked_pixels(width, height)?;
+        if rest != 8 + 4 * pixels {
+            return Err(ProtocolError::BadLength {
+                op,
+                expected: Some(8 + 4 * pixels),
+                got: rest,
+            });
+        }
+        Ok(ReplyHead {
+            op,
+            words,
+            width,
+            height,
+            pixels,
+        })
+    }
+
+    /// The reply message, given its labels as they arrived: little-endian
+    /// words, converted in place (a no-op on little-endian targets).
+    fn into_message(self, mut labels: Vec<u32>) -> Result<Message, ProtocolError> {
+        for label in &mut labels {
+            *label = u32::from_le(*label);
+        }
+        let (width, height) = (self.width, self.height);
+        let labels = LabelMap::from_vec(width, height, labels)
+            .map_err(|_| ProtocolError::BadDimensions { width, height })?;
+        Ok(match self.op {
+            Op::SegmentCachedReply => Message::SegmentCachedReply {
+                labels,
+                cached: self.words[0] & FLAG_CACHE_HIT != 0,
+            },
+            Op::SegmentDeltaReply => Message::SegmentDeltaReply {
+                labels,
+                tiles_hit: self.words[1],
+                tiles_recomputed: self.words[2],
+            },
+            _ => Message::SegmentReply { labels },
+        })
+    }
 }
 
 /// Decodes a payload into a [`Message`] given its (already validated) op.
@@ -490,9 +606,12 @@ pub fn decode_body(op: Op, payload: &[u8]) -> Result<Message, ProtocolError> {
         Op::Segment => Ok(Message::Segment {
             image: decode_image(op, payload)?,
         }),
-        Op::SegmentReply => Ok(Message::SegmentReply {
-            labels: decode_labels(op, payload)?,
-        }),
+        Op::SegmentReply | Op::SegmentCachedReply | Op::SegmentDeltaReply => {
+            let head = ReplyHead::parse(op, payload, payload.len())?;
+            let mut labels = vec![0u32; head.pixels];
+            labels_as_bytes_mut(&mut labels).copy_from_slice(&payload[ReplyHead::prefix_len(op)..]);
+            head.into_message(labels)
+        }
         Op::SegmentCached => {
             // The cached ops define exactly bit 0.
             let (flags, rest) = read_flags(op, payload, FLAG_BYPASS_CACHE)?;
@@ -501,35 +620,11 @@ pub fn decode_body(op: Op, payload: &[u8]) -> Result<Message, ProtocolError> {
                 bypass: flags & FLAG_BYPASS_CACHE != 0,
             })
         }
-        Op::SegmentCachedReply => {
-            let (flags, rest) = read_flags(op, payload, FLAG_CACHE_HIT)?;
-            Ok(Message::SegmentCachedReply {
-                labels: decode_labels(op, rest)?,
-                cached: flags & FLAG_CACHE_HIT != 0,
-            })
-        }
         Op::SegmentDelta => {
             // The delta ops define no flags yet; the word must be zero.
             let (_flags, rest) = read_flags(op, payload, 0)?;
             Ok(Message::SegmentDelta {
                 image: decode_image(op, rest)?,
-            })
-        }
-        Op::SegmentDeltaReply => {
-            let (_flags, rest) = read_flags(op, payload, 0)?;
-            if rest.len() < 8 {
-                return Err(ProtocolError::BadLength {
-                    op,
-                    expected: None,
-                    got: payload.len(),
-                });
-            }
-            let tiles_hit = u32::from_le_bytes(rest[0..4].try_into().expect("4-byte slice"));
-            let tiles_recomputed = u32::from_le_bytes(rest[4..8].try_into().expect("4-byte slice"));
-            Ok(Message::SegmentDeltaReply {
-                labels: decode_labels(op, &rest[8..])?,
-                tiles_hit,
-                tiles_recomputed,
             })
         }
         Op::StatsReply | Op::Error => {
@@ -555,71 +650,76 @@ pub fn decode_body(op: Op, payload: &[u8]) -> Result<Message, ProtocolError> {
     }
 }
 
-/// Starts a frame: one allocation sized for header + payload, with the
-/// payload-length field zeroed until [`finish_frame`] patches it in.  The
-/// payload is then appended in place, its pixels or labels in one bulk pass,
-/// so the finished buffer is the frame with no intermediate copy.
-fn begin_frame(request_id: u64, op: Op, payload_capacity: usize) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload_capacity);
-    frame.extend_from_slice(&MAGIC);
-    frame.extend_from_slice(&VERSION.to_le_bytes());
-    frame.push(op as u8);
-    frame.push(0);
-    frame.extend_from_slice(&request_id.to_le_bytes());
-    frame.extend_from_slice(&0u32.to_le_bytes());
-    frame
-}
-
-fn finish_frame(mut frame: Vec<u8>) -> Result<Vec<u8>, ProtocolError> {
-    let payload_len = frame.len() - HEADER_LEN;
+/// A frame header, with the payload length checked against
+/// [`MAX_PAYLOAD_BYTES`].
+fn frame_header(
+    request_id: u64,
+    op: Op,
+    payload_len: usize,
+) -> Result<[u8; HEADER_LEN], ProtocolError> {
     if payload_len > MAX_PAYLOAD_BYTES {
         return Err(ProtocolError::PayloadTooLarge {
             len: payload_len,
             max: MAX_PAYLOAD_BYTES,
         });
     }
-    frame[16..20].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    Ok(frame)
+    let mut header = [0u8; HEADER_LEN];
+    header[0..4].copy_from_slice(&MAGIC);
+    header[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    header[6] = op as u8;
+    header[8..16].copy_from_slice(&request_id.to_le_bytes());
+    header[16..20].copy_from_slice(&(payload_len as u32).to_le_bytes());
+    Ok(header)
 }
 
-/// Starts a segment frame: the header, then the op's prefix words (flags,
-/// tile counters) and the `width, height` pair, with capacity for
-/// `bytes_per_pixel` more bytes per pixel.
-fn begin_segment_frame(
-    request_id: u64,
-    op: Op,
-    prefix: &[u32],
-    (width, height): (usize, usize),
-    bytes_per_pixel: usize,
-) -> Result<Vec<u8>, ProtocolError> {
-    let pixels = checked_pixels(width, height)?;
-    // A zero-area image passes the pixel check at any width or height.
-    let dims = match (u32::try_from(width), u32::try_from(height)) {
-        (Ok(width), Ok(height)) => [width, height],
-        _ => return Err(ProtocolError::BadDimensions { width, height }),
-    };
-    let mut frame = begin_frame(
-        request_id,
-        op,
-        4 * prefix.len() + 8 + bytes_per_pixel * pixels,
-    );
-    for word in prefix.iter().chain(&dims) {
-        frame.extend_from_slice(&word.to_le_bytes());
+/// One allocation holding `head` then `body`: a whole frame.
+fn frame_of(head: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(head.len() + body.len());
+    frame.extend_from_slice(head);
+    frame.extend_from_slice(body);
+    frame
+}
+
+/// A segment frame's head — header, prefix words (flags, tile counters)
+/// and `width, height` — built on the stack.  The pixels or labels that
+/// follow it on the wire are written from their own buffer.
+#[derive(Debug, Clone, Copy)]
+struct SegmentHead {
+    bytes: [u8; MAX_SEGMENT_HEAD_BYTES],
+    len: usize,
+}
+
+impl SegmentHead {
+    /// The head of a frame whose body is `bytes_per_pixel` bytes per pixel
+    /// of a `width × height` image.  Refuses dimensions the decoder would
+    /// refuse, so the payload always fits [`MAX_PAYLOAD_BYTES`].
+    fn new(
+        request_id: u64,
+        op: Op,
+        prefix: &[u32],
+        (width, height): (usize, usize),
+        bytes_per_pixel: usize,
+    ) -> Result<SegmentHead, ProtocolError> {
+        let pixels = checked_pixels(width, height)?;
+        // A zero-area image passes the pixel check at any width or height.
+        let dims = match (u32::try_from(width), u32::try_from(height)) {
+            (Ok(width), Ok(height)) => [width, height],
+            _ => return Err(ProtocolError::BadDimensions { width, height }),
+        };
+        let payload_len = 4 * prefix.len() + 8 + bytes_per_pixel * pixels;
+        let mut bytes = [0u8; MAX_SEGMENT_HEAD_BYTES];
+        bytes[..HEADER_LEN].copy_from_slice(&frame_header(request_id, op, payload_len)?);
+        let mut len = HEADER_LEN;
+        for word in prefix.iter().chain(&dims) {
+            bytes[len..len + 4].copy_from_slice(&word.to_le_bytes());
+            len += 4;
+        }
+        Ok(SegmentHead { bytes, len })
     }
-    Ok(frame)
-}
 
-/// Encodes a segment request: the pixels go out as one copy of their
-/// interleaved RGB bytes.
-fn encode_image_frame(
-    request_id: u64,
-    op: Op,
-    prefix: &[u32],
-    image: &RgbImage,
-) -> Result<Vec<u8>, ProtocolError> {
-    let mut frame = begin_segment_frame(request_id, op, prefix, image.dimensions(), 3)?;
-    frame.extend_from_slice(Rgb::slice_as_bytes(image.as_slice()));
-    finish_frame(frame)
+    fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
 }
 
 /// Encodes a segment reply: the labels are written little-endian into a
@@ -631,13 +731,14 @@ fn encode_labels_frame(
     prefix: &[u32],
     labels: &LabelMap,
 ) -> Result<Vec<u8>, ProtocolError> {
-    let mut frame = begin_segment_frame(request_id, op, prefix, labels.dimensions(), 4)?;
-    let start = frame.len();
-    frame.resize(start + 4 * labels.len(), 0);
-    for (bytes, label) in frame[start..].chunks_exact_mut(4).zip(labels.as_slice()) {
+    let head = SegmentHead::new(request_id, op, prefix, labels.dimensions(), 4)?;
+    let mut frame = Vec::with_capacity(head.len + 4 * labels.len());
+    frame.extend_from_slice(head.as_bytes());
+    frame.resize(head.len + 4 * labels.len(), 0);
+    for (bytes, label) in frame[head.len..].chunks_exact_mut(4).zip(labels.as_slice()) {
         bytes.copy_from_slice(&label.to_le_bytes());
     }
-    finish_frame(frame)
+    Ok(frame)
 }
 
 /// Encodes a full frame (header + payload) into a byte vector.
@@ -664,20 +765,20 @@ pub fn encode_message(request_id: u64, message: &Message) -> Result<Vec<u8>, Pro
             tiles_hit,
             tiles_recomputed,
         } => encode_labels_frame(request_id, op, &[0, *tiles_hit, *tiles_recomputed], labels),
-        Message::StatsReply { text: body } | Message::Error { message: body } => {
-            let mut frame = begin_frame(request_id, op, body.len());
-            frame.extend_from_slice(body.as_bytes());
-            finish_frame(frame)
-        }
-        _ => finish_frame(begin_frame(request_id, op, 0)),
+        Message::StatsReply { text: body } | Message::Error { message: body } => Ok(frame_of(
+            &frame_header(request_id, op, body.len())?,
+            body.as_bytes(),
+        )),
+        _ => Ok(frame_header(request_id, op, 0)?.to_vec()),
     }
 }
 
 /// Encodes a `Segment` request frame directly from a borrowed image —
 /// byte-identical to `encode_message` with [`Message::Segment`], without
-/// cloning the image into a message first.  This is the client's hot path.
+/// cloning the image into a message first.  The client writes the same
+/// bytes without the frame buffer, through a [`RequestWriter`].
 pub fn encode_segment(request_id: u64, image: &RgbImage) -> Result<Vec<u8>, ProtocolError> {
-    encode_image_frame(request_id, Op::Segment, &[], image)
+    RequestWriter::segment(request_id, image).map(RequestWriter::into_frame)
 }
 
 /// Borrowed-image encoder for [`Message::SegmentCached`] — byte-identical to
@@ -687,14 +788,13 @@ pub fn encode_segment_cached(
     image: &RgbImage,
     bypass: bool,
 ) -> Result<Vec<u8>, ProtocolError> {
-    let flags = if bypass { FLAG_BYPASS_CACHE } else { 0 };
-    encode_image_frame(request_id, Op::SegmentCached, &[flags], image)
+    RequestWriter::segment_cached(request_id, image, bypass).map(RequestWriter::into_frame)
 }
 
 /// Borrowed-image encoder for [`Message::SegmentDelta`] — byte-identical to
 /// `encode_message`, without cloning the pixels into a message first.
 pub fn encode_segment_delta(request_id: u64, image: &RgbImage) -> Result<Vec<u8>, ProtocolError> {
-    encode_image_frame(request_id, Op::SegmentDelta, &[0], image)
+    RequestWriter::segment_delta(request_id, image).map(RequestWriter::into_frame)
 }
 
 /// Encodes and writes one frame to `w` (single `write_all` + flush).
@@ -709,17 +809,138 @@ pub fn write_message<W: Write>(
     Ok(())
 }
 
-/// Reads one full frame from `r` and decodes it.
+/// Reads one full frame from `r` and decodes it, with the same result and
+/// the same typed errors as [`parse_header`], reading the whole payload,
+/// then [`decode_body`].
 ///
-/// Mid-frame EOF surfaces as [`ProtocolError::Io`] with
-/// [`io::ErrorKind::UnexpectedEof`].
+/// A segment reply is read with one copy: its fixed prefix first, judged
+/// by the checks [`decode_body`] runs, then the labels straight into the
+/// buffer the returned [`LabelMap`] owns.  Nothing is allocated for a reply
+/// before its prefix passes.  Mid-frame EOF surfaces as
+/// [`ProtocolError::Io`] with [`io::ErrorKind::UnexpectedEof`], even where
+/// the prefix that did arrive is malformed.
 pub fn read_message<R: Read>(r: &mut R) -> Result<(u64, Message), ProtocolError> {
     let mut header = [0u8; HEADER_LEN];
     r.read_exact(&mut header)?;
     let header = parse_header(&header)?;
-    let mut payload = vec![0u8; header.payload_len];
-    r.read_exact(&mut payload)?;
-    decode_body(header.op, &payload).map(|message| (header.request_id, message))
+    let message = match header.op {
+        Op::SegmentReply | Op::SegmentCachedReply | Op::SegmentDeltaReply => {
+            read_label_reply(r, &header)?
+        }
+        op => {
+            let mut payload = vec![0u8; header.payload_len];
+            r.read_exact(&mut payload)?;
+            decode_body(op, &payload)?
+        }
+    };
+    Ok((header.request_id, message))
+}
+
+/// The segment-reply half of [`read_message`].
+fn read_label_reply<R: Read>(r: &mut R, header: &Header) -> Result<Message, ProtocolError> {
+    let mut prefix = [0u8; MAX_SEGMENT_PREFIX_BYTES];
+    let prefix = &mut prefix[..ReplyHead::prefix_len(header.op).min(header.payload_len)];
+    r.read_exact(prefix)?;
+    let head = match ReplyHead::parse(header.op, prefix, header.payload_len) {
+        Ok(head) => head,
+        Err(err) => {
+            // A truncated frame is an EOF whatever its prefix says, as it
+            // is for a reader that takes the whole payload before judging.
+            let rest = (header.payload_len - prefix.len()) as u64;
+            if io::copy(&mut r.take(rest), &mut io::sink())? < rest {
+                return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+            }
+            return Err(err);
+        }
+    };
+    let mut labels = vec![0u32; head.pixels];
+    r.read_exact(labels_as_bytes_mut(&mut labels))?;
+    head.into_message(labels)
+}
+
+/// A segment request written straight from the image it carries: a head of
+/// at most 32 bytes (header, prefix word, dimensions) built on the stack,
+/// then the image's own bytes, gathered into one vectored write.  The bytes
+/// are exactly [`encode_segment`]'s (or `_cached`'s, or `_delta`'s), with
+/// no frame-sized buffer in between.
+///
+/// The writer keeps its progress, so a write cut short resumes where it
+/// stopped: call [`RequestWriter::write_to`] again after a `WouldBlock` or
+/// `TimedOut`.
+#[derive(Debug)]
+pub struct RequestWriter<'a> {
+    head: SegmentHead,
+    pixels: &'a [u8],
+    written: usize,
+}
+
+impl<'a> RequestWriter<'a> {
+    fn new(
+        request_id: u64,
+        op: Op,
+        prefix: &[u32],
+        image: &'a RgbImage,
+    ) -> Result<Self, ProtocolError> {
+        Ok(RequestWriter {
+            head: SegmentHead::new(request_id, op, prefix, image.dimensions(), 3)?,
+            pixels: Rgb::slice_as_bytes(image.as_slice()),
+            written: 0,
+        })
+    }
+
+    /// A [`Message::Segment`] request.
+    pub fn segment(request_id: u64, image: &'a RgbImage) -> Result<Self, ProtocolError> {
+        Self::new(request_id, Op::Segment, &[], image)
+    }
+
+    /// A [`Message::SegmentCached`] request.
+    pub fn segment_cached(
+        request_id: u64,
+        image: &'a RgbImage,
+        bypass: bool,
+    ) -> Result<Self, ProtocolError> {
+        let flags = if bypass { FLAG_BYPASS_CACHE } else { 0 };
+        Self::new(request_id, Op::SegmentCached, &[flags], image)
+    }
+
+    /// A [`Message::SegmentDelta`] request.
+    pub fn segment_delta(request_id: u64, image: &'a RgbImage) -> Result<Self, ProtocolError> {
+        Self::new(request_id, Op::SegmentDelta, &[0], image)
+    }
+
+    /// The request id the frame carries.
+    pub fn request_id(&self) -> u64 {
+        u64::from_le_bytes(self.head.bytes[8..16].try_into().expect("8-byte slice"))
+    }
+
+    /// The whole frame in one buffer, as the allocating encoders return it.
+    fn into_frame(self) -> Vec<u8> {
+        frame_of(self.head.as_bytes(), self.pixels)
+    }
+
+    /// Bytes not yet written.
+    pub fn remaining(&self) -> usize {
+        self.head.len + self.pixels.len() - self.written
+    }
+
+    /// Writes the rest of the frame, retrying `Interrupted`.  Any other
+    /// error returns with the progress kept.
+    pub fn write_to<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<()> {
+        while self.remaining() > 0 {
+            let head = self.head.as_bytes();
+            let (head, pixels) = match self.written.checked_sub(head.len()) {
+                None => (&head[self.written..], self.pixels),
+                Some(sent) => (&[][..], &self.pixels[sent..]),
+            };
+            match w.write_vectored(&[IoSlice::new(head), IoSlice::new(pixels)]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.written += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Decodes one complete frame from a byte slice (header + payload).
@@ -952,14 +1173,49 @@ impl std::fmt::Debug for FrameDecoder {
     }
 }
 
+/// How many queued chunks one [`FrameEncoder::write_to`] gathers.
+const MAX_WRITE_SLICES: usize = 16;
+
 /// Sans-io mirror of [`FrameDecoder`] for the write side: enqueue reply
 /// frames, hand [`FrameEncoder::pending`] to whatever transport is ready to
-/// write, and report progress back with [`FrameEncoder::advance`].  Performs
-/// no I/O; partial writes leave the unsent tail queued.
+/// write, and report progress back with [`FrameEncoder::advance`] (or let
+/// [`FrameEncoder::write_to`] do both with one vectored write).  Performs
+/// no I/O of its own; partial writes leave the unsent tail queued.
+///
+/// A segment reply queued with [`FrameEncoder::enqueue_reply`] is never
+/// encoded into a frame buffer: the encoder queues its head (at most 40
+/// bytes) and then the label buffer itself, converted in place to the
+/// wire's little-endian order, and once the buffer's last byte is written
+/// it comes back through [`FrameEncoder::take_written`] for reuse.
+/// Encoded frames queued back to back form one contiguous run, so
+/// [`FrameEncoder::pending`] is everything queued until a label buffer is.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
-    buf: Vec<u8>,
+    /// Unsent bytes in wire order.
+    chunks: VecDeque<Chunk>,
+    /// Bytes of the front chunk already written.
     cursor: usize,
+    /// Unsent bytes across all chunks.
+    len: usize,
+    /// Label buffers whose last byte has been written.
+    written: Vec<LabelMap>,
+}
+
+#[derive(Debug)]
+enum Chunk {
+    /// Encoded bytes: whole frames and the heads of label replies.
+    Bytes(Vec<u8>),
+    /// A segment reply's labels, already in wire order.
+    Labels(LabelMap),
+}
+
+impl Chunk {
+    fn bytes(&self) -> &[u8] {
+        match self {
+            Chunk::Bytes(bytes) => bytes,
+            Chunk::Labels(labels) => labels_as_bytes(labels.as_slice()),
+        }
+    }
 }
 
 impl FrameEncoder {
@@ -974,49 +1230,113 @@ impl FrameEncoder {
         Ok(())
     }
 
-    /// Queues an already-encoded frame.  This is the hot path: workers encode
-    /// replies off-thread, and when nothing is pending the encoder adopts the
-    /// frame's buffer as its own, so the reply is never copied again.
+    /// Queues an already-encoded frame.  An idle encoder, or one whose
+    /// queue ends in a label buffer, adopts the frame's buffer as it is;
+    /// behind unsent encoded bytes the frame joins their run.
     pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
-        if self.is_empty() {
-            self.buf = frame;
-            self.cursor = 0;
-            return;
+        self.len += frame.len();
+        match self.chunks.back_mut() {
+            Some(Chunk::Bytes(run)) => run.extend_from_slice(&frame),
+            _ => self.chunks.push_back(Chunk::Bytes(frame)),
         }
-        // Reclaim the already-written prefix before growing, so the buffer's
-        // footprint tracks *unsent* bytes, not all bytes ever queued.
-        if self.cursor > 0 {
-            self.buf.drain(..self.cursor);
-            self.cursor = 0;
-        }
-        self.buf.extend_from_slice(&frame);
     }
 
-    /// The bytes waiting to be written, in order.
+    /// Queues a reply, taking it by value.  A segment reply's labels are
+    /// queued in place behind their head; any other message is encoded as
+    /// [`FrameEncoder::enqueue`] does.  The bytes written are exactly
+    /// [`encode_message`]'s either way.
+    pub fn enqueue_reply(&mut self, request_id: u64, reply: Message) -> Result<(), ProtocolError> {
+        let head = |op, prefix: &[u32], labels: &LabelMap| {
+            SegmentHead::new(request_id, op, prefix, labels.dimensions(), 4)
+        };
+        let (head, mut labels) = match reply {
+            Message::SegmentReply { labels } => (head(Op::SegmentReply, &[], &labels), labels),
+            Message::SegmentCachedReply { labels, cached } => {
+                let flags = if cached { FLAG_CACHE_HIT } else { 0 };
+                (head(Op::SegmentCachedReply, &[flags], &labels), labels)
+            }
+            Message::SegmentDeltaReply {
+                labels,
+                tiles_hit,
+                tiles_recomputed,
+            } => {
+                let prefix = [0, tiles_hit, tiles_recomputed];
+                (head(Op::SegmentDeltaReply, &prefix, &labels), labels)
+            }
+            other => return self.enqueue(request_id, &other),
+        };
+        self.enqueue_frame(head?.as_bytes().to_vec());
+        if labels.is_empty() {
+            self.written.push(labels);
+            return Ok(());
+        }
+        for label in labels.as_mut_slice() {
+            *label = label.to_le();
+        }
+        self.len += 4 * labels.len();
+        self.chunks.push_back(Chunk::Labels(labels));
+        Ok(())
+    }
+
+    /// The next contiguous bytes waiting to be written: the unsent part of
+    /// the front run of encoded bytes, or of the front label buffer.
     pub fn pending(&self) -> &[u8] {
-        &self.buf[self.cursor..]
+        match self.chunks.front() {
+            Some(chunk) => &chunk.bytes()[self.cursor..],
+            None => &[],
+        }
     }
 
-    /// Number of bytes waiting to be written.
+    /// Number of bytes waiting to be written, label buffers included.
     pub fn pending_len(&self) -> usize {
-        self.buf.len() - self.cursor
+        self.len
     }
 
     /// Whether everything queued has been written.
     pub fn is_empty(&self) -> bool {
-        self.cursor == self.buf.len()
+        self.len == 0
     }
 
-    /// Records that `n` bytes of [`FrameEncoder::pending`] were written.
-    pub fn advance(&mut self, n: usize) {
-        self.cursor += n;
-        debug_assert!(self.cursor <= self.buf.len());
-        if self.cursor == self.buf.len() {
-            // Release the written frame now: the next `enqueue_frame` would
-            // replace this buffer anyway, so an idle connection holds none.
-            self.buf = Vec::new();
+    /// Records that the next `n` queued bytes were written.  They may span
+    /// chunks, as a vectored write's do.  A chunk is released the moment
+    /// its last byte is written, so an idle connection holds no buffer.
+    pub fn advance(&mut self, mut n: usize) {
+        assert!(n <= self.len, "advanced past the queued bytes");
+        self.len -= n;
+        while n > 0 {
+            let front = self.chunks.front().expect("queued bytes are in chunks");
+            let left = front.bytes().len() - self.cursor;
+            if n < left {
+                self.cursor += n;
+                return;
+            }
+            n -= left;
             self.cursor = 0;
+            if let Some(Chunk::Labels(labels)) = self.chunks.pop_front() {
+                self.written.push(labels);
+            }
         }
+    }
+
+    /// Writes what `w` accepts of the queue in one vectored write, up to
+    /// 16 chunks, and advances past it.  Errors are returned untouched
+    /// (`WouldBlock`, `Interrupted` and the rest), with nothing advanced.
+    pub fn write_to<W: Write + ?Sized>(&mut self, w: &mut W) -> io::Result<usize> {
+        let mut slices = [IoSlice::new(&[]); MAX_WRITE_SLICES];
+        for (index, (slice, chunk)) in slices.iter_mut().zip(&self.chunks).enumerate() {
+            let skip = if index == 0 { self.cursor } else { 0 };
+            *slice = IoSlice::new(&chunk.bytes()[skip..]);
+        }
+        let used = self.chunks.len().min(MAX_WRITE_SLICES);
+        let n = w.write_vectored(&slices[..used])?;
+        self.advance(n);
+        Ok(n)
+    }
+
+    /// The label buffers written in full since the last call, each handed
+    /// back exactly once, for the caller to reuse.
+    pub fn take_written(&mut self) -> impl Iterator<Item = LabelMap> + '_ {
+        self.written.drain(..)
     }
 }
 

@@ -10,8 +10,8 @@
 //! and angles, for every backend variant and thread count ∈ {1, 2, 8}.
 
 use datasets::{PascalVocLikeConfig, PascalVocLikeDataset};
-use imaging::{LabelMap, Rgb, RgbImage, Segmenter};
-use iqft_pipeline::{PipelineConfig, SegmentPipeline};
+use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
+use iqft_pipeline::{CacheConfig, LabelArena, PipelineConfig, SegmentPipeline};
 use iqft_seg::{
     IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, PhaseTable, QuantizedPhaseTable,
     SegmentEngine, SimdLevel, ThetaParams,
@@ -382,6 +382,90 @@ fn harness_evaluation_is_byte_identical_across_backends() {
                 "{}",
                 sample.id
             );
+        }
+    }
+}
+
+/// Label buffers are resized in place, never zeroed first, so every `_into`
+/// path must write every label itself.  Buffers pre-filled with a sentinel
+/// — one recycled through an arena at the image's length, one longer, one
+/// shorter — must come out equal to the exact oracle's per-pixel labels for
+/// every classifier kind on serial and threads: whole-image and tiled, RGB
+/// and gray, and the pipeline's delta stitch with its tiles classified,
+/// stitched from the cache, and a mix of the two.
+#[test]
+fn stale_label_buffers_are_overwritten_in_full() {
+    const SENTINEL: u32 = 0xDEAD_BEEF;
+    let mut rng = ChaCha8Rng::seed_from_u64(8101);
+    let img = random_image(&mut rng, 37, 23);
+    let gray = imaging::color::rgb_to_gray_u8(&img);
+    let mut changed = img.clone();
+    for x in 0..5 {
+        changed.set(x, 0, Rgb::new(x as u8, 255, 0));
+    }
+    let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
+    let oracle = |image: &RgbImage| -> Vec<u32> {
+        image
+            .as_slice()
+            .iter()
+            .map(|&pixel| exact.classify_rgb_pixel(pixel))
+            .collect()
+    };
+    let (rgb_oracle, changed_oracle) = (oracle(&img), oracle(&changed));
+    let gray_oracle: Vec<u32> = gray
+        .as_slice()
+        .iter()
+        .map(|&pixel| exact.classify_gray_pixel(pixel))
+        .collect();
+    let arena = LabelArena::new();
+    let stale = |len: usize| {
+        arena.put(vec![SENTINEL; len]);
+        arena.take()
+    };
+    let lengths = [img.len(), img.len() + 17, img.len() / 2];
+
+    for kind in ClassifierKind::ALL {
+        let classifier = IqftClassifier::paper_default(kind);
+        for (name, engine) in [
+            ("serial", SegmentEngine::serial()),
+            ("threads(2)", SegmentEngine::with_threads(2)),
+        ] {
+            for len in lengths {
+                let context = format!("{kind} via {name}, stale buffer of {len}");
+                let mut buf = stale(len);
+                engine.segment_rgb_into(&classifier, &img, &mut buf);
+                assert_eq!(buf, rgb_oracle, "segment_rgb_into, {context}");
+                let mut buf = stale(len);
+                engine.segment_gray_into(&classifier, &gray, &mut buf);
+                assert_eq!(buf, gray_oracle, "segment_gray_into, {context}");
+                let mut buf = stale(len);
+                engine.segment_tiled_into(&classifier, &img, 8, 5, &mut buf);
+                assert_eq!(buf, rgb_oracle, "segment_tiled_into, {context}");
+                let mut buf = stale(len);
+                engine.segment_tiled_gray_into(&classifier, &gray, 8, 5, &mut buf);
+                assert_eq!(buf, gray_oracle, "segment_tiled_gray_into, {context}");
+
+                // The delta stitch takes its buffer, and its tile scratch,
+                // from the pipeline's arena: seed that with stale buffers.
+                let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind))
+                    .with_config(PipelineConfig {
+                        tiling: Tiling::Tiles {
+                            width: 8,
+                            height: 5,
+                        },
+                    })
+                    .with_cache(CacheConfig::with_capacity_mb(4), "stale-buffers");
+                for (frame, expected, pass) in [
+                    (&img, &rgb_oracle, "every tile classified"),
+                    (&img, &rgb_oracle, "every tile from the cache"),
+                    (&changed, &changed_oracle, "a changed row of tiles"),
+                ] {
+                    pipeline.arena().put(vec![SENTINEL; len]);
+                    pipeline.arena().put(vec![SENTINEL; len]);
+                    let (labels, _, _) = pipeline.segment_request_delta(frame);
+                    assert_eq!(labels.as_slice(), &expected[..], "delta, {pass}, {context}");
+                }
+            }
         }
     }
 }

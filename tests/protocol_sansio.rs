@@ -970,3 +970,370 @@ fn frame_encoder_partial_writes_reassemble_identical_streams() {
         assert_eq!(outcome.messages, pairs, "case {case}: round-trip");
     });
 }
+
+// ---------------------------------------------------------------------------
+// The client's single-copy reader and writer
+// ---------------------------------------------------------------------------
+
+/// A reader that hands out 1..=`max` bytes per call and now and then an
+/// `Interrupted` error instead, as a busy socket can.
+struct DripReader<'a> {
+    bytes: &'a [u8],
+    gen: XorShift64,
+    max: usize,
+}
+
+impl std::io::Read for DripReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        if self.gen.below(8) == 0 {
+            return Err(std::io::ErrorKind::Interrupted.into());
+        }
+        let n = (1 + self.gen.below(self.max))
+            .min(buf.len())
+            .min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// A writer that takes 1..=`max` bytes per call, gathering across the
+/// slices of a vectored write as `writev` does, and now and then fails with
+/// `Interrupted` or `WouldBlock` instead.
+struct ChokedWriter {
+    out: Vec<u8>,
+    gen: XorShift64,
+    max: usize,
+}
+
+impl ChokedWriter {
+    fn new(seed: u64, max: usize) -> Self {
+        ChokedWriter {
+            out: Vec::new(),
+            gen: XorShift64::new(seed),
+            max,
+        }
+    }
+}
+
+impl std::io::Write for ChokedWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.write_vectored(&[std::io::IoSlice::new(buf)])
+    }
+
+    fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+        match self.gen.below(8) {
+            0 => return Err(std::io::ErrorKind::Interrupted.into()),
+            1 => return Err(std::io::ErrorKind::WouldBlock.into()),
+            _ => {}
+        }
+        let mut budget = 1 + self.gen.below(self.max);
+        let mut written = 0;
+        for buf in bufs {
+            let take = budget.min(buf.len());
+            self.out.extend_from_slice(&buf[..take]);
+            written += take;
+            budget -= take;
+            if budget == 0 {
+                break;
+            }
+        }
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// The client's read path over `bytes`: `read_message` through a dripping
+/// reader until the bytes run out or a frame fails.
+fn run_reader_path(bytes: &[u8], seed: u64, max: usize) -> (Vec<(u64, Message)>, Option<String>) {
+    let mut reader = DripReader {
+        bytes,
+        gen: XorShift64::new(seed),
+        max,
+    };
+    let mut messages = Vec::new();
+    while !reader.bytes.is_empty() {
+        match protocol::read_message(&mut reader) {
+            Ok(pair) => messages.push(pair),
+            Err(e) => return (messages, Some(error_key(&e))),
+        }
+    }
+    (messages, None)
+}
+
+/// Asserts the reader path matches the stream path exactly — messages and
+/// typed error, truncation (`Io(UnexpectedEof)`) included — at several
+/// read granularities.
+fn assert_reader_matches_stream(bytes: &[u8], context: &str) {
+    let stream = run_stream_path(bytes);
+    for (seed, max) in [(1u64, 1usize), (2, 3), (3, 17), (4, 4096)] {
+        let (messages, error) = run_reader_path(bytes, seed, max);
+        assert_eq!(
+            messages, stream.messages,
+            "messages diverge ({context}, reads up to {max})"
+        );
+        assert_eq!(
+            error, stream.error,
+            "typed errors diverge ({context}, reads up to {max})"
+        );
+    }
+}
+
+/// `read_message` reads a segment reply's labels straight into the returned
+/// map, judging its prefix before allocating.  Over the suite's corpus —
+/// every valid message, the curated malformed frames, every truncation of
+/// every segment reply (malformed prefixes included), and the fuzz streams —
+/// it yields exactly what the stream path (`parse_header` + `read_exact` +
+/// `decode_body`) yields, read by read down to one byte at a time.
+#[test]
+fn the_single_copy_reader_matches_the_stream_path() {
+    let mut rng = ChaCha8Rng::seed_from_u64(708);
+    let corpus = full_message_corpus(&mut rng);
+    let pairs: Vec<(u64, Message)> = corpus
+        .iter()
+        .cloned()
+        .enumerate()
+        .map(|(index, message)| (index as u64 * 0x0101_0101 + 1, message))
+        .collect();
+    let valid = encode_stream(&pairs);
+    assert_reader_matches_stream(&valid, "the valid corpus stream");
+
+    for (id, message) in &pairs {
+        let is_label_reply = matches!(
+            message,
+            Message::SegmentReply { .. }
+                | Message::SegmentCachedReply { .. }
+                | Message::SegmentDeltaReply { .. }
+        );
+        if !is_label_reply {
+            continue;
+        }
+        let frame = protocol::encode_message(*id, message).expect("encodable");
+        // A reply whose first payload word is a flags word, with an
+        // undefined bit set; on a plain reply the same byte is the width,
+        // which then disagrees with the payload length.
+        let bad_prefix = patched(&frame, HEADER_LEN + 1, 0x80);
+        for bytes in [&frame, &bad_prefix] {
+            for cut in 0..=bytes.len() {
+                assert_reader_matches_stream(
+                    &bytes[..cut],
+                    &format!("{} cut at {cut} of {}", message.name(), bytes.len()),
+                );
+            }
+        }
+    }
+
+    // The curated malformed frames, replies and requests alike.
+    let id = 0x55;
+    let reply = protocol::encode_message(
+        id,
+        &Message::SegmentDeltaReply {
+            labels: random_labels(&mut rng, 6),
+            tiles_hit: 3,
+            tiles_recomputed: 4,
+        },
+    )
+    .expect("delta reply");
+    let mut oversized_dims = raw_frame(0x85, id, &[0; 12]);
+    oversized_dims[HEADER_LEN + 4..HEADER_LEN + 8].copy_from_slice(&u32::MAX.to_le_bytes());
+    oversized_dims[HEADER_LEN + 8..HEADER_LEN + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+    for (name, bytes) in [
+        (
+            "short delta reply",
+            raw_frame(0x86, id, &[0, 0, 0, 0, 1, 2]),
+        ),
+        ("short cached reply", raw_frame(0x85, id, &[0, 0])),
+        ("reply without dims", raw_frame(0x81, id, &[1, 2, 3])),
+        ("reply dims overflow", oversized_dims),
+        ("reply one label short", reply[..reply.len() - 4].to_vec()),
+        ("reply length off by one", {
+            let mut bytes = reply.clone();
+            let len = bytes.len() - HEADER_LEN - 1;
+            bytes[16..20].copy_from_slice(&(len as u32).to_le_bytes());
+            bytes.pop();
+            bytes
+        }),
+        ("bad magic", patched(&reply, 0, b'X')),
+        ("v1 frame", patched(&reply, 4, 1)),
+    ] {
+        assert_reader_matches_stream(&bytes, name);
+    }
+
+    check(709, |case, rng| {
+        let bytes = fuzz_input(case, rng);
+        assert_reader_matches_stream(&bytes, &format!("fuzz case {case}"));
+    });
+}
+
+/// The client's request writer emits exactly `encode_segment{,_cached,
+/// _delta}`'s bytes, head and pixels gathered into vectored writes, through
+/// a transport that takes 1..k bytes at a time, interrupts, and blocks —
+/// resuming each time where the last write stopped.
+#[test]
+fn the_request_writer_emits_the_reference_encoders_bytes() {
+    check(710, |case, rng| {
+        let image = if case == 0 {
+            RgbImage::from_vec(0, 0, Vec::new()).expect("a 0x0 image")
+        } else if case % 8 == 1 {
+            random_image(rng, 300)
+        } else {
+            random_image(rng, 9)
+        };
+        let id = rng.gen::<u64>();
+        let requests = [
+            ("Segment", protocol::encode_segment(id, &image)),
+            (
+                "SegmentCached",
+                protocol::encode_segment_cached(id, &image, false),
+            ),
+            (
+                "SegmentCached, bypassed",
+                protocol::encode_segment_cached(id, &image, true),
+            ),
+            ("SegmentDelta", protocol::encode_segment_delta(id, &image)),
+        ];
+        for (name, reference) in requests {
+            let reference = reference.expect("reference encoding");
+            for max in [1usize, 7, 1 << 16] {
+                let mut writer = match name {
+                    "Segment" => protocol::RequestWriter::segment(id, &image),
+                    "SegmentDelta" => protocol::RequestWriter::segment_delta(id, &image),
+                    _ => protocol::RequestWriter::segment_cached(
+                        id,
+                        &image,
+                        name.ends_with("bypassed"),
+                    ),
+                }
+                .expect("writer");
+                assert_eq!(writer.request_id(), id, "case {case}: {name}");
+                assert_eq!(writer.remaining(), reference.len(), "case {case}: {name}");
+                let mut wire = ChokedWriter::new(case as u64 ^ max as u64, max);
+                loop {
+                    match writer.write_to(&mut wire) {
+                        Ok(()) => break,
+                        // Resume where the blocked write stopped.
+                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                        Err(e) => panic!("case {case}: {name}: {e}"),
+                    }
+                }
+                assert_eq!(
+                    wire.out, reference,
+                    "case {case}: {name}, writes up to {max}"
+                );
+                assert_eq!(writer.remaining(), 0, "case {case}: {name}");
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------------
+// Label replies queued in place
+// ---------------------------------------------------------------------------
+
+/// Label replies queued in place (`enqueue_reply`), interleaved with encoded
+/// frames and drained through partial writes — both `pending`/`advance` and
+/// vectored writes that span chunks — emit exactly `encode_message`'s bytes.
+/// `pending_len` counts every queued byte, label buffers included, and each
+/// label buffer comes back through `take_written` exactly once, in order,
+/// and only after its last byte was written.
+#[test]
+fn label_replies_queued_in_place_drain_to_the_reference_bytes() {
+    check(711, |case, rng| {
+        let mut encoder = FrameEncoder::new();
+        let mut expected = Vec::new();
+        let mut written = Vec::new();
+        // (end offset in the stream, buffer address) per queued label reply.
+        let mut owed: std::collections::VecDeque<(usize, *const u32)> = Default::default();
+        let mut wire = ChokedWriter::new(case as u64, 1 + case % 97);
+        let mut drain = |encoder: &mut FrameEncoder,
+                         written: &mut Vec<u8>,
+                         owed: &mut std::collections::VecDeque<(usize, *const u32)>,
+                         rng: &mut ChaCha8Rng| {
+            if encoder.is_empty() {
+                return;
+            }
+            if rng.gen_range(0..2u8) == 0 {
+                let n = rng.gen_range(1..=encoder.pending().len());
+                written.extend_from_slice(&encoder.pending()[..n]);
+                encoder.advance(n);
+            } else {
+                let before = wire.out.len();
+                match encoder.write_to(&mut wire) {
+                    Ok(n) => assert_eq!(wire.out.len() - before, n, "case {case}"),
+                    Err(e) => assert!(
+                        matches!(
+                            e.kind(),
+                            std::io::ErrorKind::Interrupted | std::io::ErrorKind::WouldBlock
+                        ),
+                        "case {case}: {e}"
+                    ),
+                }
+                written.extend_from_slice(&wire.out[before..]);
+            }
+            for labels in encoder.take_written() {
+                let (end, ptr) = owed.pop_front().expect("a label buffer came back once");
+                assert_eq!(labels.as_slice().as_ptr(), ptr, "case {case}: in order");
+                assert!(
+                    written.len() >= end,
+                    "case {case}: back before its last byte"
+                );
+            }
+            if let Some(&(end, _)) = owed.front() {
+                assert!(
+                    written.len() < end,
+                    "case {case}: written but not handed back"
+                );
+            }
+        };
+        for (index, message) in full_message_corpus(rng).into_iter().enumerate() {
+            if rng.gen_range(0..3u8) == 0 {
+                continue;
+            }
+            let id = index as u64 ^ rng.gen::<u64>();
+            let frame = protocol::encode_message(id, &message).expect("encodable");
+            expected.extend_from_slice(&frame);
+            let label_buffer = match &message {
+                Message::SegmentReply { labels }
+                | Message::SegmentCachedReply { labels, .. }
+                | Message::SegmentDeltaReply { labels, .. } => Some(labels.as_slice().as_ptr()),
+                _ => None,
+            };
+            let pending_before = encoder.pending_len();
+            if label_buffer.is_some() || rng.gen_range(0..2u8) == 0 {
+                encoder.enqueue_reply(id, message).expect("encodable");
+            } else {
+                encoder.enqueue(id, &message).expect("encodable");
+            }
+            assert_eq!(
+                encoder.pending_len(),
+                pending_before + frame.len(),
+                "case {case}: pending_len counts the whole frame"
+            );
+            if let Some(ptr) = label_buffer {
+                owed.push_back((expected.len(), ptr));
+            }
+            assert_eq!(
+                encoder.pending_len(),
+                expected.len() - written.len(),
+                "case {case}"
+            );
+            if rng.gen_range(0..2u8) == 0 {
+                drain(&mut encoder, &mut written, &mut owed, rng);
+            }
+        }
+        while !encoder.is_empty() {
+            drain(&mut encoder, &mut written, &mut owed, rng);
+            assert_eq!(
+                encoder.pending_len(),
+                expected.len() - written.len(),
+                "case {case}"
+            );
+        }
+        assert_eq!(written, expected, "case {case}: drained bytes");
+        assert!(owed.is_empty(), "case {case}: every label buffer came back");
+        assert_eq!(encoder.take_written().count(), 0, "case {case}");
+    });
+}

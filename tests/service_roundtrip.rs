@@ -976,3 +976,84 @@ fn connection_gauges_track_opened_and_closed_connections_over_the_wire() {
     control.shutdown().expect("shutdown");
     server.join();
 }
+
+/// Replies are written straight from their label buffers, and each buffer
+/// goes back to the daemon's arena once its last byte is out.  After one
+/// warm-up round, more rounds of every segment op — `Segment`,
+/// `SegmentCached` misses and hits, `SegmentDelta` — allocate no label
+/// buffer: one written but never recycled would show as arena growth.
+#[test]
+fn written_label_buffers_return_to_the_arena() {
+    let images: Vec<RgbImage> = (0..3usize)
+        .map(|seed| {
+            RgbImage::from_fn(48, 32, move |x, y| {
+                Rgb::new(
+                    (x * 7 + seed * 50) as u8,
+                    (y * 5 + seed) as u8,
+                    ((x ^ y) * 3) as u8,
+                )
+            })
+        })
+        .collect();
+    let reference = reference_labels(&images);
+    // One shard that holds two of the three frames: the first cached
+    // request for a frame misses (and evicts), an immediate repeat hits.
+    let entry_bytes = images[0].len() * 4 + 96;
+    let cached = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default()).with_cache(CacheConfig {
+            capacity_bytes: entry_bytes * 5 / 2,
+            shards: 1,
+        }),
+    )
+    .expect("bind");
+    // The delta daemon's cache holds every tile: after the warm-up round
+    // each frame is stitched from it.
+    let delta = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default().with_tiling(Tiling::Tiles {
+            width: 16,
+            height: 16,
+        }))
+        .with_cache(CacheConfig::with_capacity_mb(4)),
+    )
+    .expect("bind");
+    let mut a = open_client(cached.local_addr()).expect("connect");
+    let mut b = open_client(delta.local_addr()).expect("connect");
+    let round = |a: &mut Client, b: &mut Client| {
+        for (image, reference) in images.iter().zip(&reference) {
+            let (labels, _) = a.segment(image).expect("segment").unwrap_done();
+            assert_eq!(&labels, reference);
+            for expect_hit in [false, true] {
+                let (labels, hit) = a
+                    .segment_cached(image, false)
+                    .expect("cached segment")
+                    .unwrap_done();
+                assert_eq!((&labels, hit), (reference, expect_hit));
+            }
+            let (outcome, _, _) = b.segment_delta(image).expect("delta segment");
+            assert_eq!(&outcome.unwrap_done().0, reference);
+        }
+    };
+    round(&mut a, &mut b);
+    let (warm_a, warm_b) = (a.stats().expect("stats"), b.stats().expect("stats"));
+    for _ in 0..4 {
+        round(&mut a, &mut b);
+    }
+    let (after_a, after_b) = (a.stats().expect("stats"), b.stats().expect("stats"));
+    assert_eq!(
+        after_a.arena_allocations, warm_a.arena_allocations,
+        "Segment and SegmentCached replies recycle their buffers: {after_a:?}"
+    );
+    assert_eq!(
+        after_b.arena_allocations, warm_b.arena_allocations,
+        "SegmentDelta replies recycle their buffers: {after_b:?}"
+    );
+    // Every steady-state reply took a recycled buffer.
+    assert!(after_a.arena_reuses >= warm_a.arena_reuses + 4 * 3 * 3);
+    assert!(after_b.arena_reuses >= warm_b.arena_reuses + 4 * 3);
+    a.shutdown().expect("shutdown");
+    b.shutdown().expect("shutdown");
+    cached.join();
+    delta.join();
+}
