@@ -14,6 +14,12 @@
 //! - `tests/golden/wire_transcript.txt` pins the wire: one request/reply
 //!   frame pair per protocol op as a hex dump, including the Busy and Error
 //!   replies and the typed `BadVersion` answer to a v1 frame.
+//! - `tests/golden/paper_outputs.txt` pins what the harness prints for the
+//!   paper: Tables I–III and Figs. 1–10 at the `all` subcommand's reduced
+//!   sizes, with Table III's runtimes zeroed.  That covers K-means, Otsu,
+//!   mIOU, the θ tables and `auto_theta`, which the oracle digests do not.
+//!   The text is rendered on the serial and on a two-thread engine, and
+//!   both must agree.
 //!
 //! On a mismatch the failure message carries the first differing line and
 //! the full regenerated file.  `IQFT_BLESS=1 cargo test --test golden`
@@ -26,10 +32,12 @@ use datasets::{
 use imaging::{LabelMap, Rgb, RgbImage, Segmenter};
 use iqft_seg::{IqftGraySegmenter, IqftRgbSegmenter};
 use iqft_serve::protocol::{self, FrameDecoder, FrameEncoder, Message, RequestWriter};
+use seg_engine::SegmentEngine;
 use std::fmt::Write as _;
 
 const ORACLE_GOLDEN: &str = include_str!("golden/oracle_labels.txt");
 const WIRE_GOLDEN: &str = include_str!("golden/wire_transcript.txt");
+const PAPER_GOLDEN: &str = include_str!("golden/paper_outputs.txt");
 
 /// Images taken from the front of each dataset.
 const IMAGES: usize = 8;
@@ -124,6 +132,49 @@ fn check_golden(name: &str, golden: &str, actual: &str) {
 #[test]
 fn exact_oracle_labels_match_the_golden_digests() {
     check_golden("oracle_labels.txt", ORACLE_GOLDEN, &regenerate());
+}
+
+// ---------------------------------------------------------------------------
+// Paper outputs
+// ---------------------------------------------------------------------------
+
+/// Every table and figure report the harness prints, rendered on `engine`.
+/// No figure writes images, and Table III's wall-clock runtimes are zeroed.
+fn paper_outputs(engine: &SegmentEngine) -> String {
+    use experiments::{figures, tables};
+    let mut summaries = tables::table3_run(&tables::Table3Config {
+        voc_images: 8,
+        xview_images: 8,
+        image_size: 96,
+        seed: SEED,
+        backend: engine.backend(),
+        ..tables::Table3Config::default()
+    });
+    for method in summaries.iter_mut().flat_map(|d| d.methods.iter_mut()) {
+        method.total_runtime_secs = 0.0;
+    }
+    [
+        tables::table1_text(),
+        tables::table2_text(20_000, SEED),
+        tables::table3_text(&summaries),
+        figures::fig1_3_text(),
+        figures::fig4_report(engine, None),
+        figures::fig5_report(engine, None),
+        figures::fig6_report(engine, None),
+        figures::fig7_report(engine, None),
+        figures::fig8_9_report(engine, false, None, 12),
+        figures::fig8_9_report(engine, true, None, 12),
+        figures::fig10_report(engine, 12),
+    ]
+    .join("\n")
+}
+
+#[test]
+fn paper_outputs_match_the_golden_text() {
+    let serial = paper_outputs(&SegmentEngine::serial());
+    let threaded = paper_outputs(&SegmentEngine::with_threads(2));
+    assert_eq!(serial, threaded, "the serial and two-thread engines agree");
+    check_golden("paper_outputs.txt", PAPER_GOLDEN, &serial);
 }
 
 // ---------------------------------------------------------------------------
