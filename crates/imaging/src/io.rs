@@ -49,8 +49,7 @@ pub fn read_ppm<R: Read>(r: R) -> Result<RgbImage> {
     let header = PnmHeader::parse(&mut reader)?;
     match header.magic {
         PnmMagic::P6 => {
-            let mut data = vec![0u8; header.width * header.height * 3];
-            reader.read_exact(&mut data)?;
+            let data = read_binary_samples(&mut reader, header.samples(3)?)?;
             let pixels: Vec<Rgb<u8>> = data
                 .chunks_exact(3)
                 .map(|c| Rgb::new(c[0], c[1], c[2]))
@@ -58,7 +57,7 @@ pub fn read_ppm<R: Read>(r: R) -> Result<RgbImage> {
             RgbImage::from_vec(header.width, header.height, pixels)
         }
         PnmMagic::P3 => {
-            let values = read_ascii_values(&mut reader, header.width * header.height * 3)?;
+            let values = read_ascii_values(&mut reader, header.samples(3)?)?;
             let pixels: Vec<Rgb<u8>> = values
                 .chunks_exact(3)
                 .map(|c| Rgb::new(c[0], c[1], c[2]))
@@ -82,13 +81,12 @@ pub fn read_pgm<R: Read>(r: R) -> Result<GrayImage> {
     let header = PnmHeader::parse(&mut reader)?;
     match header.magic {
         PnmMagic::P5 => {
-            let mut data = vec![0u8; header.width * header.height];
-            reader.read_exact(&mut data)?;
+            let data = read_binary_samples(&mut reader, header.samples(1)?)?;
             let pixels: Vec<Luma<u8>> = data.into_iter().map(Luma).collect();
             GrayImage::from_vec(header.width, header.height, pixels)
         }
         PnmMagic::P2 => {
-            let values = read_ascii_values(&mut reader, header.width * header.height)?;
+            let values = read_ascii_values(&mut reader, header.samples(1)?)?;
             let pixels: Vec<Luma<u8>> = values.into_iter().map(Luma).collect();
             GrayImage::from_vec(header.width, header.height, pixels)
         }
@@ -115,8 +113,6 @@ struct PnmHeader {
     magic: PnmMagic,
     width: usize,
     height: usize,
-    #[allow(dead_code)]
-    maxval: u32,
 }
 
 impl PnmHeader {
@@ -148,9 +144,35 @@ impl PnmHeader {
             magic,
             width,
             height,
-            maxval,
         })
     }
+
+    /// The number of samples the header declares, `channels` per pixel, or
+    /// [`ImagingError::TooLarge`] if that count overflows.
+    fn samples(&self, channels: usize) -> Result<usize> {
+        self.width
+            .checked_mul(self.height)
+            .and_then(|pixels| pixels.checked_mul(channels))
+            .ok_or(ImagingError::TooLarge {
+                width: self.width,
+                height: self.height,
+            })
+    }
+}
+
+/// Reads exactly `count` bytes of binary pixel data.  The buffer grows with
+/// the bytes that arrive, so a header cannot make the reader reserve the
+/// size it claims before the data is there.
+fn read_binary_samples<R: Read>(reader: &mut R, count: usize) -> Result<Vec<u8>> {
+    let mut data = Vec::new();
+    reader.take(count as u64).read_to_end(&mut data)?;
+    if data.len() != count {
+        return Err(ImagingError::Decode(format!(
+            "truncated pixel data: expected {count} bytes, found {}",
+            data.len()
+        )));
+    }
+    Ok(data)
 }
 
 fn parse_token<T: std::str::FromStr>(token: &str) -> Result<T> {
@@ -198,7 +220,7 @@ fn next_token<R: BufRead>(reader: &mut R) -> Result<String> {
 fn read_ascii_values<R: BufRead>(reader: &mut R, count: usize) -> Result<Vec<u8>> {
     let mut text = String::new();
     reader.read_to_string(&mut text)?;
-    let mut values = Vec::with_capacity(count);
+    let mut values = Vec::new();
     for token in text.split_whitespace() {
         if token.starts_with('#') {
             continue;
@@ -305,6 +327,50 @@ mod tests {
         write_ppm(&test_rgb(), &mut buf).unwrap();
         buf.truncate(buf.len() - 4);
         assert!(read_ppm(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn overflowing_dimensions_are_a_typed_error() {
+        let huge = usize::MAX;
+        for magic in ["P2", "P3", "P5", "P6"] {
+            let text = format!("{magic}\n{huge} 2\n255\n1 2 3\n");
+            let err = if magic == "P3" || magic == "P6" {
+                read_ppm(text.as_bytes()).unwrap_err()
+            } else {
+                read_pgm(text.as_bytes()).unwrap_err()
+            };
+            assert!(
+                matches!(err, ImagingError::TooLarge { width, height: 2 } if width == huge),
+                "{magic}: {err:?}"
+            );
+        }
+        // The pixel count fits in a `usize`, three samples per pixel do not.
+        let side = u32::MAX;
+        let text = format!("P6\n{side} {side}\n255\n\0\0\0");
+        assert!(matches!(
+            read_ppm(text.as_bytes()).unwrap_err(),
+            ImagingError::TooLarge { .. }
+        ));
+    }
+
+    #[test]
+    fn a_header_larger_than_its_data_is_a_truncation_error() {
+        for (magic, read) in [
+            (
+                "P6",
+                (|b: &[u8]| read_ppm(b).map(|_| ())) as fn(&[u8]) -> Result<()>,
+            ),
+            ("P5", |b: &[u8]| read_pgm(b).map(|_| ())),
+        ] {
+            let mut bytes = format!("{magic}\n40000 40000\n255\n").into_bytes();
+            bytes.extend_from_slice(&[1, 2, 3]);
+            match read(&bytes) {
+                Err(ImagingError::Decode(message)) => {
+                    assert!(message.contains("found 3"), "{magic}: {message}")
+                }
+                other => panic!("{magic}: expected a truncation error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
