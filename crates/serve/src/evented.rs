@@ -496,7 +496,13 @@ impl Reactor {
     }
 
     fn close(&mut self, idx: usize) {
-        if self.slots[idx].conn.take().is_some() {
+        if let Some(mut conn) = self.slots[idx].conn.take() {
+            // Reclaim the label buffers the peer will never read before the
+            // close is counted, so a stats reader that sees the close also
+            // sees them back in the arena.
+            for labels in conn.encoder.abandon() {
+                self.shared.pipeline.recycle(labels);
+            }
             self.shared.stats.connection_closed();
             // Bump the generation so stale completions for this slot are
             // recognised and dropped instead of landing on a new tenant.
@@ -517,13 +523,13 @@ impl Reactor {
             self.register(stream, now);
         }
         for completion in completions {
-            let Some(slot) = self.slots.get_mut(completion.conn) else {
-                continue;
-            };
-            if slot.gen != completion.gen {
-                continue;
-            }
-            let Some(mut conn) = slot.conn.take() else {
+            let slot = &mut self.slots[completion.conn];
+            let live = slot.gen == completion.gen;
+            let Some(mut conn) = slot.conn.take_if(|_| live) else {
+                // Its connection is gone: only the labels are worth keeping.
+                if let Some(labels) = completion.reply.into_labels() {
+                    self.shared.pipeline.recycle(labels);
+                }
                 continue;
             };
             conn.inflight = false;

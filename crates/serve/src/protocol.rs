@@ -294,6 +294,16 @@ impl Message {
             Message::Error { .. } => "Error",
         }
     }
+
+    /// A segment reply's labels; `None` for every other message.
+    pub(crate) fn into_labels(self) -> Option<LabelMap> {
+        match self {
+            Message::SegmentReply { labels }
+            | Message::SegmentCachedReply { labels, .. }
+            | Message::SegmentDeltaReply { labels, .. } => Some(labels),
+            _ => None,
+        }
+    }
 }
 
 /// Everything that can go wrong while encoding or decoding a frame.
@@ -1337,6 +1347,19 @@ impl FrameEncoder {
     /// back exactly once, for the caller to reuse.
     pub fn take_written(&mut self) -> impl Iterator<Item = LabelMap> + '_ {
         self.written.drain(..)
+    }
+
+    /// Drops everything still queued, as when the connection closes, and
+    /// hands back every label buffer not handed back yet: the written ones
+    /// and the unsent ones alike.  The encoder is empty afterwards.
+    pub fn abandon(&mut self) -> impl Iterator<Item = LabelMap> + '_ {
+        self.cursor = 0;
+        self.len = 0;
+        let unsent = self.chunks.drain(..).filter_map(|chunk| match chunk {
+            Chunk::Labels(labels) => Some(labels),
+            Chunk::Bytes(_) => None,
+        });
+        self.written.drain(..).chain(unsent)
     }
 }
 

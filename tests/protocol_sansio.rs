@@ -1337,3 +1337,52 @@ fn label_replies_queued_in_place_drain_to_the_reference_bytes() {
         assert_eq!(encoder.take_written().count(), 0, "case {case}");
     });
 }
+
+/// A connection that closes mid-queue: label replies queued between encoded
+/// frames, part of the queue written (some buffers in full, one perhaps
+/// mid-way), then `abandon`.  Every label buffer comes back exactly once,
+/// through `take_written` or `abandon`, and nothing stays pending.
+#[test]
+fn abandoning_the_queue_hands_back_every_label_buffer_once() {
+    check(712, |case, rng| {
+        let mut encoder = FrameEncoder::new();
+        let mut queued = Vec::new();
+        let mut total = 0;
+        for (index, message) in full_message_corpus(rng).into_iter().enumerate() {
+            if let Message::SegmentReply { labels }
+            | Message::SegmentCachedReply { labels, .. }
+            | Message::SegmentDeltaReply { labels, .. } = &message
+            {
+                queued.push(labels.as_slice().as_ptr());
+            }
+            total += protocol::encode_message(index as u64, &message)
+                .expect("encodable")
+                .len();
+            encoder
+                .enqueue_reply(index as u64, message)
+                .expect("encodable");
+        }
+        let mut wire = ChokedWriter::new(case as u64, 1 + case % 97);
+        let mut to_write = rng.gen_range(0..=total);
+        let mut back = Vec::new();
+        while to_write > 0 {
+            let n = rng.gen_range(1..=encoder.pending().len().min(to_write));
+            if rng.gen_range(0..2u8) == 0 {
+                encoder.advance(n);
+                to_write -= n;
+            } else if let Ok(n) = encoder.write_to(&mut wire) {
+                to_write = to_write.saturating_sub(n);
+            }
+            back.extend(encoder.take_written().map(|l| l.as_slice().as_ptr()));
+        }
+        back.extend(encoder.abandon().map(|l| l.as_slice().as_ptr()));
+        back.sort();
+        queued.sort();
+        assert_eq!(back, queued, "case {case}: each buffer back exactly once");
+        assert!(encoder.is_empty(), "case {case}");
+        assert_eq!(encoder.pending_len(), 0, "case {case}");
+        assert!(encoder.pending().is_empty(), "case {case}");
+        assert_eq!(encoder.take_written().count(), 0, "case {case}");
+        assert_eq!(encoder.abandon().count(), 0, "case {case}");
+    });
+}

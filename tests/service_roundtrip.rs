@@ -1057,3 +1057,67 @@ fn written_label_buffers_return_to_the_arena() {
     cached.join();
     delta.join();
 }
+
+/// Label buffers that a closed connection still owned go back to the arena.
+/// One uncached daemon with one worker, so every round takes one buffer,
+/// and two kinds of round:
+///
+/// - a peer sends a 2048x1536 `Segment` request and hangs up without
+///   reading: its 12.6 MB reply is more than the loopback socket buffers
+///   hold, so the connection closes with the labels still queued;
+/// - a peer sends one request plus the first bytes of a second and waits:
+///   the frame deadline closes the connection while the job runs, so its
+///   completion finds the connection gone.
+///
+/// Between rounds every buffer the arena ever allocated is back in it, so
+/// one allocation serves them all.
+#[test]
+fn a_closed_connections_label_buffers_return_to_the_arena() {
+    let image = RgbImage::from_fn(2048, 1536, |x, y| {
+        Rgb::new((x / 8) as u8, (y / 6) as u8, ((x ^ y) & 0xff) as u8)
+    });
+    let request = protocol::encode_message(1, &Message::Segment { image }).expect("encode");
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Exact))
+            .with_max_inflight(1)
+            .with_frame_deadline(Duration::from_millis(100)),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut control = open_client(addr).expect("control connect");
+    for round in 0..4 {
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.write_all(&request).expect("request");
+        if round % 2 == 1 {
+            peer.write_all(&request[..protocol::HEADER_LEN])
+                .expect("the start of a second request");
+            // Wait for the daemon to close the connection, reading whatever
+            // it sent first.
+            peer.set_read_timeout(Some(Duration::from_secs(60)))
+                .expect("read timeout");
+            let _ = std::io::copy(&mut peer, &mut std::io::sink());
+        }
+        drop(peer);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let stats = loop {
+            let stats = control.stats().expect("stats");
+            let settled =
+                stats.connections_open == 1 && stats.arena_pooled == stats.arena_allocations;
+            if settled || Instant::now() >= deadline {
+                break stats;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        assert_eq!(
+            stats.arena_pooled, stats.arena_allocations,
+            "round {round}: every buffer is back in the arena: {stats:?}"
+        );
+        assert!(
+            stats.arena_allocations <= 1,
+            "round {round}: one buffer serves every round: {stats:?}"
+        );
+    }
+    control.shutdown().expect("shutdown");
+    server.join();
+}
