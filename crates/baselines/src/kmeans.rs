@@ -11,7 +11,7 @@ use xpar::Backend;
 
 /// Configuration for the K-means segmenter.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KMeansConfig {
+pub(crate) struct KMeansConfig {
     /// Number of clusters (the paper's foreground/background comparison uses
     /// `k = 2`, scikit-learn's default is 8; this crate defaults to 2).
     pub k: usize,
@@ -41,15 +41,11 @@ impl Default for KMeansConfig {
 
 /// Result of one K-means fit.
 #[derive(Debug, Clone)]
-pub struct KMeansResult {
-    /// Final cluster centroids in normalised RGB space.
-    pub centroids: Vec<Rgb<f64>>,
+pub(crate) struct KMeansResult {
     /// Per-sample cluster assignments.
     pub assignments: Vec<u32>,
     /// Sum of squared distances of samples to their assigned centroid.
     pub inertia: f64,
-    /// Number of Lloyd iterations the winning restart used.
-    pub iterations: usize,
 }
 
 /// K-means clustering of RGB pixels.
@@ -61,7 +57,7 @@ pub struct KMeansSegmenter {
 
 impl KMeansSegmenter {
     /// Creates a segmenter with the given configuration.
-    pub fn new(config: KMeansConfig) -> Self {
+    pub(crate) fn new(config: KMeansConfig) -> Self {
         Self {
             config,
             backend: Backend::default(),
@@ -78,7 +74,7 @@ impl KMeansSegmenter {
     }
 
     /// Selects the execution backend for the assignment step.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -89,17 +85,12 @@ impl KMeansSegmenter {
     }
 
     /// The engine the assignment step executes on.
-    pub fn engine(&self) -> SegmentEngine {
+    pub(crate) fn engine(&self) -> SegmentEngine {
         SegmentEngine::new(self.backend)
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &KMeansConfig {
-        &self.config
-    }
-
     /// Runs K-means on an arbitrary set of samples in normalised RGB space.
-    pub fn fit(&self, samples: &[Rgb<f64>]) -> KMeansResult {
+    pub(crate) fn fit(&self, samples: &[Rgb<f64>]) -> KMeansResult {
         assert!(self.config.k >= 1, "k must be at least 1");
         assert!(
             !samples.is_empty(),
@@ -127,9 +118,7 @@ impl KMeansSegmenter {
         let engine = self.engine();
         let mut centroids = kmeans_plus_plus_init(samples, k, rng);
         let mut assignments = vec![0u32; samples.len()];
-        let mut iterations = 0usize;
-        for iter in 0..self.config.max_iters.max(1) {
-            iterations = iter + 1;
+        for _ in 0..self.config.max_iters.max(1) {
             // Assignment step (parallel over samples, via the engine).
             let new_assignments: Vec<u32> = engine.map_indexed(samples.len(), |i| {
                 nearest_centroid(samples[i], &centroids) as u32
@@ -163,10 +152,8 @@ impl KMeansSegmenter {
             .map(|(s, &a)| s.dist2(centroids[a as usize]))
             .sum();
         KMeansResult {
-            centroids,
             assignments,
             inertia,
-            iterations,
         }
     }
 }
@@ -245,18 +232,14 @@ mod tests {
 
     #[test]
     fn separates_two_well_separated_blobs() {
-        let result = KMeansSegmenter::binary(7).fit(&two_blob_samples());
-        assert_eq!(result.centroids.len(), 2);
-        // One centroid near 0.1, one near 0.9.
-        let mut means: Vec<f64> = result.centroids.iter().map(|c| c.r()).collect();
-        means.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        assert!((means[0] - 0.1).abs() < 0.05);
-        assert!((means[1] - 0.9).abs() < 0.05);
+        let samples = two_blob_samples();
+        let result = KMeansSegmenter::binary(7).fit(&samples);
         // Samples from the same blob share a label.
-        assert_eq!(result.assignments[0], result.assignments[2]);
+        for (i, &a) in result.assignments.iter().enumerate() {
+            assert_eq!(a, result.assignments[i % 2], "sample {i}");
+        }
         assert_ne!(result.assignments[0], result.assignments[1]);
         assert!(result.inertia < 0.1);
-        assert!(result.iterations >= 1);
     }
 
     #[test]
@@ -265,10 +248,18 @@ mod tests {
             k: 1,
             ..KMeansConfig::default()
         };
-        let result = KMeansSegmenter::new(config).fit(&two_blob_samples());
+        let samples = two_blob_samples();
+        let result = KMeansSegmenter::new(config).fit(&samples);
         assert!(result.assignments.iter().all(|&a| a == 0));
-        // Centroid is the global mean (≈ 0.5 per channel here).
-        assert!((result.centroids[0].r() - 0.5).abs() < 0.01);
+        // The one centroid is the global mean, so the inertia is the
+        // samples' total squared distance from it.
+        let n = samples.len() as f64;
+        let mean = samples
+            .iter()
+            .fold(Rgb::new(0.0, 0.0, 0.0), |acc, s| acc.add(*s))
+            .scale(1.0 / n);
+        let spread: f64 = samples.iter().map(|s| s.dist2(mean)).sum();
+        assert!((result.inertia - spread).abs() < 1e-9);
     }
 
     #[test]
@@ -280,7 +271,7 @@ mod tests {
             ..KMeansConfig::default()
         };
         let result = KMeansSegmenter::new(config).fit(&samples);
-        assert!(result.centroids.len() <= 2);
+        assert!(result.assignments.iter().all(|&a| a < 2));
         assert!(result.inertia < 1e-9);
     }
 
@@ -365,7 +356,7 @@ mod tests {
     fn name_and_config_access() {
         let seg = KMeansSegmenter::binary(3);
         assert_eq!(seg.name(), "K-means");
-        assert_eq!(seg.config().k, 2);
+        assert_eq!(seg.config.k, 2);
         assert_eq!(KMeansConfig::default().n_init, 10);
     }
 }

@@ -17,8 +17,8 @@
 //! assert_ne!(labels.get(0, 0), labels.get(7, 0));
 //! ```
 
-pub mod kmeans;
-pub mod otsu;
+pub(crate) mod kmeans;
+pub(crate) mod otsu;
 
-pub use kmeans::{KMeansConfig, KMeansResult, KMeansSegmenter};
+pub use kmeans::KMeansSegmenter;
 pub use otsu::{multi_otsu_thresholds, otsu_threshold, OtsuSegmenter};

@@ -111,21 +111,11 @@ pub fn multi_otsu_thresholds(hist: &Histogram, levels: usize) -> Vec<f64> {
     best.into_iter().map(|t| (t - 1) as f64 / 255.0).collect()
 }
 
-/// Otsu-thresholding segmenter (labels: 0 = dark class, 1 = bright class, or
-/// band index for the multi-level variant).
-#[derive(Debug, Clone)]
+/// Single-threshold Otsu segmenter (labels: 0 = dark class, 1 = bright
+/// class).
+#[derive(Debug, Clone, Default)]
 pub struct OtsuSegmenter {
-    levels: usize,
     backend: Backend,
-}
-
-impl Default for OtsuSegmenter {
-    fn default() -> Self {
-        Self {
-            levels: 1,
-            backend: Backend::default(),
-        }
-    }
 }
 
 impl OtsuSegmenter {
@@ -134,18 +124,9 @@ impl OtsuSegmenter {
         Self::default()
     }
 
-    /// Multi-level Otsu with `levels` thresholds (1–3).
-    pub fn multi(levels: usize) -> Self {
-        assert!((1..=3).contains(&levels));
-        Self {
-            levels,
-            ..Self::default()
-        }
-    }
-
     /// Selects the execution backend for the per-pixel thresholding pass
     /// (the histogram fit itself is a cheap serial scan).
-    pub fn with_backend(mut self, backend: Backend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -155,15 +136,10 @@ impl OtsuSegmenter {
         self.with_backend(engine.backend())
     }
 
-    /// Number of thresholds this segmenter fits.
-    pub fn levels(&self) -> usize {
-        self.levels
-    }
-
     /// The fitted threshold(s) for a grayscale image.
-    pub fn thresholds_for(&self, img: &GrayImage) -> Vec<f64> {
+    pub(crate) fn thresholds_for(&self, img: &GrayImage) -> Vec<f64> {
         let hist = Histogram::of_gray(img);
-        multi_otsu_thresholds(&hist, self.levels)
+        multi_otsu_thresholds(&hist, 1)
     }
 }
 
@@ -171,19 +147,14 @@ impl OtsuSegmenter {
 /// of fitted thresholds below its normalised intensity.  This is what the
 /// `SegmentEngine` parallelises after the global histogram fit.
 #[derive(Debug, Clone)]
-pub struct FittedThresholds {
+pub(crate) struct FittedThresholds {
     thresholds: Vec<f64>,
 }
 
 impl FittedThresholds {
     /// Wraps an explicit set of normalised thresholds.
-    pub fn new(thresholds: Vec<f64>) -> Self {
+    pub(crate) fn new(thresholds: Vec<f64>) -> Self {
         Self { thresholds }
-    }
-
-    /// The wrapped thresholds.
-    pub fn thresholds(&self) -> &[f64] {
-        &self.thresholds
     }
 }
 
@@ -282,7 +253,7 @@ mod tests {
             "t1={}",
             t[1]
         );
-        let labels = OtsuSegmenter::multi(2).segment_gray(&img);
+        let labels = SegmentEngine::serial().segment_gray(&FittedThresholds::new(t), &img);
         assert_eq!(imaging::labels::distinct_labels(&labels), 3);
         assert_eq!(labels.get(0, 0), 0);
         assert_eq!(labels.get(45, 5), 1);
@@ -319,6 +290,7 @@ mod tests {
     #[test]
     fn name_and_levels() {
         assert_eq!(OtsuSegmenter::new().name(), "Otsu");
-        assert_eq!(OtsuSegmenter::multi(3).levels(), 3);
+        let img = bimodal_image(60, 190);
+        assert_eq!(OtsuSegmenter::new().thresholds_for(&img).len(), 1);
     }
 }

@@ -94,7 +94,7 @@ mod tests {
     #[test]
     fn scene_has_six_balls_two_of_which_are_targets() {
         let scene = balls_scene(120, 80);
-        assert_eq!(scene.dimensions(), (120, 80));
+        assert_eq!(scene.image.dimensions(), (120, 80));
         // Ball census through connected components of the mask.
         let (components, n) = imaging::labels::connected_components(&scene.ground_truth);
         // foreground components + the single background component

@@ -8,18 +8,18 @@
 //! synthetic generators* that reproduce the statistical properties those
 //! experiments actually exercise:
 //!
-//! * [`pascal`] — "natural scene" images: 1–3 coloured objects of varied
+//! * `pascal` — "natural scene" images: 1–3 coloured objects of varied
 //!   shape and brightness on textured / gradient backgrounds, Gaussian
 //!   noise, and a void border around every object (the VOC annotation
 //!   convention).  Difficulty is spread from well-separated to
 //!   overlapping-intensity scenes so method crossovers can appear.
-//! * [`xview`] — "satellite tile" images: ground texture, roads, vegetation
+//! * `xview` — "satellite tile" images: ground texture, roads, vegetation
 //!   patches and rectangular buildings with bright roofs as the foreground
 //!   class; foreground occupies a small fraction of the frame, mirroring the
 //!   class imbalance of the real tiles.
-//! * [`balls`] — the multi-band "coloured balls" scene of the paper's Fig. 4,
+//! * `balls` — the multi-band "coloured balls" scene of the paper's Fig. 4,
 //!   used to demonstrate single-parameter multiple thresholding.
-//! * [`video`] — deterministic streaming-video frames with a controllable
+//! * `video` — deterministic streaming-video frames with a controllable
 //!   per-frame change rate, for the per-tile delta-cache workload.
 //! * [`loader`] — loads a directory of PPM images + PGM masks for users who
 //!   have the real datasets on disk.
@@ -47,15 +47,18 @@
 //! assert_eq!(again.image, samples[0].image);
 //! ```
 
-pub mod balls;
+pub(crate) mod balls;
 pub mod loader;
-pub mod pascal;
-pub mod sample;
-pub mod video;
-pub mod xview;
+pub(crate) mod pascal;
+pub(crate) mod sample;
+pub(crate) mod video;
+pub(crate) mod xview;
 
 pub use balls::balls_scene;
-pub use pascal::{PascalVocLikeConfig, PascalVocLikeDataset};
+pub use pascal::PascalVocLikeConfig;
+pub use pascal::PascalVocLikeDataset;
 pub use sample::LabeledImage;
-pub use video::{synthetic_video, VideoConfig};
-pub use xview::{XViewLikeConfig, XViewLikeDataset};
+pub use video::synthetic_video;
+pub use video::VideoConfig;
+pub use xview::XViewLikeConfig;
+pub use xview::XViewLikeDataset;

@@ -16,7 +16,7 @@ use imaging::{io, ImagingError, LabelMap, Result, VOID_LABEL};
 use std::path::{Path, PathBuf};
 
 /// Grayscale mask value interpreted as "void" when loading PGM masks.
-pub const VOID_MASK_VALUE: u8 = 128;
+pub(crate) const VOID_MASK_VALUE: u8 = 128;
 
 /// Loads every `<stem>.ppm` / `<stem>.pgm` pair under `root/images` and
 /// `root/masks`, sorted by stem.  Pairs with mismatched dimensions produce an
@@ -96,7 +96,7 @@ mod tests {
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].id, "a-frame");
         assert_eq!(samples[1].id, "b-frame");
-        assert_eq!(samples[0].dimensions(), (8, 6));
+        assert_eq!(samples[0].image.dimensions(), (8, 6));
         // Void pixel and binary labels decoded as expected.
         assert_eq!(samples[0].ground_truth.get(0, 0), VOID_LABEL);
         assert_eq!(samples[0].ground_truth.get(1, 0), 0);

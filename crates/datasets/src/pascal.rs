@@ -60,11 +60,6 @@ impl PascalVocLikeDataset {
         Self { config }
     }
 
-    /// A small default instance (200 images of 160×120).
-    pub fn default_split() -> Self {
-        Self::new(PascalVocLikeConfig::default())
-    }
-
     /// Dataset length.
     pub fn len(&self) -> usize {
         self.config.len
@@ -73,11 +68,6 @@ impl PascalVocLikeDataset {
     /// True if the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.config.len == 0
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PascalVocLikeConfig {
-        &self.config
     }
 
     /// Generates sample `index` (deterministic in `seed + index`).
@@ -179,7 +169,7 @@ fn jitter(base: u8, spread: i32, rng: &mut impl Rng) -> u8 {
 
 /// Marks a band of `border` pixels around every foreground/background
 /// boundary as void, mirroring the VOC annotation convention.
-pub fn add_void_border(mask: &LabelMap, border: usize) -> LabelMap {
+pub(crate) fn add_void_border(mask: &LabelMap, border: usize) -> LabelMap {
     if border == 0 {
         return mask.clone();
     }
@@ -226,7 +216,7 @@ mod tests {
         assert_eq!(ds.len(), 8);
         assert!(!ds.is_empty());
         for sample in ds.iter() {
-            assert_eq!(sample.dimensions(), (64, 48));
+            assert_eq!(sample.image.dimensions(), (64, 48));
         }
     }
 
@@ -290,8 +280,8 @@ mod tests {
 
     #[test]
     fn default_split_matches_paper_scale_settings() {
-        let ds = PascalVocLikeDataset::default_split();
+        let ds = PascalVocLikeDataset::new(PascalVocLikeConfig::default());
         assert_eq!(ds.len(), 200);
-        assert_eq!(ds.config().width, 160);
+        assert_eq!(ds.config.width, 160);
     }
 }

@@ -1,9 +1,9 @@
 //! The labelled-image sample type shared by all dataset sources.
 
-use imaging::{LabelMap, RgbImage, VOID_LABEL};
+use imaging::{LabelMap, RgbImage};
 
 /// One dataset sample: an RGB image plus its binary ground-truth mask
-/// (1 = foreground, 0 = background, [`VOID_LABEL`] = ignored).
+/// (1 = foreground, 0 = background, [`imaging::VOID_LABEL`] = ignored).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LabeledImage {
     /// A stable identifier (index or file stem).
@@ -16,7 +16,7 @@ pub struct LabeledImage {
 
 impl LabeledImage {
     /// Creates a sample, checking that image and mask dimensions agree.
-    pub fn new(id: impl Into<String>, image: RgbImage, ground_truth: LabelMap) -> Self {
+    pub(crate) fn new(id: impl Into<String>, image: RgbImage, ground_truth: LabelMap) -> Self {
         image
             .check_same_shape(&ground_truth)
             .expect("image and ground truth must share dimensions");
@@ -28,11 +28,12 @@ impl LabeledImage {
     }
 
     /// Fraction of non-void pixels labelled foreground.
-    pub fn foreground_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn foreground_fraction(&self) -> f64 {
         let mut fg = 0usize;
         let mut valid = 0usize;
         for &l in self.ground_truth.pixels() {
-            if l == VOID_LABEL {
+            if l == imaging::VOID_LABEL {
                 continue;
             }
             valid += 1;
@@ -48,35 +49,31 @@ impl LabeledImage {
     }
 
     /// Fraction of pixels marked void.
-    pub fn void_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn void_fraction(&self) -> f64 {
         if self.ground_truth.is_empty() {
             return 0.0;
         }
         let void = self
             .ground_truth
             .pixels()
-            .filter(|&&l| l == VOID_LABEL)
+            .filter(|&&l| l == imaging::VOID_LABEL)
             .count();
         void as f64 / self.ground_truth.len() as f64
-    }
-
-    /// Image dimensions.
-    pub fn dimensions(&self) -> (usize, usize) {
-        self.image.dimensions()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imaging::Rgb;
+    use imaging::{Rgb, VOID_LABEL};
 
     #[test]
     fn fractions_are_computed_over_non_void_pixels() {
         let image = RgbImage::new(4, 1, Rgb::BLACK);
         let gt = LabelMap::from_vec(4, 1, vec![1, 0, VOID_LABEL, 1]).unwrap();
         let sample = LabeledImage::new("s0", image, gt);
-        assert_eq!(sample.dimensions(), (4, 1));
+        assert_eq!(sample.image.dimensions(), (4, 1));
         assert!((sample.foreground_fraction() - 2.0 / 3.0).abs() < 1e-12);
         assert!((sample.void_fraction() - 0.25).abs() < 1e-12);
     }

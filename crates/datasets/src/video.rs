@@ -19,7 +19,7 @@ use imaging::{Rgb, RgbImage};
 /// Default mutation-block edge in pixels.  Matches the delta cache's default
 /// tile edge (`seg_engine::Tiling::DEFAULT_DELTA_TILE`) so a default-config
 /// video stresses the default-config delta path one block per tile.
-pub const DEFAULT_BLOCK: usize = 64;
+pub(crate) const DEFAULT_BLOCK: usize = 64;
 
 /// Parameters for [`synthetic_video`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,7 +34,7 @@ pub struct VideoConfig {
     /// `0.0..=1.0`.  `0.0` repeats the first frame verbatim; `1.0` changes
     /// every block of every frame.
     pub change_rate: f64,
-    /// Mutation-block edge in pixels (0 = [`DEFAULT_BLOCK`]).  Edge blocks
+    /// Mutation-block edge in pixels (0 = `DEFAULT_BLOCK`).  Edge blocks
     /// are clamped to the frame, mirroring tile clamping.
     pub block: usize,
     /// RNG seed; the stream is a pure function of the whole config.
@@ -56,7 +56,7 @@ impl Default for VideoConfig {
 
 impl VideoConfig {
     /// The effective mutation-block edge.
-    pub fn effective_block(&self) -> usize {
+    pub(crate) fn effective_block(&self) -> usize {
         if self.block == 0 {
             DEFAULT_BLOCK
         } else {
@@ -66,7 +66,7 @@ impl VideoConfig {
 
     /// Number of mutation blocks per frame (edge blocks clamped, so this is
     /// `ceil(w/b) × ceil(h/b)`).
-    pub fn blocks_per_frame(&self) -> usize {
+    pub(crate) fn blocks_per_frame(&self) -> usize {
         let b = self.effective_block();
         self.width.div_ceil(b) * self.height.div_ceil(b)
     }
@@ -74,7 +74,7 @@ impl VideoConfig {
     /// Exact number of blocks mutated in each frame after the first:
     /// `ceil(change_rate × blocks_per_frame)`, so any non-zero rate changes
     /// at least one block.
-    pub fn changed_blocks_per_frame(&self) -> usize {
+    pub(crate) fn changed_blocks_per_frame(&self) -> usize {
         let rate = self.change_rate.clamp(0.0, 1.0);
         let blocks = self.blocks_per_frame();
         ((rate * blocks as f64).ceil() as usize).min(blocks)
@@ -166,7 +166,7 @@ fn mutate_block(frame: &mut RgbImage, bx: usize, by: usize, block: usize, rng: &
 /// Generates a deterministic video stream per `config`.
 ///
 /// Frame 0 is a seeded scene; each later frame copies its predecessor and
-/// mutates exactly [`VideoConfig::changed_blocks_per_frame`] *distinct*
+/// mutates exactly `VideoConfig::changed_blocks_per_frame` *distinct*
 /// blocks.  All other pixels are byte-identical to the previous frame.
 pub fn synthetic_video(config: &VideoConfig) -> Vec<RgbImage> {
     let mut rng = FrameRng::new(config.seed ^ 0x5EED_F00D_CAFE_D00D);

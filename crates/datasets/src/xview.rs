@@ -57,11 +57,6 @@ impl XViewLikeDataset {
         Self { config }
     }
 
-    /// The default 148-tile split (mirroring the size of the real split).
-    pub fn default_split() -> Self {
-        Self::new(XViewLikeConfig::default())
-    }
-
     /// Dataset length.
     pub fn len(&self) -> usize {
         self.config.len
@@ -70,11 +65,6 @@ impl XViewLikeDataset {
     /// True if the dataset is empty.
     pub fn is_empty(&self) -> bool {
         self.config.len == 0
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &XViewLikeConfig {
-        &self.config
     }
 
     /// Generates tile `index` (deterministic in `seed + index`).
@@ -204,7 +194,7 @@ mod tests {
         let b = ds.sample(2);
         assert_eq!(a.image, b.image);
         assert_eq!(a.ground_truth, b.ground_truth);
-        assert_eq!(a.dimensions(), (96, 96));
+        assert_eq!(a.image.dimensions(), (96, 96));
     }
 
     #[test]
@@ -242,9 +232,9 @@ mod tests {
 
     #[test]
     fn default_split_has_148_tiles() {
-        let ds = XViewLikeDataset::default_split();
+        let ds = XViewLikeDataset::new(XViewLikeConfig::default());
         assert_eq!(ds.len(), 148);
-        assert_eq!(ds.config().width, 160);
+        assert_eq!(ds.config.width, 160);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! * [`SegmentEngine::map_indexed`] — the raw indexed map for irregular
 //!   workloads (e.g. the K-means assignment step).
 //!
-//! The [`plan`] module lifts the *choice* of strategy into a first-class
+//! The `plan` module lifts the *choice* of strategy into a first-class
 //! value: a [`SegmentPlan`] owns classifier family ([`ClassifierKind`]) ×
 //! work decomposition ([`Tiling`]) × backend, and is the single dispatch
 //! point every harness-level caller routes through.
@@ -51,9 +51,9 @@
 //! ```
 
 pub mod calibrate;
-pub mod plan;
+pub(crate) mod plan;
 
-pub use calibrate::{CalibrationConfig, CalibrationReport, ProbeResult};
+pub use calibrate::{CalibrationConfig, CalibrationReport};
 pub use plan::{ClassifierKind, SegmentPlan, Tiling};
 
 use imaging::view::{LabelViewMut, TileRect};
@@ -224,23 +224,6 @@ impl SegmentEngine {
                 classifier.classify_rgb_view_into(&tile, out);
             },
         );
-    }
-
-    /// Grayscale counterpart of [`SegmentEngine::segment_tiled`].
-    pub fn segment_tiled_gray<C>(
-        &self,
-        classifier: &C,
-        img: &GrayImage,
-        tile_w: usize,
-        tile_h: usize,
-    ) -> LabelMap
-    where
-        C: PixelClassifier + Sync + ?Sized,
-    {
-        let (w, h) = img.dimensions();
-        let mut labels = Vec::new();
-        self.segment_tiled_gray_into(classifier, img, tile_w, tile_h, &mut labels);
-        LabelMap::from_vec(w, h, labels).expect("label buffer matches image size")
     }
 
     /// Grayscale counterpart of [`SegmentEngine::segment_tiled_into`].
@@ -475,11 +458,6 @@ mod tests {
         let whole = SegmentEngine::serial().segment_gray(&GrayRule, &img);
         for engine in all_engines() {
             for (tw, th) in [(1, 1), (5, 4), (64, 64)] {
-                assert_eq!(
-                    engine.segment_tiled_gray(&GrayRule, &img, tw, th),
-                    whole,
-                    "{engine:?} tile {tw}x{th}"
-                );
                 let mut buf = Vec::new();
                 engine.segment_tiled_gray_into(&GrayRule, &img, tw, th, &mut buf);
                 assert_eq!(buf, whole.as_slice(), "{engine:?} tile {tw}x{th} (_into)");

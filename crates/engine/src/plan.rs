@@ -135,23 +135,15 @@ impl Tiling {
         }
     }
 
-    /// The tile shape, or `None` for a whole-image pass.
-    pub fn shape(self) -> Option<(usize, usize)> {
-        match self {
-            Tiling::Whole => None,
-            Tiling::Tiles { width, height } => Some((width, height)),
-        }
-    }
-
     /// Default tile edge for the per-tile delta cache when the plan does not
     /// pick one (i.e. [`Tiling::Whole`]): 64 pixels balances hash overhead
     /// against change-granularity for video-sized frames.
-    pub const DEFAULT_DELTA_TILE: usize = 64;
+    pub(crate) const DEFAULT_DELTA_TILE: usize = 64;
 
     /// The tile shape the per-tile delta-cache path uses.  A tiled plan
     /// deltas at its own tile shape; a whole-image plan still needs *some*
     /// tile granularity to delta at, so it falls back to
-    /// [`Tiling::DEFAULT_DELTA_TILE`]-square tiles.
+    /// `Tiling::DEFAULT_DELTA_TILE`-square tiles.
     pub fn delta_shape(self) -> (usize, usize) {
         match self {
             Tiling::Whole => (Self::DEFAULT_DELTA_TILE, Self::DEFAULT_DELTA_TILE),
@@ -251,7 +243,7 @@ impl SegmentPlan {
 
     /// The flag spelling of a backend: `serial` or `threads:N` (N = 0 means
     /// one per core).  The inverse of [`SegmentPlan::backend_from_spec`].
-    pub fn backend_spec(backend: Backend) -> String {
+    pub(crate) fn backend_spec(backend: Backend) -> String {
         match backend {
             Backend::Serial => "serial".to_string(),
             Backend::Threads(n) => format!("threads:{n}"),
@@ -260,7 +252,7 @@ impl SegmentPlan {
 
     /// Parses a backend spec produced by [`SegmentPlan::backend_spec`]
     /// (`threads` without a count is accepted and means `threads:0`).
-    pub fn backend_from_spec(spec: &str) -> Result<Backend, String> {
+    pub(crate) fn backend_from_spec(spec: &str) -> Result<Backend, String> {
         match spec {
             "serial" => Ok(Backend::Serial),
             "threads" => Ok(Backend::Threads(0)),
@@ -398,8 +390,6 @@ mod tests {
             height: 3,
         };
         assert_eq!(Tiling::from_flag(&tiled.flag()).unwrap(), tiled);
-        assert_eq!(tiled.shape(), Some((7, 3)));
-        assert_eq!(Tiling::Whole.shape(), None);
         assert_eq!(tiled.delta_shape(), (7, 3));
         assert_eq!(
             Tiling::Whole.delta_shape(),

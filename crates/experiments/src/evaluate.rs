@@ -130,7 +130,7 @@ pub struct DatasetSummary {
 impl DatasetSummary {
     /// Fraction of images on which `method_a` strictly outperforms
     /// `method_b` in per-image mIOU.
-    pub fn win_fraction(&self, method_a: &str, method_b: &str) -> f64 {
+    pub(crate) fn win_fraction(&self, method_a: &str, method_b: &str) -> f64 {
         let a = self
             .methods
             .iter()
@@ -157,7 +157,7 @@ impl DatasetSummary {
 
 /// Segments one image with `segmenter`, reduces to foreground/background with
 /// `policy` and scores against the ground truth.
-pub fn score_single(
+pub(crate) fn score_single(
     segmenter: &dyn Segmenter,
     image: &RgbImage,
     ground_truth: &LabelMap,
@@ -201,16 +201,6 @@ pub fn evaluate_method_with(
     summarize(method.name(), scores)
 }
 
-/// Evaluates one method over a slice of labelled samples on the default
-/// engine.
-pub fn evaluate_method(
-    method: &Method,
-    samples: &[LabeledImage],
-    policy: ForegroundPolicy,
-) -> MethodSummary {
-    evaluate_method_with(&SegmentEngine::default(), method, samples, policy)
-}
-
 fn summarize(method: String, scores: Vec<ImageScore>) -> MethodSummary {
     let n = scores.len().max(1) as f64;
     let average_miou = scores.iter().map(|s| s.miou).sum::<f64>() / n;
@@ -226,7 +216,7 @@ fn summarize(method: String, scores: Vec<ImageScore>) -> MethodSummary {
 }
 
 /// Evaluates several methods on the same samples, batching on `engine`.
-pub fn evaluate_methods_with(
+pub(crate) fn evaluate_methods_with(
     engine: &SegmentEngine,
     dataset_name: &str,
     methods: &[Method],
@@ -240,22 +230,6 @@ pub fn evaluate_methods_with(
             .map(|m| evaluate_method_with(engine, m, samples, policy))
             .collect(),
     }
-}
-
-/// Evaluates several methods on the same samples on the default engine.
-pub fn evaluate_methods(
-    dataset_name: &str,
-    methods: &[Method],
-    samples: &[LabeledImage],
-    policy: ForegroundPolicy,
-) -> DatasetSummary {
-    evaluate_methods_with(
-        &SegmentEngine::default(),
-        dataset_name,
-        methods,
-        samples,
-        policy,
-    )
 }
 
 #[cfg(test)]
@@ -292,7 +266,8 @@ mod tests {
     #[test]
     fn evaluation_produces_sane_scores() {
         let samples = tiny_dataset(3);
-        let summary = evaluate_method(
+        let summary = evaluate_method_with(
+            &SegmentEngine::default(),
             &Method::Otsu,
             &samples,
             ForegroundPolicy::LargestIsBackground,
@@ -310,7 +285,8 @@ mod tests {
     #[test]
     fn all_four_methods_run_on_the_same_samples() {
         let samples = tiny_dataset(2);
-        let summary = evaluate_methods(
+        let summary = evaluate_methods_with(
+            &SegmentEngine::default(),
             "tiny",
             &Method::table3_methods(3),
             &samples,
@@ -358,7 +334,8 @@ mod tests {
     #[test]
     fn win_fraction_is_zero_against_itself() {
         let samples = tiny_dataset(2);
-        let summary = evaluate_methods(
+        let summary = evaluate_methods_with(
+            &SegmentEngine::default(),
             "tiny",
             &[Method::Otsu, Method::Otsu],
             &samples,

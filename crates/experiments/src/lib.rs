@@ -1,7 +1,7 @@
 //! `experiments` — the harness that regenerates every table and figure of the
 //! reproduced paper.
 //!
-//! * [`evaluate`] — runs any [`imaging::Segmenter`] over a dataset, reduces
+//! * `evaluate` — runs any [`imaging::Segmenter`] over a dataset, reduces
 //!   its output to foreground/background, scores it with mIOU and wall-clock
 //!   runtime, and aggregates per-dataset summaries (the machinery behind
 //!   Table III and Figs. 8–10).
@@ -17,7 +17,7 @@
 //!   `iqft-serve` TCP daemon and `iqft-experiments loadgen` drives
 //!   concurrent clients against it, with the same default-on byte-identity
 //!   verification.
-//! * [`plans`] — the shared `--plan` flag: an explicit
+//! * `plans` — the shared `--plan` flag: an explicit
 //!   [`seg_engine::SegmentPlan`] spec string, `auto` (probe the host and take
 //!   the fastest measured plan), or empty to fall back to the per-axis flags.
 //!
@@ -41,15 +41,12 @@
 //! assert!(table.contains("3π/4"));
 //! ```
 
-pub mod evaluate;
+pub(crate) mod evaluate;
 pub mod figures;
-pub mod plans;
+pub(crate) mod plans;
 pub mod service;
 pub mod tables;
 pub mod throughput;
 
-pub use evaluate::{
-    evaluate_method, evaluate_method_with, evaluate_methods, evaluate_methods_with, DatasetSummary,
-    ImageScore, Method, MethodSummary,
-};
+pub use evaluate::{evaluate_method_with, DatasetSummary, ImageScore, Method, MethodSummary};
 pub use seg_engine::SegmentEngine;

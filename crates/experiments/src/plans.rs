@@ -23,7 +23,7 @@ use seg_engine::{CalibrationConfig, CalibrationReport, SegmentPlan};
 /// A `--plan` flag resolved into a concrete [`SegmentPlan`], with the
 /// calibration evidence kept when the plan came from `--plan auto`.
 #[derive(Debug, Clone)]
-pub struct ResolvedPlan {
+pub(crate) struct ResolvedPlan {
     /// The plan every stage of the run executes with.
     pub plan: SegmentPlan,
     /// The probe sweep behind the plan (`Some` only for `--plan auto`).
@@ -36,7 +36,7 @@ impl ResolvedPlan {
     /// was spelled out explicitly.  This is the string `serve` hands to
     /// [`iqft_serve::ServerConfig::with_calibration`], so a `loadgen` stats
     /// poll can see *why* the daemon runs the plan it runs.
-    pub fn calibration_summary(&self) -> String {
+    pub(crate) fn calibration_summary(&self) -> String {
         match &self.calibration {
             Some(report) => format!("{} probes:{}", report.summary(), report.probe_log()),
             None => String::new(),
@@ -46,7 +46,7 @@ impl ResolvedPlan {
 
 /// Resolves a `--plan` flag; `fallback` supplies the per-axis-flags plan
 /// used when the flag is empty (each subcommand owns its own flag set).
-pub fn resolve_plan<F>(plan_flag: &str, fallback: F) -> Result<ResolvedPlan, String>
+pub(crate) fn resolve_plan<F>(plan_flag: &str, fallback: F) -> Result<ResolvedPlan, String>
 where
     F: FnOnce() -> Result<SegmentPlan, String>,
 {

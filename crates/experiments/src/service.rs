@@ -39,7 +39,7 @@ pub struct ServeCliConfig {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7870`.
     pub addr: String,
     /// Whole-plan flag (`--plan`): a `classifier=…;tile=…;backend=…` spec,
-    /// `auto` to probe the host at boot ([`crate::plans`]), or empty to
+    /// `auto` to probe the host at boot (`crate::plans`), or empty to
     /// compose the plan from the per-axis flags below.
     pub plan: String,
     /// Classifier flag (`--classifier`), one of

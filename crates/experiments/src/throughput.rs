@@ -59,7 +59,7 @@ pub struct ThroughputConfig {
     /// jobs (`--tile`), parsed by [`Tiling::from_flag`].
     pub tile: String,
     /// Whole-plan flag (`--plan`): a `classifier=…;tile=…;backend=…` spec,
-    /// `auto` to probe the host ([`crate::plans`]), or empty to compose the
+    /// `auto` to probe the host (`crate::plans`), or empty to compose the
     /// plan from `classifier`/`tile` and the engine's backend.  Non-empty
     /// values override the per-axis flags.
     pub plan: String,
@@ -103,7 +103,7 @@ impl ThroughputConfig {
     /// Parses the config's strategy flags into a [`SegmentPlan`] executing
     /// on `engine`'s backend.  Errors on an unknown classifier or a
     /// malformed tile shape.  With a non-empty `plan` flag this may run a
-    /// calibration sweep (`--plan auto`); use [`Self::resolved_plan`] when
+    /// calibration sweep (`--plan auto`); use `Self::resolved_plan` when
     /// the calibration evidence matters.
     pub fn plan(&self, engine: &SegmentEngine) -> Result<SegmentPlan, String> {
         self.resolved_plan(engine).map(|resolved| resolved.plan)
@@ -111,7 +111,7 @@ impl ThroughputConfig {
 
     /// Resolves the `--plan` flag (falling back to the per-axis flags) and
     /// keeps the calibration report when the plan was probed.
-    pub fn resolved_plan(&self, engine: &SegmentEngine) -> Result<ResolvedPlan, String> {
+    pub(crate) fn resolved_plan(&self, engine: &SegmentEngine) -> Result<ResolvedPlan, String> {
         resolve_plan(&self.plan, || {
             Ok(SegmentPlan::new(
                 ClassifierKind::from_flag(&self.classifier)?,
@@ -124,7 +124,7 @@ impl ThroughputConfig {
 
 /// Generates the synthetic image stream for a throughput run (the VOC-like
 /// generator's images, deterministic in `seed`).
-pub fn throughput_images(config: &ThroughputConfig) -> Vec<RgbImage> {
+pub(crate) fn throughput_images(config: &ThroughputConfig) -> Vec<RgbImage> {
     if config.video {
         return synthetic_video(&VideoConfig {
             frames: config.images,
@@ -203,25 +203,12 @@ fn run_pipeline(
     (outputs, report, quant_fallbacks)
 }
 
-/// Runs the configured stream and returns `(labels, report, quant
-/// fallbacks)` — the last is the number of pixels a quantized classifier
-/// routed through its f64 exactness oracle (0 for non-quantized kinds).
-/// The whole strategy — classifier kind, tiling, backend — is resolved here
-/// through a single [`SegmentPlan`]; errors on an unknown classifier or
-/// tile flag.
-pub fn throughput_run(
-    engine: &SegmentEngine,
-    config: &ThroughputConfig,
-    images: &[RgbImage],
-) -> Result<(Vec<LabelMap>, PipelineReport, u64), String> {
-    let plan = config.plan(engine)?;
-    Ok(throughput_run_with_plan(config, images, &plan))
-}
-
-/// [`throughput_run`] with the plan already resolved — the path
-/// [`throughput_report`] takes so a `--plan auto` calibration sweep runs
-/// once, not once per stage.
-pub fn throughput_run_with_plan(
+/// Runs the configured stream under a resolved plan and returns `(labels,
+/// report, quant fallbacks)` — the last is the number of pixels a quantized
+/// classifier routed through its f64 exactness oracle (0 for non-quantized
+/// kinds).  [`throughput_report`] resolves the plan once, so a `--plan auto`
+/// calibration sweep runs once, not once per stage.
+pub(crate) fn throughput_run_with_plan(
     config: &ThroughputConfig,
     images: &[RgbImage],
     plan: &SegmentPlan,
@@ -414,6 +401,17 @@ pub fn throughput_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Resolves `config`'s plan on `engine` and runs its stream, or fails on
+    /// an unknown classifier or tile flag.
+    fn throughput_run(
+        engine: &SegmentEngine,
+        config: &ThroughputConfig,
+        images: &[RgbImage],
+    ) -> Result<(Vec<LabelMap>, PipelineReport, u64), String> {
+        let plan = config.plan(engine)?;
+        Ok(throughput_run_with_plan(config, images, &plan))
+    }
 
     fn small_config(classifier: &str) -> ThroughputConfig {
         ThroughputConfig {

@@ -5,27 +5,21 @@
 //! are used here so the grayscale variant of the algorithm sees the same
 //! intensities the authors' pipeline produced.
 
-use crate::image::ImageBuffer;
 use crate::pixel::{Luma, Rgb};
-use crate::{GrayImage, GrayImageF, RgbImage, RgbImageF};
+use crate::{GrayImage, RgbImage};
 
 /// Red luma weight from eq. 17 (scikit-image's ITU-R 709 coefficients).
-pub const LUMA_R: f64 = 0.2125;
+pub(crate) const LUMA_R: f64 = 0.2125;
 /// Green luma weight from eq. 17.
-pub const LUMA_G: f64 = 0.7154;
+pub(crate) const LUMA_G: f64 = 0.7154;
 /// Blue luma weight from eq. 17.
-pub const LUMA_B: f64 = 0.0721;
+pub(crate) const LUMA_B: f64 = 0.0721;
 
 /// Converts one 8-bit RGB pixel to a normalised luma intensity in `[0, 1]`
 /// using the paper's eq. 17 weights.
 #[inline]
 pub fn luma_of(p: Rgb<u8>) -> f64 {
     (LUMA_R * p.r() as f64 + LUMA_G * p.g() as f64 + LUMA_B * p.b() as f64) / 255.0
-}
-
-/// Converts an RGB image to a normalised `[0, 1]` grayscale image (eq. 17).
-pub fn rgb_to_gray_f(img: &RgbImage) -> GrayImageF {
-    img.map(|p| Luma(luma_of(p)))
 }
 
 /// Converts one 8-bit RGB pixel to the 8-bit luma value
@@ -45,41 +39,10 @@ pub fn rgb_to_gray_u8(img: &RgbImage) -> GrayImage {
     img.map(|p| Luma(luma_u8_of(p)))
 }
 
-/// Converts an 8-bit RGB image into the normalised `[0, 1]` floating-point
-/// representation consumed by the segmentation algorithms (Algorithm 1 line 1).
-pub fn normalize_rgb(img: &RgbImage) -> RgbImageF {
-    img.map(Rgb::<u8>::to_f64)
-}
-
-/// Converts a normalised RGB image back to 8 bits (clamping).
-pub fn denormalize_rgb(img: &RgbImageF) -> RgbImage {
-    img.map(Rgb::<f64>::to_u8)
-}
-
-/// Converts an 8-bit grayscale image to normalised `[0, 1]` intensities.
-pub fn normalize_gray(img: &GrayImage) -> GrayImageF {
-    img.map(Luma::<u8>::to_f64)
-}
-
-/// Converts a normalised grayscale image back to 8 bits (clamping).
-pub fn denormalize_gray(img: &GrayImageF) -> GrayImage {
-    img.map(Luma::<f64>::to_u8)
-}
-
 /// Expands a grayscale image to RGB by replicating the intensity into every
 /// channel (used when a grayscale algorithm output is rendered for a figure).
 pub fn gray_to_rgb(img: &GrayImage) -> RgbImage {
     img.map(|p| Rgb::new(p.value(), p.value(), p.value()))
-}
-
-/// Skips normalisation and interprets raw 0–255 intensities directly as the
-/// "un-normalised" input of the paper's Fig. 5 ablation.
-///
-/// The returned image holds the raw channel values as `f64` (0.0–255.0) so the
-/// downstream phase computation `γ = I·θ` receives intensities 255× larger than
-/// intended, reproducing the "noisy segments" failure mode the figure shows.
-pub fn raw_rgb_as_f64(img: &RgbImage) -> ImageBuffer<Rgb<f64>> {
-    img.map(|p| p.map(|c| c as f64))
 }
 
 #[cfg(test)]
@@ -112,28 +75,10 @@ mod tests {
                 Rgb::new(10, 20, 30)
             }
         });
-        let gray = rgb_to_gray_f(&img);
         let expected0 = (0.2125 * 100.0 + 0.7154 * 150.0 + 0.0721 * 200.0) / 255.0;
-        assert!((gray.get(0, 0).value() - expected0).abs() < 1e-12);
+        assert!((luma_of(img.get(0, 0)) - expected0).abs() < 1e-12);
         let gray8 = rgb_to_gray_u8(&img);
         assert_eq!(gray8.get(0, 0).value(), (expected0 * 255.0).round() as u8);
-    }
-
-    #[test]
-    fn normalization_roundtrip() {
-        let img = RgbImage::from_fn(3, 3, |x, y| Rgb::new((x * 40) as u8, (y * 40) as u8, 128));
-        let norm = normalize_rgb(&img);
-        assert!(norm.pixels().all(|p| (0.0..=1.0).contains(&p.r())));
-        let back = denormalize_rgb(&norm);
-        assert_eq!(back, img);
-    }
-
-    #[test]
-    fn gray_normalization_roundtrip() {
-        let img = GrayImage::from_fn(4, 1, |x, _| Luma((x * 80) as u8));
-        let norm = normalize_gray(&img);
-        let back = denormalize_gray(&norm);
-        assert_eq!(back, img);
     }
 
     #[test]
@@ -142,12 +87,5 @@ mod tests {
         let rgb = gray_to_rgb(&img);
         assert_eq!(rgb.get(0, 0), Rgb::new(10, 10, 10));
         assert_eq!(rgb.get(1, 0), Rgb::new(200, 200, 200));
-    }
-
-    #[test]
-    fn raw_rgb_preserves_0_255_range() {
-        let img = RgbImage::from_fn(1, 1, |_, _| Rgb::new(255, 128, 0));
-        let raw = raw_rgb_as_f64(&img);
-        assert_eq!(raw.get(0, 0), Rgb::new(255.0, 128.0, 0.0));
     }
 }

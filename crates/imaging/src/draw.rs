@@ -27,16 +27,6 @@ impl Rect {
     pub fn new(x: usize, y: usize, w: usize, h: usize) -> Self {
         Self { x, y, w, h }
     }
-
-    /// True if `(px, py)` lies inside the rectangle.
-    pub fn contains(&self, px: usize, py: usize) -> bool {
-        px >= self.x && px < self.x + self.w && py >= self.y && py < self.y + self.h
-    }
-
-    /// Area in pixels.
-    pub fn area(&self) -> usize {
-        self.w * self.h
-    }
 }
 
 /// Fills an axis-aligned rectangle with `value` (clipped to the image).
@@ -160,7 +150,7 @@ pub fn checkerboard(img: &mut RgbImage, cell: usize, a: Rgb<u8>, b: Rgb<u8>) {
 }
 
 /// Linear interpolation between two 8-bit colours, `t` clamped to `[0, 1]`.
-pub fn lerp_rgb(a: Rgb<u8>, b: Rgb<u8>, t: f64) -> Rgb<u8> {
+pub(crate) fn lerp_rgb(a: Rgb<u8>, b: Rgb<u8>, t: f64) -> Rgb<u8> {
     let t = t.clamp(0.0, 1.0);
     let mix = |x: u8, y: u8| -> u8 { (x as f64 + (y as f64 - x as f64) * t).round() as u8 };
     Rgb::new(mix(a.r(), b.r()), mix(a.g(), b.g()), mix(a.b(), b.b()))
@@ -175,16 +165,6 @@ pub fn scale_brightness(c: Rgb<u8>, factor: f64) -> Rgb<u8> {
 mod tests {
     use super::*;
     use crate::LabelMap;
-
-    #[test]
-    fn rect_contains_and_area() {
-        let r = Rect::new(2, 3, 4, 5);
-        assert!(r.contains(2, 3));
-        assert!(r.contains(5, 7));
-        assert!(!r.contains(6, 3));
-        assert!(!r.contains(2, 8));
-        assert_eq!(r.area(), 20);
-    }
 
     #[test]
     fn fill_rect_clips_to_image() {
@@ -248,9 +228,9 @@ mod tests {
         assert_eq!(img.get(0, 4), Rgb::WHITE);
         assert_eq!(img.get(1, 2), Rgb::new(128, 128, 128));
         let mut img2 = RgbImage::new(5, 2, Rgb::BLACK);
-        horizontal_gradient(&mut img2, Rgb::RED, Rgb::BLUE);
-        assert_eq!(img2.get(0, 0), Rgb::RED);
-        assert_eq!(img2.get(4, 1), Rgb::BLUE);
+        horizontal_gradient(&mut img2, Rgb::new(255, 0, 0), Rgb::new(0, 0, 255));
+        assert_eq!(img2.get(0, 0), Rgb::new(255, 0, 0));
+        assert_eq!(img2.get(4, 1), Rgb::new(0, 0, 255));
     }
 
     #[test]

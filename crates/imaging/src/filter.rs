@@ -1,18 +1,18 @@
 //! Blurs and noise injection.
 //!
 //! The synthetic dataset generators use Gaussian blur to soften object
-//! boundaries (so scenes are not trivially separable) and Gaussian /
-//! salt-and-pepper noise to reproduce the sensor noise that makes Otsu
-//! thresholding struggle in the paper's discussion.
+//! boundaries (so scenes are not trivially separable) and Gaussian noise to
+//! reproduce the sensor noise that makes Otsu thresholding struggle in the
+//! paper's discussion.
 
-use crate::pixel::{Luma, Rgb};
-use crate::{GrayImage, RgbImage};
+use crate::pixel::Rgb;
+use crate::RgbImage;
 use rand::Rng;
 
 /// Builds a normalised 1-D Gaussian kernel with standard deviation `sigma`.
 ///
 /// The radius is `ceil(3 sigma)`, which captures >99% of the mass.
-pub fn gaussian_kernel(sigma: f64) -> Vec<f64> {
+pub(crate) fn gaussian_kernel(sigma: f64) -> Vec<f64> {
     let sigma = sigma.max(1e-6);
     let radius = (3.0 * sigma).ceil() as i64;
     let mut kernel = Vec::with_capacity((2 * radius + 1) as usize);
@@ -95,20 +95,6 @@ pub fn gaussian_blur_rgb(img: &RgbImage, sigma: f64) -> RgbImage {
     })
 }
 
-/// Gaussian-blurs a grayscale image with standard deviation `sigma`.
-pub fn gaussian_blur_gray(img: &GrayImage, sigma: f64) -> GrayImage {
-    if sigma <= 0.0 || img.is_empty() {
-        return img.clone();
-    }
-    let kernel = gaussian_kernel(sigma);
-    let (w, h) = img.dimensions();
-    let data: Vec<f64> = img.pixels().map(|p| p.value() as f64).collect();
-    let blurred = convolve_separable_channel(&data, w, h, &kernel);
-    GrayImage::from_fn(w, h, |x, y| {
-        Luma(blurred[y * w + x].round().clamp(0.0, 255.0) as u8)
-    })
-}
-
 /// Adds zero-mean Gaussian noise with standard deviation `sigma` (in 0–255
 /// units) to every channel of an RGB image.
 pub fn add_gaussian_noise_rgb<R: Rng>(img: &mut RgbImage, sigma: f64, rng: &mut R) {
@@ -122,32 +108,6 @@ pub fn add_gaussian_noise_rgb<R: Rng>(img: &mut RgbImage, sigma: f64, rng: &mut 
             *c = (*c as f64 + n).round().clamp(0.0, 255.0) as u8;
         }
         *p = Rgb(channels);
-    }
-}
-
-/// Adds zero-mean Gaussian noise to a grayscale image.
-pub fn add_gaussian_noise_gray<R: Rng>(img: &mut GrayImage, sigma: f64, rng: &mut R) {
-    if sigma <= 0.0 {
-        return;
-    }
-    for p in img.pixels_mut() {
-        let n: f64 = sample_standard_normal(rng) * sigma;
-        *p = Luma((p.value() as f64 + n).round().clamp(0.0, 255.0) as u8);
-    }
-}
-
-/// Replaces a fraction `amount` of pixels with pure black or white
-/// (salt-and-pepper noise).
-pub fn add_salt_pepper_rgb<R: Rng>(img: &mut RgbImage, amount: f64, rng: &mut R) {
-    let amount = amount.clamp(0.0, 1.0);
-    for p in img.pixels_mut() {
-        if rng.gen::<f64>() < amount {
-            *p = if rng.gen::<bool>() {
-                Rgb::WHITE
-            } else {
-                Rgb::BLACK
-            };
-        }
     }
 }
 
@@ -185,19 +145,20 @@ mod tests {
         let img = RgbImage::new(16, 16, Rgb::new(100, 150, 200));
         let blurred = gaussian_blur_rgb(&img, 2.0);
         assert_eq!(blurred, img);
-        let gray = GrayImage::new(8, 8, Luma(42));
-        assert_eq!(gaussian_blur_gray(&gray, 1.5), gray);
     }
 
     #[test]
     fn blur_smooths_an_edge() {
-        let img = GrayImage::from_fn(32, 8, |x, _| Luma(if x < 16 { 0 } else { 255 }));
-        let blurred = gaussian_blur_gray(&img, 2.0);
-        let edge_value = blurred.get(16, 4).value();
+        let img = RgbImage::from_fn(32, 8, |x, _| {
+            let v = if x < 16 { 0 } else { 255 };
+            Rgb::new(v, v, v)
+        });
+        let blurred = gaussian_blur_rgb(&img, 2.0);
+        let edge_value = blurred.get(16, 4).r();
         assert!(edge_value > 0 && edge_value < 255);
         // far from the edge the original values survive
-        assert_eq!(blurred.get(0, 4).value(), 0);
-        assert_eq!(blurred.get(31, 4).value(), 255);
+        assert_eq!(blurred.get(0, 4), Rgb::new(0, 0, 0));
+        assert_eq!(blurred.get(31, 4), Rgb::new(255, 255, 255));
     }
 
     #[test]
@@ -222,34 +183,10 @@ mod tests {
     }
 
     #[test]
-    fn gray_noise_is_seed_deterministic() {
-        let make = || {
-            let mut img = GrayImage::new(16, 16, Luma(100));
-            let mut rng = ChaCha8Rng::seed_from_u64(3);
-            add_gaussian_noise_gray(&mut img, 5.0, &mut rng);
-            img
-        };
-        assert_eq!(make(), make());
-    }
-
-    #[test]
-    fn salt_pepper_fraction_is_respected() {
-        let mut img = RgbImage::new(100, 100, Rgb::new(128, 128, 128));
-        let mut rng = ChaCha8Rng::seed_from_u64(11);
-        add_salt_pepper_rgb(&mut img, 0.1, &mut rng);
-        let corrupted = img
-            .pixels()
-            .filter(|&&p| p == Rgb::WHITE || p == Rgb::BLACK)
-            .count();
-        let fraction = corrupted as f64 / img.len() as f64;
-        assert!((fraction - 0.1).abs() < 0.02, "fraction={fraction}");
-    }
-
-    #[test]
     fn zero_noise_is_noop() {
-        let mut img = GrayImage::new(4, 4, Luma(9));
+        let mut img = RgbImage::new(4, 4, Rgb::new(9, 9, 9));
         let mut rng = ChaCha8Rng::seed_from_u64(0);
-        add_gaussian_noise_gray(&mut img, 0.0, &mut rng);
-        assert!(img.pixels().all(|p| p.value() == 9));
+        add_gaussian_noise_rgb(&mut img, 0.0, &mut rng);
+        assert!(img.pixels().all(|&p| p == Rgb::new(9, 9, 9)));
     }
 }

@@ -3,8 +3,7 @@
 //! Histograms are the substrate for Otsu's method (baseline) and for the
 //! automatic θ-selection heuristic in the core crate.
 
-use crate::pixel::Luma;
-use crate::{GrayImage, GrayImageF, RgbImage};
+use crate::GrayImage;
 
 /// A 256-bin intensity histogram.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,45 +36,15 @@ impl Histogram {
         h
     }
 
-    /// Builds a histogram from a normalised `[0, 1]` grayscale image by
-    /// quantising intensities to 256 levels.
-    pub fn of_gray_f(img: &GrayImageF) -> Self {
-        let mut h = Self::new();
-        for p in img.pixels() {
-            h.push((p.value().clamp(0.0, 1.0) * 255.0).round() as u8);
-        }
-        h
-    }
-
-    /// Builds a luminance histogram of an RGB image using the paper's eq. 17
-    /// weights.
-    pub fn of_rgb_luma(img: &RgbImage) -> Self {
-        let mut h = Self::new();
-        for p in img.pixels() {
-            h.push(crate::color::luma_u8_of(*p));
-        }
-        h
-    }
-
     /// Adds one sample.
-    pub fn push(&mut self, value: u8) {
+    pub(crate) fn push(&mut self, value: u8) {
         self.bins[value as usize] += 1;
         self.total += 1;
-    }
-
-    /// Count in bin `value`.
-    pub fn count(&self, value: u8) -> u64 {
-        self.bins[value as usize]
     }
 
     /// Total number of samples.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Raw bins.
-    pub fn bins(&self) -> &[u64; 256] {
-        &self.bins
     }
 
     /// Normalised bin probabilities (empty histogram yields all zeros).
@@ -90,118 +59,17 @@ impl Histogram {
         }
         p
     }
-
-    /// Mean intensity (0–255 scale); 0 for an empty histogram.
-    pub fn mean(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let sum: f64 = self
-            .bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| i as f64 * c as f64)
-            .sum();
-        sum / self.total as f64
-    }
-
-    /// Intensity variance (0–255 scale).
-    pub fn variance(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mean = self.mean();
-        let sum: f64 = self
-            .bins
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let d = i as f64 - mean;
-                d * d * c as f64
-            })
-            .sum();
-        sum / self.total as f64
-    }
-
-    /// Smallest intensity with a non-zero count, if any sample exists.
-    pub fn min(&self) -> Option<u8> {
-        self.bins.iter().position(|&c| c > 0).map(|i| i as u8)
-    }
-
-    /// Largest intensity with a non-zero count, if any sample exists.
-    pub fn max(&self) -> Option<u8> {
-        self.bins.iter().rposition(|&c| c > 0).map(|i| i as u8)
-    }
-
-    /// Cumulative distribution function over the 256 bins.
-    pub fn cdf(&self) -> [f64; 256] {
-        let p = self.probabilities();
-        let mut cdf = [0.0; 256];
-        let mut acc = 0.0;
-        for i in 0..256 {
-            acc += p[i];
-            cdf[i] = acc;
-        }
-        cdf
-    }
-}
-
-/// Per-channel histograms of an RGB image.
-#[derive(Debug, Clone, Default)]
-pub struct RgbHistogram {
-    /// Red channel histogram.
-    pub r: Histogram,
-    /// Green channel histogram.
-    pub g: Histogram,
-    /// Blue channel histogram.
-    pub b: Histogram,
-}
-
-impl RgbHistogram {
-    /// Builds per-channel histograms for `img`.
-    pub fn of_rgb(img: &RgbImage) -> Self {
-        let mut h = Self::default();
-        for p in img.pixels() {
-            h.r.push(p.r());
-            h.g.push(p.g());
-            h.b.push(p.b());
-        }
-        h
-    }
-}
-
-/// Builds a grayscale image whose histogram is `hist` scaled to the requested
-/// number of pixels — used by property tests to round-trip histogram logic.
-pub fn synthesize_from_histogram(hist: &Histogram, width: usize) -> GrayImage {
-    let mut values = Vec::new();
-    for (i, &c) in hist.bins().iter().enumerate() {
-        for _ in 0..c {
-            values.push(i as u8);
-        }
-    }
-    let height = values.len().div_ceil(width.max(1));
-    let mut img = GrayImage::new(width, height, Luma(0));
-    for (idx, v) in values.into_iter().enumerate() {
-        let x = idx % width.max(1);
-        let y = idx / width.max(1);
-        img.set_clipped(x, y, Luma(v));
-    }
-    img
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pixel::Rgb;
+    use crate::pixel::Luma;
 
     #[test]
     fn empty_histogram_defaults() {
         let h = Histogram::new();
         assert_eq!(h.total(), 0);
-        assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.variance(), 0.0);
-        assert!(h.min().is_none());
-        assert!(h.max().is_none());
         assert!(h.probabilities().iter().all(|&p| p == 0.0));
     }
 
@@ -211,22 +79,19 @@ mod tests {
         h.push(5);
         h.push(5);
         h.push(200);
-        assert_eq!(h.count(5), 2);
-        assert_eq!(h.count(200), 1);
-        assert_eq!(h.count(7), 0);
+        assert_eq!(h.bins[5], 2);
+        assert_eq!(h.bins[200], 1);
+        assert_eq!(h.bins[7], 0);
         assert_eq!(h.total(), 3);
-        assert_eq!(h.min(), Some(5));
-        assert_eq!(h.max(), Some(200));
     }
 
     #[test]
     fn histogram_of_gray_image() {
         let img = GrayImage::from_fn(4, 2, |x, _| Luma(if x < 2 { 10 } else { 240 }));
         let h = Histogram::of_gray(&img);
-        assert_eq!(h.count(10), 4);
-        assert_eq!(h.count(240), 4);
+        assert_eq!(h.bins[10], 4);
+        assert_eq!(h.bins[240], 4);
         assert_eq!(h.total(), 8);
-        assert!((h.mean() - 125.0).abs() < 1e-12);
     }
 
     #[test]
@@ -235,55 +100,5 @@ mod tests {
         let h = Histogram::of_gray(&img);
         let sum: f64 = h.probabilities().iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
-        let cdf = h.cdf();
-        assert!((cdf[255] - 1.0).abs() < 1e-9);
-        assert!(cdf.windows(2).all(|w| w[1] >= w[0] - 1e-15));
-    }
-
-    #[test]
-    fn variance_of_constant_image_is_zero() {
-        let img = GrayImage::new(8, 8, Luma(77));
-        let h = Histogram::of_gray(&img);
-        assert_eq!(h.variance(), 0.0);
-        assert_eq!(h.mean(), 77.0);
-    }
-
-    #[test]
-    fn of_gray_f_quantizes() {
-        let img = GrayImageF::from_fn(2, 1, |x, _| Luma(if x == 0 { 0.0 } else { 1.0 }));
-        let h = Histogram::of_gray_f(&img);
-        assert_eq!(h.count(0), 1);
-        assert_eq!(h.count(255), 1);
-    }
-
-    #[test]
-    fn rgb_luma_histogram_uses_eq17() {
-        let img = RgbImage::new(3, 1, Rgb::new(0, 255, 0));
-        let h = Histogram::of_rgb_luma(&img);
-        let expected = (crate::color::LUMA_G * 255.0).round() as u8;
-        assert_eq!(h.count(expected), 3);
-    }
-
-    #[test]
-    fn per_channel_histograms() {
-        let img = RgbImage::new(2, 2, Rgb::new(1, 2, 3));
-        let h = RgbHistogram::of_rgb(&img);
-        assert_eq!(h.r.count(1), 4);
-        assert_eq!(h.g.count(2), 4);
-        assert_eq!(h.b.count(3), 4);
-    }
-
-    #[test]
-    fn synthesize_roundtrips_counts() {
-        let mut h = Histogram::new();
-        for v in [3u8, 3, 3, 250, 250, 17] {
-            h.push(v);
-        }
-        let img = synthesize_from_histogram(&h, 4);
-        let h2 = Histogram::of_gray(&img);
-        // The synthesized image may contain padding zeros in the final row.
-        assert!(h2.count(3) >= 3);
-        assert!(h2.count(250) >= 2);
-        assert!(h2.count(17) >= 1);
     }
 }

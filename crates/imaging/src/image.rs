@@ -4,7 +4,7 @@ use crate::error::{ImagingError, Result};
 
 /// A dense, row-major 2-D buffer of elements of type `P`.
 ///
-/// `P` is typically one of the pixel types in [`crate::pixel`] or a plain
+/// `P` is typically one of the pixel types in `crate::pixel` or a plain
 /// integer for label maps.  The buffer stores its pixels in a single `Vec` so
 /// rows are contiguous and the whole image can be traversed (or split into
 /// chunks for parallel processing) without pointer chasing.
@@ -18,7 +18,7 @@ pub struct ImageBuffer<P> {
 impl<P: Copy> ImageBuffer<P> {
     /// `width * height` with overflow detection: pathological dimensions
     /// yield [`ImagingError::TooLarge`] instead of wrapping around.
-    pub fn checked_area(width: usize, height: usize) -> Result<usize> {
+    pub(crate) fn checked_area(width: usize, height: usize) -> Result<usize> {
         width
             .checked_mul(height)
             .ok_or(ImagingError::TooLarge { width, height })
@@ -29,14 +29,14 @@ impl<P: Copy> ImageBuffer<P> {
     /// # Panics
     ///
     /// Panics if `width * height` overflows `usize`; use
-    /// [`ImageBuffer::try_new`] to handle untrusted dimensions gracefully.
+    /// `ImageBuffer::try_new` to handle untrusted dimensions gracefully.
     pub fn new(width: usize, height: usize, fill: P) -> Self {
         Self::try_new(width, height, fill).expect("image dimensions overflow the pixel count")
     }
 
     /// Fallible variant of [`ImageBuffer::new`]: fails with
     /// [`ImagingError::TooLarge`] when `width * height` overflows `usize`.
-    pub fn try_new(width: usize, height: usize, fill: P) -> Result<Self> {
+    pub(crate) fn try_new(width: usize, height: usize, fill: P) -> Result<Self> {
         let area = Self::checked_area(width, height)?;
         Ok(Self {
             width,
@@ -50,14 +50,14 @@ impl<P: Copy> ImageBuffer<P> {
     /// # Panics
     ///
     /// Panics if `width * height` overflows `usize`; use
-    /// [`ImageBuffer::try_from_fn`] to handle untrusted dimensions gracefully.
+    /// `ImageBuffer::try_from_fn` to handle untrusted dimensions gracefully.
     pub fn from_fn<F: FnMut(usize, usize) -> P>(width: usize, height: usize, f: F) -> Self {
         Self::try_from_fn(width, height, f).expect("image dimensions overflow the pixel count")
     }
 
     /// Fallible variant of [`ImageBuffer::from_fn`]: fails with
     /// [`ImagingError::TooLarge`] when `width * height` overflows `usize`.
-    pub fn try_from_fn<F: FnMut(usize, usize) -> P>(
+    pub(crate) fn try_from_fn<F: FnMut(usize, usize) -> P>(
         width: usize,
         height: usize,
         mut f: F,
@@ -122,7 +122,7 @@ impl<P: Copy> ImageBuffer<P> {
     }
 
     /// True if `(x, y)` lies inside the image.
-    pub fn in_bounds(&self, x: usize, y: usize) -> bool {
+    pub(crate) fn in_bounds(&self, x: usize, y: usize) -> bool {
         x < self.width && y < self.height
     }
 
@@ -136,20 +136,6 @@ impl<P: Copy> ImageBuffer<P> {
             self.height
         );
         self.data[y * self.width + x]
-    }
-
-    /// Returns the pixel at `(x, y)` or an error if out of bounds.
-    pub fn try_get(&self, x: usize, y: usize) -> Result<P> {
-        if self.in_bounds(x, y) {
-            Ok(self.data[y * self.width + x])
-        } else {
-            Err(ImagingError::OutOfBounds {
-                x,
-                y,
-                width: self.width,
-                height: self.height,
-            })
-        }
     }
 
     /// Sets the pixel at `(x, y)`, panicking if out of bounds.
@@ -167,7 +153,7 @@ impl<P: Copy> ImageBuffer<P> {
     /// Sets the pixel at `(x, y)` if it is inside the image; silently ignores
     /// out-of-bounds coordinates (useful when rasterising shapes that may
     /// overhang the canvas).
-    pub fn set_clipped(&mut self, x: usize, y: usize, value: P) {
+    pub(crate) fn set_clipped(&mut self, x: usize, y: usize, value: P) {
         if self.in_bounds(x, y) {
             self.data[y * self.width + x] = value;
         }
@@ -194,7 +180,7 @@ impl<P: Copy> ImageBuffer<P> {
     }
 
     /// Mutable iterator over pixels in row-major order.
-    pub fn pixels_mut(&mut self) -> impl Iterator<Item = &mut P> {
+    pub(crate) fn pixels_mut(&mut self) -> impl Iterator<Item = &mut P> {
         self.data.iter_mut()
     }
 
@@ -207,17 +193,6 @@ impl<P: Copy> ImageBuffer<P> {
             .map(move |(i, &p)| (i % width, i / width, p))
     }
 
-    /// Iterator over rows as slices.
-    pub fn rows(&self) -> impl Iterator<Item = &[P]> {
-        self.data.chunks_exact(self.width.max(1))
-    }
-
-    /// Returns row `y` as a slice.
-    pub fn row(&self, y: usize) -> &[P] {
-        assert!(y < self.height, "row {y} out of bounds");
-        &self.data[y * self.width..(y + 1) * self.width]
-    }
-
     /// Applies `f` to every pixel, producing a new image of the same size.
     pub fn map<Q: Copy, F: FnMut(P) -> Q>(&self, mut f: F) -> ImageBuffer<Q> {
         ImageBuffer {
@@ -225,26 +200,6 @@ impl<P: Copy> ImageBuffer<P> {
             height: self.height,
             data: self.data.iter().map(|&p| f(p)).collect(),
         }
-    }
-
-    /// Applies `f(x, y, pixel)` to every pixel, producing a new image.
-    pub fn map_indexed<Q: Copy, F: FnMut(usize, usize, P) -> Q>(&self, mut f: F) -> ImageBuffer<Q> {
-        let width = self.width;
-        ImageBuffer {
-            width: self.width,
-            height: self.height,
-            data: self
-                .data
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| f(i % width, i / width, p))
-                .collect(),
-        }
-    }
-
-    /// Fills every pixel with `value`.
-    pub fn fill(&mut self, value: P) {
-        self.data.iter_mut().for_each(|p| *p = value);
     }
 
     /// Checks that `self` and `other` share dimensions.
@@ -279,7 +234,6 @@ mod tests {
         let img = ImageBuffer::from_fn(3, 2, |x, y| (10 * y + x) as u8);
         assert_eq!(img.as_slice(), &[0, 1, 2, 10, 11, 12]);
         assert_eq!(img.get(2, 1), 12);
-        assert_eq!(img.row(1), &[10, 11, 12]);
     }
 
     #[test]
@@ -294,8 +248,6 @@ mod tests {
         let mut img = ImageBuffer::new(5, 5, Rgb::new(0u8, 0, 0));
         img.set(3, 4, Rgb::new(1, 2, 3));
         assert_eq!(img.get(3, 4), Rgb::new(1, 2, 3));
-        assert_eq!(img.try_get(3, 4).unwrap(), Rgb::new(1, 2, 3));
-        assert!(img.try_get(5, 0).is_err());
     }
 
     #[test]
@@ -326,15 +278,6 @@ mod tests {
         let doubled = img.map(|p| p as u16 * 2);
         assert_eq!(doubled.dimensions(), (3, 3));
         assert_eq!(doubled.get(2, 2), 8);
-        let indexed = img.map_indexed(|x, y, p| (x + y + p as usize) as u32);
-        assert_eq!(indexed.get(2, 2), 8);
-    }
-
-    #[test]
-    fn fill_overwrites_all_pixels() {
-        let mut img = ImageBuffer::new(3, 2, 1u8);
-        img.fill(9);
-        assert!(img.pixels().all(|&p| p == 9));
     }
 
     #[test]
@@ -347,15 +290,6 @@ mod tests {
             a.check_same_shape(&c).unwrap_err(),
             ImagingError::ShapeMismatch { .. }
         ));
-    }
-
-    #[test]
-    fn rows_iterator_counts_rows() {
-        let img = ImageBuffer::from_fn(4, 3, |x, _| x as u8);
-        assert_eq!(img.rows().count(), 3);
-        for row in img.rows() {
-            assert_eq!(row, &[0, 1, 2, 3]);
-        }
     }
 
     #[test]
@@ -396,6 +330,5 @@ mod tests {
     fn empty_image_is_empty() {
         let img = ImageBuffer::new(0, 0, 0u8);
         assert!(img.is_empty());
-        assert_eq!(img.rows().count(), 0);
     }
 }

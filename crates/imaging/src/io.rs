@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::path::Path;
 
 /// Writes an RGB image as binary PPM (`P6`).
-pub fn write_ppm<W: Write>(img: &RgbImage, mut w: W) -> Result<()> {
+pub(crate) fn write_ppm<W: Write>(img: &RgbImage, mut w: W) -> Result<()> {
     write!(w, "P6\n{} {}\n255\n", img.width(), img.height())?;
     let mut buf = Vec::with_capacity(img.len() * 3);
     for p in img.pixels() {
@@ -30,7 +30,7 @@ pub fn save_ppm<P: AsRef<Path>>(img: &RgbImage, path: P) -> Result<()> {
 }
 
 /// Writes a grayscale image as binary PGM (`P5`).
-pub fn write_pgm<W: Write>(img: &GrayImage, mut w: W) -> Result<()> {
+pub(crate) fn write_pgm<W: Write>(img: &GrayImage, mut w: W) -> Result<()> {
     write!(w, "P5\n{} {}\n255\n", img.width(), img.height())?;
     let buf: Vec<u8> = img.pixels().map(|p| p.value()).collect();
     w.write_all(&buf)?;
@@ -44,7 +44,7 @@ pub fn save_pgm<P: AsRef<Path>>(img: &GrayImage, path: P) -> Result<()> {
 }
 
 /// Reads a PPM image (`P6` binary or `P3` ASCII).
-pub fn read_ppm<R: Read>(r: R) -> Result<RgbImage> {
+pub(crate) fn read_ppm<R: Read>(r: R) -> Result<RgbImage> {
     let mut reader = BufReader::new(r);
     let header = PnmHeader::parse(&mut reader)?;
     match header.magic {
@@ -76,7 +76,7 @@ pub fn load_ppm<P: AsRef<Path>>(path: P) -> Result<RgbImage> {
 }
 
 /// Reads a PGM image (`P5` binary or `P2` ASCII).
-pub fn read_pgm<R: Read>(r: R) -> Result<GrayImage> {
+pub(crate) fn read_pgm<R: Read>(r: R) -> Result<GrayImage> {
     let mut reader = BufReader::new(r);
     let header = PnmHeader::parse(&mut reader)?;
     match header.magic {

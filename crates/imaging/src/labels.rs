@@ -39,28 +39,6 @@ pub fn dominant_label(labels: &LabelMap) -> Option<u32> {
         .map(|(l, _)| l)
 }
 
-/// Renumbers labels to `0..n` in decreasing order of frequency (the dominant
-/// label becomes 0).  Void pixels are preserved.
-pub fn relabel_by_frequency(labels: &LabelMap) -> LabelMap {
-    let mut census: Vec<(u32, usize)> = label_census(labels)
-        .into_iter()
-        .filter(|&(l, _)| l != VOID_LABEL)
-        .collect();
-    census.sort_unstable_by_key(|&(label, count)| (std::cmp::Reverse(count), label));
-    let mapping: HashMap<u32, u32> = census
-        .into_iter()
-        .enumerate()
-        .map(|(new, (old, _))| (old, new as u32))
-        .collect();
-    labels.map(|l| {
-        if l == VOID_LABEL {
-            VOID_LABEL
-        } else {
-            mapping[&l]
-        }
-    })
-}
-
 /// Produces a binary foreground mask: pixels whose label is in `foreground`
 /// become 1, all others 0 (void pixels stay void).
 pub fn binarize(labels: &LabelMap, foreground: &[u32]) -> LabelMap {
@@ -72,15 +50,6 @@ pub fn binarize(labels: &LabelMap, foreground: &[u32]) -> LabelMap {
         } else {
             0
         }
-    })
-}
-
-/// Inverts a binary mask (0↔1), leaving void pixels untouched.
-pub fn invert_binary(labels: &LabelMap) -> LabelMap {
-    labels.map(|l| match l {
-        0 => 1,
-        1 => 0,
-        other => other,
     })
 }
 
@@ -145,7 +114,7 @@ pub fn connected_components(labels: &LabelMap) -> (LabelMap, usize) {
 }
 
 /// A qualitative colour palette used to render label maps for figures.
-pub const PALETTE: [Rgb<u8>; 10] = [
+pub(crate) const PALETTE: [Rgb<u8>; 10] = [
     Rgb([31, 119, 180]),
     Rgb([255, 127, 14]),
     Rgb([44, 160, 44]),
@@ -158,7 +127,7 @@ pub const PALETTE: [Rgb<u8>; 10] = [
     Rgb([23, 190, 207]),
 ];
 
-/// Renders a label map as an RGB image using [`PALETTE`] (void pixels are
+/// Renders a label map as an RGB image using `PALETTE` (void pixels are
 /// rendered black).
 pub fn render_labels(labels: &LabelMap) -> RgbImage {
     labels.map(|l| {
@@ -208,25 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn relabel_by_frequency_orders_labels() {
-        let relabeled = relabel_by_frequency(&quarters());
-        // label 8 (8 pixels) -> 0, label 3 (7 pixels) -> 1
-        assert_eq!(relabeled.get(3, 0), 0);
-        assert_eq!(relabeled.get(1, 1), 1);
-        assert_eq!(relabeled.get(0, 0), VOID_LABEL);
-        assert_eq!(distinct_labels(&relabeled), 2);
-    }
-
-    #[test]
-    fn binarize_and_invert() {
+    fn binarize_marks_the_selected_labels() {
         let bin = binarize(&quarters(), &[8]);
         assert_eq!(bin.get(3, 3), 1);
         assert_eq!(bin.get(1, 3), 0);
         assert_eq!(bin.get(0, 0), VOID_LABEL);
-        let inv = invert_binary(&bin);
-        assert_eq!(inv.get(3, 3), 0);
-        assert_eq!(inv.get(1, 3), 1);
-        assert_eq!(inv.get(0, 0), VOID_LABEL);
     }
 
     #[test]

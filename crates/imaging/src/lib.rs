@@ -7,21 +7,19 @@
 //! the equivalent functionality natively in Rust so the rest of the workspace
 //! has no Python or C dependencies:
 //!
-//! * [`image::ImageBuffer`] — a dense, row-major image container generic over
-//!   the element type, with typed aliases for the formats the workspace uses
-//!   ([`RgbImage`], [`RgbImageF`], [`GrayImage`], [`GrayImageF`], [`LabelMap`]).
-//! * [`pixel`] — RGB and luma pixel types with channel arithmetic.
+//! * [`ImageBuffer`] — a dense, row-major image container generic over the
+//!   element type, with typed aliases for the formats the workspace uses
+//!   ([`RgbImage`], [`GrayImage`], [`LabelMap`]).
+//! * [`Rgb`] and [`Luma`] — pixel types with channel arithmetic.
 //! * [`color`] — colour conversions, including the paper's eq. 17 luma weights.
 //! * [`io`] — PPM (P3/P6) and PGM (P2/P5) codecs for reading and writing
 //!   images and masks.
 //! * [`hist`] — intensity histograms (the substrate for Otsu thresholding).
 //! * [`draw`] — shape rasterisation and procedural textures used by the
 //!   synthetic dataset generators.
-//! * [`filter`] — blurs and noise injection.
-//! * [`transform`] — resize / crop / flip.
-//! * [`labels`] — label-map utilities: census, relabelling, binarisation,
-//!   connected components and palette rendering.
-//! * [`stats`] — per-channel image statistics.
+//! * [`filter`] — Gaussian blur and noise injection.
+//! * [`labels`] — label-map utilities: census, binarisation, connected
+//!   components and palette rendering.
 //! * [`view`] — zero-copy sub-image views ([`ImageView`], [`LabelViewMut`])
 //!   and the deterministic tile decomposition ([`TileRect`]) that lets large
 //!   images be segmented as independent tile jobs without copying pixels.
@@ -41,32 +39,26 @@
 
 pub mod color;
 pub mod draw;
-pub mod error;
+pub(crate) mod error;
 pub mod filter;
 pub mod hist;
-pub mod image;
+pub(crate) mod image;
 pub mod io;
 pub mod labels;
-pub mod pixel;
-pub mod segment;
-pub mod stats;
-pub mod transform;
+pub(crate) mod pixel;
+pub(crate) mod segment;
 pub mod view;
 
 pub use crate::image::ImageBuffer;
 pub use error::{ImagingError, Result};
 pub use pixel::{labels_as_bytes, labels_as_bytes_mut, Luma, Rgb};
 pub use segment::{PixelClassifier, Segmenter};
-pub use view::{ImageView, LabelViewMut, TileRect, TileRects};
+pub use view::{ImageView, LabelViewMut, TileRect};
 
 /// 8-bit RGB image.
 pub type RgbImage = ImageBuffer<Rgb<u8>>;
-/// Floating-point RGB image with channels in `[0, 1]`.
-pub type RgbImageF = ImageBuffer<Rgb<f64>>;
 /// 8-bit grayscale image.
 pub type GrayImage = ImageBuffer<Luma<u8>>;
-/// Floating-point grayscale image with intensities in `[0, 1]`.
-pub type GrayImageF = ImageBuffer<Luma<f64>>;
 /// Dense per-pixel label map (segment ids).
 pub type LabelMap = ImageBuffer<u32>;
 

@@ -37,7 +37,7 @@ impl<T: Copy> Rgb<T> {
     }
 
     /// Applies `f` to every channel.
-    pub fn map<U: Copy, F: Fn(T) -> U>(&self, f: F) -> Rgb<U> {
+    pub(crate) fn map<U: Copy, F: Fn(T) -> U>(&self, f: F) -> Rgb<U> {
         Rgb([f(self.0[0]), f(self.0[1]), f(self.0[2])])
     }
 }
@@ -48,24 +48,10 @@ impl Rgb<u8> {
         self.map(|c| c as f64 / 255.0)
     }
 
-    /// Per-channel squared Euclidean distance to `other` (in u8 units).
-    pub fn dist2(self, other: Rgb<u8>) -> f64 {
-        let dr = self.r() as f64 - other.r() as f64;
-        let dg = self.g() as f64 - other.g() as f64;
-        let db = self.b() as f64 - other.b() as f64;
-        dr * dr + dg * dg + db * db
-    }
-
-    /// Fully saturated channel shortcut colours used by the synthetic scenes.
+    /// Black, the void colour of the synthetic scenes.
     pub const BLACK: Rgb<u8> = Rgb([0, 0, 0]);
     /// White.
-    pub const WHITE: Rgb<u8> = Rgb([255, 255, 255]);
-    /// Red.
-    pub const RED: Rgb<u8> = Rgb([255, 0, 0]);
-    /// Green.
-    pub const GREEN: Rgb<u8> = Rgb([0, 255, 0]);
-    /// Blue.
-    pub const BLUE: Rgb<u8> = Rgb([0, 0, 255]);
+    pub(crate) const WHITE: Rgb<u8> = Rgb([255, 255, 255]);
 
     /// Views a pixel slice as its interleaved bytes `r0, g0, b0, r1, …`
     /// (`3 * pixels.len()` of them), without copying.
@@ -122,11 +108,6 @@ pub fn labels_as_bytes_mut(labels: &mut [u32]) -> &mut [u8] {
 const _: () = assert!(std::mem::size_of::<u32>() == 4, "u32 must be four bytes");
 
 impl Rgb<f64> {
-    /// Converts to an 8-bit pixel, clamping to `[0, 1]` first.
-    pub fn to_u8(self) -> Rgb<u8> {
-        self.map(|c| (c.clamp(0.0, 1.0) * 255.0).round() as u8)
-    }
-
     /// Squared Euclidean distance to `other`.
     pub fn dist2(self, other: Rgb<f64>) -> f64 {
         let dr = self.r() - other.r();
@@ -152,28 +133,9 @@ impl Rgb<f64> {
 }
 
 impl<T: Copy> Luma<T> {
-    /// Creates a luma pixel.
-    pub fn new(v: T) -> Self {
-        Luma(v)
-    }
-
     /// The underlying intensity value.
     pub fn value(&self) -> T {
         self.0
-    }
-}
-
-impl Luma<u8> {
-    /// Converts to a normalised `[0, 1]` intensity.
-    pub fn to_f64(self) -> Luma<f64> {
-        Luma(self.0 as f64 / 255.0)
-    }
-}
-
-impl Luma<f64> {
-    /// Converts to an 8-bit intensity, clamping to `[0, 1]` first.
-    pub fn to_u8(self) -> Luma<u8> {
-        Luma((self.0.clamp(0.0, 1.0) * 255.0).round() as u8)
     }
 }
 
@@ -205,25 +167,14 @@ mod tests {
         for v in [0u8, 1, 17, 127, 200, 255] {
             let p = Rgb::new(v, v, v).to_f64();
             assert!(p.r() >= 0.0 && p.r() <= 1.0);
-            assert_eq!(p.to_u8(), Rgb::new(v, v, v));
+            assert_eq!(p.map(|c| (c * 255.0).round() as u8), Rgb::new(v, v, v));
         }
-        assert_eq!(Luma::new(255u8).to_f64().value(), 1.0);
-        assert_eq!(Luma::new(0.5f64).to_u8().value(), 128);
-    }
-
-    #[test]
-    fn f64_to_u8_clamps() {
-        let p = Rgb::new(-0.5f64, 1.5, 0.5).to_u8();
-        assert_eq!(p, Rgb::new(0u8, 255, 128));
-        assert_eq!(Luma::new(2.0f64).to_u8().value(), 255);
-        assert_eq!(Luma::new(-1.0f64).to_u8().value(), 0);
     }
 
     #[test]
     fn distances_are_euclidean_squared() {
         let a = Rgb::new(0u8, 0, 0);
         let b = Rgb::new(3u8, 4, 0);
-        assert_eq!(a.dist2(b), 25.0);
         let af = a.to_f64();
         let bf = b.to_f64();
         let expected = (3.0f64 / 255.0).powi(2) + (4.0f64 / 255.0).powi(2);
@@ -243,12 +194,8 @@ mod tests {
 
     #[test]
     fn named_colors() {
-        assert_eq!(Rgb::RED.r(), 255);
-        assert_eq!(Rgb::RED.g(), 0);
         assert_eq!(Rgb::BLACK, Rgb::new(0, 0, 0));
         assert_eq!(Rgb::WHITE, Rgb::new(255, 255, 255));
-        assert_eq!(Rgb::GREEN.g(), 255);
-        assert_eq!(Rgb::BLUE.b(), 255);
     }
 
     #[test]

@@ -12,8 +12,8 @@ use crate::{GrayImage, LabelMap, RgbImage};
 ///
 /// Implementations return a dense [`LabelMap`]: one `u32` segment id per
 /// pixel.  There is no requirement that ids are contiguous or start at 0 —
-/// downstream consumers use [`crate::labels::relabel_by_frequency`] /
-/// [`crate::labels::binarize`] when a canonical form is needed.
+/// downstream consumers use [`crate::labels::binarize`] when a binary form
+/// is needed.
 pub trait Segmenter {
     /// A short human-readable name used in experiment tables (e.g. "K-means").
     fn name(&self) -> &str;

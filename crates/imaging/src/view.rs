@@ -10,7 +10,7 @@
 //!   can be traversed (or further sub-divided) without copying a pixel.
 //! * [`LabelViewMut`] — the mutable counterpart for `u32` label storage:
 //!   a window into a label buffer that a classifier fills row by row.
-//! * [`TileRect`] / [`ImageView::tiles`] — a deterministic row-major tile
+//! * [`TileRect`] / [`ImageView::tile_rects`] — a deterministic row-major tile
 //!   decomposition (`tile_w × tile_h` interior tiles, clamped edge tiles on
 //!   the right/bottom borders), the unit of work the `seg-engine` crate's
 //!   `segment_tiled` fans out across its backend.
@@ -77,7 +77,7 @@ impl TileRect {
     }
 
     /// True if the rectangle contains no pixels.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.area() == 0
     }
 
@@ -85,7 +85,7 @@ impl TileRect {
     ///
     /// Uses checked arithmetic so degenerate rectangles near `usize::MAX`
     /// cannot wrap around into "valid" ones.
-    pub fn fits_in(&self, width: usize, height: usize) -> bool {
+    pub(crate) fn fits_in(&self, width: usize, height: usize) -> bool {
         let right = self.x.checked_add(self.width);
         let bottom = self.y.checked_add(self.height);
         matches!((right, bottom), (Some(r), Some(b)) if r <= width && b <= height)
@@ -180,7 +180,7 @@ impl<'a, P: Copy> ImageView<'a, P> {
     /// Wraps `rect` of a row-major buffer whose rows are `stride` elements
     /// long.  Fails with [`ImagingError::InvalidView`] if the rectangle does
     /// not lie inside the buffer.
-    pub fn new(data: &'a [P], stride: usize, rect: TileRect) -> Result<Self> {
+    pub(crate) fn new(data: &'a [P], stride: usize, rect: TileRect) -> Result<Self> {
         let rows = data.len().checked_div(stride).unwrap_or(0);
         if !rect.fits_in(stride, rows) && !rect.is_empty() {
             return Err(rect.out_of((stride, rows)));
@@ -195,40 +195,14 @@ impl<'a, P: Copy> ImageView<'a, P> {
         })
     }
 
-    /// View width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// View height in pixels.
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.height
     }
 
     /// `(width, height)` pair.
     pub fn dimensions(&self) -> (usize, usize) {
         (self.width, self.height)
-    }
-
-    /// Number of pixels in the view.
-    pub fn len(&self) -> usize {
-        self.width * self.height
-    }
-
-    /// True if the view contains no pixels.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The view's origin `(x0, y0)` in parent coordinates.
-    pub fn offset(&self) -> (usize, usize) {
-        (self.x0, self.y0)
-    }
-
-    /// Length of a parent row in elements (the distance between the starts
-    /// of two consecutive view rows in the underlying storage).
-    pub fn stride(&self) -> usize {
-        self.stride
     }
 
     /// The pixel at view coordinates `(x, y)`, panicking if out of bounds.
@@ -244,7 +218,7 @@ impl<'a, P: Copy> ImageView<'a, P> {
     }
 
     /// Row `y` of the view as a contiguous slice of the parent buffer.
-    pub fn row(&self, y: usize) -> &'a [P] {
+    pub(crate) fn row(&self, y: usize) -> &'a [P] {
         assert!(y < self.height, "row {y} out of bounds");
         if self.width == 0 {
             return &self.data[..0];
@@ -256,11 +230,6 @@ impl<'a, P: Copy> ImageView<'a, P> {
     /// Iterator over the view's rows (contiguous parent slices).
     pub fn rows(&self) -> impl Iterator<Item = &'a [P]> + '_ {
         (0..self.height).map(|y| self.row(y))
-    }
-
-    /// Iterator over the view's pixels in row-major order.
-    pub fn pixels(&self) -> impl Iterator<Item = P> + '_ {
-        self.rows().flat_map(|row| row.iter().copied())
     }
 
     /// A sub-view of `rect` (in *view* coordinates), borrowing the same
@@ -285,21 +254,6 @@ impl<'a, P: Copy> ImageView<'a, P> {
     pub fn tile_rects(&self, tile_w: usize, tile_h: usize) -> TileRects {
         TileRects::new(self.width, self.height, tile_w, tile_h)
     }
-
-    /// The tile decomposition of this view as zero-copy sub-views.
-    pub fn tiles(
-        &self,
-        tile_w: usize,
-        tile_h: usize,
-    ) -> impl Iterator<Item = ImageView<'a, P>> + '_ {
-        self.tile_rects(tile_w, tile_h)
-            .map(|rect| self.subview(rect).expect("tile rects lie inside the view"))
-    }
-
-    /// Copies the viewed pixels into a fresh owned image.
-    pub fn to_image(&self) -> ImageBuffer<P> {
-        ImageBuffer::from_fn(self.width, self.height, |x, y| self.get(x, y))
-    }
 }
 
 impl<P: Copy> ImageBuffer<P> {
@@ -322,13 +276,6 @@ impl<P: Copy> ImageBuffer<P> {
     /// The tile decomposition of the whole image (see [`TileRects`]).
     pub fn tile_rects(&self, tile_w: usize, tile_h: usize) -> TileRects {
         TileRects::new(self.width(), self.height(), tile_w, tile_h)
-    }
-
-    /// The tile decomposition of the whole image as zero-copy sub-views.
-    pub fn tiles(&self, tile_w: usize, tile_h: usize) -> impl Iterator<Item = ImageView<'_, P>> {
-        let view = self.as_view();
-        view.tile_rects(tile_w, tile_h)
-            .map(move |rect| view.subview(rect).expect("tile rects lie inside the image"))
     }
 }
 
@@ -383,34 +330,14 @@ impl<'a> LabelViewMut<'a> {
         Self::new(data, width.max(1), TileRect::full(width, height))
     }
 
-    /// View width in pixels.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// View height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// `(width, height)` pair.
     pub fn dimensions(&self) -> (usize, usize) {
         (self.width, self.height)
     }
 
     /// Number of labels in the view.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.width * self.height
-    }
-
-    /// True if the view contains no labels.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The view's origin `(x0, y0)` in parent coordinates.
-    pub fn offset(&self) -> (usize, usize) {
-        (self.x0, self.y0)
     }
 
     /// Row `y` of the view as a contiguous mutable slice.
@@ -421,19 +348,6 @@ impl<'a> LabelViewMut<'a> {
         }
         let start = (self.y0 + y) * self.stride + self.x0;
         &mut self.data[start..start + self.width]
-    }
-
-    /// Sets the label at view coordinates `(x, y)`, panicking if out of
-    /// bounds.
-    #[inline]
-    pub fn set(&mut self, x: usize, y: usize, label: u32) {
-        assert!(
-            x < self.width && y < self.height,
-            "label ({x}, {y}) out of bounds for {}x{} view",
-            self.width,
-            self.height
-        );
-        self.data[(self.y0 + y) * self.stride + self.x0 + x] = label;
     }
 
     /// Copies a dense row-major `width × height` tile of labels into the
@@ -454,13 +368,6 @@ impl<'a> LabelViewMut<'a> {
         for y in 0..self.height {
             let src = &tile[y * self.width..(y + 1) * self.width];
             self.row_mut(y).copy_from_slice(src);
-        }
-    }
-
-    /// Fills every label in the view with `label`.
-    pub fn fill(&mut self, label: u32) {
-        for y in 0..self.height {
-            self.row_mut(y).fill(label);
         }
     }
 }
@@ -488,14 +395,12 @@ mod tests {
         let img = parent();
         let view = img.as_view();
         assert_eq!(view.dimensions(), img.dimensions());
-        assert_eq!(view.len(), img.len());
-        assert_eq!(view.offset(), (0, 0));
-        assert_eq!(view.stride(), 10);
-        assert!(!view.is_empty());
+        assert_eq!((view.x0, view.y0), (0, 0));
+        assert_eq!(view.stride, 10);
         for (x, y, p) in img.enumerate_pixels() {
             assert_eq!(view.get(x, y), p);
         }
-        let collected: Vec<u8> = view.pixels().collect();
+        let collected: Vec<u8> = view.rows().flatten().copied().collect();
         assert_eq!(collected, img.as_slice());
     }
 
@@ -507,7 +412,7 @@ mod tests {
         assert_eq!(view.get(4, 3), 46);
         assert_eq!(view.row(2), &[32, 33, 34, 35, 36]);
         assert_eq!(view.rows().count(), 4);
-        assert_eq!(view.to_image().as_slice(), {
+        assert_eq!(view.rows().flatten().copied().collect::<Vec<u8>>(), {
             let mut expected = Vec::new();
             for y in 1..5 {
                 for x in 2..7 {
@@ -533,8 +438,8 @@ mod tests {
         assert!(img.view(TileRect::new(usize::MAX, 0, 2, 1)).is_err());
         // Empty rectangles anywhere are fine — they have no pixels to read.
         let empty = img.view(TileRect::new(9, 9, 0, 0)).unwrap();
-        assert!(empty.is_empty());
-        assert_eq!(empty.pixels().count(), 0);
+        assert_eq!(empty.dimensions(), (0, 0));
+        assert_eq!(empty.rows().flatten().count(), 0);
     }
 
     #[test]
@@ -542,7 +447,7 @@ mod tests {
         let img = parent();
         let outer = img.view(TileRect::new(2, 1, 6, 5)).unwrap();
         let inner = outer.subview(TileRect::new(1, 2, 3, 2)).unwrap();
-        assert_eq!(inner.offset(), (3, 3));
+        assert_eq!((inner.x0, inner.y0), (3, 3));
         assert_eq!(inner.get(0, 0), img.get(3, 3));
         assert!(outer.subview(TileRect::new(4, 0, 3, 1)).is_err());
     }
@@ -597,27 +502,14 @@ mod tests {
     }
 
     #[test]
-    fn tiles_iterator_yields_matching_subviews() {
-        let img = parent();
-        let view = img.as_view();
-        for (rect, tile) in view.tile_rects(4, 3).zip(view.tiles(4, 3)) {
-            assert_eq!(tile.dimensions(), (rect.width, rect.height));
-            assert_eq!(tile.offset(), (rect.x, rect.y));
-            assert_eq!(tile.get(0, 0), img.get(rect.x, rect.y));
-        }
-        assert_eq!(img.tiles(4, 3).count(), img.tile_rects(4, 3).count());
-    }
-
-    #[test]
     fn label_view_mut_writes_through_to_the_parent() {
         let mut labels = ImageBuffer::new(6, 4, 0u32);
         {
             let mut view = labels.view_mut(TileRect::new(2, 1, 3, 2)).unwrap();
             assert_eq!(view.dimensions(), (3, 2));
-            assert_eq!(view.offset(), (2, 1));
+            assert_eq!((view.x0, view.y0), (2, 1));
             assert_eq!(view.len(), 6);
-            assert!(!view.is_empty());
-            view.set(0, 0, 7);
+            view.row_mut(0)[0] = 7;
             view.row_mut(1).copy_from_slice(&[1, 2, 3]);
         }
         assert_eq!(labels.get(2, 1), 7);
@@ -638,7 +530,9 @@ mod tests {
         assert_eq!(labels.get(0, 0), 9);
         {
             let mut view = labels.view_mut(TileRect::new(0, 0, 2, 2)).unwrap();
-            view.fill(8);
+            for y in 0..2 {
+                view.row_mut(y).fill(8);
+            }
         }
         assert_eq!(labels.get(0, 0), 8);
         assert_eq!(labels.get(1, 1), 8);
@@ -659,7 +553,7 @@ mod tests {
         let mut buf = vec![0u32; 6];
         {
             let mut view = LabelViewMut::contiguous(&mut buf, 3, 2).unwrap();
-            view.set(2, 1, 5);
+            view.row_mut(1)[2] = 5;
         }
         assert_eq!(buf[5], 5);
         assert!(matches!(
@@ -668,7 +562,7 @@ mod tests {
         ));
         let mut empty: Vec<u32> = Vec::new();
         let view = LabelViewMut::contiguous(&mut empty, 0, 3).unwrap();
-        assert!(view.is_empty());
+        assert_eq!(view.len(), 0);
     }
 
     #[test]

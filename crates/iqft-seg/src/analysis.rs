@@ -13,7 +13,7 @@ use imaging::{labels, LabelMap};
 /// (as a fixed-size occupancy mask) plus the count of distinct labels.
 ///
 /// This is the Table II measurement; `seed` makes it reproducible.
-pub fn segment_occupancy_for_theta(
+pub(crate) fn segment_occupancy_for_theta(
     thetas: ThetaParams,
     samples: usize,
     seed: u64,

@@ -46,7 +46,7 @@ impl Default for AutoThetaSearch {
 
 impl AutoThetaSearch {
     /// Creates a search over the given uniform-θ candidates.
-    pub fn new(candidates: Vec<f64>) -> Self {
+    pub(crate) fn new(candidates: Vec<f64>) -> Self {
         assert!(!candidates.is_empty(), "candidate list must not be empty");
         Self {
             candidates,
@@ -62,7 +62,7 @@ impl AutoThetaSearch {
 
     /// The default candidate grid: `π/2, 3π/4, π, 5π/4, 3π/2, 7π/4, 2π`
     /// (the grid spanned by the paper's Table I/II discussion).
-    pub fn default_candidates() -> Vec<f64> {
+    pub(crate) fn default_candidates() -> Vec<f64> {
         vec![
             PI / 2.0,
             3.0 * PI / 4.0,
@@ -72,11 +72,6 @@ impl AutoThetaSearch {
             7.0 * PI / 4.0,
             2.0 * PI,
         ]
-    }
-
-    /// The candidate angles.
-    pub fn candidates(&self) -> &[f64] {
-        &self.candidates
     }
 
     /// Runs the search, scoring each candidate's segmentation with `score`
@@ -125,7 +120,7 @@ impl AutoThetaSearch {
 ///   default binarisation — 1.0 for an even split, 0 for a degenerate one;
 /// * contrast: absolute difference of mean luminance between foreground and
 ///   background.
-pub fn unsupervised_score(image: &RgbImage, segmentation: &LabelMap) -> f64 {
+pub(crate) fn unsupervised_score(image: &RgbImage, segmentation: &LabelMap) -> f64 {
     if labels::distinct_labels(segmentation) < 2 {
         return 0.0;
     }
@@ -185,10 +180,10 @@ mod tests {
     #[test]
     fn default_candidates_cover_the_paper_grid() {
         let search = AutoThetaSearch::default();
-        assert_eq!(search.candidates().len(), 7);
-        assert!(search.candidates().contains(&PI));
+        assert_eq!(search.candidates.len(), 7);
+        assert!(search.candidates.contains(&PI));
         assert!(search
-            .candidates()
+            .candidates
             .iter()
             .any(|&t| (t - 3.0 * PI / 4.0).abs() < 1e-12));
     }

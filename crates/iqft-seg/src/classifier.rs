@@ -48,7 +48,7 @@ pub enum IqftClassifier {
 
 impl IqftClassifier {
     /// Builds the classifier family `kind` for the given angle parameters.
-    pub fn build(kind: ClassifierKind, thetas: ThetaParams) -> Self {
+    pub(crate) fn build(kind: ClassifierKind, thetas: ThetaParams) -> Self {
         let exact = IqftRgbSegmenter::new(thetas);
         match kind {
             ClassifierKind::Exact => IqftClassifier::Exact(exact),
@@ -69,24 +69,6 @@ impl IqftClassifier {
     /// [`SegmentPlan::classifier`] kind) with the paper's headline angles.
     pub fn for_plan(plan: &SegmentPlan) -> Self {
         Self::paper_default(plan.classifier())
-    }
-
-    /// The [`ClassifierKind`] this classifier materialises.
-    pub fn kind(&self) -> ClassifierKind {
-        match self {
-            IqftClassifier::Exact(_) => ClassifierKind::Exact,
-            IqftClassifier::Table(_) => ClassifierKind::Table,
-            IqftClassifier::Simd(_) => ClassifierKind::Simd,
-        }
-    }
-
-    /// The angle parameters the classifier was built for.
-    pub fn thetas(&self) -> ThetaParams {
-        match self {
-            IqftClassifier::Exact(seg) => seg.thetas(),
-            IqftClassifier::Table(table) => table.thetas(),
-            IqftClassifier::Simd(table) => table.thetas(),
-        }
     }
 
     /// Total pixels the quantized variant routed through its f64 exactness
@@ -110,7 +92,7 @@ impl IqftClassifier {
     }
 
     /// Classifies one pixel — identical across all variants.
-    pub fn classify(&self, pixel: Rgb<u8>) -> u32 {
+    pub(crate) fn classify(&self, pixel: Rgb<u8>) -> u32 {
         match self {
             IqftClassifier::Exact(seg) => seg.classify(pixel),
             IqftClassifier::Table(table) => table.classify(pixel),
@@ -164,6 +146,15 @@ mod tests {
     use super::*;
     use seg_engine::{SegmentEngine, Tiling};
 
+    /// The [`ClassifierKind`] a classifier materialises.
+    fn kind_of(classifier: &IqftClassifier) -> ClassifierKind {
+        match classifier {
+            IqftClassifier::Exact(_) => ClassifierKind::Exact,
+            IqftClassifier::Table(_) => ClassifierKind::Table,
+            IqftClassifier::Simd(_) => ClassifierKind::Simd,
+        }
+    }
+
     fn test_image() -> RgbImage {
         RgbImage::from_fn(31, 22, |x, y| {
             Rgb::new((x * 9) as u8, (y * 13) as u8, ((x * y) % 256) as u8)
@@ -174,11 +165,7 @@ mod tests {
     fn every_kind_builds_its_matching_variant() {
         for kind in ClassifierKind::ALL {
             let classifier = IqftClassifier::paper_default(kind);
-            assert_eq!(classifier.kind(), kind);
-            assert!(
-                (classifier.thetas().theta1 - std::f64::consts::PI).abs() < 1e-12,
-                "{kind}"
-            );
+            assert_eq!(kind_of(&classifier), kind);
         }
     }
 
@@ -238,7 +225,7 @@ mod tests {
     fn for_plan_builds_the_planned_kind() {
         let plan = SegmentPlan::default().with_classifier(ClassifierKind::Exact);
         assert_eq!(
-            IqftClassifier::for_plan(&plan).kind(),
+            kind_of(&IqftClassifier::for_plan(&plan)),
             ClassifierKind::Exact
         );
         // And the classifier runs through an engine like any PixelClassifier.
@@ -253,7 +240,7 @@ mod tests {
         // through the enum; the `simd` kind dispatches to a supported level.
         let quant =
             IqftClassifier::Simd(QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar));
-        assert_eq!(quant.kind(), ClassifierKind::Simd);
+        assert_eq!(kind_of(&quant), ClassifierKind::Simd);
         assert_eq!(quant.simd_level(), Some(SimdLevel::Scalar));
         let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
         assert!(simd.simd_level().unwrap().is_supported());

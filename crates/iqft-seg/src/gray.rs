@@ -24,7 +24,6 @@ use xpar::Backend;
 #[derive(Debug, Clone)]
 pub struct IqftGraySegmenter {
     theta: f64,
-    normalize: bool,
     backend: Backend,
 }
 
@@ -33,7 +32,6 @@ impl IqftGraySegmenter {
     pub fn new(theta: f64) -> Self {
         Self {
             theta,
-            normalize: true,
             backend: Backend::default(),
         }
     }
@@ -43,14 +41,8 @@ impl IqftGraySegmenter {
         Self::new(std::f64::consts::PI)
     }
 
-    /// Enables or disables intensity normalisation (the Fig. 5 ablation).
-    pub fn with_normalization(mut self, normalize: bool) -> Self {
-        self.normalize = normalize;
-        self
-    }
-
     /// Selects the execution backend for whole-image segmentation.
-    pub fn with_backend(mut self, backend: Backend) -> Self {
+    pub(crate) fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
@@ -61,13 +53,8 @@ impl IqftGraySegmenter {
     }
 
     /// The engine this segmenter executes whole-image calls on.
-    pub fn engine(&self) -> SegmentEngine {
+    pub(crate) fn engine(&self) -> SegmentEngine {
         SegmentEngine::new(self.backend)
-    }
-
-    /// The configured angle θ.
-    pub fn theta(&self) -> f64 {
-        self.theta
     }
 
     /// The intensity thresholds implied by θ (eq. 15).
@@ -93,26 +80,9 @@ impl IqftGraySegmenter {
         u32::from(p2 > p1)
     }
 
-    /// Classifies every pixel of a zero-copy grayscale view into a matching
-    /// label view — the tile work unit consumed by
-    /// [`SegmentEngine::segment_tiled_gray`].  Labels are identical to
-    /// per-pixel [`IqftGraySegmenter::classify`] calls.
-    pub fn classify_view_into(
-        &self,
-        view: &imaging::ImageView<'_, Luma<u8>>,
-        out: &mut imaging::LabelViewMut<'_>,
-    ) {
-        PixelClassifier::classify_gray_view_into(self, view, out);
-    }
-
     /// Classifies an 8-bit intensity.
-    pub fn classify(&self, value: u8) -> u32 {
-        let intensity = if self.normalize {
-            value as f64 / 255.0
-        } else {
-            value as f64
-        };
-        self.classify_intensity(intensity)
+    pub(crate) fn classify(&self, value: u8) -> u32 {
+        self.classify_intensity(value as f64 / 255.0)
     }
 }
 
@@ -143,11 +113,12 @@ impl Segmenter for IqftGraySegmenter {
 }
 
 /// Classical threshold segmentation with an explicit set of thresholds:
-/// a pixel's label is the number of thresholds below its intensity.  Used by
-/// tests and the Fig. 7 experiment to show the IQFT grayscale segmenter is
-/// equivalent to thresholding at the eq. 15 boundaries (modulo the 2-class
-/// folding of the quantum method).
-pub fn threshold_segment(img: &GrayImage, thresholds: &[f64]) -> LabelMap {
+/// a pixel's label is the number of thresholds below its intensity.  The
+/// tests use it to show the IQFT grayscale segmenter is equivalent to
+/// thresholding at the eq. 15 boundaries (modulo the 2-class folding of the
+/// quantum method).
+#[cfg(test)]
+pub(crate) fn threshold_segment(img: &GrayImage, thresholds: &[f64]) -> LabelMap {
     img.map(|p| {
         let intensity = p.value() as f64 / 255.0;
         thresholds.iter().filter(|&&t| intensity > t).count() as u32
@@ -156,7 +127,8 @@ pub fn threshold_segment(img: &GrayImage, thresholds: &[f64]) -> LabelMap {
 
 /// Binary threshold segmentation: label 1 where the normalised intensity
 /// exceeds `threshold` (exclusive), 0 otherwise.
-pub fn binary_threshold_segment(img: &GrayImage, threshold: f64) -> LabelMap {
+#[cfg(test)]
+pub(crate) fn binary_threshold_segment(img: &GrayImage, threshold: f64) -> LabelMap {
     img.map(|p| u32::from(p.value() as f64 / 255.0 > threshold))
 }
 
@@ -183,7 +155,7 @@ mod tests {
             let (p1, p2) = seg.probabilities(intensity);
             assert_close(p1 + p2, 1.0, 1e-12);
             // eq. 14 simplifies to p1 = (1 + cos Iθ)/2.
-            assert_close(p1, (1.0 + (intensity * seg.theta()).cos()) / 2.0, 1e-12);
+            assert_close(p1, (1.0 + (intensity * seg.theta).cos()) / 2.0, 1e-12);
         }
     }
 
@@ -267,18 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn normalization_flag_changes_behaviour() {
-        let seg_norm = IqftGraySegmenter::paper_default();
-        let seg_raw = IqftGraySegmenter::paper_default().with_normalization(false);
-        // Raw intensities (0–255) multiplied by π wrap around the circle many
-        // times, so even a dark pixel can land in class 2 (odd raw values
-        // give cos(vπ) = −1).
-        assert_eq!(seg_norm.classify(11), 0);
-        assert_eq!(seg_raw.classify(11), 1);
-        assert_ne!(seg_raw.classify(11), seg_norm.classify(11));
-    }
-
-    #[test]
     fn backend_independence() {
         let img = GrayImage::from_fn(37, 11, |x, y| Luma(((x * y * 7) % 256) as u8));
         let seg = IqftGraySegmenter::new(1.5 * PI);
@@ -295,7 +255,7 @@ mod tests {
         let mut stitched = LabelMap::new(19, 11, u32::MAX);
         for rect in img.tile_rects(4, 6) {
             let tile = img.view(rect).unwrap();
-            seg.classify_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
+            seg.classify_gray_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
         }
         assert_eq!(stitched, whole);
     }
@@ -315,6 +275,6 @@ mod tests {
             IqftGraySegmenter::paper_default().name(),
             "IQFT (grayscale)"
         );
-        assert_eq!(IqftGraySegmenter::paper_default().theta(), PI);
+        assert_eq!(IqftGraySegmenter::paper_default().theta, PI);
     }
 }

@@ -18,22 +18,24 @@
 //! * [`rgb`] — Algorithm 1: the 3-qubit, 8-label RGB segmenter.
 //! * [`gray`] — the 1-qubit, 2-class grayscale segmenter (eqs. 12–14),
 //!   including the multi-threshold behaviour of eq. 16.
-//! * [`phase_table`] — an *eager* 3 × 256-entry phase table precomputed per
+//! * [`PhaseTable`] — an *eager* 3 × 256-entry phase table precomputed per
 //!   [`ThetaParams`]: steady-state classification is three table lookups,
 //!   byte-identical to the exact path (the throughput pipeline's fast path).
-//! * [`quant`] — a fixed-point, log-space quantization of the phase table
-//!   with runtime-dispatched `std::arch` SIMD kernels (SSE2/SSE4.1/AVX2)
-//!   and a per-pixel f64 exactness oracle: still bit-identical to the exact
-//!   path, by construction (the fastest classifier in the workspace).
-//! * [`classifier`] — [`IqftClassifier`], the concrete classifier behind a
+//! * [`QuantizedPhaseTable`] — a fixed-point, log-space quantization of the
+//!   phase table with runtime-dispatched `std::arch` SIMD kernels
+//!   (SSE2/SSE4.1/AVX2) and a per-pixel f64 exactness oracle: still
+//!   bit-identical to the exact path, by construction (the fastest
+//!   classifier in the workspace).
+//! * [`IqftClassifier`] — the concrete classifier behind a
 //!   `seg_engine::ClassifierKind`: one enum that plan-driven callers build
 //!   from the `--classifier` flag (all variants label identically).
-//! * [`foreground`] — reduction of a multi-label segmentation to a
+//! * [`reduce_to_foreground`] — reduction of a multi-label segmentation to a
 //!   foreground/background mask for mIOU evaluation.
 //! * [`analysis`] — segment-count analysis used for the paper's Table II.
-//! * [`auto_theta`] — per-image θ selection (the paper's Fig. 10 adjustment).
-//! * [`engine`] (re-export of the `seg-engine` crate) — the backend-aware
-//!   [`SegmentEngine`] that executes these segmenters with chunk-parallel
+//! * [`AutoThetaSearch`] — per-image θ selection (the paper's Fig. 10
+//!   adjustment).
+//! * [`SegmentEngine`] (re-exported from the `seg-engine` crate) — the
+//!   backend-aware engine that executes these segmenters with chunk-parallel
 //!   pixel classification and batched multi-image sweeps.  Every segmenter
 //!   here routes its whole-image calls through an engine; pick the backend
 //!   with `with_backend` / `with_engine` or the harness's
@@ -56,19 +58,15 @@
 //! ```
 
 pub mod analysis;
-pub mod auto_theta;
-pub mod classifier;
-pub mod foreground;
+pub(crate) mod auto_theta;
+pub(crate) mod classifier;
+pub(crate) mod foreground;
 pub mod gray;
-pub mod phase_table;
-pub mod quant;
+pub(crate) mod phase_table;
+pub(crate) mod quant;
 pub mod rgb;
 pub mod theta;
 
-/// The backend-aware parallel execution engine (the `seg-engine` crate).
-pub use seg_engine as engine;
-
-pub use analysis::max_segments_for_theta;
 pub use auto_theta::AutoThetaSearch;
 pub use classifier::IqftClassifier;
 pub use foreground::{reduce_to_foreground, ForegroundPolicy};

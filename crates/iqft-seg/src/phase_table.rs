@@ -34,8 +34,7 @@
 //! build — amortised over a single image it is already a win, and the
 //! `iqft-pipeline` crate shares one table across a whole batched stream.
 
-use crate::rgb::{argmax, BitOrder, IqftRgbSegmenter, NUM_STATES};
-use crate::theta::ThetaParams;
+use crate::rgb::{argmax, IqftRgbSegmenter, NUM_STATES};
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
 use seg_engine::SegmentEngine;
 
@@ -45,10 +44,10 @@ const CHANNEL_VALUES: usize = 256;
 /// A fully-precomputed per-channel phase→probability-factor table for the
 /// 3-qubit RGB segmenter.
 ///
-/// Construction is eager: [`PhaseTable::from_segmenter`] evaluates every
+/// Construction is eager: `PhaseTable::from_segmenter` evaluates every
 /// factor up front, so [`PhaseTable::classify`] never computes a cosine.
 /// Output labels are byte-identical to the wrapped [`IqftRgbSegmenter`] (see
-/// the [module docs](self) for why this holds exactly, not approximately).
+/// the module docs for why this holds exactly, not approximately).
 #[derive(Debug, Clone)]
 pub struct PhaseTable {
     /// `factors[q][v][j]` — the probability factor contributed to basis
@@ -57,25 +56,17 @@ pub struct PhaseTable {
     factors: Vec<[f64; NUM_STATES]>,
     /// For each register position, which RGB channel index (0/1/2) feeds it.
     channel_of_qubit: [usize; 3],
-    thetas: ThetaParams,
-    normalize: bool,
-    bit_order: BitOrder,
     engine: SegmentEngine,
 }
 
 impl PhaseTable {
-    /// Builds the table for `segmenter`'s exact configuration (θ parameters,
-    /// normalisation flag and qubit ordering).
-    pub fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
+    /// Builds the table for `segmenter`'s exact configuration (θ parameters
+    /// and normalisation flag).
+    pub(crate) fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
         let thetas = segmenter.thetas();
-        let bit_order = segmenter.bit_order();
-        // Register position q=0 is the most significant qubit.  Under the
-        // paper's eq. 11 ordering the blue-channel phase α leads; the
-        // figure-consistent ordering leads with the red-channel phase γ.
-        let channel_of_qubit = match bit_order {
-            BitOrder::Equation11 => [2, 1, 0],
-            BitOrder::FigureConsistent => [0, 1, 2],
-        };
+        // Register position q=0 is the most significant qubit: under the
+        // paper's eq. 11 ordering the blue-channel phase α leads.
+        let channel_of_qubit = [2, 1, 0];
         let theta_of_channel = thetas.as_array();
         let scale = if segmenter.normalizes() {
             1.0 / 255.0
@@ -102,17 +93,8 @@ impl PhaseTable {
         Self {
             factors,
             channel_of_qubit,
-            thetas,
-            normalize: segmenter.normalizes(),
-            bit_order,
             engine: segmenter.engine(),
         }
-    }
-
-    /// Builds the table for the given angles with the default configuration
-    /// (normalisation on, eq. 11 qubit ordering).
-    pub fn new(thetas: ThetaParams) -> Self {
-        Self::from_segmenter(&IqftRgbSegmenter::new(thetas))
     }
 
     /// The paper's headline configuration (`θ1 = θ2 = θ3 = π`), precomputed.
@@ -120,40 +102,9 @@ impl PhaseTable {
         Self::from_segmenter(&IqftRgbSegmenter::paper_default())
     }
 
-    /// Routes whole-image segmentation through `engine`.
-    pub fn with_engine(mut self, engine: SegmentEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Selects the execution backend for whole-image segmentation.
-    pub fn with_backend(self, backend: xpar::Backend) -> Self {
-        self.with_engine(SegmentEngine::new(backend))
-    }
-
     /// The engine whole-image calls execute on.
-    pub fn engine(&self) -> SegmentEngine {
+    pub(crate) fn engine(&self) -> SegmentEngine {
         self.engine
-    }
-
-    /// The angle parameters the table was built for.
-    pub fn thetas(&self) -> ThetaParams {
-        self.thetas
-    }
-
-    /// Whether the `/255` normalisation step was baked into the table.
-    pub fn normalizes(&self) -> bool {
-        self.normalize
-    }
-
-    /// The qubit ordering the table was built for.
-    pub fn bit_order(&self) -> BitOrder {
-        self.bit_order
-    }
-
-    /// Number of precomputed factor vectors (3 registers × 256 values).
-    pub fn entries(&self) -> usize {
-        self.factors.len()
     }
 
     /// The factor vector for register qubit `q` at channel value `v` (also
@@ -172,7 +123,7 @@ impl PhaseTable {
     /// The measurement probability of each basis state for `pixel` —
     /// bit-identical to [`IqftRgbSegmenter::probabilities`] for the
     /// configuration the table was built from.
-    pub fn probabilities(&self, pixel: Rgb<u8>) -> [f64; NUM_STATES] {
+    pub(crate) fn probabilities(&self, pixel: Rgb<u8>) -> [f64; NUM_STATES] {
         let rgb = pixel.0;
         let t0 = self.factor(0, rgb[self.channel_of_qubit[0]]);
         let t1 = self.factor(1, rgb[self.channel_of_qubit[1]]);
@@ -189,23 +140,10 @@ impl PhaseTable {
     }
 
     /// Classifies one pixel via three table lookups: the arg-max basis state
-    /// of [`PhaseTable::probabilities`], ties broken towards the lower index
+    /// of `PhaseTable::probabilities`, ties broken towards the lower index
     /// (the same rule as the exact segmenter).
     pub fn classify(&self, pixel: Rgb<u8>) -> u32 {
         argmax(&self.probabilities(pixel)) as u32
-    }
-
-    /// Classifies every pixel of a zero-copy sub-image view into a matching
-    /// label view — the tile work unit consumed by
-    /// [`SegmentEngine::segment_tiled`].  Labels are identical to per-pixel
-    /// [`PhaseTable::classify`] calls (and therefore byte-identical to the
-    /// exact path), so any tile decomposition reassembles exactly.
-    pub fn classify_view_into(
-        &self,
-        view: &imaging::ImageView<'_, Rgb<u8>>,
-        out: &mut imaging::LabelViewMut<'_>,
-    ) {
-        PixelClassifier::classify_rgb_view_into(self, view, out);
     }
 }
 
@@ -228,6 +166,7 @@ impl Segmenter for PhaseTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::theta::ThetaParams;
 
     #[test]
     fn matches_exact_classification_over_every_channel_value() {
@@ -250,19 +189,13 @@ mod tests {
 
     #[test]
     fn probabilities_are_bit_identical_to_exact_path() {
-        for (thetas, bit_order, normalize) in [
-            (ThetaParams::paper_default(), BitOrder::Equation11, true),
-            (ThetaParams::mixed(), BitOrder::Equation11, true),
-            (
-                ThetaParams::new(1.3, 2.9, 0.4),
-                BitOrder::FigureConsistent,
-                true,
-            ),
-            (ThetaParams::uniform(5.5), BitOrder::Equation11, false),
+        for (thetas, normalize) in [
+            (ThetaParams::paper_default(), true),
+            (ThetaParams::mixed(), true),
+            (ThetaParams::new(1.3, 2.9, 0.4), true),
+            (ThetaParams::uniform(5.5), false),
         ] {
-            let exact = IqftRgbSegmenter::new(thetas)
-                .with_bit_order(bit_order)
-                .with_normalization(normalize);
+            let exact = IqftRgbSegmenter::new(thetas).with_normalization(normalize);
             let table = PhaseTable::from_segmenter(&exact);
             for pixel in [
                 Rgb::new(0, 0, 0),
@@ -324,12 +257,7 @@ mod tests {
             SegmentEngine::with_threads(2),
             SegmentEngine::with_threads(0),
         ] {
-            assert_eq!(
-                PhaseTable::paper_default()
-                    .with_engine(engine)
-                    .segment_rgb(&img),
-                exact.segment_rgb(&img)
-            );
+            assert_eq!(engine.segment_rgb(&table, &img), exact.segment_rgb(&img));
         }
     }
 
@@ -343,7 +271,7 @@ mod tests {
         let mut stitched = imaging::LabelMap::new(33, 14, u32::MAX);
         for rect in img.tile_rects(10, 4) {
             let tile = img.view(rect).unwrap();
-            table.classify_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
+            table.classify_rgb_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
         }
         assert_eq!(stitched, whole);
     }
@@ -352,13 +280,12 @@ mod tests {
     fn accessors_and_name() {
         let table = PhaseTable::paper_default();
         assert_eq!(table.name(), "IQFT (RGB, phase-table)");
-        assert_eq!(table.entries(), 3 * 256);
-        assert!(table.normalizes());
-        assert_eq!(table.bit_order(), BitOrder::Equation11);
-        assert!((table.thetas().theta1 - std::f64::consts::PI).abs() < 1e-12);
-        let serial = PhaseTable::new(ThetaParams::paper_default())
-            .with_backend(xpar::Backend::Serial)
-            .engine();
+        assert_eq!(table.factors.len(), 3 * 256);
+        assert_eq!(table.channel_of_qubit(), [2, 1, 0]);
+        let serial = PhaseTable::from_segmenter(
+            &IqftRgbSegmenter::paper_default().with_engine(SegmentEngine::serial()),
+        )
+        .engine();
         assert_eq!(serial, SegmentEngine::serial());
     }
 }

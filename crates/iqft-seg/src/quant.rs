@@ -70,7 +70,6 @@
 
 use crate::phase_table::PhaseTable;
 use crate::rgb::{IqftRgbSegmenter, NUM_STATES};
-use crate::theta::ThetaParams;
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
 use seg_engine::SegmentEngine;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -100,7 +99,7 @@ const AMBIGUITY_GAP: i16 = 3;
 
 /// The `std::arch` kernel a [`QuantizedPhaseTable`] classifies with.
 ///
-/// Levels are ordered by capability; [`SimdLevel::detect`] resolves the best
+/// Levels are ordered by capability; `SimdLevel::detect` resolves the best
 /// supported level at runtime (honouring the `IQFT_SIMD` environment
 /// variable) and [`QuantizedPhaseTable::with_simd`] clamps a request down to
 /// what the host supports.  Every level produces byte-identical labels — the
@@ -144,7 +143,7 @@ impl SimdLevel {
     }
 
     /// The best supported level at or below `self`.
-    pub fn clamp_to_supported(self) -> SimdLevel {
+    pub(crate) fn clamp_to_supported(self) -> SimdLevel {
         SimdLevel::ALL
             .into_iter()
             .rev()
@@ -159,7 +158,7 @@ impl SimdLevel {
     /// non-SIMD path tested), `sse2`/`sse41`/`avx2` pin a level (clamped to
     /// what the host supports), and `auto`/unset/unknown pick the best
     /// supported level.
-    pub fn detect() -> SimdLevel {
+    pub(crate) fn detect() -> SimdLevel {
         let requested = match std::env::var("IQFT_SIMD").as_deref() {
             Ok("off") | Ok("scalar") => SimdLevel::Scalar,
             Ok("sse2") => SimdLevel::Sse2,
@@ -243,8 +242,8 @@ fn decide(sums: &[i16; NUM_STATES]) -> Option<u32> {
 /// SIMD dispatch and a per-pixel f64 exactness oracle.
 ///
 /// Labels are **bit-identical** to the exact [`IqftRgbSegmenter`] for every
-/// configuration — see the [module docs](self) for the argument.  Build one
-/// with [`QuantizedPhaseTable::from_table`] (or the convenience
+/// configuration — see the module docs for the argument.  Build one
+/// with `QuantizedPhaseTable::from_table` (or the convenience
 /// constructors), pick a kernel with [`QuantizedPhaseTable::with_simd`], and
 /// classify through the [`PixelClassifier`] hooks like any other classifier:
 /// the batched slice hook is where the SIMD kernels engage.
@@ -293,7 +292,7 @@ impl QuantizedPhaseTable {
     /// Quantizes an existing f64 phase table (which stays embedded as the
     /// exactness oracle).  The dispatch level starts at
     /// [`SimdLevel::detect`].
-    pub fn from_table(table: &PhaseTable) -> Self {
+    pub(crate) fn from_table(table: &PhaseTable) -> Self {
         let mut qlog = vec![[0i16; NUM_STATES]; 3 * CHANNEL_VALUES];
         for q in 0..3 {
             for v in 0..CHANNEL_VALUES {
@@ -314,14 +313,8 @@ impl QuantizedPhaseTable {
     }
 
     /// Builds the quantized table for `segmenter`'s exact configuration.
-    pub fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
+    pub(crate) fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
         Self::from_table(&PhaseTable::from_segmenter(segmenter))
-    }
-
-    /// Builds the table for the given angles with the default configuration
-    /// (normalisation on, eq. 11 qubit ordering).
-    pub fn new(thetas: ThetaParams) -> Self {
-        Self::from_segmenter(&IqftRgbSegmenter::new(thetas))
     }
 
     /// The paper's headline configuration (`θ1 = θ2 = θ3 = π`), quantized.
@@ -337,19 +330,8 @@ impl QuantizedPhaseTable {
         self
     }
 
-    /// Routes whole-image segmentation through `engine`.
-    pub fn with_engine(mut self, engine: SegmentEngine) -> Self {
-        self.exact = self.exact.with_engine(engine);
-        self
-    }
-
-    /// Selects the execution backend for whole-image segmentation.
-    pub fn with_backend(self, backend: xpar::Backend) -> Self {
-        self.with_engine(SegmentEngine::new(backend))
-    }
-
     /// The engine whole-image calls execute on.
-    pub fn engine(&self) -> SegmentEngine {
+    pub(crate) fn engine(&self) -> SegmentEngine {
         self.exact.engine()
     }
 
@@ -358,19 +340,9 @@ impl QuantizedPhaseTable {
         self.level
     }
 
-    /// The angle parameters the table was built for.
-    pub fn thetas(&self) -> ThetaParams {
-        self.exact.thetas()
-    }
-
     /// The embedded f64 oracle (bit-identical to the exact segmenter).
-    pub fn oracle(&self) -> &PhaseTable {
+    pub(crate) fn oracle(&self) -> &PhaseTable {
         &self.exact
-    }
-
-    /// Number of quantized rows (3 registers × 256 values).
-    pub fn entries(&self) -> usize {
-        self.qlog.len()
     }
 
     /// Total pixels classified through the f64 oracle because their
@@ -383,7 +355,7 @@ impl QuantizedPhaseTable {
     /// The three quantized log-score vectors summed for `pixel` — the
     /// integer scores the arg-max decision runs on (exposed for tests and
     /// diagnostics).
-    pub fn quantized_sums(&self, pixel: Rgb<u8>) -> [i16; NUM_STATES] {
+    pub(crate) fn quantized_sums(&self, pixel: Rgb<u8>) -> [i16; NUM_STATES] {
         sums_from(&self.channel_blocks(), pixel)
     }
 
@@ -424,7 +396,7 @@ impl QuantizedPhaseTable {
     /// # Panics
     ///
     /// Panics if `pixels` and `out` differ in length.
-    pub fn classify_slice(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
+    pub(crate) fn classify_slice(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
         assert_eq!(
             pixels.len(),
             out.len(),
@@ -464,16 +436,6 @@ impl QuantizedPhaseTable {
             };
         }
         fallbacks
-    }
-
-    /// Classifies every pixel of a zero-copy sub-image view into a matching
-    /// label view (the tile work unit), via the selected kernel row by row.
-    pub fn classify_view_into(
-        &self,
-        view: &imaging::ImageView<'_, Rgb<u8>>,
-        out: &mut imaging::LabelViewMut<'_>,
-    ) {
-        PixelClassifier::classify_rgb_view_into(self, view, out);
     }
 }
 
@@ -700,7 +662,7 @@ mod x86 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rgb::BitOrder;
+    use crate::theta::ThetaParams;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -713,14 +675,8 @@ mod tests {
             ThetaParams::new(1.3, 2.9, 0.4),
             ThetaParams::uniform(5.5),
         ] {
-            for bit_order in [BitOrder::Equation11, BitOrder::FigureConsistent] {
-                for normalize in [true, false] {
-                    configs.push(
-                        IqftRgbSegmenter::new(thetas)
-                            .with_bit_order(bit_order)
-                            .with_normalization(normalize),
-                    );
-                }
+            for normalize in [true, false] {
+                configs.push(IqftRgbSegmenter::new(thetas).with_normalization(normalize));
             }
         }
         configs
@@ -890,17 +846,12 @@ mod tests {
         let mut stitched = imaging::LabelMap::new(41, 29, u32::MAX);
         for rect in img.tile_rects(10, 4) {
             let tile = img.view(rect).unwrap();
-            quant.classify_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
+            quant.classify_rgb_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
         }
         assert_eq!(stitched, reference);
         // And across engines.
         for engine in [SegmentEngine::serial(), SegmentEngine::with_threads(2)] {
-            assert_eq!(
-                QuantizedPhaseTable::paper_default()
-                    .with_engine(engine)
-                    .segment_rgb(&img),
-                reference
-            );
+            assert_eq!(engine.segment_rgb(&quant, &img), reference);
         }
     }
 
@@ -927,18 +878,13 @@ mod tests {
     #[test]
     fn accessors_and_clone_preserve_configuration() {
         let table = QuantizedPhaseTable::paper_default();
-        assert_eq!(table.entries(), 3 * 256);
-        assert!((table.thetas().theta1 - std::f64::consts::PI).abs() < 1e-12);
-        assert_eq!(table.oracle().thetas().theta1, table.thetas().theta1);
+        assert_eq!(table.qlog.len(), 3 * 256);
+        assert_eq!(table.channel_of_qubit, table.oracle().channel_of_qubit());
         let scalar = table.with_simd(SimdLevel::Scalar);
         assert_eq!(scalar.simd_level(), SimdLevel::Scalar);
         assert_eq!(scalar.name(), "IQFT (RGB, quantized)");
         let cloned = scalar.clone();
         assert_eq!(cloned.simd_level(), SimdLevel::Scalar);
-        assert_eq!(cloned.entries(), 3 * 256);
-        let serial = QuantizedPhaseTable::paper_default()
-            .with_backend(xpar::Backend::Serial)
-            .engine();
-        assert_eq!(serial, SegmentEngine::serial());
+        assert_eq!(cloned.qlog, scalar.qlog);
     }
 }

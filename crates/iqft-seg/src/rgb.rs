@@ -15,20 +15,17 @@
 //! adapts to the image content (the property the paper highlights over
 //! K-means, which needs `k` chosen in advance).
 //!
-//! # Qubit ordering ([`BitOrder`])
+//! # Qubit ordering
 //!
 //! The paper's eq. 8/11 and Algorithm 1 place `α` (the blue-channel phase) on
-//! the most significant qubit.  That literal reading —
-//! [`BitOrder::Equation11`], the default here — also reproduces the paper's
-//! Table II segment counts exactly (1/3/5/6/8… and "2 (constant)" for the
-//! mixed configuration), so it is what the authors' code computed.  The
-//! worked example of Figs. 2–3 (`α = 2.464, β = 0.025, γ = 0.246` → basis
-//! state `|100⟩`), however, names the winning state in *bit-reversed* order
-//! (the literal equation yields `|001⟩` for those angles — the classic QFT
-//! output-ordering subtlety).  [`BitOrder::FigureConsistent`] swaps the
-//! register so the figure's label comes out verbatim; it is provided for
-//! completeness and exercised in tests, while every evaluation experiment in
-//! this workspace uses the default.
+//! the most significant qubit.  That literal reading also reproduces the
+//! paper's Table II segment counts exactly (1/3/5/6/8… and "2 (constant)"
+//! for the mixed configuration), so it is what the authors' code computed.
+//! The worked example of Figs. 2–3 (`α = 2.464, β = 0.025, γ = 0.246` →
+//! basis state `|100⟩`), however, names the winning state in *bit-reversed*
+//! order: the literal equation yields `|001⟩` for those angles, the classic
+//! QFT output-ordering subtlety.  `iqft-experiments fig1-3` prints the
+//! winner under both names.
 //!
 //! # Complexity
 //!
@@ -48,40 +45,23 @@ use xpar::Backend;
 /// Number of basis states / possible labels of the 3-qubit algorithm.
 pub const NUM_STATES: usize = 8;
 
-/// Qubit-ordering convention used when assembling the 3-qubit register from
-/// the channel phases `(γ, β, α)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BitOrder {
-    /// γ (red-channel phase) is the most significant qubit.  Reproduces the
-    /// paper's Figs. 2–3 worked example verbatim (the basis-state *name*
-    /// `|100⟩`).
-    FigureConsistent,
-    /// α (blue-channel phase) is the most significant qubit, following the
-    /// literal ordering of the paper's eq. 8/11 and Algorithm 1.  This is the
-    /// default and matches the paper's Table II segment counts.
-    #[default]
-    Equation11,
-}
-
 /// The IQFT-inspired RGB segmenter (the paper's Algorithm 1).
 #[derive(Debug, Clone)]
 pub struct IqftRgbSegmenter {
     thetas: ThetaParams,
     normalize: bool,
     backend: Backend,
-    bit_order: BitOrder,
 }
 
 impl IqftRgbSegmenter {
     /// Creates a segmenter with the given angle parameters, normalisation
-    /// enabled (the paper's recommended configuration), the default parallel
-    /// backend and the Algorithm-1 (eq. 11) bit order.
+    /// enabled (the paper's recommended configuration) and the default
+    /// parallel backend.
     pub fn new(thetas: ThetaParams) -> Self {
         Self {
             thetas,
             normalize: true,
             backend: Backend::default(),
-            bit_order: BitOrder::default(),
         }
     }
 
@@ -110,29 +90,18 @@ impl IqftRgbSegmenter {
     }
 
     /// The engine this segmenter executes whole-image calls on.
-    pub fn engine(&self) -> SegmentEngine {
+    pub(crate) fn engine(&self) -> SegmentEngine {
         SegmentEngine::new(self.backend)
     }
 
-    /// Selects the qubit-ordering convention.
-    pub fn with_bit_order(mut self, bit_order: BitOrder) -> Self {
-        self.bit_order = bit_order;
-        self
-    }
-
     /// The configured angle parameters.
-    pub fn thetas(&self) -> ThetaParams {
+    pub(crate) fn thetas(&self) -> ThetaParams {
         self.thetas
     }
 
     /// Whether intensity normalisation is enabled.
-    pub fn normalizes(&self) -> bool {
+    pub(crate) fn normalizes(&self) -> bool {
         self.normalize
-    }
-
-    /// The configured qubit ordering.
-    pub fn bit_order(&self) -> BitOrder {
-        self.bit_order
     }
 
     /// Phases `[γ, β, α]` for a pixel (Algorithm 1, lines 1–2):
@@ -149,13 +118,10 @@ impl IqftRgbSegmenter {
         ]
     }
 
-    /// Register phases ordered most-significant-qubit-first according to the
-    /// configured [`BitOrder`].
-    fn register_phases(&self, gamma: f64, beta: f64, alpha: f64) -> [f64; 3] {
-        match self.bit_order {
-            BitOrder::FigureConsistent => [gamma, beta, alpha],
-            BitOrder::Equation11 => [alpha, beta, gamma],
-        }
+    /// Register phases ordered most-significant-qubit-first: `α` leads, as
+    /// in eq. 8/11 (see the module docs).
+    fn register_phases(gamma: f64, beta: f64, alpha: f64) -> [f64; 3] {
+        [alpha, beta, gamma]
     }
 
     /// The measurement probability of each basis state for the given channel
@@ -170,7 +136,7 @@ impl IqftRgbSegmenter {
         beta: f64,
         alpha: f64,
     ) -> [f64; NUM_STATES] {
-        let register = self.register_phases(gamma, beta, alpha);
+        let register = Self::register_phases(gamma, beta, alpha);
         let mut probs = [1.0; NUM_STATES];
         // Qubit q (0 = most significant) occupies bit position 2 - q, i.e.
         // weight 2^(2-q); its contribution to state j is
@@ -191,7 +157,7 @@ impl IqftRgbSegmenter {
     /// squares the amplitudes.  Slower than
     /// [`Self::probabilities_from_phases`], used for validation.
     pub fn probabilities_via_matrix(&self, gamma: f64, beta: f64, alpha: f64) -> [f64; NUM_STATES] {
-        let register = self.register_phases(gamma, beta, alpha);
+        let register = Self::register_phases(gamma, beta, alpha);
         let f = phase_vector(&register);
         let w: CMatrix = idft_matrix(NUM_STATES);
         let mut probs = [0.0; NUM_STATES];
@@ -219,23 +185,10 @@ impl IqftRgbSegmenter {
         argmax(&self.probabilities(pixel)) as u32
     }
 
-    /// Classifies every pixel of a zero-copy sub-image view into a matching
-    /// label view — the tile work unit consumed by
-    /// [`SegmentEngine::segment_tiled`].  Labels are identical to
-    /// per-pixel [`IqftRgbSegmenter::classify`] calls, so any tile
-    /// decomposition reassembles byte-identically to a whole-image pass.
-    pub fn classify_view_into(
-        &self,
-        view: &imaging::ImageView<'_, Rgb<u8>>,
-        out: &mut imaging::LabelViewMut<'_>,
-    ) {
-        PixelClassifier::classify_rgb_view_into(self, view, out);
-    }
-
     /// Classifies a pixel given already-normalised channel values in `[0, 1]`
     /// (used by the Table II random-input sweep, which never materialises an
     /// image).
-    pub fn classify_normalized(&self, r: f64, g: f64, b: f64) -> u32 {
+    pub(crate) fn classify_normalized(&self, r: f64, g: f64, b: f64) -> u32 {
         let gamma = r * self.thetas.theta1;
         let beta = g * self.thetas.theta2;
         let alpha = b * self.thetas.theta3;
@@ -306,15 +259,12 @@ mod tests {
 
     #[test]
     fn fast_path_matches_matrix_path() {
-        for bit_order in [BitOrder::FigureConsistent, BitOrder::Equation11] {
-            let seg =
-                IqftRgbSegmenter::new(ThetaParams::new(1.3, 2.9, 0.4)).with_bit_order(bit_order);
-            for (g, b, a) in [(0.0, 0.0, 0.0), (0.7, 1.9, 2.4), (3.1, 0.2, 5.9)] {
-                let fast = seg.probabilities_from_phases(g, b, a);
-                let matrix = seg.probabilities_via_matrix(g, b, a);
-                for (x, y) in fast.iter().zip(matrix.iter()) {
-                    assert_close(*x, *y, 1e-10);
-                }
+        let seg = IqftRgbSegmenter::new(ThetaParams::new(1.3, 2.9, 0.4));
+        for (g, b, a) in [(0.0, 0.0, 0.0), (0.7, 1.9, 2.4), (3.1, 0.2, 5.9)] {
+            let fast = seg.probabilities_from_phases(g, b, a);
+            let matrix = seg.probabilities_via_matrix(g, b, a);
+            for (x, y) in fast.iter().zip(matrix.iter()) {
+                assert_close(*x, *y, 1e-10);
             }
         }
     }
@@ -350,36 +300,11 @@ mod tests {
     fn paper_fig2_example_winning_state() {
         // The paper's running example (Figs. 2–3): α = 2.464, β = 0.025,
         // γ = 0.246 is reported as "most similar to basis vector |100⟩".
-        // Under the literal eq. 11 ordering (the default) the winner is the
-        // bit-reversed name |001⟩ = label 1; reading the register in the
-        // figure-consistent order yields label 4 = |100⟩ verbatim.  The
-        // winning probability (~0.87) is identical either way.
+        // Under the literal eq. 11 ordering the winner is |001⟩ = label 1,
+        // the bit reversal of the paper's name.
         let eq11 = IqftRgbSegmenter::paper_default();
         let pe = eq11.probabilities_from_phases(0.246, 0.025, 2.464);
         assert_eq!(argmax(&pe), 1);
-        let fig = IqftRgbSegmenter::paper_default().with_bit_order(BitOrder::FigureConsistent);
-        let pf = fig.probabilities_from_phases(0.246, 0.025, 2.464);
-        assert_eq!(argmax(&pf), 4);
-        // The figure-consistent reading reproduces the strongly dominant bar
-        // of Fig. 3 (probability ≈ 0.87 at the winning state).
-        assert!(pf[4] > 0.8);
-        let mut sorted = pf.to_vec();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
-        assert!(sorted[0] > sorted[1] + 0.3);
-    }
-
-    #[test]
-    fn both_bit_orders_are_proper_distributions() {
-        let eq11 = IqftRgbSegmenter::paper_default();
-        let fig = IqftRgbSegmenter::paper_default().with_bit_order(BitOrder::FigureConsistent);
-        assert_eq!(eq11.bit_order(), BitOrder::Equation11);
-        assert_eq!(fig.bit_order(), BitOrder::FigureConsistent);
-        for (g, b, a) in [(0.3, 1.1, 2.0), (2.9, 0.4, 1.7), (0.0, 3.0, 0.5)] {
-            for seg in [&fig, &eq11] {
-                let p = seg.probabilities_from_phases(g, b, a);
-                assert_close(p.iter().sum::<f64>(), 1.0, 1e-10);
-            }
-        }
     }
 
     #[test]
@@ -462,7 +387,7 @@ mod tests {
         let mut stitched = imaging::LabelMap::new(21, 13, u32::MAX);
         for rect in img.tile_rects(6, 5) {
             let tile = img.view(rect).unwrap();
-            seg.classify_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
+            seg.classify_rgb_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
         }
         assert_eq!(stitched, whole);
     }

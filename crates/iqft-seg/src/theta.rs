@@ -52,7 +52,7 @@ impl ThetaParams {
     }
 
     /// Returns the angles as `[θ1, θ2, θ3]`.
-    pub fn as_array(&self) -> [f64; 3] {
+    pub(crate) fn as_array(&self) -> [f64; 3] {
         [self.theta1, self.theta2, self.theta3]
     }
 }

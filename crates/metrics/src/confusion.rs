@@ -7,7 +7,7 @@ use imaging::{LabelMap, VOID_LABEL};
 /// Void pixels in the ground truth are excluded, matching the PASCAL VOC
 /// evaluation protocol the paper follows.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BinaryConfusion {
+pub(crate) struct BinaryConfusion {
     /// Prediction 1, truth 1.
     pub tp: u64,
     /// Prediction 1, truth 0.
@@ -30,7 +30,7 @@ impl BinaryConfusion {
     /// # Panics
     ///
     /// Panics if the two maps have different dimensions.
-    pub fn from_maps(prediction: &LabelMap, ground_truth: &LabelMap) -> Self {
+    pub(crate) fn from_maps(prediction: &LabelMap, ground_truth: &LabelMap) -> Self {
         prediction
             .check_same_shape(ground_truth)
             .expect("prediction and ground truth must share dimensions");
@@ -57,14 +57,14 @@ impl BinaryConfusion {
     }
 
     /// Total number of evaluated (non-void) pixels.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.tp + self.fp + self.fn_ + self.tn
     }
 
     /// Intersection over union of the foreground class:
     /// `TP / (TP + FP + FN)`; defined as 1 when the foreground is absent from
     /// both maps.
-    pub fn iou_foreground(&self) -> f64 {
+    pub(crate) fn iou_foreground(&self) -> f64 {
         let denom = self.tp + self.fp + self.fn_;
         if denom == 0 {
             1.0
@@ -76,7 +76,7 @@ impl BinaryConfusion {
     /// Intersection over union of the background class:
     /// `TN / (TN + FP + FN)`; defined as 1 when the background is absent from
     /// both maps.
-    pub fn iou_background(&self) -> f64 {
+    pub(crate) fn iou_background(&self) -> f64 {
         let denom = self.tn + self.fp + self.fn_;
         if denom == 0 {
             1.0
@@ -86,55 +86,12 @@ impl BinaryConfusion {
     }
 
     /// Fraction of evaluated pixels predicted correctly.
-    pub fn accuracy(&self) -> f64 {
+    pub(crate) fn accuracy(&self) -> f64 {
         let total = self.total();
         if total == 0 {
             return 1.0;
         }
         (self.tp + self.tn) as f64 / total as f64
-    }
-
-    /// Foreground precision `TP / (TP + FP)`; 1 when nothing was predicted
-    /// foreground.
-    pub fn precision(&self) -> f64 {
-        let denom = self.tp + self.fp;
-        if denom == 0 {
-            1.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// Foreground recall `TP / (TP + FN)`; 1 when the ground truth has no
-    /// foreground.
-    pub fn recall(&self) -> f64 {
-        let denom = self.tp + self.fn_;
-        if denom == 0 {
-            1.0
-        } else {
-            self.tp as f64 / denom as f64
-        }
-    }
-
-    /// F1 score (harmonic mean of precision and recall); 0 when both are 0.
-    pub fn f1(&self) -> f64 {
-        let p = self.precision();
-        let r = self.recall();
-        if p + r == 0.0 {
-            0.0
-        } else {
-            2.0 * p * r / (p + r)
-        }
-    }
-
-    /// Merges counts from another confusion matrix (used for dataset-level
-    /// aggregation).
-    pub fn merge(&mut self, other: &BinaryConfusion) {
-        self.tp += other.tp;
-        self.fp += other.fp;
-        self.fn_ += other.fn_;
-        self.tn += other.tn;
-        self.void += other.void;
     }
 }
 
@@ -154,7 +111,6 @@ mod tests {
         assert_eq!(c.accuracy(), 1.0);
         assert_eq!(c.iou_foreground(), 1.0);
         assert_eq!(c.iou_background(), 1.0);
-        assert_eq!(c.f1(), 1.0);
     }
 
     #[test]
@@ -166,7 +122,6 @@ mod tests {
         assert_eq!(c.accuracy(), 0.0);
         assert_eq!(c.iou_foreground(), 0.0);
         assert_eq!(c.iou_background(), 0.0);
-        assert_eq!(c.f1(), 0.0);
     }
 
     #[test]
@@ -177,8 +132,6 @@ mod tests {
         let c = BinaryConfusion::from_maps(&pred, &gt);
         assert_eq!((c.tp, c.fp, c.fn_, c.tn), (2, 1, 1, 2));
         assert!((c.iou_foreground() - 0.5).abs() < 1e-12);
-        assert!((c.precision() - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c.recall() - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.accuracy() - 4.0 / 6.0).abs() < 1e-12);
     }
 
@@ -206,23 +159,9 @@ mod tests {
         let pred = map_from(&[0, 0, 0, 0], 2);
         let c = BinaryConfusion::from_maps(&pred, &gt);
         assert_eq!(c.iou_foreground(), 1.0);
-        assert_eq!(c.precision(), 1.0);
-        assert_eq!(c.recall(), 1.0);
         let all_fg = map_from(&[1, 1, 1, 1], 2);
         let c = BinaryConfusion::from_maps(&all_fg, &all_fg);
         assert_eq!(c.iou_background(), 1.0);
-    }
-
-    #[test]
-    fn merge_accumulates_counts() {
-        let gt = map_from(&[0, 1], 2);
-        let pred = map_from(&[1, 1], 2);
-        let mut a = BinaryConfusion::from_maps(&pred, &gt);
-        let b = BinaryConfusion::from_maps(&gt, &gt);
-        a.merge(&b);
-        assert_eq!(a.tp, 2);
-        assert_eq!(a.fp, 1);
-        assert_eq!(a.total(), 4);
     }
 
     #[test]

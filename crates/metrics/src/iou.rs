@@ -16,28 +16,6 @@ pub struct MiouBreakdown {
     pub accuracy: f64,
 }
 
-/// Foreground IOU of a binary prediction against a binary ground truth
-/// (eq. 19), void pixels excluded.
-pub fn iou_binary(prediction: &LabelMap, ground_truth: &LabelMap) -> f64 {
-    BinaryConfusion::from_maps(prediction, ground_truth).iou_foreground()
-}
-
-/// Dice coefficient (`2·TP / (2·TP + FP + FN)`) of the foreground class.
-pub fn dice(prediction: &LabelMap, ground_truth: &LabelMap) -> f64 {
-    let c = BinaryConfusion::from_maps(prediction, ground_truth);
-    let denom = 2 * c.tp + c.fp + c.fn_;
-    if denom == 0 {
-        1.0
-    } else {
-        2.0 * c.tp as f64 / denom as f64
-    }
-}
-
-/// Pixel accuracy over non-void pixels.
-pub fn pixel_accuracy(prediction: &LabelMap, ground_truth: &LabelMap) -> f64 {
-    BinaryConfusion::from_maps(prediction, ground_truth).accuracy()
-}
-
 /// The paper's eq. 18: the mean of the foreground IOU and the background IOU,
 /// with ground-truth void pixels excluded.  Also returns the per-class values
 /// and pixel accuracy.
@@ -76,7 +54,6 @@ mod tests {
         assert_eq!(b.background, 1.0);
         assert_eq!(b.accuracy, 1.0);
         assert_eq!(mean_iou(&gt, &gt), 1.0);
-        assert_eq!(dice(&gt, &gt), 1.0);
     }
 
     #[test]
@@ -85,8 +62,7 @@ mod tests {
         let pred = map_from(&[1, 1, 0, 0], 2);
         let b = miou_fg_bg(&pred, &gt);
         assert_eq!(b.miou, 0.0);
-        assert_eq!(pixel_accuracy(&pred, &gt), 0.0);
-        assert_eq!(dice(&pred, &gt), 0.0);
+        assert_eq!(b.accuracy, 0.0);
     }
 
     #[test]
@@ -101,7 +77,6 @@ mod tests {
         assert!((b.background - 1.0 / 3.0).abs() < 1e-12);
         assert!((b.miou - 1.0 / 3.0).abs() < 1e-12);
         assert!((b.accuracy - 0.5).abs() < 1e-12);
-        assert!((dice(&pred, &gt) - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -143,16 +118,5 @@ mod tests {
         assert_eq!(b.foreground, 0.0);
         assert!((b.background - 0.75).abs() < 1e-12);
         assert!((b.miou - 0.375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dice_exceeds_iou_for_partial_overlap() {
-        let gt = map_from(&[1, 1, 1, 0, 0, 0], 3);
-        let pred = map_from(&[1, 1, 0, 1, 0, 0], 3);
-        let iou = iou_binary(&pred, &gt);
-        let d = dice(&pred, &gt);
-        assert!(d > iou);
-        assert!((iou - 0.5).abs() < 1e-12);
-        assert!((d - 2.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -3,8 +3,7 @@
 //! The paper scores every method with the foreground/background mean
 //! intersection-over-union (its eqs. 18–19), computed with TensorFlow's
 //! `MeanIoU` and with PASCAL VOC "void" border pixels excluded.  This crate
-//! reimplements that metric (plus the usual companions: pixel accuracy,
-//! precision/recall/F1, Dice) natively so the evaluation pipeline is fully
+//! reimplements that metric natively so the evaluation pipeline is fully
 //! self-contained.
 //!
 //! # Example
@@ -20,8 +19,7 @@
 //! assert_eq!(mean_iou(&prediction, &truth), breakdown.miou);
 //! ```
 
-pub mod confusion;
-pub mod iou;
+pub(crate) mod confusion;
+pub(crate) mod iou;
 
-pub use confusion::BinaryConfusion;
-pub use iou::{dice, iou_binary, mean_iou, miou_fg_bg, pixel_accuracy, MiouBreakdown};
+pub use iou::{mean_iou, miou_fg_bg, MiouBreakdown};

@@ -27,19 +27,6 @@ impl LabelArena {
         Self::default()
     }
 
-    /// An arena pre-warmed with `count` buffers of `capacity` labels each, so
-    /// even the first batch allocates nothing on the hot path.
-    pub fn with_warm_buffers(count: usize, capacity: usize) -> Self {
-        let arena = Self::new();
-        {
-            let mut free = arena.free.lock().unwrap_or_else(|e| e.into_inner());
-            for _ in 0..count {
-                free.push(Vec::with_capacity(capacity));
-            }
-        }
-        arena
-    }
-
     /// Takes a buffer from the pool, or allocates an empty one if the pool is
     /// dry.  The buffer's length and contents are whatever its last user
     /// left; callers resize it and overwrite every label, as
@@ -116,20 +103,5 @@ mod tests {
         assert!(buf.capacity() >= 8);
         assert_eq!(arena.reuses(), 1);
         assert_eq!(arena.allocations(), 0);
-    }
-
-    #[test]
-    fn warm_buffers_avoid_first_batch_allocations() {
-        let arena = LabelArena::with_warm_buffers(3, 64);
-        assert_eq!(arena.pooled(), 3);
-        for _ in 0..3 {
-            let buf = arena.take();
-            assert!(buf.capacity() >= 64);
-        }
-        assert_eq!(arena.allocations(), 0);
-        assert_eq!(arena.reuses(), 3);
-        // Pool is dry now; the next take allocates.
-        let _ = arena.take();
-        assert_eq!(arena.allocations(), 1);
     }
 }

@@ -53,7 +53,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Default shard count when [`CacheConfig::shards`] is 0.
-pub const DEFAULT_SHARDS: usize = 8;
+pub(crate) const DEFAULT_SHARDS: usize = 8;
 
 /// Approximate per-entry bookkeeping overhead charged against the byte
 /// budget (map nodes, LRU stamp, entry header) in addition to the label
@@ -67,7 +67,7 @@ pub const ENTRY_OVERHEAD_BYTES: usize = 96;
 pub struct CacheConfig {
     /// Total byte budget across all shards (0 = caching disabled).
     pub capacity_bytes: usize,
-    /// Number of mutex-sharded LRU shards (0 = [`DEFAULT_SHARDS`]).
+    /// Number of mutex-sharded LRU shards (0 = `DEFAULT_SHARDS`).
     pub shards: usize,
 }
 
@@ -82,7 +82,7 @@ impl CacheConfig {
     }
 
     /// Whether this config enables caching at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity_bytes > 0
     }
 
@@ -119,17 +119,6 @@ const PRIME_A: u64 = 0xFF51_AFD7_ED55_8CCD;
 const PRIME_B: u64 = 0xC4CE_B9FE_1A85_EC53;
 const SEED_LO: u64 = 0x9E37_79B9_7F4A_7C15;
 const SEED_HI: u64 = 0xC2B2_AE3D_27D4_EB4F;
-
-/// FNV-1a over a byte string — used to fold the caller's salt (e.g. the
-/// plan spec) into the image-hash seeds.
-fn fnv1a_64(bytes: &[u8]) -> u64 {
-    let mut state = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    state
-}
 
 /// One multiply-rotate-multiply mixing step (xxHash-style), used to fold the
 /// dimensions and tile geometry into a key's seeds.
@@ -292,18 +281,18 @@ pub fn route_hash(img: &RgbImage) -> u64 {
 }
 
 /// Snapshot file magic: the first four bytes of a persisted cache.
-pub const SNAPSHOT_MAGIC: [u8; 4] = *b"IQCS";
+pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"IQCS";
 /// Current snapshot format version.  Version 2 is the striped content hash:
 /// a version-1 snapshot holds keys that no lookup produces any more, so it
 /// is refused as [`SnapshotError::BadVersion`] — a clean cold start.
-pub const SNAPSHOT_VERSION: u16 = 2;
+pub(crate) const SNAPSHOT_VERSION: u16 = 2;
 /// Fixed snapshot header size: magic, version, reserved, salt fingerprint,
 /// entry count.
-pub const SNAPSHOT_HEADER_LEN: usize = 24;
+pub(crate) const SNAPSHOT_HEADER_LEN: usize = 24;
 /// Hard upper bound on one snapshot entry record (matches the wire
 /// protocol's 64 MiB frame bound): a record declaring more is rejected
 /// before any allocation.
-pub const SNAPSHOT_MAX_RECORD_BYTES: usize = 64 << 20;
+pub(crate) const SNAPSHOT_MAX_RECORD_BYTES: usize = 64 << 20;
 
 /// Figures from a snapshot save or warm load: how many entries and how many
 /// label bytes crossed the file boundary.
@@ -366,7 +355,9 @@ impl From<io::Error> for SnapshotError {
     }
 }
 
-/// Incremental FNV-1a over the snapshot byte stream — the trailer checksum.
+/// Incremental FNV-1a: it folds the caller's salt (e.g. the plan spec) into
+/// the image-hash seeds, and checksums the snapshot byte stream for the
+/// trailer.
 struct Fnv64(u64);
 
 impl Fnv64 {
@@ -520,11 +511,13 @@ impl SegmentCache {
     /// can never alias even if their buffers were somehow shared).
     ///
     /// `config.capacity_bytes` must be non-zero; gate on
-    /// [`CacheConfig::enabled`] first.
+    /// `CacheConfig::enabled` first.
     pub fn new(config: CacheConfig, salt: &str) -> Self {
         assert!(config.enabled(), "SegmentCache requires a non-zero budget");
         let shards = config.effective_shards();
-        let salt_hash = fnv1a_64(salt.as_bytes());
+        let mut salt_hash = Fnv64::new();
+        salt_hash.update(salt.as_bytes());
+        let salt_hash = salt_hash.0;
         Self {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: (config.capacity_bytes / shards).max(1),
@@ -584,7 +577,7 @@ impl SegmentCache {
     ///
     /// Counts into the cache-wide `tile_hits`/`tile_recomputed` figures, not
     /// the shard `hits`/`misses` (those track whole-image lookups).
-    pub fn lookup_tile_into(&self, key: CacheKey, dest: &mut LabelViewMut<'_>) -> bool {
+    pub(crate) fn lookup_tile_into(&self, key: CacheKey, dest: &mut LabelViewMut<'_>) -> bool {
         let mut shard = self.shards[key.shard(self.shards.len())]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -614,7 +607,7 @@ impl SegmentCache {
     /// Stores one re-classified tile's labels (row-major, `width × height`)
     /// under `key`.  Same byte-budget and arena rules as
     /// [`SegmentCache::insert`].
-    pub fn insert_tile(
+    pub(crate) fn insert_tile(
         &self,
         key: CacheKey,
         labels: &[u32],
@@ -653,16 +646,6 @@ impl SegmentCache {
                 stamp,
             },
         );
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The configured total byte budget.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
     }
 
     /// Looks `key` up; on a hit the cached labels are copied into a buffer
@@ -746,7 +729,7 @@ impl SegmentCache {
 
     /// Per-shard counters, in shard order (each reports `capacity_bytes` 0;
     /// the budget is a whole-cache figure).
-    pub fn shard_stats(&self) -> Vec<CacheStats> {
+    pub(crate) fn shard_stats(&self) -> Vec<CacheStats> {
         self.shards
             .iter()
             .map(|shard| shard.lock().unwrap_or_else(|e| e.into_inner()).stats())

@@ -46,7 +46,7 @@ use std::time::Duration;
 
 /// Sub-bucket resolution: each power-of-two octave splits into
 /// `2^SUB_BITS` linear buckets, bounding relative error by `2^-SUB_BITS`.
-pub const SUB_BITS: u32 = 4;
+pub(crate) const SUB_BITS: u32 = 4;
 
 /// Sub-buckets per octave (`2^SUB_BITS`).
 const SUBS: usize = 1 << SUB_BITS;
@@ -55,7 +55,7 @@ const SUBS: usize = 1 << SUB_BITS;
 const OCTAVES: usize = 44;
 
 /// Total number of buckets in the fixed layout.
-pub const BUCKET_COUNT: usize = SUBS * (OCTAVES + 1);
+pub(crate) const BUCKET_COUNT: usize = SUBS * (OCTAVES + 1);
 
 /// A fixed-layout, lock-free, mergeable latency histogram (see the module
 /// docs for the bucket layout).
@@ -88,7 +88,7 @@ impl LatencyHistogram {
     /// Values below `2^SUB_BITS` map to their own exact bucket; larger
     /// values map to `(octave, sub-bucket)` pairs; values beyond the layout
     /// clamp into the top bucket.
-    pub fn bucket_index(nanos: u64) -> usize {
+    pub(crate) fn bucket_index(nanos: u64) -> usize {
         if nanos < SUBS as u64 {
             return nanos as usize;
         }
@@ -101,7 +101,7 @@ impl LatencyHistogram {
 
     /// The smallest value (nanoseconds) that maps into bucket `index` — the
     /// inverse of [`LatencyHistogram::bucket_index`] on bucket lower bounds.
-    pub fn bucket_floor(index: usize) -> u64 {
+    pub(crate) fn bucket_floor(index: usize) -> u64 {
         if index < SUBS {
             index as u64
         } else {
@@ -117,42 +117,26 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample given in nanoseconds.
-    pub fn record_nanos(&self, nanos: u64) {
+    pub(crate) fn record_nanos(&self, nanos: u64) {
         self.buckets[Self::bucket_index(nanos)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.max_ns.fetch_max(nanos, Ordering::Relaxed);
     }
 
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// The largest sample recorded, exact (not bucket-quantised).
-    pub fn max_nanos(&self) -> u64 {
+    pub(crate) fn max_nanos(&self) -> u64 {
         self.max_ns.load(Ordering::Relaxed)
-    }
-
-    /// Folds `other`'s counts into `self` bucket-wise.  Both histograms
-    /// share the fixed layout, so merging then querying is equivalent to
-    /// having recorded every sample into one histogram.
-    pub fn merge_from(&self, other: &LatencyHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max_ns
-            .fetch_max(other.max_ns.load(Ordering::Relaxed), Ordering::Relaxed);
     }
 
     /// The latency (nanoseconds) at quantile `q` in `0.0..=1.0`: the lower
     /// bound of the bucket holding the sample of rank `ceil(q · count)`.
     /// Returns 0 for an empty histogram.
-    pub fn value_at_quantile(&self, q: f64) -> u64 {
+    pub(crate) fn value_at_quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -301,34 +285,6 @@ mod tests {
             assert_eq!(hist.max_nanos(), *sorted.last().unwrap(), "max is exact");
             assert_eq!(hist.count(), 5_000);
         }
-    }
-
-    #[test]
-    fn merge_is_equivalent_to_recording_into_one_histogram() {
-        let mut rng = XorShift::new(41);
-        let a = LatencyHistogram::new();
-        let b = LatencyHistogram::new();
-        let combined = LatencyHistogram::new();
-        for i in 0..4_000 {
-            let v = rng.next() % 50_000_000;
-            if i % 3 == 0 {
-                a.record_nanos(v);
-            } else {
-                b.record_nanos(v);
-            }
-            combined.record_nanos(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.max_nanos(), combined.max_nanos());
-        for q in [0.1, 0.5, 0.9, 0.99, 0.999] {
-            assert_eq!(
-                a.value_at_quantile(q),
-                combined.value_at_quantile(q),
-                "q {q}"
-            );
-        }
-        assert_eq!(a.summary(), combined.summary());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! * [`arena::LabelArena`] — a recycling pool of label buffers, so the
 //!   steady-state hot path performs **zero per-image allocations** (the
 //!   report's allocation/reuse counters prove it).
-//! * [`stats`] — per-batch throughput and per-job latency accounting,
+//! * `stats` — per-batch throughput and per-job latency accounting,
 //!   rolled up into a [`PipelineReport`].
 //! * [`cache::SegmentCache`] — an opt-in sharded, content-addressed,
 //!   byte-budgeted LRU cache of finished segmentations
@@ -62,15 +62,13 @@
 //! assert!(report.arena_reuses > 0);
 //! ```
 
-pub mod arena;
+pub(crate) mod arena;
 pub mod cache;
-pub mod hist;
-pub mod stats;
+pub(crate) mod hist;
+pub(crate) mod stats;
 
 pub use arena::LabelArena;
-pub use cache::{
-    route_hash, CacheConfig, CacheKey, CacheStats, SegmentCache, SnapshotError, SnapshotStats,
-};
+pub use cache::{route_hash, CacheConfig, CacheKey, SegmentCache, SnapshotError, SnapshotStats};
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use stats::{BatchStats, PipelineReport};
 
@@ -148,19 +146,9 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         self
     }
 
-    /// The engine this pipeline was built with.
-    pub fn engine(&self) -> SegmentEngine {
-        self.engine
-    }
-
     /// The classifier driving per-pixel classification.
     pub fn classifier(&self) -> &C {
         &self.classifier
-    }
-
-    /// The work decomposition batches and requests run with.
-    pub fn tiling(&self) -> Tiling {
-        self.config.tiling
     }
 
     /// The label-buffer arena (for inspection; see [`LabelArena`]).
@@ -734,7 +722,7 @@ mod tests {
                     },
                 });
                 assert_eq!(
-                    pipeline.tiling(),
+                    pipeline.config.tiling,
                     seg_engine::Tiling::Tiles {
                         width: tw,
                         height: th
@@ -1010,7 +998,7 @@ mod tests {
         let (labels, hit, recomputed) = pipeline.segment_request_delta(img);
         assert_eq!(labels, pipeline.segment_request(img));
         assert_eq!(hit, 0);
-        let (tw, th) = pipeline.tiling().delta_shape();
+        let (tw, th) = pipeline.config.tiling.delta_shape();
         assert_eq!(recomputed as usize, img.tile_rects(tw, th).count());
     }
 
@@ -1062,8 +1050,8 @@ mod tests {
     fn empty_batch_and_defaults_are_handled() {
         let pipeline =
             SegmentPipeline::new(SegmentEngine::with_threads(3), PhaseTable::paper_default());
-        assert_eq!(pipeline.engine(), SegmentEngine::with_threads(3));
-        assert_eq!(pipeline.tiling(), seg_engine::Tiling::Whole);
+        assert_eq!(pipeline.engine, SegmentEngine::with_threads(3));
+        assert_eq!(pipeline.config.tiling, seg_engine::Tiling::Whole);
         let (labels, stats) = pipeline.run_batch(&[]);
         assert!(labels.is_empty());
         assert_eq!(stats.images, 0);

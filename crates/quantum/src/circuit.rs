@@ -15,35 +15,15 @@ pub struct Circuit {
 
 impl Circuit {
     /// Creates an empty circuit on `qubits` qubits.
-    pub fn new(qubits: usize) -> Self {
+    pub(crate) fn new(qubits: usize) -> Self {
         Self {
             qubits,
             gates: Vec::new(),
         }
     }
 
-    /// Number of qubits the circuit acts on.
-    pub fn qubits(&self) -> usize {
-        self.qubits
-    }
-
-    /// Gates in application order.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
-    }
-
-    /// Number of gates.
-    pub fn len(&self) -> usize {
-        self.gates.len()
-    }
-
-    /// True if the circuit contains no gates.
-    pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
-    }
-
     /// Appends a gate.
-    pub fn push(&mut self, gate: Gate) -> &mut Self {
+    pub(crate) fn push(&mut self, gate: Gate) -> &mut Self {
         self.gates.push(gate);
         self
     }
@@ -63,7 +43,7 @@ impl Circuit {
     }
 
     /// The inverse circuit (gates reversed and individually inverted).
-    pub fn inverse(&self) -> Circuit {
+    pub(crate) fn inverse(&self) -> Circuit {
         Circuit {
             qubits: self.qubits,
             gates: self.gates.iter().rev().map(|g| g.inverse()).collect(),
@@ -73,7 +53,7 @@ impl Circuit {
     /// The dense unitary matrix this circuit implements (column `x` is the
     /// circuit applied to `|x⟩`).  Exponential in the qubit count; intended
     /// for verification on small registers.
-    pub fn to_matrix(&self) -> CMatrix {
+    pub(crate) fn to_matrix(&self) -> CMatrix {
         let dim = 1usize << self.qubits;
         let mut m = CMatrix::zeros(dim, dim);
         for x in 0..dim {
@@ -90,7 +70,7 @@ impl Circuit {
     /// for each qubit (most significant first) a Hadamard followed by
     /// controlled phase rotations from the less significant qubits, then a
     /// final swap network that reverses qubit order.
-    pub fn qft(n: usize) -> Circuit {
+    pub(crate) fn qft(n: usize) -> Circuit {
         let mut c = Circuit::new(n);
         for j in 0..n {
             c.push(Gate::H(j));
@@ -112,7 +92,7 @@ impl Circuit {
     }
 }
 
-/// Verifies (numerically) that the QFT circuit implements [`dft_matrix`] and
+/// Verifies (numerically) that the QFT circuit implements `dft_matrix` and
 /// the IQFT circuit implements [`idft_matrix`]; returns the larger of the two
 /// maximum elementwise deviations.  Used by tests and the quantum cross-check
 /// benchmark.
@@ -134,8 +114,7 @@ mod tests {
     #[test]
     fn empty_circuit_is_identity() {
         let c = Circuit::new(2);
-        assert!(c.is_empty());
-        assert_eq!(c.len(), 0);
+        assert!(c.gates.is_empty());
         let mut s = StateVector::basis_state(2, 3);
         c.apply(&mut s);
         assert_eq!(s.most_probable(), 3);
@@ -209,7 +188,7 @@ mod tests {
         for n in 1..=5usize {
             let c = Circuit::qft(n);
             let expected = n + n * (n - 1) / 2 + n / 2;
-            assert_eq!(c.len(), expected, "n={n}");
+            assert_eq!(c.gates.len(), expected, "n={n}");
         }
     }
 }

@@ -18,22 +18,23 @@ impl Complex {
     /// The additive identity.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
     /// The imaginary unit.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    #[cfg(test)]
+    pub(crate) const I: Complex = Complex { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from real and imaginary parts.
-    pub const fn new(re: f64, im: f64) -> Self {
+    pub(crate) const fn new(re: f64, im: f64) -> Self {
         Self { re, im }
     }
 
     /// Creates a purely real complex number.
-    pub const fn real(re: f64) -> Self {
+    pub(crate) const fn real(re: f64) -> Self {
         Self { re, im: 0.0 }
     }
 
     /// `e^{iθ} = cos θ + i sin θ`.
-    pub fn from_phase(theta: f64) -> Self {
+    pub(crate) fn from_phase(theta: f64) -> Self {
         Self {
             re: theta.cos(),
             im: theta.sin(),
@@ -41,7 +42,7 @@ impl Complex {
     }
 
     /// Creates `r·e^{iθ}`.
-    pub fn from_polar(r: f64, theta: f64) -> Self {
+    pub(crate) fn from_polar(r: f64, theta: f64) -> Self {
         Self {
             re: r * theta.cos(),
             im: r * theta.sin(),
@@ -49,7 +50,8 @@ impl Complex {
     }
 
     /// Complex conjugate.
-    pub fn conj(self) -> Self {
+    #[cfg(test)]
+    pub(crate) fn conj(self) -> Self {
         Self {
             re: self.re,
             im: -self.im,
@@ -72,7 +74,7 @@ impl Complex {
     }
 
     /// Scales by a real factor.
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         Self {
             re: self.re * k,
             im: self.im * k,
@@ -86,7 +88,8 @@ impl Complex {
     }
 
     /// True if both parts are within `eps` of `other`'s.
-    pub fn approx_eq(self, other: Self, eps: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn approx_eq(self, other: Self, eps: f64) -> bool {
         (self.re - other.re).abs() <= eps && (self.im - other.im).abs() <= eps
     }
 }

@@ -10,7 +10,7 @@ use crate::complex::Complex;
 use crate::matrix::CMatrix;
 
 /// The `N × N` QFT unitary: `F[k][x] = ω^{kx} / √N`, `ω = e^{2πi/N}`.
-pub fn dft_matrix(n: usize) -> CMatrix {
+pub(crate) fn dft_matrix(n: usize) -> CMatrix {
     assert!(n > 0, "DFT size must be positive");
     let norm = 1.0 / (n as f64).sqrt();
     CMatrix::from_fn(n, n, |k, x| {
@@ -33,7 +33,8 @@ pub fn idft_matrix(n: usize) -> CMatrix {
 /// `ω^{-kx}` without the 1/√8 factor).  Provided for exact correspondence with
 /// the paper's notation; the segmentation crate divides the matrix–vector
 /// product by 8 as written in Algorithm 1, line 4.
-pub fn paper_w_matrix() -> CMatrix {
+#[cfg(test)]
+pub(crate) fn paper_w_matrix() -> CMatrix {
     let n = 8;
     CMatrix::from_fn(n, n, |k, x| {
         let angle = -2.0 * std::f64::consts::PI * (k as f64) * (x as f64) / n as f64;

@@ -8,12 +8,12 @@ use crate::state::StateVector;
 
 /// A single gate acting on one or two qubits.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Gate {
+pub(crate) enum Gate {
     /// Hadamard on `qubit`.
     H(usize),
-    /// Pauli-X (NOT) on `qubit`.
-    X(usize),
-    /// Phase gate `diag(1, e^{iθ})` on `qubit`.
+    /// Phase gate `diag(1, e^{iθ})` on `qubit`: the reference the tests
+    /// prepare the paper's phase encoding with.
+    #[cfg(test)]
     Phase(usize, f64),
     /// Controlled phase: multiplies the amplitude by `e^{iθ}` when both
     /// `control` and `target` are 1.
@@ -24,10 +24,10 @@ pub enum Gate {
 
 impl Gate {
     /// The inverse (adjoint) of this gate.
-    pub fn inverse(self) -> Gate {
+    pub(crate) fn inverse(self) -> Gate {
         match self {
             Gate::H(q) => Gate::H(q),
-            Gate::X(q) => Gate::X(q),
+            #[cfg(test)]
             Gate::Phase(q, theta) => Gate::Phase(q, -theta),
             Gate::CPhase(c, t, theta) => Gate::CPhase(c, t, -theta),
             Gate::Swap(a, b) => Gate::Swap(a, b),
@@ -35,7 +35,7 @@ impl Gate {
     }
 
     /// Applies this gate to `state` in place.
-    pub fn apply(self, state: &mut StateVector) {
+    pub(crate) fn apply(self, state: &mut StateVector) {
         let n = state.qubits();
         match self {
             Gate::H(q) => {
@@ -52,15 +52,7 @@ impl Gate {
                     }
                 }
             }
-            Gate::X(q) => {
-                let mask = bit_mask(n, q);
-                let amps = state.amplitudes_mut();
-                for i in 0..amps.len() {
-                    if i & mask == 0 {
-                        amps.swap(i, i | mask);
-                    }
-                }
-            }
+            #[cfg(test)]
             Gate::Phase(q, theta) => {
                 let mask = bit_mask(n, q);
                 let phase = Complex::from_phase(theta);
@@ -127,15 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn x_flips_the_targeted_qubit() {
-        let mut s = StateVector::zero_state(3);
-        Gate::X(0).apply(&mut s); // MSB -> |100⟩ = 4
-        assert_eq!(s.most_probable(), 4);
-        Gate::X(2).apply(&mut s); // LSB -> |101⟩ = 5
-        assert_eq!(s.most_probable(), 5);
-    }
-
-    #[test]
     fn phase_gate_only_affects_one_component() {
         let mut s = StateVector::zero_state(1);
         Gate::H(0).apply(&mut s);
@@ -182,7 +165,6 @@ mod tests {
         ]);
         for gate in [
             Gate::H(1),
-            Gate::X(2),
             Gate::Phase(0, 0.7),
             Gate::CPhase(1, 2, 1.3),
             Gate::Swap(0, 2),
@@ -202,7 +184,6 @@ mod tests {
         ]);
         for gate in [
             Gate::H(0),
-            Gate::X(1),
             Gate::Phase(1, 0.9),
             Gate::CPhase(0, 1, 2.1),
             Gate::Swap(0, 1),

@@ -14,15 +14,15 @@
 //! * [`complex::Complex`] — complex arithmetic (no external dependency).
 //! * [`matrix::CMatrix`] — dense complex matrices with multiplication and
 //!   unitarity checks.
-//! * [`dft`] — the DFT / inverse-DFT unitaries; `idft_matrix(8)` is exactly
+//! * `dft` — the DFT / inverse-DFT unitaries; `idft_matrix(8)` is exactly
 //!   the `W` matrix of the paper's eq. 11.
 //! * [`state::StateVector`] — a dense state-vector simulator for up to ~20
 //!   qubits with measurement probabilities.
-//! * [`gates`] — standard gates (H, X, phase, controlled-phase, swap).
+//! * `gates` — standard gates (H, X, phase, controlled-phase, swap).
 //! * [`circuit`] — gate sequences plus textbook QFT / IQFT circuit builders
 //!   (Nielsen & Chuang construction: Hadamards, controlled phases, final swap
 //!   network).
-//! * [`encoding`] — the paper's phase encoding: building the product state
+//! * `encoding` — the paper's phase encoding: building the product state
 //!   `⊗_k (|0⟩ + e^{iθ_k}|1⟩)/√2` from a vector of angles.
 //!
 //! # Example
@@ -44,16 +44,16 @@
 //! ```
 
 pub mod circuit;
-pub mod complex;
-pub mod dft;
-pub mod encoding;
-pub mod gates;
-pub mod matrix;
-pub mod state;
+pub(crate) mod complex;
+pub(crate) mod dft;
+pub(crate) mod encoding;
+pub(crate) mod gates;
+pub(crate) mod matrix;
+pub(crate) mod state;
 
 pub use circuit::Circuit;
 pub use complex::Complex;
-pub use dft::{dft_matrix, idft_matrix};
+pub use dft::idft_matrix;
 pub use encoding::{phase_product_state, phase_vector};
 pub use matrix::CMatrix;
 pub use state::StateVector;

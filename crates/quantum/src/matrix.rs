@@ -12,7 +12,7 @@ pub struct CMatrix {
 
 impl CMatrix {
     /// Creates a `rows × cols` zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -21,7 +21,8 @@ impl CMatrix {
     }
 
     /// Creates the `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.set(i, i, Complex::ONE);
@@ -30,7 +31,11 @@ impl CMatrix {
     }
 
     /// Creates a matrix by evaluating `f(row, col)`.
-    pub fn from_fn<F: FnMut(usize, usize) -> Complex>(rows: usize, cols: usize, mut f: F) -> Self {
+    pub(crate) fn from_fn<F: FnMut(usize, usize) -> Complex>(
+        rows: usize,
+        cols: usize,
+        mut f: F,
+    ) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             for c in 0..cols {
@@ -41,12 +46,14 @@ impl CMatrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -59,13 +66,13 @@ impl CMatrix {
 
     /// Sets the element at `(row, col)`.
     #[inline]
-    pub fn set(&mut self, row: usize, col: usize, value: Complex) {
+    pub(crate) fn set(&mut self, row: usize, col: usize, value: Complex) {
         assert!(row < self.rows && col < self.cols, "index out of bounds");
         self.data[row * self.cols + col] = value;
     }
 
     /// Row `r` as a slice.
-    pub fn row(&self, r: usize) -> &[Complex] {
+    pub(crate) fn row(&self, r: usize) -> &[Complex] {
         assert!(r < self.rows);
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
@@ -91,7 +98,8 @@ impl CMatrix {
     }
 
     /// Matrix–matrix product.
-    pub fn mul_mat(&self, other: &CMatrix) -> CMatrix {
+    #[cfg(test)]
+    pub(crate) fn mul_mat(&self, other: &CMatrix) -> CMatrix {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = CMatrix::zeros(self.rows, other.cols);
         for r in 0..self.rows {
@@ -110,12 +118,13 @@ impl CMatrix {
     }
 
     /// Conjugate transpose (dagger).
-    pub fn dagger(&self) -> CMatrix {
+    #[cfg(test)]
+    pub(crate) fn dagger(&self) -> CMatrix {
         CMatrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r).conj())
     }
 
     /// Maximum absolute elementwise difference to `other`.
-    pub fn max_abs_diff(&self, other: &CMatrix) -> f64 {
+    pub(crate) fn max_abs_diff(&self, other: &CMatrix) -> f64 {
         assert_eq!(self.rows, other.rows);
         assert_eq!(self.cols, other.cols);
         self.data
@@ -126,7 +135,8 @@ impl CMatrix {
     }
 
     /// True if `self · self† ≈ I` within `eps`.
-    pub fn is_unitary(&self, eps: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_unitary(&self, eps: f64) -> bool {
         if self.rows != self.cols {
             return false;
         }

@@ -25,7 +25,7 @@ impl StateVector {
     }
 
     /// Creates the computational basis state `|index⟩`.
-    pub fn basis_state(qubits: usize, index: usize) -> Self {
+    pub(crate) fn basis_state(qubits: usize, index: usize) -> Self {
         let mut s = Self::zero_state(qubits);
         assert!(index < s.dim(), "basis index out of range");
         s.amplitudes[0] = Complex::ZERO;
@@ -35,7 +35,7 @@ impl StateVector {
 
     /// Wraps raw amplitudes; the length must be a power of two and the state
     /// is normalised automatically.
-    pub fn from_amplitudes(amplitudes: Vec<Complex>) -> Self {
+    pub(crate) fn from_amplitudes(amplitudes: Vec<Complex>) -> Self {
         let dim = amplitudes.len();
         assert!(
             dim >= 2 && dim.is_power_of_two(),
@@ -48,12 +48,12 @@ impl StateVector {
     }
 
     /// Number of qubits.
-    pub fn qubits(&self) -> usize {
+    pub(crate) fn qubits(&self) -> usize {
         self.qubits
     }
 
     /// Hilbert-space dimension (`2^n`).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.amplitudes.len()
     }
 
@@ -68,12 +68,12 @@ impl StateVector {
     }
 
     /// Squared norm of the state (should be 1 for a physical state).
-    pub fn norm_sqr(&self) -> f64 {
+    pub(crate) fn norm_sqr(&self) -> f64 {
         self.amplitudes.iter().map(|a| a.norm_sqr()).sum()
     }
 
     /// Rescales the amplitudes so the state has unit norm.
-    pub fn normalize(&mut self) {
+    pub(crate) fn normalize(&mut self) {
         let norm = self.norm_sqr().sqrt();
         assert!(norm > 0.0, "cannot normalise the zero vector");
         let inv = 1.0 / norm;
@@ -83,7 +83,8 @@ impl StateVector {
     }
 
     /// Measurement probability of computational basis state `index`.
-    pub fn probability(&self, index: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, index: usize) -> f64 {
         self.amplitudes[index].norm_sqr()
     }
 
@@ -108,7 +109,8 @@ impl StateVector {
 
     /// Tensor product `self ⊗ other` (self's qubits become the most
     /// significant ones of the combined register).
-    pub fn tensor(&self, other: &StateVector) -> StateVector {
+    #[cfg(test)]
+    pub(crate) fn tensor(&self, other: &StateVector) -> StateVector {
         let mut amplitudes = Vec::with_capacity(self.dim() * other.dim());
         for a in &self.amplitudes {
             for b in &other.amplitudes {
@@ -122,7 +124,8 @@ impl StateVector {
     }
 
     /// Fidelity `|⟨self|other⟩|²` with another state of the same dimension.
-    pub fn fidelity(&self, other: &StateVector) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn fidelity(&self, other: &StateVector) -> f64 {
         assert_eq!(self.dim(), other.dim(), "states must share dimension");
         let mut inner = Complex::ZERO;
         for (a, b) in self.amplitudes.iter().zip(other.amplitudes.iter()) {

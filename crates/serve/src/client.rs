@@ -101,12 +101,6 @@ impl ClientConfig {
         }
     }
 
-    /// Appends another endpoint (fleet construction one address at a time).
-    pub fn with_addr(mut self, addr: impl Into<String>) -> Self {
-        self.addrs.push(addr.into());
-        self
-    }
-
     /// Sets the default pipelined in-flight depth.
     pub fn with_pipeline_depth(mut self, depth: usize) -> Self {
         self.pipeline_depth = depth;
@@ -250,7 +244,7 @@ impl SegmentOutcome {
     }
 
     /// Whether the server shed this request.
-    pub fn is_busy(&self) -> bool {
+    pub(crate) fn is_busy(&self) -> bool {
         matches!(self, SegmentOutcome::Busy)
     }
 
@@ -334,11 +328,6 @@ impl Client {
             next_id: 1,
             config,
         })
-    }
-
-    /// The config this client was opened with.
-    pub fn config(&self) -> &ClientConfig {
-        &self.config
     }
 
     fn next_id(&mut self) -> u64 {
@@ -694,8 +683,7 @@ mod tests {
 
     #[test]
     fn config_builder_chains_every_knob() {
-        let config = ClientConfig::new("a:1")
-            .with_addr("b:2")
+        let config = ClientConfig::fleet(["a:1", "b:2"])
             .with_pipeline_depth(16)
             .with_connect_deadline(Duration::from_millis(250))
             .with_reply_deadline(Duration::from_secs(2));

@@ -29,7 +29,7 @@ use std::io;
 /// Virtual nodes per endpoint on the ring.  Enough that removing one of N
 /// endpoints moves close to the ideal 1/N of the key space (the ring test
 /// suite bounds it at 2/N) without making ring construction noticeable.
-pub const DEFAULT_VNODES: usize = 64;
+pub(crate) const DEFAULT_VNODES: usize = 64;
 
 /// FNV-1a over `bytes` — the same seedless hash the stats and cache layers
 /// use for fingerprints; collisions on ring points are broken by sort
@@ -56,7 +56,7 @@ fn mix64(mut x: u64) -> u64 {
 
 /// A deterministic consistent-hash ring with virtual nodes.
 ///
-/// Each endpoint label is expanded into [`DEFAULT_VNODES`] points on a
+/// Each endpoint label is expanded into `DEFAULT_VNODES` points on a
 /// 64-bit ring; a key is owned by the first point clockwise from it.
 /// Because points depend only on the labels (not their order or count),
 /// adding or removing an endpoint moves only the keys adjacent to that
@@ -72,7 +72,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds the ring over `labels` with `vnodes` virtual nodes each.
-    pub fn new(labels: &[String], vnodes: usize) -> HashRing {
+    pub(crate) fn new(labels: &[String], vnodes: usize) -> HashRing {
         let vnodes = vnodes.max(1);
         let mut points = Vec::with_capacity(labels.len() * vnodes);
         for (idx, label) in labels.iter().enumerate() {
@@ -88,11 +88,6 @@ impl HashRing {
         }
     }
 
-    /// How many distinct endpoints the ring covers.
-    pub fn nodes(&self) -> usize {
-        self.nodes
-    }
-
     /// The endpoint that owns `key`: the first ring point at or clockwise
     /// after it (wrapping at the top of the 64-bit space).
     pub fn owner(&self, key: u64) -> usize {
@@ -104,7 +99,7 @@ impl HashRing {
     /// The failover order for `key`: its owner, then every other distinct
     /// endpoint in the order their points appear clockwise from the key.
     /// Deterministic, covers each endpoint exactly once.
-    pub fn owners(&self, key: u64) -> Vec<usize> {
+    pub(crate) fn owners(&self, key: u64) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.nodes);
         if self.points.is_empty() {
             return order;
@@ -185,12 +180,6 @@ impl FleetClient {
     /// Per-endpoint accounting, indexed like [`FleetClient::addrs`].
     pub fn stats(&self) -> &[EndpointStats] {
         &self.stats
-    }
-
-    /// Total failovers across the fleet: how many times any request had to
-    /// skip its ring owner.
-    pub fn total_failovers(&self) -> u64 {
-        self.stats.iter().map(|s| s.failovers).sum()
     }
 
     /// The ring used for routing (shared by every identically-configured
@@ -288,22 +277,6 @@ impl FleetClient {
                 "no fleet endpoint reachable",
             )))
         }))
-    }
-
-    /// [`Client::segment_cached`] routed to the image's ring owner, with
-    /// failover.  A reply served by a fallback owner comes back as
-    /// [`SegmentOutcome::Failover`].
-    pub fn segment_cached(
-        &mut self,
-        image: &RgbImage,
-        bypass: bool,
-    ) -> Result<SegmentOutcome, ServeError> {
-        self.route(
-            image,
-            |client, image| client.segment_cached(image, bypass),
-            |outcome| outcome,
-            promote_outcome,
-        )
     }
 
     /// [`Client::segment_delta`] routed to the image's ring owner, with
@@ -590,21 +563,21 @@ mod tests {
         let images: Vec<RgbImage> = (0..8).map(test_image).collect();
         let mut first: Vec<_> = Vec::new();
         for img in &images {
-            let outcome = fleet.segment_cached(img, false).unwrap();
+            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
             assert!(!outcome.cached(), "first sight is a miss");
             first.push(outcome.unwrap_done().0);
         }
         // Second pass: every repeat hits, because routing pinned each image
         // to one daemon's cache.
         for (img, reference) in images.iter().zip(&first) {
-            let outcome = fleet.segment_cached(img, false).unwrap();
+            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
             assert!(outcome.cached(), "repeat must hit its ring owner's cache");
             assert_eq!(outcome.unwrap_done().0, *reference);
         }
         let stats = fleet.stats();
         assert_eq!(stats.iter().map(|s| s.requests).sum::<u64>(), 16);
         assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 8);
-        assert_eq!(fleet.total_failovers(), 0);
+        assert_eq!(stats.iter().map(|s| s.failovers).sum::<u64>(), 0);
         assert_eq!(fleet.shutdown_all(), 2);
         for server in servers {
             server.join();
@@ -619,7 +592,14 @@ mod tests {
         let images: Vec<RgbImage> = (0..12).map(test_image).collect();
         let mut reference = Vec::new();
         for img in &images {
-            reference.push(fleet.segment_cached(img, false).unwrap().unwrap_done().0);
+            reference.push(
+                fleet
+                    .segment_pipelined(&[img], true)
+                    .unwrap()
+                    .remove(0)
+                    .unwrap_done()
+                    .0,
+            );
         }
         // Kill the daemon that owns at least one image.
         let ring = fleet.ring().clone();
@@ -642,7 +622,7 @@ mod tests {
         // come back as Failover (served by the next owner, cold there).
         let mut failovers = 0;
         for (img, want) in images.iter().zip(&reference) {
-            let outcome = fleet.segment_cached(img, false).unwrap();
+            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
             let tried = outcome.tried();
             let (labels, _) = outcome.unwrap_done();
             assert_eq!(labels, *want, "failover replies stay byte-identical");

@@ -14,7 +14,7 @@
 //!   version, op, request id, payload length) + checked payload.  A
 //!   malformed frame can never allocate unbounded memory and never panics
 //!   the peer; a v1 frame gets a typed version error.  The incremental
-//!   sans-io core ([`FrameDecoder`] / [`FrameEncoder`]) does the same
+//!   sans-io core (`FrameDecoder` / `FrameEncoder`) does the same
 //!   parsing with no I/O inside, which is what the server (and the
 //!   socket-free protocol test suite) is built on.
 //! * [`Server`] — one warm pipeline behind one serving core: a nonblocking
@@ -23,7 +23,7 @@
 //!   bounded worker pool, so a thousand-plus pipelined connections cost
 //!   buffers, not threads.  On top sit an opt-in content-addressed result
 //!   cache ([`ServerConfig::cache`]) answering repeated `SegmentCached`
-//!   requests with a memcpy, per-connection and aggregate [`ServerStats`],
+//!   requests with a memcpy, per-connection and aggregate [`stats::ServerStats`],
 //!   per-frame read deadlines ([`ServerConfig::frame_deadline`]) and
 //!   graceful drain-then-stop shutdown (in-flight requests are answered).
 //!   Serving is unix-only; the client side and [`protocol`] are portable.
@@ -32,7 +32,7 @@
 //!   to [`protocol::MAX_PIPELINE_DEPTH`] requests in flight, replies
 //!   reordered by id), `stats`, `shutdown`.  Every segmentation call
 //!   reports one [`SegmentOutcome`] vocabulary: `Done | Busy | Failover`.
-//! * [`fleet`] — the multi-daemon layer: a [`FleetClient`] routes requests
+//! * `fleet` — the multi-daemon layer: a [`FleetClient`] routes requests
 //!   by content hash over a deterministic consistent-hash ring
 //!   ([`HashRing`], virtual nodes) so each daemon's cache owns a stable
 //!   slice of the key space, failing over to the next ring owner (with
@@ -68,19 +68,18 @@
 //! server.join();
 //! ```
 
-pub mod client;
+pub(crate) mod client;
 #[cfg(unix)]
 mod evented;
-pub mod fleet;
+pub(crate) mod fleet;
 #[cfg(unix)]
 pub mod poll;
 pub mod protocol;
-pub mod server;
+pub(crate) mod server;
 pub mod stats;
 
 pub use client::{Client, ClientConfig, SegmentOutcome, ServeError};
 pub use fleet::{EndpointStats, FleetClient, HashRing};
-pub use iqft_pipeline::CacheConfig;
-pub use protocol::{Frame, FrameDecoder, FrameEncoder, Message, Op, ProtocolError};
+pub use protocol::Message;
 pub use server::{ServeMode, Server, ServerConfig};
-pub use stats::{ServerStats, StatsSnapshot};
+pub use stats::StatsSnapshot;

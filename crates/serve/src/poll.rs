@@ -17,15 +17,15 @@ use std::os::unix::io::RawFd;
 use std::time::Duration;
 
 /// Readable readiness (`POLLIN`).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// Writable readiness (`POLLOUT`).
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 /// Error condition (`POLLERR`; only ever returned in `revents`).
-pub const POLLERR: i16 = 0x008;
+pub(crate) const POLLERR: i16 = 0x008;
 /// Peer hung up (`POLLHUP`; only ever returned in `revents`).
-pub const POLLHUP: i16 = 0x010;
+pub(crate) const POLLHUP: i16 = 0x010;
 /// Invalid descriptor (`POLLNVAL`; only ever returned in `revents`).
-pub const POLLNVAL: i16 = 0x020;
+pub(crate) const POLLNVAL: i16 = 0x020;
 
 /// One entry in a poll set: a file descriptor, the events of interest, and
 /// (after [`poll`]) the events that fired.  Layout-compatible with the C
@@ -33,7 +33,7 @@ pub const POLLNVAL: i16 = 0x020;
 /// call sound.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: RawFd,
     events: i16,
     revents: i16,
@@ -42,7 +42,7 @@ pub struct PollFd {
 impl PollFd {
     /// Interest in `events` (a mask of [`POLLIN`] / [`POLLOUT`]; error and
     /// hang-up conditions are always reported) on `fd`.
-    pub fn new(fd: RawFd, events: i16) -> Self {
+    pub(crate) fn new(fd: RawFd, events: i16) -> Self {
         PollFd {
             fd,
             events,
@@ -50,47 +50,36 @@ impl PollFd {
         }
     }
 
-    /// The registered descriptor.
-    pub fn fd(&self) -> RawFd {
-        self.fd
-    }
-
     /// Whether the descriptor has readable data (or a pending hang-up /
     /// error, which a read will surface as EOF or an error — exactly what
     /// the caller's read path wants to observe).
-    pub fn readable(&self) -> bool {
+    pub(crate) fn readable(&self) -> bool {
         self.revents & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0
     }
 
-    /// Whether the descriptor can accept writes.
-    pub fn writable(&self) -> bool {
-        self.revents & POLLOUT != 0
-    }
-
-    /// Whether the descriptor is in an error / hang-up state.
-    pub fn has_error(&self) -> bool {
-        self.revents & (POLLERR | POLLNVAL) != 0
-    }
-
     /// Whether any registered or error condition fired.
-    pub fn ready(&self) -> bool {
+    pub(crate) fn ready(&self) -> bool {
         self.revents != 0
     }
 }
 
 mod sys {
     #[allow(non_camel_case_types)]
-    pub type nfds_t = std::os::raw::c_ulong;
+    pub(crate) type nfds_t = std::os::raw::c_ulong;
 
     extern "C" {
-        pub fn poll(fds: *mut super::PollFd, nfds: nfds_t, timeout: std::os::raw::c_int) -> i32;
+        pub(crate) fn poll(
+            fds: *mut super::PollFd,
+            nfds: nfds_t,
+            timeout: std::os::raw::c_int,
+        ) -> i32;
     }
 }
 
 /// Waits until at least one descriptor in `fds` is ready or `timeout`
 /// elapses (`None` = wait forever).  Returns the number of ready entries;
 /// `0` means the timeout fired.  `EINTR` is retried internally.
-pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+pub(crate) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms: std::os::raw::c_int = match timeout {
         // Round up so a 100µs deadline does not busy-spin as timeout 0.
         Some(t) => t
@@ -117,16 +106,16 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
 #[cfg(target_os = "linux")]
 mod rlimit {
     #[repr(C)]
-    pub struct Rlimit {
+    pub(crate) struct Rlimit {
         pub cur: u64,
         pub max: u64,
     }
 
-    pub const RLIMIT_NOFILE: std::os::raw::c_int = 7;
+    pub(crate) const RLIMIT_NOFILE: std::os::raw::c_int = 7;
 
     extern "C" {
-        pub fn getrlimit(resource: std::os::raw::c_int, rlim: *mut Rlimit) -> i32;
-        pub fn setrlimit(resource: std::os::raw::c_int, rlim: *const Rlimit) -> i32;
+        pub(crate) fn getrlimit(resource: std::os::raw::c_int, rlim: *mut Rlimit) -> i32;
+        pub(crate) fn setrlimit(resource: std::os::raw::c_int, rlim: *const Rlimit) -> i32;
     }
 }
 
@@ -181,7 +170,7 @@ mod tests {
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
         assert!(fds[0].readable());
-        assert!(!fds[0].writable());
+        assert_eq!(fds[0].revents & POLLOUT, 0);
     }
 
     #[test]
@@ -190,7 +179,7 @@ mod tests {
         let mut fds = [PollFd::new(b.as_raw_fd(), POLLOUT)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].writable());
+        assert_ne!(fds[0].revents & POLLOUT, 0);
         drop(a);
         let mut fds = [PollFd::new(b.as_raw_fd(), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();

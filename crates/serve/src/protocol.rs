@@ -21,11 +21,11 @@
 //! * [`Message::SegmentReply`] — `width: u32, height: u32`, then `4·w·h`
 //!   label bytes (`u32` per pixel).
 //! * [`Message::SegmentCached`] (v2) — `flags: u32` (bit 0 =
-//!   [`FLAG_BYPASS_CACHE`]; other bits must be zero), then the `Segment`
+//!   `FLAG_BYPASS_CACHE`; other bits must be zero), then the `Segment`
 //!   layout.  Lets the client opt a request into the server's
 //!   content-addressed result cache, or explicitly around it.
 //! * [`Message::SegmentCachedReply`] (v2) — `flags: u32` (bit 0 =
-//!   [`FLAG_CACHE_HIT`]), then the `SegmentReply` layout.
+//!   `FLAG_CACHE_HIT`), then the `SegmentReply` layout.
 //! * [`Message::SegmentDelta`] (v2) — `flags: u32` (no flags defined yet;
 //!   must be zero), then the `Segment` layout.  Routes the frame through the
 //!   server's *per-tile* delta cache: unchanged tiles are stitched from
@@ -93,7 +93,7 @@ use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
 
 /// Frame magic: the first four bytes of every frame.
-pub const MAGIC: [u8; 4] = *b"IQFT";
+pub(crate) const MAGIC: [u8; 4] = *b"IQFT";
 /// Current protocol version (2: cached-segmentation ops + pipelining).
 pub const VERSION: u16 = 2;
 /// Fixed frame-header size in bytes.
@@ -110,7 +110,7 @@ const MAX_SEGMENT_HEAD_BYTES: usize = HEADER_LEN + MAX_SEGMENT_PREFIX_BYTES;
 /// every segment payload fits under [`MAX_PAYLOAD_BYTES`]: the RGB requests
 /// (`3·n` bytes) and the label replies (`4·n` bytes), even behind the
 /// largest fixed prefix, the delta reply's 20 bytes.
-pub const MAX_PIXELS: usize = (MAX_PAYLOAD_BYTES - MAX_SEGMENT_PREFIX_BYTES) / 4;
+pub(crate) const MAX_PIXELS: usize = (MAX_PAYLOAD_BYTES - MAX_SEGMENT_PREFIX_BYTES) / 4;
 /// Maximum request frames a connection may have in flight before reading a
 /// reply (protocol v2 pipelining).  Clients clamp to this.  Note this
 /// bounds *frames*, not bytes: a deep burst of large frames can exceed any
@@ -119,9 +119,9 @@ pub const MAX_PIXELS: usize = (MAX_PAYLOAD_BYTES - MAX_SEGMENT_PREFIX_BYTES) / 4
 pub const MAX_PIPELINE_DEPTH: usize = 32;
 /// `SegmentCached` request flag: skip the server's result cache for this
 /// request (neither lookup nor store).
-pub const FLAG_BYPASS_CACHE: u32 = 1;
+pub(crate) const FLAG_BYPASS_CACHE: u32 = 1;
 /// `SegmentCachedReply` flag: the labels were served from the result cache.
-pub const FLAG_CACHE_HIT: u32 = 1;
+pub(crate) const FLAG_CACHE_HIT: u32 = 1;
 
 /// Operation codes carried in the frame header.  Requests use the low range,
 /// replies set the high bit.
@@ -204,14 +204,14 @@ pub enum Message {
     SegmentCached {
         /// The RGB image to segment.
         image: RgbImage,
-        /// Skip the cache for this request ([`FLAG_BYPASS_CACHE`]).
+        /// Skip the cache for this request (`FLAG_BYPASS_CACHE`).
         bypass: bool,
     },
     /// The cached-segmentation result (v2 reply).
     SegmentCachedReply {
         /// One label per pixel, same dimensions as the request image.
         labels: LabelMap,
-        /// Whether the labels came from the cache ([`FLAG_CACHE_HIT`]).
+        /// Whether the labels came from the cache (`FLAG_CACHE_HIT`).
         cached: bool,
     },
     /// Segment this image through the server's per-tile delta cache (v2
@@ -256,7 +256,7 @@ pub enum Message {
 
 impl Message {
     /// The wire op code of this message.
-    pub fn op(&self) -> Op {
+    pub(crate) fn op(&self) -> Op {
         match self {
             Message::Segment { .. } => Op::Segment,
             Message::SegmentReply { .. } => Op::SegmentReply,
@@ -311,7 +311,7 @@ impl Message {
 /// Decoding never panics; every malformed input maps to one of these.
 #[derive(Debug)]
 pub enum ProtocolError {
-    /// The frame did not start with [`MAGIC`].
+    /// The frame did not start with `MAGIC`.
     BadMagic([u8; 4]),
     /// The frame declared an unsupported protocol version.
     BadVersion(u16),
@@ -336,7 +336,7 @@ pub enum ProtocolError {
         /// Actual payload length in bytes.
         got: usize,
     },
-    /// The declared image dimensions overflow or exceed [`MAX_PIXELS`].
+    /// The declared image dimensions overflow or exceed `MAX_PIXELS`.
     BadDimensions {
         /// Declared width.
         width: usize,
@@ -754,7 +754,7 @@ fn encode_labels_frame(
 /// Encodes a full frame (header + payload) into a byte vector.
 ///
 /// Returns an error if the message's payload would exceed
-/// [`MAX_PAYLOAD_BYTES`] or the image exceeds [`MAX_PIXELS`] — the encoder
+/// [`MAX_PAYLOAD_BYTES`] or the image exceeds `MAX_PIXELS` — the encoder
 /// enforces the same limits the decoder does, so a conforming peer can never
 /// be handed an undecodable frame.
 pub fn encode_message(request_id: u64, message: &Message) -> Result<Vec<u8>, ProtocolError> {
@@ -1243,7 +1243,7 @@ impl FrameEncoder {
     /// Queues an already-encoded frame.  An idle encoder, or one whose
     /// queue ends in a label buffer, adopts the frame's buffer as it is;
     /// behind unsent encoded bytes the frame joins their run.
-    pub fn enqueue_frame(&mut self, frame: Vec<u8>) {
+    pub(crate) fn enqueue_frame(&mut self, frame: Vec<u8>) {
         self.len += frame.len();
         match self.chunks.back_mut() {
             Some(Chunk::Bytes(run)) => run.extend_from_slice(&frame),

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 /// starts and never resets it on progress, so a client dripping one byte at
 /// a time cannot keep its connection (and thus the drain) open forever.
 /// This is the default for [`ServerConfig::frame_deadline`].
-pub const FRAME_READ_DEADLINE: Duration = Duration::from_secs(10);
+pub(crate) const FRAME_READ_DEADLINE: Duration = Duration::from_secs(10);
 
 /// The serving core a [`Server`] runs.  The evented reactor is the only
 /// core, so this type selects nothing.  It and [`ServerConfig::with_mode`]
@@ -86,7 +86,7 @@ pub struct ServerConfig {
     /// a server never serves entries recorded under a different strategy.
     pub cache: CacheConfig,
     /// Wall-clock budget for the rest of a frame once its first byte has
-    /// arrived (default: [`FRAME_READ_DEADLINE`]).  Tests shrink this to
+    /// arrived (default: `FRAME_READ_DEADLINE`).  Tests shrink this to
     /// exercise slow-loris handling without ten-second waits.
     pub frame_deadline: Duration,
     /// Admission limit: segment requests arriving while the worker pool is
@@ -388,29 +388,9 @@ impl Server {
         self.shared.addr
     }
 
-    /// The plan the server is executing.
-    pub fn plan(&self) -> SegmentPlan {
-        self.shared.plan
-    }
-
     /// Effective cap on concurrently-executing segment requests.
     pub fn max_inflight(&self) -> usize {
         self.shared.max_inflight
-    }
-
-    /// Whether a shutdown has been requested (by frame or locally).
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutting_down()
-    }
-
-    /// Total frames handled so far (for post-shutdown reporting).
-    pub fn requests_total(&self) -> usize {
-        self.shared.stats.requests_total()
-    }
-
-    /// Total pixels segmented so far (for post-shutdown reporting).
-    pub fn pixels_total(&self) -> u64 {
-        self.shared.stats.pixels_total()
     }
 
     /// Triggers the same drain-then-stop shutdown a `Shutdown` frame does.
@@ -498,8 +478,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(server.max_inflight(), 2);
-        assert_eq!(server.plan(), plan);
-        assert!(!server.is_shutting_down());
+        assert_eq!(server.shared.plan, plan);
+        assert!(!server.shared.shutting_down());
 
         let mut client = open_client(server.local_addr()).unwrap();
         client.ping().unwrap();

@@ -51,13 +51,13 @@ impl ServerStats {
     }
 
     /// Records an accepted connection.
-    pub fn connection_opened(&self) {
+    pub(crate) fn connection_opened(&self) {
         self.connections_total.fetch_add(1, Ordering::Relaxed);
         self.connections_open.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a closed connection.
-    pub fn connection_closed(&self) {
+    pub(crate) fn connection_closed(&self) {
         self.connections_open.fetch_sub(1, Ordering::Relaxed);
     }
 
@@ -67,7 +67,7 @@ impl ServerStats {
     }
 
     /// Records one completed segmentation of `pixels` pixels.
-    pub fn segmented(&self, pixels: usize) {
+    pub(crate) fn segmented(&self, pixels: usize) {
         self.segment_requests.fetch_add(1, Ordering::Relaxed);
         self.pixels_total
             .fetch_add(pixels as u64, Ordering::Relaxed);
@@ -79,17 +79,17 @@ impl ServerStats {
     }
 
     /// Records a segment request refused with a typed `Busy` reply.
-    pub fn busy_rejection(&self) {
+    pub(crate) fn busy_rejection(&self) {
         self.busy_rejections.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records the service latency of one completed segment request.
-    pub fn record_latency(&self, latency: Duration) {
+    pub(crate) fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);
     }
 
     /// Percentile summary of every recorded service latency.
-    pub fn latency_summary(&self) -> LatencySummary {
+    pub(crate) fn latency_summary(&self) -> LatencySummary {
         self.latency.summary()
     }
 
@@ -99,12 +99,12 @@ impl ServerStats {
     }
 
     /// Segment requests completed so far.
-    pub fn segment_requests(&self) -> usize {
+    pub(crate) fn segment_requests(&self) -> usize {
         self.segment_requests.load(Ordering::Relaxed)
     }
 
     /// Pixels segmented so far.
-    pub fn pixels_total(&self) -> u64 {
+    pub(crate) fn pixels_total(&self) -> u64 {
         self.pixels_total.load(Ordering::Relaxed)
     }
 
@@ -114,17 +114,17 @@ impl ServerStats {
     }
 
     /// Segment requests refused with a typed `Busy` reply so far.
-    pub fn busy_rejections(&self) -> usize {
+    pub(crate) fn busy_rejections(&self) -> usize {
         self.busy_rejections.load(Ordering::Relaxed)
     }
 
     /// Connections accepted since boot.
-    pub fn connections_total(&self) -> usize {
+    pub(crate) fn connections_total(&self) -> usize {
         self.connections_total.load(Ordering::Relaxed)
     }
 
     /// Connections currently open.
-    pub fn connections_open(&self) -> usize {
+    pub(crate) fn connections_open(&self) -> usize {
         self.connections_open.load(Ordering::Relaxed)
     }
 }
@@ -224,7 +224,7 @@ pub struct StatsSnapshot {
 impl StatsSnapshot {
     /// Fills the latency fields from a histogram summary (nanoseconds →
     /// microseconds).
-    pub fn set_latency(&mut self, summary: LatencySummary) {
+    pub(crate) fn set_latency(&mut self, summary: LatencySummary) {
         self.lat_count = summary.count;
         self.lat_p50_us = summary.p50_ns / 1_000;
         self.lat_p90_us = summary.p90_ns / 1_000;

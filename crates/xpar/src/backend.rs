@@ -11,8 +11,8 @@
 pub enum Backend {
     /// Run on the calling thread.
     Serial,
-    /// Use the scoped-thread helpers in [`crate::par`] with the given number of
-    /// worker threads (0 means "use [`crate::default_threads`]").
+    /// Use the scoped-thread helpers in `crate::par` with the given number of
+    /// worker threads (0 means "use `crate::default_threads`").
     Threads(usize),
 }
 

@@ -6,7 +6,7 @@
 //! exploit that parallelism without pulling heavyweight dependencies into the
 //! core algorithm crates:
 //!
-//! * [`par_map_indexed`] / [`par_for_each_chunk_mut`] — scoped, chunk-based
+//! * `par_map_indexed` / `par_for_each_chunk_mut` — scoped, chunk-based
 //!   data-parallel helpers built directly on `std::thread::scope`, so borrowed
 //!   data can be used without `'static` bounds.  A worker's panic reaches
 //!   the caller with its own payload.
@@ -26,17 +26,16 @@
 //! assert_eq!(serial, threaded); // scheduling never changes results
 //! ```
 
-pub mod backend;
-pub mod par;
+pub(crate) mod backend;
+pub(crate) mod par;
 
 pub use backend::Backend;
-pub use par::{par_chunk_count, par_for_each_chunk_mut, par_map_indexed};
 
 /// Returns the number of worker threads a default parallel run should use.
 ///
 /// This is `std::thread::available_parallelism()` clamped to at least 1; the
 /// value is re-queried on every call so tests can exercise it cheaply.
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// A small oversubscription factor (4× more chunks than workers) keeps the
 /// workers busy when chunks have uneven cost (e.g. rows of an image with
 /// differing content); the worker count itself stays at `threads`.
-pub fn par_chunk_count(len: usize, threads: usize) -> usize {
+pub(crate) fn par_chunk_count(len: usize, threads: usize) -> usize {
     if len == 0 {
         return 1;
     }
@@ -87,7 +87,7 @@ where
 ///
 /// `threads == 0` or `threads == 1` runs serially on the calling thread; at
 /// most `threads` workers run otherwise.
-pub fn par_map_indexed<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
+pub(crate) fn par_map_indexed<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -112,7 +112,7 @@ where
 /// Chunk boundaries are chosen internally; callers must not rely on a
 /// particular chunk size, only on every element being visited exactly once.
 /// At most `threads` workers run.
-pub fn par_for_each_chunk_mut<T, F>(items: &mut [T], threads: usize, f: F)
+pub(crate) fn par_for_each_chunk_mut<T, F>(items: &mut [T], threads: usize, f: F)
 where
     T: Send,
     F: Fn(usize, &mut [T]) + Sync,

@@ -17,7 +17,7 @@ use std::io::Write as _;
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-pub use std::hint::black_box;
+pub(crate) use std::hint::black_box;
 
 /// One finished measurement, exported via `CRITERION_JSON`.
 #[derive(Debug, Clone)]
@@ -78,13 +78,6 @@ impl BenchmarkId {
     pub fn new<S: Into<String>, P: std::fmt::Display>(function_name: S, parameter: P) -> Self {
         Self {
             id: format!("{}/{}", function_name.into(), parameter),
-        }
-    }
-
-    /// Creates an id from a parameter alone.
-    pub fn from_parameter<P: std::fmt::Display>(parameter: P) -> Self {
-        Self {
-            id: parameter.to_string(),
         }
     }
 }
@@ -296,15 +289,6 @@ impl Criterion {
             throughput: None,
         }
     }
-
-    /// Benchmarks `f` outside any explicit group.
-    pub fn bench_function<F>(&mut self, id: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        self.benchmark_group("crate").bench_function(id, f);
-        self
-    }
 }
 
 /// Declares a group function that runs each listed benchmark with a fresh
@@ -358,6 +342,5 @@ mod tests {
     #[test]
     fn benchmark_id_formats_like_criterion() {
         assert_eq!(BenchmarkId::new("128x128", "serial").id, "128x128/serial");
-        assert_eq!(BenchmarkId::from_parameter(7).id, "7");
     }
 }

@@ -1,14 +1,11 @@
 //! Offline shim for the subset of `parking_lot` this workspace uses.
 //!
-//! Wraps `std::sync::{Mutex, RwLock}` behind the `parking_lot` API shape:
-//! `lock()` / `read()` / `write()` return guards directly instead of
-//! `Result`s.  Poisoning is deliberately ignored (`parking_lot` has no
+//! Wraps `std::sync::Mutex` behind the `parking_lot` API shape: `lock()`
+//! returns the guard directly instead of a `Result`.  Poisoning is deliberately ignored (`parking_lot` has no
 //! poisoning either): a panic while holding a lock leaves the data in
 //! whatever state it was, exactly like the real crate.
 
-use std::sync::{
-    Mutex as StdMutex, MutexGuard, RwLock as StdRwLock, RwLockReadGuard, RwLockWriteGuard,
-};
+use std::sync::{Mutex as StdMutex, MutexGuard};
 
 /// Mutual exclusion lock with the `parking_lot::Mutex` API.
 #[derive(Debug, Default)]
@@ -35,43 +32,6 @@ impl<T: ?Sized> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner.get_mut().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Reader-writer lock with the `parking_lot::RwLock` API.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: StdRwLock<T>,
-}
-
-impl<T> RwLock<T> {
-    /// Creates a new reader-writer lock protecting `value`.
-    pub fn new(value: T) -> Self {
-        Self {
-            inner: StdRwLock::new(value),
-        }
-    }
-
-    /// Consumes the lock, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquires shared read access.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Acquires exclusive write access.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 #[cfg(test)]
@@ -85,18 +45,6 @@ mod tests {
         *m.lock() += 41;
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn rwlock_allows_concurrent_reads_and_exclusive_writes() {
-        let l = Arc::new(RwLock::new(vec![1, 2, 3]));
-        {
-            let a = l.read();
-            let b = l.read();
-            assert_eq!(a.len() + b.len(), 6);
-        }
-        l.write().push(4);
-        assert_eq!(l.read().len(), 4);
     }
 
     #[test]

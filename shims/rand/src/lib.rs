@@ -178,14 +178,13 @@ pub mod seq {
     }
 }
 
-pub mod rngs {
-    //! Concrete generators.
-
-    use super::{RngCore, SeedableRng};
+#[cfg(test)]
+mod tests {
+    use super::seq::SliceRandom;
+    use super::{Rng, RngCore, SeedableRng};
 
     /// A small, fast, deterministic generator (SplitMix64).
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct SmallRng {
+    struct SmallRng {
         state: u64,
     }
 
@@ -205,18 +204,6 @@ pub mod rngs {
             z ^ (z >> 31)
         }
     }
-}
-
-/// Commonly imported names, mirroring `rand::prelude`.
-pub mod prelude {
-    pub use super::seq::SliceRandom;
-    pub use super::{Rng, RngCore, SeedableRng};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::prelude::*;
-    use super::rngs::SmallRng;
 
     #[test]
     fn deterministic_for_fixed_seed() {
