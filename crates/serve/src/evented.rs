@@ -51,7 +51,9 @@
 //! reactor queues them with [`FrameEncoder::enqueue_reply`] — a head of at
 //! most 40 bytes, then the label buffer itself — and writes both with one
 //! `writev`.  An inline cache hit takes the same path.  Once a buffer's
-//! last byte is written it goes back to the pipeline's arena.
+//! last byte is written it goes back to the pipeline's arena; so do the
+//! buffers still queued when a connection closes, and the labels of a
+//! completion whose connection is already gone.
 //!
 //! Backpressure: a connection stops being polled for readability while it
 //! has [`MAX_PIPELINE_DEPTH`] frames queued or more than
@@ -505,7 +507,8 @@ impl Reactor {
             }
             self.shared.stats.connection_closed();
             // Bump the generation so stale completions for this slot are
-            // recognised and dropped instead of landing on a new tenant.
+            // recognised, and only their labels kept, instead of landing on
+            // a new tenant.
             self.slots[idx].gen += 1;
             self.free.push(idx);
         }
@@ -523,7 +526,9 @@ impl Reactor {
             self.register(stream, now);
         }
         for completion in completions {
-            let slot = &mut self.slots[completion.conn];
+            let Some(slot) = self.slots.get_mut(completion.conn) else {
+                continue;
+            };
             let live = slot.gen == completion.gen;
             let Some(mut conn) = slot.conn.take_if(|_| live) else {
                 // Its connection is gone: only the labels are worth keeping.

@@ -9,14 +9,14 @@
 //! * [`imaging`] — the imaging substrate (containers, I/O, drawing, labels);
 //! * [`quantum`] — the state-vector simulator and QFT/IQFT circuits;
 //! * [`baselines`] — K-means and Otsu baselines;
-//! * [`metrics`] — foreground/background mIOU and friends;
+//! * [`metrics`] — foreground/background mIOU;
 //! * [`datasets`] — synthetic VOC-like / xVIEW2-like / balls datasets;
 //! * [`xpar`] — the parallel execution substrate;
 //! * [`seg_engine`] — the backend-aware engine and the `SegmentPlan`
 //!   strategy dispatch layer;
-//! * [`iqft_pipeline`] — the batched throughput pipeline (bounded queue,
-//!   label arena, per-request entry point, and the sharded
-//!   content-addressed result cache);
+//! * [`iqft_pipeline`] — the batched throughput pipeline (batches on the
+//!   engine's backend, label arena, per-request entry points, and the
+//!   sharded content-addressed result cache);
 //! * [`iqft_serve`] — the TCP segmentation service (wire protocol v2 with
 //!   cached ops and pipelining, server, client).
 //!
