@@ -41,6 +41,12 @@ use seg_engine::SegmentEngine;
 /// Number of distinct values an 8-bit channel can take.
 const CHANNEL_VALUES: usize = 256;
 
+/// For each register position (0 = most significant), the RGB channel index
+/// that feeds it: under the paper's eq. 11 ordering the blue-channel phase α
+/// leads.  The quantized table in [`crate::quant`] indexes pixels the same
+/// way.
+pub(crate) const CHANNEL_OF_QUBIT: [usize; 3] = [2, 1, 0];
+
 /// A fully-precomputed per-channel phase→probability-factor table for the
 /// 3-qubit RGB segmenter.
 ///
@@ -54,8 +60,6 @@ pub struct PhaseTable {
     /// state `j` by register qubit `q` (0 = most significant) when the
     /// channel feeding that qubit has 8-bit value `v`.
     factors: Vec<[f64; NUM_STATES]>,
-    /// For each register position, which RGB channel index (0/1/2) feeds it.
-    channel_of_qubit: [usize; 3],
     engine: SegmentEngine,
 }
 
@@ -64,9 +68,6 @@ impl PhaseTable {
     /// and normalisation flag).
     pub(crate) fn from_segmenter(segmenter: &IqftRgbSegmenter) -> Self {
         let thetas = segmenter.thetas();
-        // Register position q=0 is the most significant qubit: under the
-        // paper's eq. 11 ordering the blue-channel phase α leads.
-        let channel_of_qubit = [2, 1, 0];
         let theta_of_channel = thetas.as_array();
         let scale = if segmenter.normalizes() {
             1.0 / 255.0
@@ -75,7 +76,7 @@ impl PhaseTable {
         };
         let mut factors = vec![[0.0; NUM_STATES]; 3 * CHANNEL_VALUES];
         for q in 0..3 {
-            let theta = theta_of_channel[channel_of_qubit[q]];
+            let theta = theta_of_channel[CHANNEL_OF_QUBIT[q]];
             let weight = 1usize << (2 - q);
             for v in 0..CHANNEL_VALUES {
                 // Identical arithmetic to IqftRgbSegmenter::phases followed by
@@ -92,7 +93,6 @@ impl PhaseTable {
         }
         Self {
             factors,
-            channel_of_qubit,
             engine: segmenter.engine(),
         }
     }
@@ -114,20 +114,14 @@ impl PhaseTable {
         &self.factors[q * CHANNEL_VALUES + v as usize]
     }
 
-    /// The register-position → RGB-channel mapping the table was built with
-    /// (shared with the quantized table so both index pixels identically).
-    pub(crate) fn channel_of_qubit(&self) -> [usize; 3] {
-        self.channel_of_qubit
-    }
-
     /// The measurement probability of each basis state for `pixel` —
     /// bit-identical to [`IqftRgbSegmenter::probabilities`] for the
     /// configuration the table was built from.
     pub(crate) fn probabilities(&self, pixel: Rgb<u8>) -> [f64; NUM_STATES] {
         let rgb = pixel.0;
-        let t0 = self.factor(0, rgb[self.channel_of_qubit[0]]);
-        let t1 = self.factor(1, rgb[self.channel_of_qubit[1]]);
-        let t2 = self.factor(2, rgb[self.channel_of_qubit[2]]);
+        let t0 = self.factor(0, rgb[CHANNEL_OF_QUBIT[0]]);
+        let t1 = self.factor(1, rgb[CHANNEL_OF_QUBIT[1]]);
+        let t2 = self.factor(2, rgb[CHANNEL_OF_QUBIT[2]]);
         let mut probs = [1.0; NUM_STATES];
         // Multiply in ascending register order, exactly as the exact path
         // folds its per-qubit factors, so every intermediate f64 matches.
@@ -281,7 +275,6 @@ mod tests {
         let table = PhaseTable::paper_default();
         assert_eq!(table.name(), "IQFT (RGB, phase-table)");
         assert_eq!(table.factors.len(), 3 * 256);
-        assert_eq!(table.channel_of_qubit(), [2, 1, 0]);
         let serial = PhaseTable::from_segmenter(
             &IqftRgbSegmenter::paper_default().with_engine(SegmentEngine::serial()),
         )

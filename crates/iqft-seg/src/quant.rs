@@ -68,7 +68,7 @@
 //! 48 KiB) and fits entirely in L1, which is worth as much as the vector
 //! arithmetic on table-lookup-bound workloads.
 
-use crate::phase_table::PhaseTable;
+use crate::phase_table::{PhaseTable, CHANNEL_OF_QUBIT};
 use crate::rgb::{IqftRgbSegmenter, NUM_STATES};
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
 use seg_engine::SegmentEngine;
@@ -266,8 +266,6 @@ pub struct QuantizedPhaseTable {
     /// register qubit `q` when its channel has value `v`.  One row is one
     /// 128-bit SIMD register.
     qlog: Vec<[i16; NUM_STATES]>,
-    /// Register position → RGB channel index, copied from the source table.
-    channel_of_qubit: [usize; 3],
     /// The f64 oracle consulted for ambiguous pixels (and the engine owner).
     exact: PhaseTable,
     /// The kernel classification dispatches to.
@@ -280,7 +278,6 @@ impl Clone for QuantizedPhaseTable {
     fn clone(&self) -> Self {
         Self {
             qlog: self.qlog.clone(),
-            channel_of_qubit: self.channel_of_qubit,
             exact: self.exact.clone(),
             level: self.level,
             fallbacks: AtomicU64::new(self.fallbacks.load(Ordering::Relaxed)),
@@ -305,7 +302,6 @@ impl QuantizedPhaseTable {
         }
         Self {
             qlog,
-            channel_of_qubit: table.channel_of_qubit(),
             exact: table.clone(),
             level: SimdLevel::detect(),
             fallbacks: AtomicU64::new(0),
@@ -361,7 +357,7 @@ impl QuantizedPhaseTable {
 
     /// The three per-qubit table blocks rearranged by *image channel*:
     /// entry `c` is the block of the qubit that reads channel `c` (the
-    /// inverse of `channel_of_qubit`).  Kernels hoist this once per slice
+    /// inverse of [`CHANNEL_OF_QUBIT`]).  Kernels hoist this once per slice
     /// and then index pixels at constant channel positions, which is what
     /// lets the compiler drop every per-pixel bounds check.
     fn channel_blocks(&self) -> [&Block; 3] {
@@ -371,7 +367,7 @@ impl QuantizedPhaseTable {
                 .expect("qlog holds three 256-row blocks")
         };
         let mut blocks = [block(0); 3];
-        for (q, &c) in self.channel_of_qubit.iter().enumerate() {
+        for (q, &c) in CHANNEL_OF_QUBIT.iter().enumerate() {
             blocks[c] = block(q);
         }
         blocks
@@ -879,7 +875,6 @@ mod tests {
     fn accessors_and_clone_preserve_configuration() {
         let table = QuantizedPhaseTable::paper_default();
         assert_eq!(table.qlog.len(), 3 * 256);
-        assert_eq!(table.channel_of_qubit, table.oracle().channel_of_qubit());
         let scalar = table.with_simd(SimdLevel::Scalar);
         assert_eq!(scalar.simd_level(), SimdLevel::Scalar);
         assert_eq!(scalar.name(), "IQFT (RGB, quantized)");

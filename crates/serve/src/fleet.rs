@@ -224,49 +224,39 @@ impl FleetClient {
         }
     }
 
-    /// Routes `image`'s key over the ring and runs `call` against each
-    /// owner in failover order until one answers.  `Busy` is an answer (the
-    /// endpoint is alive, just saturated); only connect and transport
-    /// failures move on to the next owner.
-    fn route<R>(
+    /// [`Client::segment_delta`] routed to the image's ring owner, trying
+    /// each owner in failover order until one answers.  `Busy` is an answer
+    /// (the endpoint is alive, just saturated); only connect and transport
+    /// failures move on to the next owner, and a reply that had to skip one
+    /// comes back as [`SegmentOutcome::Failover`].  Tile counts come from
+    /// whichever endpoint answered.
+    pub fn segment_delta(
         &mut self,
         image: &RgbImage,
-        mut call: impl FnMut(&mut Client, &RgbImage) -> Result<R, ServeError>,
-        outcome_of: impl Fn(&R) -> &SegmentOutcome,
-        promote: impl FnOnce(R, u32) -> R,
-    ) -> Result<R, ServeError> {
+    ) -> Result<(SegmentOutcome, u32, u32), ServeError> {
         let order = self.ring.owners(route_hash(image));
         let mut tried = 0u32;
         let mut last_err: Option<ServeError> = None;
         for idx in order {
-            let mut client = match self.take_connection(idx) {
-                Ok(client) => client,
-                Err(err) => {
-                    self.stats[idx].errors += 1;
-                    self.stats[idx].failovers += 1;
-                    tried += 1;
-                    last_err = Some(err.into());
-                    continue;
-                }
+            let reply = match self.take_connection(idx) {
+                Ok(mut client) => client.segment_delta(image).map(|reply| (client, reply)),
+                Err(err) => Err(err.into()),
             };
-            match call(&mut client, image) {
-                Ok(result) => {
+            match reply {
+                Ok((client, (outcome, hit, recomputed))) => {
                     self.connections[idx] = Some(client);
-                    self.record_outcome(idx, outcome_of(&result));
-                    return Ok(if tried > 0 {
-                        promote(result, tried)
-                    } else {
-                        result
-                    });
+                    self.record_outcome(idx, &outcome);
+                    return Ok((promote_outcome(outcome, tried), hit, recomputed));
                 }
-                Err(ServeError::Protocol(err)) => {
-                    // The connection died under us — a draining or killed
-                    // daemon.  Drop the socket and move to the next owner;
-                    // the ops are idempotent, so re-sending is safe.
+                // A refused connect, or a connection that died under us (a
+                // draining or killed daemon): drop the socket and move to
+                // the next owner; the op is idempotent, so re-sending is
+                // safe.
+                Err(err @ ServeError::Protocol(_)) => {
                     self.stats[idx].errors += 1;
                     self.stats[idx].failovers += 1;
                     tried += 1;
-                    last_err = Some(ServeError::Protocol(err));
+                    last_err = Some(err);
                 }
                 Err(err) => return Err(err),
             }
@@ -277,20 +267,6 @@ impl FleetClient {
                 "no fleet endpoint reachable",
             )))
         }))
-    }
-
-    /// [`Client::segment_delta`] routed to the image's ring owner, with
-    /// failover.  Tile counts come from whichever endpoint answered.
-    pub fn segment_delta(
-        &mut self,
-        image: &RgbImage,
-    ) -> Result<(SegmentOutcome, u32, u32), ServeError> {
-        self.route(
-            image,
-            |client, image| client.segment_delta(image),
-            |(outcome, _, _)| outcome,
-            |(outcome, hit, recomputed), tried| (promote_outcome(outcome, tried), hit, recomputed),
-        )
     }
 
     /// Pipelined fleet segmentation: splits `images` by ring owner, runs
@@ -563,15 +539,17 @@ mod tests {
         let images: Vec<RgbImage> = (0..8).map(test_image).collect();
         let mut first: Vec<_> = Vec::new();
         for img in &images {
-            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
-            assert!(!outcome.cached(), "first sight is a miss");
+            let (outcome, _, recomputed) = fleet.segment_delta(img).unwrap();
+            assert!(recomputed > 0 && !outcome.cached(), "first sight is a miss");
             first.push(outcome.unwrap_done().0);
         }
-        // Second pass: every repeat hits, because routing pinned each image
-        // to one daemon's cache.
+        // Second pass: every tile of every repeat hits, because routing
+        // pinned each image to one daemon's cache.
         for (img, reference) in images.iter().zip(&first) {
-            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
-            assert!(outcome.cached(), "repeat must hit its ring owner's cache");
+            let (outcome, hit, recomputed) = fleet.segment_delta(img).unwrap();
+            assert_eq!(recomputed, 0, "repeat must hit its ring owner's cache");
+            assert!(hit > 0 && outcome.cached());
+            assert_eq!(outcome.tried(), 0);
             assert_eq!(outcome.unwrap_done().0, *reference);
         }
         let stats = fleet.stats();
@@ -592,14 +570,7 @@ mod tests {
         let images: Vec<RgbImage> = (0..12).map(test_image).collect();
         let mut reference = Vec::new();
         for img in &images {
-            reference.push(
-                fleet
-                    .segment_pipelined(&[img], true)
-                    .unwrap()
-                    .remove(0)
-                    .unwrap_done()
-                    .0,
-            );
+            reference.push(fleet.segment_delta(img).unwrap().0.unwrap_done().0);
         }
         // Kill the daemon that owns at least one image.
         let ring = fleet.ring().clone();
@@ -622,7 +593,7 @@ mod tests {
         // come back as Failover (served by the next owner, cold there).
         let mut failovers = 0;
         for (img, want) in images.iter().zip(&reference) {
-            let outcome = fleet.segment_pipelined(&[img], true).unwrap().remove(0);
+            let (outcome, _, _) = fleet.segment_delta(img).unwrap();
             let tried = outcome.tried();
             let (labels, _) = outcome.unwrap_done();
             assert_eq!(labels, *want, "failover replies stay byte-identical");
