@@ -9,7 +9,10 @@
 //!
 //! * `hit_path` — warm cache, every request answered from it;
 //! * `table_no_cache` — no cache, every request pays the phase-table
-//!   classification (the previous steady-state winner);
+//!   classification;
+//! * `simd_no_cache` — no cache, every request pays the split-table `simd`
+//!   classification (the kernel the daemon serves), so `hit_path` against
+//!   this row says whether a whole-frame hit still beats classifying;
 //! * `miss_bypass` — cache attached but bypassed, measuring that an
 //!   attached-but-unused cache costs nothing on the classification path.
 //!
@@ -24,8 +27,8 @@ use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use imaging::RgbImage;
 use iqft_pipeline::{CacheConfig, SegmentPipeline};
-use iqft_seg::PhaseTable;
-use seg_engine::{SegmentEngine, SegmentPlan};
+use iqft_seg::{IqftClassifier, PhaseTable};
+use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan};
 use std::time::Duration;
 
 const UNIQUE: usize = 4;
@@ -104,6 +107,17 @@ fn bench(c: &mut Criterion) {
         |b, requests| {
             drive(&uncached, requests, false);
             b.iter(|| drive(&uncached, requests, false))
+        },
+    );
+
+    // No cache: every request re-classifies through the served kernel.
+    let simd = SegmentPipeline::new(engine, IqftClassifier::paper_default(ClassifierKind::Simd));
+    group.bench_with_input(
+        BenchmarkId::new("repeat32_96px", "simd_no_cache"),
+        &requests,
+        |b, requests| {
+            drive(&simd, requests, false);
+            b.iter(|| drive(&simd, requests, false))
         },
     );
 

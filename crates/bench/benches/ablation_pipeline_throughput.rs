@@ -1,6 +1,6 @@
 //! Ablation A4: steady-state throughput of the batched `iqft-pipeline`
 //! service, exact statevector math vs. the eager `PhaseTable` fast path vs.
-//! the quantized SIMD table.
+//! the split-table `simd` kernel.
 //!
 //! Each iteration streams a fixed 16-image synthetic batch through a warmed
 //! pipeline with buffer recycling, so the measurement captures the

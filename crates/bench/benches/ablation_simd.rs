@@ -1,43 +1,68 @@
-//! Ablation A6: the quantized / SIMD classification hot path against the
-//! eager f64 `PhaseTable`, measured on the bare row kernel.
+//! Ablation A6: the split-table `simd` classifier against the eager f64
+//! `PhaseTable`, measured on the bare row kernel.
 //!
 //! Every bench calls `PixelClassifier::classify_rgb_slice_into` on one flat
 //! pixel buffer — no pipeline, no tiling, no buffer management — so the
-//! numbers isolate the per-pixel classification cost the quantization is
-//! meant to cut.  Three headline rows feed the recorded baseline:
+//! numbers isolate the per-pixel classification cost.  Two inputs:
 //!
-//! * `phase_table`   — the eager f64 table (the previous fast path),
-//! * `quant_scalar`  — the i16 quantized kernel pinned to portable scalar,
-//! * `simd_dispatch` — the quantized kernel at the runtime-detected level.
+//! * `voc8_1024px` — 8 VOC-like 1024×768 frames from the generator behind
+//!   the loopback benchmark's `fresh_frames` workload, at its default
+//!   config;
+//! * `noise_1024px` — one 1024×768 frame of uniform noise, whose pixels
+//!   land on random rows of the split table.
 //!
-//! The remaining `kernel_*` rows pin each supported `std::arch` level for
-//! diagnosis.  Setup asserts all paths produce byte-identical labels — the
-//! exactness-oracle contract — so a recorded throughput win can never come
-//! from a kernel that quietly diverges.
+//! Rows:
+//!
+//! * `phase_table`   — the eager f64 table (the oracle the split table is
+//!   filled from),
+//! * `simd_scalar`   — the split table pinned to its portable scalar loop,
+//! * `simd_dispatch` — the split table at the runtime-detected kernel,
+//! * `simd_cold`     — the first VOC-like frame on a fresh, unshared table
+//!   per iteration, so it times the row fills a cold process pays once.
+//!
+//! Setup asserts every path labels both inputs identically to the f64
+//! table, so a recorded win can never come from a kernel that diverges.
 //!
 //! Snapshot a baseline with
 //! `CRITERION_JSON=BENCH_simd.json cargo bench --bench ablation_simd`;
-//! `check_baselines` then enforces that `simd_dispatch` beats `phase_table`
-//! by the recorded margin.
+//! `check_baselines` then enforces that `simd_dispatch` runs at least 2×
+//! `phase_table` and `simd_scalar` beats it.
 
-use bench::synthetic_rgb;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use datasets::{PascalVocLikeConfig, PascalVocLikeDataset};
 use imaging::{PixelClassifier, Rgb};
-use iqft_seg::{IqftClassifier, QuantizedPhaseTable, SimdLevel};
+use iqft_seg::{IqftClassifier, SimdLevel, SplitTable};
 use seg_engine::ClassifierKind;
 use std::time::Duration;
 
-const IMAGES: usize = 16;
-const SIZE: usize = 96;
+const FRAMES: usize = 8;
+const WIDTH: usize = 1024;
+const HEIGHT: usize = 768;
 
-/// One flat buffer holding the same 16-image synthetic batch the pipeline
-/// ablations stream, so per-pixel rates are comparable across baselines.
-fn flat_pixels() -> Vec<Rgb<u8>> {
-    (0..IMAGES)
-        .flat_map(|i| {
-            synthetic_rgb(SIZE, SIZE * 3 / 4, 100 + i as u64)
-                .as_slice()
-                .to_vec()
+/// The 8 VOC-like frames, one flat buffer.
+fn voc_pixels() -> Vec<Rgb<u8>> {
+    let voc = PascalVocLikeDataset::new(PascalVocLikeConfig {
+        len: FRAMES,
+        width: WIDTH,
+        height: HEIGHT,
+        ..PascalVocLikeConfig::default()
+    });
+    (0..FRAMES)
+        .flat_map(|i| voc.sample(i).image.as_slice().to_vec())
+        .collect()
+}
+
+/// One frame of uniform noise (splitmix64 per pixel).
+fn noise_pixels() -> Vec<Rgb<u8>> {
+    (0..WIDTH * HEIGHT)
+        .map(|i| {
+            let mut z = (i as u64)
+                .wrapping_add(1)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            Rgb::new(z as u8, (z >> 8) as u8, (z >> 16) as u8)
         })
         .collect()
 }
@@ -54,44 +79,43 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(2));
-    let pixels = flat_pixels();
-    group.throughput(Throughput::Elements(pixels.len() as u64));
 
     let table = IqftClassifier::paper_default(ClassifierKind::Table);
-    let quant = QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar);
-    let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
-    let levels: Vec<QuantizedPhaseTable> = SimdLevel::ALL
-        .iter()
-        .filter(|level| level.is_supported())
-        .map(|&level| QuantizedPhaseTable::paper_default().with_simd(level))
-        .collect();
+    let scalar = SplitTable::paper_default().with_simd(SimdLevel::Scalar);
+    let dispatch = IqftClassifier::paper_default(ClassifierKind::Simd);
+    let voc = voc_pixels();
+    let noise = noise_pixels();
 
-    // The exactness contract, asserted before anything is timed: every
-    // quantized path must label the bench buffer byte-identically to the
-    // f64 table, so a recorded win cannot come from a divergent kernel.
-    let reference = labels_of(&table, &pixels);
-    assert_eq!(labels_of(&quant, &pixels), reference);
-    assert_eq!(labels_of(&simd, &pixels), reference);
-    for kernel in &levels {
-        assert_eq!(labels_of(kernel, &pixels), reference);
-    }
+    for (input, pixels) in [("voc8_1024px", &voc), ("noise_1024px", &noise)] {
+        // The exactness contract, asserted before anything is timed.
+        let reference = labels_of(&table, pixels);
+        assert_eq!(labels_of(&scalar, pixels), reference, "{input}");
+        assert_eq!(labels_of(&dispatch, pixels), reference, "{input}");
+        assert_eq!(labels_of(&scalar.cold(), pixels), reference, "{input}");
 
-    let mut run = |label: &str, classifier: &dyn PixelClassifier| {
+        group.throughput(Throughput::Elements(pixels.len() as u64));
         let mut out = vec![0u32; pixels.len()];
-        group.bench_with_input(
-            BenchmarkId::new("classify_rgb", label),
-            &pixels,
-            |b, pixels| b.iter(|| classifier.classify_rgb_slice_into(pixels, &mut out)),
-        );
-    };
-    run("phase_table", &table);
-    run("quant_scalar", &quant);
-    run("simd_dispatch", &simd);
-    for kernel in &levels {
-        if kernel.simd_level() != SimdLevel::Scalar {
-            run(&format!("kernel_{}", kernel.simd_level().name()), kernel);
+        for (row, classifier) in [
+            ("phase_table", &table as &dyn PixelClassifier),
+            ("simd_scalar", &scalar),
+            ("simd_dispatch", &dispatch),
+        ] {
+            group.bench_with_input(BenchmarkId::new(input, row), pixels, |b, pixels| {
+                b.iter(|| classifier.classify_rgb_slice_into(pixels, &mut out))
+            });
         }
     }
+
+    // One frame, one fresh table per iteration: the fills dominate.
+    let frame = &voc[..WIDTH * HEIGHT];
+    let warm = SplitTable::paper_default();
+    let mut out = vec![0u32; frame.len()];
+    group.throughput(Throughput::Elements(frame.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("voc1_1024px", "simd_cold"),
+        frame,
+        |b, frame| b.iter(|| warm.cold().classify_rgb_slice_into(frame, &mut out)),
+    );
 
     group.finish();
 }

@@ -12,6 +12,9 @@
 //!   per-tile delta path at ~0/5/25/100% of blocks mutated per frame;
 //! * `uncached` — no cache, every frame re-classifies every pixel (the
 //!   phase-table fast path);
+//! * `simd` — no cache, every frame re-classifies every pixel with the
+//!   split-table `simd` kernel the daemon serves, so the delta rows against
+//!   this one say whether a delta frame still beats classifying;
 //! * `whole_cache` — the whole-image result cache on the same 25% stream:
 //!   every frame's content differs from its predecessor, so the image-level
 //!   hash misses every time and the cache only adds overhead.
@@ -29,10 +32,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use datasets::{synthetic_video, VideoConfig};
+use imaging::PixelClassifier;
 use imaging::RgbImage;
 use iqft_pipeline::{CacheConfig, PipelineConfig, SegmentPipeline};
-use iqft_seg::PhaseTable;
-use seg_engine::{SegmentEngine, SegmentPlan, Tiling};
+use iqft_seg::{IqftClassifier, PhaseTable};
+use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
 use std::time::Duration;
 
 const FRAMES: usize = 8;
@@ -81,7 +85,7 @@ fn drive_delta(pipeline: &SegmentPipeline<PhaseTable>, frames: &[RgbImage]) {
     }
 }
 
-fn drive_fresh(pipeline: &SegmentPipeline<PhaseTable>, frames: &[RgbImage]) {
+fn drive_fresh<C: PixelClassifier + Sync>(pipeline: &SegmentPipeline<C>, frames: &[RgbImage]) {
     for frame in frames {
         let labels = pipeline.segment_request(frame);
         pipeline.recycle(labels);
@@ -154,6 +158,27 @@ fn bench(c: &mut Criterion) {
         |b, frames| {
             drive_fresh(&uncached, frames);
             b.iter(|| drive_fresh(&uncached, frames))
+        },
+    );
+
+    // No cache, the served kernel: every frame pays split-table
+    // classification.
+    let simd = SegmentPipeline::new(
+        SegmentEngine::with_threads(1),
+        IqftClassifier::paper_default(ClassifierKind::Simd),
+    )
+    .with_config(PipelineConfig {
+        tiling: Tiling::Tiles {
+            width: TILE,
+            height: TILE,
+        },
+    });
+    group.bench_with_input(
+        BenchmarkId::new("video8_256px", "simd"),
+        &frames,
+        |b, frames| {
+            drive_fresh(&simd, frames);
+            b.iter(|| drive_fresh(&simd, frames))
         },
     );
 

@@ -143,9 +143,10 @@ impl SegmentEngine {
         let pixels = img.as_slice();
         labels.resize(pixels.len(), 0);
         // Each disjoint chunk goes through the classifier's batched slice
-        // hook, so row/SIMD kernels (e.g. iqft-seg's quantized table)
-        // accelerate the whole-image path too; the default hook is a
-        // per-pixel loop, byte-identical to classify_rgb_pixel calls.
+        // hook, so row/SIMD kernels (e.g. iqft-seg's split table, which
+        // gathers 8 pixels per step) accelerate the whole-image path too;
+        // the default hook is a per-pixel loop, byte-identical to
+        // classify_rgb_pixel calls.
         self.backend.for_each_chunk_mut(labels, |start, chunk| {
             classifier.classify_rgb_slice_into(&pixels[start..start + chunk.len()], chunk);
         });

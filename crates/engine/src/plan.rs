@@ -34,11 +34,11 @@ pub enum ClassifierKind {
     /// the steady-state fast path and the default).
     #[default]
     Table,
-    /// Fixed-point log-space quantization of the phase table with
-    /// runtime-dispatched `std::arch` SIMD kernels (AVX2 → SSE4.1 → SSE2,
-    /// the scalar kernel elsewhere or under `IQFT_SIMD=off`) — labels
-    /// bit-identical to `exact` via the built-in f64 oracle fallback, the
-    /// raw-speed hot path.
+    /// One lookup per pixel in a table of thresholds on blue, one per
+    /// (red, green), filled lazily from the phase table and shared per
+    /// configuration (`SplitTable`).  An AVX2 gather kernel serves it, or a
+    /// portable scalar loop elsewhere and under `IQFT_SIMD=off`.  Labels
+    /// equal `table`'s by construction; the raw-speed hot path.
     Simd,
 }
 
@@ -77,12 +77,6 @@ impl ClassifierKind {
             ClassifierKind::Table => "table",
             ClassifierKind::Simd => "simd",
         }
-    }
-
-    /// Whether this kind classifies through the quantized fixed-point table
-    /// (and therefore reports oracle-fallback pixel counts).
-    pub fn is_quantized(self) -> bool {
-        self == ClassifierKind::Simd
     }
 }
 

@@ -409,14 +409,12 @@ fn main() {
                     &all,
                 ));
             }
-            // ... and the quantized SIMD classifier (whose default-on
-            // verification doubles as the exactness-oracle check), even when
+            // ... and the split-table `simd` classifier (whose default-on
+            // verification checks it against the exact oracle), even when
             // the user did not pass --classifier.
-            let quantized = matches!(
-                seg_engine::ClassifierKind::from_flag(&args.classifier),
-                Ok(kind) if kind.is_quantized()
-            );
-            if !quantized {
+            let simd = seg_engine::ClassifierKind::from_flag(&args.classifier)
+                == Ok(seg_engine::ClassifierKind::Simd);
+            if !simd {
                 all.push('\n');
                 all.push_str(&throughput_or_exit(
                     &engine,

@@ -12,10 +12,10 @@
 //!   per pixel);
 //! * `table` — the eager `PhaseTable` fast path (three table lookups per
 //!   pixel);
-//! * `simd` — the fixed-point quantized table with runtime-dispatched
-//!   `std::arch` kernels (the steady-state winner; `IQFT_SIMD=off` pins its
-//!   portable scalar kernel, and either way it stays bit-identical to
-//!   `exact` via its built-in f64 oracle).
+//! * `simd` — the split table: one lookup per pixel, filled lazily from the
+//!   phase table, with an AVX2 gather kernel (the steady-state winner;
+//!   `IQFT_SIMD=off` pins its portable scalar loop, and either way its
+//!   labels equal `exact`'s by construction).
 //!
 //! Strategy selection goes through one dispatch point: the flags are parsed
 //! into a [`SegmentPlan`] (`seg_engine::ClassifierKind` ×
@@ -163,7 +163,7 @@ fn run_pipeline(
     batch: usize,
     shape: StreamShape,
     cache_salt: &str,
-) -> (Vec<LabelMap>, PipelineReport, u64) {
+) -> (Vec<LabelMap>, PipelineReport) {
     let StreamShape {
         tiling,
         cache_mb,
@@ -199,20 +199,17 @@ fn run_pipeline(
         .into_iter()
         .map(|slot| slot.expect("pipeline visited every image"))
         .collect();
-    let quant_fallbacks = pipeline.classifier().quant_fallback_pixels();
-    (outputs, report, quant_fallbacks)
+    (outputs, report)
 }
 
 /// Runs the configured stream under a resolved plan and returns `(labels,
-/// report, quant fallbacks)` — the last is the number of pixels a quantized
-/// classifier routed through its f64 exactness oracle (0 for non-quantized
-/// kinds).  [`throughput_report`] resolves the plan once, so a `--plan auto`
+/// report)`.  [`throughput_report`] resolves the plan once, so a `--plan auto`
 /// calibration sweep runs once, not once per stage.
 pub(crate) fn throughput_run_with_plan(
     config: &ThroughputConfig,
     images: &[RgbImage],
     plan: &SegmentPlan,
-) -> (Vec<LabelMap>, PipelineReport, u64) {
+) -> (Vec<LabelMap>, PipelineReport) {
     run_pipeline(
         &plan.engine(),
         IqftClassifier::for_plan(plan),
@@ -274,9 +271,7 @@ pub fn throughput_report(
     let resolved = config
         .resolved_plan(engine)
         .map_err(ThroughputError::Flag)?;
-    let (labels, report, quant_fallbacks) =
-        throughput_run_with_plan(config, &images, &resolved.plan);
-    let quantized = resolved.plan.classifier().is_quantized();
+    let (labels, report) = throughput_run_with_plan(config, &images, &resolved.plan);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -370,19 +365,6 @@ pub fn throughput_report(
             report.delta_tile_hit_ratio() * 100.0,
         );
     }
-    if quantized {
-        let _ = writeln!(
-            out,
-            "  quant: {} of {} pixels resolved by the f64 exactness oracle ({:.4}%)",
-            quant_fallbacks,
-            report.pixels(),
-            if report.pixels() > 0 {
-                quant_fallbacks as f64 * 100.0 / report.pixels() as f64
-            } else {
-                0.0
-            },
-        );
-    }
 
     if config.verify {
         match verify_labels(&images, &labels) {
@@ -408,7 +390,7 @@ mod tests {
         engine: &SegmentEngine,
         config: &ThroughputConfig,
         images: &[RgbImage],
-    ) -> Result<(Vec<LabelMap>, PipelineReport, u64), String> {
+    ) -> Result<(Vec<LabelMap>, PipelineReport), String> {
         let plan = config.plan(engine)?;
         Ok(throughput_run_with_plan(config, images, &plan))
     }
@@ -449,7 +431,7 @@ mod tests {
                     .segment_rgb(img)
             })
             .collect();
-        let (labels, report, _) = throughput_run(&engine, &config, &images).unwrap();
+        let (labels, report) = throughput_run(&engine, &config, &images).unwrap();
         assert_eq!(labels, reference, "stitched deltas match serial reference");
         assert!(report.delta_tiles_hit > 0, "{report:?}");
         assert!(report.delta_tiles_recomputed > 0, "{report:?}");
@@ -477,14 +459,10 @@ mod tests {
             for tile in ["off", "16x16", "13x7"] {
                 let mut config = small_config(mode);
                 config.tile = tile.to_string();
-                let (labels, report, fallbacks) =
-                    throughput_run(&engine, &config, &images).unwrap();
+                let (labels, report) = throughput_run(&engine, &config, &images).unwrap();
                 assert_eq!(labels, reference, "mode {mode} tile {tile}");
                 assert_eq!(report.images(), 6);
                 assert_eq!(report.batches.len(), 3);
-                if !kind.is_quantized() {
-                    assert_eq!(fallbacks, 0, "mode {mode} has no oracle path");
-                }
             }
         }
     }
@@ -503,7 +481,7 @@ mod tests {
                     .segment_rgb(img)
             })
             .collect();
-        let (labels, report, _) = throughput_run(&engine, &config, &images).unwrap();
+        let (labels, report) = throughput_run(&engine, &config, &images).unwrap();
         assert_eq!(labels, reference);
         // Distinct images: every request misses and is stored.
         assert_eq!(report.cache_misses, 6, "{report:?}");
@@ -539,7 +517,7 @@ mod tests {
         let engine = SegmentEngine::with_threads(2);
         let config = small_config("simd");
         let images = throughput_images(&config);
-        let (mut labels, _, _) = throughput_run(&engine, &config, &images).unwrap();
+        let (mut labels, _) = throughput_run(&engine, &config, &images).unwrap();
         let ok = verify_labels(&images, &labels).unwrap();
         assert!(ok.contains("byte-identical"), "{ok}");
         let label = labels[2].get(0, 0);
@@ -605,20 +583,15 @@ mod tests {
         assert!(report.contains("arena"), "{report}");
         assert!(report.contains("latency: p50"), "{report}");
         assert!(!report.contains("quant:"), "{report}");
+        // The `simd` kind has no fallback line either, and verifies too.
+        let simd = throughput_report(&engine, &small_config("simd")).unwrap();
+        assert!(!simd.contains("quant:"), "{simd}");
+        assert!(simd.contains("byte-identical"), "{simd}");
         // --no-verify drops the verification pass.
         let mut config = small_config("table");
         config.verify = false;
         let silent = throughput_report(&engine, &config).unwrap();
         assert!(!silent.contains("verify:"), "{silent}");
-    }
-
-    #[test]
-    fn quantized_report_surfaces_the_oracle_fallback_line() {
-        let engine = SegmentEngine::with_threads(2);
-        let report = throughput_report(&engine, &small_config("simd")).unwrap();
-        assert!(report.contains("quant:"), "{report}");
-        assert!(report.contains("exactness oracle"), "{report}");
-        assert!(report.contains("byte-identical"), "{report}");
     }
 
     #[test]

@@ -3,13 +3,14 @@
 //! `seg-engine`'s [`SegmentPlan`] names classifier
 //! *families* without knowing any algorithm; this module materialises the
 //! paper's RGB algorithm for each family.  All variants label every
-//! pixel identically (the phase-table and quantized paths are byte-identical
-//! to the exact path by construction), so a plan can switch kinds freely
-//! without changing a single output label — only throughput changes.
+//! pixel identically (the phase-table and split-table paths are
+//! byte-identical to the exact path by construction), so a plan can switch
+//! kinds freely without changing a single output label — only throughput
+//! changes.
 
 use crate::phase_table::PhaseTable;
-use crate::quant::{QuantizedPhaseTable, SimdLevel};
 use crate::rgb::IqftRgbSegmenter;
+use crate::split::{SimdLevel, SplitTable};
 use crate::theta::ThetaParams;
 use imaging::{LabelMap, Luma, PixelClassifier, Rgb, RgbImage, Segmenter};
 use seg_engine::{ClassifierKind, SegmentPlan};
@@ -41,21 +42,25 @@ pub enum IqftClassifier {
     Exact(IqftRgbSegmenter),
     /// Eager precomputed phase table (three lookups per pixel).
     Table(PhaseTable),
-    /// Fixed-point quantized table with runtime-dispatched `std::arch`
-    /// SIMD kernels (scalar fallback off x86-64; `IQFT_SIMD` pins a level).
-    Simd(QuantizedPhaseTable),
+    /// One lookup per pixel in the shared, lazily filled split table (AVX2
+    /// gather kernel, or the portable scalar loop off x86-64 and under
+    /// `IQFT_SIMD=off`).
+    Simd(SplitTable),
 }
 
 impl IqftClassifier {
     /// Builds the classifier family `kind` for the given angle parameters.
+    /// `Simd` builds the `Table` variant when the blue phase span exceeds π
+    /// and rows along b would not split (see [`SplitTable`]).
     pub(crate) fn build(kind: ClassifierKind, thetas: ThetaParams) -> Self {
         let exact = IqftRgbSegmenter::new(thetas);
         match kind {
             ClassifierKind::Exact => IqftClassifier::Exact(exact),
             ClassifierKind::Table => IqftClassifier::Table(PhaseTable::from_segmenter(&exact)),
-            ClassifierKind::Simd => {
-                IqftClassifier::Simd(QuantizedPhaseTable::from_segmenter(&exact))
-            }
+            ClassifierKind::Simd => match SplitTable::for_segmenter(&exact) {
+                Some(split) => IqftClassifier::Simd(split),
+                None => IqftClassifier::Table(PhaseTable::from_segmenter(&exact)),
+            },
         }
     }
 
@@ -71,19 +76,8 @@ impl IqftClassifier {
         Self::paper_default(plan.classifier())
     }
 
-    /// Total pixels the quantized variant routed through its f64 exactness
-    /// oracle because the quantized arg-max was ambiguous
-    /// (see [`QuantizedPhaseTable::fallback_pixels`]).  Zero for the
-    /// non-quantized variants, which have no fallback path.
-    pub fn quant_fallback_pixels(&self) -> u64 {
-        match self {
-            IqftClassifier::Simd(table) => table.fallback_pixels(),
-            _ => 0,
-        }
-    }
-
-    /// The SIMD kernel the quantized variant dispatches to (`None` for the
-    /// non-quantized variants).
+    /// The kernel the split-table variant classifies with (`None` for the
+    /// other variants).
     pub fn simd_level(&self) -> Option<SimdLevel> {
         match self {
             IqftClassifier::Simd(table) => Some(table.simd_level()),
@@ -122,8 +116,8 @@ impl PixelClassifier for IqftClassifier {
 
     fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
         match self {
-            // The quantized variant has a batched row kernel; forward so
-            // every bulk path (engine chunks, tile rows) picks it up.
+            // The split table has a batched row kernel; forward so every
+            // bulk path (engine chunks, tile rows) picks it up.
             IqftClassifier::Simd(table) => {
                 table.classify_slice(pixels, out);
             }
@@ -236,29 +230,42 @@ mod tests {
 
     #[test]
     fn quant_pins_scalar_and_simd_dispatches() {
-        // A quantized table pinned to the scalar kernel reports that pin
-        // through the enum; the `simd` kind dispatches to a supported level.
-        let quant =
-            IqftClassifier::Simd(QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar));
-        assert_eq!(kind_of(&quant), ClassifierKind::Simd);
-        assert_eq!(quant.simd_level(), Some(SimdLevel::Scalar));
+        // A split table pinned to the scalar loop reports that pin through
+        // the enum; the `simd` kind dispatches to a supported level.
+        let scalar = IqftClassifier::Simd(SplitTable::paper_default().with_simd(SimdLevel::Scalar));
+        assert_eq!(kind_of(&scalar), ClassifierKind::Simd);
+        assert_eq!(scalar.simd_level(), Some(SimdLevel::Scalar));
         let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
         assert!(simd.simd_level().unwrap().is_supported());
         let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
         assert_eq!(exact.simd_level(), None);
-        assert_eq!(exact.quant_fallback_pixels(), 0);
     }
 
     #[test]
-    fn fallback_counter_surfaces_through_the_enum() {
-        // White under θ = π ties states 3 and 5 exactly, so each white
-        // pixel consults the oracle — the counter must be visible through
-        // the enum accessor.
-        let quant = IqftClassifier::paper_default(ClassifierKind::Simd);
+    fn white_takes_its_exception_row_through_the_enum() {
+        // White under θ = π ties states 3 and 5 in real arithmetic; its
+        // row stores every label, and the enum's slice path returns the
+        // oracle's winner.
+        let simd = IqftClassifier::paper_default(ClassifierKind::Simd);
         let white = Rgb::new(255, 255, 255);
         let mut out = [0u32; 3];
-        quant.classify_rgb_slice_into(&[white; 3], &mut out);
+        simd.classify_rgb_slice_into(&[white; 3], &mut out);
         assert_eq!(out, [3, 3, 3]);
-        assert_eq!(quant.quant_fallback_pixels(), 3);
+    }
+
+    #[test]
+    fn simd_kind_builds_the_phase_table_when_blue_spans_more_than_pi() {
+        let thetas = ThetaParams::new(1.0, 2.0, 3.5);
+        let simd = IqftClassifier::build(ClassifierKind::Simd, thetas);
+        assert_eq!(kind_of(&simd), ClassifierKind::Table);
+        assert_eq!(simd.simd_level(), None);
+        let exact = IqftClassifier::build(ClassifierKind::Exact, thetas);
+        for pixel in [
+            Rgb::new(0, 0, 0),
+            Rgb::new(255, 255, 255),
+            Rgb::new(9, 99, 199),
+        ] {
+            assert_eq!(simd.classify(pixel), exact.classify(pixel));
+        }
     }
 }

@@ -21,11 +21,11 @@
 //! * [`PhaseTable`] — an *eager* 3 × 256-entry phase table precomputed per
 //!   [`ThetaParams`]: steady-state classification is three table lookups,
 //!   byte-identical to the exact path (the throughput pipeline's fast path).
-//! * [`QuantizedPhaseTable`] — a fixed-point, log-space quantization of the
-//!   phase table with runtime-dispatched `std::arch` SIMD kernels
-//!   (SSE2/SSE4.1/AVX2) and a per-pixel f64 exactness oracle: still
-//!   bit-identical to the exact path, by construction (the fastest
-//!   classifier in the workspace).
+//! * [`SplitTable`] — one lookup per pixel: for each (r, g), a threshold on
+//!   b with the label on each side, filled lazily from the phase table and
+//!   shared per configuration across the process; an AVX2 gather kernel and
+//!   a portable scalar loop.  Its labels equal the phase table's by
+//!   construction (the fastest classifier in the workspace).
 //! * [`IqftClassifier`] — the concrete classifier behind a
 //!   `seg_engine::ClassifierKind`: one enum that plan-driven callers build
 //!   from the `--classifier` flag (all variants label identically).
@@ -63,8 +63,8 @@ pub(crate) mod classifier;
 pub(crate) mod foreground;
 pub mod gray;
 pub(crate) mod phase_table;
-pub(crate) mod quant;
 pub mod rgb;
+pub(crate) mod split;
 pub mod theta;
 
 pub use auto_theta::AutoThetaSearch;
@@ -72,9 +72,9 @@ pub use classifier::IqftClassifier;
 pub use foreground::{reduce_to_foreground, ForegroundPolicy};
 pub use gray::IqftGraySegmenter;
 pub use phase_table::PhaseTable;
-pub use quant::{QuantizedPhaseTable, SimdLevel};
 pub use rgb::IqftRgbSegmenter;
 pub use seg_engine::SegmentEngine;
+pub use split::{SimdLevel, SplitTable};
 pub use theta::ThetaParams;
 
 #[cfg(test)]

@@ -43,8 +43,8 @@ const CHANNEL_VALUES: usize = 256;
 
 /// For each register position (0 = most significant), the RGB channel index
 /// that feeds it: under the paper's eq. 11 ordering the blue-channel phase α
-/// leads.  The quantized table in [`crate::quant`] indexes pixels the same
-/// way.
+/// leads, so blue carries the parity factor that [`crate::SplitTable`]
+/// thresholds on.
 pub(crate) const CHANNEL_OF_QUBIT: [usize; 3] = [2, 1, 0];
 
 /// A fully-precomputed per-channel phase→probability-factor table for the
@@ -102,15 +102,8 @@ impl PhaseTable {
         Self::from_segmenter(&IqftRgbSegmenter::paper_default())
     }
 
-    /// The engine whole-image calls execute on.
-    pub(crate) fn engine(&self) -> SegmentEngine {
-        self.engine
-    }
-
-    /// The factor vector for register qubit `q` at channel value `v` (also
-    /// the source data the quantized table in [`crate::quant`] is derived
-    /// from).
-    pub(crate) fn factor(&self, q: usize, v: u8) -> &[f64; NUM_STATES] {
+    /// The factor vector for register qubit `q` at channel value `v`.
+    fn factor(&self, q: usize, v: u8) -> &[f64; NUM_STATES] {
         &self.factors[q * CHANNEL_VALUES + v as usize]
     }
 
@@ -278,7 +271,7 @@ mod tests {
         let serial = PhaseTable::from_segmenter(
             &IqftRgbSegmenter::paper_default().with_engine(SegmentEngine::serial()),
         )
-        .engine();
+        .engine;
         assert_eq!(serial, SegmentEngine::serial());
     }
 }

@@ -146,11 +146,6 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         self
     }
 
-    /// The classifier driving per-pixel classification.
-    pub fn classifier(&self) -> &C {
-        &self.classifier
-    }
-
     /// The label-buffer arena (for inspection; see [`LabelArena`]).
     pub fn arena(&self) -> &LabelArena {
         &self.arena
@@ -792,7 +787,7 @@ mod tests {
         assert_eq!(frame.tile_rects(32, 24).count(), 4);
         let (labels, _) = pipeline.run_batch(std::slice::from_ref(&frame));
         assert!(
-            pipeline.classifier().state.lock().unwrap().1,
+            pipeline.classifier.state.lock().unwrap().1,
             "two tiles of one frame never ran at the same time"
         );
         assert_eq!(

@@ -242,7 +242,7 @@ impl Shared {
             cache_capacity_bytes: cache.capacity_bytes,
             delta_tiles_hit: cache.tile_hits,
             delta_tiles_recomputed: cache.tile_recomputed,
-            quant_fallback_pixels: self.pipeline.classifier().quant_fallback_pixels(),
+            quant_fallback_pixels: 0,
             max_queue: self.max_queue,
             busy_rejections: self.stats.busy_rejections(),
             calibration: self.calibration.clone(),

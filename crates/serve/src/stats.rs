@@ -181,9 +181,9 @@ pub struct StatsSnapshot {
     pub delta_tiles_hit: usize,
     /// Delta-path tiles re-classified because their content hash missed.
     pub delta_tiles_recomputed: usize,
-    /// Pixels the quantized classifier routed through its f64 exactness
-    /// oracle because the fixed-point arg-max was ambiguous (0 for
-    /// non-quantized classifier kinds, which have no fallback path).
+    /// Always 0: no classifier kind routes pixels to a fallback any more.
+    /// The field stays on the wire, in its place in the stats text, because
+    /// existing clients and the loopback benchmark read it.
     pub quant_fallback_pixels: u64,
     /// Admission limit: segment requests beyond the worker pool plus this
     /// many queued get a typed `Busy` reply (0 = unbounded queueing).

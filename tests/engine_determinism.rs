@@ -13,8 +13,8 @@ use datasets::{PascalVocLikeConfig, PascalVocLikeDataset};
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
 use iqft_pipeline::{CacheConfig, LabelArena, PipelineConfig, SegmentPipeline};
 use iqft_seg::{
-    IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, PhaseTable, QuantizedPhaseTable,
-    SegmentEngine, SimdLevel, ThetaParams,
+    IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, PhaseTable, SegmentEngine, SimdLevel,
+    SplitTable, ThetaParams,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -247,12 +247,12 @@ fn tiled_pipeline_batches_are_byte_identical_to_whole_image() {
     }
 }
 
-/// Acceptance criterion, quantized layer: the quantized scalar kernel, the
-/// runtime SIMD dispatch, and every supported `std::arch` kernel produce
-/// label maps byte-identical to the exact f64 classifier — whole-image and
-/// tiled (7×3 and 64×64 against a 53×37 image, so edge tiles are clamped
-/// and non-divisible), across every engine backend, through both the engine
-/// and the `SegmentPlan` dispatch point.
+/// Acceptance criterion, split-table layer: the split table's scalar loop,
+/// its runtime dispatch, and every supported kernel produce label maps
+/// byte-identical to the exact f64 classifier — whole-image and tiled (7×3
+/// and 64×64 against a 53×37 image, so edge tiles are clamped and
+/// non-divisible), across every engine backend, through both the engine and
+/// the `SegmentPlan` dispatch point.
 #[test]
 fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
     let mut rng = ChaCha8Rng::seed_from_u64(6001);
@@ -262,16 +262,16 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
     let whole = SegmentEngine::serial().segment_rgb(&exact, &img);
     let tile_sizes = [(7usize, 3usize), (64, 64), (w, h)];
 
-    // The quantized table pinned to its portable scalar kernel (what
+    // The split table pinned to its portable scalar loop (what
     // `IQFT_SIMD=off` and non-x86 hosts run), and the runtime dispatch.
-    let quantized = [
+    let kernels = [
         (
             "scalar",
-            IqftClassifier::Simd(QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar)),
+            IqftClassifier::Simd(SplitTable::paper_default().with_simd(SimdLevel::Scalar)),
         ),
         ("simd", IqftClassifier::paper_default(ClassifierKind::Simd)),
     ];
-    for (label, classifier) in &quantized {
+    for (label, classifier) in &kernels {
         for (name, engine) in all_engines() {
             assert_eq!(
                 engine.segment_rgb(classifier, &img),
@@ -296,25 +296,45 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
         }
     }
 
-    // Every supported std::arch kernel agrees with the pinned scalar
-    // quantized kernel byte-for-byte — labels and oracle-fallback counts.
-    let scalar = QuantizedPhaseTable::paper_default().with_simd(SimdLevel::Scalar);
+    // Every supported kernel agrees with the pinned scalar loop
+    // byte-for-byte.
+    let scalar = SplitTable::paper_default().with_simd(SimdLevel::Scalar);
     let scalar_labels = SegmentEngine::serial().segment_rgb(&scalar, &img);
-    assert_eq!(scalar_labels, whole, "scalar quantized vs exact");
+    assert_eq!(scalar_labels, whole, "scalar split table vs exact");
     for level in SimdLevel::ALL {
         if !level.is_supported() {
             continue;
         }
-        let kernel = QuantizedPhaseTable::paper_default().with_simd(level);
+        let kernel = SplitTable::paper_default().with_simd(level);
         assert_eq!(
             SegmentEngine::serial().segment_rgb(&kernel, &img),
             scalar_labels,
-            "kernel {level} vs scalar quantized"
+            "kernel {level} vs scalar split table"
         );
+    }
+}
+
+/// A cold split table shares no fills, so two engine threads meet unfilled
+/// rows in their chunks of a VOC-like frame and take turns filling them.
+/// The labels still equal the f64 oracle's, on both kernels.
+#[test]
+fn a_cold_split_table_filled_by_two_threads_equals_the_oracle() {
+    let frame = PascalVocLikeDataset::new(PascalVocLikeConfig {
+        len: 1,
+        width: 320,
+        height: 240,
+        seed: 23,
+        ..PascalVocLikeConfig::default()
+    })
+    .sample(0)
+    .image;
+    let oracle = SegmentEngine::serial().segment_rgb(&PhaseTable::paper_default(), &frame);
+    for level in SimdLevel::ALL.into_iter().filter(|l| l.is_supported()) {
+        let cold = SplitTable::paper_default().cold().with_simd(level);
         assert_eq!(
-            kernel.fallback_pixels(),
-            scalar.fallback_pixels(),
-            "fallback count at {level}"
+            SegmentEngine::with_threads(2).segment_rgb(&cold, &frame),
+            oracle,
+            "{level}"
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Committed goldens, regenerated and diffed by tier-1.
 //!
 //! - `tests/golden/oracle_labels.txt` pins the exact IQFT oracle.  Every fast
-//!   path (quantized tables, SIMD kernels, tiling, caching, the wire) is
+//!   path (phase and split tables, SIMD kernels, tiling, caching, the wire) is
 //!   checked for byte-identity against the exact oracle, so a drift shared
 //!   by the oracle itself would go unnoticed by those suites.  For the first
 //!   8 images of the harness's default VOC-like and xView-like sets (seed 42,
