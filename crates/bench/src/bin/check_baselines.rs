@@ -318,7 +318,7 @@ fn check_file_semantics(path: &Path, records: &[BTreeMap<String, Value>]) -> Res
             ));
         }
         // The winning spec is embedded in the bench id
-        // (`.../calibrated[classifier=...;tile=...;backend=...]`) and must
+        // (`.../calibrated[classifier=...;tile=off;backend=...]`) and must
         // parse back into a `SegmentPlan`, so the recorded choice is
         // auditable and never drifts from the real plan grammar.
         let bench_id = records
@@ -618,7 +618,7 @@ mod tests {
             .unwrap_err()
             .contains("simd_scalar"));
         // Other baseline files carry no SIMD-specific requirements.
-        assert!(check_file_semantics(Path::new("BENCH_tiling.json"), &incomplete).is_ok());
+        assert!(check_file_semantics(Path::new("BENCH_throughput.json"), &incomplete).is_ok());
     }
 
     #[test]
@@ -715,7 +715,7 @@ mod tests {
             .contains("delta_cr5"));
         // Other baseline files carry no video-specific requirements.
         assert!(check_file_semantics(Path::new("BENCH_cache.json"), &incomplete).is_err());
-        assert!(check_file_semantics(Path::new("BENCH_tiling.json"), &incomplete).is_ok());
+        assert!(check_file_semantics(Path::new("BENCH_throughput.json"), &incomplete).is_ok());
     }
 
     #[test]
@@ -727,7 +727,7 @@ mod tests {
             .unwrap()
         };
         let path = Path::new("BENCH_calibration.json");
-        let spec = "calibrated[classifier=simd;tile=32x32;backend=threads:4]";
+        let spec = "calibrated[classifier=simd;tile=off;backend=threads:4]";
         let good = vec![
             record("stream8_192px/fixed_default", 1e8),
             record(&format!("stream8_192px/{spec}"), 3e8),
@@ -766,7 +766,7 @@ mod tests {
             .unwrap_err()
             .contains("fixed_default"));
         // Other baseline files carry no calibration-specific requirements.
-        assert!(check_file_semantics(Path::new("BENCH_tiling.json"), &incomplete).is_ok());
+        assert!(check_file_semantics(Path::new("BENCH_throughput.json"), &incomplete).is_ok());
     }
 
     #[test]

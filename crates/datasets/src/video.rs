@@ -16,9 +16,9 @@
 use imaging::draw;
 use imaging::{Rgb, RgbImage};
 
-/// Default mutation-block edge in pixels.  Matches the delta cache's default
-/// tile edge (`seg_engine::Tiling::DEFAULT_DELTA_TILE`) so a default-config
-/// video stresses the default-config delta path one block per tile.
+/// Default mutation-block edge in pixels.  Matches the delta cache's tile
+/// edge (`seg_engine::Tiling::delta_shape`, 64×64) so a default-config video
+/// stresses the delta path one block per tile.
 pub(crate) const DEFAULT_BLOCK: usize = 64;
 
 /// Parameters for [`synthetic_video`].

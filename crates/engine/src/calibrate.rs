@@ -2,12 +2,11 @@
 //!
 //! Every recorded baseline in this workspace was produced on one specific
 //! container; a hard-coded default plan mis-tunes on any other machine (a
-//! 1-core host wants `backend=serial;tile=off`, a 16-core host wants threads
-//! and tiles).  This module runs a short, budget-bounded sweep over a
-//! candidate grid of classifier × tiling × backend combinations against a
-//! deterministic synthetic frame and returns the fastest plan it measured,
-//! together with every per-probe timing so the choice is auditable through
-//! Stats.
+//! 1-core host wants `backend=serial`, a 16-core host wants threads).  This
+//! module runs a short, budget-bounded sweep over a candidate grid of
+//! classifier × backend combinations against a deterministic synthetic
+//! frame and returns the fastest plan it measured, together with every
+//! per-probe timing so the choice is auditable through Stats.
 //!
 //! The sweep is deterministic given a seed in everything but the timings
 //! themselves: the synthetic frame, the candidate order, and the tie-break
@@ -21,7 +20,7 @@
 
 use std::time::{Duration, Instant};
 
-use crate::{ClassifierKind, SegmentPlan, Tiling};
+use crate::{ClassifierKind, SegmentPlan};
 use imaging::{PixelClassifier, Rgb, RgbImage};
 use xpar::Backend;
 
@@ -143,29 +142,16 @@ fn candidates(cores: usize) -> Vec<SegmentPlan> {
             backends.push(Backend::Threads(cores / 2));
         }
     }
-    let tilings = [
-        Tiling::Whole,
-        Tiling::Tiles {
-            width: 64,
-            height: 64,
-        },
-        Tiling::Tiles {
-            width: 32,
-            height: 32,
-        },
-    ];
     // The steady-state classifier families only: `exact` exists as the
     // oracle and is never the right serving choice, so probing it would
     // spend budget to learn nothing.
     let kinds = [ClassifierKind::Table, ClassifierKind::Simd];
     let mut plans = vec![SegmentPlan::default()];
     for kind in kinds {
-        for tiling in tilings {
-            for backend in &backends {
-                let plan = SegmentPlan::new(kind, tiling, *backend);
-                if !plans.contains(&plan) {
-                    plans.push(plan);
-                }
+        for backend in &backends {
+            let plan = SegmentPlan::new(kind, *backend);
+            if !plans.contains(&plan) {
+                plans.push(plan);
             }
         }
     }
@@ -176,7 +162,7 @@ fn candidates(cores: usize) -> Vec<SegmentPlan> {
 ///
 /// `factory` materialises a concrete classifier for each candidate family;
 /// it is invoked once per distinct [`ClassifierKind`] in the grid (built
-/// classifiers are reused across tilings/backends).  Labels are
+/// classifiers are reused across backends).  Labels are
 /// byte-identical across every candidate by the engine's construction, so
 /// calibration is purely a performance decision.
 pub fn calibrate<C, F>(config: &CalibrationConfig, factory: F) -> CalibrationReport
@@ -271,6 +257,9 @@ mod tests {
         assert!(single
             .iter()
             .all(|p| p.backend() == Backend::Serial || p == &SegmentPlan::default()));
+        // Classifier × backend: the default plan, then table and simd on
+        // serial and on every core.
+        assert_eq!(candidates(2).len(), 5);
         let multi = candidates(8);
         assert!(multi.len() > single.len());
         assert!(multi.iter().any(|p| p.backend() == Backend::Threads(8)));

@@ -10,12 +10,8 @@
 //! * [`SegmentEngine::segment_rgb`] / [`SegmentEngine::segment_gray`] —
 //!   chunk-parallel per-pixel classification over the label buffer
 //!   (`xpar::par_for_each_chunk_mut` underneath), byte-identical to a serial
-//!   pass for any backend and thread count;
-//! * [`SegmentEngine::segment_tiled`] / [`SegmentEngine::segment_tiled_into`]
-//!   — tile-level work distribution for large images: the image is split
-//!   into zero-copy [`imaging::ImageView`] tiles which are classified as
-//!   independent jobs and stitched back in deterministic order,
-//!   byte-identical to the whole-image pass by construction;
+//!   pass for any backend and thread count, so one large frame already
+//!   spreads over every thread;
 //! * [`SegmentEngine::map_images`] — batched multi-image evaluation
 //!   (`Backend::map_indexed` over a dataset slice), used by the experiment
 //!   harness to score whole datasets in parallel;
@@ -24,8 +20,8 @@
 //!
 //! The `plan` module lifts the *choice* of strategy into a first-class
 //! value: a [`SegmentPlan`] owns classifier family ([`ClassifierKind`]) ×
-//! work decomposition ([`Tiling`]) × backend, and is the single dispatch
-//! point every harness-level caller routes through.
+//! backend, and is the single dispatch point every harness-level caller
+//! routes through.
 //!
 //! The algorithm crates (`iqft-seg`, `baselines`) route their `Segmenter`
 //! implementations through an engine, and the `iqft-experiments` binary
@@ -56,7 +52,6 @@ pub(crate) mod plan;
 pub use calibrate::{CalibrationConfig, CalibrationReport};
 pub use plan::{ClassifierKind, SegmentPlan, Tiling};
 
-use imaging::view::{LabelViewMut, TileRect};
 use imaging::{GrayImage, LabelMap, PixelClassifier, RgbImage};
 use xpar::Backend;
 
@@ -173,115 +168,6 @@ impl SegmentEngine {
         self.backend.for_each_chunk_mut(labels, |start, chunk| {
             classifier.classify_gray_slice_into(&pixels[start..start + chunk.len()], chunk);
         });
-    }
-
-    /// Tiled segmentation: splits `img` into `tile_w × tile_h` tiles (edge
-    /// tiles clamped) and fans the tiles out as independent jobs on the
-    /// engine's backend.
-    ///
-    /// Each tile is classified through a zero-copy [`imaging::ImageView`]
-    /// and stitched back in deterministic tile order, so the result is
-    /// **byte-identical** to [`SegmentEngine::segment_rgb`] by construction
-    /// — tiling only changes the work granularity.  Use tiles when one
-    /// large image would otherwise serialise onto a single worker.
-    pub fn segment_tiled<C>(
-        &self,
-        classifier: &C,
-        img: &RgbImage,
-        tile_w: usize,
-        tile_h: usize,
-    ) -> LabelMap
-    where
-        C: PixelClassifier + Sync + ?Sized,
-    {
-        let (w, h) = img.dimensions();
-        let mut labels = Vec::new();
-        self.segment_tiled_into(classifier, img, tile_w, tile_h, &mut labels);
-        LabelMap::from_vec(w, h, labels).expect("label buffer matches image size")
-    }
-
-    /// Allocation-reusing variant of [`SegmentEngine::segment_tiled`]: resizes
-    /// `labels` to the pixel count in place and overwrites every element, as
-    /// [`SegmentEngine::segment_rgb_into`] does.
-    pub fn segment_tiled_into<C>(
-        &self,
-        classifier: &C,
-        img: &RgbImage,
-        tile_w: usize,
-        tile_h: usize,
-        labels: &mut Vec<u32>,
-    ) where
-        C: PixelClassifier + Sync + ?Sized,
-    {
-        let view = img.as_view();
-        self.tiled_into(
-            img.width(),
-            img.height(),
-            tile_w,
-            tile_h,
-            labels,
-            |rect, out| {
-                let tile = view.subview(rect).expect("tile rects lie inside the image");
-                classifier.classify_rgb_view_into(&tile, out);
-            },
-        );
-    }
-
-    /// Grayscale counterpart of [`SegmentEngine::segment_tiled_into`].
-    pub fn segment_tiled_gray_into<C>(
-        &self,
-        classifier: &C,
-        img: &GrayImage,
-        tile_w: usize,
-        tile_h: usize,
-        labels: &mut Vec<u32>,
-    ) where
-        C: PixelClassifier + Sync + ?Sized,
-    {
-        let view = img.as_view();
-        self.tiled_into(
-            img.width(),
-            img.height(),
-            tile_w,
-            tile_h,
-            labels,
-            |rect, out| {
-                let tile = view.subview(rect).expect("tile rects lie inside the image");
-                classifier.classify_gray_view_into(&tile, out);
-            },
-        );
-    }
-
-    /// Shared tiled driver: fans tile jobs out with `Backend::map_indexed`
-    /// (each job classifies one tile into a tile-local buffer), then
-    /// stitches the tiles into `labels` in deterministic tile order.
-    fn tiled_into<F>(
-        &self,
-        width: usize,
-        height: usize,
-        tile_w: usize,
-        tile_h: usize,
-        labels: &mut Vec<u32>,
-        classify_tile: F,
-    ) where
-        F: Fn(TileRect, &mut LabelViewMut<'_>) + Sync + Send,
-    {
-        let rects: Vec<TileRect> =
-            imaging::view::TileRects::over(width, height, tile_w, tile_h).collect();
-        labels.resize(width * height, 0);
-        let tiles: Vec<Vec<u32>> = self.backend.map_indexed(rects.len(), |i| {
-            let rect = rects[i];
-            let mut buf = vec![0u32; rect.area()];
-            let mut out = LabelViewMut::contiguous(&mut buf, rect.width, rect.height)
-                .expect("tile buffer matches tile area");
-            classify_tile(rect, &mut out);
-            buf
-        });
-        for (rect, tile) in rects.into_iter().zip(tiles) {
-            LabelViewMut::new(labels, width, rect)
-                .expect("tile rects lie inside the label buffer")
-                .copy_from_tile(&tile);
-        }
     }
 
     /// Maps `f` over a dataset slice in parallel, collecting results in
@@ -422,56 +308,6 @@ mod tests {
             assert_eq!(buf.as_ptr(), ptr);
             engine.segment_gray_into(&GrayRule, &gray, &mut buf);
             assert_eq!(buf, engine.segment_gray(&GrayRule, &gray).into_vec());
-        }
-    }
-
-    #[test]
-    fn tiled_segmentation_is_byte_identical_to_whole_image() {
-        let img = test_image(); // 37x23: not divisible by most tile shapes
-        let rule = |p: Rgb<u8>| u32::from(p.r() as u16 + p.g() as u16 + p.b() as u16) % 7;
-        let whole = SegmentEngine::serial().segment_rgb(&rule, &img);
-        for engine in all_engines() {
-            for (tw, th) in [(1, 1), (7, 3), (64, 64), (37, 23), (37, 1), (1, 23)] {
-                assert_eq!(
-                    engine.segment_tiled(&rule, &img, tw, th),
-                    whole,
-                    "{engine:?} tile {tw}x{th}"
-                );
-                let mut buf = Vec::new();
-                engine.segment_tiled_into(&rule, &img, tw, th, &mut buf);
-                assert_eq!(buf, whole.as_slice(), "{engine:?} tile {tw}x{th} (_into)");
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_gray_matches_whole_gray() {
-        struct GrayRule;
-        impl PixelClassifier for GrayRule {
-            fn classify_rgb_pixel(&self, p: Rgb<u8>) -> u32 {
-                u32::from(p.r())
-            }
-            fn classify_gray_pixel(&self, p: Luma<u8>) -> u32 {
-                u32::from(p.value()) % 3
-            }
-        }
-        let img = GrayImage::from_fn(29, 17, |x, y| Luma(((x * 13 + y * 5) % 256) as u8));
-        let whole = SegmentEngine::serial().segment_gray(&GrayRule, &img);
-        for engine in all_engines() {
-            for (tw, th) in [(1, 1), (5, 4), (64, 64)] {
-                let mut buf = Vec::new();
-                engine.segment_tiled_gray_into(&GrayRule, &img, tw, th, &mut buf);
-                assert_eq!(buf, whole.as_slice(), "{engine:?} tile {tw}x{th} (_into)");
-            }
-        }
-    }
-
-    #[test]
-    fn tiled_empty_image_yields_empty_labels() {
-        let img = RgbImage::from_fn(0, 0, |_, _| Rgb::new(0, 0, 0));
-        let rule = |_: Rgb<u8>| 1u32;
-        for engine in all_engines() {
-            assert_eq!(engine.segment_tiled(&rule, &img, 8, 8).len(), 0);
         }
     }
 

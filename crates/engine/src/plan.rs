@@ -1,19 +1,19 @@
 //! [`SegmentPlan`] — the single dispatch point for segmentation strategy.
 //!
 //! A [`SegmentPlan`] makes the whole choice — *which classifier*
-//! ([`ClassifierKind`]) × *which work decomposition* ([`Tiling`]) × *which
-//! backend* ([`xpar::Backend`]) — a first-class value that every caller
-//! builds once and passes down, so strategy parsing and dispatch live in
-//! exactly one place.  Its `FromStr`/`Display` impls are the canonical
-//! `classifier=…;tile=…;backend=…` spec string that the CLI's `--plan` flag,
-//! the Stats reply and the baseline records all speak.
+//! ([`ClassifierKind`]) × *which backend* ([`xpar::Backend`]) — a
+//! first-class value that every caller builds once and passes down, so
+//! strategy parsing and dispatch live in exactly one place.  Its
+//! `FromStr`/`Display` impls are the canonical
+//! `classifier=…;tile=off;backend=…` spec string that the CLI's `--plan`
+//! flag, the Stats reply and the baseline records all speak.  The `tile` key
+//! has the one value `off` ([`Tiling`]): a frame is always classified whole.
 //!
 //! The plan is deliberately algorithm-agnostic: it names classifier
 //! *families*, and algorithm crates (e.g. `iqft-seg`'s `IqftClassifier`)
 //! materialise the concrete [`imaging::PixelClassifier`] for a kind.  The
 //! plan then executes any classifier through [`SegmentPlan::segment_rgb`],
-//! which routes to the whole-image or tiled engine path; both are
-//! byte-identical by construction.
+//! a chunk-parallel pass over the whole frame on the plan's backend.
 
 use crate::SegmentEngine;
 use imaging::{LabelMap, PixelClassifier, RgbImage};
@@ -30,15 +30,16 @@ pub enum ClassifierKind {
     /// Direct statevector-equivalent math per pixel (`IqftRgbSegmenter`),
     /// the exact oracle every other kind is checked against.
     Exact,
-    /// Eager precomputed phase table, three lookups per pixel (`PhaseTable`,
-    /// the steady-state fast path and the default).
-    #[default]
+    /// Eager precomputed phase table, three lookups per pixel
+    /// (`PhaseTable`).
     Table,
     /// One lookup per pixel in a table of thresholds on blue, one per
     /// (red, green), filled lazily from the phase table and shared per
     /// configuration (`SplitTable`).  An AVX2 gather kernel serves it, or a
     /// portable scalar loop elsewhere and under `IQFT_SIMD=off`.  Labels
-    /// equal `table`'s by construction; the raw-speed hot path.
+    /// equal `table`'s by construction; the raw-speed hot path and the
+    /// default.
+    #[default]
     Simd,
 }
 
@@ -86,113 +87,88 @@ impl std::fmt::Display for ClassifierKind {
     }
 }
 
-/// How an image's pixels are decomposed into units of parallel work.
+/// The plan's `tile` axis, which has one value: a frame is classified
+/// whole, with its label buffer split into chunks over the backend's
+/// threads.  Frames are not split into tile jobs: every label depends only
+/// on its own pixel, so tiles would only add a stitch.  The loopback
+/// benchmark names this type (`plan.tiling().delta_shape()`), so it stays,
+/// with one variant, until that benchmark's plan moves on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Tiling {
-    /// One chunk-parallel pass over the whole label buffer (the default).
+    /// One chunk-parallel pass over the whole label buffer.
     #[default]
     Whole,
-    /// Split the image into `width × height` tiles (edge tiles clamped) and
-    /// fan the tiles out as independent jobs.
-    Tiles {
-        /// Tile width in pixels (clamped to at least 1).
-        width: usize,
-        /// Tile height in pixels (clamped to at least 1).
-        height: usize,
-    },
 }
 
 impl Tiling {
-    /// Parses the `--tile` flag: `off` (or the empty string) selects
-    /// [`Tiling::Whole`], `WxH` (e.g. `64x64`) selects [`Tiling::Tiles`].
-    pub fn from_flag(flag: &str) -> Result<Self, String> {
-        if flag.is_empty() || flag == "off" || flag == "whole" {
-            return Ok(Tiling::Whole);
-        }
-        let parse = |part: &str| part.parse::<usize>().ok().filter(|&v| v > 0);
-        if let Some((w, h)) = flag.split_once('x') {
-            if let (Some(width), Some(height)) = (parse(w), parse(h)) {
-                return Ok(Tiling::Tiles { width, height });
-            }
-        }
-        Err(format!(
-            "invalid tile shape '{flag}' (expected WxH with positive integers, e.g. 64x64, or off)"
-        ))
-    }
-
-    /// The flag spelling of this tiling (the inverse of
-    /// [`Tiling::from_flag`]).
-    pub fn flag(self) -> String {
-        match self {
-            Tiling::Whole => "off".to_string(),
-            Tiling::Tiles { width, height } => format!("{width}x{height}"),
+    /// Parses a plan spec's `tile` value: `off`, `whole` or the empty
+    /// string.  A tile shape such as `64x64` is an error naming the value
+    /// that remains.
+    pub(crate) fn from_flag(flag: &str) -> Result<Self, String> {
+        match flag {
+            "" | "off" | "whole" => Ok(Tiling::Whole),
+            other => Err(format!(
+                "unknown tile value '{other}' (expected off: frames are classified whole)"
+            )),
         }
     }
 
-    /// Default tile edge for the per-tile delta cache when the plan does not
-    /// pick one (i.e. [`Tiling::Whole`]): 64 pixels balances hash overhead
-    /// against change-granularity for video-sized frames.
-    pub(crate) const DEFAULT_DELTA_TILE: usize = 64;
+    /// The spec spelling, `off` (the inverse of `Tiling::from_flag`).
+    pub(crate) fn flag(self) -> &'static str {
+        "off"
+    }
 
-    /// The tile shape the per-tile delta-cache path uses.  A tiled plan
-    /// deltas at its own tile shape; a whole-image plan still needs *some*
-    /// tile granularity to delta at, so it falls back to
-    /// `Tiling::DEFAULT_DELTA_TILE`-square tiles.
+    /// Edge of the per-tile delta cache's square tiles: 64 pixels balances
+    /// hash overhead against change granularity for video-sized frames.
+    pub(crate) const DELTA_TILE: usize = 64;
+
+    /// The tile shape of the per-tile delta cache, `Tiling::DELTA_TILE`
+    /// square.  The loopback benchmark names this method.
     pub fn delta_shape(self) -> (usize, usize) {
-        match self {
-            Tiling::Whole => (Self::DEFAULT_DELTA_TILE, Self::DEFAULT_DELTA_TILE),
-            Tiling::Tiles { width, height } => (width, height),
-        }
+        (Self::DELTA_TILE, Self::DELTA_TILE)
     }
 }
 
-impl std::fmt::Display for Tiling {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.flag())
-    }
-}
-
-/// A complete segmentation strategy: classifier family × work decomposition
-/// × execution backend.
+/// A complete segmentation strategy: classifier family × execution
+/// backend.
 ///
 /// Every consumer — the experiments CLI, the throughput pipeline, the bench
 /// targets — builds one of these (usually by parsing a spec string) and
 /// executes through it, so strategy choice has a single owner.  Whatever
 /// the plan, the resulting labels are byte-identical: classifier kinds agree
-/// exactly by construction, and tiling/backends only reschedule independent
+/// exactly by construction, and backends only reschedule independent
 /// per-pixel work.
 ///
 /// # Example
 ///
 /// ```
 /// use imaging::{Rgb, RgbImage};
-/// use seg_engine::{SegmentPlan, Tiling};
+/// use seg_engine::{ClassifierKind, SegmentPlan};
 ///
-/// let plan: SegmentPlan = "classifier=table;tile=32x32;backend=threads:2"
+/// let plan: SegmentPlan = "classifier=table;tile=off;backend=threads:2"
 ///     .parse()
 ///     .unwrap();
-/// assert_eq!(plan.tiling(), Tiling::Tiles { width: 32, height: 32 });
+/// assert_eq!(plan.classifier(), ClassifierKind::Table);
+/// assert_eq!(plan.to_spec(), "classifier=table;tile=off;backend=threads:2");
 ///
-/// // The plan executes any per-pixel rule; tiled and whole-image plans
-/// // produce byte-identical labels.
+/// // The plan executes any per-pixel rule; every backend produces
+/// // byte-identical labels.
 /// let img = RgbImage::from_fn(70, 50, |x, y| Rgb::new(x as u8, y as u8, 0));
 /// let rule = |p: Rgb<u8>| u32::from(p.r() > p.g());
-/// let whole = SegmentPlan::default().segment_rgb(&rule, &img);
-/// assert_eq!(plan.segment_rgb(&rule, &img), whole);
+/// let serial = SegmentPlan::default().segment_rgb(&rule, &img);
+/// assert_eq!(plan.segment_rgb(&rule, &img), serial);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SegmentPlan {
     classifier: ClassifierKind,
-    tiling: Tiling,
     backend: Backend,
 }
 
 impl SegmentPlan {
-    /// Creates a plan from its three strategy axes.
-    pub fn new(classifier: ClassifierKind, tiling: Tiling, backend: Backend) -> Self {
+    /// Creates a plan from its two strategy axes.
+    pub fn new(classifier: ClassifierKind, backend: Backend) -> Self {
         Self {
             classifier,
-            tiling,
             backend,
         }
     }
@@ -200,12 +176,6 @@ impl SegmentPlan {
     /// Replaces the classifier kind.
     pub fn with_classifier(mut self, classifier: ClassifierKind) -> Self {
         self.classifier = classifier;
-        self
-    }
-
-    /// Replaces the work decomposition.
-    pub fn with_tiling(mut self, tiling: Tiling) -> Self {
-        self.tiling = tiling;
         self
     }
 
@@ -220,9 +190,10 @@ impl SegmentPlan {
         self.classifier
     }
 
-    /// The work decomposition this plan selects.
+    /// The plan's tile axis, always [`Tiling::Whole`].  The loopback
+    /// benchmark names this method.
     pub fn tiling(&self) -> Tiling {
-        self.tiling
+        Tiling::Whole
     }
 
     /// The execution backend this plan selects.
@@ -263,7 +234,7 @@ impl SegmentPlan {
     }
 
     /// Serializes the whole plan into a compact machine-readable spec,
-    /// e.g. `classifier=table;tile=48x48;backend=threads:4`.
+    /// e.g. `classifier=table;tile=off;backend=threads:4`.
     ///
     /// This is the form the `iqft-serve` Stats reply carries, so a remote
     /// client can reconstruct the exact strategy a server runs by parsing it
@@ -273,18 +244,14 @@ impl SegmentPlan {
         self.to_string()
     }
 
-    /// Segments `img` with `classifier` according to the plan's tiling on
-    /// the plan's backend.  Byte-identical across every plan configuration.
+    /// Segments `img` with `classifier` on the plan's backend: one
+    /// chunk-parallel pass over the whole frame.  Byte-identical across
+    /// every plan configuration.
     pub fn segment_rgb<C>(&self, classifier: &C, img: &RgbImage) -> LabelMap
     where
         C: PixelClassifier + Sync + ?Sized,
     {
-        match self.tiling {
-            Tiling::Whole => self.engine().segment_rgb(classifier, img),
-            Tiling::Tiles { width, height } => {
-                self.engine().segment_tiled(classifier, img, width, height)
-            }
-        }
+        self.engine().segment_rgb(classifier, img)
     }
 
     /// Allocation-reusing variant of [`SegmentPlan::segment_rgb`]: fills
@@ -293,19 +260,14 @@ impl SegmentPlan {
     where
         C: PixelClassifier + Sync + ?Sized,
     {
-        match self.tiling {
-            Tiling::Whole => self.engine().segment_rgb_into(classifier, img, labels),
-            Tiling::Tiles { width, height } => self
-                .engine()
-                .segment_tiled_into(classifier, img, width, height, labels),
-        }
+        self.engine().segment_rgb_into(classifier, img, labels)
     }
 }
 
 impl std::str::FromStr for SegmentPlan {
     type Err = String;
 
-    /// Parses a spec such as `classifier=table;tile=48x48;backend=threads:4`.
+    /// Parses a spec such as `classifier=table;tile=off;backend=threads:4`.
     /// Keys may appear in any order; missing keys keep their defaults;
     /// unknown keys error.
     fn from_str(spec: &str) -> Result<Self, String> {
@@ -316,7 +278,9 @@ impl std::str::FromStr for SegmentPlan {
                 .ok_or_else(|| format!("plan spec part '{part}' has no '='"))?;
             match key {
                 "classifier" => plan.classifier = ClassifierKind::from_flag(value)?,
-                "tile" => plan.tiling = Tiling::from_flag(value)?,
+                "tile" => {
+                    Tiling::from_flag(value)?;
+                }
                 "backend" => plan.backend = SegmentPlan::backend_from_spec(value)?,
                 other => return Err(format!("unknown plan spec key '{other}'")),
             }
@@ -331,7 +295,7 @@ impl std::fmt::Display for SegmentPlan {
             f,
             "classifier={};tile={};backend={}",
             self.classifier.flag(),
-            self.tiling.flag(),
+            self.tiling().flag(),
             SegmentPlan::backend_spec(self.backend)
         )
     }
@@ -340,7 +304,6 @@ impl std::fmt::Display for SegmentPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imaging::Rgb;
 
     #[test]
     fn classifier_flags_round_trip() {
@@ -349,7 +312,11 @@ mod tests {
             assert_eq!(format!("{kind}"), kind.flag());
         }
         assert!(ClassifierKind::from_flag("gpu").is_err());
-        assert_eq!(ClassifierKind::default(), ClassifierKind::Table);
+        assert_eq!(
+            ClassifierKind::default(),
+            ClassifierKind::Simd,
+            "the default plan serves the split table"
+        );
     }
 
     /// The hand-written help literal must list exactly `ALL`, in order, and
@@ -367,77 +334,82 @@ mod tests {
         }
     }
 
+    /// The `tile` axis keeps its three spellings of a whole frame, renders
+    /// as `off`, and deltas at the 64-pixel square tile.  Every tile shape
+    /// is rejected, alone or inside a spec, naming the value that remains.
     #[test]
     fn tiling_flags_round_trip() {
         for flag in ["off", "", "whole"] {
             assert_eq!(Tiling::from_flag(flag).unwrap(), Tiling::Whole);
         }
-        assert_eq!(
-            Tiling::from_flag("64x48").unwrap(),
-            Tiling::Tiles {
-                width: 64,
-                height: 48
-            }
-        );
-        let tiled = Tiling::Tiles {
-            width: 7,
-            height: 3,
-        };
-        assert_eq!(Tiling::from_flag(&tiled.flag()).unwrap(), tiled);
-        assert_eq!(tiled.delta_shape(), (7, 3));
-        assert_eq!(
-            Tiling::Whole.delta_shape(),
-            (Tiling::DEFAULT_DELTA_TILE, Tiling::DEFAULT_DELTA_TILE),
-            "whole-image plans delta at the default square tile"
-        );
         assert_eq!(Tiling::Whole.flag(), "off");
-        for bad in ["64", "0x4", "4x0", "axb", "4x4x4", "?"] {
-            assert!(Tiling::from_flag(bad).is_err(), "{bad}");
+        assert_eq!(Tiling::from_flag(Tiling::Whole.flag()), Ok(Tiling::Whole));
+        assert_eq!(Tiling::default(), Tiling::Whole);
+        assert_eq!(Tiling::Whole.delta_shape(), (64, 64));
+        for retired in ["48x48", "64x64", "64", "0x4", "?"] {
+            let expected = format!(
+                "unknown tile value '{retired}' (expected off: frames are classified whole)"
+            );
+            assert_eq!(Tiling::from_flag(retired).unwrap_err(), expected);
+            assert_eq!(
+                format!("classifier=table;tile={retired};backend=serial")
+                    .parse::<SegmentPlan>()
+                    .unwrap_err(),
+                expected
+            );
         }
+    }
+
+    /// The loopback benchmark pins these two specs and reads the delta tile
+    /// shape off its plan.  They parse, render byte-identically (its Stats
+    /// `plan=` text, cache salts and bench ids depend on that), and delta at
+    /// 64×64.
+    #[test]
+    fn the_loopback_benchmarks_pinned_specs_render_byte_identically() {
+        for (spec, kind) in [
+            (
+                "classifier=simd;tile=off;backend=serial",
+                ClassifierKind::Simd,
+            ),
+            (
+                "classifier=table;tile=off;backend=serial",
+                ClassifierKind::Table,
+            ),
+        ] {
+            let plan: SegmentPlan = spec.parse().unwrap();
+            assert_eq!(plan, SegmentPlan::new(kind, Backend::Serial));
+            assert_eq!(plan.to_spec(), spec);
+            assert_eq!(plan.tiling().delta_shape(), (64, 64));
+        }
+        assert_eq!(
+            SegmentPlan::default().to_spec(),
+            "classifier=simd;tile=off;backend=threads:0"
+        );
     }
 
     #[test]
     fn plan_specs_round_trip_losslessly() {
         let backends = [Backend::Serial, Backend::Threads(0), Backend::Threads(7)];
         for kind in ClassifierKind::ALL {
-            for tiling in [
-                Tiling::Whole,
-                Tiling::Tiles {
-                    width: 48,
-                    height: 32,
-                },
-            ] {
-                for backend in backends {
-                    let plan = SegmentPlan::new(kind, tiling, backend);
-                    let spec = plan.to_spec();
-                    assert_eq!(spec.parse::<SegmentPlan>().unwrap(), plan, "{spec}");
+            for backend in backends {
+                let plan = SegmentPlan::new(kind, backend);
+                let spec = plan.to_spec();
+                assert_eq!(spec.parse::<SegmentPlan>().unwrap(), plan, "{spec}");
+                for tile in ["", "whole"] {
+                    let spelled = spec.replace("tile=off", &format!("tile={tile}"));
+                    assert_eq!(spelled.parse::<SegmentPlan>().unwrap(), plan, "{spelled}");
                 }
             }
         }
-        let spec = SegmentPlan::new(
-            ClassifierKind::Table,
-            Tiling::Tiles {
-                width: 48,
-                height: 48,
-            },
-            Backend::Threads(4),
-        )
-        .to_spec();
-        assert_eq!(spec, "classifier=table;tile=48x48;backend=threads:4");
+        let spec = SegmentPlan::new(ClassifierKind::Table, Backend::Threads(4)).to_spec();
+        assert_eq!(spec, "classifier=table;tile=off;backend=threads:4");
     }
 
     #[test]
     fn plan_spec_type_round_trips_and_converts_both_ways() {
-        let plan = SegmentPlan::new(
-            ClassifierKind::Simd,
-            Tiling::Tiles {
-                width: 48,
-                height: 32,
-            },
-            Backend::Threads(4),
-        );
+        let plan = SegmentPlan::new(ClassifierKind::Simd, Backend::Threads(4));
         let rendered = plan.to_string();
-        assert_eq!(rendered, "classifier=simd;tile=48x32;backend=threads:4");
+        assert_eq!(rendered, "classifier=simd;tile=off;backend=threads:4");
         assert_eq!(plan.to_spec(), rendered);
         assert_eq!(rendered.parse::<SegmentPlan>().unwrap(), plan);
         assert_eq!(
@@ -450,12 +422,13 @@ mod tests {
 
     #[test]
     fn plan_spec_parsing_is_order_insensitive_and_rejects_junk() {
-        let plan: SegmentPlan = "backend=threads;classifier=exact;tile=8x8".parse().unwrap();
+        let plan: SegmentPlan = "backend=threads;classifier=exact;tile=off".parse().unwrap();
         assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(plan.backend(), Backend::Threads(0));
         for bad in [
             "classifier=gpu",
             "tile=64",
+            "tile=8x8",
             "backend=gpu",
             "backend=threads:lots",
             "flavour=mint",
@@ -469,48 +442,21 @@ mod tests {
     fn builder_methods_replace_single_axes() {
         let plan = SegmentPlan::default()
             .with_classifier(ClassifierKind::Exact)
-            .with_tiling(Tiling::Tiles {
-                width: 4,
-                height: 4,
-            })
             .with_backend(Backend::Serial);
         assert_eq!(plan.classifier(), ClassifierKind::Exact);
         assert_eq!(plan.backend(), Backend::Serial);
         let threaded = plan
             .with_classifier(ClassifierKind::Simd)
-            .with_tiling(Tiling::Tiles {
-                width: 16,
-                height: 8,
-            })
             .with_backend(Backend::Threads(3));
         assert_eq!(threaded.engine(), SegmentEngine::with_threads(3));
         assert_eq!(
             threaded.to_spec(),
-            "classifier=simd;tile=16x8;backend=threads:3"
+            "classifier=simd;tile=off;backend=threads:3"
         );
         assert_eq!(
             SegmentPlan::default().tiling(),
             Tiling::Whole,
             "default plan is a whole-image pass"
         );
-    }
-
-    #[test]
-    fn tiled_and_whole_plans_agree_for_closures() {
-        let img = RgbImage::from_fn(37, 23, |x, y| {
-            Rgb::new((x * 7) as u8, (y * 11) as u8, ((x * y) % 251) as u8)
-        });
-        let rule = |p: Rgb<u8>| u32::from(p.r() as u16 + p.g() as u16 + p.b() as u16) % 5;
-        let whole = SegmentPlan::default().segment_rgb(&rule, &img);
-        for (tw, th) in [(1, 1), (7, 3), (64, 64), (37, 23)] {
-            let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-                width: tw,
-                height: th,
-            });
-            assert_eq!(plan.segment_rgb(&rule, &img), whole, "{tw}x{th}");
-            let mut buf = Vec::new();
-            plan.segment_rgb_into(&rule, &img, &mut buf);
-            assert_eq!(buf, whole.as_slice(), "{tw}x{th} (_into)");
-        }
     }
 }

@@ -18,12 +18,11 @@
 //!   fig9    [--out DIR]        qualitative wins (xVIEW2-like)
 //!   fig10                      per-image θ adjustment
 //!   throughput [--images N] [--batch B] [--size S] [--seed S]
-//!              [--classifier exact|table|simd] [--tile WxH]
-//!              [--plan SPEC|auto] [--cache-mb M] [--video]
-//!              [--change-rate R] [--no-verify]
+//!              [--classifier exact|table|simd] [--plan SPEC|auto]
+//!              [--cache-mb M] [--video] [--change-rate R] [--no-verify]
 //!                              batched pipeline service workload
-//!                              (--tile splits images into tile jobs;
-//!                              --plan takes a whole classifier=…;tile=…;
+//!                              (--classifier defaults to simd;
+//!                              --plan takes a whole classifier=…;tile=off;
 //!                              backend=… spec, or `auto` to probe the host
 //!                              and take the fastest measured plan;
 //!                              --cache-mb attaches the result cache and
@@ -31,7 +30,7 @@
 //!                              streams synthetic video through the
 //!                              per-tile delta path, mutating a fraction
 //!                              --change-rate of each frame's blocks)
-//!   serve   [--addr A] [--classifier C] [--tile T] [--plan SPEC|auto]
+//!   serve   [--addr A] [--classifier C] [--plan SPEC|auto]
 //!           [--workers W] [--max-queue Q] [--cache-mb M] [--addr-file PATH]
 //!           [--cache-persist PATH]
 //!                              boot the iqft-serve TCP daemon and block
@@ -100,7 +99,6 @@ struct Args {
     images: usize,
     batch: usize,
     classifier: String,
-    tile: String,
     plan: String,
     max_queue: usize,
     verify: bool,
@@ -136,8 +134,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         threads: 0,
         images: 64,
         batch: 16,
-        classifier: "table".to_string(),
-        tile: "off".to_string(),
+        classifier: seg_engine::ClassifierKind::default().flag().to_string(),
         plan: String::new(),
         max_queue: 0,
         verify: true,
@@ -174,7 +171,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--images" => args.images = number(&flag, value()?)?,
             "--batch" => args.batch = number(&flag, value()?)?,
             "--classifier" => args.classifier = value()?,
-            "--tile" => args.tile = value()?,
             "--plan" => args.plan = value()?,
             "--max-queue" => args.max_queue = number(&flag, value()?)?,
             "--no-verify" => args.verify = false,
@@ -196,6 +192,17 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         }
     }
     Ok(args)
+}
+
+/// The one-line usage text `--help` prints, and every flag error after its
+/// message.  The classifier set comes from `ClassifierKind::FLAG_HELP` — the
+/// one place the workspace enumerates it — so this line can never drift
+/// from what `--classifier` actually accepts.
+fn usage() -> String {
+    format!(
+        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+        seg_engine::ClassifierKind::FLAG_HELP
+    )
 }
 
 /// Parses the number `flag` takes, or an error naming the flag.
@@ -242,7 +249,7 @@ fn main() {
     let args = match parse_args(std::env::args().skip(1)) {
         Ok(args) => args,
         Err(message) => {
-            eprintln!("{message}; run with --help for usage");
+            eprintln!("{message}\n{}", usage());
             std::process::exit(2);
         }
     };
@@ -271,7 +278,6 @@ fn main() {
                 addr: args.addr.as_deref().unwrap_or(DEFAULT_ADDR).to_string(),
                 plan: args.plan.clone(),
                 classifier: args.classifier.clone(),
-                tile: args.tile.clone(),
                 backend: args.backend.clone(),
                 threads: args.threads,
                 workers: args.workers,
@@ -333,7 +339,6 @@ fn main() {
                 image_size: args.size,
                 seed: args.seed,
                 classifier: args.classifier.clone(),
-                tile: args.tile.clone(),
                 plan: args.plan.clone(),
                 cache_mb: args.cache_mb,
                 verify: args.verify,
@@ -344,14 +349,13 @@ fn main() {
         ),
         "all" => {
             // The throughput passes run at reduced size on the user's
-            // classifier and tiling unless a pass names its own.
+            // classifier unless a pass names its own.
             let quick_run = ThroughputConfig {
                 images: args.images.min(16),
                 batch: args.batch.min(8),
                 image_size: args.size.min(96),
                 seed: args.seed,
                 classifier: args.classifier.clone(),
-                tile: args.tile.clone(),
                 verify: args.verify,
                 ..ThroughputConfig::default()
             };
@@ -391,35 +395,17 @@ fn main() {
             all.push('\n');
             let cache_mb = if args.cache_mb > 0 { args.cache_mb } else { 32 };
             all.push_str(&throughput_or_exit(&engine, &quick_run, &all));
-            let untiled = matches!(
-                seg_engine::Tiling::from_flag(&args.tile),
-                Ok(seg_engine::Tiling::Whole)
-            );
-            if untiled {
-                // `all` always exercises the tiled pipeline path too (with
-                // its default-on byte-identity verification), even when the
-                // user did not pass --tile.
+            // `all` always runs the phase table end to end too (its
+            // default-on verification checks it against the exact oracle),
+            // even when the user did not pass --classifier table.
+            let table = seg_engine::ClassifierKind::from_flag(&args.classifier)
+                == Ok(seg_engine::ClassifierKind::Table);
+            if !table {
                 all.push('\n');
                 all.push_str(&throughput_or_exit(
                     &engine,
                     &ThroughputConfig {
-                        tile: "48x48".to_string(),
-                        ..quick_run.clone()
-                    },
-                    &all,
-                ));
-            }
-            // ... and the split-table `simd` classifier (whose default-on
-            // verification checks it against the exact oracle), even when
-            // the user did not pass --classifier.
-            let simd = seg_engine::ClassifierKind::from_flag(&args.classifier)
-                == Ok(seg_engine::ClassifierKind::Simd);
-            if !simd {
-                all.push('\n');
-                all.push_str(&throughput_or_exit(
-                    &engine,
-                    &ThroughputConfig {
-                        classifier: "simd".to_string(),
+                        classifier: "table".to_string(),
                         ..quick_run.clone()
                     },
                     &all,
@@ -446,7 +432,6 @@ fn main() {
                     images: args.images.min(8),
                     batch: args.batch.min(4),
                     image_size: args.size.min(128),
-                    tile: "32x32".to_string(),
                     cache_mb,
                     video: true,
                     change_rate: 0.25,
@@ -457,13 +442,7 @@ fn main() {
             all
         }
         "" | "help" | "--help" | "-h" => {
-            // The classifier set comes from ClassifierKind::FLAG_HELP — the
-            // one place the workspace enumerates it — so this usage line can
-            // never drift from what `--classifier` actually accepts.
-            eprintln!(
-                "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--tile WxH] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
-                seg_engine::ClassifierKind::FLAG_HELP
-            );
+            eprintln!("{}", usage());
             return;
         }
         other => {
@@ -499,5 +478,27 @@ mod tests {
         assert!(err.contains("--clients") && err.contains("'x'"), "{err}");
         let err = parse("loadgen --images").unwrap_err();
         assert!(err.contains("--images needs a value"), "{err}");
+    }
+
+    /// The retired tile flag is refused by every subcommand; the usage line
+    /// printed after the error names the strategy flags that remain, and
+    /// `--classifier` defaults to the split table.
+    #[test]
+    fn the_tile_flag_is_refused_and_the_usage_names_what_remains() {
+        const RETIRED: &str = "tile";
+        for command in ["serve", "throughput", "loadgen"] {
+            let err = parse(&format!("{command} --{RETIRED} 48x48")).unwrap_err();
+            assert_eq!(err, format!("unknown flag --{RETIRED}"), "{command}");
+            assert_eq!(parse(command).unwrap().classifier, "simd", "{command}");
+        }
+        let usage = usage();
+        assert!(!usage.contains(&format!("--{RETIRED}")), "{usage}");
+        for remaining in [
+            "[--classifier exact|table|simd]",
+            "[--plan SPEC|auto]",
+            "[--backend serial|threads]",
+        ] {
+            assert!(usage.contains(remaining), "{remaining}: {usage}");
+        }
     }
 }

@@ -4,13 +4,13 @@
 //! One flag, three spellings:
 //!
 //! * empty — fall back to the caller's per-axis flags
-//!   (`--classifier`/`--tile`/`--backend`/`--threads`), exactly the
-//!   pre-`--plan` behaviour;
+//!   (`--classifier`/`--backend`/`--threads`), exactly the pre-`--plan`
+//!   behaviour;
 //! * `auto` — probe the host with [`seg_engine::calibrate`] (core count plus
-//!   a short tile × backend × classifier sweep over a synthetic frame) and
-//!   take the fastest measured [`SegmentPlan`];
+//!   a short backend × classifier sweep over a synthetic frame) and take the
+//!   fastest measured [`SegmentPlan`];
 //! * anything else — a [`SegmentPlan`] spec string such as
-//!   `classifier=simd;tile=64x64;backend=threads:8`, parsed through
+//!   `classifier=simd;tile=off;backend=threads:8`, parsed through
 //!   `SegmentPlan::from_str`.
 //!
 //! Whatever the spelling, the resolved plan's output is byte-identical to
@@ -72,7 +72,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seg_engine::{ClassifierKind, SegmentEngine, Tiling};
+    use seg_engine::{ClassifierKind, SegmentEngine};
 
     #[test]
     fn empty_flag_defers_to_the_fallback() {
@@ -87,19 +87,14 @@ mod tests {
 
     #[test]
     fn explicit_specs_parse_and_fallback_errors_propagate() {
-        let resolved = resolve_plan("classifier=table;tile=16x8;backend=serial", || {
+        let resolved = resolve_plan("classifier=table;tile=off;backend=serial", || {
             unreachable!("fallback must not run for an explicit spec")
         })
         .unwrap();
         assert_eq!(resolved.plan.backend(), SegmentEngine::serial().backend());
-        assert_eq!(
-            resolved.plan.tiling(),
-            Tiling::Tiles {
-                width: 16,
-                height: 8
-            }
-        );
+        assert_eq!(resolved.plan.classifier(), ClassifierKind::Table);
         assert!(resolve_plan("classifier=warp", || Ok(SegmentPlan::default())).is_err());
+        assert!(resolve_plan("tile=16x8", || Ok(SegmentPlan::default())).is_err());
         assert!(resolve_plan("", || Err("bad flags".to_string())).is_err());
     }
 

@@ -24,7 +24,7 @@ use iqft_serve::{
     protocol, Client, ClientConfig, EndpointStats, FleetClient, SegmentOutcome, Server,
     ServerConfig, StatsSnapshot,
 };
-use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
+use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -38,15 +38,14 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7870";
 pub struct ServeCliConfig {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7870`.
     pub addr: String,
-    /// Whole-plan flag (`--plan`): a `classifier=…;tile=…;backend=…` spec,
+    /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
     /// `auto` to probe the host at boot (`crate::plans`), or empty to
     /// compose the plan from the per-axis flags below.
     pub plan: String,
     /// Classifier flag (`--classifier`), one of
-    /// [`seg_engine::ClassifierKind::FLAG_HELP`].
+    /// [`seg_engine::ClassifierKind::FLAG_HELP`]; defaults to
+    /// `ClassifierKind::default()`.
     pub classifier: String,
-    /// Tiling flag (`--tile off|WxH`).
-    pub tile: String,
     /// Backend flag (`--backend serial|threads`).
     pub backend: String,
     /// Thread count for the threads backend (`--threads`).
@@ -76,8 +75,7 @@ impl Default for ServeCliConfig {
         Self {
             addr: DEFAULT_ADDR.to_string(),
             plan: String::new(),
-            classifier: "table".to_string(),
-            tile: "off".to_string(),
+            classifier: ClassifierKind::default().flag().to_string(),
             backend: "threads".to_string(),
             threads: 0,
             workers: 0,
@@ -99,7 +97,6 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
         let engine = SegmentEngine::from_flags(&config.backend, config.threads)?;
         Ok(SegmentPlan::new(
             ClassifierKind::from_flag(&config.classifier)?,
-            Tiling::from_flag(&config.tile)?,
             engine.backend(),
         ))
     })?;
@@ -902,7 +899,7 @@ fn write_server_stats(out: &mut String, stats: &StatsSnapshot) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seg_engine::{ClassifierKind, Tiling};
+    use seg_engine::ClassifierKind;
 
     fn boot(plan: SegmentPlan) -> Server {
         boot_with_cache(plan, 0)
@@ -932,12 +929,7 @@ mod tests {
 
     #[test]
     fn loadgen_drives_verifies_and_shuts_down_a_real_server() {
-        let plan = SegmentPlan::default()
-            .with_classifier(ClassifierKind::Table)
-            .with_tiling(Tiling::Tiles {
-                width: 16,
-                height: 16,
-            });
+        let plan = SegmentPlan::default().with_classifier(ClassifierKind::Table);
         let server = boot(plan);
         let report = loadgen_report(&small_loadgen(server.local_addr().to_string())).unwrap();
         assert!(
@@ -987,17 +979,13 @@ mod tests {
 
     #[test]
     fn video_loadgen_hits_the_delta_cache_and_verifies_stitched_replies() {
-        let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-            width: 48,
-            height: 48,
-        });
-        let server = boot_with_cache(plan, 64);
+        let server = boot_with_cache(SegmentPlan::default(), 64);
         let mut config = small_loadgen(server.local_addr().to_string());
         config.video = true;
         config.change_rate = 0.2;
         config.clients = 2;
         config.images = 6; // 3 frames per client
-        config.image_size = 160; // 160x120 frames: 12 tiles of 48x48
+        config.image_size = 160; // 160x120 frames: 6 tiles of 64x64, 4 ragged
         config.expect_cache_hits = true;
         let report = loadgen_report(&config).unwrap();
         assert!(report.contains("6 unique 160x120 video frames"), "{report}");
@@ -1028,11 +1016,11 @@ mod tests {
         // One worker, a one-deep queue.  The server runs one request per
         // connection at a time, so overflowing admission takes more busy
         // connections than the worker plus the queue slot: CI's overload
-        // leg shape (4 clients x 8 pipelined 160x120 frames each) must be
-        // shed at least once.
+        // leg shape (4 clients x 8 pipelined 160x120 frames each, on the
+        // phase table as the CI leg runs it) must be shed at least once.
         let server = Server::bind(
             "127.0.0.1:0",
-            ServerConfig::new(SegmentPlan::default())
+            ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Table))
                 .with_max_inflight(1)
                 .with_max_queue(1),
         )

@@ -18,26 +18,24 @@
 //!   labels equal `exact`'s by construction).
 //!
 //! Strategy selection goes through one dispatch point: the flags are parsed
-//! into a [`SegmentPlan`] (`seg_engine::ClassifierKind` ×
-//! `seg_engine::Tiling` × backend — the same single source of truth the
-//! bench targets use) and the plan's classifier kind is materialised with
-//! [`IqftClassifier`].  The `--tile WxH` knob switches the pipeline from
-//! whole-image jobs to tile jobs, so oversized frames fan out across the
-//! engine's threads instead of serialising onto one.
+//! into a [`SegmentPlan`] (`seg_engine::ClassifierKind` × backend — the same
+//! single source of truth the bench targets use) and the plan's classifier
+//! kind is materialised with [`IqftClassifier`].  A batch runs one job per
+//! image on the plan's backend.
 //!
 //! Every run cross-checks the batched output against per-image serial
 //! segmentation with the exact segmenter and reports the verification result
 //! — byte-identity is an acceptance criterion, not an option (and it holds
-//! for every classifier × tiling × backend combination by construction).  A
+//! for every classifier × backend combination by construction).  A
 //! mismatch fails the run ([`ThroughputError::Mismatch`]), and so does a
 //! strategy flag that does not parse ([`ThroughputError::Flag`]).
 
 use crate::plans::{resolve_plan, ResolvedPlan};
 use datasets::{synthetic_video, PascalVocLikeConfig, PascalVocLikeDataset, VideoConfig};
 use imaging::{LabelMap, RgbImage, Segmenter};
-use iqft_pipeline::{CacheConfig, LatencySummary, PipelineConfig, PipelineReport, SegmentPipeline};
+use iqft_pipeline::{CacheConfig, LatencySummary, PipelineReport, SegmentPipeline};
 use iqft_seg::{IqftClassifier, IqftRgbSegmenter};
-use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
+use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan};
 use std::fmt::Write as _;
 
 /// Configuration of a throughput run (mirrors the CLI flags).
@@ -55,13 +53,10 @@ pub struct ThroughputConfig {
     /// [`ClassifierKind::FLAG_HELP`], parsed by
     /// [`ClassifierKind::from_flag`].
     pub classifier: String,
-    /// Work decomposition: `off` for whole-image jobs or `WxH` for tile
-    /// jobs (`--tile`), parsed by [`Tiling::from_flag`].
-    pub tile: String,
-    /// Whole-plan flag (`--plan`): a `classifier=…;tile=…;backend=…` spec,
+    /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
     /// `auto` to probe the host (`crate::plans`), or empty to compose the
-    /// plan from `classifier`/`tile` and the engine's backend.  Non-empty
-    /// values override the per-axis flags.
+    /// plan from `classifier` and the engine's backend.  Non-empty values
+    /// override the per-axis flags.
     pub plan: String,
     /// Result-cache budget in MiB (`--cache-mb`, 0 = off).  With a cache
     /// the stream runs through the per-request path
@@ -89,7 +84,6 @@ impl Default for ThroughputConfig {
             image_size: 128,
             seed: 42,
             classifier: ClassifierKind::default().flag().to_string(),
-            tile: Tiling::default().flag(),
             plan: String::new(),
             cache_mb: 0,
             verify: true,
@@ -102,7 +96,7 @@ impl Default for ThroughputConfig {
 impl ThroughputConfig {
     /// Parses the config's strategy flags into a [`SegmentPlan`] executing
     /// on `engine`'s backend.  Errors on an unknown classifier or a
-    /// malformed tile shape.  With a non-empty `plan` flag this may run a
+    /// malformed plan spec.  With a non-empty `plan` flag this may run a
     /// calibration sweep (`--plan auto`); use `Self::resolved_plan` when
     /// the calibration evidence matters.
     pub fn plan(&self, engine: &SegmentEngine) -> Result<SegmentPlan, String> {
@@ -115,7 +109,6 @@ impl ThroughputConfig {
         resolve_plan(&self.plan, || {
             Ok(SegmentPlan::new(
                 ClassifierKind::from_flag(&self.classifier)?,
-                Tiling::from_flag(&self.tile)?,
                 engine.backend(),
             ))
         })
@@ -147,31 +140,20 @@ pub(crate) fn throughput_images(config: &ThroughputConfig) -> Vec<RgbImage> {
     .collect()
 }
 
-/// The serving-path shape of one run: how frames decompose into work, how
-/// big the result cache is (0 = none), and whether the stream takes the
-/// per-tile delta path.
-struct StreamShape {
-    tiling: Tiling,
-    cache_mb: usize,
-    delta: bool,
-}
-
-fn run_pipeline(
-    engine: &SegmentEngine,
-    classifier: IqftClassifier,
+/// Runs the configured stream under a resolved plan and returns `(labels,
+/// report)`: the per-tile delta path for `--video`, the cached per-request
+/// path with `--cache-mb`, batches otherwise.  [`throughput_report`]
+/// resolves the plan once, so a `--plan auto` calibration sweep runs once,
+/// not once per stage.
+pub(crate) fn throughput_run_with_plan(
+    config: &ThroughputConfig,
     images: &[RgbImage],
-    batch: usize,
-    shape: StreamShape,
-    cache_salt: &str,
+    plan: &SegmentPlan,
 ) -> (Vec<LabelMap>, PipelineReport) {
-    let StreamShape {
-        tiling,
-        cache_mb,
-        delta,
-    } = shape;
-    let pipeline = SegmentPipeline::new(*engine, classifier)
-        .with_config(PipelineConfig { tiling })
-        .with_cache(CacheConfig::with_capacity_mb(cache_mb), cache_salt);
+    let pipeline = SegmentPipeline::new(plan.engine(), IqftClassifier::for_plan(plan)).with_cache(
+        CacheConfig::with_capacity_mb(config.cache_mb),
+        &plan.to_spec(),
+    );
     let mut outputs: Vec<Option<LabelMap>> = Vec::new();
     outputs.resize_with(images.len(), || None);
     let sink = |idx: usize, labels: LabelMap| {
@@ -180,20 +162,20 @@ fn run_pipeline(
         outputs[idx] = Some(labels.clone());
         pipeline.recycle(labels);
     };
-    let report = if delta {
+    let report = if config.video {
         // Video streams run the per-tile delta path: unchanged tiles are
         // stitched from the cache, changed tiles are re-classified.
         let mut sink = sink;
-        pipeline.run_stream_deltas(images, batch, |idx, labels, _hit, _recomputed| {
+        pipeline.run_stream_deltas(images, config.batch, |idx, labels, _hit, _recomputed| {
             sink(idx, labels)
         })
-    } else if cache_mb > 0 {
+    } else if config.cache_mb > 0 {
         // Cached streams run the per-request serving path so repeated
         // images are answered from the cache.
         let mut sink = sink;
-        pipeline.run_stream_requests(images, batch, |idx, labels, _hit| sink(idx, labels))
+        pipeline.run_stream_requests(images, config.batch, |idx, labels, _hit| sink(idx, labels))
     } else {
-        pipeline.run_stream(images, batch, sink)
+        pipeline.run_stream(images, config.batch, sink)
     };
     let outputs = outputs
         .into_iter()
@@ -202,33 +184,11 @@ fn run_pipeline(
     (outputs, report)
 }
 
-/// Runs the configured stream under a resolved plan and returns `(labels,
-/// report)`.  [`throughput_report`] resolves the plan once, so a `--plan auto`
-/// calibration sweep runs once, not once per stage.
-pub(crate) fn throughput_run_with_plan(
-    config: &ThroughputConfig,
-    images: &[RgbImage],
-    plan: &SegmentPlan,
-) -> (Vec<LabelMap>, PipelineReport) {
-    run_pipeline(
-        &plan.engine(),
-        IqftClassifier::for_plan(plan),
-        images,
-        config.batch,
-        StreamShape {
-            tiling: plan.tiling(),
-            cache_mb: config.cache_mb,
-            delta: config.video,
-        },
-        &plan.to_spec(),
-    )
-}
-
 /// Why a throughput run failed.  The CLI exits 2 on a flag error and 1 on
 /// a mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThroughputError {
-    /// A strategy flag (`--classifier`, `--tile`, `--plan`) did not parse.
+    /// A strategy flag (`--classifier`, `--plan`) did not parse.
     Flag(String),
     /// The labels differ from the serial reference.  Carries the rendered
     /// report, whose last line says how many images differ.
@@ -276,14 +236,12 @@ pub fn throughput_report(
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "Throughput: {} images ({}x{}), batch {}, classifier '{}', tile '{}', {} workers, \
-         cache {}",
+        "Throughput: {} images ({}x{}), batch {}, classifier '{}', {} workers, cache {}",
         config.images,
         config.image_size,
         config.image_size * 3 / 4,
         config.batch,
         config.classifier,
-        config.tile,
         report.workers,
         if config.cache_mb > 0 {
             format!("{}MiB", config.cache_mb)
@@ -385,7 +343,7 @@ mod tests {
     use super::*;
 
     /// Resolves `config`'s plan on `engine` and runs its stream, or fails on
-    /// an unknown classifier or tile flag.
+    /// an unknown classifier or a malformed plan spec.
     fn throughput_run(
         engine: &SegmentEngine,
         config: &ThroughputConfig,
@@ -402,7 +360,6 @@ mod tests {
             image_size: 40,
             seed: 7,
             classifier: classifier.to_string(),
-            tile: "off".to_string(),
             plan: String::new(),
             cache_mb: 0,
             verify: true,
@@ -418,9 +375,8 @@ mod tests {
         config.video = true;
         config.change_rate = 0.25;
         config.cache_mb = 8;
-        config.tile = "32x32".to_string();
         config.images = 5;
-        config.image_size = 128; // 128x96 frames: 4 mutation blocks, 12 tiles
+        config.image_size = 128; // 128x96 frames: 4 mutation blocks, 4 tiles of 64x64
         let images = throughput_images(&config);
         assert_eq!(images.len(), 5);
         let reference: Vec<LabelMap> = images
@@ -441,28 +397,38 @@ mod tests {
         assert!(rendered.contains("byte-identical"), "{rendered}");
     }
 
+    /// Every classifier mode agrees with the serial reference on both ways
+    /// the stream splits a frame: whole-frame batch jobs, and the per-tile
+    /// delta path's 64×64 tiles (128×96 video frames: four tiles, two of
+    /// them ragged).
     #[test]
     fn all_classifier_modes_and_tilings_agree_with_serial_reference() {
         let engine = SegmentEngine::with_threads(2);
-        let config = small_config("exact");
-        let images = throughput_images(&config);
-        let reference: Vec<LabelMap> = images
-            .iter()
-            .map(|img| {
-                IqftRgbSegmenter::paper_default()
-                    .with_engine(SegmentEngine::serial())
-                    .segment_rgb(img)
-            })
-            .collect();
-        for kind in ClassifierKind::ALL {
-            let mode = kind.flag();
-            for tile in ["off", "16x16", "13x7"] {
-                let mut config = small_config(mode);
-                config.tile = tile.to_string();
+        for video in [false, true] {
+            let mut config = small_config("exact");
+            if video {
+                config.video = true;
+                config.cache_mb = 4;
+                config.image_size = 128;
+            }
+            let images = throughput_images(&config);
+            let reference: Vec<LabelMap> = images
+                .iter()
+                .map(|img| {
+                    IqftRgbSegmenter::paper_default()
+                        .with_engine(SegmentEngine::serial())
+                        .segment_rgb(img)
+                })
+                .collect();
+            for kind in ClassifierKind::ALL {
+                let mode = kind.flag();
+                config.classifier = mode.to_string();
                 let (labels, report) = throughput_run(&engine, &config, &images).unwrap();
-                assert_eq!(labels, reference, "mode {mode} tile {tile}");
+                assert_eq!(labels, reference, "mode {mode} video {video}");
                 assert_eq!(report.images(), 6);
                 assert_eq!(report.batches.len(), 3);
+                let tiles = report.delta_tiles_hit + report.delta_tiles_recomputed;
+                assert_eq!(tiles, if video { 6 * 4 } else { 0 }, "mode {mode}");
             }
         }
     }
@@ -503,12 +469,14 @@ mod tests {
             throughput_report(&engine, &config),
             Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
         ));
+        // A tile shape in the plan spec names the one value that remains.
         let mut config = small_config("table");
-        config.tile = "64".to_string();
+        config.plan = "classifier=table;tile=64x64".to_string();
         assert!(throughput_run(&engine, &config, &images).is_err());
         assert!(matches!(
             throughput_report(&engine, &config),
-            Err(ThroughputError::Flag(message)) if message.contains("invalid tile shape")
+            Err(ThroughputError::Flag(message))
+                if message == "unknown tile value '64x64' (expected off: frames are classified whole)"
         ));
     }
 
@@ -532,22 +500,17 @@ mod tests {
     #[test]
     fn config_plan_resolves_the_three_axes() {
         let engine = SegmentEngine::with_threads(3);
-        let mut config = small_config("exact");
-        config.tile = "32x16".to_string();
-        let plan = config.plan(&engine).unwrap();
+        let plan = small_config("exact").plan(&engine).unwrap();
         assert_eq!(plan.classifier(), ClassifierKind::Exact);
-        assert_eq!(
-            plan.tiling(),
-            Tiling::Tiles {
-                width: 32,
-                height: 16
-            }
-        );
+        assert_eq!(plan.tiling(), seg_engine::Tiling::Whole);
         assert_eq!(plan.backend(), engine.backend());
         assert_eq!(
-            ThroughputConfig::default().plan(&engine).unwrap().tiling(),
-            Tiling::Whole,
-            "tiling defaults to off"
+            ThroughputConfig::default()
+                .plan(&engine)
+                .unwrap()
+                .classifier(),
+            ClassifierKind::Simd,
+            "the classifier defaults to the split table"
         );
     }
 
@@ -555,14 +518,14 @@ mod tests {
     fn plan_flag_overrides_the_axis_flags_and_stays_byte_identical() {
         let engine = SegmentEngine::with_threads(2);
         let mut config = small_config("table");
-        // The per-axis flags say table/off; the plan flag wins.
-        config.plan = "classifier=simd;tile=16x16;backend=serial".to_string();
+        // The per-axis flags say table; the plan flag wins.
+        config.plan = "classifier=simd;tile=off;backend=serial".to_string();
         let plan = config.plan(&engine).unwrap();
         assert_eq!(plan.classifier(), ClassifierKind::Simd);
         assert_eq!(plan.backend(), SegmentEngine::serial().backend());
         let report = throughput_report(&engine, &config).unwrap();
         assert!(
-            report.contains("plan: [classifier=simd;tile=16x16;backend=serial]"),
+            report.contains("plan: [classifier=simd;tile=off;backend=serial]"),
             "{report}"
         );
         assert!(report.contains("byte-identical"), "{report}");

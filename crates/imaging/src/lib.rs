@@ -21,8 +21,8 @@
 //! * [`labels`] — label-map utilities: census, binarisation, connected
 //!   components and palette rendering.
 //! * [`view`] — zero-copy sub-image views ([`ImageView`], [`LabelViewMut`])
-//!   and the deterministic tile decomposition ([`TileRect`]) that lets large
-//!   images be segmented as independent tile jobs without copying pixels.
+//!   and the deterministic tile decomposition ([`TileRect`]) that lets the
+//!   per-tile delta cache hash and re-classify tiles without copying pixels.
 //!
 //! # Example
 //!

@@ -62,11 +62,12 @@ pub trait PixelClassifier {
     /// ([`PixelClassifier::classify_rgb_view_into`]) hands each contiguous
     /// row here, so a classifier that can batch work — e.g. a SIMD kernel
     /// over a row — overrides this one method and accelerates every
-    /// execution path (whole-image, tiled, pipelined, served) at once.
+    /// execution path (whole-image, per-tile delta, pipelined, served) at
+    /// once.
     ///
     /// The default is a per-pixel loop, byte-identical to calling
     /// [`PixelClassifier::classify_rgb_pixel`] on each element; overrides
-    /// must preserve that equivalence so backends, tilings and batch sizes
+    /// must preserve that equivalence so backends, tiles and batch sizes
     /// stay interchangeable.
     ///
     /// An implementation writes every element of `out`: callers hand in
@@ -104,7 +105,8 @@ pub trait PixelClassifier {
     }
 
     /// Classifies every pixel of an RGB view into a matching label view,
-    /// row by row — the zero-copy tile work unit behind `segment_tiled`.
+    /// row by row — the zero-copy tile work unit behind the pipeline's
+    /// per-tile delta path.
     ///
     /// Each contiguous row goes through
     /// [`PixelClassifier::classify_rgb_slice_into`], so a classifier with a
@@ -127,22 +129,6 @@ pub trait PixelClassifier {
         );
         for y in 0..view.height() {
             self.classify_rgb_slice_into(view.row(y), out.row_mut(y));
-        }
-    }
-
-    /// Grayscale counterpart of [`PixelClassifier::classify_rgb_view_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `view` and `out` differ in dimensions.
-    fn classify_gray_view_into(&self, view: &ImageView<'_, Luma<u8>>, out: &mut LabelViewMut<'_>) {
-        assert_eq!(
-            view.dimensions(),
-            out.dimensions(),
-            "label view does not match the pixel view"
-        );
-        for y in 0..view.height() {
-            self.classify_gray_slice_into(view.row(y), out.row_mut(y));
         }
     }
 }
@@ -209,28 +195,6 @@ mod tests {
                 };
                 assert_eq!(labels.get(x, y), expected, "({x}, {y})");
             }
-        }
-    }
-
-    #[test]
-    fn gray_view_classification_uses_the_gray_rule() {
-        use crate::view::LabelViewMut;
-
-        struct Parity;
-        impl PixelClassifier for Parity {
-            fn classify_rgb_pixel(&self, p: Rgb<u8>) -> u32 {
-                u32::from(p.r()) % 2
-            }
-            fn classify_gray_pixel(&self, p: Luma<u8>) -> u32 {
-                u32::from(p.value()) % 2
-            }
-        }
-        let img = GrayImage::from_fn(5, 3, |x, y| Luma((x * 3 + y) as u8));
-        let mut buf = vec![0u32; img.len()];
-        let mut out = LabelViewMut::contiguous(&mut buf, 5, 3).unwrap();
-        Parity.classify_gray_view_into(&img.as_view(), &mut out);
-        for (x, y, p) in img.enumerate_pixels() {
-            assert_eq!(buf[y * 5 + x], u32::from(p.value()) % 2);
         }
     }
 

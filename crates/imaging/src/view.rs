@@ -1,9 +1,8 @@
 //! Zero-copy sub-image views and tile decomposition.
 //!
-//! Large frames (the `datasets::xview` satellite imagery being the motivating
-//! case) should not have to be copied just to hand rectangular pieces of them
-//! to parallel workers.  This module provides borrowed views over an
-//! [`ImageBuffer`]'s row-major storage:
+//! A frame should not have to be copied just to hand rectangular pieces of
+//! it to a classifier or a cache.  This module provides borrowed views over
+//! an [`ImageBuffer`]'s row-major storage:
 //!
 //! * [`ImageView`] — an immutable `offset + stride` window over a parent
 //!   buffer.  Rows of a view are contiguous slices of the parent, so a view
@@ -12,13 +11,13 @@
 //!   a window into a label buffer that a classifier fills row by row.
 //! * [`TileRect`] / [`ImageView::tile_rects`] — a deterministic row-major tile
 //!   decomposition (`tile_w × tile_h` interior tiles, clamped edge tiles on
-//!   the right/bottom borders), the unit of work the `seg-engine` crate's
-//!   `segment_tiled` fans out across its backend.
+//!   the right/bottom borders), the unit the `iqft-pipeline` crate's per-tile
+//!   delta cache hashes, looks up and re-classifies.
 //!
 //! Because every pixel's label depends only on that pixel, classifying the
-//! tiles of a view in any order — or on any number of threads — produces
-//! byte-identical output to a whole-image pass; the tile decomposition only
-//! changes the work granularity.
+//! tiles of a view in any order produces byte-identical output to a
+//! whole-image pass; the tile decomposition only changes the work
+//! granularity.
 //!
 //! # Example
 //!
@@ -67,7 +66,7 @@ impl TileRect {
     }
 
     /// A rectangle covering a whole `width × height` image.
-    pub fn full(width: usize, height: usize) -> Self {
+    pub(crate) fn full(width: usize, height: usize) -> Self {
         Self::new(0, 0, width, height)
     }
 
@@ -117,12 +116,6 @@ pub struct TileRects {
 }
 
 impl TileRects {
-    /// The tile decomposition of a free-standing `width × height` area (not
-    /// tied to any buffer) — what the tiled engine paths iterate over.
-    pub fn over(width: usize, height: usize, tile_w: usize, tile_h: usize) -> Self {
-        Self::new(width, height, tile_w, tile_h)
-    }
-
     fn new(width: usize, height: usize, tile_w: usize, tile_h: usize) -> Self {
         Self {
             width,
@@ -235,7 +228,7 @@ impl<'a, P: Copy> ImageView<'a, P> {
     /// A sub-view of `rect` (in *view* coordinates), borrowing the same
     /// parent storage.  Fails with [`ImagingError::InvalidView`] if the
     /// rectangle pokes outside this view.
-    pub fn subview(&self, rect: TileRect) -> Result<ImageView<'a, P>> {
+    pub(crate) fn subview(&self, rect: TileRect) -> Result<ImageView<'a, P>> {
         if !rect.fits_in(self.width, self.height) && !rect.is_empty() {
             return Err(rect.out_of(self.dimensions()));
         }
@@ -258,7 +251,7 @@ impl<'a, P: Copy> ImageView<'a, P> {
 
 impl<P: Copy> ImageBuffer<P> {
     /// A zero-copy view covering the whole image.
-    pub fn as_view(&self) -> ImageView<'_, P> {
+    pub(crate) fn as_view(&self) -> ImageView<'_, P> {
         ImageView::new(
             self.as_slice(),
             self.width(),

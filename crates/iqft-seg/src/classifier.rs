@@ -25,14 +25,14 @@ use seg_engine::{ClassifierKind, SegmentPlan};
 /// ```
 /// use imaging::{Rgb, RgbImage};
 /// use iqft_seg::IqftClassifier;
-/// use seg_engine::{ClassifierKind, SegmentPlan, Tiling};
+/// use seg_engine::{ClassifierKind, SegmentPlan};
 ///
 /// let img = RgbImage::from_fn(40, 30, |x, y| Rgb::new((x * 6) as u8, (y * 8) as u8, 77));
-/// let plan = SegmentPlan::default().with_tiling(Tiling::Tiles { width: 16, height: 16 });
+/// let plan: SegmentPlan = "backend=threads:2".parse().unwrap();
 /// let reference = IqftClassifier::paper_default(ClassifierKind::Exact).segment_rgb(&img);
 /// for kind in ClassifierKind::ALL {
 ///     let classifier = IqftClassifier::paper_default(kind);
-///     // Same labels for every kind, whole-image or tiled.
+///     // Same labels for every kind, on any backend.
 ///     assert_eq!(plan.segment_rgb(&classifier, &img), reference);
 /// }
 /// ```
@@ -138,7 +138,7 @@ impl PixelClassifier for IqftClassifier {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seg_engine::{SegmentEngine, Tiling};
+    use seg_engine::SegmentEngine;
 
     /// The [`ClassifierKind`] a classifier materialises.
     fn kind_of(classifier: &IqftClassifier) -> ClassifierKind {
@@ -186,32 +186,33 @@ mod tests {
         }
     }
 
+    /// Every kind labels a frame identically whole, through the plan on
+    /// either backend, and tile by tile through its view path — the unit
+    /// the per-tile delta cache re-classifies — on 64×64 tiles that leave
+    /// ragged edges.
     #[test]
     fn plan_dispatch_is_byte_identical_across_kinds_and_tilings() {
-        let img = test_image();
+        let img = RgbImage::from_fn(150, 70, |x, y| {
+            Rgb::new((x * 9) as u8, (y * 13) as u8, ((x * y) % 256) as u8)
+        });
         let reference = IqftClassifier::paper_default(ClassifierKind::Exact).segment_rgb(&img);
+        let (tile_w, tile_h) = SegmentPlan::default().tiling().delta_shape();
         for kind in ClassifierKind::ALL {
             let classifier = IqftClassifier::paper_default(kind);
-            for tiling in [
-                Tiling::Whole,
-                Tiling::Tiles {
-                    width: 8,
-                    height: 8,
-                },
-                Tiling::Tiles {
-                    width: 5,
-                    height: 22,
-                },
-            ] {
-                let plan = SegmentPlan::default()
-                    .with_classifier(kind)
-                    .with_tiling(tiling);
+            for backend in [xpar::Backend::Serial, xpar::Backend::Threads(3)] {
+                let plan = SegmentPlan::new(kind, backend);
                 assert_eq!(
                     plan.segment_rgb(&classifier, &img),
                     reference,
-                    "{kind} {tiling}"
+                    "{kind} {backend:?}"
                 );
             }
+            let mut stitched = LabelMap::new(150, 70, u32::MAX);
+            for rect in img.tile_rects(tile_w, tile_h) {
+                let tile = img.view(rect).unwrap();
+                classifier.classify_rgb_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
+            }
+            assert_eq!(stitched, reference, "{kind} {tile_w}x{tile_h} tiles");
         }
     }
 

@@ -248,19 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn view_classification_matches_whole_image_segmentation() {
-        let seg = IqftGraySegmenter::new(1.5 * PI);
-        let img = GrayImage::from_fn(19, 11, |x, y| Luma(((x * 17 + y * 3) % 256) as u8));
-        let whole = seg.segment_gray(&img);
-        let mut stitched = LabelMap::new(19, 11, u32::MAX);
-        for rect in img.tile_rects(4, 6) {
-            let tile = img.view(rect).unwrap();
-            seg.classify_gray_view_into(&tile, &mut stitched.view_mut(rect).unwrap());
-        }
-        assert_eq!(stitched, whole);
-    }
-
-    #[test]
     fn labels_to_gray_renders_binary_mask() {
         let labels = LabelMap::from_fn(3, 1, |x, _| (x % 2) as u32);
         let gray = labels_to_gray(&labels);

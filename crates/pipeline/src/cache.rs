@@ -537,10 +537,10 @@ impl SegmentCache {
     /// The content address of one tile of an image under this cache's salt,
     /// for the per-tile delta path.
     ///
-    /// `tile_w`/`tile_h` are the plan's *configured* tile geometry (edge
-    /// tiles are smaller than this); the geometry is mixed into the seeds
-    /// before any pixel, so tile keys from different tilings — and tile keys
-    /// vs whole-image keys — can never alias even on identical pixel bytes.
+    /// `tile_w`/`tile_h` are the delta path's tile geometry (edge tiles are
+    /// smaller than this); the geometry is mixed into the seeds before any
+    /// pixel, so tile keys from different tile shapes — and tile keys vs
+    /// whole-image keys — can never alias even on identical pixel bytes.
     /// The view's own (clamped) dimensions are mixed in next, then each row
     /// streams in as one byte slice, so the key depends only on the logical
     /// pixel sequence: the same tile content hashes identically wherever the

@@ -15,21 +15,17 @@
 //!   ([`SegmentPipeline::with_cache`]): repeated images are answered with a
 //!   memcpy instead of a classification pass, byte-identically.
 //!
-//! A batch is one job list mapped over the engine's backend
+//! A batch is one job per image mapped over the engine's backend
 //! ([`SegmentEngine::map_indexed`], the xpar substrate every parallel loop
-//! in the workspace runs on), so the pipeline parallelises **across
-//! images** by default: each job segments its image with a serial per-pixel
-//! pass, and the output of [`run_batch`] is byte-identical to per-image
-//! serial segmentation on any backend and thread count
-//! (`tests/engine_determinism.rs` at the workspace root enforces this).
-//! When a stream contains images too large for that to balance — one
-//! satellite frame would serialise onto a single thread — configure a
-//! [`seg_engine::Tiling::Tiles`] decomposition ([`PipelineConfig::tiling`]):
-//! every image then splits into zero-copy tile jobs whose scratch buffers
-//! recycle through the same [`LabelArena`], and the stitched output remains
-//! byte-identical.  For the steady-state fast path, hand the pipeline an
-//! [`iqft_seg::PhaseTable`]: classification collapses to three table lookups
-//! per pixel.
+//! in the workspace runs on), so batches parallelise **across images**:
+//! each job segments its image with a serial per-pixel pass, and the output
+//! of [`run_batch`] is byte-identical to per-image serial segmentation on
+//! any backend and thread count (`tests/engine_determinism.rs` at the
+//! workspace root enforces this).  A single request
+//! ([`SegmentPipeline::segment_request`]) instead spreads its one frame
+//! over the engine's threads in chunks.  For the steady-state fast path,
+//! hand the pipeline an [`iqft_seg::PhaseTable`]: classification collapses
+//! to three table lookups per pixel.
 //!
 //! [`run_batch`]: SegmentPipeline::run_batch
 //!
@@ -72,7 +68,7 @@ pub use cache::{route_hash, CacheConfig, CacheKey, SegmentCache, SnapshotError, 
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use stats::{BatchStats, PipelineReport};
 
-use imaging::view::{LabelViewMut, TileRect};
+use imaging::view::LabelViewMut;
 use imaging::{LabelMap, PixelClassifier, RgbImage};
 use seg_engine::{SegmentEngine, Tiling};
 use std::time::Instant;
@@ -88,16 +84,13 @@ pub enum CacheLookup {
     Miss(CacheKey),
 }
 
-/// How a [`SegmentPipeline`] decomposes its work.  The default runs one job
-/// per image; the engine's backend bounds how many jobs run at once.
+/// Tuning of a [`SegmentPipeline`].  The loopback benchmark builds one, so
+/// it keeps its one field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineConfig {
-    /// Work decomposition: [`Tiling::Whole`] runs one job per image;
-    /// [`Tiling::Tiles`] splits every image into tile jobs, so one oversized
-    /// frame no longer serialises onto a single thread.  Tile label buffers
-    /// recycle through the same [`LabelArena`] as image buffers, keeping the
-    /// steady state allocation-free, and the output stays byte-identical to
-    /// whole-image segmentation.
+    /// The plan's tile axis, always [`Tiling::Whole`]: frames are
+    /// classified whole.  The per-tile delta path takes its tile shape from
+    /// [`Tiling::delta_shape`].
     pub tiling: Tiling,
 }
 
@@ -130,7 +123,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
         }
     }
 
-    /// Replaces the work decomposition.
+    /// Replaces the pipeline's tuning.
     pub fn with_config(mut self, config: PipelineConfig) -> Self {
         self.config = config;
         self
@@ -180,19 +173,15 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// join barrier, this segments exactly one image synchronously — the
     /// shape a serving daemon (`iqft-serve`) needs: a worker thread submits
     /// one decoded request here and the call completes when the labels are
-    /// ready.  It honours the configured [`PipelineConfig::tiling`], so one
-    /// oversized frame still fans out across the engine's backend.  The
-    /// scratch buffer comes from the shared [`LabelArena`]; recycle the
-    /// result and the steady state stays allocation-free across all callers.
+    /// ready.  The frame is split into chunks over the engine's backend, so
+    /// one large frame spreads over every thread.  The scratch buffer comes
+    /// from the shared [`LabelArena`]; recycle the result and the steady
+    /// state stays allocation-free across all callers.
     ///
-    /// Byte-identical to a serial whole-image pass for any configuration.
+    /// Byte-identical to a serial whole-image pass on any backend.
     pub fn segment_request(&self, img: &RgbImage) -> LabelMap {
-        self.segment_with(img, |buf| match self.config.tiling {
-            Tiling::Whole => self.engine.segment_rgb_into(&self.classifier, img, buf),
-            Tiling::Tiles { width, height } => {
-                self.engine
-                    .segment_tiled_into(&self.classifier, img, width, height, buf)
-            }
+        self.segment_with(img, |buf| {
+            self.engine.segment_rgb_into(&self.classifier, img, buf)
         })
     }
 
@@ -250,12 +239,11 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// Per-tile delta variant of [`SegmentPipeline::segment_request_cached`]
     /// for video-like streams: instead of content-addressing the whole frame
     /// (where one changed pixel forfeits the entire cached result), the frame
-    /// is split into tiles — the plan's own tile shape, or
-    /// [`Tiling::DEFAULT_DELTA_TILE`]-square tiles for a whole-image plan —
-    /// and each tile is content-addressed independently.  Unchanged tiles are
-    /// answered by copying their cached labels straight into the stitch
-    /// buffer; only tiles whose hash changed are re-classified (and stored
-    /// for the next frame).  Frame cost therefore scales with how much of
+    /// is split into 64×64 tiles ([`Tiling::delta_shape`], edge tiles
+    /// clamped) and each tile is content-addressed independently.
+    /// Unchanged tiles are answered by copying their cached labels straight
+    /// into the stitch buffer; only tiles whose hash changed are
+    /// re-classified (and stored for the next frame).  Frame cost therefore scales with how much of
     /// the frame changed, not with its area.
     ///
     /// Returns `(labels, tiles_hit, tiles_recomputed)`.  Without an attached
@@ -267,10 +255,9 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// pixel (classification is per-pixel), cached tiles hold exactly the
     /// bytes a fresh classification of identical pixel content produces, and
     /// the 128-bit content hash plus the entry dimension check make a
-    /// cross-content collision practically impossible.  This is the same
-    /// argument that makes tiled execution byte-identical to whole-image
-    /// execution, composed with the cache's "only ever stores the pipeline's
-    /// own output" invariant.
+    /// cross-content collision practically impossible: per-pixel
+    /// classification composed with the cache's "only ever stores the
+    /// pipeline's own output" invariant.
     pub fn segment_request_delta(&self, img: &RgbImage) -> (LabelMap, u32, u32) {
         let (tile_w, tile_h) = self.config.tiling.delta_shape();
         let Some(cache) = &self.cache else {
@@ -342,13 +329,11 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// Segments one batch of images on the engine's backend.
     ///
     /// The batch is one job list mapped through
-    /// [`SegmentEngine::map_indexed`]: one job per image, or one per tile
-    /// under [`Tiling::Tiles`], so one oversized frame fans out over every
-    /// thread.  Each job classifies its rect serially into an arena buffer,
-    /// and each image's jobs are stitched in order.  Returns the label maps
-    /// in input order plus the batch's throughput stats.  The output is
-    /// byte-identical to calling `SegmentEngine::serial().segment_rgb(..)`
-    /// per image.
+    /// [`SegmentEngine::map_indexed`], one job per image.  Each job
+    /// classifies its image serially into an arena buffer, which becomes
+    /// that image's label map.  Returns the label maps in input order plus
+    /// the batch's throughput stats.  The output is byte-identical to
+    /// calling `SegmentEngine::serial().segment_rgb(..)` per image.
     pub fn run_batch(&self, images: &[RgbImage]) -> (Vec<LabelMap>, BatchStats) {
         let started = Instant::now();
         let labels = self.segment_batch(images, &LatencyHistogram::new());
@@ -358,67 +343,16 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// The batch executor behind [`SegmentPipeline::run_batch`] and
     /// [`SegmentPipeline::run_stream`], recording each job's latency.
     fn segment_batch(&self, images: &[RgbImage], latency: &LatencyHistogram) -> Vec<LabelMap> {
-        // Jobs are listed in (image, rect) order, so the stitch below walks
-        // them with one cursor.  A whole image is the job whose rect is the
-        // image.
-        let jobs: Vec<(usize, TileRect)> = images
-            .iter()
-            .enumerate()
-            .flat_map(|(idx, img)| {
-                let (tile_w, tile_h) = match self.config.tiling {
-                    Tiling::Whole => img.dimensions(),
-                    Tiling::Tiles { width, height } => (width, height),
-                };
-                img.tile_rects(tile_w, tile_h).map(move |rect| (idx, rect))
-            })
-            .collect();
         let serial = SegmentEngine::serial();
-        let buffers = self.engine.map_indexed(jobs.len(), |job| {
-            let (idx, rect) = jobs[job];
+        self.engine.map_indexed(images.len(), |idx| {
             let img = &images[idx];
             let started = Instant::now();
             let mut buf = self.arena.take();
-            if rect == TileRect::full(img.width(), img.height()) {
-                serial.segment_rgb_into(&self.classifier, img, &mut buf);
-            } else {
-                buf.resize(rect.area(), 0);
-                let tile = img.view(rect).expect("job rects lie inside their image");
-                let mut out = LabelViewMut::contiguous(&mut buf, rect.width, rect.height)
-                    .expect("job buffer matches its rect");
-                self.classifier.classify_rgb_view_into(&tile, &mut out);
-            }
+            serial.segment_rgb_into(&self.classifier, img, &mut buf);
             latency.record(started.elapsed());
-            buf
-        });
-
-        // An image that is one job adopts that job's buffer.  Otherwise its
-        // tiles are copied into an arena buffer and go back to the arena.
-        let mut done = jobs.into_iter().zip(buffers).peekable();
-        images
-            .iter()
-            .enumerate()
-            .map(|(idx, img)| {
-                let (w, h) = img.dimensions();
-                let whole = (idx, TileRect::full(w, h));
-                let buf = match done.next_if(|(job, _)| *job == whole) {
-                    Some((_, buf)) => buf,
-                    None => {
-                        let mut buf = self.arena.take();
-                        buf.resize(img.len(), 0);
-                        while let Some(((_, rect), tile)) =
-                            done.next_if(|((job, _), _)| *job == idx)
-                        {
-                            LabelViewMut::new(&mut buf, w, rect)
-                                .expect("tile rects lie inside the label buffer")
-                                .copy_from_tile(&tile);
-                            self.arena.put(tile);
-                        }
-                        buf
-                    }
-                };
-                LabelMap::from_vec(w, h, buf).expect("label buffer matches image size")
-            })
-            .collect()
+            let (w, h) = img.dimensions();
+            LabelMap::from_vec(w, h, buf).expect("label buffer matches image size")
+        })
     }
 
     /// Streams `images` through the pipeline in batches of `batch_size`,
@@ -452,11 +386,11 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
 
     /// Streams `images` through the *per-request* path — the shape a serving
     /// deployment sees: each image goes through
-    /// [`SegmentPipeline::segment_request_cached`] (honouring the configured
-    /// tiling and the attached cache), so repeated images are answered from
-    /// the cache instead of being re-classified.  Parallelism comes from
-    /// within each request (the engine's backend plus tiled fan-out), not
-    /// from batching across images.
+    /// [`SegmentPipeline::segment_request_cached`] (honouring the attached
+    /// cache), so repeated images are answered from the cache instead of
+    /// being re-classified.  Parallelism comes from within each request (the
+    /// engine's backend splits the frame into chunks), not from batching
+    /// across images.
     ///
     /// The sink receives `(index, labels, cache_hit)` and should recycle the
     /// labels like [`SegmentPipeline::run_stream`]'s sink does.  The
@@ -648,26 +582,17 @@ mod tests {
     }
 
     #[test]
-    fn segment_request_honours_tiling_and_recycles_through_the_arena() {
+    fn segment_request_recycles_through_the_arena() {
         let img = &test_images(1)[0];
         let expected = SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img);
-        for tiling in [
-            seg_engine::Tiling::Whole,
-            seg_engine::Tiling::Tiles {
-                width: 8,
-                height: 8,
-            },
-        ] {
-            let pipeline =
-                SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
-                    .with_config(PipelineConfig { tiling });
-            let labels = pipeline.segment_request(img);
-            assert_eq!(labels, expected, "{tiling:?}");
-            pipeline.recycle(labels);
-            let again = pipeline.segment_request(img);
-            assert_eq!(again, expected, "{tiling:?} (recycled)");
-            assert!(pipeline.arena().reuses() >= 1, "{tiling:?}");
-        }
+        let pipeline =
+            SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default());
+        let labels = pipeline.segment_request(img);
+        assert_eq!(labels, expected);
+        pipeline.recycle(labels);
+        let again = pipeline.segment_request(img);
+        assert_eq!(again, expected, "recycled buffer");
+        assert!(pipeline.arena().reuses() >= 1);
     }
 
     #[test]
@@ -697,129 +622,47 @@ mod tests {
         assert_eq!(second.arena_pooled, pipeline.arena().pooled());
     }
 
-    #[test]
-    fn tiled_batches_are_byte_identical_to_whole_image_batches() {
-        let images = test_images(7);
-        let reference: Vec<LabelMap> = images
-            .iter()
-            .map(|img| SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img))
-            .collect();
-        for threads in [1usize, 2, 4] {
-            for (tw, th) in [(1usize, 1usize), (7, 3), (64, 64)] {
-                let pipeline = SegmentPipeline::new(
-                    SegmentEngine::with_threads(threads),
-                    PhaseTable::paper_default(),
-                )
-                .with_config(PipelineConfig {
-                    tiling: seg_engine::Tiling::Tiles {
-                        width: tw,
-                        height: th,
-                    },
-                });
-                assert_eq!(
-                    pipeline.config.tiling,
-                    seg_engine::Tiling::Tiles {
-                        width: tw,
-                        height: th
-                    }
-                );
-                let (labels, stats) = pipeline.run_batch(&images);
-                assert_eq!(labels, reference, "threads={threads} tile={tw}x{th}");
-                assert_eq!(stats.images, 7);
-                assert_eq!(stats.pixels, images.iter().map(|i| i.len()).sum::<usize>());
-            }
-        }
-    }
-
-    /// A classifier whose tile hook waits until two tiles are in progress
-    /// at once.  The wait's timeout only marks failure: a pipeline that
-    /// runs one frame's tiles one at a time leaves the flag false.
-    struct Rendezvous {
-        table: PhaseTable,
-        /// Tiles in progress, and whether two ever were at once.
-        state: std::sync::Mutex<(usize, bool)>,
-        both: std::sync::Condvar,
-    }
-
-    impl PixelClassifier for Rendezvous {
-        fn classify_rgb_pixel(&self, p: Rgb<u8>) -> u32 {
-            self.table.classify_rgb_pixel(p)
-        }
-
-        fn classify_rgb_view_into(
-            &self,
-            view: &imaging::ImageView<'_, Rgb<u8>>,
-            out: &mut LabelViewMut<'_>,
-        ) {
-            let mut state = self.state.lock().unwrap();
-            state.0 += 1;
-            if state.0 >= 2 {
-                state.1 = true;
-                self.both.notify_all();
-            }
-            let (mut state, _) = self
-                .both
-                .wait_timeout_while(state, std::time::Duration::from_secs(3), |s| !s.1)
-                .unwrap();
-            state.0 -= 1;
-            drop(state);
-            self.table.classify_rgb_view_into(view, out);
-        }
-    }
-
-    #[test]
-    fn one_frames_tiles_fan_out_over_the_engines_threads() {
-        let frame = RgbImage::from_fn(64, 48, |x, y| {
-            Rgb::new((x * 4) as u8, (y * 5) as u8, ((x + y) * 3) as u8)
-        });
-        let rendezvous = Rendezvous {
-            table: PhaseTable::paper_default(),
-            state: std::sync::Mutex::new((0, false)),
-            both: std::sync::Condvar::new(),
-        };
-        let pipeline = SegmentPipeline::new(SegmentEngine::with_threads(2), rendezvous)
-            .with_config(PipelineConfig {
-                tiling: seg_engine::Tiling::Tiles {
-                    width: 32,
-                    height: 24,
-                },
-            });
-        assert_eq!(frame.tile_rects(32, 24).count(), 4);
-        let (labels, _) = pipeline.run_batch(std::slice::from_ref(&frame));
-        assert!(
-            pipeline.classifier.state.lock().unwrap().1,
-            "two tiles of one frame never ran at the same time"
-        );
-        assert_eq!(
-            labels[0],
-            SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), &frame)
-        );
-    }
-
+    /// The delta path's tile scratch buffer comes from the arena and goes
+    /// back after each frame.  A tile cache too small to hold any tile
+    /// makes every tile of every frame re-classify through that buffer; on
+    /// a warm pool the second stream still allocates nothing.
     #[test]
     fn tiled_streams_recycle_tile_buffers_through_the_arena() {
-        let images: Vec<RgbImage> = (0..8)
+        // 150x80 frames are six 64x64 tiles, four of them ragged.
+        let frames: Vec<RgbImage> = (0..8)
             .map(|i| {
-                RgbImage::from_fn(48, 32, move |x, y| {
+                RgbImage::from_fn(150, 80, move |x, y| {
                     Rgb::new((x * 5) as u8, (y * 7) as u8, (i * 31) as u8)
                 })
             })
             .collect();
+        let reference: Vec<LabelMap> = frames
+            .iter()
+            .map(|img| SegmentEngine::serial().segment_rgb(&IqftRgbSegmenter::paper_default(), img))
+            .collect();
         let pipeline =
             SegmentPipeline::new(SegmentEngine::with_threads(2), PhaseTable::paper_default())
-                .with_config(PipelineConfig {
-                    tiling: seg_engine::Tiling::Tiles {
-                        width: 16,
-                        height: 16,
+                .with_cache(
+                    CacheConfig {
+                        capacity_bytes: 1,
+                        shards: 1,
                     },
-                });
-        let first = pipeline.run_stream(&images, 4, |_, labels| pipeline.recycle(labels));
-        assert_eq!(first.images(), 8);
-        // Warm pool: the second stream takes every tile and image buffer from
-        // the arena without a single fresh allocation.
-        let second = pipeline.run_stream(&images, 4, |_, labels| pipeline.recycle(labels));
-        assert_eq!(second.arena_allocations, 0, "{second:?}");
-        assert!(second.arena_reuses > 0, "{second:?}");
+                    "tile-scratch-test",
+                );
+        for pass in 0..2 {
+            let report = pipeline.run_stream_deltas(&frames, 4, |idx, labels, hit, recomputed| {
+                assert_eq!(labels, reference[idx], "pass {pass} frame {idx}");
+                assert_eq!((hit, recomputed), (0, 6), "pass {pass} frame {idx}");
+                pipeline.recycle(labels);
+            });
+            assert_eq!(report.images(), 8);
+            if pass == 1 {
+                // Warm pool: every frame's label buffer and tile scratch
+                // buffer come from the arena.
+                assert_eq!(report.arena_allocations, 0, "{report:?}");
+                assert_eq!(report.arena_reuses, 2 * 8, "{report:?}");
+            }
+        }
     }
 
     #[test]
@@ -936,52 +779,44 @@ mod tests {
 
     #[test]
     fn delta_requests_are_byte_identical_and_reuse_unchanged_tiles() {
-        let base = RgbImage::from_fn(53, 37, |x, y| {
+        // 150x100 does not divide into 64x64 tiles: a 3x2 grid whose right
+        // column and bottom row are ragged.
+        let base = RgbImage::from_fn(150, 100, |x, y| {
             Rgb::new((x * 3) as u8, (y * 5) as u8, ((x ^ y) * 7) as u8)
         });
-        // Frame 2 differs from frame 1 in a single pixel.
-        let mut changed = base.clone();
-        changed.set(40, 30, Rgb::new(200, 10, 10));
         let exact = IqftRgbSegmenter::paper_default();
-        for tiling in [
-            seg_engine::Tiling::Whole,
-            seg_engine::Tiling::Tiles {
-                width: 16,
-                height: 16,
-            },
-            seg_engine::Tiling::Tiles {
-                width: 53,
-                height: 37,
-            },
-        ] {
-            let pipeline =
-                SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
-                    .with_config(PipelineConfig { tiling })
-                    .with_cache(CacheConfig::with_capacity_mb(4), "delta-test");
-            let (tw, th) = tiling.delta_shape();
-            let total = base.tile_rects(tw, th).count() as u32;
-            let (labels, hit, recomputed) = pipeline.segment_request_delta(&base);
-            assert_eq!(
-                labels,
-                SegmentEngine::serial().segment_rgb(&exact, &base),
-                "{tiling:?} cold frame"
-            );
-            assert_eq!((hit, recomputed), (0, total), "{tiling:?} cold frame");
-            pipeline.recycle(labels);
-            // The identical frame again: every tile hits.
-            let (labels, hit, recomputed) = pipeline.segment_request_delta(&base);
-            assert_eq!(labels, SegmentEngine::serial().segment_rgb(&exact, &base));
-            assert_eq!((hit, recomputed), (total, 0), "{tiling:?} repeat frame");
-            pipeline.recycle(labels);
-            // One changed pixel: exactly one tile recomputes, the rest stitch
-            // from cache, and the output is still byte-identical to fresh.
+        let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
+            .with_cache(CacheConfig::with_capacity_mb(4), "delta-test");
+        let (tw, th) = pipeline.config.tiling.delta_shape();
+        assert_eq!((tw, th), (64, 64));
+        let total = base.tile_rects(tw, th).count() as u32;
+        assert_eq!(total, 6);
+        let (labels, hit, recomputed) = pipeline.segment_request_delta(&base);
+        assert_eq!(
+            labels,
+            SegmentEngine::serial().segment_rgb(&exact, &base),
+            "cold frame"
+        );
+        assert_eq!((hit, recomputed), (0, total), "cold frame");
+        pipeline.recycle(labels);
+        // The identical frame again: every tile hits.
+        let (labels, hit, recomputed) = pipeline.segment_request_delta(&base);
+        assert_eq!(labels, SegmentEngine::serial().segment_rgb(&exact, &base));
+        assert_eq!((hit, recomputed), (total, 0), "repeat frame");
+        pipeline.recycle(labels);
+        // One changed pixel, once in an interior tile and once in the ragged
+        // corner tile: exactly one tile recomputes, the rest stitch from
+        // cache, and the output is still byte-identical to fresh.
+        for (x, y) in [(40, 30), (140, 90)] {
+            let mut changed = base.clone();
+            changed.set(x, y, Rgb::new(200, 10, 10));
             let (labels, hit, recomputed) = pipeline.segment_request_delta(&changed);
             assert_eq!(
                 labels,
                 SegmentEngine::serial().segment_rgb(&exact, &changed),
-                "{tiling:?} delta frame"
+                "delta frame ({x}, {y})"
             );
-            assert_eq!((hit, recomputed), (total - 1, 1), "{tiling:?} delta frame");
+            assert_eq!((hit, recomputed), (total - 1, 1), "delta frame ({x}, {y})");
             pipeline.recycle(labels);
         }
     }
@@ -1000,20 +835,16 @@ mod tests {
     #[test]
     fn delta_streams_report_tile_counters_and_recycle_buffers() {
         // A 3-frame "video": frame 0, an identical frame, then one changed
-        // tile.
-        let base = RgbImage::from_fn(64, 48, |x, y| Rgb::new(x as u8, y as u8, 0));
+        // tile.  192x144 frames are 3x3 tiles of 64x64, the bottom row
+        // ragged.
+        let base = RgbImage::from_fn(192, 144, |x, y| Rgb::new(x as u8, y as u8, 0));
         let mut moved = base.clone();
         moved.set(5, 5, Rgb::new(255, 255, 255));
         let frames = vec![base.clone(), base.clone(), moved];
         let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
-            .with_config(PipelineConfig {
-                tiling: seg_engine::Tiling::Tiles {
-                    width: 16,
-                    height: 16,
-                },
-            })
             .with_cache(CacheConfig::with_capacity_mb(4), "delta-stream-test");
-        let tiles_per_frame = base.tile_rects(16, 16).count();
+        let tiles_per_frame = base.tile_rects(64, 64).count();
+        assert_eq!(tiles_per_frame, 9);
         let report = pipeline.run_stream_deltas(&frames, 2, |_, labels, _, _| {
             pipeline.recycle(labels);
         });
@@ -1046,7 +877,7 @@ mod tests {
         let pipeline =
             SegmentPipeline::new(SegmentEngine::with_threads(3), PhaseTable::paper_default());
         assert_eq!(pipeline.engine, SegmentEngine::with_threads(3));
-        assert_eq!(pipeline.config.tiling, seg_engine::Tiling::Whole);
+        assert_eq!(pipeline.config.tiling, Tiling::Whole);
         let (labels, stats) = pipeline.run_batch(&[]);
         assert!(labels.is_empty());
         assert_eq!(stats.images, 0);

@@ -63,8 +63,7 @@ pub struct PipelineReport {
     /// Per-batch figures, in execution order.
     pub batches: Vec<BatchStats>,
     /// Per-operation service-latency percentiles for the run, recorded into
-    /// a [`crate::LatencyHistogram`]: one sample per image on the whole-image
-    /// paths, one per tile job on the tiled batch path.
+    /// a [`crate::LatencyHistogram`]: one sample per image.
     pub latency: LatencySummary,
     /// The engine's effective thread count: the most jobs a batch runs at
     /// once.

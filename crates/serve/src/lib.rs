@@ -1,9 +1,9 @@
 #![warn(missing_docs)]
 //! `iqft-serve` — a TCP segmentation service on top of the warm pipeline.
 //!
-//! Everything the earlier layers earned — the `PhaseTable` fast path, the
-//! [`iqft_pipeline::LabelArena`] recycling pool, tiled fan-out — was only
-//! reachable in-process.  This crate puts a long-lived daemon in front of it:
+//! Everything the earlier layers earned — the split-table fast path, the
+//! [`iqft_pipeline::LabelArena`] recycling pool, the chunk-parallel
+//! whole-frame pass — was only reachable in-process.  This crate puts a long-lived daemon in front of it:
 //! a [`Server`] owns one [`seg_engine::SegmentPlan`] and one warm
 //! [`iqft_pipeline::SegmentPipeline`], and serves concurrent clients over a
 //! hand-rolled, length-prefixed binary protocol ([`protocol`]) built purely
@@ -40,8 +40,8 @@
 //!   or drains.
 //!
 //! The `iqft-experiments` binary exposes both ends as subcommands:
-//! `serve --addr … --classifier … --tile … --backend … --workers …
-//! --cache-mb …` boots the daemon, and `loadgen --addr … --clients C
+//! `serve --addr … --classifier … --backend … --workers … --cache-mb …`
+//! boots the daemon, and `loadgen --addr … --clients C
 //! --images N --pipeline K --repeat-ratio R` drives concurrent (optionally
 //! repeated and pipelined) traffic with default-on byte-identity
 //! verification against a local [`seg_engine::SegmentEngine`] pass.

@@ -28,7 +28,7 @@
 #[cfg(unix)]
 use crate::evented::spawn as spawn_core;
 use crate::stats::{ServerStats, StatsSnapshot};
-use iqft_pipeline::{CacheConfig, PipelineConfig, SegmentPipeline, SnapshotError, SnapshotStats};
+use iqft_pipeline::{CacheConfig, SegmentPipeline, SnapshotError, SnapshotStats};
 use iqft_seg::IqftClassifier;
 use seg_engine::SegmentPlan;
 use std::io;
@@ -75,7 +75,7 @@ pub enum ServeMode {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// The segmentation strategy (classifier × tiling × backend) the server
+    /// The segmentation strategy (classifier × backend) the server
     /// materialises once and serves from.
     pub plan: SegmentPlan,
     /// Maximum concurrently-executing `Segment` requests across all
@@ -224,11 +224,6 @@ impl Shared {
             requests_total: self.stats.requests_total(),
             segment_requests: self.stats.segment_requests(),
             pixels_total,
-            mpix_per_sec: if uptime_secs > 0.0 {
-                pixels_total as f64 / 1e6 / uptime_secs
-            } else {
-                0.0
-            },
             protocol_errors: self.stats.protocol_errors(),
             arena_allocations: self.pipeline.arena().allocations(),
             arena_reuses: self.pipeline.arena().reuses(),
@@ -336,9 +331,6 @@ impl Server {
         let addr = listener.local_addr()?;
         let plan = config.plan;
         let pipeline = SegmentPipeline::new(plan.engine(), IqftClassifier::for_plan(&plan))
-            .with_config(PipelineConfig {
-                tiling: plan.tiling(),
-            })
             .with_cache(config.cache, &plan.to_spec());
         let max_inflight = if config.max_inflight == 0 {
             plan.engine().threads()
@@ -446,7 +438,7 @@ mod tests {
     use crate::client::Client;
     use crate::protocol::{self, Message};
     use imaging::{Rgb, RgbImage};
-    use seg_engine::{ClassifierKind, SegmentEngine, Tiling};
+    use seg_engine::{ClassifierKind, SegmentEngine};
     use std::io::Write;
     use std::path::Path;
 
@@ -466,10 +458,7 @@ mod tests {
 
     #[test]
     fn ephemeral_server_serves_ping_segment_stats_and_drains() {
-        let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-            width: 16,
-            height: 16,
-        });
+        let plan: SegmentPlan = "classifier=table;backend=threads:2".parse().unwrap();
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig::new(plan)

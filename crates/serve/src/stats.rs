@@ -151,9 +151,6 @@ pub struct StatsSnapshot {
     pub segment_requests: usize,
     /// Pixels segmented.
     pub pixels_total: u64,
-    /// Aggregate segmentation throughput since boot, in megapixels/second
-    /// (includes idle time; a load generator should prefer its own clock).
-    pub mpix_per_sec: f64,
     /// Frames that failed to decode or execute.
     pub protocol_errors: usize,
     /// Label-buffer allocations the arena could not avoid.
@@ -261,7 +258,6 @@ impl StatsSnapshot {
         push("requests_total", self.requests_total.to_string());
         push("segment_requests", self.segment_requests.to_string());
         push("pixels_total", self.pixels_total.to_string());
-        push("mpix_per_sec", format!("{:.3}", self.mpix_per_sec));
         push("protocol_errors", self.protocol_errors.to_string());
         push("arena_allocations", self.arena_allocations.to_string());
         push("arena_reuses", self.arena_reuses.to_string());
@@ -339,9 +335,6 @@ impl StatsSnapshot {
                 "pixels_total" => {
                     snapshot.pixels_total = value.parse().map_err(|_| bad("count"))?
                 }
-                "mpix_per_sec" => {
-                    snapshot.mpix_per_sec = value.parse().map_err(|_| bad("float"))?
-                }
                 "protocol_errors" => {
                     snapshot.protocol_errors = value.parse().map_err(|_| bad("count"))?
                 }
@@ -413,14 +406,13 @@ mod tests {
 
     fn sample() -> StatsSnapshot {
         StatsSnapshot {
-            plan: "classifier=table;tile=48x48;backend=threads:4".to_string(),
+            plan: "classifier=table;tile=off;backend=threads:4".to_string(),
             uptime_secs: 12.5,
             connections_total: 9,
             connections_open: 4,
             requests_total: 120,
             segment_requests: 100,
             pixels_total: 1_920_000,
-            mpix_per_sec: 153.6,
             protocol_errors: 2,
             arena_allocations: 6,
             arena_reuses: 94,
@@ -475,6 +467,19 @@ mod tests {
         // The unknown keys survive a full decode → encode → decode cycle.
         let reencoded = StatsSnapshot::from_text(&parsed.to_text()).unwrap();
         assert_eq!(reencoded, parsed);
+        // Text from an older daemon still carries the retired
+        // uptime-averaged rate; it parses, and the key lands in `extra`.
+        let mut older = sample().to_text();
+        older.push_str("mpix_per_sec=153.600\n");
+        let parsed = StatsSnapshot::from_text(&older).unwrap();
+        assert_eq!(parsed.extra.get("mpix_per_sec").unwrap(), "153.600");
+        assert_eq!(
+            StatsSnapshot {
+                extra: BTreeMap::new(),
+                ..parsed
+            },
+            sample()
+        );
         assert!(StatsSnapshot::from_text("requests_total=1\n").is_err());
         assert!(StatsSnapshot::from_text("requests_total\n").is_err());
         assert!(StatsSnapshot::from_text("plan=x\nrequests_total=abc\n").is_err());

@@ -12,7 +12,7 @@
 //! another), use the CLI instead:
 //!
 //! ```text
-//! iqft-experiments serve   --addr 127.0.0.1:7870 --classifier table --tile 48x48 --cache-mb 64
+//! iqft-experiments serve   --addr 127.0.0.1:7870 --cache-mb 64
 //! iqft-experiments loadgen --addr 127.0.0.1:7870 --clients 4 --images 32 \
 //!                          --pipeline 4 --repeat-ratio 0.8 --shutdown
 //! ```
@@ -22,16 +22,13 @@ use imaging::Segmenter;
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftRgbSegmenter;
 use iqft_serve::{Client, ClientConfig, SegmentOutcome, Server, ServerConfig};
-use seg_engine::{SegmentPlan, Tiling};
+use seg_engine::SegmentPlan;
 
 fn main() {
-    // 1. Boot the daemon: one warm pipeline (phase-table classifier, tiled
-    //    fan-out) plus a 64 MiB content-addressed result cache behind a TCP
-    //    listener on an ephemeral port.
-    let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-        width: 48,
-        height: 48,
-    });
+    // 1. Boot the daemon: one warm pipeline (the default plan's split-table
+    //    classifier on whole frames) plus a 64 MiB content-addressed result
+    //    cache behind a TCP listener on an ephemeral port.
+    let plan = SegmentPlan::default();
     let server = Server::bind(
         "127.0.0.1:0",
         ServerConfig::new(plan)

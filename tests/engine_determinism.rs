@@ -11,14 +11,14 @@
 
 use datasets::{PascalVocLikeConfig, PascalVocLikeDataset};
 use imaging::{LabelMap, PixelClassifier, Rgb, RgbImage, Segmenter};
-use iqft_pipeline::{CacheConfig, LabelArena, PipelineConfig, SegmentPipeline};
+use iqft_pipeline::{CacheConfig, LabelArena, SegmentPipeline};
 use iqft_seg::{
     IqftClassifier, IqftGraySegmenter, IqftRgbSegmenter, PhaseTable, SegmentEngine, SimdLevel,
     SplitTable, ThetaParams,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use seg_engine::{ClassifierKind, SegmentPlan, Tiling};
+use seg_engine::{ClassifierKind, SegmentPlan};
 
 /// Every backend variant crossed with the thread counts under test.
 fn all_engines() -> Vec<(String, SegmentEngine)> {
@@ -162,105 +162,16 @@ fn pipeline_batches_are_byte_identical_to_serial_per_image() {
     }
 }
 
-/// Acceptance criterion, tiling layer: tiled segmentation is byte-identical
-/// to whole-image segmentation for every tile size (including non-divisible
-/// edge tiles) × every backend × all three classifier kinds, both through
-/// the engine's `segment_tiled` and through a tiled `SegmentPipeline`.
-#[test]
-fn tiled_segmentation_is_byte_identical_to_whole_image() {
-    let mut rng = ChaCha8Rng::seed_from_u64(1177);
-    // 53×37 is deliberately indivisible by 7×3 and smaller than 64×64, so
-    // the sweep exercises clamped edge tiles, a single oversized tile, and
-    // the exact full-image tile.
-    let img = random_image(&mut rng, 53, 37);
-    let (w, h) = img.dimensions();
-    let tile_sizes = [(1usize, 1usize), (7, 3), (64, 64), (w, h)];
-
-    for kind in ClassifierKind::ALL {
-        let classifier = IqftClassifier::paper_default(kind);
-        let whole = SegmentEngine::serial().segment_rgb(&classifier, &img);
-        for (name, engine) in all_engines() {
-            for (tw, th) in tile_sizes {
-                // Engine layer: direct tiled fan-out.
-                assert_eq!(
-                    engine.segment_tiled(&classifier, &img, tw, th),
-                    whole,
-                    "{kind} via {name}, tile {tw}x{th}"
-                );
-                // Plan layer: the single dispatch point callers go through.
-                let plan = SegmentPlan::new(
-                    kind,
-                    Tiling::Tiles {
-                        width: tw,
-                        height: th,
-                    },
-                    engine.backend(),
-                );
-                assert_eq!(
-                    plan.segment_rgb(&classifier, &img),
-                    whole,
-                    "{kind} plan via {name}, tile {tw}x{th}"
-                );
-            }
-        }
-    }
-}
-
-/// Acceptance criterion, pipeline tiling layer: a pipeline configured with
-/// tile jobs produces byte-identical label maps to whole-image batches for
-/// every backend, thread count and classifier kind.
-#[test]
-fn tiled_pipeline_batches_are_byte_identical_to_whole_image() {
-    let mut rng = ChaCha8Rng::seed_from_u64(9090);
-    let images: Vec<RgbImage> = (0..6)
-        .map(|_| {
-            let width = rng.gen_range(9usize..70);
-            let height = rng.gen_range(9usize..50);
-            random_image(&mut rng, width, height)
-        })
-        .collect();
-    let reference: Vec<LabelMap> = images
-        .iter()
-        .map(|img| {
-            IqftRgbSegmenter::paper_default()
-                .with_engine(SegmentEngine::serial())
-                .segment_rgb(img)
-        })
-        .collect();
-
-    let config = PipelineConfig {
-        tiling: Tiling::Tiles {
-            width: 16,
-            height: 13,
-        },
-    };
-    for (name, engine) in all_engines() {
-        for kind in ClassifierKind::ALL {
-            let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind))
-                .with_config(config);
-            assert_eq!(
-                pipeline.run_batch(&images).0,
-                reference,
-                "{kind} via {name}"
-            );
-        }
-    }
-}
-
 /// Acceptance criterion, split-table layer: the split table's scalar loop,
 /// its runtime dispatch, and every supported kernel produce label maps
-/// byte-identical to the exact f64 classifier — whole-image and tiled (7×3
-/// and 64×64 against a 53×37 image, so edge tiles are clamped and
-/// non-divisible), across every engine backend, through both the engine and
-/// the `SegmentPlan` dispatch point.
+/// byte-identical to the exact f64 classifier, across every engine backend,
+/// through both the engine and the `SegmentPlan` dispatch point.
 #[test]
 fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
     let mut rng = ChaCha8Rng::seed_from_u64(6001);
     let img = random_image(&mut rng, 53, 37);
-    let (w, h) = img.dimensions();
     let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
     let whole = SegmentEngine::serial().segment_rgb(&exact, &img);
-    let tile_sizes = [(7usize, 3usize), (64, 64), (w, h)];
 
     // The split table pinned to its portable scalar loop (what
     // `IQFT_SIMD=off` and non-x86 hosts run), and the runtime dispatch.
@@ -278,21 +189,12 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
                 whole,
                 "{label} via {name}, whole image"
             );
-            for (tw, th) in tile_sizes {
-                let plan = SegmentPlan::new(
-                    ClassifierKind::Simd,
-                    Tiling::Tiles {
-                        width: tw,
-                        height: th,
-                    },
-                    engine.backend(),
-                );
-                assert_eq!(
-                    plan.segment_rgb(classifier, &img),
-                    whole,
-                    "{label} plan via {name}, tile {tw}x{th}"
-                );
-            }
+            let plan = SegmentPlan::new(ClassifierKind::Simd, engine.backend());
+            assert_eq!(
+                plan.segment_rgb(classifier, &img),
+                whole,
+                "{label} plan via {name}"
+            );
         }
     }
 
@@ -410,17 +312,18 @@ fn harness_evaluation_is_byte_identical_across_backends() {
 /// path must write every label itself.  Buffers pre-filled with a sentinel
 /// — one recycled through an arena at the image's length, one longer, one
 /// shorter — must come out equal to the exact oracle's per-pixel labels for
-/// every classifier kind on serial and threads: whole-image and tiled, RGB
-/// and gray, and the pipeline's delta stitch with its tiles classified,
-/// stitched from the cache, and a mix of the two.
+/// every classifier kind on serial and threads: whole-image RGB and gray,
+/// and the pipeline's delta stitch with its tiles classified, stitched from
+/// the cache, and a mix of the two.  The 140×75 frame is six 64×64 delta
+/// tiles, four of them ragged.
 #[test]
 fn stale_label_buffers_are_overwritten_in_full() {
     const SENTINEL: u32 = 0xDEAD_BEEF;
     let mut rng = ChaCha8Rng::seed_from_u64(8101);
-    let img = random_image(&mut rng, 37, 23);
+    let img = random_image(&mut rng, 140, 75);
     let gray = imaging::color::rgb_to_gray_u8(&img);
     let mut changed = img.clone();
-    for x in 0..5 {
+    for x in 0..img.width() {
         changed.set(x, 0, Rgb::new(x as u8, 255, 0));
     }
     let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
@@ -458,22 +361,10 @@ fn stale_label_buffers_are_overwritten_in_full() {
                 let mut buf = stale(len);
                 engine.segment_gray_into(&classifier, &gray, &mut buf);
                 assert_eq!(buf, gray_oracle, "segment_gray_into, {context}");
-                let mut buf = stale(len);
-                engine.segment_tiled_into(&classifier, &img, 8, 5, &mut buf);
-                assert_eq!(buf, rgb_oracle, "segment_tiled_into, {context}");
-                let mut buf = stale(len);
-                engine.segment_tiled_gray_into(&classifier, &gray, 8, 5, &mut buf);
-                assert_eq!(buf, gray_oracle, "segment_tiled_gray_into, {context}");
 
                 // The delta stitch takes its buffer, and its tile scratch,
                 // from the pipeline's arena: seed that with stale buffers.
                 let pipeline = SegmentPipeline::new(engine, IqftClassifier::paper_default(kind))
-                    .with_config(PipelineConfig {
-                        tiling: Tiling::Tiles {
-                            width: 8,
-                            height: 5,
-                        },
-                    })
                     .with_cache(CacheConfig::with_capacity_mb(4), "stale-buffers");
                 for (frame, expected, pass) in [
                     (&img, &rgb_oracle, "every tile classified"),

@@ -28,7 +28,7 @@ use iqft_serve::protocol::{
 use iqft_serve::stats::{ServerStats, StatsSnapshot};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use seg_engine::{ClassifierKind, SegmentPlan, Tiling};
+use seg_engine::{ClassifierKind, SegmentPlan};
 
 const CASES: usize = 64;
 
@@ -263,23 +263,12 @@ fn random_labels(rng: &mut ChaCha8Rng, max_side: usize) -> LabelMap {
 }
 
 /// Every classifier-spec string the Stats reply can carry: the full
-/// classifier vocabulary crossed with both tiling shapes.
+/// classifier vocabulary crossed with a serial and a threaded backend.
 fn all_plan_specs() -> Vec<String> {
     let mut specs = Vec::new();
     for kind in ClassifierKind::ALL {
-        for tiling in [
-            Tiling::Whole,
-            Tiling::Tiles {
-                width: 48,
-                height: 48,
-            },
-        ] {
-            specs.push(
-                SegmentPlan::default()
-                    .with_classifier(kind)
-                    .with_tiling(tiling)
-                    .to_spec(),
-            );
+        for backend in [xpar::Backend::Serial, xpar::Backend::Threads(4)] {
+            specs.push(SegmentPlan::new(kind, backend).to_spec());
         }
     }
     specs

@@ -10,10 +10,11 @@ use imaging::{LabelMap, Rgb, RgbImage};
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftClassifier;
 use iqft_serve::{protocol, Client, ClientConfig, Message, SegmentOutcome, Server, ServerConfig};
-use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan, Tiling};
+use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan};
 use std::io::{Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
+use xpar::Backend;
 
 /// Unwraps a pipelined [`SegmentOutcome`] in tests that run below the
 /// admission limit, where a Busy shed would be a bug.
@@ -58,22 +59,15 @@ fn reference_labels(images: &[RgbImage]) -> Vec<LabelMap> {
 }
 
 /// Concurrent clients × {exact, table, simd}: every reply must match the
-/// direct engine pass byte for byte, whole-image and tiled.
+/// direct engine pass byte for byte, on a serial daemon and on one that
+/// splits each frame over two threads.
 #[test]
 fn concurrent_clients_get_byte_identical_labels_for_every_classifier() {
     let images = test_images(12);
     let reference = reference_labels(&images);
     for kind in ClassifierKind::ALL {
-        for tiling in [
-            Tiling::Whole,
-            Tiling::Tiles {
-                width: 16,
-                height: 16,
-            },
-        ] {
-            let plan = SegmentPlan::default()
-                .with_classifier(kind)
-                .with_tiling(tiling);
+        for backend in [Backend::Serial, Backend::Threads(2)] {
+            let plan = SegmentPlan::new(kind, backend);
             let server = Server::bind("127.0.0.1:0", ServerConfig::new(plan).with_max_inflight(2))
                 .expect("ephemeral bind");
             let addr = server.local_addr();
@@ -93,7 +87,7 @@ fn concurrent_clients_get_byte_identical_labels_for_every_classifier() {
                             let (labels, _) = client.segment(img).expect("segment").unwrap_done();
                             assert_eq!(
                                 labels, reference[idx],
-                                "image {idx} via {kind} tile={tiling}"
+                                "image {idx} via {kind} {backend:?}"
                             );
                         }
                     });
@@ -102,7 +96,7 @@ fn concurrent_clients_get_byte_identical_labels_for_every_classifier() {
 
             let mut probe = open_client(addr).expect("probe connect");
             let stats = probe.stats().expect("stats");
-            assert_eq!(stats.segment_requests, images.len(), "{kind} {tiling}");
+            assert_eq!(stats.segment_requests, images.len(), "{kind} {backend:?}");
             assert_eq!(
                 stats.pixels_total,
                 images.iter().map(|i| i.len() as u64).sum::<u64>()
@@ -451,31 +445,21 @@ fn degenerate_and_malformed_requests_are_handled_cleanly() {
 
 /// The streaming-video delta path through the wire: stitched
 /// `SegmentDelta` replies must be byte-identical to a fresh serial pass for
-/// every tile shape (including one that does not divide the frame), every
-/// fast-path classifier, and change rates from a static scene to a full
-/// rewrite — and the per-reply tile counters must account for every tile.
+/// both kinds of tiling a frame gets from the 64×64 delta tiles — one they
+/// divide exactly and one that leaves ragged edge tiles — every fast-path
+/// classifier, and change rates from a static scene to a full rewrite; and
+/// the per-reply tile counters must account for every tile.
 #[test]
 fn video_delta_replies_are_byte_identical_across_tilings_classifiers_and_change_rates() {
     let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
-    let (width, height) = (80usize, 60usize);
-    for kind in [ClassifierKind::Table, ClassifierKind::Simd] {
-        for tiling in [
-            Tiling::Whole,
-            Tiling::Tiles {
-                width: 16,
-                height: 16,
-            },
-            // Deliberately not dividing 80x60: ragged edge tiles.
-            Tiling::Tiles {
-                width: 53,
-                height: 37,
-            },
-        ] {
-            let plan = SegmentPlan::default()
-                .with_classifier(kind)
-                .with_tiling(tiling);
-            let (tile_w, tile_h) = tiling.delta_shape();
+    // 128x64 is two whole tiles; 160x100 is a 3x2 grid with a ragged right
+    // column and bottom row.
+    for (width, height, tiles) in [(128usize, 64usize, 2u64), (160, 100, 6)] {
+        for kind in [ClassifierKind::Table, ClassifierKind::Simd] {
+            let plan = SegmentPlan::default().with_classifier(kind);
+            let (tile_w, tile_h) = plan.tiling().delta_shape();
             let tiles_per_frame = (width.div_ceil(tile_w) * height.div_ceil(tile_h)) as u64;
+            assert_eq!(tiles_per_frame, tiles);
             let server = Server::bind(
                 "127.0.0.1:0",
                 ServerConfig::new(plan)
@@ -484,6 +468,7 @@ fn video_delta_replies_are_byte_identical_across_tilings_classifiers_and_change_
             )
             .expect("bind");
             let mut client = open_client(server.local_addr()).expect("connect");
+            let shape = format!("{kind} {width}x{height}");
 
             for change_rate in [0.0, 0.5, 1.0] {
                 let frames = datasets::synthetic_video(&datasets::VideoConfig {
@@ -499,31 +484,25 @@ fn video_delta_replies_are_byte_identical_across_tilings_classifiers_and_change_
                         client.segment_delta(frame).expect("segment delta");
                     let (labels, _) = reply.unwrap_done();
                     let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
-                    assert_eq!(
-                        labels, fresh,
-                        "frame {idx} cr={change_rate} {kind} {tiling}"
-                    );
+                    assert_eq!(labels, fresh, "frame {idx} cr={change_rate} {shape}");
                     assert_eq!(
                         u64::from(hit) + u64::from(recomputed),
                         tiles_per_frame,
-                        "tile accounting, frame {idx} cr={change_rate} {tiling}"
+                        "tile accounting, frame {idx} cr={change_rate} {shape}"
                     );
                     // A static scene after the first frame is pure hits.
                     if change_rate == 0.0 && idx > 0 {
                         assert_eq!(
                             recomputed, 0,
-                            "static frame {idx} recomputed tiles ({tiling})"
+                            "static frame {idx} recomputed tiles ({shape})"
                         );
                     }
                 }
             }
 
             let stats = client.stats().expect("stats");
-            assert!(stats.delta_tiles_hit > 0, "{kind} {tiling}: {stats:?}");
-            assert!(
-                stats.delta_tiles_recomputed > 0,
-                "{kind} {tiling}: {stats:?}"
-            );
+            assert!(stats.delta_tiles_hit > 0, "{shape}: {stats:?}");
+            assert!(stats.delta_tiles_recomputed > 0, "{shape}: {stats:?}");
             client.shutdown().expect("shutdown");
             server.join();
         }
@@ -536,20 +515,17 @@ fn video_delta_replies_are_byte_identical_across_tilings_classifiers_and_change_
 /// whole time.  Every stitched reply must still match a fresh serial pass.
 #[test]
 fn concurrent_video_clients_stay_byte_identical_under_forced_tile_eviction() {
-    let (width, height) = (64usize, 48usize);
-    // 16x16 tiles -> 12 tiles/frame at 1 KiB of labels each; a budget of
-    // eight entries cannot hold even one frame, forcing constant eviction.
-    let tile_entry_bytes = 16 * 16 * 4 + 96;
-    let plan = SegmentPlan::default().with_tiling(Tiling::Tiles {
-        width: 16,
-        height: 16,
-    });
+    // 192x96 is 6 tiles of 64x64 (the bottom row ragged) at up to 16 KiB
+    // of labels each; a budget of four full entries cannot hold even one
+    // frame, forcing constant eviction.
+    let (width, height) = (192usize, 96usize);
+    let tile_entry_bytes = 64 * 64 * 4 + 96;
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig::new(plan)
+        ServerConfig::new(SegmentPlan::default())
             .with_max_inflight(3)
             .with_cache(CacheConfig {
-                capacity_bytes: tile_entry_bytes * 8,
+                capacity_bytes: tile_entry_bytes * 4,
                 shards: 2,
             }),
     )
@@ -564,7 +540,7 @@ fn concurrent_video_clients_stay_byte_identical_under_forced_tile_eviction() {
                     width,
                     height,
                     change_rate: 0.5,
-                    block: 16,
+                    block: 32,
                     seed: 1000 + client_idx,
                 });
                 let exact = IqftClassifier::paper_default(ClassifierKind::Exact);
@@ -575,7 +551,7 @@ fn concurrent_video_clients_stay_byte_identical_under_forced_tile_eviction() {
                     let (labels, _) = reply.unwrap_done();
                     let fresh = SegmentEngine::serial().segment_rgb(&exact, frame);
                     assert_eq!(labels, fresh, "client {client_idx} frame {idx}");
-                    assert_eq!(hit + recomputed, 12, "client {client_idx} frame {idx}");
+                    assert_eq!(hit + recomputed, 6, "client {client_idx} frame {idx}");
                 }
             });
         }
@@ -588,11 +564,11 @@ fn concurrent_video_clients_stay_byte_identical_under_forced_tile_eviction() {
         "churn must recompute: {stats:?}"
     );
     assert!(
-        stats.delta_tiles_hit + stats.delta_tiles_recomputed == 3 * 6 * 12,
+        stats.delta_tiles_hit + stats.delta_tiles_recomputed == 3 * 6 * 6,
         "tile accounting across clients: {stats:?}"
     );
     assert!(
-        stats.cache_bytes <= tile_entry_bytes * 8,
+        stats.cache_bytes <= tile_entry_bytes * 4,
         "budget respected: {stats:?}"
     );
     probe.shutdown().expect("shutdown");
@@ -717,9 +693,11 @@ fn saturated_admission_sheds_with_typed_busy_replies() {
         &IqftClassifier::paper_default(ClassifierKind::Table),
         &image,
     );
+    // The phase table keeps each frame heavy enough for the fan-in to find
+    // the worker busy; the split table classifies it too fast to saturate.
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig::new(SegmentPlan::default())
+        ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Table))
             .with_max_inflight(1)
             .with_max_queue(1),
     )
@@ -984,9 +962,10 @@ fn connection_gauges_track_opened_and_closed_connections_over_the_wire() {
 /// buffer: one written but never recycled would show as arena growth.
 #[test]
 fn written_label_buffers_return_to_the_arena() {
+    // 150x80 frames are six 64x64 delta tiles, four of them ragged.
     let images: Vec<RgbImage> = (0..3usize)
         .map(|seed| {
-            RgbImage::from_fn(48, 32, move |x, y| {
+            RgbImage::from_fn(150, 80, move |x, y| {
                 Rgb::new(
                     (x * 7 + seed * 50) as u8,
                     (y * 5 + seed) as u8,
@@ -1011,11 +990,7 @@ fn written_label_buffers_return_to_the_arena() {
     // each frame is stitched from it.
     let delta = Server::bind(
         "127.0.0.1:0",
-        ServerConfig::new(SegmentPlan::default().with_tiling(Tiling::Tiles {
-            width: 16,
-            height: 16,
-        }))
-        .with_cache(CacheConfig::with_capacity_mb(4)),
+        ServerConfig::new(SegmentPlan::default()).with_cache(CacheConfig::with_capacity_mb(4)),
     )
     .expect("bind");
     let mut a = open_client(cached.local_addr()).expect("connect");
