@@ -10,8 +10,11 @@
 //! * [`SegmentEngine::segment_rgb`] / [`SegmentEngine::segment_gray`] —
 //!   chunk-parallel per-pixel classification over the label buffer
 //!   (`xpar::par_for_each_chunk_mut` underneath), byte-identical to a serial
-//!   pass for any backend and thread count, so one large frame already
-//!   spreads over every thread;
+//!   pass for any backend and thread count.  The kernel and the frame's
+//!   size pick the threads: a frame gets at most one thread per
+//!   [`PixelClassifier::min_pixels_per_thread`] of its pixels, so a large
+//!   frame spreads over the engine's threads while a fast kernel keeps a
+//!   small one on the calling thread;
 //! * [`SegmentEngine::map_images`] — batched multi-image evaluation
 //!   (`Backend::map_indexed` over a dataset slice), used by the experiment
 //!   harness to score whole datasets in parallel;
@@ -46,10 +49,8 @@
 //! assert_eq!(serial, parallel); // byte-identical on every backend
 //! ```
 
-pub mod calibrate;
 pub(crate) mod plan;
 
-pub use calibrate::{CalibrationConfig, CalibrationReport};
 pub use plan::{ClassifierKind, SegmentPlan, Tiling};
 
 use imaging::{GrayImage, LabelMap, PixelClassifier, RgbImage};
@@ -107,8 +108,29 @@ impl SegmentEngine {
         self.backend.effective_threads()
     }
 
+    /// The backend one frame of `pixels` pixels runs on.
+    ///
+    /// `serial` stays serial.  A threads backend gives the frame
+    /// `min(threads, pixels / min)` threads, where `min` is the classifier's
+    /// [`PixelClassifier::min_pixels_per_thread`].  Below `2 × min` pixels
+    /// the frame stays on the calling thread, and the core count is not
+    /// read.
+    fn frame_backend<C>(&self, classifier: &C, pixels: usize) -> Backend
+    where
+        C: PixelClassifier + ?Sized,
+    {
+        let worth = pixels / classifier.min_pixels_per_thread().max(1);
+        match self.backend {
+            Backend::Threads(_) if worth >= 2 => {
+                Backend::Threads(self.backend.effective_threads().min(worth))
+            }
+            _ => Backend::Serial,
+        }
+    }
+
     /// Classifies every pixel of `img` with `classifier`, filling the label
-    /// buffer in disjoint parallel chunks.
+    /// buffer in disjoint chunks on the threads the frame is worth (see
+    /// [`PixelClassifier::min_pixels_per_thread`]).
     ///
     /// The output is byte-identical across backends and thread counts because
     /// each label depends only on its own pixel.
@@ -142,9 +164,10 @@ impl SegmentEngine {
         // gathers 8 pixels per step) accelerate the whole-image path too;
         // the default hook is a per-pixel loop, byte-identical to
         // classify_rgb_pixel calls.
-        self.backend.for_each_chunk_mut(labels, |start, chunk| {
-            classifier.classify_rgb_slice_into(&pixels[start..start + chunk.len()], chunk);
-        });
+        self.frame_backend(classifier, pixels.len())
+            .for_each_chunk_mut(labels, |start, chunk| {
+                classifier.classify_rgb_slice_into(&pixels[start..start + chunk.len()], chunk);
+            });
     }
 
     /// Grayscale counterpart of [`SegmentEngine::segment_rgb`].
@@ -165,9 +188,10 @@ impl SegmentEngine {
     {
         let pixels = img.as_slice();
         labels.resize(pixels.len(), 0);
-        self.backend.for_each_chunk_mut(labels, |start, chunk| {
-            classifier.classify_gray_slice_into(&pixels[start..start + chunk.len()], chunk);
-        });
+        self.frame_backend(classifier, pixels.len())
+            .for_each_chunk_mut(labels, |start, chunk| {
+                classifier.classify_gray_slice_into(&pixels[start..start + chunk.len()], chunk);
+            });
     }
 
     /// Maps `f` over a dataset slice in parallel, collecting results in
@@ -195,6 +219,9 @@ impl SegmentEngine {
 mod tests {
     use super::*;
     use imaging::{Luma, Rgb};
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     fn all_engines() -> Vec<SegmentEngine> {
         vec![
@@ -309,6 +336,144 @@ mod tests {
             engine.segment_gray_into(&GrayRule, &gray, &mut buf);
             assert_eq!(buf, engine.segment_gray(&GrayRule, &gray).into_vec());
         }
+    }
+
+    /// Records the threads that classify.  Each call waits (up to a timeout
+    /// that only marks failure) until `meet` distinct threads have called,
+    /// so a frame split over two threads provably reaches both.
+    struct ThreadRecorder {
+        min: usize,
+        meet: usize,
+        seen: Mutex<Vec<ThreadId>>,
+        arrived: Condvar,
+    }
+
+    impl ThreadRecorder {
+        fn new(min: usize, meet: usize) -> Self {
+            Self {
+                min,
+                meet,
+                seen: Mutex::new(Vec::new()),
+                arrived: Condvar::new(),
+            }
+        }
+
+        fn record(&self) {
+            let mut seen = self.seen.lock().unwrap();
+            let me = std::thread::current().id();
+            if !seen.contains(&me) {
+                seen.push(me);
+                self.arrived.notify_all();
+            }
+            let _wait = self
+                .arrived
+                .wait_timeout_while(seen, Duration::from_secs(10), |seen| seen.len() < self.meet)
+                .unwrap();
+        }
+
+        fn threads(&self) -> Vec<ThreadId> {
+            self.seen.lock().unwrap().clone()
+        }
+    }
+
+    impl PixelClassifier for ThreadRecorder {
+        fn classify_rgb_pixel(&self, p: Rgb<u8>) -> u32 {
+            u32::from(p.r()) % 3
+        }
+        fn classify_gray_pixel(&self, p: Luma<u8>) -> u32 {
+            u32::from(p.value()) % 5
+        }
+        fn min_pixels_per_thread(&self) -> usize {
+            self.min
+        }
+        fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
+            self.record();
+            for (label, &p) in out.iter_mut().zip(pixels) {
+                *label = self.classify_rgb_pixel(p);
+            }
+        }
+        fn classify_gray_slice_into(&self, pixels: &[Luma<u8>], out: &mut [u32]) {
+            self.record();
+            for (label, &p) in out.iter_mut().zip(pixels) {
+                *label = self.classify_gray_pixel(p);
+            }
+        }
+    }
+
+    /// The threads that classify a `width × height` frame, RGB and grey,
+    /// each checked against the serial labels.
+    fn classifying_threads(
+        engine: SegmentEngine,
+        min: usize,
+        meet: usize,
+        (width, height): (usize, usize),
+    ) -> [Vec<ThreadId>; 2] {
+        let rgb = RgbImage::from_fn(width, height, |x, y| {
+            Rgb::new((x * 7 + y) as u8, (y * 3) as u8, x as u8)
+        });
+        let gray = GrayImage::from_fn(width, height, |x, y| Luma((x * 5 + y * 11) as u8));
+        let serial = ThreadRecorder::new(min, 1);
+        let recorder = ThreadRecorder::new(min, meet);
+        assert_eq!(
+            engine.segment_rgb(&recorder, &rgb),
+            SegmentEngine::serial().segment_rgb(&serial, &rgb),
+            "{engine:?} {width}x{height}"
+        );
+        let rgb_threads = recorder.threads();
+        let recorder = ThreadRecorder::new(min, meet);
+        assert_eq!(
+            engine.segment_gray(&recorder, &gray),
+            SegmentEngine::serial().segment_gray(&serial, &gray),
+            "{engine:?} {width}x{height}"
+        );
+        [rgb_threads, recorder.threads()]
+    }
+
+    /// A frame gets one thread per `min_pixels_per_thread` of its pixels,
+    /// at most the engine's threads, and a frame below twice the minimum
+    /// stays on the calling thread.
+    #[test]
+    fn a_frame_gets_the_threads_its_pixels_are_worth() {
+        let caller = std::thread::current().id();
+        let two = SegmentEngine::with_threads(2);
+        for threads in classifying_threads(two, 1_000, 1, (1_999, 1)) {
+            assert_eq!(threads, [caller], "1,999 px stay on the calling thread");
+        }
+        for threads in classifying_threads(two, 1_000, 2, (50, 40)) {
+            assert_eq!(threads.len(), 2, "2,000 px take two threads");
+            assert!(!threads.contains(&caller), "{threads:?}");
+        }
+        // Eight threads give 2,999 px only the two they are worth.
+        let eight = SegmentEngine::with_threads(8);
+        for threads in classifying_threads(eight, 1_000, 2, (2_999, 1)) {
+            assert_eq!(threads.len(), 2, "{threads:?}");
+            assert!(!threads.contains(&caller), "{threads:?}");
+        }
+        for size in [(1_999, 1), (50, 40)] {
+            for threads in classifying_threads(SegmentEngine::serial(), 1_000, 1, size) {
+                assert_eq!(threads, [caller], "serial never splits");
+            }
+        }
+    }
+
+    /// A closure keeps the default minimum of one pixel, so even a
+    /// four-pixel frame still splits over two threads.
+    #[test]
+    fn a_closure_still_splits_a_small_frame() {
+        assert_eq!((|_: Rgb<u8>| 0u32).min_pixels_per_thread(), 1);
+        let caller = std::thread::current().id();
+        let img = RgbImage::from_fn(4, 1, |x, _| Rgb::new(9, (x * 70) as u8, 3));
+        let recorder = ThreadRecorder::new(1, 2);
+        let rule = |p: Rgb<u8>| {
+            recorder.record();
+            u32::from(p.g()) % 4
+        };
+        let labels = SegmentEngine::with_threads(2).segment_rgb(&rule, &img);
+        let threads = recorder.threads();
+        assert_eq!(threads.len(), 2, "{threads:?}");
+        assert!(!threads.contains(&caller), "{threads:?}");
+        let plain = |p: Rgb<u8>| u32::from(p.g()) % 4;
+        assert_eq!(labels, SegmentEngine::serial().segment_rgb(&plain, &img));
     }
 
     #[test]

@@ -88,8 +88,8 @@ impl std::fmt::Display for ClassifierKind {
 }
 
 /// The plan's `tile` axis, which has one value: a frame is classified
-/// whole, with its label buffer split into chunks over the backend's
-/// threads.  Frames are not split into tile jobs: every label depends only
+/// whole, with its label buffer split into chunks over as many of the
+/// backend's threads as the frame is worth to its classifier.  Frames are not split into tile jobs: every label depends only
 /// on its own pixel, so tiles would only add a stitch.  The loopback
 /// benchmark names this type (`plan.tiling().delta_shape()`), so it stays,
 /// with one variant, until that benchmark's plan moves on.
@@ -245,8 +245,9 @@ impl SegmentPlan {
     }
 
     /// Segments `img` with `classifier` on the plan's backend: one
-    /// chunk-parallel pass over the whole frame.  Byte-identical across
-    /// every plan configuration.
+    /// chunk-parallel pass over the whole frame, on the threads the frame
+    /// is worth to the classifier.  Byte-identical across every plan
+    /// configuration.
     pub fn segment_rgb<C>(&self, classifier: &C, img: &RgbImage) -> LabelMap
     where
         C: PixelClassifier + Sync + ?Sized,
@@ -255,7 +256,7 @@ impl SegmentPlan {
     }
 
     /// Allocation-reusing variant of [`SegmentPlan::segment_rgb`]: fills
-    /// `labels` in place.
+    /// `labels` in place.  The loopback benchmark names this method.
     pub fn segment_rgb_into<C>(&self, classifier: &C, img: &RgbImage, labels: &mut Vec<u32>)
     where
         C: PixelClassifier + Sync + ?Sized,

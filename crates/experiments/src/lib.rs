@@ -16,10 +16,9 @@
 //! * [`service`] — the network face: `iqft-experiments serve` boots the
 //!   `iqft-serve` TCP daemon and `iqft-experiments loadgen` drives
 //!   concurrent clients against it, with the same default-on byte-identity
-//!   verification.
-//! * `plans` — the shared `--plan` flag: an explicit
-//!   [`seg_engine::SegmentPlan`] spec string, `auto` (probe the host and take
-//!   the fastest measured plan), or empty to fall back to the per-axis flags.
+//!   verification.  `serve` and `throughput` share the `--plan` flag: a
+//!   [`seg_engine::SegmentPlan`] spec string, or empty to fall back to the
+//!   per-axis flags.
 //!
 //! The `iqft-experiments` binary exposes one subcommand per experiment; every
 //! experiment is also callable as a library function so the benchmark crate
@@ -43,7 +42,6 @@
 
 pub(crate) mod evaluate;
 pub mod figures;
-pub(crate) mod plans;
 pub mod service;
 pub mod tables;
 pub mod throughput;

@@ -18,26 +18,23 @@
 //!   fig9    [--out DIR]        qualitative wins (xVIEW2-like)
 //!   fig10                      per-image θ adjustment
 //!   throughput [--images N] [--batch B] [--size S] [--seed S]
-//!              [--classifier exact|table|simd] [--plan SPEC|auto]
+//!              [--classifier exact|table|simd] [--plan SPEC]
 //!              [--cache-mb M] [--video] [--change-rate R] [--no-verify]
 //!                              batched pipeline service workload
 //!                              (--classifier defaults to simd;
 //!                              --plan takes a whole classifier=…;tile=off;
-//!                              backend=… spec, or `auto` to probe the host
-//!                              and take the fastest measured plan;
-//!                              --cache-mb attaches the result cache and
-//!                              runs the per-request serving path; --video
+//!                              backend=… spec in place of the per-axis
+//!                              flags; --cache-mb attaches the result cache
+//!                              and runs the per-request serving path; --video
 //!                              streams synthetic video through the
 //!                              per-tile delta path, mutating a fraction
 //!                              --change-rate of each frame's blocks)
-//!   serve   [--addr A] [--classifier C] [--plan SPEC|auto]
+//!   serve   [--addr A] [--classifier C] [--plan SPEC]
 //!           [--workers W] [--max-queue Q] [--cache-mb M] [--addr-file PATH]
 //!           [--cache-persist PATH]
 //!                              boot the iqft-serve TCP daemon and block
 //!                              until a client sends Shutdown; --addr-file
 //!                              records the bound (possibly ephemeral) port;
-//!                              --plan auto calibrates the plan at boot (the
-//!                              evidence is surfaced through Stats);
 //!                              --max-queue bounds waiting segment requests
 //!                              (0 = unbounded) — saturated admission gets a
 //!                              typed Busy reply instead of queueing;
@@ -45,13 +42,11 @@
 //!                              from a snapshot on boot and writes it back
 //!                              on a drain-then-stop shutdown
 //!   loadgen [--addr A[,A,...]] [--clients C] [--images N] [--size S]
-//!           [--seed S] [--plan SPEC|auto] [--repeat-ratio R] [--pipeline K]
+//!           [--seed S] [--repeat-ratio R] [--pipeline K]
 //!           [--expect-cache-hits] [--video] [--change-rate R]
 //!           [--kill-one] [--no-verify] [--shutdown]
 //!                              drive concurrent clients against running
 //!                              daemons (byte-identity verified by default;
-//!                              --plan picks the local reference pass's
-//!                              plan — labels are identical either way;
 //!                              --repeat-ratio generates Zipf-ish repeated
 //!                              traffic, --pipeline keeps K requests in
 //!                              flight per connection; --video streams each
@@ -200,7 +195,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 /// from what `--classifier` actually accepts.
 fn usage() -> String {
     format!(
-        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC|auto] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
         seg_engine::ClassifierKind::FLAG_HELP
     )
 }
@@ -297,7 +292,6 @@ fn main() {
         "loadgen" => {
             let config = LoadgenConfig {
                 addr: args.addr.clone().unwrap_or_default(),
-                plan: args.plan.clone(),
                 clients: args.clients,
                 images: args.images,
                 image_size: args.size,
@@ -495,7 +489,7 @@ mod tests {
         assert!(!usage.contains(&format!("--{RETIRED}")), "{usage}");
         for remaining in [
             "[--classifier exact|table|simd]",
-            "[--plan SPEC|auto]",
+            "[--plan SPEC]",
             "[--backend serial|threads]",
         ] {
             assert!(usage.contains(remaining), "{remaining}: {usage}");

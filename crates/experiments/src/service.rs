@@ -8,14 +8,13 @@
 //! share of the run — a pipelined `SegmentCached` burst of synthetic images,
 //! or with `--video` their own synthetic video as lockstep `SegmentDelta`
 //! frames.  Every reply is cross-checked byte-for-byte against a local
-//! serial [`SegmentEngine`] pass (default on, like the `throughput`
+//! pass of the exact segmenter (default on, like the `throughput`
 //! subcommand), and one report prints per-client, per-endpoint and total
 //! figures plus each endpoint's own statistics snapshot.  `--kill-one` boots
 //! three daemons in-process and hard-stops one between the run's two halves.
 //! With `--shutdown`, loadgen finishes by asking every endpoint to drain and
 //! stop — which is exactly what the CI `service-smoke` job does.
 
-use crate::plans::resolve_plan;
 use crate::throughput::{throughput_images, ThroughputConfig};
 use imaging::{LabelMap, RgbImage, Segmenter};
 use iqft_pipeline::CacheConfig;
@@ -39,8 +38,7 @@ pub struct ServeCliConfig {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7870`.
     pub addr: String,
     /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
-    /// `auto` to probe the host at boot (`crate::plans`), or empty to
-    /// compose the plan from the per-axis flags below.
+    /// or empty to compose the plan from the per-axis flags below.
     pub plan: String,
     /// Classifier flag (`--classifier`), one of
     /// [`seg_engine::ClassifierKind::FLAG_HELP`]; defaults to
@@ -93,17 +91,13 @@ impl Default for ServeCliConfig {
 /// The boot line is printed to stdout *before* blocking so a supervising
 /// script (the CI smoke job) can tell the server is up.
 pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
-    let resolved = resolve_plan(&config.plan, || {
-        let engine = SegmentEngine::from_flags(&config.backend, config.threads)?;
-        Ok(SegmentPlan::new(
+    let plan: SegmentPlan = match config.plan.trim() {
+        "" => SegmentPlan::new(
             ClassifierKind::from_flag(&config.classifier)?,
-            engine.backend(),
-        ))
-    })?;
-    let plan = resolved.plan;
-    if let Some(report) = &resolved.calibration {
-        println!("iqft-serve calibrated [{plan}]: {}", report.summary());
-    }
+            SegmentEngine::from_flags(&config.backend, config.threads)?.backend(),
+        ),
+        spec => spec.parse()?,
+    };
     // A thousand-connection sweep needs more descriptors than the common
     // 1024 soft default; raise it best-effort before binding.
     #[cfg(unix)]
@@ -111,8 +105,7 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
     let mut server_config = ServerConfig::new(plan)
         .with_max_inflight(config.workers)
         .with_max_queue(config.max_queue)
-        .with_cache(CacheConfig::with_capacity_mb(config.cache_mb))
-        .with_calibration(resolved.calibration_summary());
+        .with_cache(CacheConfig::with_capacity_mb(config.cache_mb));
     if let Some(path) = &config.cache_persist {
         server_config = server_config.with_cache_persist(path);
     }
@@ -187,12 +180,6 @@ pub struct LoadgenConfig {
     /// fail over when an endpoint is down.  Must be empty with
     /// [`LoadgenConfig::kill_one`], which boots its own endpoints.
     pub addr: String,
-    /// Plan for the *local* verification reference (`--plan`): empty keeps
-    /// the exact serial pass, `auto` calibrates the reference backend, and
-    /// an explicit spec pins it.  Byte-identity makes every choice produce
-    /// the same labels; the knob only changes how fast the reference side
-    /// keeps up with a big run.
-    pub plan: String,
     /// Concurrent clients (`--clients`), each with its own [`FleetClient`].
     pub clients: usize,
     /// Total images to stream across all clients (`--images`).
@@ -201,8 +188,8 @@ pub struct LoadgenConfig {
     pub image_size: usize,
     /// Dataset seed (`--seed`).
     pub seed: u64,
-    /// Cross-check every reply against a local serial pass (`--no-verify`
-    /// turns this off; the default runs it).
+    /// Cross-check every reply against a local pass of the exact segmenter
+    /// (`--no-verify` turns this off; the default runs it).
     pub verify: bool,
     /// Ask every endpoint to drain and stop once traffic (and stats) are
     /// done (`--shutdown`).
@@ -244,7 +231,6 @@ impl Default for LoadgenConfig {
     fn default() -> Self {
         Self {
             addr: String::new(),
-            plan: String::new(),
             clients: 4,
             images: 32,
             image_size: 160,
@@ -362,7 +348,7 @@ fn request_sequence(n: usize, repeat_ratio: f64, seed: u64) -> Vec<usize> {
 ///
 /// Errors (rather than reporting) on bad flags, when no endpoint answers
 /// the preflight ping, on any protocol/server error, or — when verification
-/// is on — on any reply that is not byte-identical to the local serial
+/// is on — on any reply that is not byte-identical to the local exact
 /// reference, so a supervising script fails loudly.
 pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     let mut addrs: Vec<String> = config
@@ -388,11 +374,6 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     if !config.kill_one && addrs.is_empty() {
         addrs.push(DEFAULT_ADDR.to_string());
     }
-    // An empty --plan keeps the exact serial reference.
-    let resolved = match config.plan.trim() {
-        "" => None,
-        plan => Some(resolve_plan(plan, || Ok(SegmentPlan::default()))?),
-    };
     let clients = config.clients.max(1);
     // Video frames go out one at a time, in order, like a camera's.
     let depth = if config.video {
@@ -481,13 +462,10 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     };
     // Whatever plan each *server* runs, its replies — cache hits and misses
     // alike — must be byte-identical to this local pass by construction.
-    // `--plan` only picks the backend the reference runs on.
+    // The exact segmenter's default engine spreads each image over the
+    // cores.
     let reference: Vec<LabelMap> = if config.verify {
-        let engine = resolved
-            .as_ref()
-            .map(|r| r.plan.engine())
-            .unwrap_or_else(SegmentEngine::serial);
-        let local = IqftRgbSegmenter::paper_default().with_engine(engine);
+        let local = IqftRgbSegmenter::paper_default();
         inputs.iter().map(|img| local.segment_rgb(img)).collect()
     } else {
         Vec::new()
@@ -643,12 +621,6 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
             ""
         },
     );
-    if let Some(resolved) = &resolved {
-        let _ = writeln!(out, "  local reference plan: [{}]", resolved.plan);
-        if let Some(report) = &resolved.calibration {
-            let _ = writeln!(out, "  local calibration: {}", report.summary());
-        }
-    }
     let mut total = ClientOutcome::default();
     for (idx, outcome) in outcomes.iter().enumerate() {
         let _ = writeln!(
@@ -719,13 +691,13 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     if config.verify {
         if total.mismatches > 0 {
             return Err(format!(
-                "verify: FAILED — {} of {} replies differ from the local serial reference",
+                "verify: FAILED — {} of {} replies differ from the local exact reference",
                 total.mismatches, total.requests
             ));
         }
         let _ = writeln!(
             out,
-            "  verify: all {} {} byte-identical to the local serial reference",
+            "  verify: all {} {} byte-identical to the local exact reference",
             total.requests,
             if config.video {
                 "stitched replies"
@@ -851,9 +823,6 @@ fn write_server_stats(out: &mut String, stats: &StatsSnapshot) {
             stats.lat_max_us,
             stats.lat_count,
         );
-    }
-    if !stats.calibration.is_empty() {
-        let _ = writeln!(out, "    server calibration: {}", stats.calibration);
     }
     if stats.cache_capacity_bytes > 0 {
         let _ = writeln!(
@@ -1043,39 +1012,6 @@ mod tests {
     }
 
     #[test]
-    fn loadgen_plan_flag_resolves_the_reference_backend() {
-        let server = boot(SegmentPlan::default());
-        let mut config = small_loadgen(server.local_addr().to_string());
-        config.plan = "classifier=table;tile=off;backend=threads:2".to_string();
-        let report = loadgen_report(&config).unwrap();
-        assert!(
-            report.contains("local reference plan: [classifier=table;tile=off;backend=threads:2]"),
-            "{report}"
-        );
-        assert!(report.contains("byte-identical"), "{report}");
-        assert!(report.contains("server admission:"), "{report}");
-        server.join();
-
-        let mut config = small_loadgen("127.0.0.1:1".to_string());
-        config.plan = "classifier=warp".to_string();
-        config.shutdown = false;
-        assert!(loadgen_report(&config).is_err());
-    }
-
-    #[test]
-    fn video_loadgen_refuses_an_unparsable_plan() {
-        let server = boot(SegmentPlan::default());
-        let mut config = small_loadgen(server.local_addr().to_string());
-        config.video = true;
-        config.shutdown = false;
-        config.plan = "classifier=warp".to_string();
-        let err = loadgen_report(&config).unwrap_err();
-        assert!(err.contains("warp"), "{err}");
-        server.shutdown_now();
-        server.join();
-    }
-
-    #[test]
     fn request_sequences_are_deterministic_and_respect_the_ratio() {
         let seq = request_sequence(64, 0.0, 7);
         assert_eq!(seq, (0..64).collect::<Vec<_>>(), "no repeats at ratio 0");
@@ -1144,7 +1080,7 @@ mod tests {
         assert!(report.contains("endpoint 0"), "{report}");
         assert!(report.contains("endpoint 1"), "{report}");
         assert!(
-            report.contains("byte-identical to the local serial reference"),
+            report.contains("byte-identical to the local exact reference"),
             "{report}"
         );
         assert!(
@@ -1222,7 +1158,7 @@ mod tests {
         assert!(report.contains("[killed mid-run]"), "{report}");
         assert!(report.contains("chaos: killed endpoint"), "{report}");
         assert!(
-            report.contains("byte-identical to the local serial reference"),
+            report.contains("byte-identical to the local exact reference"),
             "{report}"
         );
         // Exactly one of the three booted daemons was killed; the other two

@@ -30,7 +30,6 @@
 //! mismatch fails the run ([`ThroughputError::Mismatch`]), and so does a
 //! strategy flag that does not parse ([`ThroughputError::Flag`]).
 
-use crate::plans::{resolve_plan, ResolvedPlan};
 use datasets::{synthetic_video, PascalVocLikeConfig, PascalVocLikeDataset, VideoConfig};
 use imaging::{LabelMap, RgbImage, Segmenter};
 use iqft_pipeline::{CacheConfig, LatencySummary, PipelineReport, SegmentPipeline};
@@ -54,9 +53,8 @@ pub struct ThroughputConfig {
     /// [`ClassifierKind::from_flag`].
     pub classifier: String,
     /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
-    /// `auto` to probe the host (`crate::plans`), or empty to compose the
-    /// plan from `classifier` and the engine's backend.  Non-empty values
-    /// override the per-axis flags.
+    /// or empty to compose the plan from `classifier` and the engine's
+    /// backend.  A spec overrides the per-axis flags.
     pub plan: String,
     /// Result-cache budget in MiB (`--cache-mb`, 0 = off).  With a cache
     /// the stream runs through the per-request path
@@ -94,24 +92,17 @@ impl Default for ThroughputConfig {
 }
 
 impl ThroughputConfig {
-    /// Parses the config's strategy flags into a [`SegmentPlan`] executing
-    /// on `engine`'s backend.  Errors on an unknown classifier or a
-    /// malformed plan spec.  With a non-empty `plan` flag this may run a
-    /// calibration sweep (`--plan auto`); use `Self::resolved_plan` when
-    /// the calibration evidence matters.
+    /// Parses the config's strategy flags into a [`SegmentPlan`]: the
+    /// `plan` spec when one is given, else `classifier` on `engine`'s
+    /// backend.  Errors on an unknown classifier or a malformed plan spec.
     pub fn plan(&self, engine: &SegmentEngine) -> Result<SegmentPlan, String> {
-        self.resolved_plan(engine).map(|resolved| resolved.plan)
-    }
-
-    /// Resolves the `--plan` flag (falling back to the per-axis flags) and
-    /// keeps the calibration report when the plan was probed.
-    pub(crate) fn resolved_plan(&self, engine: &SegmentEngine) -> Result<ResolvedPlan, String> {
-        resolve_plan(&self.plan, || {
-            Ok(SegmentPlan::new(
+        match self.plan.trim() {
+            "" => Ok(SegmentPlan::new(
                 ClassifierKind::from_flag(&self.classifier)?,
                 engine.backend(),
-            ))
-        })
+            )),
+            spec => spec.parse(),
+        }
     }
 }
 
@@ -140,11 +131,9 @@ pub(crate) fn throughput_images(config: &ThroughputConfig) -> Vec<RgbImage> {
     .collect()
 }
 
-/// Runs the configured stream under a resolved plan and returns `(labels,
+/// Runs the configured stream under a parsed plan and returns `(labels,
 /// report)`: the per-tile delta path for `--video`, the cached per-request
-/// path with `--cache-mb`, batches otherwise.  [`throughput_report`]
-/// resolves the plan once, so a `--plan auto` calibration sweep runs once,
-/// not once per stage.
+/// path with `--cache-mb`, batches otherwise.
 pub(crate) fn throughput_run_with_plan(
     config: &ThroughputConfig,
     images: &[RgbImage],
@@ -224,14 +213,9 @@ pub fn throughput_report(
     engine: &SegmentEngine,
     config: &ThroughputConfig,
 ) -> Result<String, ThroughputError> {
+    let plan = config.plan(engine).map_err(ThroughputError::Flag)?;
     let images = throughput_images(config);
-    // Resolve the plan once up front: a `--plan auto` calibration sweep
-    // should probe the host a single time, and its evidence belongs in the
-    // report.
-    let resolved = config
-        .resolved_plan(engine)
-        .map_err(ThroughputError::Flag)?;
-    let (labels, report) = throughput_run_with_plan(config, &images, &resolved.plan);
+    let (labels, report) = throughput_run_with_plan(config, &images, &plan);
 
     let mut out = String::new();
     let _ = writeln!(
@@ -249,10 +233,7 @@ pub fn throughput_report(
             "off".to_string()
         },
     );
-    let _ = writeln!(out, "  plan: [{}]", resolved.plan);
-    if let Some(calibration) = &resolved.calibration {
-        let _ = writeln!(out, "  calibration: {}", calibration.summary());
-    }
+    let _ = writeln!(out, "  plan: [{plan}]");
     if config.video {
         let _ = writeln!(
             out,
@@ -529,11 +510,17 @@ mod tests {
             "{report}"
         );
         assert!(report.contains("byte-identical"), "{report}");
-        // A malformed plan fails loudly instead of falling back.
+        // A malformed plan fails loudly instead of falling back, and `auto`
+        // is not a spec.
         config.plan = "classifier=warp".to_string();
         assert!(matches!(
             throughput_report(&engine, &config),
             Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
+        ));
+        config.plan = "auto".to_string();
+        assert!(matches!(
+            throughput_report(&engine, &config),
+            Err(ThroughputError::Flag(message)) if message.contains("'auto'")
         ));
     }
 

@@ -53,6 +53,18 @@ pub trait PixelClassifier {
         self.classify_rgb_pixel(Rgb::new(v, v, v))
     }
 
+    /// The fewest pixels worth a thread of their own.
+    ///
+    /// A threaded `SegmentEngine` gives a frame at most `pixels / min`
+    /// threads, and classifies a frame of fewer than twice this many pixels
+    /// on the calling thread.  A kernel that labels a pixel in about a
+    /// nanosecond raises it, because starting a thread costs tens of
+    /// microseconds.  The default of 1 splits every frame of two or more
+    /// pixels, which suits a kernel that spends much longer per pixel.
+    fn min_pixels_per_thread(&self) -> usize {
+        1
+    }
+
     /// Classifies a contiguous run of RGB pixels into a matching label
     /// slice — the batch-level hook every bulk execution path routes
     /// through.

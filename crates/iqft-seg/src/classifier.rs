@@ -114,6 +114,13 @@ impl PixelClassifier for IqftClassifier {
         self.classify(Rgb::new(v, v, v))
     }
 
+    fn min_pixels_per_thread(&self) -> usize {
+        match self {
+            IqftClassifier::Simd(table) => table.min_pixels_per_thread(),
+            _ => 1,
+        }
+    }
+
     fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
         match self {
             // The split table has a batched row kernel; forward so every
@@ -227,6 +234,20 @@ mod tests {
         let img = test_image();
         let labels = SegmentEngine::serial().segment_rgb(&IqftClassifier::for_plan(&plan), &img);
         assert_eq!(labels.dimensions(), img.dimensions());
+    }
+
+    /// Only the split table asks the engine for big frames before it
+    /// splits them; every other kind keeps the default of 1.
+    #[test]
+    fn only_the_split_table_raises_the_thread_minimum() {
+        for kind in ClassifierKind::ALL {
+            let classifier = IqftClassifier::paper_default(kind);
+            let expected = match kind {
+                ClassifierKind::Simd => 1 << 20,
+                _ => 1,
+            };
+            assert_eq!(classifier.min_pixels_per_thread(), expected, "{kind}");
+        }
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! debug, so a row is filled the first time a pixel needs it (~2 µs).  One
 //! table per configuration (the bits of θ and the normalisation flag) lives
 //! in a process-wide registry: every handle built for that configuration —
-//! calibration's, the daemon's, each boot's — shares its fills.  The kernel
+//! the daemon's, a bench's, each boot's — shares its fills.  The kernel
 //! choice stays with the handle.  [`SplitTable::cold`] gives a handle on a
 //! fresh, unshared table, which is what a cold process starts from.
 //!
@@ -91,6 +91,13 @@ const ABOVE_SHIFT: u32 = 16;
 
 /// Bit offset of the label below the threshold (3 bits).
 const BELOW_SHIFT: u32 = 20;
+
+/// The fewest pixels worth a thread of their own on this table
+/// ([`PixelClassifier::min_pixels_per_thread`]): 1 Mi px, so a frame stays
+/// on one thread below 2 Mi px (2048×1024).  On a 2-vCPU Xeon with AVX2 and
+/// a warm table, two threads ran 2–18× slower than one at 96×72–256×192,
+/// tied at 1024×768, and ran 1.3–1.9× faster at 3840×2160.
+const MIN_PIXELS_PER_THREAD: usize = 1 << 20;
 
 /// A two-run entry.
 fn pack(threshold: usize, below: u8, above: u8) -> u32 {
@@ -424,6 +431,10 @@ impl PixelClassifier for SplitTable {
         self.classify(pixel)
     }
 
+    fn min_pixels_per_thread(&self) -> usize {
+        MIN_PIXELS_PER_THREAD
+    }
+
     fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
         self.classify_slice(pixels, out);
     }
@@ -755,6 +766,71 @@ mod tests {
         assert_eq!(stitched, reference);
         for engine in [SegmentEngine::serial(), SegmentEngine::with_threads(2)] {
             assert_eq!(engine.segment_rgb(&table, &img), reference);
+        }
+    }
+
+    /// On `threads:2` the engine keeps a split-table frame below 2 Mi px on
+    /// the calling thread, and splits a 2048×1024 one over two threads.
+    #[test]
+    fn a_split_table_frame_takes_two_threads_from_2_mi_px() {
+        use std::sync::{Condvar, Mutex};
+        use std::thread::ThreadId;
+        use std::time::Duration;
+
+        /// The table, recording the threads that classify.  With `meet`
+        /// at 2, each slice waits (up to a timeout that only marks
+        /// failure) until two threads have called, so a split frame
+        /// provably reaches both.
+        struct Recorded<'a> {
+            table: &'a SplitTable,
+            meet: usize,
+            seen: Mutex<Vec<ThreadId>>,
+            arrived: Condvar,
+        }
+        impl PixelClassifier for Recorded<'_> {
+            fn classify_rgb_pixel(&self, pixel: Rgb<u8>) -> u32 {
+                self.table.classify(pixel)
+            }
+            fn min_pixels_per_thread(&self) -> usize {
+                self.table.min_pixels_per_thread()
+            }
+            fn classify_rgb_slice_into(&self, pixels: &[Rgb<u8>], out: &mut [u32]) {
+                let mut seen = self.seen.lock().unwrap();
+                let me = std::thread::current().id();
+                if !seen.contains(&me) {
+                    seen.push(me);
+                    self.arrived.notify_all();
+                }
+                let timeout = Duration::from_secs(10);
+                let wait = self
+                    .arrived
+                    .wait_timeout_while(seen, timeout, |seen| seen.len() < self.meet);
+                drop(wait.unwrap());
+                self.table.classify_slice(pixels, out);
+            }
+        }
+
+        let table = SplitTable::paper_default();
+        let caller = std::thread::current().id();
+        for ((width, height), meet) in [((2_097_151, 1), 1), ((2048, 1024), 2)] {
+            let img = RgbImage::from_fn(width, height, |x, y| {
+                Rgb::new((x % 3) as u8 * 90, (y % 4) as u8 * 60, x as u8)
+            });
+            let recorded = Recorded {
+                table: &table,
+                meet,
+                seen: Mutex::new(Vec::new()),
+                arrived: Condvar::new(),
+            };
+            let labels = SegmentEngine::with_threads(2).segment_rgb(&recorded, &img);
+            assert_eq!(labels, SegmentEngine::serial().segment_rgb(&table, &img));
+            let threads = recorded.seen.into_inner().unwrap();
+            if meet == 1 {
+                assert_eq!(threads, [caller], "{width}x{height} stays on the caller");
+            } else {
+                assert_eq!(threads.len(), 2, "{width}x{height}: {threads:?}");
+                assert!(!threads.contains(&caller), "{threads:?}");
+            }
         }
     }
 

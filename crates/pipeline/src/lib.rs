@@ -22,8 +22,11 @@
 //! of [`run_batch`] is byte-identical to per-image serial segmentation on
 //! any backend and thread count (`tests/engine_determinism.rs` at the
 //! workspace root enforces this).  A single request
-//! ([`SegmentPipeline::segment_request`]) instead spreads its one frame
-//! over the engine's threads in chunks.  For the steady-state fast path,
+//! ([`SegmentPipeline::segment_request`]) instead splits its one frame into
+//! chunks over as many of the engine's threads as the frame is worth to the
+//! classifier ([`imaging::PixelClassifier::min_pixels_per_thread`]): a
+//! large frame spreads, and a small split-table frame stays on the calling
+//! thread.  For the steady-state fast path,
 //! hand the pipeline an [`iqft_seg::PhaseTable`]: classification collapses
 //! to three table lookups per pixel.
 //!
@@ -173,8 +176,9 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     /// join barrier, this segments exactly one image synchronously — the
     /// shape a serving daemon (`iqft-serve`) needs: a worker thread submits
     /// one decoded request here and the call completes when the labels are
-    /// ready.  The frame is split into chunks over the engine's backend, so
-    /// one large frame spreads over every thread.  The scratch buffer comes
+    /// ready.  The frame is split into chunks over as many of the engine's
+    /// threads as it is worth to the classifier
+    /// ([`PixelClassifier::min_pixels_per_thread`]).  The scratch buffer comes
     /// from the shared [`LabelArena`]; recycle the result and the steady
     /// state stays allocation-free across all callers.
     ///

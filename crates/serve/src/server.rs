@@ -96,9 +96,6 @@ pub struct ServerConfig {
     /// whole-frame cache hit never waits for a worker, so it is answered
     /// at once and never counts against the limit.
     pub max_queue: usize,
-    /// Startup-calibration summary to surface through Stats (empty when the
-    /// plan was chosen explicitly rather than by `--plan auto`).
-    pub calibration: String,
     /// Where to persist the result cache across restarts (default: `None`,
     /// no persistence).  On boot a snapshot at this path is warm-loaded —
     /// unless its salt (plan spec) or checksum disagrees, which is a clean
@@ -147,12 +144,6 @@ impl ServerConfig {
         self
     }
 
-    /// Attaches a calibration summary for the Stats reply.
-    pub fn with_calibration(mut self, calibration: String) -> Self {
-        self.calibration = calibration;
-        self
-    }
-
     /// Persists the result cache to `path`: warm-load on boot, save on a
     /// drain-then-stop shutdown.
     pub fn with_cache_persist(mut self, path: impl Into<PathBuf>) -> Self {
@@ -169,7 +160,6 @@ impl Default for ServerConfig {
             cache: CacheConfig::default(),
             frame_deadline: FRAME_READ_DEADLINE,
             max_queue: 0,
-            calibration: String::new(),
             cache_persist: None,
         }
     }
@@ -187,8 +177,6 @@ pub(crate) struct Shared {
     /// Segment jobs dispatched to the worker pool but not yet picked up —
     /// the admission gauge.
     pub(crate) queued_jobs: std::sync::atomic::AtomicUsize,
-    /// Startup-calibration summary (empty when the plan was explicit).
-    calibration: String,
     /// Result-cache persistence path (None = no persistence).
     cache_persist: Option<PathBuf>,
     /// What the boot-time warm load brought in (zero when persistence is off,
@@ -240,7 +228,6 @@ impl Shared {
             quant_fallback_pixels: 0,
             max_queue: self.max_queue,
             busy_rejections: self.stats.busy_rejections(),
-            calibration: self.calibration.clone(),
             conn_requests: conn.requests,
             conn_pixels: conn.pixels,
             ..StatsSnapshot::default()
@@ -359,7 +346,6 @@ impl Server {
             max_inflight,
             max_queue: config.max_queue,
             queued_jobs: std::sync::atomic::AtomicUsize::new(0),
-            calibration: config.calibration,
             cache_persist: config.cache_persist,
             warm_loaded,
             warm_error,
@@ -666,14 +652,12 @@ mod tests {
             .with_frame_deadline(Duration::from_secs(3))
             .with_max_queue(9)
             .with_max_inflight(5)
-            .with_calibration("cores=2;probes=3".to_string())
             .with_cache_persist("/tmp/iqft-cache.snap");
         assert_eq!(config.plan, plan);
         assert_eq!(config.cache, CacheConfig::with_capacity_mb(4));
         assert_eq!(config.frame_deadline, Duration::from_secs(3));
         assert_eq!(config.max_queue, 9);
         assert_eq!(config.max_inflight, 5);
-        assert_eq!(config.calibration, "cores=2;probes=3");
         assert_eq!(
             config.cache_persist.as_deref(),
             Some(Path::new("/tmp/iqft-cache.snap"))
@@ -684,20 +668,6 @@ mod tests {
             config,
             "one core: with_mode changes nothing"
         );
-    }
-
-    #[test]
-    fn calibration_summary_travels_through_stats() {
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::default().with_calibration("cores=1;probes=4;exhausted=0".to_string()),
-        )
-        .unwrap();
-        let mut client = open_client(server.local_addr()).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.calibration, "cores=1;probes=4;exhausted=0");
-        client.shutdown().unwrap();
-        server.join();
     }
 
     #[test]

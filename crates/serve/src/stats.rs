@@ -188,9 +188,6 @@ pub struct StatsSnapshot {
     pub max_queue: usize,
     /// Segment requests refused with a typed `Busy` reply.
     pub busy_rejections: usize,
-    /// Startup-calibration summary (probe counts and the best measured
-    /// throughput); empty when the server booted with an explicit plan.
-    pub calibration: String,
     /// Service-latency samples recorded (one per completed segment request).
     /// A sample times only the pipeline's own work: key and lookup for a
     /// cache hit, plus classification and insert for a miss (the key and
@@ -283,7 +280,6 @@ impl StatsSnapshot {
         );
         push("max_queue", self.max_queue.to_string());
         push("busy_rejections", self.busy_rejections.to_string());
-        push("calibration", self.calibration.clone());
         push("lat_count", self.lat_count.to_string());
         push("lat_p50_us", self.lat_p50_us.to_string());
         push("lat_p90_us", self.lat_p90_us.to_string());
@@ -381,7 +377,6 @@ impl StatsSnapshot {
                 "busy_rejections" => {
                     snapshot.busy_rejections = value.parse().map_err(|_| bad("count"))?
                 }
-                "calibration" => snapshot.calibration = value.to_string(),
                 "lat_count" => snapshot.lat_count = value.parse().map_err(|_| bad("count"))?,
                 "lat_p50_us" => snapshot.lat_p50_us = value.parse().map_err(|_| bad("count"))?,
                 "lat_p90_us" => snapshot.lat_p90_us = value.parse().map_err(|_| bad("count"))?,
@@ -429,7 +424,6 @@ mod tests {
             quant_fallback_pixels: 17,
             max_queue: 8,
             busy_rejections: 3,
-            calibration: "cores=4;probes=8;elapsed_ms=41;best_mpix_s=512.3;exhausted=0".to_string(),
             lat_count: 100,
             lat_p50_us: 900,
             lat_p90_us: 1_500,
@@ -468,11 +462,14 @@ mod tests {
         let reencoded = StatsSnapshot::from_text(&parsed.to_text()).unwrap();
         assert_eq!(reencoded, parsed);
         // Text from an older daemon still carries the retired
-        // uptime-averaged rate; it parses, and the key lands in `extra`.
+        // uptime-averaged rate and the summary of the retired boot-time
+        // plan probe; it parses, and the keys land in `extra`.
         let mut older = sample().to_text();
         older.push_str("mpix_per_sec=153.600\n");
+        older.push_str("calibration=cores=2;probes=5\n");
         let parsed = StatsSnapshot::from_text(&older).unwrap();
         assert_eq!(parsed.extra.get("mpix_per_sec").unwrap(), "153.600");
+        assert_eq!(parsed.extra.get("calibration").unwrap(), "cores=2;probes=5");
         assert_eq!(
             StatsSnapshot {
                 extra: BTreeMap::new(),

@@ -218,10 +218,12 @@ fn quantized_and_simd_classifiers_are_byte_identical_to_exact() {
 
 /// A cold split table shares no fills, so two engine threads meet unfilled
 /// rows in their chunks of a VOC-like frame and take turns filling them.
-/// The labels still equal the f64 oracle's, on both kernels.
+/// The labels still equal the f64 oracle's, on both kernels.  The split
+/// table keeps a frame below 2 Mi px on one thread, so a 320×240 VOC-like
+/// frame is tiled out to 2048×1024, the smallest frame it splits.
 #[test]
 fn a_cold_split_table_filled_by_two_threads_equals_the_oracle() {
-    let frame = PascalVocLikeDataset::new(PascalVocLikeConfig {
+    let tile = PascalVocLikeDataset::new(PascalVocLikeConfig {
         len: 1,
         width: 320,
         height: 240,
@@ -230,6 +232,7 @@ fn a_cold_split_table_filled_by_two_threads_equals_the_oracle() {
     })
     .sample(0)
     .image;
+    let frame = RgbImage::from_fn(2048, 1024, |x, y| tile.get(x % 320, y % 240));
     let oracle = SegmentEngine::serial().segment_rgb(&PhaseTable::paper_default(), &frame);
     for level in SimdLevel::ALL.into_iter().filter(|l| l.is_supported()) {
         let cold = SplitTable::paper_default().cold().with_simd(level);
