@@ -20,7 +20,7 @@
 //! the 2-daemon rate to beat 1.5x the single daemon's — the fleet's
 //! headline claim, recorded and guarded.  (On the recording host the real
 //! margin is several-fold: a thrashing daemon pays an exact-classifier
-//! pass per request, a resident fleet pays a lookup and a memcpy.)
+//! pass per request, a resident fleet pays a key and a lookup.)
 //!
 //! Snapshot a baseline with `CRITERION_JSON=BENCH_fleet.json
 //! cargo bench --bench ablation_fleet`.

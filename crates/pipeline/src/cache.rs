@@ -5,8 +5,8 @@
 //! the full classification cost.  [`SegmentCache`] keys a finished label
 //! buffer by the *content* of the request (a 128-bit hand-rolled hash over
 //! the pixel bytes, the image dimensions, and a caller-provided salt such as
-//! `SegmentPlan::to_spec()`), so a repeated image is answered with a memcpy
-//! instead of a classification pass.
+//! `SegmentPlan::to_spec()`), so a repeated image is answered from the
+//! cached labels instead of a classification pass.
 //!
 //! Design points:
 //!
@@ -28,16 +28,22 @@
 //!   configured byte budget and evicts its least-recently-used entries when
 //!   an insert would overflow it.  An entry larger than a whole shard's
 //!   budget is never stored (it would evict everything for one request).
-//! * **Arena integration** — cached label buffers are checked out of the
-//!   pipeline's existing [`LabelArena`] and evicted buffers go back to it,
-//!   so a warm cache keeps the steady state allocation-free end to end.
-//! * **Correctness over capacity** — a hit is produced by copying the cached
-//!   labels into a fresh arena buffer; the cache never hands out a buffer it
-//!   still owns, so eviction can never corrupt a reply already in flight.
-//!   Keys are 128 bits (two 64-bit halves of one striped hash) and carry
-//!   the image dimensions, which makes an accidental collision between
-//!   distinct requests astronomically unlikely and a dimension mix-up
-//!   impossible.
+//! * **Arena integration** — cached label buffers come from the pipeline's
+//!   existing [`LabelArena`] and go back to it, so a warm cache keeps the
+//!   steady state allocation-free end to end.
+//! * **One buffer per result, shared** — an entry holds its labels as an
+//!   `Arc<LabelMap>`: a miss stores the very buffer it classified into and
+//!   replies from it too ([`SegmentCache::insert_shared`]), and a hit
+//!   replies from the entry itself ([`SegmentCache::lookup_shared`]).  A
+//!   shared buffer is never written while shared, and an eviction drops
+//!   only the cache's reference, so it can never touch a reply in flight;
+//!   the buffer returns to the arena when its last holder lets go
+//!   ([`LabelArena::release`]).  [`SegmentCache::lookup`] and
+//!   [`SegmentCache::insert`] are copying wrappers over the two.
+//! * **Correctness over capacity** — keys are 128 bits (two 64-bit halves
+//!   of one striped hash) and carry the image dimensions, which makes an
+//!   accidental collision between distinct requests astronomically
+//!   unlikely and a dimension mix-up impossible.
 //!
 //! Hit results are byte-identical to a fresh segmentation by construction:
 //! the cache only ever stores bytes produced by the pipeline itself, and
@@ -50,7 +56,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Default shard count when [`CacheConfig::shards`] is 0.
 pub(crate) const DEFAULT_SHARDS: usize = 8;
@@ -373,20 +379,17 @@ impl Fnv64 {
     }
 }
 
-/// One cached segmentation.
+/// One cached segmentation: a whole frame's labels or one tile's.
 #[derive(Debug)]
 struct Entry {
-    labels: Vec<u32>,
-    width: usize,
-    height: usize,
+    labels: Arc<LabelMap>,
     /// LRU stamp; also the entry's key in the shard's recency index.
     stamp: u64,
 }
 
-impl Entry {
-    fn charged_bytes(&self) -> usize {
-        self.labels.len() * 4 + ENTRY_OVERHEAD_BYTES
-    }
+/// What an entry of `labels` labels is charged against the byte budget.
+fn charged_bytes(labels: usize) -> usize {
+    labels * 4 + ENTRY_OVERHEAD_BYTES
 }
 
 /// Counters and live figures for one shard (or, summed, the whole cache).
@@ -453,10 +456,25 @@ impl Shard {
         }
     }
 
-    /// Evicts least-recently-used entries until `needed` more bytes fit
-    /// under `budget`, returning the freed buffers to `arena`.
-    fn evict_for(&mut self, needed: usize, budget: usize, arena: &LabelArena) {
-        while self.bytes + needed > budget {
+    /// Stores `labels` under `key` with a fresh stamp, charged `charged`
+    /// bytes: first drops any entry already under `key` (two threads raced
+    /// to segment the same image; keep one), then evicts least-recently-used
+    /// entries until the new one fits under `budget`.  Dropped entries are
+    /// released to `arena`.
+    fn store(
+        &mut self,
+        key: CacheKey,
+        labels: Arc<LabelMap>,
+        charged: usize,
+        budget: usize,
+        arena: &LabelArena,
+    ) {
+        if let Some(existing) = self.entries.remove(&key) {
+            self.recency.remove(&existing.stamp);
+            self.bytes -= charged_bytes(existing.labels.len());
+            arena.release(existing.labels);
+        }
+        while self.bytes + charged > budget {
             let Some((&stamp, &key)) = self.recency.iter().next() else {
                 break;
             };
@@ -465,10 +483,16 @@ impl Shard {
                 .entries
                 .remove(&key)
                 .expect("recency index entries always exist in the map");
-            self.bytes -= entry.charged_bytes();
+            self.bytes -= charged_bytes(entry.labels.len());
             self.evictions += 1;
-            arena.put(entry.labels);
+            arena.release(entry.labels);
         }
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.recency.insert(stamp, key);
+        self.bytes += charged;
+        self.insertions += 1;
+        self.entries.insert(key, Entry { labels, stamp });
     }
 
     fn stats(&self) -> CacheStats {
@@ -582,11 +606,10 @@ impl SegmentCache {
             .lock()
             .unwrap_or_else(|e| e.into_inner());
         let hit = match shard.entries.get(&key) {
-            Some(entry) if (entry.width, entry.height) == dest.dimensions() => {
-                let width = entry.width;
-                for y in 0..entry.height {
-                    dest.row_mut(y)
-                        .copy_from_slice(&entry.labels[y * width..(y + 1) * width]);
+            Some(entry) if entry.labels.dimensions() == dest.dimensions() => {
+                let width = entry.labels.width();
+                for (y, row) in entry.labels.as_slice().chunks_exact(width).enumerate() {
+                    dest.row_mut(y).copy_from_slice(row);
                 }
                 true
             }
@@ -604,10 +627,13 @@ impl SegmentCache {
         hit
     }
 
-    /// Stores one re-classified tile's labels (row-major, `width × height`)
-    /// under `key`.  Same byte-budget and arena rules as
-    /// [`SegmentCache::insert`].
-    pub(crate) fn insert_tile(
+    /// Stores a copy of `labels` (row-major, `width × height`: a frame's or
+    /// one re-classified tile's), taken from `arena`, under `key`.  Same
+    /// byte-budget and arena rules as [`SegmentCache::insert_shared`].  The
+    /// copy runs before any shard lock is taken: the memcpy of a
+    /// multi-megapixel map is the expensive part and touches no shard
+    /// state.
+    pub(crate) fn insert_copy(
         &self,
         key: CacheKey,
         labels: &[u32],
@@ -615,44 +641,19 @@ impl SegmentCache {
         height: usize,
         arena: &LabelArena,
     ) {
-        debug_assert_eq!(labels.len(), width * height);
-        let charged = labels.len() * 4 + ENTRY_OVERHEAD_BYTES;
-        if charged > self.shard_budget {
-            return;
+        if charged_bytes(labels.len()) <= self.shard_budget {
+            let copy = LabelMap::from_vec(width, height, arena.copy_of(labels))
+                .expect("labels match their dimensions");
+            self.insert_shared(key, Arc::new(copy), arena);
         }
-        let mut buf = arena.take();
-        buf.clear();
-        buf.extend_from_slice(labels);
-        let mut shard = self.shards[key.shard(self.shards.len())]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = shard.entries.remove(&key) {
-            shard.recency.remove(&existing.stamp);
-            shard.bytes -= existing.charged_bytes();
-            arena.put(existing.labels);
-        }
-        shard.evict_for(charged, self.shard_budget, arena);
-        let stamp = shard.next_stamp;
-        shard.next_stamp += 1;
-        shard.recency.insert(stamp, key);
-        shard.bytes += charged;
-        shard.insertions += 1;
-        shard.entries.insert(
-            key,
-            Entry {
-                labels: buf,
-                width,
-                height,
-                stamp,
-            },
-        );
     }
 
-    /// Looks `key` up; on a hit the cached labels are copied into a buffer
-    /// taken from `arena` and returned as a fresh [`LabelMap`] — the cache
-    /// keeps its own copy, so a later eviction can never touch the returned
-    /// map.  Counts a hit or a miss either way.
-    pub fn lookup(&self, key: CacheKey, arena: &LabelArena) -> Option<LabelMap> {
+    /// Looks `key` up and, on a hit, returns the entry's own labels, shared
+    /// with the cache.  Counts a hit or a miss either way.  The caller
+    /// replies from the returned buffer and then hands it to
+    /// [`LabelArena::release`]; an eviction meanwhile drops only the
+    /// cache's reference.
+    pub fn lookup_shared(&self, key: CacheKey) -> Option<Arc<LabelMap>> {
         let mut shard = self.shards[key.shard(self.shards.len())]
             .lock()
             .unwrap_or_else(|e| e.into_inner());
@@ -660,57 +661,47 @@ impl SegmentCache {
             shard.misses += 1;
             return None;
         };
-        let (width, height) = (entry.width, entry.height);
-        let mut buf = arena.take();
-        buf.clear();
-        buf.extend_from_slice(&entry.labels);
+        let labels = Arc::clone(&entry.labels);
         shard.hits += 1;
         shard.touch(key);
-        drop(shard);
-        Some(LabelMap::from_vec(width, height, buf).expect("cached labels match their dimensions"))
+        Some(labels)
     }
 
-    /// Stores a finished segmentation under `key`.  The labels are copied
-    /// into a buffer taken from `arena`; entries evicted to make room (and
-    /// any replaced duplicate) return their buffers to `arena`.  An entry
-    /// larger than one shard's whole budget is not stored.
-    pub fn insert(&self, key: CacheKey, labels: &LabelMap, arena: &LabelArena) {
-        let charged = labels.len() * 4 + ENTRY_OVERHEAD_BYTES;
+    /// Stores a finished segmentation under `key`, sharing the caller's
+    /// buffer: the caller may keep replying from its own reference, and
+    /// must not write the labels while they are shared.  Entries evicted to
+    /// make room (and any replaced duplicate) are released to `arena`.  An
+    /// entry larger than one shard's whole budget is not stored.
+    ///
+    /// The cache charges each entry `4 × labels + ENTRY_OVERHEAD_BYTES`.
+    pub fn insert_shared(&self, key: CacheKey, labels: Arc<LabelMap>, arena: &LabelArena) {
+        let charged = charged_bytes(labels.len());
         if charged > self.shard_budget {
             return;
         }
-        // Copy the labels *before* taking the shard lock: the memcpy of a
-        // multi-megapixel map is the expensive part and touches no shard
-        // state, so concurrent misses on the same shard only serialise on
-        // the cheap map/recency bookkeeping below.
-        let mut buf = arena.take();
-        buf.clear();
-        buf.extend_from_slice(labels.as_slice());
-        let mut shard = self.shards[key.shard(self.shards.len())]
+        self.shards[key.shard(self.shards.len())]
             .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        if let Some(existing) = shard.entries.remove(&key) {
-            // Two threads raced to segment the same image; keep one copy.
-            shard.recency.remove(&existing.stamp);
-            shard.bytes -= existing.charged_bytes();
-            arena.put(existing.labels);
-        }
-        shard.evict_for(charged, self.shard_budget, arena);
-        let stamp = shard.next_stamp;
-        shard.next_stamp += 1;
-        shard.recency.insert(stamp, key);
-        shard.bytes += charged;
-        shard.insertions += 1;
+            .unwrap_or_else(|e| e.into_inner())
+            .store(key, labels, charged, self.shard_budget, arena);
+    }
+
+    /// [`SegmentCache::lookup_shared`] with the hit copied into a buffer
+    /// taken from `arena`, so the caller owns the returned map.  The
+    /// loopback benchmark's `LOOKUP` span names this call.
+    pub fn lookup(&self, key: CacheKey, arena: &LabelArena) -> Option<LabelMap> {
+        let shared = self.lookup_shared(key)?;
+        let (width, height) = shared.dimensions();
+        let copy = arena.copy_of(shared.as_slice());
+        arena.release(shared);
+        Some(LabelMap::from_vec(width, height, copy).expect("cached labels match their dimensions"))
+    }
+
+    /// [`SegmentCache::insert_shared`] of a copy of `labels`, taken from
+    /// `arena`, so the caller keeps its map.  The loopback benchmark's
+    /// `INSERT` span names this call.
+    pub fn insert(&self, key: CacheKey, labels: &LabelMap, arena: &LabelArena) {
         let (width, height) = labels.dimensions();
-        shard.entries.insert(
-            key,
-            Entry {
-                labels: buf,
-                width,
-                height,
-                stamp,
-            },
-        );
+        self.insert_copy(key, labels.as_slice(), width, height, arena);
     }
 
     /// Aggregate counters across all shards.
@@ -777,9 +768,9 @@ impl SegmentCache {
                 body.extend_from_slice(&(record_len as u32).to_le_bytes());
                 body.extend_from_slice(&key.lo.to_le_bytes());
                 body.extend_from_slice(&key.hi.to_le_bytes());
-                body.extend_from_slice(&(entry.width as u32).to_le_bytes());
-                body.extend_from_slice(&(entry.height as u32).to_le_bytes());
-                for label in &entry.labels {
+                body.extend_from_slice(&(entry.labels.width() as u32).to_le_bytes());
+                body.extend_from_slice(&(entry.labels.height() as u32).to_le_bytes());
+                for label in entry.labels.as_slice() {
                     body.extend_from_slice(&label.to_le_bytes());
                 }
                 stats.entries += 1;
@@ -921,13 +912,12 @@ impl SegmentCache {
             let map = LabelMap::from_vec(width, height, labels)
                 .map_err(|_| corrupt(format!("bad dimensions {width}x{height}")))?;
             // Entries the budget would refuse (larger than one shard's whole
-            // slice) are skipped by `insert` and not counted as loaded.
-            if width * height * 4 + ENTRY_OVERHEAD_BYTES <= self.shard_budget {
+            // slice) are skipped by `insert_shared` and not counted as loaded.
+            if charged_bytes(width * height) <= self.shard_budget {
                 stats.entries += 1;
                 stats.label_bytes += width * height * 4;
             }
-            self.insert(key, &map, arena);
-            arena.recycle(map);
+            self.insert_shared(key, Arc::new(map), arena);
         }
         Ok(stats)
     }
@@ -1032,6 +1022,37 @@ mod tests {
         );
         // Evicted and copied-out buffers flow through the arena.
         assert!(arena.pooled() + stats.entries > 0);
+    }
+
+    /// An entry evicted while a reply still holds its labels: the reply's
+    /// labels stay intact, and the buffer reaches the arena only once the
+    /// reply lets go of it.
+    #[test]
+    fn an_evicted_entry_reaches_the_arena_only_after_its_reply_drops_it() {
+        let arena = LabelArena::new();
+        // One shard that holds exactly one 8x8 entry.
+        let cache = small_cache(8 * 8 * 4 + ENTRY_OVERHEAD_BYTES, 1);
+        let (first, second) = (image(1, 8, 8), image(2, 8, 8));
+        let stored = Arc::new(labels_for(&first, 5));
+        let ptr = stored.as_slice().as_ptr();
+        cache.insert_shared(cache.key_for(&first), stored, &arena);
+        let reply = cache
+            .lookup_shared(cache.key_for(&first))
+            .expect("resident entry hits");
+        assert_eq!(reply.as_slice().as_ptr(), ptr, "the hit is the entry");
+        cache.insert_shared(
+            cache.key_for(&second),
+            Arc::new(labels_for(&second, 6)),
+            &arena,
+        );
+        assert_eq!(cache.stats().evictions, 1);
+        assert!(cache.lookup_shared(cache.key_for(&first)).is_none());
+        assert_eq!(*reply, labels_for(&first, 5), "the reply is untouched");
+        assert_eq!(arena.pooled(), 0, "the reply still holds the buffer");
+        arena.release(reply);
+        assert_eq!(arena.pooled(), 1);
+        let again = arena.take();
+        assert_eq!(again.as_ptr(), ptr, "the evicted buffer came back");
     }
 
     #[test]
@@ -1205,7 +1226,7 @@ mod tests {
         let mut stitch = vec![u32::MAX; img.len()];
         let mut dest = LabelViewMut::new(&mut stitch, img.width(), rect).unwrap();
         assert!(!cache.lookup_tile_into(key, &mut dest), "cold tile misses");
-        cache.insert_tile(key, &tile_labels, 6, 5, &arena);
+        cache.insert_copy(key, &tile_labels, 6, 5, &arena);
         let mut dest = LabelViewMut::new(&mut stitch, img.width(), rect).unwrap();
         assert!(cache.lookup_tile_into(key, &mut dest), "warm tile hits");
         // The copy landed exactly inside the window.

@@ -1,19 +1,22 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `iqft-pipeline` — a batched, high-throughput segmentation service.
 //!
 //! PR 1's `SegmentEngine` made a *single* segmentation fast; this crate makes
 //! *many* segmentations fast.  A [`SegmentPipeline`] owns an engine plus a
 //! pixel classifier and drives whole image streams through three pieces:
 //!
-//! * [`arena::LabelArena`] — a recycling pool of label buffers, so the
+//! * [`Arena`] — a recycling pool of label buffers
+//!   ([`LabelArena`]) or request pixel buffers ([`PixelArena`]), so the
 //!   steady-state hot path performs **zero per-image allocations** (the
 //!   report's allocation/reuse counters prove it).
 //! * `stats` — per-batch throughput and per-job latency accounting,
 //!   rolled up into a [`PipelineReport`].
 //! * [`cache::SegmentCache`] — an opt-in sharded, content-addressed,
 //!   byte-budgeted LRU cache of finished segmentations
-//!   ([`SegmentPipeline::with_cache`]): repeated images are answered with a
-//!   memcpy instead of a classification pass, byte-identically.
+//!   ([`SegmentPipeline::with_cache`]): repeated images are answered from
+//!   the cached label buffer itself instead of a classification pass,
+//!   byte-identically.
 //!
 //! A batch is one job per image mapped over the engine's backend
 //! ([`SegmentEngine::map_indexed`], the xpar substrate every parallel loop
@@ -66,7 +69,7 @@ pub mod cache;
 pub(crate) mod hist;
 pub(crate) mod stats;
 
-pub use arena::LabelArena;
+pub use arena::{Arena, LabelArena, PixelArena};
 pub use cache::{route_hash, CacheConfig, CacheKey, SegmentCache, SnapshotError, SnapshotStats};
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use stats::{BatchStats, PipelineReport};
@@ -74,14 +77,16 @@ pub use stats::{BatchStats, PipelineReport};
 use imaging::view::LabelViewMut;
 use imaging::{LabelMap, PixelClassifier, RgbImage};
 use seg_engine::{SegmentEngine, Tiling};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What the lookup half of a cached request found
 /// ([`SegmentPipeline::lookup_request`]).
 #[derive(Debug)]
 pub enum CacheLookup {
-    /// The cached labels, copied into an arena buffer.
-    Hit(LabelMap),
+    /// The cache entry's own labels, shared with the cache: reply from
+    /// them, then hand them to [`LabelArena::release`].
+    Hit(Arc<LabelMap>),
     /// Nothing is cached under this key; hand it to
     /// [`SegmentPipeline::segment_miss`] so the image is not hashed twice.
     Miss(CacheKey),
@@ -191,13 +196,14 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
 
     /// Cache-aware variant of [`SegmentPipeline::segment_request`]: when a
     /// cache is attached (and `bypass` is false) the request is content-
-    /// addressed first, and a hit is answered by copying the cached labels
-    /// into an arena buffer — no classification at all.  A miss segments as
-    /// usual and stores a copy for the next identical request.
+    /// addressed first, and a hit is answered from the cached labels — no
+    /// classification at all.  A miss segments as usual and stores the
+    /// labels for the next identical request.
     ///
-    /// This is exactly [`SegmentPipeline::lookup_request`] followed, on a
-    /// miss, by [`SegmentPipeline::segment_miss`]; a daemon that runs the
-    /// two halves on different threads gets the same result.
+    /// This is [`SegmentPipeline::lookup_request`] followed, on a miss, by
+    /// [`SegmentPipeline::segment_miss`], with the shared result copied into
+    /// a map the caller owns; a daemon that runs the two halves on
+    /// different threads replies from the shared buffer instead.
     ///
     /// Returns the labels plus whether they came from the cache.  Hit or
     /// miss, the result is byte-identical to [`segment_request`] by
@@ -211,31 +217,45 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
             self.lookup_request(img)
         };
         match lookup {
-            Some(CacheLookup::Hit(labels)) => (labels, true),
-            Some(CacheLookup::Miss(key)) => (self.segment_miss(img, key), false),
+            Some(CacheLookup::Hit(labels)) => (self.unshare(labels), true),
+            Some(CacheLookup::Miss(key)) => (self.unshare(self.segment_miss(img, key)), false),
             None => (self.segment_request(img), false),
         }
     }
 
+    /// A map the caller owns with `labels`' contents: the buffer itself when
+    /// no one else holds it, else a copy in an arena buffer.
+    fn unshare(&self, labels: Arc<LabelMap>) -> LabelMap {
+        Arc::try_unwrap(labels).unwrap_or_else(|shared| {
+            let (width, height) = shared.dimensions();
+            let copy = self.arena.copy_of(shared.as_slice());
+            self.arena.release(shared);
+            LabelMap::from_vec(width, height, copy).expect("a copy keeps its dimensions")
+        })
+    }
+
     /// The lookup half of [`SegmentPipeline::segment_request_cached`]:
     /// computes `img`'s whole-frame key and looks it up, counting a hit or
-    /// a miss.  Returns `None` when no cache is attached, without hashing.
+    /// a miss.  A hit shares the cache entry's own labels.  Returns `None`
+    /// when no cache is attached, without hashing.
     pub fn lookup_request(&self, img: &RgbImage) -> Option<CacheLookup> {
         let cache = self.cache.as_ref()?;
         let key = cache.key_for(img);
-        Some(match cache.lookup(key, &self.arena) {
+        Some(match cache.lookup_shared(key) {
             Some(labels) => CacheLookup::Hit(labels),
             None => CacheLookup::Miss(key),
         })
     }
 
     /// The miss half of [`SegmentPipeline::segment_request_cached`]:
-    /// segments `img` and stores a copy under `key`, the key
-    /// [`SegmentPipeline::lookup_request`] returned for this image.
-    pub fn segment_miss(&self, img: &RgbImage, key: CacheKey) -> LabelMap {
-        let labels = self.segment_request(img);
+    /// segments `img` into an arena buffer and stores that very buffer
+    /// under `key`, the key [`SegmentPipeline::lookup_request`] returned for
+    /// this image.  The returned labels are shared with the cache entry:
+    /// reply from them, then hand them to [`LabelArena::release`].
+    pub fn segment_miss(&self, img: &RgbImage, key: CacheKey) -> Arc<LabelMap> {
+        let labels = Arc::new(self.segment_request(img));
         if let Some(cache) = &self.cache {
-            cache.insert(key, &labels, &self.arena);
+            cache.insert_shared(key, Arc::clone(&labels), &self.arena);
         }
         labels
     }
@@ -293,7 +313,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
                 LabelViewMut::new(buf, img.width(), rect)
                     .expect("tile rects lie inside the label buffer")
                     .copy_from_tile(tile_buf);
-                cache.insert_tile(key, tile_buf, rect.width, rect.height, &self.arena);
+                cache.insert_copy(key, tile_buf, rect.width, rect.height, &self.arena);
             }
         });
         if let Some(tile_buf) = scratch {
@@ -734,8 +754,8 @@ mod tests {
         };
         assert_eq!(key, pipeline.cache().unwrap().key_for(img));
         let labels = pipeline.segment_miss(img, key);
-        assert_eq!(labels, expected);
-        pipeline.recycle(labels);
+        assert_eq!(*labels, expected);
+        pipeline.arena().release(labels);
         // The miss half stored the labels under the lookup half's key, so
         // the composed call now hits.
         let (labels, hit) = pipeline.segment_request_cached(img, false);
@@ -744,9 +764,37 @@ mod tests {
         let Some(CacheLookup::Hit(labels)) = pipeline.lookup_request(img) else {
             panic!("a warm cache hits");
         };
-        assert_eq!(labels, expected);
+        assert_eq!(*labels, expected);
         let stats = pipeline.cache().unwrap().stats();
         assert_eq!((stats.hits, stats.misses, stats.insertions), (2, 1, 1));
+    }
+
+    /// A miss classifies into one arena buffer, stores that buffer and
+    /// replies from it; a later hit replies from the very same entry.  No
+    /// copy is taken on either side: the arena hands out one buffer.
+    #[test]
+    fn a_miss_stores_the_buffer_it_replies_from_and_a_hit_shares_it() {
+        let img = &test_images(1)[0];
+        let pipeline = SegmentPipeline::new(SegmentEngine::serial(), PhaseTable::paper_default())
+            .with_cache(CacheConfig::with_capacity_mb(4), "shared-buffer-test");
+        let Some(CacheLookup::Miss(key)) = pipeline.lookup_request(img) else {
+            panic!("a cold cache misses");
+        };
+        let reply = pipeline.segment_miss(img, key);
+        let Some(CacheLookup::Hit(hit)) = pipeline.lookup_request(img) else {
+            panic!("the miss stored its labels");
+        };
+        assert!(Arc::ptr_eq(&reply, &hit), "the hit is the miss's buffer");
+        assert_eq!(
+            (pipeline.arena().allocations(), pipeline.arena().reuses()),
+            (1, 0),
+            "one label buffer, taken once"
+        );
+        // Dropping both replies leaves the cache holding the labels.
+        pipeline.arena().release(reply);
+        pipeline.arena().release(hit);
+        assert_eq!(pipeline.arena().pooled(), 0, "the entry still holds it");
+        assert_eq!(pipeline.cache().unwrap().stats().entries, 1);
     }
 
     #[test]

@@ -26,14 +26,21 @@
 //! pair and a few counters — kilobytes, not an OS thread — which is what
 //! lets one daemon hold a thousand-plus pipelined connections.
 //!
+//! Way in: the decoder copies a segment request's pixels straight from the
+//! reactor's read buffer into the image the request will carry, in a warm
+//! buffer from the daemon's pixel arena; the image goes back to the arena
+//! after its job, its inline hit or its `Busy` refusal, and so does the
+//! buffer of a frame a closing connection abandons.
+//!
 //! Work split: each connection's complete frames are processed strictly in
 //! arrival order.  `Ping`/`Stats`/`Shutdown` and all protocol errors are
 //! answered inline on the reactor (they are O(µs)).  So is a `SegmentCached`
 //! request that hits: on a daemon with a cache, the reactor computes the
 //! whole-frame key of every non-bypassed `SegmentCached` request and looks
-//! it up, and a hit is encoded and queued on the spot — one key and one
-//! label copy, with no worker, admission slot or thread wake-up.  A miss
-//! goes to the worker pool carrying its key, so nothing is hashed twice;
+//! it up, and a hit is queued on the spot from the cache entry's own label
+//! buffer — one key and no label copy, with no worker, admission slot or
+//! thread wake-up.  A miss goes to the worker pool carrying its key, so
+//! nothing is hashed twice;
 //! `Segment`, `SegmentDelta`, bypassed `SegmentCached` and `SegmentCached`
 //! on a daemon without a cache go there as they arrive.  The pool is
 //! `max_inflight` threads sharing the server's one warm pipeline, with at
@@ -47,13 +54,14 @@
 //! explicitly permits (clients match replies by echoed id).
 //!
 //! Replies: a worker never encodes a segment reply.  It records the reply's
-//! stats and `lat_*` time and hands over the labels as they are; the
-//! reactor queues them with [`FrameEncoder::enqueue_reply`] — a head of at
-//! most 40 bytes, then the label buffer itself — and writes both with one
-//! `writev`.  An inline cache hit takes the same path.  Once a buffer's
-//! last byte is written it goes back to the pipeline's arena; so do the
-//! buffers still queued when a connection closes, and the labels of a
-//! completion whose connection is already gone.
+//! stats and `lat_*` time and hands over the labels as they are — for a
+//! miss, the very buffer the cache now stores; the reactor queues them
+//! behind a head of at most 40 bytes and writes both with one `writev`.  An
+//! inline cache hit takes the same path.  Once a buffer's last byte is
+//! written the reply lets go of it, and so do the replies still queued when
+//! a connection closes and a completion whose connection is already gone;
+//! whichever of the replies and the cache entry lets go last returns the
+//! buffer to the pipeline's arena.
 //!
 //! Backpressure: a connection stops being polled for readability while it
 //! has [`MAX_PIPELINE_DEPTH`] frames queued or more than
@@ -82,7 +90,7 @@
 #![cfg(unix)]
 
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
-use crate::protocol::{Frame, FrameDecoder, FrameEncoder, Message, MAX_PIPELINE_DEPTH};
+use crate::protocol::{Frame, FrameDecoder, FrameEncoder, LabelReply, Message, MAX_PIPELINE_DEPTH};
 use crate::server::{ConnStats, Shared};
 use imaging::RgbImage;
 use iqft_pipeline::{CacheKey, CacheLookup};
@@ -120,17 +128,17 @@ struct Job {
     conn: usize,
     gen: u64,
     request_id: u64,
+    image: RgbImage,
     work: Work,
     pixels: Arc<AtomicU64>,
 }
 
-/// The pipeline call a [`Job`] carries.
+/// The pipeline call a [`Job`] makes on its image.
 enum Work {
-    Segment(RgbImage),
+    Segment,
     /// A `SegmentCached` the reactor did not look up: bypassed, or served
     /// by a daemon without a cache.
     Cached {
-        image: RgbImage,
         bypass: bool,
     },
     /// A `SegmentCached` the reactor keyed and looked up without a hit: the
@@ -138,11 +146,10 @@ enum Work {
     /// reactor's key-and-lookup time, so `lat_*` still covers the whole
     /// pipeline call.
     Miss {
-        image: RgbImage,
         key: CacheKey,
         lookup: Duration,
     },
-    Delta(RgbImage),
+    Delta,
 }
 
 /// A segment reply travelling back from a worker to a reactor, its labels
@@ -151,7 +158,7 @@ struct Completion {
     conn: usize,
     gen: u64,
     request_id: u64,
-    reply: Message,
+    reply: LabelReply,
 }
 
 #[derive(Default)]
@@ -269,7 +276,7 @@ impl Conn {
 }
 
 /// Writes as much queued output as the socket accepts right now, and
-/// returns every label buffer written in full to the pipeline's arena.
+/// releases every label buffer written in full to the pipeline's arena.
 fn flush(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
     let mut result = Ok(());
     while !conn.encoder.is_empty() {
@@ -288,7 +295,7 @@ fn flush(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
         }
     }
     for labels in conn.encoder.take_written() {
-        shared.pipeline.recycle(labels);
+        shared.pipeline.arena().release(labels);
     }
     result
 }
@@ -296,8 +303,8 @@ fn flush(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
 /// Queues a segment reply, whichever thread produced it.  Its dimensions
 /// came from a decoded request, so it always fits a frame; should it not,
 /// the peer gets a typed error instead.
-fn queue_reply(conn: &mut Conn, request_id: u64, reply: Message) {
-    if let Err(err) = conn.encoder.enqueue_reply(request_id, reply) {
+fn queue_reply(conn: &mut Conn, request_id: u64, reply: LabelReply) {
+    if let Err(err) = conn.encoder.enqueue_labels(request_id, reply) {
         let _ = conn.encoder.enqueue(
             request_id,
             &Message::Error {
@@ -499,11 +506,22 @@ impl Reactor {
 
     fn close(&mut self, idx: usize) {
         if let Some(mut conn) = self.slots[idx].conn.take() {
-            // Reclaim the label buffers the peer will never read before the
+            // Reclaim the label buffers the peer will never read, and the
+            // pixels of the frames it will never get answered, before the
             // close is counted, so a stats reader that sees the close also
-            // sees them back in the arena.
+            // sees them back in the arenas.
             for labels in conn.encoder.abandon() {
-                self.shared.pipeline.recycle(labels);
+                self.shared.pipeline.arena().release(labels);
+            }
+            let unanswered = conn
+                .queue
+                .drain(..)
+                .filter_map(|frame| frame.into_message().ok().and_then(Message::into_image));
+            for image in unanswered {
+                self.shared.pixel_arena.recycle(image);
+            }
+            if let Some(pixels) = conn.decoder.abandon() {
+                self.shared.pixel_arena.put(pixels);
             }
             self.shared.stats.connection_closed();
             // Bump the generation so stale completions for this slot are
@@ -532,9 +550,10 @@ impl Reactor {
             let live = slot.gen == completion.gen;
             let Some(mut conn) = slot.conn.take_if(|_| live) else {
                 // Its connection is gone: only the labels are worth keeping.
-                if let Some(labels) = completion.reply.into_labels() {
-                    self.shared.pipeline.recycle(labels);
-                }
+                self.shared
+                    .pipeline
+                    .arena()
+                    .release(completion.reply.into_labels());
                 continue;
             };
             conn.inflight = false;
@@ -620,7 +639,9 @@ impl Reactor {
     fn ingest(&self, conn: &mut Conn, idx: usize, gen: u64, chunk: &[u8], now: Instant) {
         let mut offset = 0;
         while offset < chunk.len() && !conn.closing {
-            let (consumed, event) = conn.decoder.feed(&chunk[offset..]);
+            let (consumed, event) = conn
+                .decoder
+                .feed_with(&chunk[offset..], || self.shared.pixel_arena.take());
             offset += consumed;
             // Fold newly-started frames into the request counters the
             // moment a full header has arrived, valid or not.
@@ -673,7 +694,7 @@ impl Reactor {
                 break;
             };
             let request_id = frame.header.request_id;
-            let message = match frame.message() {
+            let message = match frame.into_message() {
                 Ok(message) => message,
                 Err(err) => {
                     self.shared.stats.protocol_error();
@@ -687,9 +708,9 @@ impl Reactor {
                     continue;
                 }
             };
-            let work = match message {
-                Message::Segment { image } => Work::Segment(image),
-                Message::SegmentDelta { image } => Work::Delta(image),
+            let (image, work) = match message {
+                Message::Segment { image } => (image, Work::Segment),
+                Message::SegmentDelta { image } => (image, Work::Delta),
                 Message::SegmentCached { image, bypass } => {
                     // The whole-frame lookup runs here, on the reactor: a
                     // hit is answered without a worker, an admission slot or
@@ -708,19 +729,18 @@ impl Reactor {
                                 started.elapsed(),
                                 &conn.pixels,
                             );
-                            let reply = Message::SegmentCachedReply {
-                                labels,
-                                cached: true,
-                            };
-                            queue_reply(conn, request_id, reply);
+                            self.shared.pixel_arena.recycle(image);
+                            queue_reply(conn, request_id, LabelReply::cached(labels, true));
                             continue;
                         }
-                        Some(CacheLookup::Miss(key)) => Work::Miss {
+                        Some(CacheLookup::Miss(key)) => (
                             image,
-                            key,
-                            lookup: started.elapsed(),
-                        },
-                        None => Work::Cached { image, bypass },
+                            Work::Miss {
+                                key,
+                                lookup: started.elapsed(),
+                            },
+                        ),
+                        None => (image, Work::Cached { bypass }),
                     }
                 }
                 Message::Ping => {
@@ -773,6 +793,7 @@ impl Reactor {
             if max_queue != 0 && queued >= max_queue {
                 self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
                 self.shared.stats.busy_rejection();
+                self.shared.pixel_arena.recycle(image);
                 let _ = conn.encoder.enqueue(request_id, &Message::Busy);
                 continue;
             }
@@ -781,13 +802,15 @@ impl Reactor {
                 conn: idx,
                 gen,
                 request_id,
+                image,
                 work,
                 pixels: Arc::clone(&conn.pixels),
             };
             conn.inflight = true;
-            if self.job_tx.send(job).is_err() {
+            if let Err(unsent) = self.job_tx.send(job) {
                 // Workers are gone (teardown race); nothing can answer.
                 self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
+                self.shared.pixel_arena.recycle(unsent.0.image);
                 conn.inflight = false;
                 conn.closing = true;
             }
@@ -798,43 +821,28 @@ impl Reactor {
 /// Executes one dispatched segment request against the shared pipeline and
 /// returns the reply, recorded but not encoded: the reactor writes its
 /// labels straight from their buffer.
-fn execute_job(shared: &Shared, work: Work, pixels: &AtomicU64) -> Message {
+fn execute_job(shared: &Shared, image: &RgbImage, work: Work, pixels: &AtomicU64) -> LabelReply {
     let started = Instant::now();
-    let labelled = match &work {
-        Work::Segment(image)
-        | Work::Cached { image, .. }
-        | Work::Miss { image, .. }
-        | Work::Delta(image) => image.len(),
-    };
     // The share of the pipeline call a reactor already ran (a miss's key
     // and lookup).
     let mut earlier = Duration::ZERO;
     let reply = match work {
-        Work::Segment(image) => Message::SegmentReply {
-            labels: shared.pipeline.segment_request(&image),
-        },
-        Work::Cached { image, bypass } => {
-            let (labels, cached) = shared.pipeline.segment_request_cached(&image, bypass);
-            Message::SegmentCachedReply { labels, cached }
+        Work::Segment => LabelReply::segment(Arc::new(shared.pipeline.segment_request(image))),
+        Work::Cached { bypass } => {
+            let (labels, cached) = shared.pipeline.segment_request_cached(image, bypass);
+            LabelReply::cached(Arc::new(labels), cached)
         }
-        Work::Miss { image, key, lookup } => {
+        Work::Miss { key, lookup } => {
             earlier = lookup;
-            Message::SegmentCachedReply {
-                labels: shared.pipeline.segment_miss(&image, key),
-                cached: false,
-            }
+            LabelReply::cached(shared.pipeline.segment_miss(image, key), false)
         }
-        Work::Delta(image) => {
+        Work::Delta => {
             let (labels, tiles_hit, tiles_recomputed) =
-                shared.pipeline.segment_request_delta(&image);
-            Message::SegmentDeltaReply {
-                labels,
-                tiles_hit,
-                tiles_recomputed,
-            }
+                shared.pipeline.segment_request_delta(image);
+            LabelReply::delta(Arc::new(labels), tiles_hit, tiles_recomputed)
         }
     };
-    record_reply(shared, labelled, earlier + started.elapsed(), pixels);
+    record_reply(shared, image.len(), earlier + started.elapsed(), pixels);
     reply
 }
 
@@ -867,7 +875,8 @@ fn worker_loop(
         // The job left the queue and is now executing: release its admission
         // slot so the gauge tracks waiting work, not in-flight work.
         shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-        let reply = execute_job(&shared, job.work, &job.pixels);
+        let reply = execute_job(&shared, &job.image, job.work, &job.pixels);
+        shared.pixel_arena.recycle(job.image);
         reactors[job.reactor].push_completion(Completion {
             conn: job.conn,
             gen: job.gen,

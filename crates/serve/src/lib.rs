@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 //! `iqft-serve` — a TCP segmentation service on top of the warm pipeline.
 //!
 //! Everything the earlier layers earned — the split-table fast path, the
@@ -23,9 +24,10 @@
 //!   bounded worker pool, so a thousand-plus pipelined connections cost
 //!   buffers, not threads.  On top sit an opt-in content-addressed result
 //!   cache ([`ServerConfig::cache`]) answering repeated `SegmentCached`
-//!   requests with a memcpy, per-connection and aggregate [`stats::ServerStats`],
-//!   per-frame read deadlines ([`ServerConfig::frame_deadline`]) and
-//!   graceful drain-then-stop shutdown (in-flight requests are answered).
+//!   requests from the cached label buffer itself, per-connection and
+//!   aggregate [`stats::ServerStats`], per-frame read deadlines
+//!   ([`ServerConfig::frame_deadline`]) and graceful drain-then-stop
+//!   shutdown (in-flight requests are answered).
 //!   Serving is unix-only; the client side and [`protocol`] are portable.
 //! * [`Client`] — the synchronous request/response side, built from a
 //!   [`ClientConfig`] (endpoints, pipeline depth, deadlines): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up

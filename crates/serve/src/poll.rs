@@ -9,8 +9,12 @@
 //! trip the default soft descriptor limit.  Everything is `cfg(unix)`; on
 //! other platforms there is no serving core, and `Server::bind` fails with
 //! `io::ErrorKind::Unsupported`.
+//!
+//! This is the crate's one foreign-function module, and the only one where
+//! `unsafe` is allowed.
 
 #![cfg(unix)]
+#![allow(unsafe_code)]
 
 use std::io;
 use std::os::unix::io::RawFd;

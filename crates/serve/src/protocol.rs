@@ -75,22 +75,29 @@
 //!
 //! # One copy per segment frame
 //!
-//! Each segment frame crosses each end of the wire with one copy, between
-//! the socket and the buffer the frame describes; the bytes are the same as
-//! [`encode_message`]'s.  A request goes out through a [`RequestWriter`]: a
-//! head of at most 32 bytes built on the stack, then the image's own bytes,
-//! in one vectored write.  [`read_message`] reads a reply's labels straight
-//! into the buffer the returned [`LabelMap`] owns, after judging its fixed
-//! prefix.  [`FrameEncoder::enqueue_reply`] queues a reply's label buffer
-//! itself behind a head of at most 40 bytes, and hands the buffer back once
-//! its last byte is written.  Labels are converted in place with
-//! `to_le`/`from_le`, a no-op on little-endian targets.  The allocating
-//! encoders ([`encode_message`], [`encode_segment`] and its `_cached` and
-//! `_delta` twins) and [`decode_body`] remain the byte-exact reference.
+//! Each segment frame crosses each end of the wire with one copy in user
+//! space, into or out of the buffer the frame describes; the bytes are the
+//! same as [`encode_message`]'s.  A request goes out through a
+//! [`RequestWriter`]: a head of at most 32 bytes built on the stack, then
+//! the image's own bytes, in one vectored write.  On the daemon's side the
+//! [`FrameDecoder`] judges the request's fixed prefix with the checks
+//! [`decode_body`] runs, then copies each chunk the reactor reads straight
+//! into the pixels of the image the request will carry, a warm buffer from
+//! the daemon's pixel arena.  [`FrameEncoder::enqueue_reply`] queues a
+//! reply's label buffer itself behind a head of at most 40 bytes — the
+//! buffer a cached reply shares with the result cache — and hands it back
+//! once its last byte is written.  [`read_message`] reads a reply's labels
+//! straight into the buffer the returned [`LabelMap`] owns, after judging
+//! its fixed prefix.  Labels go out as they are on little-endian targets (a
+//! big-endian daemon writes a little-endian copy) and are converted in
+//! place with `from_le` on the way in.  The allocating encoders
+//! ([`encode_message`], [`encode_segment`] and its `_cached` and `_delta`
+//! twins) and [`decode_body`] remain the byte-exact reference.
 
 use imaging::{labels_as_bytes, labels_as_bytes_mut, LabelMap, Rgb, RgbImage};
 use std::collections::VecDeque;
 use std::io::{self, IoSlice, Read, Write};
+use std::sync::Arc;
 
 /// Frame magic: the first four bytes of every frame.
 pub(crate) const MAGIC: [u8; 4] = *b"IQFT";
@@ -295,12 +302,12 @@ impl Message {
         }
     }
 
-    /// A segment reply's labels; `None` for every other message.
-    pub(crate) fn into_labels(self) -> Option<LabelMap> {
+    /// A segment request's image; `None` for every other message.
+    pub(crate) fn into_image(self) -> Option<RgbImage> {
         match self {
-            Message::SegmentReply { labels }
-            | Message::SegmentCachedReply { labels, .. }
-            | Message::SegmentDeltaReply { labels, .. } => Some(labels),
+            Message::Segment { image }
+            | Message::SegmentCached { image, .. }
+            | Message::SegmentDelta { image } => Some(image),
             _ => None,
         }
     }
@@ -445,20 +452,6 @@ fn checked_pixels(width: usize, height: usize) -> Result<usize, ProtocolError> {
         .ok_or(ProtocolError::BadDimensions { width, height })
 }
 
-fn read_dims(op: Op, payload: &[u8]) -> Result<(usize, usize, usize), ProtocolError> {
-    if payload.len() < 8 {
-        return Err(ProtocolError::BadLength {
-            op,
-            expected: None,
-            got: payload.len(),
-        });
-    }
-    let width = u32::from_le_bytes(payload[0..4].try_into().expect("4-byte slice")) as usize;
-    let height = u32::from_le_bytes(payload[4..8].try_into().expect("4-byte slice")) as usize;
-    let pixels = checked_pixels(width, height)?;
-    Ok((width, height, pixels))
-}
-
 fn expect_len(op: Op, payload: &[u8], expected: usize) -> Result<(), ProtocolError> {
     if payload.len() != expected {
         return Err(ProtocolError::BadLength {
@@ -470,38 +463,10 @@ fn expect_len(op: Op, payload: &[u8], expected: usize) -> Result<(), ProtocolErr
     Ok(())
 }
 
-/// Splits a leading `flags: u32` word off a v2 payload and rejects any bits
-/// outside `allowed` — undefined flags are a protocol error, not silently
-/// ignored, so a future flag cannot be half-understood.
-fn read_flags(op: Op, payload: &[u8], allowed: u32) -> Result<(u32, &[u8]), ProtocolError> {
-    if payload.len() < 4 {
-        return Err(ProtocolError::BadLength {
-            op,
-            expected: None,
-            got: payload.len(),
-        });
-    }
-    let flags = u32::from_le_bytes(payload[0..4].try_into().expect("4-byte slice"));
-    if flags & !allowed != 0 {
-        return Err(ProtocolError::BadFlags { op, flags });
-    }
-    Ok((flags, &payload[4..]))
-}
-
-/// Decodes the `width, height, pixels…` image layout shared by the segment
-/// request ops.
-fn decode_image(op: Op, payload: &[u8]) -> Result<RgbImage, ProtocolError> {
-    let (width, height, pixels) = read_dims(op, payload)?;
-    expect_len(op, payload, 8 + pixels * 3)?;
-    let mut data = vec![Rgb::BLACK; pixels];
-    Rgb::slice_as_bytes_mut(&mut data).copy_from_slice(&payload[8..]);
-    RgbImage::from_vec(width, height, data)
-        .map_err(|_| ProtocolError::BadDimensions { width, height })
-}
-
-/// The validated fixed prefix of a segment reply: everything in front of
-/// its labels.
-struct ReplyHead {
+/// The validated fixed prefix of a segment payload, request or reply:
+/// everything in front of its pixels or labels.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SegmentPrefix {
     op: Op,
     /// The words in front of the dimensions: the flags word, then the delta
     /// reply's two tile counters (zero where the op has none).
@@ -511,23 +476,38 @@ struct ReplyHead {
     pixels: usize,
 }
 
-impl ReplyHead {
-    /// Bytes in front of the labels of a reply with this op.
-    fn prefix_len(op: Op) -> usize {
+impl SegmentPrefix {
+    /// The layout of segment op `op`'s payload: how many words precede the
+    /// dimensions, the flag bits the first of them may carry, and the bytes
+    /// per pixel after the dimensions.
+    fn layout(op: Op) -> (usize, u32, usize) {
         match op {
-            Op::SegmentCachedReply => 12,
-            Op::SegmentDeltaReply => 20,
-            _ => 8,
+            Op::Segment => (0, 0, 3),
+            // The cached ops define bit 0; the delta ops no flag yet.
+            Op::SegmentCached => (1, FLAG_BYPASS_CACHE, 3),
+            Op::SegmentDelta => (1, 0, 3),
+            Op::SegmentReply => (0, 0, 4),
+            Op::SegmentCachedReply => (1, FLAG_CACHE_HIT, 4),
+            Op::SegmentDeltaReply => (3, 0, 4),
+            other => unreachable!("{other:?} carries no pixels or labels"),
         }
     }
 
-    /// Validates the prefix of a segment reply whose payload is
-    /// `payload_len` bytes, given at least its first
-    /// `min(payload_len, ReplyHead::prefix_len(op))` bytes: flags, then tile
+    /// Bytes in front of the pixels or labels of a payload with this op.
+    fn len(op: Op) -> usize {
+        4 * Self::layout(op).0 + 8
+    }
+
+    /// Validates the prefix of a segment payload that is `payload_len`
+    /// bytes long, given at least its first
+    /// `min(payload_len, SegmentPrefix::len(op))` bytes: flags, then tile
     /// counters, then dimensions against [`MAX_PIXELS`], then the exact
-    /// payload length.  Both [`decode_body`] and [`read_message`] judge a
-    /// reply here, so they fail with the same typed error.
-    fn parse(op: Op, prefix: &[u8], payload_len: usize) -> Result<ReplyHead, ProtocolError> {
+    /// payload length.  Undefined flag bits are an error, never ignored, so
+    /// a future flag cannot be half-understood.  [`decode_body`],
+    /// [`read_message`] and [`FrameDecoder`] all judge a prefix here, so
+    /// they fail with the same typed error.
+    fn parse(op: Op, prefix: &[u8], payload_len: usize) -> Result<SegmentPrefix, ProtocolError> {
+        let (word_count, allowed, bytes_per_pixel) = Self::layout(op);
         let word = |at: usize| u32::from_le_bytes(prefix[at..at + 4].try_into().expect("4 bytes"));
         let short = |got| ProtocolError::BadLength {
             op,
@@ -535,17 +515,10 @@ impl ReplyHead {
             got,
         };
         let mut words = [0u32; 3];
-        let mut at = 0;
-        if op != Op::SegmentReply {
+        if word_count > 0 {
             if payload_len < 4 {
                 return Err(short(payload_len));
             }
-            // The cached reply defines bit 0; the delta reply no flag yet.
-            let allowed = if op == Op::SegmentCachedReply {
-                FLAG_CACHE_HIT
-            } else {
-                0
-            };
             words[0] = word(0);
             if words[0] & !allowed != 0 {
                 return Err(ProtocolError::BadFlags {
@@ -553,31 +526,29 @@ impl ReplyHead {
                     flags: words[0],
                 });
             }
-            at = 4;
-        }
-        if op == Op::SegmentDeltaReply {
-            if payload_len < 12 {
+            if payload_len < 4 * word_count {
                 return Err(short(payload_len));
             }
-            words[1] = word(4);
-            words[2] = word(8);
-            at = 12;
+            for (at, slot) in words.iter_mut().enumerate().take(word_count).skip(1) {
+                *slot = word(4 * at);
+            }
         }
-        // From here on lengths count from the dimensions, as for a request.
+        // From here on lengths count from the dimensions, for every op.
+        let at = 4 * word_count;
         let rest = payload_len - at;
         if rest < 8 {
             return Err(short(rest));
         }
         let (width, height) = (word(at) as usize, word(at + 4) as usize);
         let pixels = checked_pixels(width, height)?;
-        if rest != 8 + 4 * pixels {
+        if rest != 8 + bytes_per_pixel * pixels {
             return Err(ProtocolError::BadLength {
                 op,
-                expected: Some(8 + 4 * pixels),
+                expected: Some(8 + bytes_per_pixel * pixels),
                 got: rest,
             });
         }
-        Ok(ReplyHead {
+        Ok(SegmentPrefix {
             op,
             words,
             width,
@@ -586,9 +557,23 @@ impl ReplyHead {
         })
     }
 
+    /// The request message, given its pixels (exactly `self.pixels`).
+    fn into_request(self, pixels: Vec<Rgb<u8>>) -> Message {
+        let image = RgbImage::from_vec(self.width, self.height, pixels)
+            .expect("a request's pixel buffer holds its declared pixels");
+        match self.op {
+            Op::SegmentCached => Message::SegmentCached {
+                image,
+                bypass: self.words[0] & FLAG_BYPASS_CACHE != 0,
+            },
+            Op::SegmentDelta => Message::SegmentDelta { image },
+            _ => Message::Segment { image },
+        }
+    }
+
     /// The reply message, given its labels as they arrived: little-endian
     /// words, converted in place (a no-op on little-endian targets).
-    fn into_message(self, mut labels: Vec<u32>) -> Result<Message, ProtocolError> {
+    fn into_reply(self, mut labels: Vec<u32>) -> Result<Message, ProtocolError> {
         for label in &mut labels {
             *label = u32::from_le(*label);
         }
@@ -613,29 +598,18 @@ impl ReplyHead {
 /// Decodes a payload into a [`Message`] given its (already validated) op.
 pub fn decode_body(op: Op, payload: &[u8]) -> Result<Message, ProtocolError> {
     match op {
-        Op::Segment => Ok(Message::Segment {
-            image: decode_image(op, payload)?,
-        }),
+        Op::Segment | Op::SegmentCached | Op::SegmentDelta => {
+            let head = SegmentPrefix::parse(op, payload, payload.len())?;
+            let mut pixels = vec![Rgb::BLACK; head.pixels];
+            Rgb::slice_as_bytes_mut(&mut pixels)
+                .copy_from_slice(&payload[SegmentPrefix::len(op)..]);
+            Ok(head.into_request(pixels))
+        }
         Op::SegmentReply | Op::SegmentCachedReply | Op::SegmentDeltaReply => {
-            let head = ReplyHead::parse(op, payload, payload.len())?;
+            let head = SegmentPrefix::parse(op, payload, payload.len())?;
             let mut labels = vec![0u32; head.pixels];
-            labels_as_bytes_mut(&mut labels).copy_from_slice(&payload[ReplyHead::prefix_len(op)..]);
-            head.into_message(labels)
-        }
-        Op::SegmentCached => {
-            // The cached ops define exactly bit 0.
-            let (flags, rest) = read_flags(op, payload, FLAG_BYPASS_CACHE)?;
-            Ok(Message::SegmentCached {
-                image: decode_image(op, rest)?,
-                bypass: flags & FLAG_BYPASS_CACHE != 0,
-            })
-        }
-        Op::SegmentDelta => {
-            // The delta ops define no flags yet; the word must be zero.
-            let (_flags, rest) = read_flags(op, payload, 0)?;
-            Ok(Message::SegmentDelta {
-                image: decode_image(op, rest)?,
-            })
+            labels_as_bytes_mut(&mut labels).copy_from_slice(&payload[SegmentPrefix::len(op)..]);
+            head.into_reply(labels)
         }
         Op::StatsReply | Op::Error => {
             let text = std::str::from_utf8(payload)
@@ -849,9 +823,9 @@ pub fn read_message<R: Read>(r: &mut R) -> Result<(u64, Message), ProtocolError>
 /// The segment-reply half of [`read_message`].
 fn read_label_reply<R: Read>(r: &mut R, header: &Header) -> Result<Message, ProtocolError> {
     let mut prefix = [0u8; MAX_SEGMENT_PREFIX_BYTES];
-    let prefix = &mut prefix[..ReplyHead::prefix_len(header.op).min(header.payload_len)];
+    let prefix = &mut prefix[..SegmentPrefix::len(header.op).min(header.payload_len)];
     r.read_exact(prefix)?;
-    let head = match ReplyHead::parse(header.op, prefix, header.payload_len) {
+    let head = match SegmentPrefix::parse(header.op, prefix, header.payload_len) {
         Ok(head) => head,
         Err(err) => {
             // A truncated frame is an EOF whatever its prefix says, as it
@@ -865,7 +839,7 @@ fn read_label_reply<R: Read>(r: &mut R, header: &Header) -> Result<Message, Prot
     };
     let mut labels = vec![0u32; head.pixels];
     r.read_exact(labels_as_bytes_mut(&mut labels))?;
-    head.into_message(labels)
+    head.into_reply(labels)
 }
 
 /// A segment request written straight from the image it carries: a head of
@@ -965,41 +939,100 @@ pub fn decode_message(frame: &[u8]) -> Result<(u64, Message), ProtocolError> {
 /// frame and then stalling holds only what it sent, not what it promised.
 const INITIAL_PAYLOAD_RESERVE: usize = 64 << 10;
 
+/// The longest fixed prefix of a segment request: a flags word and the
+/// dimensions.
+const MAX_REQUEST_PREFIX_BYTES: usize = 12;
+
 /// One complete wire frame as produced by [`FrameDecoder`]: the validated
-/// header plus the raw payload bytes (exactly `header.payload_len` of them).
+/// header plus its body.
 ///
-/// The payload is *not* yet decoded into a [`Message`] — header validation
-/// and body decoding fail differently (a bad header loses framing, a bad
-/// body does not), and the split keeps the decoder allocation-free beyond
-/// the frame buffer itself.  Call [`Frame::message`] to decode the body.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A segment request arrives decoded: its prefix was judged as it arrived
+/// and its pixels were copied straight into the image, so
+/// [`Frame::into_message`] hands that image over as it is.  Every other
+/// payload is kept as raw bytes and decoded by [`Frame::message`] — header
+/// validation and body decoding fail differently (a bad header loses
+/// framing, a bad body does not).
+#[derive(Debug, Clone, PartialEq)]
 pub struct Frame {
     /// The validated frame header.
     pub header: Header,
-    /// The raw payload (`header.payload_len` bytes).
-    pub payload: Vec<u8>,
+    body: Body,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Body {
+    /// The raw payload (`header.payload_len` bytes) of a frame that is not
+    /// a segment request.
+    Payload(Vec<u8>),
+    /// A segment request whose prefix passed, with its pixels in place.
+    Request(Message),
+    /// A segment request whose prefix failed: the prefix bytes judged (the
+    /// first `len` of `prefix`), which fail the same way again.
+    Refused {
+        prefix: [u8; MAX_REQUEST_PREFIX_BYTES],
+        len: usize,
+    },
 }
 
 impl Frame {
-    /// Decodes the payload into a [`Message`] (same typed errors as
+    /// Decodes the body into a [`Message`] (same typed errors as
     /// [`decode_body`], which the blocking stream path also uses).
     pub fn message(&self) -> Result<Message, ProtocolError> {
-        decode_body(self.header.op, &self.payload)
+        self.clone().into_message()
+    }
+
+    /// [`Frame::message`], handing a segment request's image over without
+    /// a copy.
+    pub fn into_message(self) -> Result<Message, ProtocolError> {
+        let Header {
+            op, payload_len, ..
+        } = self.header;
+        match self.body {
+            Body::Payload(payload) => decode_body(op, &payload),
+            Body::Request(message) => Ok(message),
+            Body::Refused { prefix, len } => {
+                match SegmentPrefix::parse(op, &prefix[..len], payload_len) {
+                    Err(err) => Err(err),
+                    Ok(_) => unreachable!("a refused prefix fails the same checks again"),
+                }
+            }
+        }
     }
 }
 
 enum DecodeState {
     /// Accumulating the 20 header bytes.
     Header { filled: usize },
-    /// Header validated; accumulating `header.payload_len` payload bytes.
+    /// Header validated; accumulating the payload of a frame that is not a
+    /// segment request.
     Payload { header: Header },
+    /// A segment request's header validated; accumulating its fixed prefix
+    /// (the payload's first `min(payload_len, prefix length)` bytes).
+    Prefix { header: Header, filled: usize },
+    /// The prefix passed; copying pixel bytes straight into `pixels`.
+    Pixels {
+        header: Header,
+        head: SegmentPrefix,
+        pixels: Vec<Rgb<u8>>,
+        /// Pixel bytes written so far.
+        filled: usize,
+    },
+    /// The prefix failed; counting off the rest of the frame, unkept, so
+    /// the error is reported when the frame completes.
+    Skip {
+        header: Header,
+        judged: usize,
+        left: usize,
+    },
     /// A header failed validation: framing is lost and the decoder is done.
     Failed,
 }
 
 /// Sans-io incremental frame decoder: feed it byte chunks of any size and
 /// take [`Frame`]s (or one typed [`ProtocolError`]) out.  It performs no I/O
-/// and allocates nothing beyond the frame buffer currently being filled.
+/// and allocates nothing beyond the buffer of the frame being filled: the
+/// payload bytes of most frames, and for a segment request the pixels of its
+/// image.
 ///
 /// The state machine mirrors the blocking stream path exactly —
 /// [`parse_header`] runs the moment the 20th header byte arrives, and
@@ -1009,6 +1042,17 @@ enum DecodeState {
 /// lost, so every later byte is refused (`feed` consumes nothing and returns
 /// no event) and the connection should be closed, exactly as the blocking
 /// server does.
+///
+/// A segment request takes one copy: once its fixed prefix has arrived and
+/// passed the checks [`decode_body`] runs, every later byte goes straight
+/// into the pixels of the image the frame will carry.  That buffer is the
+/// caller's warm one when it offers one through [`FrameDecoder::feed_with`]
+/// (written as it is), else a cold one that starts at 64 KiB and grows
+/// geometrically with the bytes that arrive, never past the frame, so a
+/// peer that declares a 64 MiB frame and stalls holds about what it sent.
+/// A prefix that fails is reported, with [`decode_body`]'s typed error, once
+/// the rest of its frame has been counted off (and not kept), so the frames
+/// before it are still answered in order.
 ///
 /// Feeding loop (a chunk may contain many frames):
 ///
@@ -1036,6 +1080,7 @@ enum DecodeState {
 pub struct FrameDecoder {
     state: DecodeState,
     header_buf: [u8; HEADER_LEN],
+    prefix_buf: [u8; MAX_REQUEST_PREFIX_BYTES],
     payload: Vec<u8>,
     frames_started: u64,
     frames_decoded: u64,
@@ -1053,6 +1098,7 @@ impl FrameDecoder {
         FrameDecoder {
             state: DecodeState::Header { filled: 0 },
             header_buf: [0u8; HEADER_LEN],
+            prefix_buf: [0u8; MAX_REQUEST_PREFIX_BYTES],
             payload: Vec::new(),
             frames_started: 0,
             frames_decoded: 0,
@@ -1062,10 +1108,24 @@ impl FrameDecoder {
     /// Feeds one chunk.  Returns how many bytes were consumed and the event
     /// (if any) that stopped consumption; call again with the unconsumed
     /// remainder.  `(0, None)` on non-empty input means the decoder is
-    /// poisoned ([`FrameDecoder::is_failed`]).
+    /// poisoned ([`FrameDecoder::is_failed`]).  A segment request's pixels
+    /// land in a cold buffer.
     pub fn feed(&mut self, chunk: &[u8]) -> (usize, Option<Result<Frame, ProtocolError>>) {
-        match &mut self.state {
-            DecodeState::Failed => (0, None),
+        self.feed_with(chunk, Vec::new)
+    }
+
+    /// [`FrameDecoder::feed`], offering a warm pixel buffer: if this call
+    /// completes the prefix of a segment request with pixels, `warm` is
+    /// called once and the image is written into the buffer it returns.
+    /// A buffer a finished request of the same size handed back is already
+    /// full size, and is written as it is.
+    pub fn feed_with(
+        &mut self,
+        chunk: &[u8],
+        warm: impl FnOnce() -> Vec<Rgb<u8>>,
+    ) -> (usize, Option<Result<Frame, ProtocolError>>) {
+        let (consumed, frame) = match &mut self.state {
+            DecodeState::Failed => return (0, None),
             DecodeState::Header { filled } => {
                 let take = (HEADER_LEN - *filled).min(chunk.len());
                 self.header_buf[*filled..*filled + take].copy_from_slice(&chunk[..take]);
@@ -1081,42 +1141,144 @@ impl FrameDecoder {
                 match parse_header(&self.header_buf) {
                     Err(err) => {
                         self.state = DecodeState::Failed;
-                        (take, Some(Err(err)))
+                        return (take, Some(Err(err)));
                     }
-                    Ok(header) if header.payload_len == 0 => {
-                        self.frames_decoded += 1;
-                        self.state = DecodeState::Header { filled: 0 };
-                        (
-                            take,
-                            Some(Ok(Frame {
-                                header,
-                                payload: Vec::new(),
-                            })),
-                        )
-                    }
-                    Ok(header) => {
-                        self.payload =
-                            Vec::with_capacity(header.payload_len.min(INITIAL_PAYLOAD_RESERVE));
-                        self.state = DecodeState::Payload { header };
-                        (take, None)
-                    }
+                    Ok(header) => (take, self.begin(header, warm)),
                 }
             }
             DecodeState::Payload { header } => {
-                let need = header.payload_len - self.payload.len();
-                let take = need.min(chunk.len());
+                let header = *header;
+                let take = (header.payload_len - self.payload.len()).min(chunk.len());
                 self.payload.extend_from_slice(&chunk[..take]);
-                if self.payload.len() < header.payload_len {
-                    return (take, None);
-                }
-                let frame = Frame {
-                    header: *header,
-                    payload: std::mem::take(&mut self.payload),
+                let done = self.payload.len() == header.payload_len;
+                let frame = done.then(|| Frame {
+                    header,
+                    body: Body::Payload(std::mem::take(&mut self.payload)),
+                });
+                (take, frame)
+            }
+            DecodeState::Prefix { header, filled } => {
+                let header = *header;
+                let want = SegmentPrefix::len(header.op).min(header.payload_len);
+                let take = (want - *filled).min(chunk.len());
+                self.prefix_buf[*filled..*filled + take].copy_from_slice(&chunk[..take]);
+                *filled += take;
+                let frame = if *filled == want {
+                    self.judge(header, warm)
+                } else {
+                    None
                 };
+                (take, frame)
+            }
+            DecodeState::Pixels {
+                header,
+                head,
+                pixels,
+                filled,
+            } => {
+                let total = 3 * head.pixels;
+                let take = (total - *filled).min(chunk.len());
+                fill_pixels(pixels, head.pixels, *filled, &chunk[..take]);
+                *filled += take;
+                let frame = (*filled == total).then(|| Frame {
+                    header: *header,
+                    body: Body::Request(head.into_request(std::mem::take(pixels))),
+                });
+                (take, frame)
+            }
+            DecodeState::Skip {
+                header,
+                judged,
+                left,
+            } => {
+                let take = (*left).min(chunk.len());
+                *left -= take;
+                let frame = if *left == 0 {
+                    let (header, judged) = (*header, *judged);
+                    Some(self.refused(header, judged))
+                } else {
+                    None
+                };
+                (take, frame)
+            }
+        };
+        match frame {
+            Some(frame) => {
                 self.frames_decoded += 1;
                 self.state = DecodeState::Header { filled: 0 };
-                (take, Some(Ok(frame)))
+                (consumed, Some(Ok(frame)))
             }
+            None => (consumed, None),
+        }
+    }
+
+    /// Starts the payload of a frame whose header passed; returns the frame
+    /// if it is already complete.
+    fn begin(&mut self, header: Header, warm: impl FnOnce() -> Vec<Rgb<u8>>) -> Option<Frame> {
+        if matches!(
+            header.op,
+            Op::Segment | Op::SegmentCached | Op::SegmentDelta
+        ) {
+            self.state = DecodeState::Prefix { header, filled: 0 };
+            return if header.payload_len == 0 {
+                self.judge(header, warm)
+            } else {
+                None
+            };
+        }
+        if header.payload_len == 0 {
+            return Some(Frame {
+                header,
+                body: Body::Payload(Vec::new()),
+            });
+        }
+        self.payload = Vec::with_capacity(header.payload_len.min(INITIAL_PAYLOAD_RESERVE));
+        self.state = DecodeState::Payload { header };
+        None
+    }
+
+    /// Judges a segment request's prefix, now in `prefix_buf`; returns the
+    /// frame if it is already complete (a zero-area image, or a failed
+    /// prefix with no bytes behind it).
+    fn judge(&mut self, header: Header, warm: impl FnOnce() -> Vec<Rgb<u8>>) -> Option<Frame> {
+        let judged = SegmentPrefix::len(header.op).min(header.payload_len);
+        match SegmentPrefix::parse(header.op, &self.prefix_buf[..judged], header.payload_len) {
+            Err(_) if judged == header.payload_len => Some(self.refused(header, judged)),
+            Err(_) => {
+                self.state = DecodeState::Skip {
+                    header,
+                    judged,
+                    left: header.payload_len - judged,
+                };
+                None
+            }
+            Ok(head) if head.pixels == 0 => Some(Frame {
+                header,
+                body: Body::Request(head.into_request(Vec::new())),
+            }),
+            Ok(head) => {
+                let mut pixels = warm();
+                pixels.truncate(head.pixels);
+                self.state = DecodeState::Pixels {
+                    header,
+                    head,
+                    pixels,
+                    filled: 0,
+                };
+                None
+            }
+        }
+    }
+
+    /// The frame of a segment request whose prefix, the first `judged`
+    /// bytes of `prefix_buf`, failed.
+    fn refused(&self, header: Header, judged: usize) -> Frame {
+        Frame {
+            header,
+            body: Body::Refused {
+                prefix: self.prefix_buf,
+                len: judged,
+            },
         }
     }
 
@@ -1131,19 +1293,46 @@ impl FrameDecoder {
     pub fn mid_frame(&self) -> bool {
         match self.state {
             DecodeState::Header { filled } => filled > 0,
-            DecodeState::Payload { .. } => true,
             DecodeState::Failed => false,
+            _ => true,
         }
     }
 
-    /// Bytes currently buffered for the in-progress frame.  Bounded by
+    /// Bytes currently buffered for the in-progress frame: what arrived of
+    /// it, less the unkept rest of a refused request.  Bounded by
     /// [`HEADER_LEN`] + [`MAX_PAYLOAD_BYTES`] by construction.
     pub fn buffered_bytes(&self) -> usize {
-        let header = match self.state {
-            DecodeState::Header { filled } => filled,
-            _ => HEADER_LEN,
+        match &self.state {
+            DecodeState::Header { filled } => *filled,
+            DecodeState::Payload { .. } => HEADER_LEN + self.payload.len(),
+            DecodeState::Prefix { filled, .. } => HEADER_LEN + filled,
+            DecodeState::Pixels { head, filled, .. } => {
+                HEADER_LEN + SegmentPrefix::len(head.op) + filled
+            }
+            DecodeState::Skip { judged, .. } => HEADER_LEN + judged,
+            DecodeState::Failed => HEADER_LEN,
+        }
+    }
+
+    /// Bytes of buffer the decoder holds for the in-progress frame: the
+    /// capacity of its payload or pixel buffer.  A cold buffer holds at
+    /// most 64 KiB plus twice the bytes that arrived.
+    pub fn reserved_bytes(&self) -> usize {
+        let pixels = match &self.state {
+            DecodeState::Pixels { pixels, .. } => 3 * pixels.capacity(),
+            _ => 0,
         };
-        header + self.payload.len()
+        self.payload.capacity() + pixels
+    }
+
+    /// Hands back the pixel buffer of a segment request still arriving, as
+    /// when the connection closes, for the caller to reuse.  The decoder
+    /// is spent afterwards: it refuses further input.
+    pub(crate) fn abandon(&mut self) -> Option<Vec<Rgb<u8>>> {
+        match std::mem::replace(&mut self.state, DecodeState::Failed) {
+            DecodeState::Pixels { pixels, .. } => Some(pixels),
+            _ => None,
+        }
     }
 
     /// Frames whose 20-byte header has fully arrived (valid or not).  This
@@ -1171,6 +1360,24 @@ impl FrameDecoder {
     }
 }
 
+/// Copies `bytes` into `pixels` at byte offset `filled` of an image of
+/// `total` pixels.  A buffer too short for them grows — to at least twice
+/// its length and 64 KiB, never past `total` — and only what it grows into
+/// is zero-filled; a buffer already long enough is written as it is.
+fn fill_pixels(pixels: &mut Vec<Rgb<u8>>, total: usize, filled: usize, bytes: &[u8]) {
+    let end = filled + bytes.len();
+    let needed = end.div_ceil(3);
+    if pixels.len() < needed {
+        let grown = needed
+            .max(2 * pixels.len())
+            .max(INITIAL_PAYLOAD_RESERVE / 3)
+            .min(total);
+        pixels.reserve_exact(grown - pixels.len());
+        pixels.resize(grown, Rgb::BLACK);
+    }
+    Rgb::slice_as_bytes_mut(pixels)[filled..end].copy_from_slice(bytes);
+}
+
 impl std::fmt::Debug for FrameDecoder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FrameDecoder")
@@ -1186,6 +1393,53 @@ impl std::fmt::Debug for FrameDecoder {
 /// How many queued chunks one [`FrameEncoder::write_to`] gathers.
 const MAX_WRITE_SLICES: usize = 16;
 
+/// A segment reply on its way to a [`FrameEncoder`]: its labels, which may
+/// be shared with the result cache, and the words its op puts in front of
+/// them.
+#[derive(Debug)]
+pub(crate) struct LabelReply {
+    op: Op,
+    /// The flags word and the delta reply's tile counters; the op's layout
+    /// says how many of them go on the wire.
+    words: [u32; 3],
+    labels: Arc<LabelMap>,
+}
+
+impl LabelReply {
+    /// A [`Message::SegmentReply`].
+    pub(crate) fn segment(labels: Arc<LabelMap>) -> Self {
+        LabelReply {
+            op: Op::SegmentReply,
+            words: [0; 3],
+            labels,
+        }
+    }
+
+    /// A [`Message::SegmentCachedReply`].
+    pub(crate) fn cached(labels: Arc<LabelMap>, hit: bool) -> Self {
+        let flags = if hit { FLAG_CACHE_HIT } else { 0 };
+        LabelReply {
+            op: Op::SegmentCachedReply,
+            words: [flags, 0, 0],
+            labels,
+        }
+    }
+
+    /// A [`Message::SegmentDeltaReply`].
+    pub(crate) fn delta(labels: Arc<LabelMap>, tiles_hit: u32, tiles_recomputed: u32) -> Self {
+        LabelReply {
+            op: Op::SegmentDeltaReply,
+            words: [0, tiles_hit, tiles_recomputed],
+            labels,
+        }
+    }
+
+    /// The labels, for a caller that will not send the reply.
+    pub(crate) fn into_labels(self) -> Arc<LabelMap> {
+        self.labels
+    }
+}
+
 /// Sans-io mirror of [`FrameDecoder`] for the write side: enqueue reply
 /// frames, hand [`FrameEncoder::pending`] to whatever transport is ready to
 /// write, and report progress back with [`FrameEncoder::advance`] (or let
@@ -1194,11 +1448,12 @@ const MAX_WRITE_SLICES: usize = 16;
 ///
 /// A segment reply queued with [`FrameEncoder::enqueue_reply`] is never
 /// encoded into a frame buffer: the encoder queues its head (at most 40
-/// bytes) and then the label buffer itself, converted in place to the
-/// wire's little-endian order, and once the buffer's last byte is written
-/// it comes back through [`FrameEncoder::take_written`] for reuse.
-/// Encoded frames queued back to back form one contiguous run, so
-/// [`FrameEncoder::pending`] is everything queued until a label buffer is.
+/// bytes) and then the label buffer itself, shared and unchanged (on
+/// big-endian hosts, a copy in the wire's little-endian order), and once
+/// the buffer's last byte is written it comes back through
+/// [`FrameEncoder::take_written`].  Encoded frames queued back to back form
+/// one contiguous run, so [`FrameEncoder::pending`] is everything queued
+/// until a label buffer is.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     /// Unsent bytes in wire order.
@@ -1208,22 +1463,52 @@ pub struct FrameEncoder {
     /// Unsent bytes across all chunks.
     len: usize,
     /// Label buffers whose last byte has been written.
-    written: Vec<LabelMap>,
+    written: Vec<Arc<LabelMap>>,
 }
 
 #[derive(Debug)]
 enum Chunk {
     /// Encoded bytes: whole frames and the heads of label replies.
     Bytes(Vec<u8>),
-    /// A segment reply's labels, already in wire order.
-    Labels(LabelMap),
+    /// A segment reply's labels.
+    Labels(QueuedLabels),
+}
+
+/// A queued reply's labels, as they go on the wire.
+#[derive(Debug)]
+struct QueuedLabels {
+    labels: Arc<LabelMap>,
+    /// The labels in little-endian order.
+    #[cfg(target_endian = "big")]
+    wire: Vec<u32>,
+}
+
+impl QueuedLabels {
+    fn new(labels: Arc<LabelMap>) -> Self {
+        QueuedLabels {
+            #[cfg(target_endian = "big")]
+            wire: labels
+                .as_slice()
+                .iter()
+                .map(|label| label.to_le())
+                .collect(),
+            labels,
+        }
+    }
+
+    fn bytes(&self) -> &[u8] {
+        #[cfg(target_endian = "big")]
+        return labels_as_bytes(&self.wire);
+        #[cfg(target_endian = "little")]
+        labels_as_bytes(self.labels.as_slice())
+    }
 }
 
 impl Chunk {
     fn bytes(&self) -> &[u8] {
         match self {
             Chunk::Bytes(bytes) => bytes,
-            Chunk::Labels(labels) => labels_as_bytes(labels.as_slice()),
+            Chunk::Labels(labels) => labels.bytes(),
         }
     }
 }
@@ -1256,35 +1541,46 @@ impl FrameEncoder {
     /// [`FrameEncoder::enqueue`] does.  The bytes written are exactly
     /// [`encode_message`]'s either way.
     pub fn enqueue_reply(&mut self, request_id: u64, reply: Message) -> Result<(), ProtocolError> {
-        let head = |op, prefix: &[u32], labels: &LabelMap| {
-            SegmentHead::new(request_id, op, prefix, labels.dimensions(), 4)
-        };
-        let (head, mut labels) = match reply {
-            Message::SegmentReply { labels } => (head(Op::SegmentReply, &[], &labels), labels),
+        let reply = match reply {
+            Message::SegmentReply { labels } => LabelReply::segment(Arc::new(labels)),
             Message::SegmentCachedReply { labels, cached } => {
-                let flags = if cached { FLAG_CACHE_HIT } else { 0 };
-                (head(Op::SegmentCachedReply, &[flags], &labels), labels)
+                LabelReply::cached(Arc::new(labels), cached)
             }
             Message::SegmentDeltaReply {
                 labels,
                 tiles_hit,
                 tiles_recomputed,
-            } => {
-                let prefix = [0, tiles_hit, tiles_recomputed];
-                (head(Op::SegmentDeltaReply, &prefix, &labels), labels)
-            }
+            } => LabelReply::delta(Arc::new(labels), tiles_hit, tiles_recomputed),
             other => return self.enqueue(request_id, &other),
         };
-        self.enqueue_frame(head?.as_bytes().to_vec());
+        self.enqueue_labels(request_id, reply)
+    }
+
+    /// Queues a segment reply's head, then its label buffer as it is.  The
+    /// buffer comes back through [`FrameEncoder::take_written`] once its
+    /// last byte is written — at once if it is empty, or if the head is
+    /// refused.
+    pub(crate) fn enqueue_labels(
+        &mut self,
+        request_id: u64,
+        reply: LabelReply,
+    ) -> Result<(), ProtocolError> {
+        let LabelReply { op, words, labels } = reply;
+        let prefix = &words[..SegmentPrefix::layout(op).0];
+        match SegmentHead::new(request_id, op, prefix, labels.dimensions(), 4) {
+            Ok(head) => self.enqueue_frame(head.as_bytes().to_vec()),
+            Err(err) => {
+                self.written.push(labels);
+                return Err(err);
+            }
+        }
         if labels.is_empty() {
             self.written.push(labels);
             return Ok(());
         }
-        for label in labels.as_mut_slice() {
-            *label = label.to_le();
-        }
         self.len += 4 * labels.len();
-        self.chunks.push_back(Chunk::Labels(labels));
+        self.chunks
+            .push_back(Chunk::Labels(QueuedLabels::new(labels)));
         Ok(())
     }
 
@@ -1322,8 +1618,8 @@ impl FrameEncoder {
             }
             n -= left;
             self.cursor = 0;
-            if let Some(Chunk::Labels(labels)) = self.chunks.pop_front() {
-                self.written.push(labels);
+            if let Some(Chunk::Labels(queued)) = self.chunks.pop_front() {
+                self.written.push(queued.labels);
             }
         }
     }
@@ -1344,19 +1640,19 @@ impl FrameEncoder {
     }
 
     /// The label buffers written in full since the last call, each handed
-    /// back exactly once, for the caller to reuse.
-    pub fn take_written(&mut self) -> impl Iterator<Item = LabelMap> + '_ {
+    /// back exactly once, for the caller to release.
+    pub fn take_written(&mut self) -> impl Iterator<Item = Arc<LabelMap>> + '_ {
         self.written.drain(..)
     }
 
     /// Drops everything still queued, as when the connection closes, and
     /// hands back every label buffer not handed back yet: the written ones
     /// and the unsent ones alike.  The encoder is empty afterwards.
-    pub fn abandon(&mut self) -> impl Iterator<Item = LabelMap> + '_ {
+    pub fn abandon(&mut self) -> impl Iterator<Item = Arc<LabelMap>> + '_ {
         self.cursor = 0;
         self.len = 0;
         let unsent = self.chunks.drain(..).filter_map(|chunk| match chunk {
-            Chunk::Labels(labels) => Some(labels),
+            Chunk::Labels(queued) => Some(queued.labels),
             Chunk::Bytes(_) => None,
         });
         self.written.drain(..).chain(unsent)

@@ -28,13 +28,13 @@
 #[cfg(unix)]
 use crate::evented::spawn as spawn_core;
 use crate::stats::{ServerStats, StatsSnapshot};
-use iqft_pipeline::{CacheConfig, SegmentPipeline, SnapshotError, SnapshotStats};
+use iqft_pipeline::{CacheConfig, PixelArena, SegmentPipeline, SnapshotError, SnapshotStats};
 use iqft_seg::IqftClassifier;
 use seg_engine::SegmentPlan;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -166,17 +166,29 @@ impl Default for ServerConfig {
 }
 
 /// State shared by the reactor and worker threads.
+///
+/// Every field that each request writes — the statistics block, the
+/// admission gauge, the pixel arena and the pipeline's label arena — sits
+/// on cache lines of its own, apart from the fields every request only
+/// reads (`max_queue`, `frame_deadline`, `shutting_down`, the pipeline's
+/// cache and classifier).  Left to the compiler, a written field can share
+/// a line with them, and every write then bounces that line between the
+/// reactor and worker cores: where the compiler placed the label arena
+/// once cost the loopback benchmark's cache-hit throughput about a tenth.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) pipeline: SegmentPipeline<IqftClassifier>,
     plan: SegmentPlan,
     pub(crate) stats: ServerStats,
+    /// The pixel buffers of decoded segment requests, recycled across
+    /// requests and connections.
+    pub(crate) pixel_arena: PixelArena,
     pub(crate) max_inflight: usize,
     /// Admission limit (0 = unbounded queueing).
     pub(crate) max_queue: usize,
     /// Segment jobs dispatched to the worker pool but not yet picked up —
     /// the admission gauge.
-    pub(crate) queued_jobs: std::sync::atomic::AtomicUsize,
+    pub(crate) queued_jobs: QueuedJobs,
     /// Result-cache persistence path (None = no persistence).
     cache_persist: Option<PathBuf>,
     /// What the boot-time warm load brought in (zero when persistence is off,
@@ -216,6 +228,8 @@ impl Shared {
             arena_allocations: self.pipeline.arena().allocations(),
             arena_reuses: self.pipeline.arena().reuses(),
             arena_pooled: self.pipeline.arena().pooled(),
+            pixel_arena_allocations: self.pixel_arena.allocations(),
+            pixel_arena_pooled: self.pixel_arena.pooled(),
             max_inflight: self.max_inflight,
             cache_hits: cache.hits,
             cache_misses: cache.misses,
@@ -284,6 +298,20 @@ impl Shared {
     }
 }
 
+/// The admission gauge, on a cache line of its own (see [`Shared`]): each
+/// dispatch and each pickup writes it.
+#[derive(Debug, Default)]
+#[repr(align(64))]
+pub(crate) struct QueuedJobs(AtomicUsize);
+
+impl std::ops::Deref for QueuedJobs {
+    type Target = AtomicUsize;
+
+    fn deref(&self) -> &AtomicUsize {
+        &self.0
+    }
+}
+
 /// Per-connection counters (folded into the Stats reply for that client).
 #[derive(Debug, Default)]
 pub(crate) struct ConnStats {
@@ -343,9 +371,10 @@ impl Server {
             pipeline,
             plan,
             stats: ServerStats::new(),
+            pixel_arena: PixelArena::new(),
             max_inflight,
             max_queue: config.max_queue,
-            queued_jobs: std::sync::atomic::AtomicUsize::new(0),
+            queued_jobs: QueuedJobs::default(),
             cache_persist: config.cache_persist,
             warm_loaded,
             warm_error,

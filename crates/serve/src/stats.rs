@@ -22,7 +22,12 @@ use std::time::Duration;
 /// same lock-free log-bucketed structure offline pipeline runs use, so the
 /// reactors (inline cache hits) and the workers (everything else) record
 /// per-op service time with no lock on the hot path.
+///
+/// Aligned to a cache line: both reactors and every worker write these
+/// counters on each request, so they must not share a line with the
+/// read-mostly fields around them in the daemon's shared state.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 pub struct ServerStats {
     /// Connections accepted since boot.
     connections_total: AtomicUsize,
@@ -155,10 +160,16 @@ pub struct StatsSnapshot {
     pub protocol_errors: usize,
     /// Label-buffer allocations the arena could not avoid.
     pub arena_allocations: usize,
-    /// Label-buffer takes served from the recycling pool (arena hits).
+    /// Label-buffer takes served from the recycling pool (arena hits).  A
+    /// cache hit takes none: it replies from the cache entry's own buffer.
     pub arena_reuses: usize,
     /// Buffers currently pooled in the arena.
     pub arena_pooled: usize,
+    /// Pixel-buffer allocations for decoded segment requests that the
+    /// pixel arena could not avoid.
+    pub pixel_arena_allocations: usize,
+    /// Pixel buffers currently pooled in the pixel arena.
+    pub pixel_arena_pooled: usize,
     /// Maximum concurrently-executing segment requests.
     pub max_inflight: usize,
     /// Result-cache lookups answered from the cache (0 when disabled).
@@ -259,6 +270,11 @@ impl StatsSnapshot {
         push("arena_allocations", self.arena_allocations.to_string());
         push("arena_reuses", self.arena_reuses.to_string());
         push("arena_pooled", self.arena_pooled.to_string());
+        push(
+            "pixel_arena_allocations",
+            self.pixel_arena_allocations.to_string(),
+        );
+        push("pixel_arena_pooled", self.pixel_arena_pooled.to_string());
         push("max_inflight", self.max_inflight.to_string());
         push("cache_hits", self.cache_hits.to_string());
         push("cache_misses", self.cache_misses.to_string());
@@ -343,6 +359,12 @@ impl StatsSnapshot {
                 "arena_pooled" => {
                     snapshot.arena_pooled = value.parse().map_err(|_| bad("count"))?
                 }
+                "pixel_arena_allocations" => {
+                    snapshot.pixel_arena_allocations = value.parse().map_err(|_| bad("count"))?
+                }
+                "pixel_arena_pooled" => {
+                    snapshot.pixel_arena_pooled = value.parse().map_err(|_| bad("count"))?
+                }
                 "max_inflight" => {
                     snapshot.max_inflight = value.parse().map_err(|_| bad("count"))?
                 }
@@ -412,6 +434,8 @@ mod tests {
             arena_allocations: 6,
             arena_reuses: 94,
             arena_pooled: 6,
+            pixel_arena_allocations: 2,
+            pixel_arena_pooled: 2,
             max_inflight: 4,
             cache_hits: 70,
             cache_misses: 30,

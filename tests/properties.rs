@@ -219,6 +219,8 @@ fn stats_snapshot_round_trips_through_its_wire_text() {
             arena_allocations: rng.gen_range(0usize..1 << 20),
             arena_reuses: rng.gen_range(0usize..1 << 20),
             arena_pooled: rng.gen_range(0usize..64),
+            pixel_arena_allocations: rng.gen_range(0usize..1 << 20),
+            pixel_arena_pooled: rng.gen_range(0usize..64),
             max_inflight: rng.gen_range(1usize..64),
             cache_hits: rng.gen_range(0usize..1 << 20),
             cache_misses: rng.gen_range(0usize..1 << 20),

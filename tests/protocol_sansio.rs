@@ -708,6 +708,23 @@ fn curated_malformed_frames_match_the_stream_path_errors() {
         payload.extend_from_slice(&0x0080_0000u32.to_le_bytes());
         raw_frame(0x01, id, &payload)
     };
+    // Segment request prefixes the decoder judges as they arrive, each
+    // behind a valid ping that must still be answered first.
+    let after_ping = |frame: Vec<u8>| [ping.clone(), frame].concat();
+    let delta = protocol::encode_message(
+        id,
+        &Message::SegmentDelta {
+            image: random_image(&mut rng, 5),
+        },
+    )
+    .expect("delta request");
+    let segment_payload = |width: u32, height: u32, pixel_bytes: usize| {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&width.to_le_bytes());
+        payload.extend_from_slice(&height.to_le_bytes());
+        payload.resize(8 + pixel_bytes, 0x5A);
+        payload
+    };
 
     // (name, bytes, expected error variant prefix, is_header_error)
     let corpus: Vec<(&str, Vec<u8>, &str, bool)> = vec![
@@ -745,6 +762,36 @@ fn curated_malformed_frames_match_the_stream_path_errors() {
             "bad-text",
             raw_frame(0xFF, id, &[0xFF, 0xFE, 0xFD]),
             "BadText",
+            false,
+        ),
+        (
+            "delta-request-flags",
+            after_ping(patched(&delta, HEADER_LEN, 0x01)),
+            "BadFlags",
+            false,
+        ),
+        (
+            "cached-request-shorter-than-its-prefix",
+            after_ping(raw_frame(0x05, id, &[0, 0, 0, 0, 3, 0, 0, 0, 2])),
+            "BadLength",
+            false,
+        ),
+        (
+            "segment-request-one-byte-short",
+            after_ping(raw_frame(0x01, id, &segment_payload(4, 3, 3 * 12 - 1))),
+            "BadLength",
+            false,
+        ),
+        (
+            "segment-request-one-byte-long",
+            after_ping(raw_frame(0x01, id, &segment_payload(4, 3, 3 * 12 + 1))),
+            "BadLength",
+            false,
+        ),
+        (
+            "zero-area-request-with-trailing-bytes",
+            after_ping(raw_frame(0x01, id, &segment_payload(0, 7, 2))),
+            "BadLength",
             false,
         ),
     ];
@@ -842,6 +889,115 @@ fn truncated_frames_park_mid_frame_with_bounded_buffering() {
             "cut at {cut}: request counted iff the header arrived"
         );
         assert_eq!(decoder.frames_decoded(), 0, "cut at {cut}");
+    }
+}
+
+/// A warm pixel buffer offered through `feed_with` becomes the decoded
+/// image's buffer: full size (written as it is), longer (cut to the frame)
+/// or shorter with room to spare, the image's pixels live at the address
+/// that was offered, whatever the chunking.
+#[test]
+fn a_warm_decoder_writes_into_the_very_buffer_it_was_offered() {
+    let mut rng = ChaCha8Rng::seed_from_u64(706);
+    let image = random_image(&mut rng, 40);
+    let frame = protocol::encode_segment_cached(12, &image, false).expect("encodable");
+    let pixels = image.len();
+    for shape in ["full size", "longer", "shorter with room"] {
+        for chunk in [frame.len(), 1, 3, 64] {
+            let buffer = match shape {
+                "full size" => vec![Rgb::new(9, 9, 9); pixels],
+                "longer" => vec![Rgb::new(9, 9, 9); pixels + 17],
+                _ => Vec::with_capacity(pixels),
+            };
+            let ptr = buffer.as_ptr();
+            let mut offered = Some(buffer);
+            let mut decoder = FrameDecoder::new();
+            let mut decoded = None;
+            for part in frame.chunks(chunk) {
+                let mut part = part;
+                while !part.is_empty() {
+                    let (consumed, event) = decoder.feed_with(part, || {
+                        offered.take().expect("the decoder asks for one buffer")
+                    });
+                    part = &part[consumed..];
+                    if let Some(event) = event {
+                        decoded = Some(event.expect("a valid frame"));
+                    }
+                }
+            }
+            let context = format!("{shape} warm buffer, {chunk}-byte chunks");
+            assert!(offered.is_none(), "{context}: the buffer was taken");
+            let message = decoded
+                .expect("the frame completed")
+                .into_message()
+                .expect("a valid request");
+            let Message::SegmentCached { image: got, bypass } = message else {
+                panic!("{context}: expected a SegmentCached request");
+            };
+            assert!(!bypass, "{context}");
+            assert_eq!(got, image, "{context}");
+            assert_eq!(
+                got.as_slice().as_ptr(),
+                ptr,
+                "{context}: the offered buffer"
+            );
+        }
+    }
+}
+
+/// A peer that declares a 64 MiB frame, or the largest segment request,
+/// and then stalls holds only about what it sent: a cold decoder's buffer
+/// starts at 64 KiB or less and grows with the bytes that arrive, at most
+/// to 64 KiB plus twice them — for a segment request's pixels and for any
+/// other payload alike.
+#[test]
+fn a_stalled_64_mib_declaration_holds_about_what_arrived() {
+    // 4096 x 4095 RGB pixels, just under the pixel limit, behind their
+    // dimensions: 50,319,368 bytes.
+    let (width, height) = (4096u32, 4095u32);
+    let pixel_len = 8 + 3 * width as usize * height as usize;
+    assert!(pixel_len <= MAX_PAYLOAD_BYTES);
+    let declared = |op: u8, payload_len: usize, prefix: &[u8]| {
+        let mut bytes = raw_frame(op, 3, prefix);
+        bytes[16..20].copy_from_slice(&(payload_len as u32).to_le_bytes());
+        bytes
+    };
+    let dims = [width.to_le_bytes(), height.to_le_bytes()].concat();
+    for (name, head) in [
+        ("segment request", declared(0x01, pixel_len, &dims)),
+        ("error text", declared(0xFF, MAX_PAYLOAD_BYTES, &[])),
+    ] {
+        let mut decoder = FrameDecoder::new();
+        let mut arrived = 0usize;
+        let mut feed = |decoder: &mut FrameDecoder, bytes: &[u8]| {
+            let (consumed, event) = decoder.feed(bytes);
+            assert_eq!(consumed, bytes.len(), "{name}: all of it taken");
+            assert!(event.is_none(), "{name}: the frame is not complete");
+            arrived += consumed;
+            assert!(
+                decoder.reserved_bytes() <= (64 << 10) + 2 * arrived,
+                "{name}: {} bytes reserved after {arrived} arrived",
+                decoder.reserved_bytes()
+            );
+            assert_eq!(decoder.buffered_bytes(), arrived, "{name}");
+        };
+        for byte in head.chunks(1) {
+            feed(&mut decoder, byte);
+        }
+        // A drip, then the reactor's 64 KiB reads, up to 2 MiB.
+        let body = vec![0xA5u8; 64 << 10];
+        for _ in 0..100 {
+            feed(&mut decoder, &body[..1]);
+        }
+        for _ in 0..32 {
+            feed(&mut decoder, &body);
+        }
+        assert!(decoder.mid_frame(), "{name}: stalled mid-frame");
+        assert!(
+            decoder.reserved_bytes() < 8 << 20,
+            "{name}: {} bytes reserved for a 64 MiB declaration",
+            decoder.reserved_bytes()
+        );
     }
 }
 

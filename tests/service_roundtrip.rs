@@ -956,10 +956,14 @@ fn connection_gauges_track_opened_and_closed_connections_over_the_wire() {
 }
 
 /// Replies are written straight from their label buffers, and each buffer
-/// goes back to the daemon's arena once its last byte is out.  After one
-/// warm-up round, more rounds of every segment op — `Segment`,
-/// `SegmentCached` misses and hits, `SegmentDelta` — allocate no label
-/// buffer: one written but never recycled would show as arena growth.
+/// goes back to the daemon's arena once its last byte is out (a cached
+/// one once the cache lets go of it too); each request's pixels go back to
+/// the pixel arena after its job or its inline hit.  After one warm-up
+/// round, more rounds of every segment op — `Segment`, `SegmentCached`
+/// misses and hits, `SegmentDelta` — allocate no label or pixel buffer: one
+/// used but never recycled would show as arena growth.  A hit replies from
+/// the cache entry itself, so only `Segment` replies and misses take a
+/// label buffer.
 #[test]
 fn written_label_buffers_return_to_the_arena() {
     // 150x80 frames are six 64x64 delta tiles, four of them ragged.
@@ -1024,9 +1028,22 @@ fn written_label_buffers_return_to_the_arena() {
         after_b.arena_allocations, warm_b.arena_allocations,
         "SegmentDelta replies recycle their buffers: {after_b:?}"
     );
-    // Every steady-state reply took a recycled buffer.
-    assert!(after_a.arena_reuses >= warm_a.arena_reuses + 4 * 3 * 3);
-    assert!(after_b.arena_reuses >= warm_b.arena_reuses + 4 * 3);
+    assert_eq!(
+        (
+            after_a.pixel_arena_allocations,
+            after_b.pixel_arena_allocations
+        ),
+        (
+            warm_a.pixel_arena_allocations,
+            warm_b.pixel_arena_allocations
+        ),
+        "every request's pixels are recycled: {after_a:?} {after_b:?}"
+    );
+    // Every steady-state `Segment` reply and cache miss took one recycled
+    // buffer, every hit none; every delta frame, stitched from the cache,
+    // took one.
+    assert_eq!(after_a.arena_reuses - warm_a.arena_reuses, 4 * 3 * 2);
+    assert_eq!(after_b.arena_reuses - warm_b.arena_reuses, 4 * 3);
     a.shutdown().expect("shutdown");
     b.shutdown().expect("shutdown");
     cached.join();
@@ -1093,6 +1110,153 @@ fn a_closed_connections_label_buffers_return_to_the_arena() {
             "round {round}: one buffer serves every round: {stats:?}"
         );
     }
+    control.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// Polls `control`'s stats until every connection but its own has closed
+/// and every buffer each arena ever allocated is back in it.
+fn settled_stats(control: &mut Client, context: &str) -> iqft_serve::StatsSnapshot {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let stats = control.stats().expect("stats");
+        let settled = stats.connections_open == 1
+            && stats.arena_pooled == stats.arena_allocations
+            && stats.pixel_arena_pooled == stats.pixel_arena_allocations;
+        if settled {
+            return stats;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{context}: buffers never all came back: {stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// A frame refused with `Busy`, and the frames a closing connection
+/// abandons, give their pixel buffers back like answered ones do.  On an
+/// uncached daemon with one worker and a one-deep queue, three connections
+/// first stall mid-frame and hang up, which leaves exactly three pixel
+/// buffers in the arena: as many as a round below has frames in flight.
+/// Each round then sends a heavy frame, a second that waits for the worker
+/// and a third that finds the queue full, and after them a burst whose
+/// connection closes on a protocol error with a decoded frame still queued.
+/// However a round's replies interleave, the arena allocates no fourth
+/// buffer, and between rounds every buffer of both arenas is back.
+#[test]
+fn busy_and_abandoned_frames_return_their_pixel_buffers() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Exact))
+            .with_max_inflight(1)
+            .with_max_queue(1),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut control = open_client(addr).expect("control connect");
+    let heavy = RgbImage::from_fn(320, 240, |x, y| {
+        Rgb::new((x / 2) as u8, (y * 3 / 4) as u8, ((x * y) % 251) as u8)
+    });
+    let light = test_images(1).remove(0);
+    let heavy_labels = reference_labels(std::slice::from_ref(&heavy)).remove(0);
+    let light_labels = reference_labels(std::slice::from_ref(&light)).remove(0);
+    let segment = |id: u64, image: &RgbImage| {
+        protocol::encode_message(
+            id,
+            &Message::Segment {
+                image: image.clone(),
+            },
+        )
+        .expect("encode")
+    };
+
+    // Three stalled frames: each decoder holds one pixel buffer.
+    let stalled: Vec<TcpStream> = (0..3)
+        .map(|id| {
+            let mut peer = TcpStream::connect(addr).expect("connect");
+            let frame = segment(id, &heavy);
+            peer.write_all(&frame[..protocol::HEADER_LEN + 8 + 1])
+                .expect("the start of a frame");
+            peer
+        })
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while control.stats().expect("stats").pixel_arena_allocations < 3 {
+        assert!(Instant::now() < deadline, "the stalled frames never began");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    drop(stalled);
+    let warm = settled_stats(&mut control, "stalled frames");
+    assert_eq!(warm.pixel_arena_allocations, 3, "{warm:?}");
+
+    let mut busy_total = 0;
+    for round in 0..4 {
+        // A heavy frame for the worker, one for the queue slot, and one
+        // that finds the slot taken while the first still runs.
+        let mut peers: Vec<TcpStream> = (0..3)
+            .map(|id| {
+                let mut peer = TcpStream::connect(addr).expect("connect");
+                peer.write_all(&segment(id, &heavy)).expect("request");
+                peer
+            })
+            .collect();
+        for (id, peer) in peers.iter_mut().enumerate() {
+            let (got, reply) = protocol::read_message(peer).expect("reply");
+            assert_eq!(got, id as u64);
+            match reply {
+                Message::SegmentReply { labels } => {
+                    assert_eq!(labels, heavy_labels, "round {round}")
+                }
+                Message::Busy => busy_total += 1,
+                other => panic!("round {round}: expected a reply or Busy, got {other:?}"),
+            }
+        }
+        drop(peers);
+        // A burst whose second frame is a reply op: the connection answers
+        // the first, refuses the second and closes with the third decoded.
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        let burst = [
+            segment(10, &light),
+            protocol::encode_message(11, &Message::Pong).expect("encode"),
+            segment(12, &light),
+        ]
+        .concat();
+        peer.write_all(&burst).expect("burst");
+        let (got, reply) = protocol::read_message(&mut peer).expect("first reply");
+        assert_eq!(
+            (got, reply),
+            (
+                10,
+                Message::SegmentReply {
+                    labels: light_labels.clone()
+                }
+            )
+        );
+        let (got, reply) = protocol::read_message(&mut peer).expect("error reply");
+        assert!(
+            got == 11 && matches!(reply, Message::Error { .. }),
+            "round {round}: {reply:?}"
+        );
+        let mut rest = Vec::new();
+        peer.read_to_end(&mut rest).expect("the daemon closes");
+        assert!(
+            rest.is_empty(),
+            "round {round}: nothing answers the third frame"
+        );
+        drop(peer);
+
+        let stats = settled_stats(&mut control, &format!("round {round}"));
+        assert_eq!(
+            stats.pixel_arena_allocations, warm.pixel_arena_allocations,
+            "round {round}: refused and abandoned frames recycle their pixels: {stats:?}"
+        );
+        assert!(
+            stats.arena_allocations <= 3,
+            "round {round}: no more label buffers than admitted frames: {stats:?}"
+        );
+    }
+    assert!(busy_total > 0, "four rounds against one worker never shed");
     control.shutdown().expect("shutdown");
     server.join();
 }
