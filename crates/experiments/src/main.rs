@@ -31,16 +31,12 @@
 //!                              --change-rate of each frame's blocks)
 //!   serve   [--addr A] [--classifier C] [--plan SPEC]
 //!           [--workers W] [--max-queue Q] [--cache-mb M] [--addr-file PATH]
-//!           [--cache-persist PATH]
 //!                              boot the iqft-serve TCP daemon and block
 //!                              until a client sends Shutdown; --addr-file
 //!                              records the bound (possibly ephemeral) port;
 //!                              --max-queue bounds waiting segment requests
 //!                              (0 = unbounded) — saturated admission gets a
-//!                              typed Busy reply instead of queueing;
-//!                              --cache-persist warm-loads the result cache
-//!                              from a snapshot on boot and writes it back
-//!                              on a drain-then-stop shutdown
+//!                              typed Busy reply instead of queueing
 //!   loadgen [--addr A[,A,...]] [--clients C] [--images N] [--size S]
 //!           [--seed S] [--repeat-ratio R] [--pipeline K]
 //!           [--expect-cache-hits] [--video] [--change-rate R]
@@ -54,11 +50,12 @@
 //!                              per-tile delta op; typed Busy rejections
 //!                              from an admission-bounded server are
 //!                              counted, not fatal; several --addr
-//!                              endpoints are one fleet, routed by content
-//!                              hash over a consistent-hash ring and failing
-//!                              over when one dies; --kill-one boots a
-//!                              three-daemon in-process fleet and kills one
-//!                              mid-run to prove graceful degradation)
+//!                              endpoints are one fleet: client c tries
+//!                              them in the listed order rotated by c and
+//!                              fails over to the next when one dies;
+//!                              --kill-one boots a three-daemon in-process
+//!                              fleet and kills endpoint 0 mid-run to prove
+//!                              graceful degradation)
 //!   ping    [--addr A] [--retries N]
 //!                              readiness probe with bounded retries
 //!   all     [--out DIR]        everything above with reduced sizes
@@ -108,7 +105,6 @@ struct Args {
     video: bool,
     change_rate: f64,
     addr_file: Option<PathBuf>,
-    cache_persist: Option<PathBuf>,
     kill_one: bool,
     retries: usize,
 }
@@ -144,7 +140,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         video: false,
         change_rate: 0.1,
         addr_file: None,
-        cache_persist: None,
         kill_one: false,
         retries: 40,
     };
@@ -180,7 +175,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--video" => args.video = true,
             "--change-rate" => args.change_rate = number(&flag, value()?)?,
             "--addr-file" => args.addr_file = Some(PathBuf::from(value()?)),
-            "--cache-persist" => args.cache_persist = Some(PathBuf::from(value()?)),
             "--kill-one" => args.kill_one = true,
             "--retries" => args.retries = number(&flag, value()?)?,
             other => return Err(format!("unknown flag {other}")),
@@ -195,7 +189,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 /// from what `--classifier` actually accepts.
 fn usage() -> String {
     format!(
-        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--cache-persist PATH] [--retries N] [--shutdown]",
+        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--retries N] [--shutdown]",
         seg_engine::ClassifierKind::FLAG_HELP
     )
 }
@@ -279,7 +273,6 @@ fn main() {
                 max_queue: args.max_queue,
                 cache_mb: args.cache_mb,
                 addr_file: args.addr_file.clone(),
-                cache_persist: args.cache_persist.clone(),
             };
             match service::serve_command(&config) {
                 Ok(summary) => summary,
@@ -468,6 +461,10 @@ mod tests {
         // default address.
         let err = parse("loadgen --fleet a:1,b:2").unwrap_err();
         assert!(err.contains("unknown flag --fleet"), "{err}");
+        // Nor may the retired cache-snapshot flag boot a daemon that
+        // silently ignores it.
+        let err = parse("serve --cache-persist cache.snap").unwrap_err();
+        assert_eq!(err, "unknown flag --cache-persist");
         let err = parse("loadgen --clients x").unwrap_err();
         assert!(err.contains("--clients") && err.contains("'x'"), "{err}");
         let err = parse("loadgen --images").unwrap_err();

@@ -4,14 +4,16 @@
 //! [`seg_engine::SegmentPlan`] and blocks until a Shutdown frame drains it.
 //! `loadgen` is the client side, with one driver for every traffic shape:
 //! `--clients C` threads each open a [`FleetClient`] over the
-//! `--addr A[,B,…]` endpoints (one address is a fleet of one) and send their
-//! share of the run — a pipelined `SegmentCached` burst of synthetic images,
+//! `--addr A[,B,…]` endpoints (one address is a fleet of one; client `c`
+//! tries them in the listed order rotated by `c`) and send their share of
+//! the run — a pipelined `SegmentCached` burst of synthetic images,
 //! or with `--video` their own synthetic video as lockstep `SegmentDelta`
 //! frames.  Every reply is cross-checked byte-for-byte against a local
 //! pass of the exact segmenter (default on, like the `throughput`
 //! subcommand), and one report prints per-client, per-endpoint and total
 //! figures plus each endpoint's own statistics snapshot.  `--kill-one` boots
-//! three daemons in-process and hard-stops one between the run's two halves.
+//! three daemons in-process and hard-stops the first between the run's two
+//! halves.
 //! With `--shutdown`, loadgen finishes by asking every endpoint to drain and
 //! stop — which is exactly what the CI `service-smoke` job does.
 
@@ -62,10 +64,6 @@ pub struct ServeCliConfig {
     /// is listening (`--addr-file`) — with `--addr 127.0.0.1:0` this is how
     /// a supervising script learns the ephemeral port.
     pub addr_file: Option<PathBuf>,
-    /// Result-cache persistence path (`--cache-persist`): warm-load a
-    /// snapshot from here on boot (salt mismatch ⟹ clean cold start) and
-    /// write the resident entries back on a drain-then-stop shutdown.
-    pub cache_persist: Option<PathBuf>,
 }
 
 impl Default for ServeCliConfig {
@@ -80,7 +78,6 @@ impl Default for ServeCliConfig {
             max_queue: 0,
             cache_mb: 0,
             addr_file: None,
-            cache_persist: None,
         }
     }
 }
@@ -102,13 +99,10 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
     // 1024 soft default; raise it best-effort before binding.
     #[cfg(unix)]
     iqft_serve::poll::raise_nofile_limit(8192);
-    let mut server_config = ServerConfig::new(plan)
+    let server_config = ServerConfig::new(plan)
         .with_max_inflight(config.workers)
         .with_max_queue(config.max_queue)
         .with_cache(CacheConfig::with_capacity_mb(config.cache_mb));
-    if let Some(path) = &config.cache_persist {
-        server_config = server_config.with_cache_persist(path);
-    }
     let server = Server::bind(config.addr.as_str(), server_config)
         .map_err(|e| format!("failed to bind {}: {e}", config.addr))?;
     if let Some(path) = &config.addr_file {
@@ -132,13 +126,6 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
             "off".to_string()
         },
     );
-    if config.cache_persist.is_some() {
-        let (entries, bytes) = server.cache_warm_loaded();
-        println!(
-            "iqft-serve cache persistence on: warm-loaded {entries} entries ({:.1} MiB)",
-            bytes as f64 / (1 << 20) as f64
-        );
-    }
     let (total, pixels) = server.join_with_counters();
     Ok(format!(
         "iqft-serve drained and stopped after {total} requests ({:.3} Mpx segmented)",
@@ -176,8 +163,8 @@ pub fn ping_command(addr: &str, retries: usize, interval_ms: u64) -> Result<Stri
 pub struct LoadgenConfig {
     /// Daemon endpoints (`--addr A[,B,…]`, comma-separated; empty dials
     /// [`DEFAULT_ADDR`]).  One address is a fleet of one; with several,
-    /// requests are routed by content hash over the consistent-hash ring and
-    /// fail over when an endpoint is down.  Must be empty with
+    /// client `c` sends to the list rotated by `c` and fails over to the
+    /// next endpoint when one is down.  Must be empty with
     /// [`LoadgenConfig::kill_one`], which boots its own endpoints.
     pub addr: String,
     /// Concurrent clients (`--clients`), each with its own [`FleetClient`].
@@ -209,17 +196,17 @@ pub struct LoadgenConfig {
     /// Stream synthetic video instead of independent images (`--video`):
     /// each client plays its own deterministic frame stream through the
     /// per-tile delta op (`SegmentDelta`), so consecutive frames share most
-    /// of their tiles and the server's delta cache can prove itself.  Needs
-    /// a single endpoint: ring routing by whole-frame hash would scatter one
-    /// camera's frames over the fleet.
+    /// of their tiles and the server's delta cache can prove itself.  A
+    /// client's frames all go to its first live endpoint, so each camera
+    /// stays on one daemon.
     pub video: bool,
     /// Fraction of each frame's blocks mutated per frame in `--video` mode
     /// (`--change-rate`, 0.0–1.0).
     pub change_rate: f64,
     /// Chaos mode (`--kill-one`): boot an in-process fleet of three cached
-    /// daemons, hard-stop the owner of the next key between the run's two
-    /// halves, and require byte-identity plus at least one recorded failover
-    /// — proving a dead daemon degrades to misses, never to errors.
+    /// daemons, hard-stop endpoint 0 between the run's two halves, and
+    /// require byte-identity plus at least one recorded failover — proving
+    /// a dead daemon degrades to misses, never to errors.
     pub kill_one: bool,
     /// How long the preflight ping keeps retrying each endpoint
     /// (milliseconds), so loadgen can be launched concurrently with a booting
@@ -342,9 +329,9 @@ fn request_sequence(n: usize, repeat_ratio: f64, seed: u64) -> Vec<usize> {
 /// Drives the configured traffic and renders the report.
 ///
 /// Every traffic shape runs through the same steps: `--clients` threads
-/// each hold a [`FleetClient`] over the endpoints and send their share of
-/// the run (request `k` belongs to client `k % clients`), in one half, or
-/// in two with `--kill-one`.
+/// each hold a [`FleetClient`] over the endpoints, client `c` over the list
+/// rotated by `c`, and send their share of the run (request `k` belongs to
+/// client `k % clients`), in one half, or in two with `--kill-one`.
 ///
 /// Errors (rather than reporting) on bad flags, when no endpoint answers
 /// the preflight ping, on any protocol/server error, or — when verification
@@ -358,13 +345,6 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         .filter(|a| !a.is_empty())
         .map(str::to_string)
         .collect();
-    if config.video && (config.kill_one || addrs.len() > 1) {
-        return Err(
-            "--video and a multi-daemon fleet (--addr A,B,… or --kill-one) are mutually \
-             exclusive: routing by whole-frame hash would scatter one camera's frames"
-                .to_string(),
-        );
-    }
     if config.kill_one && !addrs.is_empty() {
         return Err(
             "--kill-one boots its own in-process fleet; it cannot be combined with --addr"
@@ -395,8 +375,8 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     }
     addrs.extend(booted.iter().map(|server| server.local_addr().to_string()));
 
-    // A dead endpoint is not fatal — its keys fail over to the next ring
-    // owner and get counted — but no live endpoint at all is.
+    // A dead endpoint is not fatal — its requests fail over to the next
+    // endpoint and get counted — but no live endpoint at all is.
     let mut probes: Vec<Result<Client, String>> = addrs
         .iter()
         .map(|addr| preflight(addr, config.connect_deadline_ms))
@@ -409,7 +389,7 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         return Err(unreachable.join("; "));
     }
     for e in unreachable {
-        eprintln!("loadgen: {e}; its keys will fail over");
+        eprintln!("loadgen: {e}; its requests will fail over");
     }
     let live: Vec<usize> = (0..addrs.len()).filter(|&i| probes[i].is_ok()).collect();
     // Each client holds a socket per endpoint (and the kernel a few more); a
@@ -471,15 +451,24 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         Vec::new()
     };
 
-    let client_config = ClientConfig::fleet(addrs.iter().cloned())
-        .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
-        .with_pipeline_depth(depth);
+    // Client `c` tries the endpoints rotated left by `c`, so the clients
+    // spread over every daemon while each keeps to one while it lives: its
+    // fleet's endpoint `j` is `addrs[endpoint_of(c, j)]`.
+    let endpoint_of = |c: usize, j: usize| (j + c) % addrs.len();
     let mut fleets = (0..clients)
-        .map(|_| FleetClient::open(&client_config))
+        .map(|c| {
+            let rotated = (0..addrs.len()).map(|j| addrs[endpoint_of(c, j)].clone());
+            FleetClient::open(
+                &ClientConfig::fleet(rotated)
+                    .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
+                    .with_pipeline_depth(depth),
+            )
+        })
         .collect::<std::io::Result<Vec<_>>>()
         .map_err(|e| e.to_string())?;
-    // One client's share of one half: dial the `dial` endpoints, send, then
-    // — off the clock — check each reply against its reference.
+    // One client's share of one half: dial the `dial` endpoints (indices
+    // into `addrs`), send, then — off the clock — check each reply against
+    // its reference.
     let run_client = |client_idx: usize,
                       fleet: &mut FleetClient,
                       mine: &[usize],
@@ -489,11 +478,15 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         // overflow does not fail the run; failover redials inside the
         // FleetClient stay single attempts, so a dead endpoint is skipped
         // promptly.
-        for &endpoint in dial {
+        for j in 0..addrs.len() {
+            let endpoint = endpoint_of(client_idx, j);
+            if !dial.contains(&endpoint) {
+                continue;
+            }
             let mut attempt = 1;
-            while let Err(e) = fleet.connect(endpoint) {
+            while let Err(e) = fleet.connect(j) {
                 if attempt == 3 {
-                    let addr = &fleet.addrs()[endpoint];
+                    let addr = &addrs[endpoint];
                     return Err(format!(
                         "client {client_idx}: connect to {addr} failed: {e}"
                     ));
@@ -557,15 +550,13 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
             continue;
         }
         if half == 1 {
-            // Hard-stop the daemon that owns the next key, so the second
-            // half is guaranteed to exercise failover.
-            let owner = fleets[0]
-                .ring()
-                .owner(iqft_pipeline::route_hash(&inputs[sequence[range.start]]));
-            let server = booted.remove(owner);
+            // Hard-stop endpoint 0, the first choice of client 0 (and of
+            // every client whose index is a multiple of the fleet size), so
+            // their second half fails over.
+            let server = booted.remove(0);
             server.shutdown_now();
             server.join();
-            victim = Some(owner);
+            victim = Some(0);
         }
         // Connections open once, in the first half, to the endpoints that
         // answered the preflight.
@@ -637,9 +628,12 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         );
         total.add(outcome);
     }
+    // Each client counts its endpoints in its own rotated order; sum them
+    // back onto the address each one names.
     let mut endpoints = vec![EndpointStats::default(); addrs.len()];
-    for fleet in &fleets {
-        for (sum, stats) in endpoints.iter_mut().zip(fleet.stats()) {
+    for (c, fleet) in fleets.iter().enumerate() {
+        for (j, stats) in fleet.stats().iter().enumerate() {
+            let sum = &mut endpoints[endpoint_of(c, j)];
             sum.requests += stats.requests;
             sum.hits += stats.hits;
             sum.busy += stats.busy;
@@ -838,20 +832,6 @@ fn write_server_stats(out: &mut String, stats: &StatsSnapshot) {
         );
     } else {
         let _ = writeln!(out, "    server cache: off");
-    }
-    // Forward-compatible keys travel in `extra`; read them through the
-    // typed accessor instead of re-parsing the snapshot text.
-    if let Some(entries) = stats.extra_u64("cache_warm_loaded_entries") {
-        let _ = writeln!(
-            out,
-            "    server cache persistence: warm-loaded {} entries ({:.1} MiB){}",
-            entries,
-            stats.extra_u64("cache_warm_loaded_bytes").unwrap_or(0) as f64 / (1 << 20) as f64,
-            match stats.extra.get("cache_warm_error") {
-                Some(why) => format!("; last load error: {why}"),
-                None => String::new(),
-            },
-        );
     }
     let delta_total = stats.delta_tiles_hit + stats.delta_tiles_recomputed;
     if delta_total > 0 {
@@ -1102,20 +1082,11 @@ mod tests {
         }
         assert!(!report.contains("client 3: "), "{report}");
         // Every request is answered by exactly one endpoint.
-        let answered: u64 = report
-            .lines()
-            .filter(|line| line.starts_with("  endpoint ") && line.contains("): "))
-            .map(|line| {
-                let counts = line.split("): ").nth(1).unwrap();
-                counts
-                    .split_whitespace()
-                    .next()
-                    .unwrap()
-                    .parse::<u64>()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(answered, 9, "{report}");
+        assert_eq!(
+            endpoint_requests(&report).iter().sum::<u64>(),
+            9,
+            "{report}"
+        );
         for server in [&a, &b] {
             let header = format!("({}) server stats:", server.local_addr());
             assert!(report.contains(&header), "{report}");
@@ -1183,58 +1154,62 @@ mod tests {
 
     #[test]
     fn fleet_flags_reject_incompatible_combinations() {
-        let mut config = small_loadgen(String::new());
-        config.kill_one = true;
-        config.video = true;
-        let err = loadgen_report(&config).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
-
         let mut config = small_loadgen("127.0.0.1:1".to_string());
         config.kill_one = true;
         let err = loadgen_report(&config).unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
+    }
 
-        let mut config = small_loadgen("127.0.0.1:1,127.0.0.1:2".to_string());
-        config.video = true;
-        let err = loadgen_report(&config).unwrap_err();
-        assert!(err.contains("mutually exclusive"), "{err}");
+    /// The request count on each `endpoint N (addr): …` report line, in
+    /// endpoint order.
+    fn endpoint_requests(report: &str) -> Vec<u64> {
+        report
+            .lines()
+            .filter(|line| line.starts_with("  endpoint ") && line.contains("): "))
+            .map(|line| {
+                let counts = line.split("): ").nth(1).unwrap();
+                counts.split_whitespace().next().unwrap().parse().unwrap()
+            })
+            .collect()
     }
 
     #[test]
-    fn loadgen_reports_a_warm_loaded_cache_after_a_persisted_restart() {
-        let dir = std::env::temp_dir().join("iqft-experiments-persist-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("loadgen-{}.snap", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let boot = || {
-            Server::bind(
-                "127.0.0.1:0",
-                ServerConfig::new(SegmentPlan::default())
-                    .with_cache(CacheConfig::with_capacity_mb(64))
-                    .with_cache_persist(&path),
-            )
-            .expect("ephemeral bind")
-        };
-
-        // First life: populate, then `--shutdown` drains, which saves.
-        let server = boot();
-        let report = loadgen_report(&small_loadgen(server.local_addr().to_string())).unwrap();
+    fn two_endpoint_loadgen_spreads_requests_over_both_endpoints() {
+        let a = boot_with_cache(SegmentPlan::default(), 64);
+        let b = boot_with_cache(SegmentPlan::default(), 64);
+        let mut config = small_loadgen(format!("{},{}", a.local_addr(), b.local_addr()));
+        config.pipeline_depth = 4;
+        let report = loadgen_report(&config).unwrap();
+        // Clients 0 and 2 start at the first endpoint, client 1 at the
+        // second: 3 + 3 + 3 requests split 6 / 3.
+        assert_eq!(endpoint_requests(&report), vec![6, 3], "{report}");
+        assert!(report.contains(" 0 failed over"), "{report}");
         assert!(report.contains("byte-identical"), "{report}");
-        server.join();
+        a.join();
+        b.join();
+    }
 
-        // Second life: the report must surface the warm load through the
-        // typed `extra_u64` accessor, and repeats hit without re-populating.
-        let server = boot();
-        let mut config = small_loadgen(server.local_addr().to_string());
-        config.repeat_ratio = 0.0; // only warm entries can hit
+    #[test]
+    fn two_endpoint_video_loadgen_keeps_each_camera_on_one_daemon_and_hits_tiles() {
+        let a = boot_with_cache(SegmentPlan::default(), 64);
+        let b = boot_with_cache(SegmentPlan::default(), 64);
+        let mut config = small_loadgen(format!("{},{}", a.local_addr(), b.local_addr()));
+        config.video = true;
+        config.change_rate = 0.2;
+        config.clients = 2;
+        config.images = 6; // 3 frames per camera
+        config.image_size = 160;
         config.expect_cache_hits = true;
         let report = loadgen_report(&config).unwrap();
+        assert_eq!(endpoint_requests(&report), vec![3, 3], "{report}");
         assert!(
-            report.contains("server cache persistence: warm-loaded 9 entries"),
+            report.contains("stitched replies byte-identical"),
             "{report}"
         );
-        assert!(report.contains("byte-identical"), "{report}");
-        server.join();
-        std::fs::remove_file(&path).ok();
+        // Each daemon reuses tiles across its own camera's frames.
+        assert_eq!(report.matches("server delta:").count(), 2, "{report}");
+        assert!(report.contains("tile hit ratio"), "{report}");
+        a.join();
+        b.join();
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! Design points:
 //!
-//! * **Striped content hash** — one hasher serves whole-frame keys, tile
-//!   keys and [`route_hash`].  It reads the pixel bytes in place (a frame
+//! * **Striped content hash** — one hasher serves whole-frame keys and
+//!   tile keys.  It reads the pixel bytes in place (a frame
 //!   or a tile row is one byte slice, via `Rgb::slice_as_bytes`) in 32-byte
 //!   stripes: four independent 64-bit lanes each absorb one 8-byte word per
 //!   stripe with a multiply–rotate–multiply round, so the lanes' multiply
@@ -53,8 +53,6 @@
 use crate::arena::LabelArena;
 use imaging::{ImageView, LabelMap, LabelViewMut, Rgb, RgbImage};
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -170,13 +168,13 @@ fn lane_round(lane: u64, word: u64) -> u64 {
         .wrapping_mul(LANE_MUL)
 }
 
-/// The content hasher behind every cache key and route: a byte stream in
-/// 32-byte stripes over four independent 64-bit lanes (see the module
-/// docs).  `update` may be called with chunks of any size: a partial
-/// stripe waits in `tail` for the next call, so the key depends only on the
-/// concatenated bytes, never on how they were split.  `finish` zero-pads
-/// the last partial stripe and mixes in the total length, which keeps a
-/// padded tail distinct from real zero bytes.
+/// The content hasher behind every cache key: a byte stream in 32-byte
+/// stripes over four independent 64-bit lanes (see the module docs).
+/// `update` may be called with chunks of any size: a partial stripe waits
+/// in `tail` for the next call, so the key depends only on the concatenated
+/// bytes, never on how they were split.  `finish` zero-pads the last
+/// partial stripe and mixes in the total length, which keeps a padded tail
+/// distinct from real zero bytes.
 struct StripeHasher {
     lanes: [u64; LANES],
     tail: [u8; STRIPE],
@@ -269,101 +267,8 @@ impl StripeHasher {
     }
 }
 
-/// The whole-frame key of `img` under the given seeds: the dimensions seed
-/// the lanes, then the pixel bytes stream in as one slice.
-fn frame_key(img: &RgbImage, seed_lo: u64, seed_hi: u64) -> CacheKey {
-    let dims = dims_word(img.width(), img.height());
-    let mut hasher = StripeHasher::new(mix(seed_lo, dims), mix(seed_hi, dims));
-    hasher.update(Rgb::slice_as_bytes(img.as_slice()));
-    hasher.finish()
-}
-
-/// A stable 64-bit content hash of an image for *routing* (consistent-hash
-/// placement across a fleet of daemons): the low half of the whole-frame
-/// key under the fixed, unsalted seeds — every client computes the same
-/// route for the same pixels no matter what plan its servers run.
-pub fn route_hash(img: &RgbImage) -> u64 {
-    frame_key(img, SEED_LO, SEED_HI).lo
-}
-
-/// Snapshot file magic: the first four bytes of a persisted cache.
-pub(crate) const SNAPSHOT_MAGIC: [u8; 4] = *b"IQCS";
-/// Current snapshot format version.  Version 2 is the striped content hash:
-/// a version-1 snapshot holds keys that no lookup produces any more, so it
-/// is refused as [`SnapshotError::BadVersion`] — a clean cold start.
-pub(crate) const SNAPSHOT_VERSION: u16 = 2;
-/// Fixed snapshot header size: magic, version, reserved, salt fingerprint,
-/// entry count.
-pub(crate) const SNAPSHOT_HEADER_LEN: usize = 24;
-/// Hard upper bound on one snapshot entry record (matches the wire
-/// protocol's 64 MiB frame bound): a record declaring more is rejected
-/// before any allocation.
-pub(crate) const SNAPSHOT_MAX_RECORD_BYTES: usize = 64 << 20;
-
-/// Figures from a snapshot save or warm load: how many entries and how many
-/// label bytes crossed the file boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SnapshotStats {
-    /// Entries written (save) or resident after the load.
-    pub entries: usize,
-    /// Label payload bytes written or loaded (4 bytes per pixel label).
-    pub label_bytes: usize,
-}
-
-/// Everything that can make a snapshot unusable.  Every variant means the
-/// same thing operationally: start cold.  Loading never panics and never
-/// installs a partially-validated snapshot.
-#[derive(Debug)]
-pub enum SnapshotError {
-    /// The file could not be read or written.
-    Io(io::Error),
-    /// The bytes do not form a valid snapshot (bad magic, truncation,
-    /// inconsistent lengths, or a checksum mismatch).
-    Corrupt(String),
-    /// The snapshot declares an unsupported format version.
-    BadVersion(u16),
-    /// The snapshot was written under a different salt (plan spec), so its
-    /// keys would never match this cache's lookups — loading it would be
-    /// dead weight at best and a label-aliasing hazard at worst.
-    SaltMismatch {
-        /// The fingerprint this cache's salt produces.
-        expected: u64,
-        /// The fingerprint recorded in the snapshot.
-        found: u64,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(err) => write!(f, "snapshot i/o error: {err}"),
-            SnapshotError::Corrupt(why) => write!(f, "snapshot is corrupt: {why}"),
-            SnapshotError::BadVersion(v) => {
-                write!(
-                    f,
-                    "snapshot format version {v} is not supported (expected {SNAPSHOT_VERSION})"
-                )
-            }
-            SnapshotError::SaltMismatch { expected, found } => write!(
-                f,
-                "snapshot salt fingerprint {found:#018x} does not match this \
-                 cache's {expected:#018x} (different plan spec)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {}
-
-impl From<io::Error> for SnapshotError {
-    fn from(err: io::Error) -> Self {
-        SnapshotError::Io(err)
-    }
-}
-
 /// Incremental FNV-1a: it folds the caller's salt (e.g. the plan spec) into
-/// the image-hash seeds, and checksums the snapshot byte stream for the
-/// trailer.
+/// the image-hash seeds.
 struct Fnv64(u64);
 
 impl Fnv64 {
@@ -553,9 +458,14 @@ impl SegmentCache {
         }
     }
 
-    /// The content address of `img` under this cache's salt.
+    /// The content address of `img` under this cache's salt: the
+    /// dimensions seed the lanes, then the pixel bytes stream in as one
+    /// slice.
     pub fn key_for(&self, img: &RgbImage) -> CacheKey {
-        frame_key(img, self.seed_lo, self.seed_hi)
+        let dims = dims_word(img.width(), img.height());
+        let mut hasher = StripeHasher::new(mix(self.seed_lo, dims), mix(self.seed_hi, dims));
+        hasher.update(Rgb::slice_as_bytes(img.as_slice()));
+        hasher.finish()
     }
 
     /// The content address of one tile of an image under this cache's salt,
@@ -725,201 +635,6 @@ impl SegmentCache {
             .iter()
             .map(|shard| shard.lock().unwrap_or_else(|e| e.into_inner()).stats())
             .collect()
-    }
-
-    /// The fingerprint of this cache's salt as recorded in snapshots.  The
-    /// seeds are `SEED_LO ^ fnv1a(salt)` by construction, so the salt hash
-    /// is recoverable without retaining the salt string itself.
-    fn salt_fingerprint(&self) -> u64 {
-        self.seed_lo ^ SEED_LO
-    }
-
-    /// Writes a versioned, checksummed snapshot of every resident entry to
-    /// `path`, using the same length-prefixed framing discipline as the wire
-    /// protocol: a fixed header (magic, version, salt fingerprint, entry
-    /// count), one length-prefixed record per entry (key, dimensions, label
-    /// bytes, all little-endian), and a trailing FNV-1a checksum over every
-    /// preceding byte.
-    ///
-    /// The snapshot is written to a `.tmp` sibling and renamed into place,
-    /// so a crash mid-save leaves any previous snapshot intact and never a
-    /// half-written file under `path`.
-    pub fn save_to(&self, path: &Path) -> Result<SnapshotStats, SnapshotError> {
-        let tmp = path.with_extension("tmp");
-        let mut file = io::BufWriter::new(std::fs::File::create(&tmp)?);
-        let mut sum = Fnv64::new();
-        let mut put = |file: &mut io::BufWriter<std::fs::File>, bytes: &[u8]| -> io::Result<()> {
-            sum.update(bytes);
-            file.write_all(bytes)
-        };
-
-        // Header.  The entry count requires a pass over the shards first;
-        // shard locks are taken one at a time, so a concurrent insert can
-        // change the count between the two passes — snapshot under load is
-        // best-effort, which is fine because saves run on the drain path
-        // when traffic has already stopped.  To stay safe anyway, entries
-        // are counted and serialized in one pass into a per-shard buffer.
-        let mut body = Vec::new();
-        let mut stats = SnapshotStats::default();
-        for shard in &self.shards {
-            let shard = shard.lock().unwrap_or_else(|e| e.into_inner());
-            for (key, entry) in &shard.entries {
-                let record_len = 8 + 8 + 4 + 4 + entry.labels.len() * 4;
-                body.extend_from_slice(&(record_len as u32).to_le_bytes());
-                body.extend_from_slice(&key.lo.to_le_bytes());
-                body.extend_from_slice(&key.hi.to_le_bytes());
-                body.extend_from_slice(&(entry.labels.width() as u32).to_le_bytes());
-                body.extend_from_slice(&(entry.labels.height() as u32).to_le_bytes());
-                for label in entry.labels.as_slice() {
-                    body.extend_from_slice(&label.to_le_bytes());
-                }
-                stats.entries += 1;
-                stats.label_bytes += entry.labels.len() * 4;
-            }
-        }
-        let mut header = [0u8; SNAPSHOT_HEADER_LEN];
-        header[0..4].copy_from_slice(&SNAPSHOT_MAGIC);
-        header[4..6].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-        // Bytes 6..8 are reserved (zero).
-        header[8..16].copy_from_slice(&self.salt_fingerprint().to_le_bytes());
-        header[16..24].copy_from_slice(&(stats.entries as u64).to_le_bytes());
-        put(&mut file, &header)?;
-        put(&mut file, &body)?;
-        let trailer = sum.0.to_le_bytes();
-        file.write_all(&trailer)?;
-        file.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        std::fs::rename(&tmp, path)?;
-        Ok(stats)
-    }
-
-    /// Warm-loads a snapshot previously written by [`SegmentCache::save_to`]
-    /// into this cache.
-    ///
-    /// The whole file is validated — magic, version, salt fingerprint,
-    /// per-record framing, and the trailing checksum — *before* a single
-    /// entry is installed, so a truncated, corrupted, or wrong-salt snapshot
-    /// is a typed error and a clean cold start, never a partially-loaded
-    /// cache and never a wrong label.  Entries are installed through the
-    /// normal insert path, so the byte budget and LRU rules apply: loading
-    /// a big snapshot into a small cache keeps the budget's worth and drops
-    /// the rest.
-    pub fn load_from(
-        &self,
-        path: &Path,
-        arena: &LabelArena,
-    ) -> Result<SnapshotStats, SnapshotError> {
-        let bytes = std::fs::read(path)?;
-        let corrupt = |why: String| SnapshotError::Corrupt(why);
-        if bytes.len() < SNAPSHOT_HEADER_LEN + 8 {
-            return Err(corrupt(format!(
-                "{} bytes is shorter than header plus checksum",
-                bytes.len()
-            )));
-        }
-        if bytes[0..4] != SNAPSHOT_MAGIC {
-            return Err(corrupt(format!("bad magic {:?}", &bytes[0..4])));
-        }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != SNAPSHOT_VERSION {
-            return Err(SnapshotError::BadVersion(version));
-        }
-        let found = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let expected = self.salt_fingerprint();
-        if found != expected {
-            return Err(SnapshotError::SaltMismatch { expected, found });
-        }
-        let declared = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-
-        // Checksum covers everything up to the 8-byte trailer.
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let mut sum = Fnv64::new();
-        sum.update(body);
-        let recorded = u64::from_le_bytes(trailer.try_into().expect("8-byte slice"));
-        if sum.0 != recorded {
-            return Err(corrupt(format!(
-                "checksum {recorded:#018x} does not match computed {:#018x}",
-                sum.0
-            )));
-        }
-
-        // Parse every record fully before touching the cache.
-        let mut records: Vec<(CacheKey, usize, usize, &[u8])> = Vec::new();
-        let mut cursor = &body[SNAPSHOT_HEADER_LEN..];
-        while !cursor.is_empty() {
-            if cursor.len() < 4 {
-                return Err(corrupt("dangling record length prefix".to_string()));
-            }
-            let record_len =
-                u32::from_le_bytes(cursor[0..4].try_into().expect("4-byte slice")) as usize;
-            if record_len > SNAPSHOT_MAX_RECORD_BYTES {
-                return Err(corrupt(format!(
-                    "record of {record_len} bytes exceeds the \
-                     {SNAPSHOT_MAX_RECORD_BYTES}-byte limit"
-                )));
-            }
-            cursor = &cursor[4..];
-            if cursor.len() < record_len {
-                return Err(corrupt(format!(
-                    "record declares {record_len} bytes, only {} remain",
-                    cursor.len()
-                )));
-            }
-            let (record, rest) = cursor.split_at(record_len);
-            cursor = rest;
-            if record.len() < 24 {
-                return Err(corrupt(format!(
-                    "record of {} bytes is shorter than its fixed fields",
-                    record.len()
-                )));
-            }
-            let key = CacheKey {
-                lo: u64::from_le_bytes(record[0..8].try_into().expect("8-byte slice")),
-                hi: u64::from_le_bytes(record[8..16].try_into().expect("8-byte slice")),
-            };
-            let width =
-                u32::from_le_bytes(record[16..20].try_into().expect("4-byte slice")) as usize;
-            let height =
-                u32::from_le_bytes(record[20..24].try_into().expect("4-byte slice")) as usize;
-            let label_bytes = &record[24..];
-            let pixels = width
-                .checked_mul(height)
-                .ok_or_else(|| corrupt(format!("dimensions {width}x{height} overflow")))?;
-            if label_bytes.len() != pixels * 4 {
-                return Err(corrupt(format!(
-                    "record carries {} label bytes for {width}x{height} \
-                     (expected {})",
-                    label_bytes.len(),
-                    pixels * 4
-                )));
-            }
-            records.push((key, width, height, label_bytes));
-        }
-        if records.len() as u64 != declared {
-            return Err(corrupt(format!(
-                "header declares {declared} entries, found {}",
-                records.len()
-            )));
-        }
-
-        // Everything checks out: install through the normal insert path so
-        // budget and LRU rules hold.
-        let mut stats = SnapshotStats::default();
-        for (key, width, height, label_bytes) in records {
-            let labels: Vec<u32> = label_bytes
-                .chunks_exact(4)
-                .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-                .collect();
-            let map = LabelMap::from_vec(width, height, labels)
-                .map_err(|_| corrupt(format!("bad dimensions {width}x{height}")))?;
-            // Entries the budget would refuse (larger than one shard's whole
-            // slice) are skipped by `insert_shared` and not counted as loaded.
-            if charged_bytes(width * height) <= self.shard_budget {
-                stats.entries += 1;
-                stats.label_bytes += width * height * 4;
-            }
-            self.insert_shared(key, Arc::new(map), arena);
-        }
-        Ok(stats)
     }
 }
 
@@ -1279,155 +994,6 @@ mod tests {
         let _ = SegmentCache::new(CacheConfig::default(), "");
     }
 
-    /// A scratch path under the target-adjacent temp dir, unique per test.
-    fn scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("iqft-cache-snapshot-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.snap", std::process::id()))
-    }
-
-    #[test]
-    fn snapshot_round_trips_byte_identical_labels() {
-        let arena = LabelArena::new();
-        let cache = small_cache(1 << 20, 4);
-        let imgs: Vec<RgbImage> = (0..10).map(|i| image(i as u8, 12, 9)).collect();
-        for (i, img) in imgs.iter().enumerate() {
-            cache.insert(cache.key_for(img), &labels_for(img, i as u32), &arena);
-        }
-        let path = scratch("round-trip");
-        let saved = cache.save_to(&path).unwrap();
-        assert_eq!(saved.entries, 10);
-        assert_eq!(saved.label_bytes, 10 * 12 * 9 * 4);
-
-        let warm = small_cache(1 << 20, 2); // different shard count is fine
-        let loaded = warm.load_from(&path, &arena).unwrap();
-        assert_eq!(loaded, saved);
-        for (i, img) in imgs.iter().enumerate() {
-            let hit = warm
-                .lookup(warm.key_for(img), &arena)
-                .expect("warm-loaded entry hits");
-            assert_eq!(hit, labels_for(img, i as u32), "image {i}");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn truncated_and_corrupted_snapshots_are_a_clean_cold_start() {
-        let arena = LabelArena::new();
-        let cache = small_cache(1 << 20, 4);
-        let img = image(5, 16, 16);
-        cache.insert(cache.key_for(&img), &labels_for(&img, 9), &arena);
-        let path = scratch("corrupt");
-        cache.save_to(&path).unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        // Every truncation point — including mid-header and mid-record —
-        // yields a typed error and an empty cache, never a panic.
-        for cut in [
-            0,
-            3,
-            SNAPSHOT_HEADER_LEN - 1,
-            SNAPSHOT_HEADER_LEN + 10,
-            good.len() - 1,
-        ] {
-            std::fs::write(&path, &good[..cut]).unwrap();
-            let warm = small_cache(1 << 20, 4);
-            assert!(
-                warm.load_from(&path, &arena).is_err(),
-                "cut at {cut} must fail"
-            );
-            assert_eq!(warm.stats().entries, 0, "cut at {cut} must load nothing");
-        }
-
-        // A single flipped payload byte fails the checksum before any entry
-        // is installed.
-        let mut flipped = good.clone();
-        let mid = SNAPSHOT_HEADER_LEN + 30;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        let warm = small_cache(1 << 20, 4);
-        match warm.load_from(&path, &arena) {
-            Err(SnapshotError::Corrupt(why)) => assert!(why.contains("checksum"), "{why}"),
-            other => panic!("expected checksum corruption, got {other:?}"),
-        }
-        assert_eq!(warm.stats().entries, 0);
-
-        // Bad magic and future versions are typed errors too.
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        std::fs::write(&path, &bad_magic).unwrap();
-        assert!(matches!(
-            warm.load_from(&path, &arena),
-            Err(SnapshotError::Corrupt(_))
-        ));
-        let mut bad_version = good.clone();
-        bad_version[4..6].copy_from_slice(&9u16.to_le_bytes());
-        std::fs::write(&path, &bad_version).unwrap();
-        assert!(matches!(
-            warm.load_from(&path, &arena),
-            Err(SnapshotError::BadVersion(9))
-        ));
-        // A missing file is an i/o error, not a panic.
-        assert!(matches!(
-            warm.load_from(Path::new("/nonexistent/iqft.snap"), &arena),
-            Err(SnapshotError::Io(_))
-        ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn salt_mismatched_snapshot_refuses_to_load() {
-        let arena = LabelArena::new();
-        let cache = small_cache(1 << 20, 4);
-        let img = image(2, 8, 8);
-        cache.insert(cache.key_for(&img), &labels_for(&img, 4), &arena);
-        let path = scratch("salt");
-        cache.save_to(&path).unwrap();
-
-        // A cache built for a different plan spec must start cold: its salted
-        // keys would never match the snapshot's anyway, and loading foreign
-        // keys would waste the budget on unreachable entries.
-        let other = SegmentCache::new(
-            CacheConfig {
-                capacity_bytes: 1 << 20,
-                shards: 4,
-            },
-            "classifier=simd;tile=32x32;backend=threads:4",
-        );
-        assert!(matches!(
-            other.load_from(&path, &arena),
-            Err(SnapshotError::SaltMismatch { .. })
-        ));
-        assert_eq!(other.stats().entries, 0);
-        // The matching salt still loads.
-        let same = small_cache(1 << 20, 4);
-        assert_eq!(same.load_from(&path, &arena).unwrap().entries, 1);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn loading_into_a_smaller_cache_respects_the_byte_budget() {
-        let arena = LabelArena::new();
-        let big = small_cache(1 << 20, 1);
-        let imgs: Vec<RgbImage> = (0..8).map(|i| image(i as u8, 8, 8)).collect();
-        for (i, img) in imgs.iter().enumerate() {
-            big.insert(big.key_for(img), &labels_for(img, i as u32), &arena);
-        }
-        let path = scratch("budget");
-        assert_eq!(big.save_to(&path).unwrap().entries, 8);
-
-        // Room for exactly two entries: the load keeps the budget's worth.
-        let entry_bytes = 8 * 8 * 4 + ENTRY_OVERHEAD_BYTES;
-        let tiny = small_cache(entry_bytes * 2, 1);
-        let loaded = tiny.load_from(&path, &arena).unwrap();
-        assert_eq!(loaded.entries, 8, "all records fit one-at-a-time");
-        let stats = tiny.stats();
-        assert_eq!(stats.entries, 2, "budget holds only two");
-        assert!(stats.bytes <= entry_bytes * 2);
-        assert!(stats.evictions >= 6);
-        std::fs::remove_file(&path).ok();
-    }
-
     /// A seeded splitmix64 stream for the hasher tests.
     fn splitmix(state: &mut u64) -> u64 {
         *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -1597,54 +1163,5 @@ mod tests {
             "{} distinct keys of {keyed}: the clips' unchanged tiles must share keys",
             seen.len()
         );
-    }
-
-    #[test]
-    fn version_one_snapshots_are_refused_as_bad_version() {
-        let arena = LabelArena::new();
-        let cache = small_cache(1 << 20, 4);
-        let img = image(4, 8, 8);
-        cache.insert(cache.key_for(&img), &labels_for(&img, 2), &arena);
-        let path = scratch("version-one");
-        cache.save_to(&path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), 2);
-        // A faithful version-1 file: the old version field under a valid
-        // checksum.
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let body_len = bytes.len() - 8;
-        let mut sum = Fnv64::new();
-        sum.update(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&sum.0.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-
-        let warm = small_cache(1 << 20, 4);
-        assert!(matches!(
-            warm.load_from(&path, &arena),
-            Err(SnapshotError::BadVersion(1))
-        ));
-        assert_eq!(warm.stats().entries, 0, "a refused snapshot loads nothing");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn route_hash_is_content_addressed_and_salt_free() {
-        let img = image(1, 16, 12);
-        assert_eq!(route_hash(&img), route_hash(&img.clone()));
-        let mut other = img.clone();
-        other.set(3, 4, Rgb::new(255, 0, 0));
-        assert_ne!(route_hash(&img), route_hash(&other));
-        // Routing ignores the plan salt entirely — both ends of a fleet
-        // agree on placement regardless of the plan each daemon runs.
-        let a = small_cache(1 << 20, 4);
-        let b = SegmentCache::new(
-            CacheConfig {
-                capacity_bytes: 1 << 20,
-                shards: 4,
-            },
-            "classifier=exact;tile=off;backend=serial",
-        );
-        assert_ne!(a.key_for(&img), b.key_for(&img));
-        assert_eq!(route_hash(&img), route_hash(&img));
     }
 }

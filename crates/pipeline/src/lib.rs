@@ -70,7 +70,7 @@ pub(crate) mod hist;
 pub(crate) mod stats;
 
 pub use arena::{Arena, LabelArena, PixelArena};
-pub use cache::{route_hash, CacheConfig, CacheKey, SegmentCache, SnapshotError, SnapshotStats};
+pub use cache::{CacheConfig, CacheKey, SegmentCache};
 pub use hist::{LatencyHistogram, LatencySummary};
 pub use stats::{BatchStats, PipelineReport};
 

@@ -53,11 +53,13 @@ const PIPELINE_WRITE_POLL: Duration = Duration::from_millis(100);
 /// A config with several addresses describes a fleet; [`Client::open`]
 /// dials the first address that answers, while
 /// [`FleetClient::open`](crate::fleet::FleetClient::open) keeps one
-/// connection per address and routes between them by content hash.
+/// connection per address and sends each request to the first address
+/// that answers it, so the list order is the failover order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClientConfig {
-    /// Daemon endpoint(s), in `host:port` form.  One for a single-daemon
-    /// client; the full fleet for [`crate::fleet::FleetClient`].
+    /// Daemon endpoint(s), in `host:port` form, in the order they are
+    /// tried.  One for a single-daemon client; the full fleet for
+    /// [`crate::fleet::FleetClient`].
     pub addrs: Vec<String>,
     /// Default in-flight depth for [`Client::segment_pipelined`], clamped
     /// to `1..=`[`protocol::MAX_PIPELINE_DEPTH`] at use.
@@ -194,7 +196,7 @@ impl From<io::Error> for ServeError {
 /// Saturation and failover are states to handle, not errors to unwrap:
 /// a [`SegmentOutcome::Busy`] slot was never executed and may be retried
 /// on the same connection, and a [`SegmentOutcome::Failover`] reply is a
-/// correct answer that simply came from a non-primary daemon (so it was
+/// correct answer that simply came from a fallback daemon (so it was
 /// almost certainly a cache miss there).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SegmentOutcome {
@@ -209,9 +211,10 @@ pub enum SegmentOutcome {
     /// The server refused admission for this request (pool and queue
     /// saturated); it was not executed.
     Busy,
-    /// A fleet request whose ring owner was unreachable (connect failure or
-    /// drain) and that a fallback owner answered instead.  Only
-    /// [`crate::fleet::FleetClient`] produces this variant.
+    /// A fleet request whose first endpoint was unreachable (connect
+    /// failure or drain) and that a later endpoint in the config's list
+    /// answered instead.  Only [`crate::fleet::FleetClient`] produces this
+    /// variant.
     Failover {
         /// The computed label map, byte-identical to the serial reference.
         labels: LabelMap,

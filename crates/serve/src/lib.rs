@@ -34,12 +34,10 @@
 //!   to [`protocol::MAX_PIPELINE_DEPTH`] requests in flight, replies
 //!   reordered by id), `stats`, `shutdown`.  Every segmentation call
 //!   reports one [`SegmentOutcome`] vocabulary: `Done | Busy | Failover`.
-//! * `fleet` — the multi-daemon layer: a [`FleetClient`] routes requests
-//!   by content hash over a deterministic consistent-hash ring
-//!   ([`HashRing`], virtual nodes) so each daemon's cache owns a stable
-//!   slice of the key space, failing over to the next ring owner (with
-//!   typed per-endpoint accounting, [`EndpointStats`]) when a daemon dies
-//!   or drains.
+//! * `fleet` — the multi-daemon layer: a [`FleetClient`] sends each
+//!   request to the first of its endpoints that answers, in the order its
+//!   config lists them, failing over to the next (with typed per-endpoint
+//!   accounting, [`EndpointStats`]) when a daemon dies or drains.
 //!
 //! The `iqft-experiments` binary exposes both ends as subcommands:
 //! `serve --addr … --classifier … --backend … --workers … --cache-mb …`
@@ -81,7 +79,7 @@ pub(crate) mod server;
 pub mod stats;
 
 pub use client::{Client, ClientConfig, SegmentOutcome, ServeError};
-pub use fleet::{EndpointStats, FleetClient, HashRing};
+pub use fleet::{EndpointStats, FleetClient};
 pub use protocol::Message;
 pub use server::{ServeMode, Server, ServerConfig};
 pub use stats::StatsSnapshot;

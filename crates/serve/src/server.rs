@@ -28,12 +28,11 @@
 #[cfg(unix)]
 use crate::evented::spawn as spawn_core;
 use crate::stats::{ServerStats, StatsSnapshot};
-use iqft_pipeline::{CacheConfig, PixelArena, SegmentPipeline, SnapshotError, SnapshotStats};
+use iqft_pipeline::{CacheConfig, PixelArena, SegmentPipeline};
 use iqft_seg::IqftClassifier;
 use seg_engine::SegmentPlan;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -96,12 +95,6 @@ pub struct ServerConfig {
     /// whole-frame cache hit never waits for a worker, so it is answered
     /// at once and never counts against the limit.
     pub max_queue: usize,
-    /// Where to persist the result cache across restarts (default: `None`,
-    /// no persistence).  On boot a snapshot at this path is warm-loaded —
-    /// unless its salt (plan spec) or checksum disagrees, which is a clean
-    /// cold start — and on a drain-then-stop shutdown the resident entries
-    /// are written back.  Requires [`ServerConfig::cache`] to be enabled.
-    pub cache_persist: Option<PathBuf>,
 }
 
 impl ServerConfig {
@@ -143,13 +136,6 @@ impl ServerConfig {
         self.max_inflight = max_inflight;
         self
     }
-
-    /// Persists the result cache to `path`: warm-load on boot, save on a
-    /// drain-then-stop shutdown.
-    pub fn with_cache_persist(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_persist = Some(path.into());
-        self
-    }
 }
 
 impl Default for ServerConfig {
@@ -160,7 +146,6 @@ impl Default for ServerConfig {
             cache: CacheConfig::default(),
             frame_deadline: FRAME_READ_DEADLINE,
             max_queue: 0,
-            cache_persist: None,
         }
     }
 }
@@ -189,14 +174,6 @@ pub(crate) struct Shared {
     /// Segment jobs dispatched to the worker pool but not yet picked up —
     /// the admission gauge.
     pub(crate) queued_jobs: QueuedJobs,
-    /// Result-cache persistence path (None = no persistence).
-    cache_persist: Option<PathBuf>,
-    /// What the boot-time warm load brought in (zero when persistence is off,
-    /// the snapshot was absent, or it was rejected).
-    warm_loaded: SnapshotStats,
-    /// Why the boot-time warm load was rejected, if it was (a fresh boot
-    /// with no snapshot yet is not an error and leaves this empty).
-    warm_error: Option<String>,
     shutting_down: AtomicBool,
     started: Instant,
     addr: SocketAddr,
@@ -247,36 +224,7 @@ impl Shared {
             ..StatsSnapshot::default()
         };
         snapshot.set_latency(self.stats.latency_summary());
-        // Persistence figures ride the forward-compat `extra` map: older
-        // clients relay them untouched, newer ones read them through
-        // `StatsSnapshot::extra_u64`.
-        if self.cache_persist.is_some() {
-            snapshot.extra.insert(
-                "cache_warm_loaded_entries".to_string(),
-                self.warm_loaded.entries.to_string(),
-            );
-            snapshot.extra.insert(
-                "cache_warm_loaded_bytes".to_string(),
-                self.warm_loaded.label_bytes.to_string(),
-            );
-            if let Some(why) = &self.warm_error {
-                snapshot
-                    .extra
-                    .insert("cache_warm_error".to_string(), why.replace('\n', " "));
-            }
-        }
         snapshot
-    }
-
-    /// Writes the result cache back to the persistence path, if one is
-    /// configured.  Runs exactly once, after the drain has finished (every
-    /// reactor and worker thread has exited), so the snapshot reflects the
-    /// final resident set.  A failed save is best-effort: the next boot
-    /// simply starts cold.
-    fn persist_cache(&self) {
-        if let (Some(path), Some(cache)) = (&self.cache_persist, self.pipeline.cache()) {
-            let _ = cache.save_to(path);
-        }
     }
 
     /// Flips the shutdown flag and pokes the listener with a throwaway
@@ -352,21 +300,6 @@ impl Server {
         } else {
             config.max_inflight
         };
-        // Warm-load a persisted cache snapshot before the first connection
-        // is accepted, so the very first request can already hit.  Any
-        // defect in the snapshot — truncation, corruption, a different
-        // plan's salt — is a clean cold start, never a bind failure and
-        // never a wrong label.  A simply-absent snapshot (first boot) is
-        // not an error.
-        let mut warm_loaded = SnapshotStats::default();
-        let mut warm_error = None;
-        if let (Some(path), Some(cache)) = (&config.cache_persist, pipeline.cache()) {
-            match cache.load_from(path, pipeline.arena()) {
-                Ok(stats) => warm_loaded = stats,
-                Err(SnapshotError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(err) => warm_error = Some(err.to_string()),
-            }
-        }
         let shared = Arc::new(Shared {
             pipeline,
             plan,
@@ -375,9 +308,6 @@ impl Server {
             max_inflight,
             max_queue: config.max_queue,
             queued_jobs: QueuedJobs::default(),
-            cache_persist: config.cache_persist,
-            warm_loaded,
-            warm_error,
             shutting_down: AtomicBool::new(false),
             started: Instant::now(),
             addr,
@@ -411,23 +341,12 @@ impl Server {
         let _ = self.join_with_counters();
     }
 
-    /// What the boot-time warm load brought in: `(entries, label_bytes)`.
-    /// Zero unless the server was configured with a persistence path and a
-    /// valid matching snapshot existed.
-    pub fn cache_warm_loaded(&self) -> (usize, usize) {
-        (
-            self.shared.warm_loaded.entries,
-            self.shared.warm_loaded.label_bytes,
-        )
-    }
-
     /// Like [`Server::join`], but returns the final
     /// `(requests_total, pixels_total)` counters observed after the drain —
     /// what a supervising CLI prints as its exit summary.
     pub fn join_with_counters(mut self) -> (usize, u64) {
         if let Some(handle) = self.core.take() {
             let _ = handle.join();
-            self.shared.persist_cache();
         }
         (
             self.shared.stats.requests_total(),
@@ -442,7 +361,6 @@ impl Drop for Server {
         if let Some(handle) = self.core.take() {
             self.shared.signal_shutdown();
             let _ = handle.join();
-            self.shared.persist_cache();
         }
     }
 }
@@ -455,7 +373,6 @@ mod tests {
     use imaging::{Rgb, RgbImage};
     use seg_engine::{ClassifierKind, SegmentEngine};
     use std::io::Write;
-    use std::path::Path;
 
     fn test_image(seed: u8) -> RgbImage {
         RgbImage::from_fn(31, 17, move |x, y| {
@@ -542,155 +459,18 @@ mod tests {
     }
 
     #[test]
-    fn restarted_server_serves_warm_hits_from_a_persisted_cache() {
-        let dir = std::env::temp_dir().join("iqft-serve-persist-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("restart-{}.snap", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let config = || {
-            ServerConfig::new(SegmentPlan::default())
-                .with_max_inflight(2)
-                .with_cache(CacheConfig::with_capacity_mb(8))
-                .with_cache_persist(&path)
-        };
-
-        // First life: populate the cache and drain (which saves).
-        let server = Server::bind("127.0.0.1:0", config()).unwrap();
-        assert_eq!(server.cache_warm_loaded(), (0, 0), "first boot is cold");
-        let mut client = open_client(server.local_addr()).unwrap();
-        let img = test_image(9);
-        let (first, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
-        assert!(!hit);
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.extra_u64("cache_warm_loaded_entries"), Some(0));
-        client.shutdown().unwrap();
-        server.join();
-        assert!(path.exists(), "drain-then-stop wrote the snapshot");
-
-        // Second life: the very first request must hit the warm-loaded
-        // entry and answer byte-identically.
-        let server = Server::bind("127.0.0.1:0", config()).unwrap();
-        let (entries, bytes) = server.cache_warm_loaded();
-        assert_eq!(entries, 1);
-        assert_eq!(bytes, img.len() * 4);
-        let mut client = open_client(server.local_addr()).unwrap();
-        let (second, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
-        assert!(hit, "first post-restart request is a warm hit");
-        assert_eq!(second, first, "warm hit is byte-identical");
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.extra_u64("cache_warm_loaded_entries"), Some(1));
-        assert_eq!(
-            stats.extra_u64("cache_warm_loaded_bytes"),
-            Some(img.len() as u64 * 4)
-        );
-        assert!(stats.extra_u64("cache_warm_error").is_none());
-        client.shutdown().unwrap();
-        server.join();
-
-        // Third life under a *different plan*: the salt mismatch is a clean
-        // cold start, surfaced through the stats extras — never a wrong
-        // label served from a foreign snapshot.
-        let other_plan: SegmentPlan = "classifier=simd;tile=off;backend=serial".parse().unwrap();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(other_plan)
-                .with_max_inflight(2)
-                .with_cache(CacheConfig::with_capacity_mb(8))
-                .with_cache_persist(&path),
-        )
-        .unwrap();
-        assert_eq!(server.cache_warm_loaded(), (0, 0));
-        let mut client = open_client(server.local_addr()).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.extra_u64("cache_warm_loaded_entries"), Some(0));
-        assert!(
-            stats
-                .extra
-                .get("cache_warm_error")
-                .is_some_and(|why| why.contains("salt")),
-            "{:?}",
-            stats.extra
-        );
-        let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
-        assert!(!hit, "foreign snapshot never produces a hit");
-        client.shutdown().unwrap();
-        server.join();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn version_one_snapshot_boots_a_cold_daemon_that_reports_why() {
-        use iqft_pipeline::{LabelArena, SegmentCache};
-        let dir = std::env::temp_dir().join("iqft-serve-persist-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("version-one-{}.snap", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let plan = SegmentPlan::default();
-        let config = || {
-            ServerConfig::new(plan)
-                .with_max_inflight(2)
-                .with_cache(CacheConfig::with_capacity_mb(8))
-                .with_cache_persist(&path)
-        };
-
-        // A daemon writes a real snapshot on its drain.
-        let server = Server::bind("127.0.0.1:0", config()).unwrap();
-        let mut client = open_client(server.local_addr()).unwrap();
-        let img = test_image(4);
-        let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
-        assert!(!hit);
-        client.shutdown().unwrap();
-        server.join();
-
-        // Stamp its version field back to 1, the pre-striped-hash format.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        let cache = SegmentCache::new(CacheConfig::with_capacity_mb(8), &plan.to_spec());
-        assert!(matches!(
-            cache.load_from(&path, &LabelArena::new()),
-            Err(SnapshotError::BadVersion(1))
-        ));
-
-        // A daemon booted on it starts cold and says why.
-        let server = Server::bind("127.0.0.1:0", config()).unwrap();
-        assert_eq!(server.cache_warm_loaded(), (0, 0));
-        let mut client = open_client(server.local_addr()).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.extra_u64("cache_warm_loaded_entries"), Some(0));
-        assert!(
-            stats
-                .extra
-                .get("cache_warm_error")
-                .is_some_and(|why| why.contains("version 1")),
-            "{:?}",
-            stats.extra
-        );
-        let (_, hit) = client.segment_cached(&img, false).unwrap().unwrap_done();
-        assert!(!hit, "a refused snapshot never produces a hit");
-        client.shutdown().unwrap();
-        server.join();
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn config_builder_chains_every_knob() {
         let plan = SegmentPlan::default().with_classifier(ClassifierKind::Simd);
         let config = ServerConfig::new(plan)
             .with_cache(CacheConfig::with_capacity_mb(4))
             .with_frame_deadline(Duration::from_secs(3))
             .with_max_queue(9)
-            .with_max_inflight(5)
-            .with_cache_persist("/tmp/iqft-cache.snap");
+            .with_max_inflight(5);
         assert_eq!(config.plan, plan);
         assert_eq!(config.cache, CacheConfig::with_capacity_mb(4));
         assert_eq!(config.frame_deadline, Duration::from_secs(3));
         assert_eq!(config.max_queue, 9);
         assert_eq!(config.max_inflight, 5);
-        assert_eq!(
-            config.cache_persist.as_deref(),
-            Some(Path::new("/tmp/iqft-cache.snap"))
-        );
         assert_eq!(ServerConfig::new(plan).max_queue, 0, "default: unbounded");
         assert_eq!(
             config.clone().with_mode(ServeMode::Evented),

@@ -237,16 +237,6 @@ impl StatsSnapshot {
         self.lat_p999_us = summary.p999_ns / 1_000;
         self.lat_max_us = summary.max_ns / 1_000;
     }
-
-    /// Reads a forward-compat key from [`StatsSnapshot::extra`] as a `u64`.
-    ///
-    /// This is the typed counterpart to the server writing numeric keys into
-    /// `extra` (e.g. `cache_warm_loaded_entries`): readers get `Some(n)` for
-    /// a present, parsable value and `None` otherwise, instead of re-parsing
-    /// the snapshot text by hand.
-    pub fn extra_u64(&self, key: &str) -> Option<u64> {
-        self.extra.get(key)?.parse().ok()
-    }
 }
 
 impl StatsSnapshot {
@@ -486,14 +476,17 @@ mod tests {
         let reencoded = StatsSnapshot::from_text(&parsed.to_text()).unwrap();
         assert_eq!(reencoded, parsed);
         // Text from an older daemon still carries the retired
-        // uptime-averaged rate and the summary of the retired boot-time
-        // plan probe; it parses, and the keys land in `extra`.
+        // uptime-averaged rate, the summary of the retired boot-time plan
+        // probe and the retired cache-snapshot warm-load figure; it parses,
+        // and the keys land in `extra`.
         let mut older = sample().to_text();
         older.push_str("mpix_per_sec=153.600\n");
         older.push_str("calibration=cores=2;probes=5\n");
+        older.push_str("cache_warm_loaded_entries=12\n");
         let parsed = StatsSnapshot::from_text(&older).unwrap();
         assert_eq!(parsed.extra.get("mpix_per_sec").unwrap(), "153.600");
         assert_eq!(parsed.extra.get("calibration").unwrap(), "cores=2;probes=5");
+        assert_eq!(parsed.extra.get("cache_warm_loaded_entries").unwrap(), "12");
         assert_eq!(
             StatsSnapshot {
                 extra: BTreeMap::new(),
@@ -504,19 +497,6 @@ mod tests {
         assert!(StatsSnapshot::from_text("requests_total=1\n").is_err());
         assert!(StatsSnapshot::from_text("requests_total\n").is_err());
         assert!(StatsSnapshot::from_text("plan=x\nrequests_total=abc\n").is_err());
-    }
-
-    #[test]
-    fn extra_u64_reads_forward_compat_keys_typed() {
-        let mut text = sample().to_text();
-        text.push_str("cache_warm_loaded_entries=12\n");
-        text.push_str("cache_warm_loaded_bytes=49152\n");
-        text.push_str("not_a_number=abc\n");
-        let parsed = StatsSnapshot::from_text(&text).unwrap();
-        assert_eq!(parsed.extra_u64("cache_warm_loaded_entries"), Some(12));
-        assert_eq!(parsed.extra_u64("cache_warm_loaded_bytes"), Some(49_152));
-        assert_eq!(parsed.extra_u64("not_a_number"), None, "unparsable → None");
-        assert_eq!(parsed.extra_u64("absent"), None, "absent → None");
     }
 
     #[test]
