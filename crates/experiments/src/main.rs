@@ -30,13 +30,15 @@
 //!                              per-tile delta path, mutating a fraction
 //!                              --change-rate of each frame's blocks)
 //!   serve   [--addr A] [--classifier C] [--plan SPEC]
-//!           [--workers W] [--max-queue Q] [--cache-mb M] [--addr-file PATH]
+//!           [--workers W] [--cache-mb M] [--addr-file PATH]
 //!                              boot the iqft-serve TCP daemon and block
 //!                              until a client sends Shutdown; --addr-file
 //!                              records the bound (possibly ephemeral) port;
-//!                              --max-queue bounds waiting segment requests
-//!                              (0 = unbounded) — saturated admission gets a
-//!                              typed Busy reply instead of queueing
+//!                              --workers sets the reactor threads, each
+//!                              running the frames it reads to completion
+//!                              (0 = one per plan thread, at least 2); a
+//!                              saturated daemon stops reading, so TCP
+//!                              slows its clients
 //!   loadgen [--addr A[,A,...]] [--clients C] [--images N] [--size S]
 //!           [--seed S] [--repeat-ratio R] [--pipeline K]
 //!           [--expect-cache-hits] [--video] [--change-rate R]
@@ -47,9 +49,7 @@
 //!                              traffic, --pipeline keeps K requests in
 //!                              flight per connection; --video streams each
 //!                              client's own synthetic video through the
-//!                              per-tile delta op; typed Busy rejections
-//!                              from an admission-bounded server are
-//!                              counted, not fatal; several --addr
+//!                              per-tile delta op; several --addr
 //!                              endpoints are one fleet: client c tries
 //!                              them in the listed order rotated by c and
 //!                              fails over to the next when one dies;
@@ -92,7 +92,6 @@ struct Args {
     batch: usize,
     classifier: String,
     plan: String,
-    max_queue: usize,
     verify: bool,
     addr: Option<String>,
     clients: usize,
@@ -127,7 +126,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         batch: 16,
         classifier: seg_engine::ClassifierKind::default().flag().to_string(),
         plan: String::new(),
-        max_queue: 0,
         verify: true,
         addr: None,
         clients: 4,
@@ -162,7 +160,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--batch" => args.batch = number(&flag, value()?)?,
             "--classifier" => args.classifier = value()?,
             "--plan" => args.plan = value()?,
-            "--max-queue" => args.max_queue = number(&flag, value()?)?,
             "--no-verify" => args.verify = false,
             "--addr" => args.addr = Some(value()?),
             "--clients" => args.clients = number(&flag, value()?)?,
@@ -189,7 +186,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 /// from what `--classifier` actually accepts.
 fn usage() -> String {
     format!(
-        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--max-queue Q] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--retries N] [--shutdown]",
+        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--retries N] [--shutdown]",
         seg_engine::ClassifierKind::FLAG_HELP
     )
 }
@@ -270,7 +267,6 @@ fn main() {
                 backend: args.backend.clone(),
                 threads: args.threads,
                 workers: args.workers,
-                max_queue: args.max_queue,
                 cache_mb: args.cache_mb,
                 addr_file: args.addr_file.clone(),
             };
@@ -465,6 +461,10 @@ mod tests {
         // silently ignores it.
         let err = parse("serve --cache-persist cache.snap").unwrap_err();
         assert_eq!(err, "unknown flag --cache-persist");
+        // Nor the retired admission limit, which would promise shedding
+        // the daemon no longer does.
+        let err = parse("serve --max-queue 1").unwrap_err();
+        assert_eq!(err, "unknown flag --max-queue");
         let err = parse("loadgen --clients x").unwrap_err();
         assert!(err.contains("--clients") && err.contains("'x'"), "{err}");
         let err = parse("loadgen --images").unwrap_err();

@@ -12,8 +12,8 @@
 //! pass of the exact segmenter (default on, like the `throughput`
 //! subcommand), and one report prints per-client, per-endpoint and total
 //! figures plus each endpoint's own statistics snapshot.  `--kill-one` boots
-//! three daemons in-process and hard-stops the first between the run's two
-//! halves.
+//! three daemons in-process and, between the run's two halves, hard-stops
+//! the one the second half's first request is sent to.
 //! With `--shutdown`, loadgen finishes by asking every endpoint to drain and
 //! stop — which is exactly what the CI `service-smoke` job does.
 
@@ -50,13 +50,10 @@ pub struct ServeCliConfig {
     pub backend: String,
     /// Thread count for the threads backend (`--threads`).
     pub threads: usize,
-    /// Cap on concurrently-executing segment requests (`--workers`,
-    /// 0 = the plan's effective thread count).
+    /// Reactor threads, each running the frames it reads to completion, so
+    /// also the cap on concurrently-executing segment requests
+    /// (`--workers`, 0 = the plan's effective thread count, at least 2).
     pub workers: usize,
-    /// Admission-control queue bound (`--max-queue`, 0 = unbounded): once
-    /// every worker is busy and this many segment requests are already
-    /// waiting, further ones get an immediate typed Busy reply.
-    pub max_queue: usize,
     /// Byte budget of the content-addressed result cache in MiB
     /// (`--cache-mb`, 0 = caching disabled).
     pub cache_mb: usize,
@@ -75,7 +72,6 @@ impl Default for ServeCliConfig {
             backend: "threads".to_string(),
             threads: 0,
             workers: 0,
-            max_queue: 0,
             cache_mb: 0,
             addr_file: None,
         }
@@ -101,7 +97,6 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
     iqft_serve::poll::raise_nofile_limit(8192);
     let server_config = ServerConfig::new(plan)
         .with_max_inflight(config.workers)
-        .with_max_queue(config.max_queue)
         .with_cache(CacheConfig::with_capacity_mb(config.cache_mb));
     let server = Server::bind(config.addr.as_str(), server_config)
         .map_err(|e| format!("failed to bind {}: {e}", config.addr))?;
@@ -112,14 +107,9 @@ pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
             .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
     }
     println!(
-        "iqft-serve listening on {} (plan [{plan}]; max_inflight={}; max_queue={}; cache={})",
+        "iqft-serve listening on {} (plan [{plan}]; max_inflight={}; cache={})",
         server.local_addr(),
         server.max_inflight(),
-        if config.max_queue > 0 {
-            config.max_queue.to_string()
-        } else {
-            "unbounded".to_string()
-        },
         if config.cache_mb > 0 {
             format!("{}MiB", config.cache_mb)
         } else {
@@ -204,7 +194,8 @@ pub struct LoadgenConfig {
     /// (`--change-rate`, 0.0–1.0).
     pub change_rate: f64,
     /// Chaos mode (`--kill-one`): boot an in-process fleet of three cached
-    /// daemons, hard-stop endpoint 0 between the run's two halves, and
+    /// daemons, hard-stop the first endpoint of the client that sends the
+    /// second half's first request between the run's two halves, and
     /// require byte-identity plus at least one recorded failover — proving
     /// a dead daemon degrades to misses, never to errors.
     pub kill_one: bool,
@@ -392,7 +383,8 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         eprintln!("loadgen: {e}; its requests will fail over");
     }
     let live: Vec<usize> = (0..addrs.len()).filter(|&i| probes[i].is_ok()).collect();
-    // Each client holds a socket per endpoint (and the kernel a few more); a
+    // Each client holds a socket to its first live endpoint, and one more
+    // per endpoint it fails over to (the kernel a few more again); a
     // thousand-client run overruns the common 1024 soft descriptor limit.
     #[cfg(unix)]
     iqft_serve::poll::raise_nofile_limit(
@@ -466,27 +458,25 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         })
         .collect::<std::io::Result<Vec<_>>>()
         .map_err(|e| e.to_string())?;
-    // One client's share of one half: dial the `dial` endpoints (indices
-    // into `addrs`), send, then — off the clock — check each reply against
-    // its reference.
+    // One client's share of one half: with `dial`, connect to its first
+    // live endpoint before the clock starts; then send, and — off the
+    // clock — check each reply against its reference.
     let run_client = |client_idx: usize,
                       fleet: &mut FleetClient,
                       mine: &[usize],
-                      dial: &[usize]|
+                      dial: bool|
      -> Result<ClientOutcome, String> {
-        // Up to three attempts per connection, so transient accept-backlog
-        // overflow does not fail the run; failover redials inside the
-        // FleetClient stay single attempts, so a dead endpoint is skipped
-        // promptly.
-        for j in 0..addrs.len() {
-            let endpoint = endpoint_of(client_idx, j);
-            if !dial.contains(&endpoint) {
-                continue;
-            }
+        // The client sends to its first live endpoint until that dies, so
+        // that is the one socket it opens.  Up to three attempts, so
+        // transient accept-backlog overflow does not fail the run; failover
+        // redials inside the FleetClient stay single attempts, so a dead
+        // endpoint is skipped promptly.
+        let first_live = (0..addrs.len()).find(|&j| live.contains(&endpoint_of(client_idx, j)));
+        if let (true, Some(j)) = (dial, first_live) {
             let mut attempt = 1;
             while let Err(e) = fleet.connect(j) {
                 if attempt == 3 {
-                    let addr = &addrs[endpoint];
+                    let addr = &addrs[endpoint_of(client_idx, j)];
                     return Err(format!(
                         "client {client_idx}: connect to {addr} failed: {e}"
                     ));
@@ -527,8 +517,8 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
                         outcome.mismatches += 1;
                     }
                 }
-                // The server shed this request under overload; it was never
-                // executed, so there is nothing to verify.
+                // A daemon that sheds load refused this request; it was
+                // never executed, so there is nothing to verify.
                 None => outcome.busy += 1,
             }
         }
@@ -550,17 +540,17 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
             continue;
         }
         if half == 1 {
-            // Hard-stop endpoint 0, the first choice of client 0 (and of
-            // every client whose index is a multiple of the fleet size), so
-            // their second half fails over.
-            let server = booted.remove(0);
+            // Hard-stop the first endpoint of the client that sends the
+            // second half's first request, so at least that request fails
+            // over.
+            let killed = endpoint_of(split % clients, 0);
+            let server = booted.remove(killed);
             server.shutdown_now();
             server.join();
-            victim = Some(0);
+            victim = Some(killed);
         }
-        // Connections open once, in the first half, to the endpoints that
-        // answered the preflight.
-        let dial: &[usize] = if half == 0 { &live } else { &[] };
+        // Connections open once, in the first half.
+        let dial = half == 0;
         let started = Instant::now();
         let results: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
             let handles: Vec<_> = fleets
@@ -795,16 +785,6 @@ fn write_server_stats(out: &mut String, stats: &StatsSnapshot) {
         stats.max_inflight,
         stats.protocol_errors,
     );
-    let _ = writeln!(
-        out,
-        "    server admission: max_queue {}, {} busy rejections",
-        if stats.max_queue > 0 {
-            stats.max_queue.to_string()
-        } else {
-            "unbounded".to_string()
-        },
-        stats.busy_rejections,
-    );
     if stats.lat_count > 0 {
         let _ = writeln!(
             out,
@@ -961,17 +941,15 @@ mod tests {
     }
 
     #[test]
-    fn overloaded_server_sheds_with_busy_and_the_rest_verifies() {
-        // One worker, a one-deep queue.  The server runs one request per
-        // connection at a time, so overflowing admission takes more busy
-        // connections than the worker plus the queue slot: CI's overload
-        // leg shape (4 clients x 8 pipelined 160x120 frames each, on the
-        // phase table as the CI leg runs it) must be shed at least once.
+    fn an_overloaded_one_reactor_daemon_answers_every_request_and_sheds_none() {
+        // CI's overload leg shape: 4 clients x 8 pipelined 160x120 frames
+        // each against one reactor on the phase table.  Nothing is shed:
+        // while the reactor classifies it stops reading, and every request
+        // is answered and verifies.
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig::new(SegmentPlan::default().with_classifier(ClassifierKind::Table))
-                .with_max_inflight(1)
-                .with_max_queue(1),
+                .with_max_inflight(1),
         )
         .expect("ephemeral bind");
         let mut config = small_loadgen(server.local_addr().to_string());
@@ -980,14 +958,15 @@ mod tests {
         config.image_size = 160;
         config.pipeline_depth = 8;
         let report = loadgen_report(&config).unwrap();
-        assert!(report.contains("server admission: max_queue 1"), "{report}");
         assert!(
-            !report.contains(", 0 busy rejections"),
-            "4 clients' 8-deep bursts against 1 worker + 1 queue slot must shed:\n{report}"
+            report.contains("total: 32 requests (0 cache hits, 0 busy-rejected, 0 failed over)"),
+            "{report}"
         );
-        // Whatever was admitted verified byte-identically; loadgen reports
-        // rather than fails when the shed count is nonzero.
-        assert!(report.contains("byte-identical"), "{report}");
+        assert!(
+            report.contains("verify: all 32 replies (hits and misses alike) byte-identical"),
+            "{report}"
+        );
+        assert!(report.contains("max_inflight 1;"), "{report}");
         server.join();
     }
 
@@ -1138,6 +1117,24 @@ mod tests {
     }
 
     #[test]
+    fn kill_one_chaos_run_kills_the_endpoint_the_second_half_starts_at() {
+        // Two requests split at request 1, which client 1 of 4 sends: its
+        // rotated list starts at endpoint 1, so that is the one killed.
+        let mut config = small_loadgen(String::new());
+        config.kill_one = true;
+        config.clients = 4;
+        config.images = 2;
+        config.pipeline_depth = 4;
+        let report = loadgen_report(&config).unwrap();
+        assert!(
+            report.contains("chaos: killed endpoint 1 mid-run"),
+            "{report}"
+        );
+        assert!(report.contains(" 1 failed over"), "{report}");
+        assert!(report.contains("acknowledged by 2 of 3"), "{report}");
+    }
+
+    #[test]
     fn kill_one_chaos_fleet_tears_down_without_explicit_shutdown() {
         // Regression: the self-booted chaos fleet must hard-stop its
         // surviving daemons when no --shutdown drain was requested —
@@ -1158,6 +1155,19 @@ mod tests {
         config.kill_one = true;
         let err = loadgen_report(&config).unwrap_err();
         assert!(err.contains("cannot be combined"), "{err}");
+    }
+
+    /// The `connections_total` of each endpoint's server stats block, in
+    /// endpoint order.
+    fn endpoint_connections(report: &str) -> Vec<u64> {
+        report
+            .lines()
+            .filter_map(|line| line.strip_prefix("    server: plan ["))
+            .map(|line| {
+                let counts = line.split("], ").nth(1).unwrap();
+                counts.split_whitespace().next().unwrap().parse().unwrap()
+            })
+            .collect()
     }
 
     /// The request count on each `endpoint N (addr): …` report line, in
@@ -1183,6 +1193,9 @@ mod tests {
         // Clients 0 and 2 start at the first endpoint, client 1 at the
         // second: 3 + 3 + 3 requests split 6 / 3.
         assert_eq!(endpoint_requests(&report), vec![6, 3], "{report}");
+        // Each client dials only the endpoint it starts at; loadgen's probe
+        // adds one connection per endpoint.
+        assert_eq!(endpoint_connections(&report), vec![3, 2], "{report}");
         assert!(report.contains(" 0 failed over"), "{report}");
         assert!(report.contains("byte-identical"), "{report}");
         a.join();

@@ -27,7 +27,7 @@ pub(crate) const MAX_POOLED_BYTES: usize = 64 << 20;
 /// A thread-safe pool of reusable `Vec<T>` buffers.
 ///
 /// Aligned to a cache line of its own: every take and put writes its lock
-/// and counters from whichever reactor or worker serves the request, while
+/// and counters from whichever thread serves the request, while
 /// the fields next to it in a `SegmentPipeline` or a daemon's shared state
 /// are read on every request.  Sharing a line with them makes that line
 /// bounce between cores; where the compiler happened to place the

@@ -302,8 +302,7 @@ fn charged_bytes(labels: usize) -> usize {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: usize,
-    /// Lookups that found nothing (the caller then segments and inserts,
-    /// unless a daemon at its admission limit sheds the request as `Busy`).
+    /// Lookups that found nothing (the caller then segments and inserts).
     pub misses: usize,
     /// Entries stored.
     pub insertions: usize,

@@ -179,7 +179,7 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     ///
     /// Unlike [`SegmentPipeline::run_batch`], which owns a whole batch and a
     /// join barrier, this segments exactly one image synchronously — the
-    /// shape a serving daemon (`iqft-serve`) needs: a worker thread submits
+    /// shape a serving daemon (`iqft-serve`) needs: a reactor thread submits
     /// one decoded request here and the call completes when the labels are
     /// ready.  The frame is split into chunks over as many of the engine's
     /// threads as it is worth to the classifier
@@ -202,8 +202,8 @@ impl<C: PixelClassifier + Sync> SegmentPipeline<C> {
     ///
     /// This is [`SegmentPipeline::lookup_request`] followed, on a miss, by
     /// [`SegmentPipeline::segment_miss`], with the shared result copied into
-    /// a map the caller owns; a daemon that runs the two halves on
-    /// different threads replies from the shared buffer instead.
+    /// a map the caller owns; a daemon that calls the two halves itself
+    /// replies from the shared buffer instead.
     ///
     /// Returns the labels plus whether they came from the cache.  Hit or
     /// miss, the result is byte-identical to [`segment_request`] by

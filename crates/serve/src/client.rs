@@ -208,8 +208,9 @@ pub enum SegmentOutcome {
         /// Whether the reply was served from the server's result cache.
         cached: bool,
     },
-    /// The server refused admission for this request (pool and queue
-    /// saturated); it was not executed.
+    /// The server shed this request; it was not executed.  This crate's
+    /// daemon never sheds (a saturated reactor stops reading instead), but
+    /// the reply stays decodable.
     Busy,
     /// A fleet request whose first endpoint was unreachable (connect
     /// failure or drain) and that a later endpoint in the config's list

@@ -1,77 +1,79 @@
-//! The evented serving core: a hand-rolled nonblocking readiness loop.
+//! The evented serving core: a hand-rolled nonblocking readiness loop that
+//! runs each frame to completion on the reactor that decoded it.
 //!
 //! Layering (sans-io at the center, I/O at the edges):
 //!
 //! ```text
 //!              accept            readable             complete frame
-//!   listener ────────► reactor ──────────► FrameDecoder ─────────────┐
-//!   (nonblocking,        │  ▲                (no I/O inside)         │
-//!    owned by            │  │ wake                                   ▼
-//!    reactor 0)          │  │                 light ops,       other segment
-//!                        │  │                 whole-frame      ops, cache
-//!                        │  │                 cache hits       misses (worker
-//!                        │  │                 (inline)         pool, max_inflight
-//!                        │  └── completions ◄─────┼─────────── threads)
-//!                        ▼      (labels)          ▼
-//!                   poll(2) over ◄──────────── FrameEncoder ──► LabelArena
-//!                   all conn fds    writev     (per-conn queue:  (written
-//!                                              frames + label    buffers)
-//!                                              buffers)
+//!   listener ────────► reactor ──────────► FrameDecoder ───────────┐
+//!   (nonblocking,        │  ▲                (no I/O inside)       │
+//!    owned by            │  │ wake: a connection                   ▼
+//!    reactor 0)          │  │ another reactor               run here, in
+//!                        │  │ accepted                      arrival order:
+//!                        │  │                               light ops, hits,
+//!                        ▼                                  misses, Segment,
+//!                   poll(2) over ◄──────────── FrameEncoder ◄── SegmentDelta
+//!                   its conn fds    writev     (per-conn queue:   │
+//!                                              frames + label     ▼
+//!                                              buffers)       LabelArena
+//!                                                             (written buffers)
 //! ```
 //!
-//! A small fixed set of reactor threads ([`REACTOR_THREADS`]) owns *all*
-//! connections; the acceptor is just the listener's readiness entry in
-//! reactor 0's poll set, and new connections are dealt round-robin across
-//! reactors.  Each connection costs one [`FrameDecoder`] + [`FrameEncoder`]
-//! pair and a few counters — kilobytes, not an OS thread — which is what
-//! lets one daemon hold a thousand-plus pipelined connections.
+//! [`crate::ServerConfig::max_inflight`] reactor threads own *all*
+//! connections.  The acceptor is just the listener's readiness entry in
+//! reactor 0's poll set, and new connections are dealt round robin across
+//! reactors through each reactor's inbox and socketpair waker — the only
+//! hand-off between threads.  Each connection costs one [`FrameDecoder`] +
+//! [`FrameEncoder`] pair and a few counters — kilobytes, not an OS thread —
+//! which is what lets one daemon hold a thousand-plus pipelined
+//! connections.
 //!
 //! Way in: the decoder copies a segment request's pixels straight from the
 //! reactor's read buffer into the image the request will carry, in a warm
 //! buffer from the daemon's pixel arena; the image goes back to the arena
-//! after its job, its inline hit or its `Busy` refusal, and so does the
-//! buffer of a frame a closing connection abandons.
+//! once its request has run, and so does the buffer of a frame a closing
+//! connection abandons.
 //!
-//! Work split: each connection's complete frames are processed strictly in
-//! arrival order.  `Ping`/`Stats`/`Shutdown` and all protocol errors are
-//! answered inline on the reactor (they are O(µs)).  So is a `SegmentCached`
-//! request that hits: on a daemon with a cache, the reactor computes the
-//! whole-frame key of every non-bypassed `SegmentCached` request and looks
-//! it up, and a hit is queued on the spot from the cache entry's own label
-//! buffer — one key and no label copy, with no worker, admission slot or
-//! thread wake-up.  A miss goes to the worker pool carrying its key, so
-//! nothing is hashed twice;
-//! `Segment`, `SegmentDelta`, bypassed `SegmentCached` and `SegmentCached`
-//! on a daemon without a cache go there as they arrive.  The pool is
-//! `max_inflight` threads sharing the server's one warm pipeline, with at
-//! most one job per connection at a time, so per-connection execution is
-//! serial (a pipelined repeat sees the cache entry its predecessor stored,
-//! and a hit is only looked up once nothing is in flight on its connection,
-//! so it never overtakes an earlier miss), while connections execute
-//! concurrently.  Workers hand replies back through a per-reactor
-//! completion queue and wake the reactor via a socketpair; across
-//! connections replies ship in *completion order*, which protocol v2
-//! explicitly permits (clients match replies by echoed id).
+//! Run to completion: each connection's complete frames run strictly in
+//! arrival order, on the reactor that decoded them, and each reply is
+//! queued the moment its request finishes.  `Ping`/`Stats`/`Shutdown` and
+//! protocol errors take microseconds.  A segment request — `Segment`,
+//! `SegmentDelta`, or a `SegmentCached` hit, miss or bypass — calls the
+//! server's one warm pipeline right there: a whole-frame hit replies from
+//! the cache entry's own label buffer, and a miss classifies and stores
+//! under the key its lookup computed, so nothing is hashed twice.  No frame
+//! crosses to another thread, so a reactor classifies one frame at a time
+//! and the daemon at most as many as it has reactors.  The frames of one
+//! connection never run concurrently, so a pipelined repeat sees the cache
+//! entry its predecessor stored, and a hit never overtakes an earlier miss.
+//! Across connections replies ship in whatever order the reactors make,
+//! which protocol v2 permits (clients match replies by echoed id).
 //!
-//! Replies: a worker never encodes a segment reply.  It records the reply's
-//! stats and `lat_*` time and hands over the labels as they are — for a
-//! miss, the very buffer the cache now stores; the reactor queues them
-//! behind a head of at most 40 bytes and writes both with one `writev`.  An
-//! inline cache hit takes the same path.  Once a buffer's last byte is
+//! Head-of-line stalls: while a reactor classifies, its other connections
+//! wait — about 0.5 ms for a 1024×768 frame on the split table, and up to
+//! ~8 ms for the largest legal frame.  So that one pipelining peer cannot
+//! hold its reactor for longer, a reactor runs at most one segment request
+//! per connection per pass over its poll set, and none for a connection
+//! whose unsent replies exceed [`WRITE_HIGH_WATER`]; a connection left with
+//! a frame it may run makes the next `poll(2)` return at once.  The `table`
+//! and `exact` kinds classify far slower: one of their frames holds its
+//! reactor for the whole classification (~11 ms and ~200 ms at 1024×768),
+//! which is why neither is served by default.
+//!
+//! Replies: a segment reply's labels are queued as they are — for a miss,
+//! the very buffer the cache now stores — behind a head of at most 40
+//! bytes, and both go out with one `writev`.  Once a buffer's last byte is
 //! written the reply lets go of it, and so do the replies still queued when
-//! a connection closes and a completion whose connection is already gone;
-//! whichever of the replies and the cache entry lets go last returns the
-//! buffer to the pipeline's arena.
+//! a connection closes; whichever of the replies and the cache entry lets
+//! go last returns the buffer to the pipeline's arena.
 //!
-//! Backpressure: a connection stops being polled for readability while it
-//! has [`MAX_PIPELINE_DEPTH`] frames queued or more than
-//! [`WRITE_HIGH_WATER`] unsent reply bytes — the kernel socket buffer then
-//! pushes back on the client, bounding per-connection memory no matter how
-//! fast the peer writes.  The worker queue is in turn bounded by what the
-//! reactors admit: at most one dispatched frame per connection, and with
-//! `max_queue` set, a typed `Busy` reply for a frame that would wait behind
-//! that many others.  Admission bounds only work bound for the pool: an
-//! inline cache hit never takes a queue slot and is never answered `Busy`.
+//! Overload and backpressure: nothing waits in a daemon-wide queue, so
+//! nothing is shed, and the daemon never answers `Busy`.  A connection stops
+//! being polled for readability while it has [`MAX_PIPELINE_DEPTH`] frames
+//! queued or more than [`WRITE_HIGH_WATER`] unsent reply bytes — the kernel
+//! socket buffer then pushes back on the client, bounding per-connection
+//! memory no matter how fast the peer writes.  A saturated reactor reads no
+//! faster than it classifies, so TCP slows its clients to its pace.
 //!
 //! Deadlines: the per-frame read deadline is reactor bookkeeping, not a
 //! socket timeout — each mid-frame connection records when its frame must be
@@ -90,17 +92,17 @@
 #![cfg(unix)]
 
 use crate::poll::{poll, PollFd, POLLIN, POLLOUT};
-use crate::protocol::{Frame, FrameDecoder, FrameEncoder, LabelReply, Message, MAX_PIPELINE_DEPTH};
+use crate::protocol::{
+    Frame, FrameDecoder, FrameEncoder, LabelReply, Message, Op, MAX_PIPELINE_DEPTH,
+};
 use crate::server::{ConnStats, Shared};
-use imaging::RgbImage;
-use iqft_pipeline::{CacheKey, CacheLookup};
+use iqft_pipeline::CacheLookup;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -112,64 +114,17 @@ const POLL_INTERVAL: Duration = Duration::from_millis(100);
 /// After shutdown is signalled, how long an idle connection stays open for
 /// frames still in flight before the reactor closes it.
 const SHUTDOWN_GRACE: Duration = Duration::from_millis(200);
-/// Fixed number of reactor threads.  Readiness dispatch is cheap; two
-/// threads keep accept latency low while one reactor is mid-sweep without
-/// approaching a thread-per-connection footprint.
-const REACTOR_THREADS: usize = 2;
-/// A connection with more unsent reply bytes than this stops being read
-/// until the peer drains some — bounding per-connection memory.
+/// A connection whose unsent reply bytes exceed this is not read, and runs
+/// no segment request, until the peer drains some — bounding
+/// per-connection memory and what one peer can make its reactor do.
 const WRITE_HIGH_WATER: usize = 8 << 20;
 /// Read scratch size per reactor (shared across its connections).
 const READ_CHUNK: usize = 64 << 10;
 
-/// A segment request dispatched from a reactor to the worker pool.
-struct Job {
-    reactor: usize,
-    conn: usize,
-    gen: u64,
-    request_id: u64,
-    image: RgbImage,
-    work: Work,
-    pixels: Arc<AtomicU64>,
-}
-
-/// The pipeline call a [`Job`] makes on its image.
-enum Work {
-    Segment,
-    /// A `SegmentCached` the reactor did not look up: bypassed, or served
-    /// by a daemon without a cache.
-    Cached {
-        bypass: bool,
-    },
-    /// A `SegmentCached` the reactor keyed and looked up without a hit: the
-    /// worker classifies and inserts under `key`.  `lookup` is the
-    /// reactor's key-and-lookup time, so `lat_*` still covers the whole
-    /// pipeline call.
-    Miss {
-        key: CacheKey,
-        lookup: Duration,
-    },
-    Delta,
-}
-
-/// A segment reply travelling back from a worker to a reactor, its labels
-/// not yet encoded.
-struct Completion {
-    conn: usize,
-    gen: u64,
-    request_id: u64,
-    reply: LabelReply,
-}
-
-#[derive(Default)]
-struct Inbox {
-    conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
-}
-
-/// The cross-thread face of one reactor: an inbox plus a socketpair waker.
+/// The cross-thread face of one reactor: the connections another reactor
+/// accepted for it, plus a socketpair waker.
 struct ReactorHandle {
-    inbox: Mutex<Inbox>,
+    inbox: Mutex<Vec<TcpStream>>,
     waker: UnixStream,
 }
 
@@ -184,19 +139,15 @@ impl ReactorHandle {
         self.inbox
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .conns
             .push(stream);
         self.wake();
     }
+}
 
-    fn push_completion(&self, completion: Completion) {
-        self.inbox
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .completions
-            .push(completion);
-        self.wake();
-    }
+/// Whether `op` asks for a segmentation (the ops a pass runs at most one
+/// of per connection).
+fn is_segment(op: Op) -> bool {
+    matches!(op, Op::Segment | Op::SegmentCached | Op::SegmentDelta)
 }
 
 /// One connection's entire server-side state.
@@ -204,22 +155,16 @@ struct Conn {
     stream: TcpStream,
     decoder: FrameDecoder,
     encoder: FrameEncoder,
-    /// Pixels segmented for this connection (written by workers, and by
-    /// the reactor for inline cache hits).
-    pixels: Arc<AtomicU64>,
+    /// Pixels segmented for this connection.
+    pixels: u64,
     /// Frames started on this connection (header fully received).
     requests: usize,
     /// `decoder.frames_started()` already folded into the counters above.
     counted: u64,
-    /// Complete frames decoded but not yet processed.  Frames on one
-    /// connection are handled strictly in arrival order with at most one
-    /// dispatched to the worker pool at a time, so per-connection execution
-    /// (and therefore cache-hit behaviour and reply order) is serial.
+    /// Complete frames decoded but not yet run, in arrival order.
     queue: VecDeque<Frame>,
-    /// Whether a dispatched job's completion is still outstanding.
-    inflight: bool,
     read_eof: bool,
-    /// No more reads; flush + finish pending work, then close.
+    /// No more reads; flush pending replies, then close.
     closing: bool,
     /// When the in-progress frame must be complete (reactor bookkeeping, not
     /// a socket timeout).
@@ -233,16 +178,20 @@ impl Conn {
             stream,
             decoder: FrameDecoder::new(),
             encoder: FrameEncoder::new(),
-            pixels: Arc::new(AtomicU64::new(0)),
+            pixels: 0,
             requests: 0,
             counted: 0,
             queue: VecDeque::new(),
-            inflight: false,
             read_eof: false,
             closing: false,
             frame_deadline: None,
             idle_since: now,
         }
+    }
+
+    /// Whether the unsent replies exceed [`WRITE_HIGH_WATER`].
+    fn backed_up(&self) -> bool {
+        self.encoder.pending_len() > WRITE_HIGH_WATER
     }
 
     /// Whether the reactor should keep polling this connection for reads.
@@ -251,13 +200,23 @@ impl Conn {
             && !self.read_eof
             && !self.decoder.is_failed()
             && self.queue.len() < MAX_PIPELINE_DEPTH
-            && self.encoder.pending_len() < WRITE_HIGH_WATER
+            && !self.backed_up()
     }
 
-    /// Nothing in flight, nothing buffered, no partial frame.
+    /// Whether the frame at the head of the queue may run now: a light op
+    /// always may, a segment request only while the replies are not backed
+    /// up.
+    fn can_run(&self) -> bool {
+        !self.closing
+            && self
+                .queue
+                .front()
+                .is_some_and(|frame| !is_segment(frame.header.op) || !self.backed_up())
+    }
+
+    /// Nothing queued, nothing buffered, no partial frame.
     fn is_idle(&self) -> bool {
         self.queue.is_empty()
-            && !self.inflight
             && self.encoder.is_empty()
             && !self.decoder.mid_frame()
             && !self.closing
@@ -268,7 +227,7 @@ impl Conn {
     /// server is stopping); a peer that merely half-closed its write side
     /// still gets every queued frame answered first.
     fn is_done(&self) -> bool {
-        if self.inflight || !self.encoder.is_empty() {
+        if !self.encoder.is_empty() {
             return false;
         }
         self.closing || (self.read_eof && self.queue.is_empty())
@@ -300,9 +259,9 @@ fn flush(conn: &mut Conn, shared: &Shared) -> io::Result<()> {
     result
 }
 
-/// Queues a segment reply, whichever thread produced it.  Its dimensions
-/// came from a decoded request, so it always fits a frame; should it not,
-/// the peer gets a typed error instead.
+/// Queues a segment reply.  Its dimensions came from a decoded request, so
+/// it always fits a frame; should it not, the peer gets a typed error
+/// instead.
 fn queue_reply(conn: &mut Conn, request_id: u64, reply: LabelReply) {
     if let Err(err) = conn.encoder.enqueue_labels(request_id, reply) {
         let _ = conn.encoder.enqueue(
@@ -312,11 +271,6 @@ fn queue_reply(conn: &mut Conn, request_id: u64, reply: LabelReply) {
             },
         );
     }
-}
-
-struct Slot {
-    gen: u64,
-    conn: Option<Conn>,
 }
 
 struct Reactor {
@@ -332,8 +286,7 @@ struct Reactor {
     /// set until then, so a full descriptor table cannot spin the reactor.
     accept_paused_until: Option<Instant>,
     accepting_done: Arc<AtomicBool>,
-    job_tx: Sender<Job>,
-    slots: Vec<Slot>,
+    slots: Vec<Option<Conn>>,
     free: Vec<usize>,
     next_assign: usize,
     shutdown_seen: Option<Instant>,
@@ -374,7 +327,7 @@ impl Reactor {
             if shutting_down && self.accepting_done.load(Ordering::SeqCst) && self.live_conns() == 0
             {
                 let inbox = self.handle.inbox.lock().unwrap_or_else(|e| e.into_inner());
-                if inbox.conns.is_empty() && inbox.completions.is_empty() {
+                if inbox.is_empty() {
                     break;
                 }
                 continue;
@@ -400,7 +353,7 @@ impl Reactor {
                 }
             }
             for (idx, slot) in self.slots.iter().enumerate() {
-                let Some(conn) = &slot.conn else { continue };
+                let Some(conn) = slot else { continue };
                 let mut events = 0i16;
                 if conn.wants_read() {
                     events |= POLLIN;
@@ -413,7 +366,11 @@ impl Reactor {
                 // Poll timeout = the nearest deadline among mid-frame
                 // connections (and, during a drain, the nearest idle-grace
                 // cutoff) — deadline bookkeeping lives here, in the
-                // reactor, not in per-socket timeouts.
+                // reactor, not in per-socket timeouts.  A frame that may
+                // run now waits for nothing.
+                if conn.can_run() {
+                    timeout = Duration::ZERO;
+                }
                 if let Some(deadline) = conn.frame_deadline {
                     timeout = timeout.min(deadline.saturating_duration_since(now));
                 }
@@ -440,7 +397,8 @@ impl Reactor {
                         }
                     }
                     Target::Conn(idx) => {
-                        if fd.ready() {
+                        let runnable = self.slots[*idx].as_ref().is_some_and(Conn::can_run);
+                        if fd.ready() || runnable {
                             self.service_conn(*idx, fd.readable(), &mut scratch, now);
                         }
                     }
@@ -450,7 +408,7 @@ impl Reactor {
     }
 
     fn live_conns(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.conn.is_some()).count()
+        self.slots.iter().filter(|slot| slot.is_some()).count()
     }
 
     fn drain_waker(&mut self) {
@@ -494,18 +452,15 @@ impl Reactor {
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
         self.shared.stats.connection_opened();
-        let conn = Conn::new(stream, now);
+        let conn = Some(Conn::new(stream, now));
         match self.free.pop() {
-            Some(idx) => self.slots[idx].conn = Some(conn),
-            None => self.slots.push(Slot {
-                gen: 0,
-                conn: Some(conn),
-            }),
+            Some(idx) => self.slots[idx] = conn,
+            None => self.slots.push(conn),
         }
     }
 
     fn close(&mut self, idx: usize) {
-        if let Some(mut conn) = self.slots[idx].conn.take() {
+        if let Some(mut conn) = self.slots[idx].take() {
             // Reclaim the label buffers the peer will never read, and the
             // pixels of the frames it will never get answered, before the
             // close is counted, so a stats reader that sees the close also
@@ -524,48 +479,15 @@ impl Reactor {
                 self.shared.pixel_arena.put(pixels);
             }
             self.shared.stats.connection_closed();
-            // Bump the generation so stale completions for this slot are
-            // recognised, and only their labels kept, instead of landing on
-            // a new tenant.
-            self.slots[idx].gen += 1;
             self.free.push(idx);
         }
     }
 
     fn drain_inbox(&mut self, now: Instant) {
-        let (conns, completions) = {
-            let mut inbox = self.handle.inbox.lock().unwrap_or_else(|e| e.into_inner());
-            (
-                std::mem::take(&mut inbox.conns),
-                std::mem::take(&mut inbox.completions),
-            )
-        };
+        let conns =
+            std::mem::take(&mut *self.handle.inbox.lock().unwrap_or_else(|e| e.into_inner()));
         for stream in conns {
             self.register(stream, now);
-        }
-        for completion in completions {
-            let Some(slot) = self.slots.get_mut(completion.conn) else {
-                continue;
-            };
-            let live = slot.gen == completion.gen;
-            let Some(mut conn) = slot.conn.take_if(|_| live) else {
-                // Its connection is gone: only the labels are worth keeping.
-                self.shared
-                    .pipeline
-                    .arena()
-                    .release(completion.reply.into_labels());
-                continue;
-            };
-            conn.inflight = false;
-            queue_reply(&mut conn, completion.request_id, completion.reply);
-            conn.idle_since = now;
-            // The completed job unblocks this connection's frame queue.
-            self.pump(&mut conn, completion.conn, completion.gen);
-            let dead = flush(&mut conn, &self.shared).is_err();
-            self.slots[completion.conn].conn = Some(conn);
-            if dead {
-                self.close(completion.conn);
-            }
         }
     }
 
@@ -573,7 +495,7 @@ impl Reactor {
     /// deadline, or idle past the shutdown grace window.
     fn sweep(&mut self, now: Instant, shutting_down: bool) {
         for idx in 0..self.slots.len() {
-            let Some(conn) = &self.slots[idx].conn else {
+            let Some(conn) = &self.slots[idx] else {
                 continue;
             };
             let stalled = conn.frame_deadline.is_some_and(|deadline| now >= deadline);
@@ -586,36 +508,28 @@ impl Reactor {
         }
     }
 
+    /// Reads what the socket has (when it polled readable), runs what the
+    /// connection may run in this pass, and writes what it can.
     fn service_conn(&mut self, idx: usize, readable: bool, scratch: &mut [u8], now: Instant) {
-        let Some(mut conn) = self.slots[idx].conn.take() else {
+        let Some(mut conn) = self.slots[idx].take() else {
             return;
         };
-        let gen = self.slots[idx].gen;
-        let mut dead = false;
-        if readable {
-            dead = !self.read_conn(&mut conn, idx, gen, scratch, now);
+        let mut dead = readable && !self.read_conn(&mut conn, scratch, now);
+        if !dead {
+            self.pump(&mut conn);
+            if !conn.encoder.is_empty() {
+                dead = flush(&mut conn, &self.shared).is_err();
+            }
         }
-        if !dead && !conn.encoder.is_empty() {
-            dead = flush(&mut conn, &self.shared).is_err();
-        }
+        self.slots[idx] = Some(conn);
         if dead {
-            self.slots[idx].conn = Some(conn);
             self.close(idx);
-        } else {
-            self.slots[idx].conn = Some(conn);
         }
     }
 
     /// Reads until the socket would block (or backpressure caps reading).
     /// Returns `false` when the connection died at the transport level.
-    fn read_conn(
-        &mut self,
-        conn: &mut Conn,
-        idx: usize,
-        gen: u64,
-        scratch: &mut [u8],
-        now: Instant,
-    ) -> bool {
+    fn read_conn(&self, conn: &mut Conn, scratch: &mut [u8], now: Instant) -> bool {
         while conn.wants_read() {
             match (&conn.stream).read(scratch) {
                 Ok(0) => {
@@ -624,7 +538,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.idle_since = now;
-                    self.ingest(conn, idx, gen, &scratch[..n], now);
+                    self.ingest(conn, &scratch[..n], now);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -634,9 +548,9 @@ impl Reactor {
         true
     }
 
-    /// Feeds one received chunk through the sans-io decoder and handles
+    /// Feeds one received chunk through the sans-io decoder and queues
     /// every complete frame it yields.
-    fn ingest(&self, conn: &mut Conn, idx: usize, gen: u64, chunk: &[u8], now: Instant) {
+    fn ingest(&self, conn: &mut Conn, chunk: &[u8], now: Instant) {
         let mut offset = 0;
         while offset < chunk.len() && !conn.closing {
             let (consumed, event) = conn
@@ -680,19 +594,16 @@ impl Reactor {
         } else {
             conn.frame_deadline = None;
         }
-        self.pump(conn, idx, gen);
     }
 
-    /// Processes this connection's queued frames strictly in arrival order.
-    /// Light ops and whole-frame cache hits answer inline; any other segment
-    /// op dispatches to the worker pool and blocks the queue until its
-    /// completion returns, so per-connection execution is serial and
-    /// replies leave in request order.
-    fn pump(&self, conn: &mut Conn, idx: usize, gen: u64) {
-        while !conn.closing && !conn.inflight {
-            let Some(frame) = conn.queue.pop_front() else {
-                break;
-            };
+    /// Runs this connection's queued frames strictly in arrival order, each
+    /// to completion, queueing its reply at once.  Light ops all run; a
+    /// segment request runs only while the replies are not backed up, and
+    /// at most one does per pass, so one pipelining peer holds its reactor
+    /// for at most one frame between the other connections' turns.
+    fn pump(&self, conn: &mut Conn) {
+        while conn.can_run() {
+            let frame = conn.queue.pop_front().expect("a runnable frame is queued");
             let request_id = frame.header.request_id;
             let message = match frame.into_message() {
                 Ok(message) => message,
@@ -708,40 +619,37 @@ impl Reactor {
                     continue;
                 }
             };
-            let (image, work) = match message {
-                Message::Segment { image } => (image, Work::Segment),
-                Message::SegmentDelta { image } => (image, Work::Delta),
+            let started = Instant::now();
+            let pipeline = &self.shared.pipeline;
+            let (image, reply) = match message {
+                Message::Segment { image } => {
+                    let labels = Arc::new(pipeline.segment_request(&image));
+                    (image, LabelReply::segment(labels))
+                }
                 Message::SegmentCached { image, bypass } => {
-                    // The whole-frame lookup runs here, on the reactor: a
-                    // hit is answered without a worker, an admission slot or
-                    // a thread wake-up, and a miss carries its key along.
-                    let started = Instant::now();
                     let lookup = if bypass {
                         None
                     } else {
-                        self.shared.pipeline.lookup_request(&image)
+                        pipeline.lookup_request(&image)
                     };
-                    match lookup {
-                        Some(CacheLookup::Hit(labels)) => {
-                            record_reply(
-                                &self.shared,
-                                labels.len(),
-                                started.elapsed(),
-                                &conn.pixels,
-                            );
-                            self.shared.pixel_arena.recycle(image);
-                            queue_reply(conn, request_id, LabelReply::cached(labels, true));
-                            continue;
+                    let reply = match lookup {
+                        Some(CacheLookup::Hit(labels)) => LabelReply::cached(labels, true),
+                        Some(CacheLookup::Miss(key)) => {
+                            LabelReply::cached(pipeline.segment_miss(&image, key), false)
                         }
-                        Some(CacheLookup::Miss(key)) => (
-                            image,
-                            Work::Miss {
-                                key,
-                                lookup: started.elapsed(),
-                            },
-                        ),
-                        None => (image, Work::Cached { bypass }),
-                    }
+                        None => {
+                            LabelReply::cached(Arc::new(pipeline.segment_request(&image)), false)
+                        }
+                    };
+                    (image, reply)
+                }
+                Message::SegmentDelta { image } => {
+                    let (labels, tiles_hit, tiles_recomputed) =
+                        pipeline.segment_request_delta(&image);
+                    (
+                        image,
+                        LabelReply::delta(Arc::new(labels), tiles_hit, tiles_recomputed),
+                    )
                 }
                 Message::Ping => {
                     let _ = conn.encoder.enqueue(request_id, &Message::Pong);
@@ -752,7 +660,7 @@ impl Reactor {
                         .shared
                         .snapshot(&ConnStats {
                             requests: conn.requests,
-                            pixels: conn.pixels.load(Ordering::Relaxed),
+                            pixels: conn.pixels,
                         })
                         .to_text();
                     let _ = conn
@@ -783,132 +691,41 @@ impl Reactor {
                     continue;
                 }
             };
-            // Admission control: the worker pool drains the queue counter as
-            // it picks jobs up, so the counter gauges *waiting* work.  Claim
-            // a queue slot optimistically; if that overshoots the limit,
-            // give it back and answer with the typed Busy reply instead of
-            // queueing unboundedly (count before the reply can ship).
-            let max_queue = self.shared.max_queue;
-            let queued = self.shared.queued_jobs.fetch_add(1, Ordering::Relaxed);
-            if max_queue != 0 && queued >= max_queue {
-                self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-                self.shared.stats.busy_rejection();
-                self.shared.pixel_arena.recycle(image);
-                let _ = conn.encoder.enqueue(request_id, &Message::Busy);
-                continue;
-            }
-            let job = Job {
-                reactor: self.index,
-                conn: idx,
-                gen,
-                request_id,
-                image,
-                work,
-                pixels: Arc::clone(&conn.pixels),
-            };
-            conn.inflight = true;
-            if let Err(unsent) = self.job_tx.send(job) {
-                // Workers are gone (teardown race); nothing can answer.
-                self.shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-                self.shared.pixel_arena.recycle(unsent.0.image);
-                conn.inflight = false;
-                conn.closing = true;
-            }
+            // Counted before the reply can reach the wire, so a client
+            // holding its reply never reads a stale Stats snapshot.
+            self.shared.stats.record_latency(started.elapsed());
+            self.shared.stats.segmented(image.len());
+            conn.pixels += image.len() as u64;
+            self.shared.pixel_arena.recycle(image);
+            queue_reply(conn, request_id, reply);
+            conn.idle_since = Instant::now();
+            break;
         }
     }
 }
 
-/// Executes one dispatched segment request against the shared pipeline and
-/// returns the reply, recorded but not encoded: the reactor writes its
-/// labels straight from their buffer.
-fn execute_job(shared: &Shared, image: &RgbImage, work: Work, pixels: &AtomicU64) -> LabelReply {
-    let started = Instant::now();
-    // The share of the pipeline call a reactor already ran (a miss's key
-    // and lookup).
-    let mut earlier = Duration::ZERO;
-    let reply = match work {
-        Work::Segment => LabelReply::segment(Arc::new(shared.pipeline.segment_request(image))),
-        Work::Cached { bypass } => {
-            let (labels, cached) = shared.pipeline.segment_request_cached(image, bypass);
-            LabelReply::cached(Arc::new(labels), cached)
-        }
-        Work::Miss { key, lookup } => {
-            earlier = lookup;
-            LabelReply::cached(shared.pipeline.segment_miss(image, key), false)
-        }
-        Work::Delta => {
-            let (labels, tiles_hit, tiles_recomputed) =
-                shared.pipeline.segment_request_delta(image);
-            LabelReply::delta(Arc::new(labels), tiles_hit, tiles_recomputed)
-        }
-    };
-    record_reply(shared, image.len(), earlier + started.elapsed(), pixels);
-    reply
-}
-
-/// Records one finished segment reply of `labelled` pixels: its pipeline
-/// time in `lat_*`, the server's and the connection's pixel counters.
-/// Reactors (inline cache hits) and workers both call this before handing
-/// the reply on, so the counters move before the reply can reach the wire
-/// and a client holding its reply never reads a stale Stats snapshot.
-fn record_reply(shared: &Shared, labelled: usize, latency: Duration, pixels: &AtomicU64) {
-    shared.stats.record_latency(latency);
-    shared.stats.segmented(labelled);
-    pixels.fetch_add(labelled as u64, Ordering::Relaxed);
-}
-
-fn worker_loop(
-    shared: Arc<Shared>,
-    job_rx: Arc<Mutex<Receiver<Job>>>,
-    reactors: Arc<Vec<Arc<ReactorHandle>>>,
-) {
-    loop {
-        // Holding the lock across `recv` serialises dispatch, not execution:
-        // the holder sleeps until a job arrives, takes it, and releases.
-        let job = {
-            let rx = job_rx.lock().unwrap_or_else(|e| e.into_inner());
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break, // all reactors gone: drain complete
-            }
-        };
-        // The job left the queue and is now executing: release its admission
-        // slot so the gauge tracks waiting work, not in-flight work.
-        shared.queued_jobs.fetch_sub(1, Ordering::Relaxed);
-        let reply = execute_job(&shared, &job.image, job.work, &job.pixels);
-        shared.pixel_arena.recycle(job.image);
-        reactors[job.reactor].push_completion(Completion {
-            conn: job.conn,
-            gen: job.gen,
-            request_id: job.request_id,
-            reply,
-        });
-    }
-}
-
-/// Boots the evented core: reactor threads, the worker pool, and one
-/// coordinator thread (returned) that joins them all — so `Server::join`
-/// keeps its drain-then-stop contract unchanged.
+/// Boots the evented core: `max_inflight` reactor threads and one
+/// coordinator thread (returned) that joins them — so `Server::join` keeps
+/// its drain-then-stop contract unchanged.
 pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<JoinHandle<()>> {
     listener.set_nonblocking(true)?;
-    let mut handles = Vec::with_capacity(REACTOR_THREADS);
-    let mut wake_receivers = Vec::with_capacity(REACTOR_THREADS);
-    for _ in 0..REACTOR_THREADS {
+    let reactors = shared.max_inflight.max(1);
+    let mut handles = Vec::with_capacity(reactors);
+    let mut wake_receivers = Vec::with_capacity(reactors);
+    for _ in 0..reactors {
         let (rx, tx) = UnixStream::pair()?;
         rx.set_nonblocking(true)?;
         tx.set_nonblocking(true)?;
         handles.push(Arc::new(ReactorHandle {
-            inbox: Mutex::new(Inbox::default()),
+            inbox: Mutex::new(Vec::new()),
             waker: tx,
         }));
         wake_receivers.push(rx);
     }
     let handles = Arc::new(handles);
     let accepting_done = Arc::new(AtomicBool::new(false));
-    let (job_tx, job_rx) = std::sync::mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
     let mut listener = Some(listener);
-    let mut reactor_threads = Vec::with_capacity(REACTOR_THREADS);
+    let mut reactor_threads = Vec::with_capacity(reactors);
     for (index, waker_rx) in wake_receivers.into_iter().enumerate() {
         let reactor = Reactor {
             index,
@@ -919,7 +736,6 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Jo
             listener: if index == 0 { listener.take() } else { None },
             accept_paused_until: None,
             accepting_done: Arc::clone(&accepting_done),
-            job_tx: job_tx.clone(),
             slots: Vec::new(),
             free: Vec::new(),
             next_assign: 0,
@@ -931,27 +747,10 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Jo
                 .spawn(move || reactor.run())?,
         );
     }
-    // Workers exit when every reactor's job sender is dropped.
-    drop(job_tx);
-    let worker_count = shared.max_inflight.max(1);
-    let mut worker_threads = Vec::with_capacity(worker_count);
-    for index in 0..worker_count {
-        let shared = Arc::clone(&shared);
-        let job_rx = Arc::clone(&job_rx);
-        let reactors = Arc::clone(&handles);
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("iqft-serve-worker-{index}"))
-                .spawn(move || worker_loop(shared, job_rx, reactors))?,
-        );
-    }
     std::thread::Builder::new()
         .name("iqft-serve-evented".to_string())
         .spawn(move || {
             for handle in reactor_threads {
-                let _ = handle.join();
-            }
-            for handle in worker_threads {
                 let _ = handle.join();
             }
         })

@@ -19,10 +19,10 @@
 //!   parsing with no I/O inside, which is what the server (and the
 //!   socket-free protocol test suite) is built on.
 //! * [`Server`] — one warm pipeline behind one serving core: a nonblocking
-//!   readiness loop over `poll(2)` ([`poll`]) where a small fixed set of
-//!   reactor threads owns every connection and dispatches segment work to a
-//!   bounded worker pool, so a thousand-plus pipelined connections cost
-//!   buffers, not threads.  On top sit an opt-in content-addressed result
+//!   readiness loop over `poll(2)` ([`poll`]) where
+//!   [`ServerConfig::max_inflight`] reactor threads own every connection
+//!   and run each frame to completion on the reactor that decoded it, so a
+//!   thousand-plus pipelined connections cost buffers, not threads.  On top sit an opt-in content-addressed result
 //!   cache ([`ServerConfig::cache`]) answering repeated `SegmentCached`
 //!   requests from the cached label buffer itself, per-connection and
 //!   aggregate [`stats::ServerStats`], per-frame read deadlines

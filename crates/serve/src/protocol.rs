@@ -34,10 +34,10 @@
 //!   `tiles_hit: u32`, `tiles_recomputed: u32`, then the `SegmentReply`
 //!   layout.
 //! * [`Message::StatsReply`] / [`Message::Error`] — UTF-8 text.
-//! * [`Message::Busy`] (v2) — empty.  An admission-control rejection: the
-//!   segment request was well-formed but the server's worker pool and queue
-//!   are saturated (`max_queue` exceeded); the request was not executed and
-//!   may be retried.
+//! * [`Message::Busy`] (v2) — empty.  A load-shedding refusal: the segment
+//!   request was well-formed but the server did not execute it, and it may
+//!   be retried.  This crate's daemon never sends it (a saturated reactor
+//!   stops reading instead); clients still decode it.
 //! * Everything else — empty (a non-empty payload is a protocol error).
 //!
 //! # Version 2 and pipelining
@@ -163,10 +163,10 @@ pub enum Op {
     /// Reply to [`Op::SegmentDelta`]: the label map plus per-tile hit and
     /// recompute counts for the frame.
     SegmentDeltaReply = 0x86,
-    /// Reply to any segment op when the server's admission limit is reached:
-    /// the request was *not* executed and may be retried (v2, empty payload).
+    /// Reply to any segment op that a load-shedding server refused: the
+    /// request was *not* executed and may be retried (v2, empty payload).
     /// Distinct from [`Op::Error`] — the request was well-formed, the server
-    /// is just saturated.
+    /// is just saturated.  This crate's daemon never sends it.
     Busy = 0x87,
     /// Reply to any malformed or failed request: a UTF-8 diagnostic.
     Error = 0xFF,
@@ -251,8 +251,8 @@ pub enum Message {
     Shutdown,
     /// Shutdown acknowledged (reply); the connection closes after this frame.
     ShutdownReply,
-    /// The server's admission limit is reached; the segment request was not
-    /// executed and may be retried (reply).
+    /// The server shed the segment request without executing it; it may be
+    /// retried (reply).  This crate's daemon never sends it.
     Busy,
     /// Request failed; the payload is a human-readable diagnostic (reply).
     Error {
@@ -1432,11 +1432,6 @@ impl LabelReply {
             words: [0, tiles_hit, tiles_recomputed],
             labels,
         }
-    }
-
-    /// The labels, for a caller that will not send the reply.
-    pub(crate) fn into_labels(self) -> Arc<LabelMap> {
-        self.labels
     }
 }
 

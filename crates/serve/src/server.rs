@@ -2,19 +2,19 @@
 //!
 //! One serving core — the evented reactor set of the `evented` module —
 //! runs one protocol against one warm [`SegmentPipeline`] and one
-//! statistics block.  A small fixed set of reactor threads owns *all*
-//! connections on nonblocking sockets behind a `poll(2)` readiness loop.
-//! Complete frames come out of the sans-io
-//! [`crate::protocol::FrameDecoder`]; light ops and whole-frame cache hits
-//! are answered on the reactor, and every other segment request goes to a
-//! worker pool of [`ServerConfig::max_inflight`] threads, whose
-//! completion-order replies queue back through per-connection write
-//! buffers.  Per-connection cost
-//! is one buffered frame, not one OS thread, which is what lets one daemon
-//! hold a thousand pipelined connections with flat memory.  The core is
-//! built on `poll(2)`, so serving is unix-only: elsewhere [`Server::bind`]
-//! fails with [`io::ErrorKind::Unsupported`] (the [`crate::Client`] and the
-//! protocol stay portable).
+//! statistics block.  [`ServerConfig::max_inflight`] reactor threads own
+//! *all* connections on nonblocking sockets behind a `poll(2)` readiness
+//! loop.  Complete frames come out of the sans-io
+//! [`crate::protocol::FrameDecoder`], and each runs to completion on the
+//! reactor that decoded it, its reply queued at once on the connection's
+//! write buffer; so the reactor count is also how many segment requests
+//! run at once.  A saturated daemon sheds nothing: it stops reading, and
+//! TCP slows its clients.  Per-connection cost is one buffered frame, not
+//! one OS thread, which is what lets one daemon hold a thousand pipelined
+//! connections with flat memory.  The core is built on `poll(2)`, so
+//! serving is unix-only: elsewhere [`Server::bind`] fails with
+//! [`io::ErrorKind::Unsupported`] (the [`crate::Client`] and the protocol
+//! stay portable).
 //!
 //! Shutdown: a `Shutdown` frame (or [`Server::shutdown_now`]) flips a flag,
 //! the server stops accepting, and every connection finishes the frames
@@ -33,7 +33,7 @@ use iqft_seg::IqftClassifier;
 use seg_engine::SegmentPlan;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -51,8 +51,8 @@ pub(crate) const FRAME_READ_DEADLINE: Duration = Duration::from_secs(10);
 /// both go with the next change to that benchmark.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeMode {
-    /// Nonblocking readiness loop on a fixed reactor-thread count, with a
-    /// `max_inflight`-sized worker pool.
+    /// Nonblocking readiness loop on `max_inflight` reactor threads, each
+    /// running every frame it decodes to completion.
     Evented,
 }
 
@@ -68,7 +68,7 @@ pub enum ServeMode {
 ///
 /// let config = ServerConfig::new("classifier=table;tile=off;backend=serial".parse().unwrap())
 ///     .with_cache(CacheConfig::with_capacity_mb(64))
-///     .with_max_queue(32);
+///     .with_max_inflight(4);
 /// let server = Server::bind("127.0.0.1:0", config).unwrap();
 /// # drop(server);
 /// ```
@@ -77,8 +77,9 @@ pub struct ServerConfig {
     /// The segmentation strategy (classifier × backend) the server
     /// materialises once and serves from.
     pub plan: SegmentPlan,
-    /// Maximum concurrently-executing `Segment` requests across all
-    /// connections (0 = the plan's effective thread count).
+    /// Reactor threads, each running one segment request at a time, so
+    /// also the most that run at once across all connections (0 = the
+    /// plan's effective thread count, and at least 2).
     pub max_inflight: usize,
     /// Content-addressed result cache for `SegmentCached` requests
     /// (default: disabled).  The cache key is salted with the plan spec, so
@@ -88,13 +89,6 @@ pub struct ServerConfig {
     /// arrived (default: `FRAME_READ_DEADLINE`).  Tests shrink this to
     /// exercise slow-loris handling without ten-second waits.
     pub frame_deadline: Duration,
-    /// Admission limit: segment requests arriving while the worker pool is
-    /// saturated *and* this many requests are already queued get an
-    /// immediate typed `Busy` reply instead of queueing unboundedly
-    /// (default 0 = unbounded queueing, the pre-admission behaviour).  A
-    /// whole-frame cache hit never waits for a worker, so it is answered
-    /// at once and never counts against the limit.
-    pub max_queue: usize,
 }
 
 impl ServerConfig {
@@ -124,14 +118,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the admission limit (0 = unbounded queueing).
-    pub fn with_max_queue(mut self, max_queue: usize) -> Self {
-        self.max_queue = max_queue;
-        self
-    }
-
-    /// Caps concurrently-executing segment requests (0 = the plan's
-    /// effective thread count).
+    /// Sets the reactor count, which caps concurrently-executing segment
+    /// requests (0 = the plan's effective thread count, and at least 2).
     pub fn with_max_inflight(mut self, max_inflight: usize) -> Self {
         self.max_inflight = max_inflight;
         self
@@ -145,21 +133,20 @@ impl Default for ServerConfig {
             max_inflight: 0,
             cache: CacheConfig::default(),
             frame_deadline: FRAME_READ_DEADLINE,
-            max_queue: 0,
         }
     }
 }
 
-/// State shared by the reactor and worker threads.
+/// State shared by the reactor threads.
 ///
-/// Every field that each request writes — the statistics block, the
-/// admission gauge, the pixel arena and the pipeline's label arena — sits
-/// on cache lines of its own, apart from the fields every request only
-/// reads (`max_queue`, `frame_deadline`, `shutting_down`, the pipeline's
-/// cache and classifier).  Left to the compiler, a written field can share
-/// a line with them, and every write then bounces that line between the
-/// reactor and worker cores: where the compiler placed the label arena
-/// once cost the loopback benchmark's cache-hit throughput about a tenth.
+/// Every field that each request writes — the statistics block, the pixel
+/// arena and the pipeline's label arena — sits on cache lines of its own,
+/// apart from the fields every request only reads (`frame_deadline`,
+/// `shutting_down`, the pipeline's cache and classifier).  Left to the
+/// compiler, a written field can share a line with them, and every write
+/// then bounces that line between the reactors' cores: where the compiler
+/// placed the label arena once cost the loopback benchmark's cache-hit
+/// throughput about a tenth.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) pipeline: SegmentPipeline<IqftClassifier>,
@@ -168,12 +155,8 @@ pub(crate) struct Shared {
     /// The pixel buffers of decoded segment requests, recycled across
     /// requests and connections.
     pub(crate) pixel_arena: PixelArena,
+    /// Reactor threads (`ServerConfig::max_inflight`, resolved).
     pub(crate) max_inflight: usize,
-    /// Admission limit (0 = unbounded queueing).
-    pub(crate) max_queue: usize,
-    /// Segment jobs dispatched to the worker pool but not yet picked up —
-    /// the admission gauge.
-    pub(crate) queued_jobs: QueuedJobs,
     shutting_down: AtomicBool,
     started: Instant,
     addr: SocketAddr,
@@ -217,8 +200,6 @@ impl Shared {
             delta_tiles_hit: cache.tile_hits,
             delta_tiles_recomputed: cache.tile_recomputed,
             quant_fallback_pixels: 0,
-            max_queue: self.max_queue,
-            busy_rejections: self.stats.busy_rejections(),
             conn_requests: conn.requests,
             conn_pixels: conn.pixels,
             ..StatsSnapshot::default()
@@ -246,20 +227,6 @@ impl Shared {
     }
 }
 
-/// The admission gauge, on a cache line of its own (see [`Shared`]): each
-/// dispatch and each pickup writes it.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-pub(crate) struct QueuedJobs(AtomicUsize);
-
-impl std::ops::Deref for QueuedJobs {
-    type Target = AtomicUsize;
-
-    fn deref(&self) -> &AtomicUsize {
-        &self.0
-    }
-}
-
 /// Per-connection counters (folded into the Stats reply for that client).
 #[derive(Debug, Default)]
 pub(crate) struct ConnStats {
@@ -271,7 +238,7 @@ pub(crate) struct ConnStats {
 #[derive(Debug)]
 pub struct Server {
     shared: Arc<Shared>,
-    /// The thread that joins every reactor and worker once they drain.
+    /// The thread that joins every reactor once they drain.
     core: Option<JoinHandle<()>>,
 }
 
@@ -286,8 +253,7 @@ fn spawn_core(_listener: TcpListener, _shared: Arc<Shared>) -> io::Result<JoinHa
 
 impl Server {
     /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port), builds the
-    /// warm pipeline for `config.plan`, and starts the reactor and worker
-    /// threads.  On non-unix targets this fails with
+    /// warm pipeline for `config.plan`, and starts the reactor threads.  On non-unix targets this fails with
     /// [`io::ErrorKind::Unsupported`].
     pub fn bind<A: ToSocketAddrs>(addr: A, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
@@ -296,7 +262,7 @@ impl Server {
         let pipeline = SegmentPipeline::new(plan.engine(), IqftClassifier::for_plan(&plan))
             .with_cache(config.cache, &plan.to_spec());
         let max_inflight = if config.max_inflight == 0 {
-            plan.engine().threads()
+            plan.engine().threads().max(2)
         } else {
             config.max_inflight
         };
@@ -306,8 +272,6 @@ impl Server {
             stats: ServerStats::new(),
             pixel_arena: PixelArena::new(),
             max_inflight,
-            max_queue: config.max_queue,
-            queued_jobs: QueuedJobs::default(),
             shutting_down: AtomicBool::new(false),
             started: Instant::now(),
             addr,
@@ -325,7 +289,8 @@ impl Server {
         self.shared.addr
     }
 
-    /// Effective cap on concurrently-executing segment requests.
+    /// The daemon's reactor threads, so also its cap on
+    /// concurrently-executing segment requests.
     pub fn max_inflight(&self) -> usize {
         self.shared.max_inflight
     }
@@ -336,7 +301,7 @@ impl Server {
     }
 
     /// Blocks until the server has fully drained and stopped: the last
-    /// connection has closed and every reactor and worker thread has exited.
+    /// connection has closed and every reactor thread has exited.
     pub fn join(self) {
         let _ = self.join_with_counters();
     }
@@ -357,7 +322,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        // A dropped server must not leak its reactor and worker threads.
+        // A dropped server must not leak its reactor threads.
         if let Some(handle) = self.core.take() {
             self.shared.signal_shutdown();
             let _ = handle.join();
@@ -391,13 +356,8 @@ mod tests {
     #[test]
     fn ephemeral_server_serves_ping_segment_stats_and_drains() {
         let plan: SegmentPlan = "classifier=table;backend=threads:2".parse().unwrap();
-        let server = Server::bind(
-            "127.0.0.1:0",
-            ServerConfig::new(plan)
-                .with_max_inflight(2)
-                .with_max_queue(7),
-        )
-        .unwrap();
+        let server =
+            Server::bind("127.0.0.1:0", ServerConfig::new(plan).with_max_inflight(2)).unwrap();
         assert_eq!(server.max_inflight(), 2);
         assert_eq!(server.shared.plan, plan);
         assert!(!server.shared.shutting_down());
@@ -415,7 +375,6 @@ mod tests {
         assert_eq!(stats.pixels_total, img.len() as u64);
         assert_eq!(stats.conn_requests, 3, "ping + segment + stats");
         assert_eq!(stats.max_inflight, 2);
-        assert_eq!(stats.max_queue, 7);
         assert_eq!(stats.busy_rejections, 0);
         assert_eq!(stats.plan, plan.to_spec());
         assert_eq!(stats.lat_count, 1, "one segment = one latency sample");
@@ -464,14 +423,11 @@ mod tests {
         let config = ServerConfig::new(plan)
             .with_cache(CacheConfig::with_capacity_mb(4))
             .with_frame_deadline(Duration::from_secs(3))
-            .with_max_queue(9)
             .with_max_inflight(5);
         assert_eq!(config.plan, plan);
         assert_eq!(config.cache, CacheConfig::with_capacity_mb(4));
         assert_eq!(config.frame_deadline, Duration::from_secs(3));
-        assert_eq!(config.max_queue, 9);
         assert_eq!(config.max_inflight, 5);
-        assert_eq!(ServerConfig::new(plan).max_queue, 0, "default: unbounded");
         assert_eq!(
             config.clone().with_mode(ServeMode::Evented),
             config,

@@ -19,13 +19,12 @@ use std::time::Duration;
 ///
 /// All counters are monotonic and relaxed — they feed an operator-facing
 /// snapshot, not a synchronization protocol.  The latency histogram is the
-/// same lock-free log-bucketed structure offline pipeline runs use, so the
-/// reactors (inline cache hits) and the workers (everything else) record
-/// per-op service time with no lock on the hot path.
+/// same lock-free log-bucketed structure offline pipeline runs use, so
+/// every reactor records per-op service time with no lock on the hot path.
 ///
-/// Aligned to a cache line: both reactors and every worker write these
-/// counters on each request, so they must not share a line with the
-/// read-mostly fields around them in the daemon's shared state.
+/// Aligned to a cache line: every reactor writes these counters on each
+/// request, so they must not share a line with the read-mostly fields
+/// around them in the daemon's shared state.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 pub struct ServerStats {
@@ -41,11 +40,8 @@ pub struct ServerStats {
     pixels_total: AtomicU64,
     /// Frames that failed to decode or execute.
     protocol_errors: AtomicUsize,
-    /// Segment requests refused with a typed `Busy` reply because the
-    /// admission limit (`max_queue`) was reached.
-    busy_rejections: AtomicUsize,
     /// Per-op service latency (pipeline execution time) across every
-    /// connection, whether a reactor or a worker ran the pipeline.
+    /// connection.
     latency: LatencyHistogram,
 }
 
@@ -83,11 +79,6 @@ impl ServerStats {
         self.protocol_errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a segment request refused with a typed `Busy` reply.
-    pub(crate) fn busy_rejection(&self) {
-        self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records the service latency of one completed segment request.
     pub(crate) fn record_latency(&self, latency: Duration) {
         self.latency.record(latency);
@@ -116,11 +107,6 @@ impl ServerStats {
     /// Frames rejected so far.
     pub fn protocol_errors(&self) -> usize {
         self.protocol_errors.load(Ordering::Relaxed)
-    }
-
-    /// Segment requests refused with a typed `Busy` reply so far.
-    pub(crate) fn busy_rejections(&self) -> usize {
-        self.busy_rejections.load(Ordering::Relaxed)
     }
 
     /// Connections accepted since boot.
@@ -193,17 +179,16 @@ pub struct StatsSnapshot {
     /// The field stays on the wire, in its place in the stats text, because
     /// existing clients and the loopback benchmark read it.
     pub quant_fallback_pixels: u64,
-    /// Admission limit: segment requests beyond the worker pool plus this
-    /// many queued get a typed `Busy` reply (0 = unbounded queueing).
-    /// Whole-frame cache hits are answered on the reactor and never count.
-    pub max_queue: usize,
-    /// Segment requests refused with a typed `Busy` reply.
+    /// Segment requests refused with a typed `Busy` reply.  This daemon
+    /// sheds nothing (a saturated reactor stops reading instead), so it
+    /// always reports 0; the key stays because existing clients and the
+    /// loopback benchmark read it.
     pub busy_rejections: usize,
     /// Service-latency samples recorded (one per completed segment request).
     /// A sample times only the pipeline's own work: key and lookup for a
-    /// cache hit, plus classification and insert for a miss (the key and
-    /// lookup on the reactor, the rest on a worker).  Frame decode, queue
-    /// wait, reply encode and the socket write all fall outside it.
+    /// cache hit, plus classification and insert for a miss.  Frame decode,
+    /// the wait behind other frames, reply encode and the socket write all
+    /// fall outside it.
     pub lat_count: u64,
     /// Median pipeline-call time in microseconds (see `lat_count`).
     pub lat_p50_us: u64,
@@ -284,7 +269,6 @@ impl StatsSnapshot {
             "quant_fallback_pixels",
             self.quant_fallback_pixels.to_string(),
         );
-        push("max_queue", self.max_queue.to_string());
         push("busy_rejections", self.busy_rejections.to_string());
         push("lat_count", self.lat_count.to_string());
         push("lat_p50_us", self.lat_p50_us.to_string());
@@ -385,7 +369,6 @@ impl StatsSnapshot {
                     snapshot.conn_requests = value.parse().map_err(|_| bad("count"))?
                 }
                 "conn_pixels" => snapshot.conn_pixels = value.parse().map_err(|_| bad("count"))?,
-                "max_queue" => snapshot.max_queue = value.parse().map_err(|_| bad("count"))?,
                 "busy_rejections" => {
                     snapshot.busy_rejections = value.parse().map_err(|_| bad("count"))?
                 }
@@ -436,7 +419,6 @@ mod tests {
             delta_tiles_hit: 44,
             delta_tiles_recomputed: 11,
             quant_fallback_pixels: 17,
-            max_queue: 8,
             busy_rejections: 3,
             lat_count: 100,
             lat_p50_us: 900,
@@ -477,16 +459,18 @@ mod tests {
         assert_eq!(reencoded, parsed);
         // Text from an older daemon still carries the retired
         // uptime-averaged rate, the summary of the retired boot-time plan
-        // probe and the retired cache-snapshot warm-load figure; it parses,
-        // and the keys land in `extra`.
+        // probe, the retired cache-snapshot warm-load figure and the retired
+        // admission limit; it parses, and the keys land in `extra`.
         let mut older = sample().to_text();
         older.push_str("mpix_per_sec=153.600\n");
         older.push_str("calibration=cores=2;probes=5\n");
         older.push_str("cache_warm_loaded_entries=12\n");
+        older.push_str("max_queue=4\n");
         let parsed = StatsSnapshot::from_text(&older).unwrap();
         assert_eq!(parsed.extra.get("mpix_per_sec").unwrap(), "153.600");
         assert_eq!(parsed.extra.get("calibration").unwrap(), "cores=2;probes=5");
         assert_eq!(parsed.extra.get("cache_warm_loaded_entries").unwrap(), "12");
+        assert_eq!(parsed.extra.get("max_queue").unwrap(), "4");
         assert_eq!(
             StatsSnapshot {
                 extra: BTreeMap::new(),
@@ -517,13 +501,10 @@ mod tests {
     }
 
     #[test]
-    fn busy_and_latency_counters_accumulate() {
+    fn latency_counters_accumulate() {
         let stats = ServerStats::new();
-        stats.busy_rejection();
-        stats.busy_rejection();
         stats.record_latency(Duration::from_micros(250));
         stats.record_latency(Duration::from_micros(750));
-        assert_eq!(stats.busy_rejections(), 2);
         let summary = stats.latency_summary();
         assert_eq!(summary.count, 2);
         assert!(summary.max_ns >= 750_000);

@@ -231,7 +231,6 @@ fn stats_snapshot_round_trips_through_its_wire_text() {
             delta_tiles_hit: rng.gen_range(0usize..1 << 20),
             delta_tiles_recomputed: rng.gen_range(0usize..1 << 20),
             quant_fallback_pixels: rng.gen::<u64>() >> 16,
-            max_queue: rng.gen_range(0usize..256),
             busy_rejections: rng.gen_range(0usize..1 << 20),
             lat_count: rng.gen::<u64>() >> 32,
             lat_p50_us: rng.gen::<u64>() >> 40,
