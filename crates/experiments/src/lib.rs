@@ -16,9 +16,9 @@
 //! * [`service`] — the network face: `iqft-experiments serve` boots the
 //!   `iqft-serve` TCP daemon and `iqft-experiments loadgen` drives
 //!   concurrent clients against it, with the same default-on byte-identity
-//!   verification.  `serve` and `throughput` share the `--plan` flag: a
-//!   [`seg_engine::SegmentPlan`] spec string, or empty to fall back to the
-//!   per-axis flags.
+//!   verification.  `serve` and `throughput` compose the same
+//!   [`seg_engine::SegmentPlan`] from `--classifier` and the global
+//!   `--backend`/`--threads` flags.
 //!
 //! The `iqft-experiments` binary exposes one subcommand per experiment; every
 //! experiment is also callable as a library function so the benchmark crate

@@ -18,18 +18,17 @@
 //!   fig9    [--out DIR]        qualitative wins (xVIEW2-like)
 //!   fig10                      per-image θ adjustment
 //!   throughput [--images N] [--batch B] [--size S] [--seed S]
-//!              [--classifier exact|table|simd] [--plan SPEC]
+//!              [--classifier exact|table|simd]
 //!              [--cache-mb M] [--video] [--change-rate R] [--no-verify]
 //!                              batched pipeline service workload
-//!                              (--classifier defaults to simd;
-//!                              --plan takes a whole classifier=…;tile=off;
-//!                              backend=… spec in place of the per-axis
-//!                              flags; --cache-mb attaches the result cache
+//!                              (--classifier defaults to simd; the global
+//!                              --backend/--threads flags give the plan's
+//!                              backend; --cache-mb attaches the result cache
 //!                              and runs the per-request serving path; --video
 //!                              streams synthetic video through the
 //!                              per-tile delta path, mutating a fraction
 //!                              --change-rate of each frame's blocks)
-//!   serve   [--addr A] [--classifier C] [--plan SPEC]
+//!   serve   [--addr A] [--classifier C]
 //!           [--workers W] [--cache-mb M] [--addr-file PATH]
 //!                              boot the iqft-serve TCP daemon and block
 //!                              until a client sends Shutdown; --addr-file
@@ -91,7 +90,6 @@ struct Args {
     images: usize,
     batch: usize,
     classifier: String,
-    plan: String,
     verify: bool,
     addr: Option<String>,
     clients: usize,
@@ -125,7 +123,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         images: 64,
         batch: 16,
         classifier: seg_engine::ClassifierKind::default().flag().to_string(),
-        plan: String::new(),
         verify: true,
         addr: None,
         clients: 4,
@@ -159,7 +156,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
             "--images" => args.images = number(&flag, value()?)?,
             "--batch" => args.batch = number(&flag, value()?)?,
             "--classifier" => args.classifier = value()?,
-            "--plan" => args.plan = value()?,
             "--no-verify" => args.verify = false,
             "--addr" => args.addr = Some(value()?),
             "--clients" => args.clients = number(&flag, value()?)?,
@@ -186,7 +182,7 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
 /// from what `--classifier` actually accepts.
 fn usage() -> String {
     format!(
-        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--plan SPEC] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--retries N] [--shutdown]",
+        "usage: iqft-experiments <table1|table2|table3|fig1-3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|throughput|serve|loadgen|ping|all> [--out DIR] [--samples N] [--voc N] [--xview N] [--size S] [--seed S] [--backend serial|threads] [--threads N] [--images N] [--batch B] [--classifier {}] [--cache-mb M] [--no-verify] [--addr A[,A,...]] [--addr-file PATH] [--clients C] [--workers W] [--repeat-ratio R] [--pipeline K] [--expect-cache-hits] [--video] [--change-rate R] [--kill-one] [--retries N] [--shutdown]",
         seg_engine::ClassifierKind::FLAG_HELP
     )
 }
@@ -262,7 +258,6 @@ fn main() {
         "serve" => {
             let config = ServeCliConfig {
                 addr: args.addr.as_deref().unwrap_or(DEFAULT_ADDR).to_string(),
-                plan: args.plan.clone(),
                 classifier: args.classifier.clone(),
                 backend: args.backend.clone(),
                 threads: args.threads,
@@ -322,7 +317,6 @@ fn main() {
                 image_size: args.size,
                 seed: args.seed,
                 classifier: args.classifier.clone(),
-                plan: args.plan.clone(),
                 cache_mb: args.cache_mb,
                 verify: args.verify,
                 video: args.video,
@@ -465,6 +459,10 @@ mod tests {
         // the daemon no longer does.
         let err = parse("serve --max-queue 1").unwrap_err();
         assert_eq!(err, "unknown flag --max-queue");
+        // Nor the retired whole-plan flag: `--classifier` with the global
+        // `--backend`/`--threads` flags names every plan it named.
+        let err = parse("serve --plan classifier=simd;tile=off;backend=serial").unwrap_err();
+        assert_eq!(err, "unknown flag --plan");
         let err = parse("loadgen --clients x").unwrap_err();
         assert!(err.contains("--clients") && err.contains("'x'"), "{err}");
         let err = parse("loadgen --images").unwrap_err();
@@ -486,7 +484,6 @@ mod tests {
         assert!(!usage.contains(&format!("--{RETIRED}")), "{usage}");
         for remaining in [
             "[--classifier exact|table|simd]",
-            "[--plan SPEC]",
             "[--backend serial|threads]",
         ] {
             assert!(usage.contains(remaining), "{remaining}: {usage}");

@@ -3,7 +3,7 @@
 //! `serve` boots a long-lived [`iqft_serve::Server`] around one warm
 //! [`seg_engine::SegmentPlan`] and blocks until a Shutdown frame drains it.
 //! `loadgen` is the client side, with one driver for every traffic shape:
-//! `--clients C` threads each open a [`FleetClient`] over the
+//! `--clients C` threads each open one [`Client`] over the
 //! `--addr A[,B,…]` endpoints (one address is a fleet of one; client `c`
 //! tries them in the listed order rotated by `c`) and send their share of
 //! the run — a pipelined `SegmentCached` burst of synthetic images,
@@ -22,8 +22,7 @@ use imaging::{LabelMap, RgbImage, Segmenter};
 use iqft_pipeline::CacheConfig;
 use iqft_seg::IqftRgbSegmenter;
 use iqft_serve::{
-    protocol, Client, ClientConfig, EndpointStats, FleetClient, SegmentOutcome, Server,
-    ServerConfig, StatsSnapshot,
+    protocol, Client, ClientConfig, SegmentOutcome, Server, ServerConfig, StatsSnapshot,
 };
 use seg_engine::{ClassifierKind, SegmentEngine, SegmentPlan};
 use std::fmt::Write as _;
@@ -39,9 +38,6 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7870";
 pub struct ServeCliConfig {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7870`.
     pub addr: String,
-    /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
-    /// or empty to compose the plan from the per-axis flags below.
-    pub plan: String,
     /// Classifier flag (`--classifier`), one of
     /// [`seg_engine::ClassifierKind::FLAG_HELP`]; defaults to
     /// `ClassifierKind::default()`.
@@ -67,7 +63,6 @@ impl Default for ServeCliConfig {
     fn default() -> Self {
         Self {
             addr: DEFAULT_ADDR.to_string(),
-            plan: String::new(),
             classifier: ClassifierKind::default().flag().to_string(),
             backend: "threads".to_string(),
             threads: 0,
@@ -84,13 +79,10 @@ impl Default for ServeCliConfig {
 /// The boot line is printed to stdout *before* blocking so a supervising
 /// script (the CI smoke job) can tell the server is up.
 pub fn serve_command(config: &ServeCliConfig) -> Result<String, String> {
-    let plan: SegmentPlan = match config.plan.trim() {
-        "" => SegmentPlan::new(
-            ClassifierKind::from_flag(&config.classifier)?,
-            SegmentEngine::from_flags(&config.backend, config.threads)?.backend(),
-        ),
-        spec => spec.parse()?,
-    };
+    let plan = SegmentPlan::new(
+        ClassifierKind::from_flag(&config.classifier)?,
+        SegmentEngine::from_flags(&config.backend, config.threads)?.backend(),
+    );
     // A thousand-connection sweep needs more descriptors than the common
     // 1024 soft default; raise it best-effort before binding.
     #[cfg(unix)]
@@ -157,7 +149,7 @@ pub struct LoadgenConfig {
     /// next endpoint when one is down.  Must be empty with
     /// [`LoadgenConfig::kill_one`], which boots its own endpoints.
     pub addr: String,
-    /// Concurrent clients (`--clients`), each with its own [`FleetClient`].
+    /// Concurrent clients (`--clients`), each with its own [`Client`].
     pub clients: usize,
     /// Total images to stream across all clients (`--images`).
     pub images: usize,
@@ -264,9 +256,30 @@ struct ClientOutcome {
     tiles_hit: u64,
     tiles_recomputed: u64,
     elapsed_secs: f64,
+    /// What each endpoint did, indexed like the `--addr` list.
+    endpoints: Vec<EndpointCounts>,
+}
+
+/// One endpoint's share of the replies.
+#[derive(Debug, Default, Clone, Copy)]
+struct EndpointCounts {
+    /// Requests it answered.  A `Busy` reply names no endpoint, so it
+    /// counts at its client's first one.
+    requests: usize,
+    /// Replies it served from its cache.
+    hits: usize,
+    /// Requests it could not serve, each then sent to the next endpoint.
+    failovers: usize,
 }
 
 impl ClientOutcome {
+    fn new(endpoints: usize) -> Self {
+        ClientOutcome {
+            endpoints: vec![EndpointCounts::default(); endpoints],
+            ..ClientOutcome::default()
+        }
+    }
+
     fn add(&mut self, other: &ClientOutcome) {
         self.requests += other.requests;
         self.pixels += other.pixels;
@@ -277,6 +290,11 @@ impl ClientOutcome {
         self.tiles_hit += other.tiles_hit;
         self.tiles_recomputed += other.tiles_recomputed;
         self.elapsed_secs += other.elapsed_secs;
+        for (mine, theirs) in self.endpoints.iter_mut().zip(&other.endpoints) {
+            mine.requests += theirs.requests;
+            mine.hits += theirs.hits;
+            mine.failovers += theirs.failovers;
+        }
     }
 }
 
@@ -320,7 +338,7 @@ fn request_sequence(n: usize, repeat_ratio: f64, seed: u64) -> Vec<usize> {
 /// Drives the configured traffic and renders the report.
 ///
 /// Every traffic shape runs through the same steps: `--clients` threads
-/// each hold a [`FleetClient`] over the endpoints, client `c` over the list
+/// each hold one [`Client`] over the endpoints, client `c` over the list
 /// rotated by `c`, and send their share of the run (request `k` belongs to
 /// client `k % clients`), in one half, or in two with `--kill-one`.
 ///
@@ -382,14 +400,11 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     for e in unreachable {
         eprintln!("loadgen: {e}; its requests will fail over");
     }
-    let live: Vec<usize> = (0..addrs.len()).filter(|&i| probes[i].is_ok()).collect();
-    // Each client holds a socket to its first live endpoint, and one more
-    // per endpoint it fails over to (the kernel a few more again); a
-    // thousand-client run overruns the common 1024 soft descriptor limit.
+    // Each client holds one socket and each endpoint one probe (the kernel
+    // a few more again); a thousand-client run overruns the common 1024
+    // soft descriptor limit.
     #[cfg(unix)]
-    iqft_serve::poll::raise_nofile_limit(
-        (clients as u64).saturating_mul(addrs.len() as u64 + 1) + 512,
-    );
+    iqft_serve::poll::raise_nofile_limit(clients as u64 + addrs.len() as u64 + 512);
 
     // Inputs and references are built before the clock starts.  Request `k`
     // carries `inputs[sequence[k]]`.
@@ -445,85 +460,88 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
 
     // Client `c` tries the endpoints rotated left by `c`, so the clients
     // spread over every daemon while each keeps to one while it lives: its
-    // fleet's endpoint `j` is `addrs[endpoint_of(c, j)]`.
+    // endpoint `j` is `addrs[endpoint_of(c, j)]`.
     let endpoint_of = |c: usize, j: usize| (j + c) % addrs.len();
-    let mut fleets = (0..clients)
-        .map(|c| {
-            let rotated = (0..addrs.len()).map(|j| addrs[endpoint_of(c, j)].clone());
-            FleetClient::open(
-                &ClientConfig::fleet(rotated)
-                    .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
-                    .with_pipeline_depth(depth),
-            )
-        })
-        .collect::<std::io::Result<Vec<_>>>()
-        .map_err(|e| e.to_string())?;
-    // One client's share of one half: with `dial`, connect to its first
-    // live endpoint before the clock starts; then send, and — off the
-    // clock — check each reply against its reference.
-    let run_client = |client_idx: usize,
-                      fleet: &mut FleetClient,
-                      mine: &[usize],
-                      dial: bool|
-     -> Result<ClientOutcome, String> {
-        // The client sends to its first live endpoint until that dies, so
-        // that is the one socket it opens.  Up to three attempts, so
-        // transient accept-backlog overflow does not fail the run; failover
-        // redials inside the FleetClient stay single attempts, so a dead
-        // endpoint is skipped promptly.
-        let first_live = (0..addrs.len()).find(|&j| live.contains(&endpoint_of(client_idx, j)));
-        if let (true, Some(j)) = (dial, first_live) {
-            let mut attempt = 1;
-            while let Err(e) = fleet.connect(j) {
-                if attempt == 3 {
-                    let addr = &addrs[endpoint_of(client_idx, j)];
+    // Each client connects to its first live endpoint before the clock
+    // starts.  Up to three attempts, so transient accept-backlog overflow
+    // does not fail the run; failover redials inside the client stay single
+    // attempts, so a dead endpoint is skipped promptly.
+    let open_client = |c: usize| -> Result<Client, String> {
+        let rotated = (0..addrs.len()).map(|j| addrs[endpoint_of(c, j)].clone());
+        let client_config = ClientConfig::fleet(rotated)
+            .with_connect_deadline(CLIENT_CONNECT_TIMEOUT)
+            .with_pipeline_depth(depth);
+        let mut attempt = 1;
+        loop {
+            match Client::open(&client_config) {
+                Ok(client) => return Ok(client),
+                Err(e) if attempt == 3 => {
                     return Err(format!(
-                        "client {client_idx}: connect to {addr} failed: {e}"
-                    ));
+                        "client {c}: no endpoint accepted a connection: {e}"
+                    ))
                 }
-                attempt += 1;
-                std::thread::sleep(CONNECT_RETRY);
+                Err(_) => {
+                    attempt += 1;
+                    std::thread::sleep(CONNECT_RETRY);
+                }
             }
         }
-        let started = Instant::now();
-        let replies: Vec<(SegmentOutcome, u32, u32)> = if config.video {
-            mine.iter()
-                .map(|&input| fleet.segment_delta(&inputs[input]))
-                .collect::<Result<_, _>>()
-                .map_err(|e| format!("client {client_idx}: delta segment failed: {e}"))?
-        } else {
-            let refs: Vec<&RgbImage> = mine.iter().map(|&input| &inputs[input]).collect();
-            fleet
-                .segment_pipelined(&refs, true)
-                .map_err(|e| format!("client {client_idx}: pipelined segment failed: {e}"))?
-                .into_iter()
-                .map(|reply| (reply, 0, 0))
-                .collect()
-        };
-        let mut outcome = ClientOutcome {
-            elapsed_secs: started.elapsed().as_secs_f64(),
-            ..ClientOutcome::default()
-        };
-        for (&input, (reply, hit, recomputed)) in mine.iter().zip(&replies) {
-            outcome.failovers += usize::from(reply.tried() > 0);
-            outcome.tiles_hit += u64::from(*hit);
-            outcome.tiles_recomputed += u64::from(*recomputed);
-            match reply.labels() {
-                Some(labels) => {
-                    outcome.requests += 1;
-                    outcome.pixels += labels.len() as u64;
-                    outcome.cache_hits += usize::from(reply.cached());
-                    if config.verify && labels != &reference[input] {
-                        outcome.mismatches += 1;
-                    }
-                }
-                // A daemon that sheds load refused this request; it was
-                // never executed, so there is nothing to verify.
-                None => outcome.busy += 1,
-            }
-        }
-        Ok(outcome)
     };
+    let mut load_clients = (0..clients)
+        .map(open_client)
+        .collect::<Result<Vec<_>, _>>()?;
+    // One client's share of one half: send, then — off the clock — check
+    // each reply against its reference.
+    let run_client =
+        |client_idx: usize, client: &mut Client, mine: &[usize]| -> Result<ClientOutcome, String> {
+            let started = Instant::now();
+            let replies: Vec<(SegmentOutcome, u32, u32)> = if config.video {
+                mine.iter()
+                    .map(|&input| client.segment_delta(&inputs[input]))
+                    .collect::<Result<_, _>>()
+                    .map_err(|e| format!("client {client_idx}: delta segment failed: {e}"))?
+            } else {
+                let refs: Vec<&RgbImage> = mine.iter().map(|&input| &inputs[input]).collect();
+                client
+                    .segment_pipelined(&refs, true)
+                    .map_err(|e| format!("client {client_idx}: pipelined segment failed: {e}"))?
+                    .into_iter()
+                    .map(|reply| (reply, 0, 0))
+                    .collect()
+            };
+            let mut outcome = ClientOutcome {
+                elapsed_secs: started.elapsed().as_secs_f64(),
+                ..ClientOutcome::new(addrs.len())
+            };
+            for (&input, (reply, hit, recomputed)) in mine.iter().zip(&replies) {
+                // A reply from the client's endpoint `tried` failed over from
+                // each endpoint before it.
+                let tried = reply.tried() as usize;
+                let answered = &mut outcome.endpoints[endpoint_of(client_idx, tried)];
+                answered.requests += 1;
+                answered.hits += usize::from(reply.cached());
+                for j in 0..tried {
+                    outcome.endpoints[endpoint_of(client_idx, j)].failovers += 1;
+                }
+                outcome.failovers += usize::from(tried > 0);
+                outcome.tiles_hit += u64::from(*hit);
+                outcome.tiles_recomputed += u64::from(*recomputed);
+                match reply.labels() {
+                    Some(labels) => {
+                        outcome.requests += 1;
+                        outcome.pixels += labels.len() as u64;
+                        outcome.cache_hits += usize::from(reply.cached());
+                        if config.verify && labels != &reference[input] {
+                            outcome.mismatches += 1;
+                        }
+                    }
+                    // A daemon that sheds load refused this request; it was
+                    // never executed, so there is nothing to verify.
+                    None => outcome.busy += 1,
+                }
+            }
+            Ok(outcome)
+        };
 
     // Two halves give --kill-one a "mid-run" to kill at; without it the
     // second half is empty.
@@ -532,7 +550,7 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     } else {
         sequence.len()
     };
-    let mut outcomes = vec![ClientOutcome::default(); clients];
+    let mut outcomes = vec![ClientOutcome::new(addrs.len()); clients];
     let mut wall_secs = 0.0;
     let mut victim: Option<usize> = None;
     for (half, range) in [0..split, split..sequence.len()].into_iter().enumerate() {
@@ -549,21 +567,19 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
             server.join();
             victim = Some(killed);
         }
-        // Connections open once, in the first half.
-        let dial = half == 0;
         let started = Instant::now();
         let results: Vec<Result<ClientOutcome, String>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = fleets
+            let handles: Vec<_> = load_clients
                 .iter_mut()
                 .enumerate()
-                .map(|(client_idx, fleet)| {
+                .map(|(client_idx, client)| {
                     let mine: Vec<usize> = range
                         .clone()
                         .filter(|k| k % clients == client_idx)
                         .map(|k| sequence[k])
                         .collect();
                     let run_client = &run_client;
-                    scope.spawn(move || run_client(client_idx, fleet, &mine, dial))
+                    scope.spawn(move || run_client(client_idx, client, &mine))
                 })
                 .collect();
             handles
@@ -602,7 +618,7 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
             ""
         },
     );
-    let mut total = ClientOutcome::default();
+    let mut total = ClientOutcome::new(addrs.len());
     for (idx, outcome) in outcomes.iter().enumerate() {
         let _ = writeln!(
             out,
@@ -618,29 +634,13 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
         );
         total.add(outcome);
     }
-    // Each client counts its endpoints in its own rotated order; sum them
-    // back onto the address each one names.
-    let mut endpoints = vec![EndpointStats::default(); addrs.len()];
-    for (c, fleet) in fleets.iter().enumerate() {
-        for (j, stats) in fleet.stats().iter().enumerate() {
-            let sum = &mut endpoints[endpoint_of(c, j)];
-            sum.requests += stats.requests;
-            sum.hits += stats.hits;
-            sum.busy += stats.busy;
-            sum.errors += stats.errors;
-            sum.failovers += stats.failovers;
-        }
-    }
-    for (idx, (addr, stats)) in addrs.iter().zip(&endpoints).enumerate() {
+    for (idx, (addr, counts)) in addrs.iter().zip(&total.endpoints).enumerate() {
         let _ = writeln!(
             out,
-            "  endpoint {idx} ({addr}): {:>4} requests  {:>4} hits  {:>3} busy  \
-             {:>3} errors  {:>3} failovers{}",
-            stats.requests,
-            stats.hits,
-            stats.busy,
-            stats.errors,
-            stats.failovers,
+            "  endpoint {idx} ({addr}): {:>4} requests  {:>4} hits  {:>3} failovers{}",
+            counts.requests,
+            counts.hits,
+            counts.failovers,
             if victim == Some(idx) {
                 "  [killed mid-run]"
             } else if probes[idx].is_err() {
@@ -743,7 +743,13 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     }
 
     if config.shutdown {
-        let acknowledged = fleets[0].shutdown_all();
+        // One Shutdown per endpoint, through its preflight probe; an
+        // endpoint that is down does not acknowledge.
+        let acknowledged = probes
+            .iter_mut()
+            .filter_map(|probe| probe.as_mut().ok())
+            .filter_map(|probe| probe.shutdown().ok())
+            .count();
         let _ = writeln!(
             out,
             "  shutdown: acknowledged by {acknowledged} of {}",
@@ -754,7 +760,7 @@ pub fn loadgen_report(config: &LoadgenConfig) -> Result<String, String> {
     // no drain was sent, and joining a still-listening server would block
     // forever.  Closing this side's connections first lets the drain finish
     // without waiting out its idle grace.
-    drop((fleets, probes));
+    drop((load_clients, probes));
     for server in booted {
         server.shutdown_now();
         server.join();
@@ -1090,6 +1096,15 @@ mod tests {
         config.images = 12;
         let report = loadgen_report(&config).unwrap();
         assert!(report.contains("byte-identical"), "{report}");
+        // Client 1 of 3 starts at the dead endpoint: its 4 requests fail
+        // over from there to the live one, which answers all 12.
+        assert_eq!(endpoint_requests(&report), vec![12, 0], "{report}");
+        assert_eq!(
+            endpoint_column(&report, "failovers"),
+            vec![0, 4],
+            "{report}"
+        );
+        assert!(report.contains(", 4 failed over)"), "{report}");
         assert!(
             report.contains("shutdown: acknowledged by 1 of 2"),
             "{report}"
@@ -1131,6 +1146,13 @@ mod tests {
             "{report}"
         );
         assert!(report.contains(" 1 failed over"), "{report}");
+        // Client 1's list starts at the victim and goes on to endpoint 2.
+        assert_eq!(
+            endpoint_column(&report, "failovers"),
+            vec![0, 1, 0],
+            "{report}"
+        );
+        assert_eq!(endpoint_requests(&report), vec![1, 0, 1], "{report}");
         assert!(report.contains("acknowledged by 2 of 3"), "{report}");
     }
 
@@ -1170,17 +1192,22 @@ mod tests {
             .collect()
     }
 
-    /// The request count on each `endpoint N (addr): …` report line, in
-    /// endpoint order.
-    fn endpoint_requests(report: &str) -> Vec<u64> {
+    /// The count before `column` (`requests`, `hits` or `failovers`) on
+    /// each `endpoint N (addr): …` report line, in endpoint order.
+    fn endpoint_column(report: &str, column: &str) -> Vec<u64> {
         report
             .lines()
             .filter(|line| line.starts_with("  endpoint ") && line.contains("): "))
             .map(|line| {
-                let counts = line.split("): ").nth(1).unwrap();
-                counts.split_whitespace().next().unwrap().parse().unwrap()
+                let counts: Vec<&str> = line.split_whitespace().collect();
+                let at = counts.iter().position(|&word| word == column).unwrap();
+                counts[at - 1].parse().unwrap()
             })
             .collect()
+    }
+
+    fn endpoint_requests(report: &str) -> Vec<u64> {
+        endpoint_column(report, "requests")
     }
 
     #[test]

@@ -52,10 +52,6 @@ pub struct ThroughputConfig {
     /// [`ClassifierKind::FLAG_HELP`], parsed by
     /// [`ClassifierKind::from_flag`].
     pub classifier: String,
-    /// Whole-plan flag (`--plan`): a `classifier=…;tile=off;backend=…` spec,
-    /// or empty to compose the plan from `classifier` and the engine's
-    /// backend.  A spec overrides the per-axis flags.
-    pub plan: String,
     /// Result-cache budget in MiB (`--cache-mb`, 0 = off).  With a cache
     /// the stream runs through the per-request path
     /// ([`SegmentPipeline::run_stream_requests`]) so repeated images are
@@ -82,7 +78,6 @@ impl Default for ThroughputConfig {
             image_size: 128,
             seed: 42,
             classifier: ClassifierKind::default().flag().to_string(),
-            plan: String::new(),
             cache_mb: 0,
             verify: true,
             video: false,
@@ -92,17 +87,14 @@ impl Default for ThroughputConfig {
 }
 
 impl ThroughputConfig {
-    /// Parses the config's strategy flags into a [`SegmentPlan`]: the
-    /// `plan` spec when one is given, else `classifier` on `engine`'s
-    /// backend.  Errors on an unknown classifier or a malformed plan spec.
+    /// Parses the config's strategy flags into a [`SegmentPlan`]:
+    /// `classifier` on `engine`'s backend.  Errors on an unknown
+    /// classifier.
     pub fn plan(&self, engine: &SegmentEngine) -> Result<SegmentPlan, String> {
-        match self.plan.trim() {
-            "" => Ok(SegmentPlan::new(
-                ClassifierKind::from_flag(&self.classifier)?,
-                engine.backend(),
-            )),
-            spec => spec.parse(),
-        }
+        Ok(SegmentPlan::new(
+            ClassifierKind::from_flag(&self.classifier)?,
+            engine.backend(),
+        ))
     }
 }
 
@@ -177,7 +169,7 @@ pub(crate) fn throughput_run_with_plan(
 /// a mismatch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThroughputError {
-    /// A strategy flag (`--classifier`, `--plan`) did not parse.
+    /// The `--classifier` flag did not parse.
     Flag(String),
     /// The labels differ from the serial reference.  Carries the rendered
     /// report, whose last line says how many images differ.
@@ -324,7 +316,7 @@ mod tests {
     use super::*;
 
     /// Resolves `config`'s plan on `engine` and runs its stream, or fails on
-    /// an unknown classifier or a malformed plan spec.
+    /// an unknown classifier.
     fn throughput_run(
         engine: &SegmentEngine,
         config: &ThroughputConfig,
@@ -341,7 +333,6 @@ mod tests {
             image_size: 40,
             seed: 7,
             classifier: classifier.to_string(),
-            plan: String::new(),
             cache_mb: 0,
             verify: true,
             video: false,
@@ -450,15 +441,6 @@ mod tests {
             throughput_report(&engine, &config),
             Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
         ));
-        // A tile shape in the plan spec names the one value that remains.
-        let mut config = small_config("table");
-        config.plan = "classifier=table;tile=64x64".to_string();
-        assert!(throughput_run(&engine, &config, &images).is_err());
-        assert!(matches!(
-            throughput_report(&engine, &config),
-            Err(ThroughputError::Flag(message))
-                if message == "unknown tile value '64x64' (expected off: frames are classified whole)"
-        ));
     }
 
     #[test]
@@ -493,35 +475,6 @@ mod tests {
             ClassifierKind::Simd,
             "the classifier defaults to the split table"
         );
-    }
-
-    #[test]
-    fn plan_flag_overrides_the_axis_flags_and_stays_byte_identical() {
-        let engine = SegmentEngine::with_threads(2);
-        let mut config = small_config("table");
-        // The per-axis flags say table; the plan flag wins.
-        config.plan = "classifier=simd;tile=off;backend=serial".to_string();
-        let plan = config.plan(&engine).unwrap();
-        assert_eq!(plan.classifier(), ClassifierKind::Simd);
-        assert_eq!(plan.backend(), SegmentEngine::serial().backend());
-        let report = throughput_report(&engine, &config).unwrap();
-        assert!(
-            report.contains("plan: [classifier=simd;tile=off;backend=serial]"),
-            "{report}"
-        );
-        assert!(report.contains("byte-identical"), "{report}");
-        // A malformed plan fails loudly instead of falling back, and `auto`
-        // is not a spec.
-        config.plan = "classifier=warp".to_string();
-        assert!(matches!(
-            throughput_report(&engine, &config),
-            Err(ThroughputError::Flag(message)) if message.contains("unknown classifier")
-        ));
-        config.plan = "auto".to_string();
-        assert!(matches!(
-            throughput_report(&engine, &config),
-            Err(ThroughputError::Flag(message)) if message.contains("'auto'")
-        ));
     }
 
     #[test]

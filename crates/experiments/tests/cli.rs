@@ -37,15 +37,16 @@ fn run(args: &[&str]) -> (Option<i32>, String) {
     (status.code(), stderr)
 }
 
-/// `--plan` takes a spec only.  `auto` is not one, so `serve` and
-/// `throughput` refuse it with exit code 2 before doing any work.
+/// The whole-plan flag is retired, `auto` spec included: `serve` and
+/// `throughput` refuse it as an unknown flag with exit code 2 before doing
+/// any work.
 #[test]
 fn plan_auto_is_refused_with_exit_code_2() {
     for command in ["serve", "throughput"] {
         let (code, stderr) = run(&[command, "--addr", "127.0.0.1:0", "--plan", "auto"]);
         assert_eq!(code, Some(2), "{command}: {stderr}");
         assert!(
-            stderr.contains("plan spec part 'auto' has no '='"),
+            stderr.starts_with("unknown flag --plan\nusage: "),
             "{command}: {stderr}"
         );
     }

@@ -81,7 +81,12 @@
 //! connection is closed without disturbing any other.  One stalled
 //! (slow-loris) connection can never delay replies on a healthy one, because
 //! nothing about the stalled fd blocks: it merely sits unready in the poll
-//! set until its deadline fires.
+//! set until its deadline fires.  The deadline runs only while the reactor
+//! would read the connection: backpressure that stops reading mid-frame
+//! clears it, and the pass that resumes reading arms a fresh one, so a peer
+//! that drains its replies and then stalls is still closed one deadline
+//! later.  A peer that never reads its replies at all is never timed out;
+//! that takes a write deadline, which the daemon does not have yet.
 //!
 //! Accept errors: a failed `accept(2)` (e.g. `EMFILE` when the process is
 //! out of descriptors) leaves the waiting connection in the backlog, so the
@@ -167,7 +172,7 @@ struct Conn {
     /// No more reads; flush pending replies, then close.
     closing: bool,
     /// When the in-progress frame must be complete (reactor bookkeeping, not
-    /// a socket timeout).
+    /// a socket timeout); set only while the reactor would read it.
     frame_deadline: Option<Instant>,
     idle_since: Instant,
 }
@@ -491,12 +496,21 @@ impl Reactor {
         }
     }
 
-    /// Closes connections that are finished, stalled past their frame
-    /// deadline, or idle past the shutdown grace window.
+    /// Runs each connection's frame deadline only while the reactor would
+    /// read the frame's rest — a fresh budget from the pass that resumes
+    /// reading mid-frame — and closes connections that are finished,
+    /// stalled past their frame deadline, or idle past the shutdown grace
+    /// window.
     fn sweep(&mut self, now: Instant, shutting_down: bool) {
         for idx in 0..self.slots.len() {
-            let Some(conn) = &self.slots[idx] else {
+            let Some(conn) = &mut self.slots[idx] else {
                 continue;
+            };
+            conn.frame_deadline = if conn.wants_read() && conn.decoder.mid_frame() {
+                conn.frame_deadline
+                    .or(Some(now + self.shared.frame_deadline))
+            } else {
+                None
             };
             let stalled = conn.frame_deadline.is_some_and(|deadline| now >= deadline);
             let drained = shutting_down
@@ -538,7 +552,7 @@ impl Reactor {
                 }
                 Ok(n) => {
                     conn.idle_since = now;
-                    self.ingest(conn, &scratch[..n], now);
+                    self.ingest(conn, &scratch[..n]);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -550,7 +564,7 @@ impl Reactor {
 
     /// Feeds one received chunk through the sans-io decoder and queues
     /// every complete frame it yields.
-    fn ingest(&self, conn: &mut Conn, chunk: &[u8], now: Instant) {
+    fn ingest(&self, conn: &mut Conn, chunk: &[u8]) {
         let mut offset = 0;
         while offset < chunk.len() && !conn.closing {
             let (consumed, event) = conn
@@ -581,18 +595,12 @@ impl Reactor {
                     conn.closing = true;
                 }
                 Some(Ok(frame)) => {
+                    // The next frame's budget starts at the next sweep;
+                    // progress within a frame never resets it.
                     conn.frame_deadline = None;
                     conn.queue.push_back(frame);
                 }
             }
-        }
-        // Arm the per-frame deadline when a frame is in progress; keep an
-        // already-armed deadline (progress must not reset the budget).
-        if conn.decoder.mid_frame() {
-            conn.frame_deadline
-                .get_or_insert(now + self.shared.frame_deadline);
-        } else {
-            conn.frame_deadline = None;
         }
     }
 

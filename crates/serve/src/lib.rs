@@ -30,14 +30,14 @@
 //!   shutdown (in-flight requests are answered).
 //!   Serving is unix-only; the client side and [`protocol`] are portable.
 //! * [`Client`] — the synchronous request/response side, built from a
-//!   [`ClientConfig`] (endpoints, pipeline depth, deadlines): `ping`, `segment`, `segment_cached`, `segment_pipelined` (up
+//!   [`ClientConfig`] (endpoints, pipeline depth, deadlines): `ping`,
+//!   `segment`, `segment_cached`, `segment_delta`, `segment_pipelined` (up
 //!   to [`protocol::MAX_PIPELINE_DEPTH`] requests in flight, replies
-//!   reordered by id), `stats`, `shutdown`.  Every segmentation call
-//!   reports one [`SegmentOutcome`] vocabulary: `Done | Busy | Failover`.
-//! * `fleet` — the multi-daemon layer: a [`FleetClient`] sends each
-//!   request to the first of its endpoints that answers, in the order its
-//!   config lists them, failing over to the next (with typed per-endpoint
-//!   accounting, [`EndpointStats`]) when a daemon dies or drains.
+//!   reordered by id), `stats`, `shutdown`.  It holds one connection, and
+//!   sends each segment call to the first of its endpoints that answers,
+//!   in the order its config lists them, failing over to the next when a
+//!   daemon dies or drains.  Every segmentation call reports one
+//!   [`SegmentOutcome`] vocabulary: `Done | Busy | Failover`.
 //!
 //! The `iqft-experiments` binary exposes both ends as subcommands:
 //! `serve --addr … --classifier … --backend … --workers … --cache-mb …`
@@ -71,7 +71,6 @@
 pub(crate) mod client;
 #[cfg(unix)]
 mod evented;
-pub(crate) mod fleet;
 #[cfg(unix)]
 pub mod poll;
 pub mod protocol;
@@ -79,7 +78,6 @@ pub(crate) mod server;
 pub mod stats;
 
 pub use client::{Client, ClientConfig, SegmentOutcome, ServeError};
-pub use fleet::{EndpointStats, FleetClient};
 pub use protocol::Message;
 pub use server::{ServeMode, Server, ServerConfig};
 pub use stats::StatsSnapshot;

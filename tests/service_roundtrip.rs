@@ -686,11 +686,14 @@ fn a_stalled_connection_does_not_delay_replies_on_healthy_connections() {
 /// so TCP pushes back on the writer.  A second connection on the same
 /// reactor meanwhile gets a ping and a small segment answered, and the
 /// daemon's counters show that the stalled connection's queued frames did
-/// not run.  Once the first connection reads, every reply arrives in
-/// request order, byte-identical to the oracle, and none is `Busy`.
+/// not run.  The stall outlasts twice the frame deadline: a connection the
+/// reactor stopped reading is not a stalled peer, even mid-frame.  Once
+/// the first connection reads, every reply arrives in request order,
+/// byte-identical to the oracle, and none is `Busy`.
 #[test]
 fn an_overloaded_reactor_pushes_back_on_a_non_reading_peer_and_serves_the_rest() {
     const FRAMES: u64 = 16;
+    const FRAME_DEADLINE: Duration = Duration::from_millis(300);
     // Two distinct frames, alternating, so a reply out of order shows.
     let frames: Vec<RgbImage> = (0..2usize)
         .map(|seed| {
@@ -712,7 +715,9 @@ fn an_overloaded_reactor_pushes_back_on_a_non_reading_peer_and_serves_the_rest()
         .collect();
     let server = Server::bind(
         "127.0.0.1:0",
-        ServerConfig::new(SegmentPlan::default()).with_max_inflight(1),
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(1)
+            .with_frame_deadline(FRAME_DEADLINE),
     )
     .expect("bind");
     let addr = server.local_addr();
@@ -742,7 +747,7 @@ fn an_overloaded_reactor_pushes_back_on_a_non_reading_peer_and_serves_the_rest()
     // Stats replies the reactor passes over the flood at least once, and
     // runs one of its frames if it may, or reads more of them if it may;
     // the stall is both counts holding still across many such passes, with
-    // frames sent that never ran.
+    // frames sent that never ran, for twice the frame deadline.
     let flood_counts = |stats: &iqft_serve::StatsSnapshot, own_segments: usize| {
         (
             stats.requests_total - stats.conn_requests,
@@ -760,7 +765,7 @@ fn an_overloaded_reactor_pushes_back_on_a_non_reading_peer_and_serves_the_rest()
         let counts = flood_counts(&stats, 0);
         if counts != held.0 {
             held = (counts, Instant::now());
-        } else if counts.1 > 0 && held.1.elapsed() >= Duration::from_millis(50) {
+        } else if counts.1 > 0 && held.1.elapsed() >= 2 * FRAME_DEADLINE {
             break counts;
         }
         assert!(
@@ -804,6 +809,88 @@ fn an_overloaded_reactor_pushes_back_on_a_non_reading_peer_and_serves_the_rest()
     let stats = control.stats().expect("stats");
     assert_eq!(stats.segment_requests, FRAMES as usize + 1, "{stats:?}");
     assert_eq!(stats.busy_rejections, 0, "{stats:?}");
+    control.shutdown().expect("shutdown");
+    server.join();
+}
+
+/// The other half of the frame deadline's rule: backpressure pauses it,
+/// but the pass that resumes reading arms a fresh one whether or not a
+/// byte arrives.  A peer pipelines enough 1024x768 frames to back up its
+/// replies, then half a frame, and stops writing.  Once the reactor has
+/// stopped running its frames, the peer reads every reply, in order; then
+/// the daemon closes the connection when the half frame's deadline runs
+/// out, without answering it.
+#[test]
+fn a_peer_that_drains_its_replies_and_then_stalls_mid_frame_is_still_deadlined() {
+    const FRAMES: u64 = 10;
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServerConfig::new(SegmentPlan::default())
+            .with_max_inflight(1)
+            .with_frame_deadline(Duration::from_millis(300)),
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let mut peer = TcpStream::connect(addr).expect("connect peer");
+    let mut control = open_client(addr).expect("connect control");
+    control.ping().expect("ping");
+    let writer = {
+        let mut stream = peer.try_clone().expect("clone");
+        // Few distinct (r, g) pairs, so the split table fills fast.
+        let image = RgbImage::from_fn(1024, 768, |x, y| {
+            Rgb::new((x % 16) as u8, (y % 16) as u8, x as u8)
+        });
+        let mut bytes: Vec<u8> = (1..=FRAMES + 1)
+            .flat_map(|id| {
+                let image = image.clone();
+                protocol::encode_message(id, &Message::Segment { image }).expect("encode")
+            })
+            .collect();
+        let frame_len = bytes.len() / (FRAMES as usize + 1);
+        bytes.truncate(bytes.len() - frame_len / 2);
+        std::thread::spawn(move || stream.write_all(&bytes).expect("write frames"))
+    };
+
+    // The replies back up: the count of segments run holds still.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut held = (0, Instant::now());
+    loop {
+        std::thread::sleep(Duration::from_millis(2));
+        let ran = control.stats().expect("stats").segment_requests;
+        if ran != held.0 {
+            held = (ran, Instant::now());
+        } else if ran > 0 && held.1.elapsed() >= Duration::from_millis(100) {
+            break;
+        }
+        assert!(Instant::now() < deadline, "the replies never backed up");
+    }
+    assert!(held.0 < FRAMES as usize, "{held:?}");
+
+    peer.set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    for id in 1..=FRAMES {
+        let (got, reply) = protocol::read_message(&mut peer).expect("reply");
+        assert_eq!(got, id, "replies leave in request order");
+        match reply {
+            Message::SegmentReply { labels } => assert_eq!(labels.dimensions(), (1024, 768)),
+            other => panic!("frame {id}: expected SegmentReply, got {other:?}"),
+        }
+    }
+    writer.join().expect("writer");
+    let drained = Instant::now();
+    let mut rest = Vec::new();
+    match peer.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "the half frame must not be answered"),
+        Err(e) => assert!(
+            matches!(e.kind(), std::io::ErrorKind::ConnectionReset),
+            "expected EOF or reset, got {e:?}"
+        ),
+    }
+    assert!(
+        drained.elapsed() < Duration::from_secs(20),
+        "closed only after {:?}",
+        drained.elapsed()
+    );
     control.shutdown().expect("shutdown");
     server.join();
 }
